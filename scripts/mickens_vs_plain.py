@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from renormdiff.lineardiff import SchemeParams
-from renormdiff.oracle import iterate, iterate_mickens
+from renormdiff.lineardiff import Scheme, SchemeParams
+from renormdiff.oracle import iterate
 from renormdiff.perturbation import CUBIC
 
 
@@ -28,7 +28,9 @@ def main():
     gaps = []
     for h in args.steps:
         n = int(args.t_max / h)
-        mick = iterate_mickens(CUBIC, h, 0.0, 1.0, math.cos(h), n)
+        mick = iterate(
+            CUBIC, SchemeParams(dt=h, eps=0.0, scheme=Scheme.MICKENS), 1.0, math.cos(h), n
+        )
         plain = iterate(CUBIC, SchemeParams(dt=h), 1.0, math.cos(h), n)
         cos_err = np.max(np.abs(mick.values - np.cos(np.arange(n + 1) * h)))
         gap = np.max(np.abs(mick.values - plain.values))

@@ -1,7 +1,8 @@
 """Renormalized asymptotics for weakly nonlinear second-order difference schemes.
 
 Implements the full pipeline for schemes of the form
-z(n+1) - (2 - dt^2) z(n) + z(n-1) = dt^2 * eps * f(...):
+z(n+1) - (2 - mu) z(n) + z(n-1) = mu * eps * f(...), with the weight mu = dt^2
+(standard scheme) or 4 sin^2(dt/2) (trigonometric-weight "mickens" scheme):
 forward-difference series utilities, the first-order perturbation expansion
 and its secular content, amplitude flows that renormalize the secular growth
 away, globally valid asymptotic solutions, an exact-iteration oracle, and the
@@ -14,6 +15,7 @@ from .lineardiff import (
     HarmonicSum,
     HarmonicTerm,
     RootConvention,
+    Scheme,
     SchemeParams,
     characteristic_roots,
     is_resonant,
@@ -37,7 +39,6 @@ from .oracle import (
     Trajectory,
     init_from_amplitude,
     iterate,
-    iterate_mickens,
 )
 from .perturbation import (
     CUBIC,

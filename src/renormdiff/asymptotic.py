@@ -18,10 +18,9 @@ from .lineardiff import SchemeParams, characteristic_roots
 from .perturbation import AmplitudePair, Nonlinearity, Variant, first_order_solution
 from .renormalization import (
     KappaConvention,
+    continuum_amplitude,
     fit_envelope_constant,
     kappa_value,
-    solve_cubic_continuum,
-    solve_vdp_continuum,
 )
 
 __all__ = [
@@ -44,20 +43,26 @@ def third_harmonic_coefficient(kind: Nonlinearity, params: SchemeParams) -> comp
 
 
 def assemble_modes(
-    kind: Nonlinearity, params: SchemeParams, amplitudes, n
+    kind: Nonlinearity,
+    params: SchemeParams,
+    amplitudes,
+    n,
+    log_base: complex | None = None,
 ) -> np.ndarray:
     """Real expansion 2 Re[A lam_p^n + eps kappa3 A^3 lam_p^{3n}] at indices n.
 
     `amplitudes` is A evaluated per index (scalar or array broadcastable
     against n); the conjugate half of the expansion is implicit in taking
-    twice the real part.
+    twice the real part.  The fundamental is exp(n * log_base), with
+    log_base = log(lam_p) by default; log_base = 1j with n read as time t
+    gives the continuum fundamental e^{i t}.
     """
-    lam_p, _ = characteristic_roots(params)
     n_arr = np.asarray(n, dtype=float)
     amp = np.asarray(amplitudes, dtype=complex)
     k3 = third_harmonic_coefficient(kind, params)
-    log_lam = cmath.log(lam_p)
-    fundamental = np.exp(n_arr * log_lam)
+    if log_base is None:
+        log_base = cmath.log(characteristic_roots(params)[0])
+    fundamental = np.exp(n_arr * log_base)
     value = amp * fundamental + params.eps * k3 * amp**3 * fundamental**3
     out = 2.0 * value.real
     if out.ndim == 0:
@@ -100,25 +105,12 @@ class GlobalSolution:
             return abs(self.a0) ** 2
         return self.a0.imag / self.a0.real
 
-    @property
-    def _effective_eps(self) -> float:
-        if self.kind.variant is Variant.VAN_DER_POL and self.kind.vdp_halving:
-            return 0.5 * self.params.eps
-        return self.params.eps
-
     def amplitude_at(self, t):
         """Renormalized amplitude A(t) from the continuum flow (scalar/array)."""
         t_arr = np.asarray(t, dtype=float)
-        if self.kind.variant is Variant.CUBIC:
-            a, _ = solve_cubic_continuum(self.a0, self.a0.conjugate(), self._effective_eps, t_arr)
-        else:
-            c = self.conserved
-            kappa = kappa_value(c, self.kappa_convention)
-            constant = fit_envelope_constant(self.a0.real, kappa)
-            amps = solve_vdp_continuum(
-                constant, c, self._effective_eps, t_arr, self.kappa_convention
-            )
-            a = amps.a1 * (1.0 + 1j * c)
+        a = continuum_amplitude(
+            self.kind, self.a0, self.params.eps, t_arr, self.kappa_convention
+        )
         if t_arr.ndim == 0:
             return complex(a)
         return a
@@ -137,14 +129,8 @@ class GlobalSolution:
         periodic with angular frequency 1 + (3/2) eps |a0|^2.
         """
         t_arr = np.asarray(t, dtype=float)
-        amp = np.asarray(self.amplitude_at(t_arr), dtype=complex)
-        k3 = third_harmonic_coefficient(self.kind, self.params)
-        fundamental = np.exp(1j * t_arr)
-        value = amp * fundamental + self.params.eps * k3 * amp**3 * fundamental**3
-        out = 2.0 * value.real
-        if out.ndim == 0:
-            return float(out)
-        return out
+        amp = self.amplitude_at(t_arr)
+        return assemble_modes(self.kind, self.params, amp, t_arr, log_base=1j)
 
     def frequency_shift(self) -> float:
         """Angular frequency 1 + (3/2) eps |a0|^2 of the cubic waveform."""

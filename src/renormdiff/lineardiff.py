@@ -1,17 +1,19 @@
-"""Linear machinery for the scheme z(n+1) - (2 - dt^2) z(n) + z(n-1) = g(n).
+"""Linear machinery for the scheme z(n+1) - (2 - mu) z(n) + z(n-1) = g(n).
 
-Provides the two characteristic-root conventions, harmonic sums (finite
-combinations of c * n^p * lambda^n with p in {0, 1}), resonance detection, and
-particular solutions for geometric forcings, including the secular n*lambda^n
-response to resonant ones.
+The weight mu = omega^2 is fixed by the scheme: omega = dt for the standard
+scheme and omega = 2 sin(dt/2) for the trigonometric-weight (mickens) scheme,
+whose exact roots are e^{+/- i dt}.  Provides the two characteristic-root
+conventions, harmonic sums (finite combinations of c * n^p * lambda^n with
+p in {0, 1}), resonance detection, and particular solutions for geometric
+forcings, including the secular n*lambda^n response to resonant ones.
 
 Root conventions
 ----------------
-FIRST_ORDER uses lambda = 1 +/- i*dt.  These satisfy the characteristic
-polynomial only to O(dt^3) per step and their product is 1 + dt^2, not 1; the
+FIRST_ORDER uses lambda = 1 +/- i*omega.  These satisfy the characteristic
+polynomial only to O(omega^3) per step and their product is 1 + mu, not 1; the
 convention exists to reproduce the first-order perturbation formulas verbatim.
 EXACT_UNIT_MODULUS uses the exact roots e^{+/- i theta} with
-cos(theta) = 1 - dt^2/2, which have unit modulus and product exactly 1.  Use
+cos(theta) = 1 - mu/2, which have unit modulus and product exactly 1.  Use
 the exact convention whenever trajectories are compared against brute-force
 iteration.
 """
@@ -19,16 +21,16 @@ iteration.
 from __future__ import annotations
 
 import cmath
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from math import sqrt
-from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "RootConvention",
+    "Scheme",
     "SchemeParams",
     "HarmonicTerm",
     "HarmonicSum",
@@ -51,22 +53,32 @@ class RootConvention(Enum):
     EXACT_UNIT_MODULUS = "exact"
 
 
+class Scheme(Enum):
+    """Weight of the harmonic part: dt^2 (standard) or 4 sin^2(dt/2) (mickens)."""
+
+    STANDARD = "standard"
+    MICKENS = "mickens"
+
+
 @dataclass(frozen=True)
 class SchemeParams:
     """Physical configuration of a scheme: step size, small parameter, roots.
 
-    dt is the dimensionless time step (0 < dt < 2 keeps the exact
-    characteristic roots complex); eps >= 0 is the nonlinearity strength.
+    dt is the dimensionless time step; eps >= 0 is the nonlinearity strength.
+    The exact characteristic roots are complex while mu < 4, which bounds dt
+    by 2 for the standard scheme and by pi for the mickens scheme.
     """
 
     dt: float
     eps: float = 0.0
     root_convention: RootConvention = RootConvention.FIRST_ORDER
+    scheme: Scheme = Scheme.STANDARD
 
     def __post_init__(self):
-        if not 0.0 < self.dt < 2.0:
-            raise ValueError(f"dt must lie in (0, 2), got {self.dt}")
-        if self.eps < 0.0:
+        dt_max = 2.0 if self.scheme is Scheme.STANDARD else math.pi
+        if not 0.0 < self.dt < dt_max:
+            raise ValueError(f"dt must lie in (0, {dt_max:.6g}), got {self.dt}")
+        if not self.eps >= 0.0:
             raise ValueError(f"eps must be nonnegative, got {self.eps}")
         if self.eps > _EPS_WARN_THRESHOLD:
             warnings.warn(
@@ -75,19 +87,32 @@ class SchemeParams:
                 stacklevel=2,
             )
 
+    @property
+    def omega(self) -> float:
+        """Square root of the scheme weight: dt, or 2 sin(dt/2) for mickens."""
+        if self.scheme is Scheme.STANDARD:
+            return self.dt
+        return 2.0 * math.sin(0.5 * self.dt)
+
+    @property
+    def mu(self) -> float:
+        """Weight mu = omega^2 of the harmonic part and of the forcing."""
+        omega = self.omega
+        return omega * omega
+
 
 def characteristic_roots(params: SchemeParams) -> tuple[complex, complex]:
     """Roots (lambda_plus, lambda_minus) of the homogeneous scheme.
 
     The exact convention returns the roots of
-    lambda^2 - (2 - dt^2) lambda + 1 = 0 written as
-    (1 - dt^2/2) +/- i * dt * sqrt(1 - dt^2/4), whose product is exactly 1.
+    lambda^2 - (2 - mu) lambda + 1 = 0 written as
+    (1 - mu/2) +/- i * omega * sqrt(1 - mu/4), whose product is exactly 1.
     """
-    dt = params.dt
+    omega, mu = params.omega, params.mu
     if params.root_convention is RootConvention.FIRST_ORDER:
-        return complex(1.0, dt), complex(1.0, -dt)
-    re = 1.0 - 0.5 * dt * dt
-    im = dt * sqrt(1.0 - 0.25 * dt * dt)
+        return complex(1.0, omega), complex(1.0, -omega)
+    re = 1.0 - 0.5 * mu
+    im = omega * math.sqrt(1.0 - 0.25 * mu)
     return complex(re, im), complex(re, -im)
 
 
@@ -100,16 +125,11 @@ def scheme_residual(
 ) -> complex:
     """Residual of the scheme at one index for a triple of consecutive values.
 
-    Returns z_plus - (2 - dt^2) z_center + z_minus - dt^2 * eps * forcing_value,
+    Returns z_plus - (2 - mu) z_center + z_minus - mu * eps * forcing_value,
     which vanishes exactly when the triple satisfies the (forced) scheme.
     """
-    dt = params.dt
-    return (
-        z_plus
-        - (2.0 - dt * dt) * z_center
-        + z_minus
-        - dt * dt * params.eps * forcing_value
-    )
+    mu = params.mu
+    return z_plus - (2.0 - mu) * z_center + z_minus - mu * params.eps * forcing_value
 
 
 @dataclass(frozen=True)
@@ -159,10 +179,6 @@ class HarmonicSum:
         object.__setattr__(
             self, "terms", tuple(t for t in merged if t.coeff != 0)
         )
-
-    @classmethod
-    def from_terms(cls, terms: Iterable[HarmonicTerm]) -> "HarmonicSum":
-        return cls(tuple(terms))
 
     def __add__(self, other: "HarmonicSum") -> "HarmonicSum":
         return HarmonicSum(self.terms + other.terms)
@@ -242,8 +258,9 @@ def is_resonant(base: complex, params: SchemeParams, tol: float | None = None) -
 
     True when the base coincides with one of the active convention's roots, or
     when it annihilates the characteristic polynomial numerically
-    (|base + 1/base - (2 - dt^2)| <= tol).  The first clause matters for the
-    first-order convention, whose roots satisfy the polynomial only to O(dt^3).
+    (|base + 1/base - (2 - mu)| <= tol).  The first clause matters for the
+    first-order convention, whose roots satisfy the polynomial only to
+    O(omega^3).
     """
     if base == 0:
         raise ValueError("harmonic base must be nonzero")
@@ -252,8 +269,7 @@ def is_resonant(base: complex, params: SchemeParams, tol: float | None = None) -
     lam_p, lam_m = characteristic_roots(params)
     if abs(base - lam_p) <= tol or abs(base - lam_m) <= tol:
         return True
-    dt = params.dt
-    return abs(base + 1.0 / base - (2.0 - dt * dt)) <= tol
+    return abs(base + 1.0 / base - (2.0 - params.mu)) <= tol
 
 
 def particular_solution(
@@ -262,12 +278,12 @@ def particular_solution(
     """Particular solution of the scheme for a purely geometric forcing.
 
     Each non-resonant term c * base^n maps to
-    (c / (base + 1/base - 2 + dt^2)) * base^n; each resonant term maps to the
+    (c / (base + 1/base - 2 + mu)) * base^n; each resonant term maps to the
     secular response (c / (base - 1/base)) * n * base^n.  Forcings already
     carrying a factor n are rejected: the first-order construction never
     produces them, and their response would need n^2 * base^n terms.
     """
-    dt = params.dt
+    mu = params.mu
     out: list[HarmonicTerm] = []
     for term in forcing.terms:
         if term.n_power != 0:
@@ -277,7 +293,7 @@ def particular_solution(
             )
         base = term.base
         term_tol = resonance_tolerance(base) if tol is None else tol
-        geometric_denom = base + 1.0 / base - 2.0 + dt * dt
+        geometric_denom = base + 1.0 / base - 2.0 + mu
         secular_denom = base - 1.0 / base
         if abs(geometric_denom) <= term_tol and abs(secular_denom) <= term_tol:
             raise ValueError(

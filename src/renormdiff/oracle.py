@@ -7,13 +7,12 @@ a fixed evaluation order, so identical inputs give bit-identical output.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lineardiff import SchemeParams, characteristic_roots
-from .perturbation import Nonlinearity, Variant
+from .perturbation import Nonlinearity, Variant, vdp_scale
 
 __all__ = [
     "Trajectory",
@@ -21,7 +20,6 @@ __all__ = [
     "SingularStepError",
     "iterate",
     "init_from_amplitude",
-    "iterate_mickens",
 ]
 
 _DIVERGENCE_LIMIT = 1e8
@@ -77,86 +75,45 @@ def _step_cubic(z: float, zm: float, lin: float, gain: float) -> float:
     return lin * z - zm - gain * z * z * z
 
 
+def _step_vdp(z: float, zm: float, lin: float, gain: float) -> float:
+    w = gain * (1.0 - z * z)
+    lead = 1.0 - w
+    if abs(lead) < _SINGULAR_STEP_TOL:
+        raise SingularStepError("implicit coefficient vanished")
+    return (lin * z - zm - w * zm) / lead
+
+
 def iterate(
     kind: Nonlinearity, params: SchemeParams, z0: float, z1: float, n_steps: int
 ) -> Trajectory:
     """Iterate the scheme exactly from (z0, z1), returning z(0..n_steps).
 
-    Cubic: explicit update z(n+1) = (2 - dt^2) z(n) - z(n-1) - eps dt^2 z(n)^3.
-    Van der Pol: the right-hand side is linear in z(n+1), so the step is
-    solved in closed form; a vanishing leading coefficient raises
-    SingularStepError.  Magnitudes beyond 1e8 raise DivergenceError.
+    Cubic: explicit update z(n+1) = (2 - mu) z(n) - z(n-1) - eps mu z(n)^3,
+    with the weight mu of `params.scheme`.  Van der Pol: the right-hand side
+    is linear in z(n+1), so the step is solved in closed form; a vanishing
+    leading coefficient raises SingularStepError.  Magnitudes beyond 1e8 and
+    non-finite values raise DivergenceError.
     """
     if n_steps < 2:
         raise ValueError("need at least 2 steps")
-    dt, eps = params.dt, params.eps
-    lin = 2.0 - dt * dt
+    omega, eps = params.omega, params.eps
+    lin = 2.0 - params.mu
+    if kind.variant is Variant.CUBIC:
+        step, gain = _step_cubic, eps * omega * omega
+    else:
+        step, gain = _step_vdp, eps * vdp_scale(kind, params)
     values = np.empty(n_steps + 1, dtype=float)
     values[0] = zm = float(z0)
     values[1] = z = float(z1)
-    if kind.variant is Variant.CUBIC:
-        gain = eps * dt * dt
+    try:
         for n in range(1, n_steps):
-            zp = _step_cubic(z, zm, lin, gain)
-            if abs(zp) > _DIVERGENCE_LIMIT:
-                raise DivergenceError(f"|z({n + 1})| exceeded {_DIVERGENCE_LIMIT}")
+            zp = step(z, zm, lin, gain)
+            if not abs(zp) <= _DIVERGENCE_LIMIT:
+                raise DivergenceError(
+                    f"|z({n + 1})| = {abs(zp)} exceeded {_DIVERGENCE_LIMIT}"
+                )
             values[n + 1] = zp
             zm, z = z, zp
-    else:
-        gain = eps * dt * (0.5 if kind.vdp_halving else 1.0)
-        for n in range(1, n_steps):
-            w = gain * (1.0 - z * z)
-            lead = 1.0 - w
-            if abs(lead) < _SINGULAR_STEP_TOL:
-                raise SingularStepError(f"implicit coefficient vanished at n={n}")
-            zp = (lin * z - zm - w * zm) / lead
-            if abs(zp) > _DIVERGENCE_LIMIT:
-                raise DivergenceError(f"|z({n + 1})| exceeded {_DIVERGENCE_LIMIT}")
-            values[n + 1] = zp
-            zm, z = z, zp
-    return Trajectory(dt=dt, values=values)
-
-
-def iterate_mickens(
-    kind: Nonlinearity, h: float, eps: float, z0: float, z1: float, n_steps: int
-) -> Trajectory:
-    """Iterate the trigonometric-weight variant of the scheme.
-
-    The harmonic part uses 4 sin^2(h/2) in place of h^2:
-    x(k+1) - (2 - 4 sin^2(h/2)) x(k) + x(k-1) = 4 sin^2(h/2) * eps * f(...),
-    which makes cos(k h) an exact solution at eps = 0.  The nonlinearities
-    keep the same f bookkeeping as the plain scheme (for the Van der Pol kind
-    the centered difference divides by h).
-    """
-    if not 0.0 < h < math.pi:
-        raise ValueError(f"step h must lie in (0, pi), got {h}")
-    if n_steps < 2:
-        raise ValueError("need at least 2 steps")
-    if eps < 0.0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
-    mu = 4.0 * math.sin(0.5 * h) ** 2
-    lin = 2.0 - mu
-    values = np.empty(n_steps + 1, dtype=float)
-    values[0] = zm = float(z0)
-    values[1] = z = float(z1)
-    if kind.variant is Variant.CUBIC:
-        gain = eps * mu
-        for n in range(1, n_steps):
-            zp = _step_cubic(z, zm, lin, gain)
-            if abs(zp) > _DIVERGENCE_LIMIT:
-                raise DivergenceError(f"|x({n + 1})| exceeded {_DIVERGENCE_LIMIT}")
-            values[n + 1] = zp
-            zm, z = z, zp
-    else:
-        gain = eps * mu / (h * (2.0 if kind.vdp_halving else 1.0))
-        for n in range(1, n_steps):
-            w = gain * (1.0 - z * z)
-            lead = 1.0 - w
-            if abs(lead) < _SINGULAR_STEP_TOL:
-                raise SingularStepError(f"implicit coefficient vanished at n={n}")
-            zp = (lin * z - zm - w * zm) / lead
-            if abs(zp) > _DIVERGENCE_LIMIT:
-                raise DivergenceError(f"|x({n + 1})| exceeded {_DIVERGENCE_LIMIT}")
-            values[n + 1] = zp
-            zm, z = z, zp
-    return Trajectory(dt=h, values=values)
+    except SingularStepError:
+        raise SingularStepError(f"implicit coefficient vanished at n={n}") from None
+    return Trajectory(dt=params.dt, values=values)

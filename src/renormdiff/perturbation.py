@@ -7,9 +7,9 @@ extracts the secular (n * lambda^n) content, and evaluates the naive
 
 Cross-term convention: products lam_p^n * lam_m^n arising from powers of z0
 are collected as 1.  This is exact for the unit-modulus roots (whose product
-is exactly 1) and a deliberate first-order approximation for the 1 +/- i*dt
-convention, whose product is 1 + dt^2; the dropped factor (1 + dt^2)^n is the
-price of reproducing the closed-form expansion coefficients.
+is exactly 1) and a deliberate first-order approximation for the
+1 +/- i*omega convention, whose product is 1 + mu; the dropped factor
+(1 + mu)^n is the price of reproducing the closed-form expansion coefficients.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ __all__ = [
     "extract_secular",
     "naive_solution",
     "nonlinearity_value",
+    "vdp_scale",
 ]
 
 
@@ -52,8 +53,8 @@ class Variant(Enum):
 class Nonlinearity:
     """Which nonlinear right-hand side the scheme carries.
 
-    CUBIC: the forcing is -z(n)^3 (times the scheme's dt^2 * eps prefactor).
-    VAN_DER_POL: the forcing is eps * dt * (1 - z(n)^2) * (z(n+1) - z(n-1));
+    CUBIC: the forcing is -z(n)^3 (times the scheme's mu * eps prefactor).
+    VAN_DER_POL: the forcing is eps * (mu/dt) * (1 - z(n)^2) * (z(n+1) - z(n-1));
     with `vdp_halving` the centered difference is halved, which matches the
     standard centered discretization of z' and amounts to eps -> eps/2.
     """
@@ -64,6 +65,11 @@ class Nonlinearity:
     def __post_init__(self):
         if self.vdp_halving and self.variant is not Variant.VAN_DER_POL:
             raise ValueError("vdp_halving only applies to the Van der Pol variant")
+
+    @property
+    def vdp_factor(self) -> float:
+        """The halving convention's factor on every Van der Pol rate (1 if off)."""
+        return 0.5 if self.vdp_halving else 1.0
 
 
 CUBIC = Nonlinearity(Variant.CUBIC)
@@ -112,8 +118,13 @@ def zeroth_order(amps: AmplitudePair, params: SchemeParams) -> HarmonicSum:
     )
 
 
-def _vdp_scale(kind: Nonlinearity, dt: float) -> float:
-    return dt * (0.5 if kind.vdp_halving else 1.0)
+def vdp_scale(kind: Nonlinearity, params: SchemeParams) -> float:
+    """Van der Pol forcing weight mu/dt times the halving factor.
+
+    Written omega * (omega / dt), which is exactly dt for the standard scheme.
+    """
+    omega = params.omega
+    return omega * (omega / params.dt) * kind.vdp_factor
 
 
 def first_order_forcing(
@@ -121,10 +132,10 @@ def first_order_forcing(
 ) -> HarmonicSum:
     """Right-hand side of the first-order equation, collected on four modes.
 
-    Cubic: -dt^2 * (a^3 lam_p^3n + b^3 lam_m^3n + 3 a^2 b lam_p^n
-    + 3 a b^2 lam_m^n), the dt^2 prefactor being the scheme's.
+    Cubic: -mu * (a^3 lam_p^3n + b^3 lam_m^3n + 3 a^2 b lam_p^n
+    + 3 a b^2 lam_m^n), the mu prefactor being the scheme's.
 
-    Van der Pol: dt * (1 - z0^2)(z0(n+1) - z0(n-1)) expanded with
+    Van der Pol: (mu/dt) * (1 - z0^2)(z0(n+1) - z0(n-1)) expanded with
     z0(n +/- 1) = a lam_p^(n+/-1) + b lam_m^(n+/-1) and collected under the
     cross-term convention lam_p lam_m -> 1 (which also sends
     lam_m - 1/lam_m -> -(lam_p - 1/lam_p)), yielding coefficients
@@ -133,9 +144,8 @@ def first_order_forcing(
     """
     lam_p, lam_m = characteristic_roots(params)
     a, b = amps.a, amps.b
-    dt = params.dt
     if kind.variant is Variant.CUBIC:
-        pref = -dt * dt
+        pref = -params.mu
         terms = (
             HarmonicTerm(pref * a**3, lam_p**3),
             HarmonicTerm(pref * b**3, lam_m**3),
@@ -143,7 +153,7 @@ def first_order_forcing(
             HarmonicTerm(pref * 3.0 * a * b * b, lam_m),
         )
     else:
-        scale = _vdp_scale(kind, dt)
+        scale = vdp_scale(kind, params)
         s_p = lam_p - 1.0 / lam_p
         s_m = lam_m - 1.0 / lam_m
         terms = (
@@ -211,13 +221,13 @@ def nonlinearity_value(
     z_minus: complex,
     params: SchemeParams,
 ) -> complex:
-    """The forcing f such that the scheme residual subtracts dt^2 * eps * f.
+    """The forcing f such that the scheme residual subtracts mu * eps * f.
 
-    For the Van der Pol variant the nonlinearity enters the scheme with a
-    single power of dt, so f carries a 1/dt to match the dt^2 bookkeeping of
-    the residual (and an extra 1/2 under the halving convention).
+    For the Van der Pol variant the nonlinearity enters the scheme with the
+    weight mu/dt, so f carries a 1/dt to match the mu bookkeeping of the
+    residual (and the halving factor).
     """
     if kind.variant is Variant.CUBIC:
         return -(z_center**3)
-    denom = params.dt * (2.0 if kind.vdp_halving else 1.0)
-    return (1.0 - z_center * z_center) * (z_plus - z_minus) / denom
+    diff = (1.0 - z_center * z_center) * (z_plus - z_minus)
+    return diff * kind.vdp_factor / params.dt

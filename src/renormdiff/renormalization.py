@@ -34,6 +34,7 @@ __all__ = [
     "kappa_value",
     "fit_envelope_constant",
     "conserved_constant",
+    "continuum_amplitude",
     "continuum_limit_check",
 ]
 
@@ -90,7 +91,7 @@ def build_flow(kind: Nonlinearity, params: SchemeParams) -> DiscreteAmplitudeFlo
             return rate * a * a * b, -rate * b * b * a
 
     else:
-        rate = eps * dt * (0.5 if kind.vdp_halving else 1.0)
+        rate = eps * dt * kind.vdp_factor
 
         def rhs(a: complex, b: complex) -> tuple[complex, complex]:
             return rate * (a - a * a * b), rate * (b - b * b * a)
@@ -220,6 +221,30 @@ def solve_vdp_continuum(
     return VdpRealAmplitudes(a1, c * a1)
 
 
+def continuum_amplitude(
+    kind: Nonlinearity,
+    a0: complex,
+    eps: float,
+    t,
+    convention: KappaConvention = KappaConvention.ONE_PLUS_C_SQUARED,
+):
+    """Continuum amplitude A(t) with A(0) = a0 and B = conj(A), scalar or array t.
+
+    Cubic: a0 rotating at rate (3/2) eps |a0|^2.  Van der Pol: the envelope
+    family fitted to Re(a0) under the kappa convention, with the invariant
+    component ratio c = Im(a0)/Re(a0), so A = A1 (1 + i c).
+    """
+    a0 = complex(a0)
+    eff_eps = eps * kind.vdp_factor
+    if kind.variant is Variant.CUBIC:
+        a, _ = solve_cubic_continuum(a0, a0.conjugate(), eff_eps, t)
+        return a
+    c = conserved_constant(kind, a0, a0.conjugate()).real
+    constant = fit_envelope_constant(a0.real, kappa_value(c, convention))
+    amps = solve_vdp_continuum(constant, c, eff_eps, t, convention)
+    return amps.a1 * (1.0 + 1j * c)
+
+
 def continuum_limit_check(
     kind: Nonlinearity,
     a0: complex,
@@ -239,13 +264,5 @@ def continuum_limit_check(
     a0 = complex(a0)
     a_path, _ = flow_path(flow, a0, a0.conjugate(), steps)
     t = np.arange(steps + 1) * params.dt
-    if kind.variant is Variant.CUBIC:
-        a_ode, _ = solve_cubic_continuum(a0, a0.conjugate(), params.eps, t)
-    else:
-        c = conserved_constant(kind, a0, a0.conjugate()).real
-        kappa = kappa_value(c, convention)
-        constant = fit_envelope_constant(a0.real, kappa)
-        eff_eps = params.eps * (0.5 if kind.vdp_halving else 1.0)
-        amps = solve_vdp_continuum(constant, c, eff_eps, t, convention)
-        a_ode = amps.a1 * (1.0 + 1j * c)
+    a_ode = continuum_amplitude(kind, a0, params.eps, t, convention)
     return float(np.max(np.abs(a_path - a_ode)))

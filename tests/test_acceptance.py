@@ -15,6 +15,7 @@ from renormdiff.asymptotic import GlobalSolution
 from renormdiff.cli import ExperimentConfig, run_compare_pipeline
 from renormdiff.lineardiff import (
     RootConvention,
+    Scheme,
     SchemeParams,
     characteristic_roots,
     scheme_residual,
@@ -26,7 +27,7 @@ from renormdiff.newton import (
     expansion_from_sequence,
     newton_partial_sum,
 )
-from renormdiff.oracle import init_from_amplitude, iterate, iterate_mickens
+from renormdiff.oracle import init_from_amplitude, iterate
 from renormdiff.perturbation import (
     CUBIC,
     VAN_DER_POL,
@@ -278,13 +279,21 @@ def test_criterion_09_base_point_shift_identity():
 
 def test_criterion_10_mickens_anchor():
     h = 0.1
-    traj = iterate_mickens(CUBIC, h, 0.0, 1.0, math.cos(h), 10_000)
+    traj = iterate(
+        CUBIC, SchemeParams(dt=h, eps=0.0, scheme=Scheme.MICKENS), 1.0, math.cos(h), 10_000
+    )
     cos_err = np.max(np.abs(traj.values - np.cos(np.arange(10_001) * h)))
 
     gaps = []
     for step in (0.1, 0.05, 0.025):
         n = int(20 / step)
-        mick = iterate_mickens(CUBIC, step, 0.0, 1.0, math.cos(step), n)
+        mick = iterate(
+            CUBIC,
+            SchemeParams(dt=step, eps=0.0, scheme=Scheme.MICKENS),
+            1.0,
+            math.cos(step),
+            n,
+        )
         plain = iterate(
             CUBIC, SchemeParams(dt=step, eps=0.0), 1.0, math.cos(step), n
         )

@@ -154,6 +154,26 @@ class TestCompare:
         summary = summary_from_comments(comments)
         assert summary["slope_err_naive"] >= 5.0 * summary["slope_err_renorm"]
 
+    @pytest.mark.parametrize("eps, bound", [("0", 1e-9), ("0.01", 0.005)])
+    def test_mickens_renormalized_matches_its_own_oracle(self, tmp_path, eps, bound):
+        # naive and renormalized columns must use the oracle's weight
+        # 4 sin^2(dt/2); built from dt^2 roots the gap was 0.08 at eps = 0
+        out = tmp_path / "mick.csv"
+        code = main(
+            [
+                "compare",
+                "--scheme", "mickens",
+                "--kind", "cubic",
+                "--dt", "0.1",
+                "--eps", eps,
+                "--t-max", "200",
+                "--output-path", str(out),
+            ]
+        )
+        assert code == 0
+        _, _, comments = read_csv(out)
+        assert summary_from_comments(comments)["max_err_renorm"] <= bound
+
     def test_vdp_limit_amplitude_reported(self, tmp_path):
         out = tmp_path / "vdp.json"
         code = main(

@@ -130,6 +130,25 @@ class TestConfigEdges:
     def test_mickens_step_cap(self, capsys):
         assert main(["simulate", "--scheme", "mickens", "--dt", "3.2"]) == 2
 
+    def test_mickens_step_between_two_and_pi(self, tmp_path):
+        out = tmp_path / "mick.csv"
+        assert main(["simulate", "--scheme", "mickens", "--dt", "2.5",
+                     "--output-path", str(out)]) == 0
+
+    @pytest.mark.parametrize(
+        "field, arg",
+        [
+            ("dt", "--dt=nan"),
+            ("eps", "--eps=nan"),
+            ("a0_re", "--a0-re=inf"),
+            ("a0_im", "--a0-im=-inf"),
+            ("t_max", "--t-max=inf"),
+        ],
+    )
+    def test_non_finite_value(self, capsys, field, arg):
+        assert main(["simulate", arg]) == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+
     def test_vdp_zero_real_amplitude(self, capsys):
         assert main(["compare", "--kind", "vdp", "--a0-re", "0"]) == 2
 

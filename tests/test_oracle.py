@@ -7,6 +7,7 @@ import pytest
 from renormdiff.analysis import envelope
 from renormdiff.lineardiff import (
     RootConvention,
+    Scheme,
     SchemeParams,
     characteristic_roots,
 )
@@ -16,7 +17,6 @@ from renormdiff.oracle import (
     Trajectory,
     init_from_amplitude,
     iterate,
-    iterate_mickens,
 )
 from renormdiff.perturbation import CUBIC, VAN_DER_POL
 
@@ -126,6 +126,11 @@ class TestIterate:
         with pytest.raises(DivergenceError):
             iterate(CUBIC, p, 1e4, 1e4, 100)
 
+    @pytest.mark.parametrize("kind", [CUBIC, VAN_DER_POL])
+    def test_nan_stops_at_the_guard(self, kind):
+        with pytest.raises(DivergenceError, match=r"z\(2\)"):
+            iterate(kind, params(0.1, eps=0.1), 1.0, math.nan, 10)
+
     def test_singular_step_detected(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -151,19 +156,22 @@ class TestIterate:
 class TestMickens:
     def test_eps_zero_reproduces_cosine(self):
         h = 0.1
-        traj = iterate_mickens(CUBIC, h, 0.0, 1.0, math.cos(h), 10_000)
+        mick = SchemeParams(dt=h, eps=0.0, scheme=Scheme.MICKENS)
+        traj = iterate(CUBIC, mick, 1.0, math.cos(h), 10_000)
         expected = np.cos(np.arange(10_001) * h)
         assert np.max(np.abs(traj.values - expected)) <= 1e-9
 
     def test_zero_data_stays_zero(self):
-        traj = iterate_mickens(CUBIC, 0.3, 0.0, 0.0, 0.0, 100)
+        traj = iterate(CUBIC, SchemeParams(dt=0.3, eps=0.0, scheme=Scheme.MICKENS), 0.0, 0.0, 100)
         assert np.all(traj.values == 0.0)
 
     def test_gap_to_plain_scheme_is_second_order(self):
         gaps = []
         for h in (0.1, 0.05, 0.025):
             n = int(20 / h)
-            mick = iterate_mickens(CUBIC, h, 0.0, 1.0, math.cos(h), n)
+            mick = iterate(
+                CUBIC, SchemeParams(dt=h, eps=0.0, scheme=Scheme.MICKENS), 1.0, math.cos(h), n
+            )
             plain = iterate(CUBIC, params(h), 1.0, math.cos(h), n)
             gaps.append(np.max(np.abs(mick.values - plain.values)))
         assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=0.15)
@@ -171,12 +179,13 @@ class TestMickens:
 
     def test_step_bounds(self):
         with pytest.raises(ValueError):
-            iterate_mickens(CUBIC, math.pi, 0.0, 1.0, 1.0, 10)
+            iterate(CUBIC, SchemeParams(dt=math.pi, eps=0.0, scheme=Scheme.MICKENS), 1.0, 1.0, 10)
         with pytest.raises(ValueError):
-            iterate_mickens(CUBIC, -0.1, 0.0, 1.0, 1.0, 10)
+            iterate(CUBIC, SchemeParams(dt=-0.1, eps=0.0, scheme=Scheme.MICKENS), 1.0, 1.0, 10)
 
     def test_vdp_variant_runs_and_saturates(self):
         h = 0.01
-        traj = iterate_mickens(VAN_DER_POL, h, 0.05, 0.2, 0.2, int(250 / h))
+        mick = SchemeParams(dt=h, eps=0.05, scheme=Scheme.MICKENS)
+        traj = iterate(VAN_DER_POL, mick, 0.2, 0.2, int(250 / h))
         peaks = envelope(traj)[:, 1]
         assert peaks[-1] == pytest.approx(2.0, rel=0.05)
