@@ -56,7 +56,6 @@ from .perturbation import (
     zeroth_order,
 )
 from .renormalization import (
-    DiscreteAmplitudeFlow,
     KappaConvention,
     VdpRealAmplitudes,
     build_flow,
@@ -64,7 +63,6 @@ from .renormalization import (
     continuum_limit_check,
     fit_envelope_constant,
     flow_path,
-    iterate_flow,
     kappa_value,
     solve_cubic_continuum,
     solve_cubic_discrete_closed,

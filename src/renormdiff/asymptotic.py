@@ -18,6 +18,7 @@ from .lineardiff import SchemeParams, characteristic_roots
 from .perturbation import AmplitudePair, Nonlinearity, Variant, first_order_solution
 from .renormalization import (
     KappaConvention,
+    conserved_constant,
     continuum_amplitude,
     fit_envelope_constant,
     kappa_value,
@@ -90,20 +91,13 @@ class GlobalSolution:
     def __post_init__(self):
         object.__setattr__(self, "a0", complex(self.a0))
         if self.kind.variant is Variant.VAN_DER_POL:
-            if self.a0.real == 0.0:
-                raise ValueError(
-                    "Van der Pol solutions need Re(a0) != 0 to define the "
-                    "component ratio"
-                )
             # Fail at construction, not first evaluation, if a0 is outside
             # the envelope family's reach.
             fit_envelope_constant(self.a0.real, kappa_value(self.conserved, self.kappa_convention))
 
     @property
     def conserved(self) -> float:
-        if self.kind.variant is Variant.CUBIC:
-            return abs(self.a0) ** 2
-        return self.a0.imag / self.a0.real
+        return conserved_constant(self.kind, self.a0)
 
     def amplitude_at(self, t):
         """Renormalized amplitude A(t) from the continuum flow (scalar/array)."""

@@ -61,6 +61,10 @@ _SCHEMES = tuple(s.value for s in Scheme)
 _FORMATS = ("csv", "json")
 _SWEEPABLE = ("dt", "eps", "a0_re")
 _FINITE = ("dt", "eps", "a0_re", "a0_im", "t_max")
+# The oracle runs about 400 ns per step in pure Python and a compare pipeline
+# holds at least 8 float64 columns per step, so 1e8 steps already takes
+# minutes and over 6 GB; larger step counts are rejected before allocation.
+_MAX_STEPS = 10**8
 
 _BOOL_WORDS = {
     "1": True,
@@ -166,7 +170,10 @@ def _nonlinearity(cfg: ExperimentConfig) -> Nonlinearity:
 
 
 def _steps(cfg: ExperimentConfig) -> int:
-    n = int(round(cfg.t_max / cfg.dt))
+    ratio = cfg.t_max / cfg.dt
+    if not ratio <= _MAX_STEPS:
+        raise ConfigError(f"t_max/dt must be at most {_MAX_STEPS}, got {ratio!r}")
+    n = int(round(ratio))
     if n < 2:
         raise ConfigError("t_max must cover at least two steps")
     return n
@@ -251,7 +258,8 @@ def run_compare_pipeline(cfg: ExperimentConfig) -> tuple[dict, dict]:
     z_renorm_continuum = sol.eval_discrete(n)
 
     flow = build_flow(kind, params)
-    amp_path, _ = flow_path(flow, a0, a0.conjugate(), n_steps)
+    # By keyword: perfbench/tracing.py reads the step count from `steps`.
+    amp_path = flow_path(flow, a0, steps=n_steps)
     z_renorm_discrete = assemble_modes(kind, params, amp_path, n)
 
     naive_profile = compare(oracle_traj, Trajectory(cfg.dt, z_naive))

@@ -120,14 +120,11 @@ class TwoScaleExpansion:
     """Truncated two-scale expansion y(n, m) = sum_k Y_k(m) binom(n-m, k).
 
     `coeff(k, m)` evaluates the envelope coefficient Y_k at base index m for
-    k = 0..order.  `eps_order` records how deep in the small parameter the
-    coefficients were built (informational; it drives tolerance choices, not
-    behavior).  `base_range` is the inclusive interval of valid base indices.
+    k = 0..order.  `base_range` is the inclusive interval of valid base indices.
     """
 
     order: int
     coeff: Callable[[int, int], complex]
-    eps_order: int
     base_range: tuple[int, int]
 
     def __post_init__(self):
@@ -159,9 +156,7 @@ def expansion_from_orders(
             w * forward_difference(s, k, m) for w, s in zip(weights, order_seqs)
         )
 
-    return TwoScaleExpansion(
-        order=order, coeff=coeff, eps_order=len(order_seqs) - 1, base_range=(0, hi)
-    )
+    return TwoScaleExpansion(order=order, coeff=coeff, base_range=(0, hi))
 
 
 def expansion_from_sequence(seq: SampledSequence, order: int) -> TwoScaleExpansion:

@@ -2,10 +2,12 @@
 
 The integration constants of the zeroth-order solution are promoted to slowly
 varying amplitudes A(m), B(m) driven per step by eps times the secular
-coefficients.  Both the exact iterated maps and the closed forms (frozen
-invariant for the cubic flow, logistic-type envelope for the Van der Pol flow,
-and the dt -> 0 continuum limits) are provided, so their gaps can be measured
-instead of assumed.
+coefficients.  For the real solutions studied here B = conj(A), and the B
+equation is the conjugate of the A equation, so this module carries A alone
+and reads B as conj(A) where a formula needs it.  Both the exact iterated map
+and the closed forms (frozen invariant for the cubic flow, logistic-type
+envelope for the Van der Pol flow, and the dt -> 0 continuum limits) are
+provided, so their gaps can be measured instead of assumed.
 """
 
 from __future__ import annotations
@@ -22,11 +24,9 @@ from .lineardiff import SchemeParams
 from .perturbation import Nonlinearity, Variant
 
 __all__ = [
-    "DiscreteAmplitudeFlow",
     "KappaConvention",
     "VdpRealAmplitudes",
     "build_flow",
-    "iterate_flow",
     "flow_path",
     "solve_cubic_discrete_closed",
     "solve_cubic_continuum",
@@ -39,13 +39,6 @@ __all__ = [
 ]
 
 _FLOW_OVERFLOW_LIMIT = 1e12
-
-
-@dataclass(frozen=True)
-class DiscreteAmplitudeFlow:
-    """Per-step amplitude map: rhs(A, B) -> (delta A, delta B)."""
-
-    rhs: Callable[[complex, complex], tuple[complex, complex]]
 
 
 class KappaConvention(Enum):
@@ -76,105 +69,89 @@ def kappa_value(c: float, convention: KappaConvention) -> float:
     return 1.0 + c * c
 
 
-def build_flow(kind: Nonlinearity, params: SchemeParams) -> DiscreteAmplitudeFlow:
-    """Discrete amplitude flow for the given nonlinearity.
+def build_flow(kind: Nonlinearity, params: SchemeParams) -> Callable[[complex], complex]:
+    """Discrete amplitude flow for the given nonlinearity: the step map A -> delta A.
 
-    Cubic:        delta A = (3/2) i eps dt A^2 B,  delta B = -(3/2) i eps dt B^2 A.
-    Van der Pol: delta A = eps dt (A - A^2 B),     delta B = eps dt (B - B^2 A),
-    with the halving convention folding an extra 1/2 into the rate.
+    Cubic:       delta A = (3/2) i eps dt A^2 B,
+    Van der Pol: delta A = eps dt (A - A^2 B),
+    with B = conj(A) and the halving convention folding an extra 1/2 into the
+    rate.  The B equation of the two-amplitude map is the conjugate of these.
     """
     eps, dt = params.eps, params.dt
     if kind.variant is Variant.CUBIC:
         rate = 1.5j * eps * dt
 
-        def rhs(a: complex, b: complex) -> tuple[complex, complex]:
-            return rate * a * a * b, -rate * b * b * a
+        def rhs(a: complex) -> complex:
+            return rate * a * a * a.conjugate()
 
     else:
         rate = eps * dt * kind.vdp_factor
 
-        def rhs(a: complex, b: complex) -> tuple[complex, complex]:
-            return rate * (a - a * a * b), rate * (b - b * b * a)
+        def rhs(a: complex) -> complex:
+            return rate * (a - a * a * a.conjugate())
 
-    return DiscreteAmplitudeFlow(rhs)
+    return rhs
 
 
-def flow_path(
-    flow: DiscreteAmplitudeFlow, a0: complex, b0: complex, steps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitudes along the flow: arrays of A(m), B(m) for m = 0..steps.
+def flow_path(flow: Callable[[complex], complex], a0: complex, steps: int) -> np.ndarray:
+    """Amplitudes A(m) along the flow for m = 0..steps.
 
     A strict left fold in a fixed order, so results are bit-reproducible.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    a_path = np.empty(steps + 1, dtype=complex)
-    b_path = np.empty(steps + 1, dtype=complex)
-    a, b = complex(a0), complex(b0)
-    for m in range(steps + 1):
-        a_path[m] = a
-        b_path[m] = b
-        if m == steps:
-            break
-        da, db = flow.rhs(a, b)
-        a = a + da
-        b = b + db
-        if abs(a) > _FLOW_OVERFLOW_LIMIT or abs(b) > _FLOW_OVERFLOW_LIMIT:
-            raise OverflowError(f"amplitude flow exceeded {_FLOW_OVERFLOW_LIMIT} at step {m + 1}")
-    return a_path, b_path
+    a = complex(a0)
+    path = [a]
+    for m in range(1, steps + 1):
+        a = a + flow(a)
+        if abs(a) > _FLOW_OVERFLOW_LIMIT:
+            raise OverflowError(f"amplitude flow exceeded {_FLOW_OVERFLOW_LIMIT} at step {m}")
+        path.append(a)
+    return np.array(path, dtype=complex)
 
 
-def iterate_flow(
-    flow: DiscreteAmplitudeFlow, a0: complex, b0: complex, steps: int
-) -> tuple[complex, complex]:
-    """Final amplitudes (A(steps), B(steps)) of the iterated map."""
-    a_path, b_path = flow_path(flow, a0, b0, steps)
-    return complex(a_path[-1]), complex(b_path[-1])
-
-
-def conserved_constant(kind: Nonlinearity, a: complex, b: complex) -> complex:
-    """Invariant of the amplitude flow: A*B (cubic) or A2/A1 (Van der Pol)."""
-    if kind.variant is Variant.CUBIC:
-        return complex(a) * complex(b)
+def conserved_constant(kind: Nonlinearity, a: complex) -> float:
+    """Invariant of the amplitude flow: |A|^2 = A B (cubic) or A2/A1 (Van der Pol)."""
     a = complex(a)
+    if kind.variant is Variant.CUBIC:
+        return (a * a.conjugate()).real
     if a.real == 0.0:
         raise ValueError("Van der Pol amplitude ratio undefined for Re(A) = 0")
-    return complex(a.imag / a.real)
+    return a.imag / a.real
 
 
-def solve_cubic_discrete_closed(
-    a0: complex, b0: complex, params: SchemeParams, steps: int
-) -> tuple[complex, complex]:
-    """Closed form of the cubic flow with the product c = A0*B0 frozen.
+def solve_cubic_discrete_closed(a0: complex, params: SchemeParams, steps: int) -> complex:
+    """Closed form of the cubic flow with the product c = |A0|^2 frozen.
 
-    A(m) = A0 (1 + (3/2) i eps c dt)^m and B(m) the mirrored power.  The true
-    iterated map lets the product drift at second order in eps; this frozen-c
-    form is its first-order companion, not a substitute.
+    A(m) = A0 (1 + (3/2) i eps c dt)^m.  The true iterated map lets the
+    product drift at second order in eps; this frozen-c form is its
+    first-order companion, not a substitute.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    c = complex(a0) * complex(b0)
+    a0 = complex(a0)
+    c = a0 * a0.conjugate()
     growth = 1.0 + 1.5j * params.eps * c * params.dt
-    shrink = 1.0 - 1.5j * params.eps * c * params.dt
-    a = complex(a0) * cmath.exp(steps * cmath.log(growth))
-    b = complex(b0) * cmath.exp(steps * cmath.log(shrink))
-    return a, b
+    return a0 * cmath.exp(steps * cmath.log(growth))
 
 
-def solve_cubic_continuum(a0: complex, b0: complex, eps: float, t):
-    """Continuum amplitudes A(t) = A0 e^{(3/2) i eps c t}, B(t) mirrored.
+def solve_cubic_continuum(a0: complex, eps: float, t):
+    """Continuum amplitude A(t) = A0 e^{(3/2) i eps c t} with c = |A0|^2.
 
-    Exact solution of A' = (3/2) i eps A^2 B, B' = -(3/2) i eps A B^2, whose
-    product A B = c is conserved identically.  Accepts scalar or array t.
+    Exact solution of A' = (3/2) i eps A^2 conj(A), whose modulus is
+    conserved identically.  Accepts scalar or array t.
     """
-    c = complex(a0) * complex(b0)
+    a0 = complex(a0)
+    # The complex product, not abs(a0)**2: the two round differently.
+    c = a0 * a0.conjugate()
     t_arr = np.asarray(t, dtype=float)
+    # Named, so numpy cannot reuse the temporary in place: that swaps the
+    # operands of the product and changes its rounding on large arrays.
     phase = np.exp(1.5j * eps * c * t_arr)
-    a = complex(a0) * phase
-    b = complex(b0) / phase
+    a = a0 * phase
     if t_arr.ndim == 0:
-        return complex(a), complex(b)
-    return a, b
+        return complex(a)
+    return a
 
 
 def fit_envelope_constant(a1_initial: float, kappa: float) -> float:
@@ -237,9 +214,8 @@ def continuum_amplitude(
     a0 = complex(a0)
     eff_eps = eps * kind.vdp_factor
     if kind.variant is Variant.CUBIC:
-        a, _ = solve_cubic_continuum(a0, a0.conjugate(), eff_eps, t)
-        return a
-    c = conserved_constant(kind, a0, a0.conjugate()).real
+        return solve_cubic_continuum(a0, eff_eps, t)
+    c = conserved_constant(kind, a0)
     constant = fit_envelope_constant(a0.real, kappa_value(c, convention))
     amps = solve_vdp_continuum(constant, c, eff_eps, t, convention)
     return amps.a1 * (1.0 + 1j * c)
@@ -254,15 +230,14 @@ def continuum_limit_check(
 ) -> float:
     """Max gap between the iterated flow and its continuum closed form.
 
-    Runs the discrete flow from (a0, conj(a0)) for t_max / dt steps and
+    Runs the discrete flow from a0 for t_max / dt steps and
     reports max_m |A_discrete(m) - A_ode(m dt)|.  The map is the forward Euler
     step of the continuum equation, so the gap shrinks linearly as dt is
     halved; callers assert that ratio.
     """
     steps = int(round(t_max / params.dt))
     flow = build_flow(kind, params)
-    a0 = complex(a0)
-    a_path, _ = flow_path(flow, a0, a0.conjugate(), steps)
+    a_path = flow_path(flow, a0, steps)
     t = np.arange(steps + 1) * params.dt
     a_ode = continuum_amplitude(kind, a0, params.eps, t, convention)
     return float(np.max(np.abs(a_path - a_ode)))

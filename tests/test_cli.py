@@ -347,14 +347,21 @@ class TestConfigFile:
         assert main(["frobnicate"]) == 2
 
     def test_module_entry_point(self, tmp_path):
+        import os
         import subprocess
         import sys
 
+        import renormdiff
+
+        # The child imports the same package as this test, installed or not.
+        src = os.path.dirname(os.path.dirname(renormdiff.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = tmp_path / "m.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "renormdiff", "simulate", "--dt", "0.1",
              "--eps", "0", "--t-max", "5", "--output-path", str(out)],
             capture_output=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert out.read_text().startswith("n,t,z")

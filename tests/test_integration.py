@@ -68,10 +68,10 @@ class TestHalvingConvention:
         dt = 1e-3
         p = SchemeParams(dt=dt, eps=0.05, root_convention=EXACT)
         amps = AmplitudePair.conjugate_pair(0.4 + 0.2j)
-        a, b = amps.a, amps.b
+        a = amps.a
         for kind in (CUBIC, VAN_DER_POL):
             report = extract_secular(first_order_solution(kind, amps, p), p)
-            da, _ = build_flow(kind, p).rhs(a, b)
+            da = build_flow(kind, p)(a)
             assert da == pytest.approx(p.eps * report.sigma_plus, rel=1e-5)
 
 
@@ -155,6 +155,18 @@ class TestConfigEdges:
     def test_dt_upper_bound_from_scheme_params(self, capsys):
         assert main(["simulate", "--dt", "2.5"]) == 2
         assert "dt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--dt", "0.001", "--t-max", "1e15"],
+            ["--dt=1e-300", "--t-max=1e300"],
+        ],
+    )
+    def test_step_count_cap(self, capsys, args):
+        assert main(["simulate", *args]) == 2
+        err = capsys.readouterr().err
+        assert "t_max/dt" in err and "100000000" in err
 
 
 class TestCliVdpComplexAmplitude:
