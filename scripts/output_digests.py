@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Digests of the CLI's output over a fixed matrix of configurations.
+
+Runs ``renormdiff.cli.main`` in-process, from the ``src/`` directory of the
+checkout this script sits in, for every configuration below and prints one
+line per output: ``<sha256>  <exit code>  <argv>`` for the output file and
+again, tagged ``[stdout]``, for what the run wrote to stdout.  The output path
+in the printed argv is the placeholder ``OUT.csv``/``OUT.json``.
+
+A change that must not alter a byte is checked by running this script in a
+checkout of the parent commit and in the changed one and comparing::
+
+    python3 scripts/output_digests.py > parent.txt    # in the parent checkout
+    python3 scripts/output_digests.py > change.txt    # in the changed checkout
+    diff parent.txt change.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
+
+from renormdiff import cli  # noqa: E402
+
+STDOUT = "-"  # marks a run that writes its table to stdout
+
+# Short runs with a complex initial amplitude; the long compare spans many
+# writer chunks at stride 1.
+BASE = ["--dt=0.01", "--t-max=60", "--eps=0.02", "--a0-re=0.4", "--a0-im=0.15"]
+LONG = ["--dt=0.004", "--t-max=200", "--eps=0.01", "--a0-re=0.5", "--a0-im=-3e-05"]
+
+
+def matrix() -> list[tuple[list[str], str]]:
+    """(argv without the output flags, output format or STDOUT) for every run."""
+    runs = []
+    for command in ("compare", "simulate"):
+        for kind in ("cubic", "vdp"):
+            for fmt in ("csv", "json"):
+                for stride in ("1", "7"):
+                    runs.append(([command, f"--kind={kind}", f"--stride={stride}", *BASE], fmt))
+    for fmt in ("csv", "json"):
+        runs.append((["compare", "--kind=vdp", "--vdp-halving", *BASE], fmt))
+        runs.append((["compare", "--kind=cubic", "--scheme=mickens", *BASE], fmt))
+        runs.append((["compare", "--kind=cubic", *LONG], fmt))
+        for param, values in (("eps", "0.005,0.01,0.02"), ("dt", "0.02,0.01,0.005")):
+            for kind in ("cubic", "vdp"):
+                runs.append((["sweep", f"--param={param}", f"--values={values}",
+                              f"--kind={kind}", *BASE], fmt))
+    runs.append((["compare", "--kind=cubic", "--stride=7", *BASE], STDOUT))
+    runs.append((["compare", "--kind=vdp", "--output-format=json", *BASE], STDOUT))
+    runs.append((["simulate", "--kind=cubic", *BASE], STDOUT))
+    runs.append((["sweep", "--param=eps", "--values=0.01,0.02", "--t-max=3", "--dt=0.01"], STDOUT))
+    return runs
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(argv: list[str], fmt: str, tmp: Path) -> list[str]:
+    """Run one configuration; return its digest lines."""
+    flags = [] if fmt == STDOUT else [f"--output-format={fmt}", "--output-path=OUT." + fmt]
+    out_path = tmp / ("out." + fmt)
+    real = [flag.replace("OUT." + fmt, str(out_path)) for flag in flags]
+    captured = io.StringIO()
+    with contextlib.redirect_stdout(captured):
+        code = cli.main(argv + real)
+    shown = " ".join(argv + flags)
+    lines = []
+    if fmt != STDOUT:
+        data = out_path.read_bytes() if out_path.exists() else b""
+        out_path.unlink(missing_ok=True)
+        lines.append(f"{_digest(data)}  {code}  {shown}")
+    lines.append(f"{_digest(captured.getvalue().encode())}  {code}  {shown} [stdout]")
+    return lines
+
+
+def main() -> int:
+    if Path(cli.__file__).resolve().parent != SRC / "renormdiff":
+        sys.exit(f"output_digests: imported {cli.__file__}, not the package under {SRC}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv, fmt in matrix():
+            for line in run(argv, fmt, Path(tmp)):
+                print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

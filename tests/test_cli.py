@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from renormdiff import cli
 from renormdiff.cli import ExperimentConfig, main, run_compare_pipeline
 from renormdiff.lineardiff import RootConvention, SchemeParams, characteristic_roots
 
@@ -209,6 +211,14 @@ class TestCompare:
         assert main(args + ["--output-path", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_exponent_negative_after_space(self, tmp_path):
+        # argparse before 3.13 read "-3e-05" as an option and exited 2
+        spaced, joined = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["compare", "--dt", "0.05", "--t-max", "5"]
+        assert main(args + ["--a0-im", "-3e-05", "--output-path", str(spaced)]) == 0
+        assert main(args + ["--a0-im=-3e-05", "--output-path", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+
     def test_stride_decimates_rows(self, tmp_path):
         out = tmp_path / "s.csv"
         code = main(
@@ -296,6 +306,21 @@ class TestSweep:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("values", ["0.002,1e-12", "0.002,2.5"])
+    def test_bad_value_rejected_before_any_pipeline(self, tmp_path, monkeypatch, values):
+        # 1e-12 breaks the step cap, 2.5 the standard scheme's dt < 2
+        calls = []
+        real = cli.run_compare_pipeline
+        monkeypatch.setattr(cli, "run_compare_pipeline", lambda cfg: calls.append(cfg) or real(cfg))
+        out = tmp_path / "s.csv"
+        code = main(
+            ["sweep", "--param", "dt", "--values", values, "--t-max", "200",
+             "--output-path", str(out)]
+        )
+        assert code == 2
+        assert calls == []
+        assert not out.exists()
+
     def test_unknown_parameter_rejected(self, tmp_path, capsys):
         code = main(
             [
@@ -307,6 +332,142 @@ class TestSweep:
         )
         assert code == 2
         assert "sweep parameter" in capsys.readouterr().err
+
+
+class TestOutputPath:
+    def test_unwritable_path_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        code = main(["compare", "--t-max", "1", "--output-path", str(out)])
+        assert code == 2
+        assert "error: cannot write output:" in capsys.readouterr().err
+
+    def test_numerical_failure_leaves_existing_file(self, tmp_path):
+        out = tmp_path / "keep.csv"
+        out.write_text("earlier run\n")
+        code = main(
+            ["simulate", "--dt", "0.1", "--eps", "0.4", "--a0-re", "1e6", "--t-max", "10",
+             "--output-path", str(out)]
+        )
+        assert code == 3
+        assert out.read_text() == "earlier run\n"
+
+
+def _ref_csv_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def _ref_json_value(value):
+    if value is None:
+        return None
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    return float(value)
+
+
+def reference_table(header, columns, summary, output_format, stride=1):
+    """The whole document, built one cell at a time: the writer's golden reference."""
+    rows = range(0, len(columns[header[0]]), stride)
+    if output_format == "csv":
+        lines = [",".join(header)]
+        lines += [",".join(_ref_csv_cell(columns[name][i]) for name in header) for i in rows]
+        if summary is not None:
+            lines.append("# summary = " + json.dumps(summary, sort_keys=True))
+        return "\n".join(lines) + "\n"
+    doc = {"rows": [{name: _ref_json_value(columns[name][i]) for name in header} for i in rows]}
+    if summary is not None:
+        doc["summary"] = summary
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def expected_output(command, cfg, param=None, values=()):
+    """What ``command`` must write for ``cfg``, from the pipeline's own columns."""
+    if command == "sweep":
+        summaries = [
+            run_compare_pipeline(dataclasses.replace(cfg, **{param: v}))[1] for v in values
+        ]
+        header = ["value", *summaries[0]]
+        columns = {"value": list(values)}
+        columns.update({key: [s[key] for s in summaries] for key in summaries[0]})
+        assert any(None in columns[key] for key in header)  # the empty-cell rule runs
+        return reference_table(header, columns, {"param": param}, cfg.output_format)
+    columns, summary = run_compare_pipeline(cfg)
+    if command == "simulate":
+        header = ["n", "t", "z"]
+        columns = {"n": columns["n"], "t": columns["t"], "z": columns["z_oracle"]}
+        summary = None
+    else:
+        header = list(columns)
+    return reference_table(header, columns, summary, cfg.output_format, cfg.stride)
+
+
+def assert_same_text(got, want):
+    """Byte equality that reports the first difference (a full diff is too slow)."""
+    if got == want:
+        return
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    lo = max(at - 60, 0)
+    pytest.fail(
+        f"output differs at offset {at} (lengths {len(got)}, {len(want)}): "
+        f"{got[lo : at + 60]!r} != {want[lo : at + 60]!r}"
+    )
+
+
+CHUNK = cli._CHUNK_ROWS
+
+# (command, format, stride, steps, destination, extra config); the step counts
+# put the written rows below, exactly at and one past a writer chunk.
+GOLDEN_CASES = {
+    "compare-csv-1": ("compare", "csv", 1, 600, "file", {}),
+    "compare-json-1": ("compare", "json", 1, 600, "file", {"kind": "vdp", "a0_im": -0.05}),
+    "compare-csv-7-stdout": ("compare", "csv", 7, 600, "stdout", {}),
+    "compare-json-7": ("compare", "json", 7, 600, "file", {}),
+    "compare-csv-chunk": ("compare", "csv", 1, CHUNK - 1, "file", {}),
+    "compare-json-chunk-plus-one-stdout": ("compare", "json", 1, CHUNK, "stdout", {}),
+    "compare-csv-7-chunk-plus-one": ("compare", "csv", 7, 7 * CHUNK, "file", {}),
+    "compare-csv-stride-over-chunk": ("compare", "csv", CHUNK + 1, 3 * CHUNK, "file", {}),
+    "compare-json-stride-over-chunk": ("compare", "json", CHUNK + 1, 3 * CHUNK, "stdout", {}),
+    "simulate-csv-3-stdout": ("simulate", "csv", 3, 600, "stdout", {}),
+    "simulate-json-1": ("simulate", "json", 1, 600, "file", {"kind": "vdp"}),
+}
+
+
+class TestWriterGolden:
+    """The chunked writer against a per-cell reference, byte for byte."""
+
+    @staticmethod
+    def _run(argv, fmt, destination, tmp_path, capsys):
+        out = tmp_path / f"out.{fmt}"
+        flags = ["--output-format", fmt]
+        if destination == "file":
+            flags += ["--output-path", str(out)]
+        capsys.readouterr()
+        assert main(argv + flags) == 0
+        stdout = capsys.readouterr().out
+        return out.read_text(encoding="utf-8") if destination == "file" else stdout
+
+    @pytest.mark.parametrize("case", list(GOLDEN_CASES))
+    def test_table_matches_reference(self, case, tmp_path, capsys):
+        command, fmt, stride, steps, destination, extra = GOLDEN_CASES[case]
+        dt = 0.05
+        fields = {"dt": dt, "eps": 0.02, "a0_re": 0.4, "a0_im": 0.1, "t_max": steps * dt,
+                  "stride": stride, **extra}
+        argv = [command] + [f"--{k.replace('_', '-')}={v}" for k, v in fields.items()]
+        cfg = ExperimentConfig(output_format=fmt, **fields)
+        got = self._run(argv, fmt, destination, tmp_path, capsys)
+        assert_same_text(got, expected_output(command, cfg))
+
+    @pytest.mark.parametrize("fmt, destination", [("csv", "file"), ("json", "stdout")])
+    def test_sweep_with_empty_cell_matches_reference(self, fmt, destination, tmp_path, capsys):
+        # t_max = 3 ends before a full period, so period_oracle is None
+        argv = ["sweep", "--param", "eps", "--values", "0.01,0.02", "--dt", "0.01",
+                "--t-max", "3"]
+        cfg = ExperimentConfig(dt=0.01, t_max=3.0, output_format=fmt)
+        got = self._run(argv, fmt, destination, tmp_path, capsys)
+        assert_same_text(got, expected_output("sweep", cfg, "eps", [0.01, 0.02]))
 
 
 class TestConfigFile:
