@@ -4,8 +4,10 @@
 Runs ``renormdiff.cli.main`` in-process, from the ``src/`` directory of the
 checkout this script sits in, for every configuration below and prints one
 line per output: ``<sha256>  <exit code>  <argv>`` for the output file and
-again, tagged ``[stdout]``, for what the run wrote to stdout.  The output path
-in the printed argv is the placeholder ``OUT.csv``/``OUT.json``.
+again, tagged ``[stdout]`` and ``[stderr]``, for what the run wrote to stdout
+and to stderr.  The output path in the printed argv is the placeholder
+``OUT.csv``/``OUT.json``.  Three runs end in a numerical failure (exit 3), so
+the stderr digests pin the failure messages and the step each one names.
 
 A change that must not alter a byte is checked by running this script in a
 checkout of the parent commit and in the changed one and comparing::
@@ -35,6 +37,10 @@ STDOUT = "-"  # marks a run that writes its table to stdout
 # writer chunks at stride 1.
 BASE = ["--dt=0.01", "--t-max=60", "--eps=0.02", "--a0-re=0.4", "--a0-im=0.15"]
 LONG = ["--dt=0.004", "--t-max=200", "--eps=0.01", "--a0-re=0.5", "--a0-im=-3e-05"]
+# The cubic oracle passes the divergence guard at z(3); the Van der Pol step's
+# implicit coefficient vanishes at n=1.
+DIVERGING = ["--kind=cubic", "--dt=1.5", "--t-max=30", "--eps=0.4", "--a0-re=50"]
+SINGULAR = ["--kind=vdp", "--dt=0.1", "--t-max=30", "--eps=10", "--a0-re=1e-7"]
 
 
 def matrix() -> list[tuple[list[str], str]]:
@@ -57,6 +63,9 @@ def matrix() -> list[tuple[list[str], str]]:
     runs.append((["compare", "--kind=vdp", "--output-format=json", *BASE], STDOUT))
     runs.append((["simulate", "--kind=cubic", *BASE], STDOUT))
     runs.append((["sweep", "--param=eps", "--values=0.01,0.02", "--t-max=3", "--dt=0.01"], STDOUT))
+    runs.append((["simulate", *DIVERGING], "csv"))
+    runs.append((["compare", *DIVERGING], "csv"))
+    runs.append((["simulate", *SINGULAR], "csv"))
     return runs
 
 
@@ -69,8 +78,8 @@ def run(argv: list[str], fmt: str, tmp: Path) -> list[str]:
     flags = [] if fmt == STDOUT else [f"--output-format={fmt}", "--output-path=OUT." + fmt]
     out_path = tmp / ("out." + fmt)
     real = [flag.replace("OUT." + fmt, str(out_path)) for flag in flags]
-    captured = io.StringIO()
-    with contextlib.redirect_stdout(captured):
+    captured, errors = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(captured), contextlib.redirect_stderr(errors):
         code = cli.main(argv + real)
     shown = " ".join(argv + flags)
     lines = []
@@ -79,6 +88,7 @@ def run(argv: list[str], fmt: str, tmp: Path) -> list[str]:
         out_path.unlink(missing_ok=True)
         lines.append(f"{_digest(data)}  {code}  {shown}")
     lines.append(f"{_digest(captured.getvalue().encode())}  {code}  {shown} [stdout]")
+    lines.append(f"{_digest(errors.getvalue().encode())}  {code}  {shown} [stderr]")
     return lines
 
 

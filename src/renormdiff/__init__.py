@@ -56,6 +56,7 @@ from .perturbation import (
     zeroth_order,
 )
 from .renormalization import (
+    AmplitudeFlow,
     KappaConvention,
     VdpRealAmplitudes,
     build_flow,

@@ -193,12 +193,18 @@ class HarmonicSum:
 
         base^n is computed as exp(n * log(base)); for integer n the branch of
         the logarithm is immaterial and the polar form avoids the overflow and
-        drift of repeated multiplication at large n.
+        drift of repeated multiplication at large n.  Terms on one base share
+        its powers; the key carries the sign of a zero imaginary part, which
+        equality ignores and the logarithm does not.
         """
         arr = np.asarray(n, dtype=float)
         out = np.zeros(arr.shape, dtype=complex)
+        powers = {}
         for term in self.terms:
-            grow = np.exp(arr * cmath.log(term.base))
+            key = (term.base, math.copysign(1.0, term.base.imag))
+            grow = powers.get(key)
+            if grow is None:
+                grow = powers[key] = np.exp(arr * cmath.log(term.base))
             if term.n_power == 1:
                 grow = grow * arr
             out = out + term.coeff * grow

@@ -7,6 +7,7 @@ a fixed evaluation order, so identical inputs give bit-identical output.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,18 +72,6 @@ def init_from_amplitude(a0: complex, params: SchemeParams) -> tuple[float, float
     return 2.0 * a0.real, 2.0 * (a0 * lam_p).real
 
 
-def _step_cubic(z: float, zm: float, lin: float, gain: float) -> float:
-    return lin * z - zm - gain * z * z * z
-
-
-def _step_vdp(z: float, zm: float, lin: float, gain: float) -> float:
-    w = gain * (1.0 - z * z)
-    lead = 1.0 - w
-    if abs(lead) < _SINGULAR_STEP_TOL:
-        raise SingularStepError("implicit coefficient vanished")
-    return (lin * z - zm - w * zm) / lead
-
-
 def iterate(
     kind: Nonlinearity, params: SchemeParams, z0: float, z1: float, n_steps: int
 ) -> Trajectory:
@@ -98,22 +87,34 @@ def iterate(
         raise ValueError("need at least 2 steps")
     omega, eps = params.omega, params.eps
     lin = 2.0 - params.mu
+    # One inline loop per variant, with its bounds in locals: no call and no
+    # negation per step.  The chained guards equal not abs(zp) <= 1e8 and
+    # abs(lead) < 1e-12 for every float, NaN and +/-inf included.
+    lo, hi = -_DIVERGENCE_LIMIT, _DIVERGENCE_LIMIT
+    tol_lo, tol_hi = -_SINGULAR_STEP_TOL, _SINGULAR_STEP_TOL
+    zm, z = float(z0), float(z1)
+    values = array("d", (zm, z))
+    append = values.append
     if kind.variant is Variant.CUBIC:
-        step, gain = _step_cubic, eps * omega * omega
-    else:
-        step, gain = _step_vdp, eps * vdp_scale(kind, params)
-    values = np.empty(n_steps + 1, dtype=float)
-    values[0] = zm = float(z0)
-    values[1] = z = float(z1)
-    try:
+        gain = eps * omega * omega
         for n in range(1, n_steps):
-            zp = step(z, zm, lin, gain)
-            if not abs(zp) <= _DIVERGENCE_LIMIT:
-                raise DivergenceError(
-                    f"|z({n + 1})| = {abs(zp)} exceeded {_DIVERGENCE_LIMIT}"
-                )
-            values[n + 1] = zp
+            zp = lin * z - zm - gain * z * z * z
+            if not lo <= zp <= hi:
+                break
+            append(zp)
             zm, z = z, zp
-    except SingularStepError:
-        raise SingularStepError(f"implicit coefficient vanished at n={n}") from None
+    else:
+        gain = eps * vdp_scale(kind, params)
+        for n in range(1, n_steps):
+            w = gain * (1.0 - z * z)
+            lead = 1.0 - w
+            if tol_lo < lead < tol_hi:
+                raise SingularStepError(f"implicit coefficient vanished at n={n}")
+            zp = (lin * z - zm - w * zm) / lead
+            if not lo <= zp <= hi:
+                break
+            append(zp)
+            zm, z = z, zp
+    if len(values) <= n_steps:
+        raise DivergenceError(f"|z({n + 1})| = {abs(zp)} exceeded {_DIVERGENCE_LIMIT}")
     return Trajectory(dt=params.dt, values=values)

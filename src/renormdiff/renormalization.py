@@ -16,7 +16,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .perturbation import Nonlinearity, Variant
 __all__ = [
     "KappaConvention",
     "VdpRealAmplitudes",
+    "AmplitudeFlow",
     "build_flow",
     "flow_path",
     "solve_cubic_discrete_closed",
@@ -69,7 +69,24 @@ def kappa_value(c: float, convention: KappaConvention) -> float:
     return 1.0 + c * c
 
 
-def build_flow(kind: Nonlinearity, params: SchemeParams) -> Callable[[complex], complex]:
+@dataclass(frozen=True)
+class AmplitudeFlow:
+    """Discrete amplitude flow of one variant; calling it returns delta A.
+
+    delta A = rate A^2 B (cubic) or rate (A - A^2 B) (Van der Pol), B = conj(A).
+    """
+
+    variant: Variant
+    rate: complex
+
+    def __call__(self, a: complex) -> complex:
+        rate = self.rate
+        if self.variant is Variant.CUBIC:
+            return rate * a * a * a.conjugate()
+        return rate * (a - a * a * a.conjugate())
+
+
+def build_flow(kind: Nonlinearity, params: SchemeParams) -> AmplitudeFlow:
     """Discrete amplitude flow for the given nonlinearity: the step map A -> delta A.
 
     Cubic:       delta A = (3/2) i eps dt A^2 B,
@@ -80,33 +97,38 @@ def build_flow(kind: Nonlinearity, params: SchemeParams) -> Callable[[complex], 
     eps, dt = params.eps, params.dt
     if kind.variant is Variant.CUBIC:
         rate = 1.5j * eps * dt
-
-        def rhs(a: complex) -> complex:
-            return rate * a * a * a.conjugate()
-
     else:
         rate = eps * dt * kind.vdp_factor
-
-        def rhs(a: complex) -> complex:
-            return rate * (a - a * a * a.conjugate())
-
-    return rhs
+    return AmplitudeFlow(kind.variant, rate)
 
 
-def flow_path(flow: Callable[[complex], complex], a0: complex, steps: int) -> np.ndarray:
+def flow_path(flow: AmplitudeFlow, a0: complex, steps: int) -> np.ndarray:
     """Amplitudes A(m) along the flow for m = 0..steps.
 
-    A strict left fold in a fixed order, so results are bit-reproducible.
+    A strict left fold a = a + flow(a) in a fixed order, so results are
+    bit-reproducible.  The step of each variant is written inline, with the
+    arithmetic of AmplitudeFlow.__call__, so no step pays for a call.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
+    rate, limit = flow.rate, _FLOW_OVERFLOW_LIMIT
     a = complex(a0)
     path = [a]
-    for m in range(1, steps + 1):
-        a = a + flow(a)
-        if abs(a) > _FLOW_OVERFLOW_LIMIT:
-            raise OverflowError(f"amplitude flow exceeded {_FLOW_OVERFLOW_LIMIT} at step {m}")
-        path.append(a)
+    append = path.append
+    if flow.variant is Variant.CUBIC:
+        for m in range(1, steps + 1):
+            a = a + rate * a * a * a.conjugate()
+            if not abs(a) <= limit:
+                break
+            append(a)
+    else:
+        for m in range(1, steps + 1):
+            a = a + rate * (a - a * a * a.conjugate())
+            if not abs(a) <= limit:
+                break
+            append(a)
+    if len(path) <= steps:
+        raise OverflowError(f"amplitude flow exceeded {_FLOW_OVERFLOW_LIMIT} at step {m}")
     return np.array(path, dtype=complex)
 
 

@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,13 @@ from renormdiff.lineardiff import (
     is_resonant,
     particular_solution,
     scheme_residual,
+)
+from renormdiff.perturbation import (
+    CUBIC,
+    VAN_DER_POL,
+    AmplitudePair,
+    first_order_solution,
+    zeroth_order,
 )
 
 FIRST = RootConvention.FIRST_ORDER
@@ -198,6 +206,61 @@ class TestHarmonicSum:
         hs = HarmonicSum((HarmonicTerm(1.0, 1.0 + 0.1j),))
         val = hs.evaluate(5000)
         assert np.isfinite(val.real) and np.isfinite(val.imag)
+
+
+def _evaluate_per_term(harmonic_sum, n):
+    """HarmonicSum.evaluate with one exponential per term and no reuse."""
+    arr = np.asarray(n, dtype=float)
+    out = np.zeros(arr.shape, dtype=complex)
+    for term in harmonic_sum.terms:
+        grow = np.exp(arr * cmath.log(term.base))
+        if term.n_power == 1:
+            grow = grow * arr
+        out = out + term.coeff * grow
+    if arr.ndim == 0:
+        return complex(out)
+    return out
+
+
+def _naive_sum(kind, convention):
+    p = params(0.01, eps=0.02, convention=convention)
+    amps = AmplitudePair(0.4 + 0.15j, 0.4 - 0.15j)
+    return zeroth_order(amps, p) + first_order_solution(kind, amps, p).scaled(p.eps)
+
+
+class TestSharedPowers:
+    """Terms on one base share its powers without changing a byte."""
+
+    @pytest.mark.parametrize("kind", [CUBIC, VAN_DER_POL])
+    @pytest.mark.parametrize("convention", [FIRST, EXACT])
+    def test_naive_sum_array(self, kind, convention):
+        hs = _naive_sum(kind, convention)
+        assert len(hs.terms) == 6
+        assert len({t.base for t in hs.terms}) == 4
+        n = np.arange(50_001)
+        assert hs.evaluate(n).tobytes() == _evaluate_per_term(hs, n).tobytes()
+
+    @pytest.mark.parametrize("n", [0, 7, 12_345])
+    def test_naive_sum_scalar(self, n):
+        hs = _naive_sum(CUBIC, EXACT)
+        value = hs.evaluate(n)
+        assert type(value) is complex
+        assert value == _evaluate_per_term(hs, n)
+
+    def test_secular_term_first_leaves_shared_powers_intact(self):
+        base = cmath.exp(0.01j)
+        hs = HarmonicSum((HarmonicTerm(0.5j, base, 1), HarmonicTerm(0.25, base)))
+        n = np.arange(1000)
+        assert hs.evaluate(n).tobytes() == _evaluate_per_term(hs, n).tobytes()
+
+    def test_signed_zero_bases_kept_apart(self):
+        # equal under ==, but their logarithms sit on either side of the cut
+        hs = HarmonicSum(
+            (HarmonicTerm(1.0, complex(-1.0, 0.0)), HarmonicTerm(1.0, complex(-1.0, -0.0), 1))
+        )
+        n = np.arange(1000)
+        assert math.copysign(1.0, hs.terms[1].base.imag) == -1.0
+        assert hs.evaluate(n).tobytes() == _evaluate_per_term(hs, n).tobytes()
 
 
 class TestParticularSolution:

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,7 +19,7 @@ from renormdiff.oracle import (
     init_from_amplitude,
     iterate,
 )
-from renormdiff.perturbation import CUBIC, VAN_DER_POL
+from renormdiff.perturbation import CUBIC, VAN_DER_POL, Variant, van_der_pol, vdp_scale
 
 FIRST = RootConvention.FIRST_ORDER
 EXACT = RootConvention.EXACT_UNIT_MODULUS
@@ -189,3 +190,116 @@ class TestMickens:
         traj = iterate(VAN_DER_POL, mick, 0.2, 0.2, int(250 / h))
         peaks = envelope(traj)[:, 1]
         assert peaks[-1] == pytest.approx(2.0, rel=0.05)
+
+
+def _step_cubic(z, zm, lin, gain):
+    return lin * z - zm - gain * z * z * z
+
+
+def _step_vdp(z, zm, lin, gain):
+    w = gain * (1.0 - z * z)
+    lead = 1.0 - w
+    if abs(lead) < 1e-12:
+        raise SingularStepError("implicit coefficient vanished")
+    return (lin * z - zm - w * zm) / lead
+
+
+def _reference_iterate(kind, p, z0, z1, n_steps):
+    """The oracle as one loop over a step function, the form the inline loops replace."""
+    omega, eps = p.omega, p.eps
+    lin = 2.0 - p.mu
+    if kind.variant is Variant.CUBIC:
+        step, gain = _step_cubic, eps * omega * omega
+    else:
+        step, gain = _step_vdp, eps * vdp_scale(kind, p)
+    values = np.empty(n_steps + 1, dtype=float)
+    values[0] = zm = float(z0)
+    values[1] = z = float(z1)
+    try:
+        for n in range(1, n_steps):
+            zp = step(z, zm, lin, gain)
+            if not abs(zp) <= 1e8:
+                raise DivergenceError(f"|z({n + 1})| = {abs(zp)} exceeded {1e8}")
+            values[n + 1] = zp
+            zm, z = z, zp
+    except SingularStepError:
+        raise SingularStepError(f"implicit coefficient vanished at n={n}") from None
+    return values
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except (DivergenceError, SingularStepError) as exc:
+        return type(exc), str(exc)
+    raise AssertionError("no numerical failure raised")
+
+
+class TestReferenceLoop:
+    """The inline loops write the bytes of the step-function loop."""
+
+    @pytest.mark.parametrize(
+        "kind, p",
+        [
+            (CUBIC, params(0.01, eps=0.05)),
+            (VAN_DER_POL, params(0.01, eps=0.05)),
+            (van_der_pol(halving=True), params(0.01, eps=0.05)),
+            (CUBIC, SchemeParams(dt=0.1, eps=0.05, scheme=Scheme.MICKENS)),
+            (VAN_DER_POL, SchemeParams(dt=0.1, eps=0.05, scheme=Scheme.MICKENS)),
+            (CUBIC, params(0.02, eps=0.05, convention=FIRST)),
+            (VAN_DER_POL, params(0.02, eps=0.05, convention=FIRST)),
+        ],
+    )
+    def test_bytes_equal_step_function_loop(self, kind, p):
+        z0, z1 = init_from_amplitude(0.4 + 0.15j, p)
+        expected = _reference_iterate(kind, p, z0, z1, 5000)
+        assert iterate(kind, p, z0, z1, 5000).values.tobytes() == expected.tobytes()
+
+    def test_cubic_divergence_same_failure(self):
+        p = params(1.5, eps=0.4)
+        z0, z1 = init_from_amplitude(50.0, p)
+        failure = _raised(iterate, CUBIC, p, z0, z1, 20)
+        assert failure == _raised(_reference_iterate, CUBIC, p, z0, z1, 20)
+        assert failure[1].startswith("|z(3)| = 4123845855.233769")
+
+    def test_vdp_singular_step_same_failure(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            p = params(0.1, eps=10.0)
+        z0, z1 = init_from_amplitude(1e-7, p)
+        failure = _raised(iterate, VAN_DER_POL, p, z0, z1, 20)
+        assert failure == _raised(_reference_iterate, VAN_DER_POL, p, z0, z1, 20)
+        assert failure == (SingularStepError, "implicit coefficient vanished at n=1")
+
+
+def _mp_iterate(kind, p, z0, z1, n_steps):
+    """The oracle's recurrence in 40-digit arithmetic from the same parameters."""
+    with mpmath.workdps(40):
+        dt, eps = mpmath.mpf(p.dt), mpmath.mpf(p.eps)
+        mu = dt * dt
+        lin = 2 - mu
+        values = [mpmath.mpf(z0), mpmath.mpf(z1)]
+        zm, z = values
+        for _ in range(1, n_steps):
+            if kind.variant is Variant.CUBIC:
+                zp = lin * z - zm - eps * mu * z**3
+            else:
+                w = eps * dt * (1 - z * z)
+                zp = (lin * z - zm - w * zm) / (1 - w)
+            values.append(zp)
+            zm, z = z, zp
+        return values
+
+
+class TestHighPrecisionBound:
+    @pytest.mark.parametrize("kind", [CUBIC, VAN_DER_POL])
+    def test_double_error_far_below_eps_squared_scale(self, kind):
+        # the oracle judges errors of size eps^2 * t; its own rounding error
+        # must sit far below that scale (measured 4.9e-12 cubic, 9.9e-12 vdp)
+        p = params(0.01, eps=0.01)
+        n_steps = 10_000
+        z0, z1 = init_from_amplitude(0.5 + 0.2j, p)
+        double = iterate(kind, p, z0, z1, n_steps).values
+        exact = _mp_iterate(kind, p, z0, z1, n_steps)
+        err = max(abs(mpmath.mpf(x) - y) for x, y in zip(double.tolist(), exact))
+        assert float(err) <= 1e-6 * p.eps**2 * (n_steps * p.dt)

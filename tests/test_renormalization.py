@@ -4,6 +4,7 @@ import pytest
 from renormdiff.lineardiff import SchemeParams
 from renormdiff.perturbation import CUBIC, VAN_DER_POL, van_der_pol
 from renormdiff.renormalization import (
+    AmplitudeFlow,
     KappaConvention,
     build_flow,
     conserved_constant,
@@ -98,6 +99,11 @@ class TestIterateFlow:
         with pytest.raises(OverflowError):
             flow_path(flow, 1e5, 10)
 
+    def test_nan_amplitude_stops_at_the_guard(self):
+        flow = build_flow(CUBIC, params(0.01, 0.01))
+        with pytest.raises(OverflowError, match="at step 1$"):
+            flow_path(flow, complex("nan"), 3)
+
     def test_path_is_deterministic(self):
         flow = build_flow(VAN_DER_POL, params(0.01, 0.05))
         a1 = flow_path(flow, 0.2 + 0.1j, 200)
@@ -135,6 +141,30 @@ class TestConjugateReduction:
         assert b_ref.tobytes() == np.conj(a_ref).tobytes()
         a_path = flow_path(build_flow(kind, params(0.02, 0.05)), a0, 2000)
         assert a_path.tobytes() == a_ref.tobytes()
+
+
+def _fold_path(flow, a0, steps):
+    """The fold a = a + flow(a) through the step map, one call per step."""
+    a = complex(a0)
+    path = [a]
+    for _ in range(steps):
+        a = a + flow(a)
+        path.append(a)
+    return np.array(path, dtype=complex)
+
+
+class TestInlineFold:
+    @pytest.mark.parametrize("kind", [CUBIC, VAN_DER_POL, van_der_pol(halving=True)])
+    def test_flow_path_equals_step_map_fold(self, kind):
+        flow = build_flow(kind, params(0.02, 0.05))
+        a0 = 0.3 + 0.21j
+        assert flow_path(flow, a0, 2000).tobytes() == _fold_path(flow, a0, 2000).tobytes()
+
+    def test_flow_is_a_frozen_value(self):
+        flow = build_flow(van_der_pol(halving=True), params(0.02, 0.05))
+        assert flow == AmplitudeFlow(flow.variant, 0.05 * 0.02 * 0.5)
+        with pytest.raises(AttributeError):
+            flow.rate = 0.0
 
 
 class TestCubicClosedForms:
