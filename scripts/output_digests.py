@@ -6,7 +6,8 @@ checkout this script sits in, for every configuration below and prints one
 line per output: ``<sha256>  <exit code>  <argv>`` for the output file and
 again, tagged ``[stdout]`` and ``[stderr]``, for what the run wrote to stdout
 and to stderr.  The output path in the printed argv is the placeholder
-``OUT.csv``/``OUT.json``.  Three runs end in a numerical failure (exit 3), so
+``OUT.csv``/``OUT.json``, and the path of ``src/`` in stderr is ``SRC``, so
+checkouts at different paths agree.  Three runs end in a numerical failure (exit 3), so
 the stderr digests pin the failure messages and the step each one names.
 
 A change that must not alter a byte is checked by running this script in a
@@ -88,7 +89,9 @@ def run(argv: list[str], fmt: str, tmp: Path) -> list[str]:
         out_path.unlink(missing_ok=True)
         lines.append(f"{_digest(data)}  {code}  {shown}")
     lines.append(f"{_digest(captured.getvalue().encode())}  {code}  {shown} [stdout]")
-    lines.append(f"{_digest(errors.getvalue().encode())}  {code}  {shown} [stderr]")
+    # A warning names its caller's file; drop the checkout's location from it.
+    stderr = errors.getvalue().replace(str(SRC), "SRC")
+    lines.append(f"{_digest(stderr.encode())}  {code}  {shown} [stderr]")
     return lines
 
 

@@ -58,15 +58,14 @@ from .perturbation import (
 from .renormalization import (
     AmplitudeFlow,
     KappaConvention,
-    VdpRealAmplitudes,
     build_flow,
     conserved_constant,
     continuum_limit_check,
     fit_envelope_constant,
     flow_path,
     kappa_value,
+    secular_rate,
     solve_cubic_continuum,
-    solve_cubic_discrete_closed,
     solve_vdp_continuum,
 )
 

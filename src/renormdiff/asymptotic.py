@@ -22,6 +22,7 @@ from .renormalization import (
     continuum_amplitude,
     fit_envelope_constant,
     kappa_value,
+    secular_rate,
 )
 
 __all__ = [
@@ -101,13 +102,9 @@ class GlobalSolution:
 
     def amplitude_at(self, t):
         """Renormalized amplitude A(t) from the continuum flow (scalar/array)."""
-        t_arr = np.asarray(t, dtype=float)
-        a = continuum_amplitude(
-            self.kind, self.a0, self.params.eps, t_arr, self.kappa_convention
+        return continuum_amplitude(
+            self.kind, self.a0, self.params.eps, t, self.kappa_convention
         )
-        if t_arr.ndim == 0:
-            return complex(a)
-        return a
 
     def eval_discrete(self, n):
         """Real solution at integer indices n (scalar or array)."""
@@ -127,13 +124,13 @@ class GlobalSolution:
         return assemble_modes(self.kind, self.params, amp, t_arr, log_base=1j)
 
     def frequency_shift(self) -> float:
-        """Angular frequency 1 + (3/2) eps |a0|^2 of the cubic waveform."""
+        """Angular frequency 1 + Im(r) |a0|^2 of the cubic waveform, r = (3/2) i eps."""
         if self.kind.variant is not Variant.CUBIC:
             raise ValueError(
                 "frequency shift is defined for the cubic kind only; the Van "
                 "der Pol fundamental stays at frequency 1 at this order"
             )
-        return 1.0 + 1.5 * self.params.eps * self.conserved
+        return 1.0 + secular_rate(self.kind, self.params.eps).imag * self.conserved
 
     def fundamental_amplitude(self, t):
         """Peak amplitude 2 |A(t)| of the fundamental component."""

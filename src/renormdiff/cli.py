@@ -228,22 +228,24 @@ def _json_encoder(column):
     return lambda part: json.dumps([_json_value(v) for v in part])[1:-1].split(", ")
 
 
-def _table_text(cfg: ExperimentConfig, header: list[str], columns: dict, summary: dict | None):
+def _table_text(cfg: ExperimentConfig, columns: dict, summary: dict | None):
     """Yield the CSV or JSON document in pieces of at most ``_CHUNK_ROWS`` rows.
+
+    The CSV columns are written in the order of ``columns``.
 
     Each row comes from one ``%`` template; the pieces join to exactly what
     ``",".join`` of ``_fmt`` cells per row, or ``json.dumps(doc, indent=1,
     sort_keys=True)`` of ``{"rows": [...], "summary": ...}``, would give.
     """
+    names = list(columns)
     if cfg.output_format == "csv":
-        names = header
         specs, encoders = zip(*(_csv_encoder(columns[name]) for name in names))
         row = ",".join(specs) + "\n"
         sep = ""
-        head = ",".join(header) + "\n"
+        head = ",".join(names) + "\n"
         tail = "" if summary is None else "# summary = " + json.dumps(summary, sort_keys=True) + "\n"
     else:
-        names = sorted(header)
+        names.sort()
         encoders = [_json_encoder(columns[name]) for name in names]
         row = "  {\n" + ",\n".join(f"   {json.dumps(name)}: %s" for name in names) + "\n  }"
         sep = ",\n"
@@ -256,7 +258,7 @@ def _table_text(cfg: ExperimentConfig, header: list[str], columns: dict, summary
     yield head
     stride = cfg.stride
     span = _CHUNK_ROWS * stride
-    n_rows = len(columns[header[0]])
+    n_rows = len(columns[names[0]])
     for lo in range(0, n_rows, span):
         cells = [encode(columns[name][lo : lo + span : stride])
                  for name, encode in zip(names, encoders)]
@@ -265,8 +267,8 @@ def _table_text(cfg: ExperimentConfig, header: list[str], columns: dict, summary
     yield tail
 
 
-def _write_table(cfg: ExperimentConfig, header: list[str], columns: dict, summary: dict | None):
-    pieces = _table_text(cfg, header, columns, summary)
+def _write_table(cfg: ExperimentConfig, columns: dict, summary: dict | None):
+    pieces = _table_text(cfg, columns, summary)
     if cfg.output_path is None:
         sys.stdout.writelines(pieces)
         return
@@ -289,7 +291,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     traj = _oracle_trajectory(cfg, kind, params)
     n = np.arange(len(traj))
     columns = {"n": n, "t": traj.times, "z": traj.values}
-    _write_table(cfg, ["n", "t", "z"], columns, summary=None)
+    _write_table(cfg, columns, summary=None)
     return 0
 
 
@@ -354,21 +356,9 @@ def run_compare_pipeline(cfg: ExperimentConfig) -> tuple[dict, dict]:
     return columns, summary
 
 
-_COMPARE_HEADER = [
-    "n",
-    "t",
-    "z_oracle",
-    "z_naive",
-    "z_renorm_discrete",
-    "z_renorm_continuum",
-    "err_naive",
-    "err_renorm",
-]
-
-
 def cmd_compare(cfg: ExperimentConfig) -> int:
     columns, summary = run_compare_pipeline(cfg)
-    _write_table(cfg, _COMPARE_HEADER, columns, summary)
+    _write_table(cfg, columns, summary)
     if cfg.output_path is not None:
         sys.stdout.write(json.dumps(summary, sort_keys=True) + "\n")
     return 0
@@ -390,12 +380,11 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values: list[float]) -> int:
         # time on a four-value sweep at 5e4 steps.
         _, summary = run_compare_pipeline(row_cfg)
         summaries.append(summary)
-    header = ["value"] + list(summaries[0].keys())
     columns = {"value": list(values)}
     for key in summaries[0]:
         columns[key] = [s[key] for s in summaries]
     sweep_cfg = dataclasses.replace(cfg, stride=1)
-    _write_table(sweep_cfg, header, columns, summary={"param": param})
+    _write_table(sweep_cfg, columns, summary={"param": param})
     return 0
 
 

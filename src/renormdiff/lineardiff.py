@@ -84,7 +84,7 @@ class SchemeParams:
             warnings.warn(
                 f"eps = {self.eps} is large for a first-order expansion; "
                 "results are formal only",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property

@@ -4,15 +4,16 @@ The integration constants of the zeroth-order solution are promoted to slowly
 varying amplitudes A(m), B(m) driven per step by eps times the secular
 coefficients.  For the real solutions studied here B = conj(A), and the B
 equation is the conjugate of the A equation, so this module carries A alone
-and reads B as conj(A) where a formula needs it.  Both the exact iterated map
-and the closed forms (frozen invariant for the cubic flow, logistic-type
-envelope for the Van der Pol flow, and the dt -> 0 continuum limits) are
-provided, so their gaps can be measured instead of assumed.
+and reads B as conj(A) where a formula needs it.  The continuum amplitude
+equation is A' = r A^2 conj(A) (cubic) or A' = r (A - A^2 conj(A)) (Van der
+Pol), with the rate r = secular_rate(kind, eps); the discrete flow steps it
+with r dt.  Both the exact iterated map and the dt -> 0 closed forms (a
+rotation for the cubic flow, a logistic-type envelope for the Van der Pol
+flow) are provided, so their gaps can be measured instead of assumed.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -24,11 +25,10 @@ from .perturbation import Nonlinearity, Variant
 
 __all__ = [
     "KappaConvention",
-    "VdpRealAmplitudes",
     "AmplitudeFlow",
+    "secular_rate",
     "build_flow",
     "flow_path",
-    "solve_cubic_discrete_closed",
     "solve_cubic_continuum",
     "solve_vdp_continuum",
     "kappa_value",
@@ -42,7 +42,7 @@ _FLOW_OVERFLOW_LIMIT = 1e12
 
 
 class KappaConvention(Enum):
-    """Coefficient kappa in the Van der Pol envelope A1' = eps A1 (1 - kappa A1^2).
+    """Coefficient kappa in the Van der Pol envelope A1' = r A1 (1 - kappa A1^2).
 
     Reducing the two real amplitude equations with A2 = c A1 gives
     1 - A1^2 - A2^2 = 1 - (1 + c^2) A1^2, so ONE_PLUS_C_SQUARED is the
@@ -53,14 +53,6 @@ class KappaConvention(Enum):
 
     ONE_PLUS_C = "one-plus-c"
     ONE_PLUS_C_SQUARED = "one-plus-c-squared"
-
-
-@dataclass(frozen=True)
-class VdpRealAmplitudes:
-    """Real and imaginary parts (A1, A2) of the Van der Pol amplitude."""
-
-    a1: float
-    a2: float
 
 
 def kappa_value(c: float, convention: KappaConvention) -> float:
@@ -86,20 +78,25 @@ class AmplitudeFlow:
         return rate * (a - a * a * a.conjugate())
 
 
+def secular_rate(kind: Nonlinearity, eps: float) -> complex:
+    """Rate r of the continuum amplitude equation, the dt -> 0 secular coefficient.
+
+    Cubic:       A' = r A^2 B with r = (3/2) i eps,
+    Van der Pol: A' = r (A - A^2 B) with r = eps, halved under the halving
+    convention; B = conj(A).  The one definition of both factors.
+    """
+    if kind.variant is Variant.CUBIC:
+        return 1.5j * eps
+    return eps * kind.vdp_factor
+
+
 def build_flow(kind: Nonlinearity, params: SchemeParams) -> AmplitudeFlow:
     """Discrete amplitude flow for the given nonlinearity: the step map A -> delta A.
 
-    Cubic:       delta A = (3/2) i eps dt A^2 B,
-    Van der Pol: delta A = eps dt (A - A^2 B),
-    with B = conj(A) and the halving convention folding an extra 1/2 into the
-    rate.  The B equation of the two-amplitude map is the conjugate of these.
+    The forward Euler step of the continuum equation, rate secular_rate * dt.
+    The B equation of the two-amplitude map is the conjugate of the A equation.
     """
-    eps, dt = params.eps, params.dt
-    if kind.variant is Variant.CUBIC:
-        rate = 1.5j * eps * dt
-    else:
-        rate = eps * dt * kind.vdp_factor
-    return AmplitudeFlow(kind.variant, rate)
+    return AmplitudeFlow(kind.variant, secular_rate(kind, params.eps) * params.dt)
 
 
 def flow_path(flow: AmplitudeFlow, a0: complex, steps: int) -> np.ndarray:
@@ -142,26 +139,12 @@ def conserved_constant(kind: Nonlinearity, a: complex) -> float:
     return a.imag / a.real
 
 
-def solve_cubic_discrete_closed(a0: complex, params: SchemeParams, steps: int) -> complex:
-    """Closed form of the cubic flow with the product c = |A0|^2 frozen.
+def solve_cubic_continuum(a0: complex, rate: complex, t):
+    """Continuum amplitude A(t) = A0 e^{rate c t} with c = |A0|^2.
 
-    A(m) = A0 (1 + (3/2) i eps c dt)^m.  The true iterated map lets the
-    product drift at second order in eps; this frozen-c form is its
-    first-order companion, not a substitute.
-    """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    a0 = complex(a0)
-    c = a0 * a0.conjugate()
-    growth = 1.0 + 1.5j * params.eps * c * params.dt
-    return a0 * cmath.exp(steps * cmath.log(growth))
-
-
-def solve_cubic_continuum(a0: complex, eps: float, t):
-    """Continuum amplitude A(t) = A0 e^{(3/2) i eps c t} with c = |A0|^2.
-
-    Exact solution of A' = (3/2) i eps A^2 conj(A), whose modulus is
-    conserved identically.  Accepts scalar or array t.
+    Exact solution of A' = rate A^2 conj(A); for an imaginary rate (the
+    cubic secular_rate) the modulus is conserved identically.  Accepts scalar
+    or array t.
     """
     a0 = complex(a0)
     # The complex product, not abs(a0)**2: the two round differently.
@@ -169,7 +152,7 @@ def solve_cubic_continuum(a0: complex, eps: float, t):
     t_arr = np.asarray(t, dtype=float)
     # Named, so numpy cannot reuse the temporary in place: that swaps the
     # operands of the product and changes its rounding on large arrays.
-    phase = np.exp(1.5j * eps * c * t_arr)
+    phase = np.exp(rate * c * t_arr)
     a = a0 * phase
     if t_arr.ndim == 0:
         return complex(a)
@@ -179,7 +162,7 @@ def solve_cubic_continuum(a0: complex, eps: float, t):
 def fit_envelope_constant(a1_initial: float, kappa: float) -> float:
     """Envelope family constant reproducing A1(0) = a1_initial.
 
-    The closed form A1(t) = K e^{eps t} / sqrt(1 + kappa K^2 e^{2 eps t}) has
+    The closed form A1(t) = K e^{r t} / sqrt(1 + kappa K^2 e^{2 r t}) has
     A1(0) = K / sqrt(1 + kappa K^2); inverting gives
     K = a1 / sqrt(1 - kappa a1^2), which requires kappa * a1^2 < 1.
     """
@@ -195,29 +178,31 @@ def fit_envelope_constant(a1_initial: float, kappa: float) -> float:
 def solve_vdp_continuum(
     a0: float,
     c: float,
-    eps: float,
+    rate: float,
     t,
     convention: KappaConvention = KappaConvention.ONE_PLUS_C_SQUARED,
-) -> VdpRealAmplitudes:
-    """Continuum Van der Pol amplitudes for the envelope constant a0.
+):
+    """Continuum Van der Pol amplitude A = A1 (1 + i c) for the envelope constant a0.
 
-    A1(t) = a0 e^{eps t} / sqrt(1 + kappa a0^2 e^{2 eps t}) and A2 = c A1;
-    this satisfies A1' = eps A1 (1 - kappa A1^2) exactly, and tends to
-    1/sqrt(kappa) as t grows.  Accepts scalar or array t; note a0 is the
-    family constant, not the value at t = 0 (see fit_envelope_constant).
+    A1(t) = a0 e^{rate t} / sqrt(1 + kappa a0^2 e^{2 rate t}) satisfies
+    A1' = rate A1 (1 - kappa A1^2) exactly, and tends to 1/sqrt(kappa) as t
+    grows; the component ratio Im(A)/Re(A) stays c.  Accepts scalar or array
+    t; note a0 is the family constant, not the value at t = 0 (see
+    fit_envelope_constant).
     """
     if a0 == 0.0:
         raise ValueError("envelope constant must be nonzero")
     kappa = kappa_value(c, convention)
     t_arr = np.asarray(t, dtype=float)
-    growth = np.exp(eps * t_arr)
+    growth = np.exp(rate * t_arr)
     denom = 1.0 + kappa * a0 * a0 * growth * growth
     if np.any(denom <= 0.0):
         raise ValueError("envelope denominator vanishes; solution leaves its domain")
     a1 = a0 * growth / np.sqrt(denom)
+    a = a1 * (1.0 + 1j * c)
     if t_arr.ndim == 0:
-        return VdpRealAmplitudes(float(a1), float(c * a1))
-    return VdpRealAmplitudes(a1, c * a1)
+        return complex(a)
+    return a
 
 
 def continuum_amplitude(
@@ -229,18 +214,17 @@ def continuum_amplitude(
 ):
     """Continuum amplitude A(t) with A(0) = a0 and B = conj(A), scalar or array t.
 
-    Cubic: a0 rotating at rate (3/2) eps |a0|^2.  Van der Pol: the envelope
-    family fitted to Re(a0) under the kappa convention, with the invariant
-    component ratio c = Im(a0)/Re(a0), so A = A1 (1 + i c).
+    Cubic: a0 rotating at rate Im(r) |a0|^2, r = secular_rate(kind, eps).
+    Van der Pol: the envelope family at rate r fitted to Re(a0) under the
+    kappa convention, with the invariant component ratio c = Im(a0)/Re(a0).
     """
     a0 = complex(a0)
-    eff_eps = eps * kind.vdp_factor
+    rate = secular_rate(kind, eps)
     if kind.variant is Variant.CUBIC:
-        return solve_cubic_continuum(a0, eff_eps, t)
+        return solve_cubic_continuum(a0, rate, t)
     c = conserved_constant(kind, a0)
     constant = fit_envelope_constant(a0.real, kappa_value(c, convention))
-    amps = solve_vdp_continuum(constant, c, eff_eps, t, convention)
-    return amps.a1 * (1.0 + 1j * c)
+    return solve_vdp_continuum(constant, c, rate, t, convention)
 
 
 def continuum_limit_check(

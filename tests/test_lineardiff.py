@@ -43,8 +43,10 @@ class TestSchemeParams:
             SchemeParams(dt=0.1, eps=-0.01)
 
     def test_large_eps_warns(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             SchemeParams(dt=0.1, eps=0.6)
+        # the warning names the caller's line, not the generated __init__
+        assert record[0].filename == __file__
 
 
 class TestCharacteristicRoots:

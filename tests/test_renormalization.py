@@ -1,8 +1,20 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+import sympy as sp
 
-from renormdiff.lineardiff import SchemeParams
-from renormdiff.perturbation import CUBIC, VAN_DER_POL, van_der_pol
+from renormdiff.asymptotic import GlobalSolution
+from renormdiff.lineardiff import RootConvention, SchemeParams
+from renormdiff.perturbation import (
+    CUBIC,
+    VAN_DER_POL,
+    AmplitudePair,
+    Variant,
+    extract_secular,
+    first_order_solution,
+    van_der_pol,
+)
 from renormdiff.renormalization import (
     AmplitudeFlow,
     KappaConvention,
@@ -12,8 +24,8 @@ from renormdiff.renormalization import (
     fit_envelope_constant,
     flow_path,
     kappa_value,
+    secular_rate,
     solve_cubic_continuum,
-    solve_cubic_discrete_closed,
     solve_vdp_continuum,
 )
 
@@ -168,45 +180,15 @@ class TestInlineFold:
 
 
 class TestCubicClosedForms:
-    def test_discrete_closed_zero_steps(self):
-        a = solve_cubic_discrete_closed(0.5, params(0.01, 0.01), 0)
-        b = a.conjugate()
-        assert a == 0.5 and b == 0.5
-
-    def test_discrete_closed_tracks_iterated_map(self):
-        p = params(0.01, 0.01)
-        a0 = 0.5
-        a_closed = solve_cubic_discrete_closed(a0, p, 100)
-        b_closed = a_closed.conjugate()
-        flow = build_flow(CUBIC, p)
-        a_iter = flow_path(flow, a0, 100)[-1]
-        b_iter = a_iter.conjugate()
-        assert abs(a_closed - a_iter) <= 1e-5 * abs(a_iter)
-        assert abs(b_closed - b_iter) <= 1e-5 * abs(b_iter)
-
-    def test_discrete_modulus_growth(self):
-        p = params(0.01, 0.05)
-        a0, b0 = 0.5, 0.5
-        m = 200
-        a = solve_cubic_discrete_closed(a0, p, m)
-        c = a0 * b0
-        expected = abs(a0) * abs(1 + 1.5j * p.eps * c * p.dt) ** m
-        assert abs(a) == pytest.approx(expected, rel=1e-12)
-        # for real c the growth factor is 1 + O(eps^2 dt^2) per step
-        per_step = abs(1 + 1.5j * p.eps * c * p.dt)
-        assert per_step - 1.0 == pytest.approx(
-            0.5 * (1.5 * p.eps * c * p.dt) ** 2, rel=1e-4
-        )
-
     def test_continuum_initial_value(self):
-        a = solve_cubic_continuum(0.5 + 0.2j, 0.05, 0.0)
+        a = solve_cubic_continuum(0.5 + 0.2j, 1.5j * 0.05, 0.0)
         b = a.conjugate()
         assert a == 0.5 + 0.2j and b == 0.5 - 0.2j
 
     def test_continuum_product_conserved_exactly(self):
         a0, b0 = 0.4 + 0.3j, 0.4 - 0.3j
         for t in (0.0, 3.7, 120.0):
-            a = solve_cubic_continuum(a0, 0.05, t)
+            a = solve_cubic_continuum(a0, 1.5j * 0.05, t)
             b = a.conjugate()
             assert a * b == pytest.approx(a0 * b0, rel=1e-14)
 
@@ -216,9 +198,9 @@ class TestCubicClosedForms:
         a0 = 0.5 + 0.1j
         h = 1e-5
         for t in (0.0, 2.0, 40.0):
-            a_prev = solve_cubic_continuum(a0, eps, t - h)
-            a_next = solve_cubic_continuum(a0, eps, t + h)
-            a_mid = solve_cubic_continuum(a0, eps, t)
+            a_prev = solve_cubic_continuum(a0, 1.5j * eps, t - h)
+            a_next = solve_cubic_continuum(a0, 1.5j * eps, t + h)
+            a_mid = solve_cubic_continuum(a0, 1.5j * eps, t)
             b_mid = a_mid.conjugate()
             derivative = (a_next - a_prev) / (2 * h)
             rhs = 1.5j * eps * a_mid * a_mid * b_mid
@@ -230,31 +212,31 @@ class TestVdpContinuum:
         for t in (0.0, 5.0):
             lin = solve_vdp_continuum(0.2, 0.0, 0.05, t, C_LIN)
             sq = solve_vdp_continuum(0.2, 0.0, 0.05, t, C_SQ)
-            assert lin.a1 == sq.a1
-            assert lin.a2 == 0.0
+            assert lin.real == sq.real
+            assert lin.imag == 0.0
 
     def test_saturates_at_inverse_sqrt_kappa(self):
         c = 0.5
         for convention in (C_SQ, C_LIN):
             kappa = kappa_value(c, convention)
             amps = solve_vdp_continuum(0.2, c, 0.05, 400.0, convention)
-            assert amps.a1 == pytest.approx(1.0 / np.sqrt(kappa), rel=1e-6)
+            assert amps.real == pytest.approx(1.0 / np.sqrt(kappa), rel=1e-6)
         # under the squared convention the waveform amplitude saturates at 2
         amps = solve_vdp_continuum(0.2, c, 0.05, 400.0, C_SQ)
-        assert 2.0 * np.hypot(amps.a1, amps.a2) == pytest.approx(2.0, rel=1e-6)
+        assert 2.0 * np.hypot(amps.real, amps.imag) == pytest.approx(2.0, rel=1e-6)
 
     def test_component_ratio_fixed(self):
         amps = solve_vdp_continuum(0.15, 0.7, 0.05, 12.0, C_SQ)
-        assert amps.a2 == pytest.approx(0.7 * amps.a1, rel=1e-14)
+        assert amps.imag == pytest.approx(0.7 * amps.real, rel=1e-14)
 
     def test_satisfies_ode(self):
         eps, c = 0.05, 0.5
         kappa = kappa_value(c, C_SQ)
         h = 1e-5
         for t in (0.0, 1.0, 10.0):
-            prev = solve_vdp_continuum(0.2, c, eps, t - h, C_SQ).a1
-            nxt = solve_vdp_continuum(0.2, c, eps, t + h, C_SQ).a1
-            mid = solve_vdp_continuum(0.2, c, eps, t, C_SQ).a1
+            prev = solve_vdp_continuum(0.2, c, eps, t - h, C_SQ).real
+            nxt = solve_vdp_continuum(0.2, c, eps, t + h, C_SQ).real
+            mid = solve_vdp_continuum(0.2, c, eps, t, C_SQ).real
             derivative = (nxt - prev) / (2 * h)
             rhs = eps * mid * (1 - kappa * mid * mid)
             assert abs(derivative - rhs) <= 1e-8 * max(abs(eps * mid), 1e-12)
@@ -262,8 +244,8 @@ class TestVdpContinuum:
     def test_sign_preserved_and_monotone(self):
         t = np.linspace(0.0, 100.0, 400)
         amps = solve_vdp_continuum(-0.2, 0.3, 0.05, t, C_SQ)
-        assert np.all(amps.a1 < 0)
-        assert np.all(np.diff(np.abs(amps.a1)) >= -1e-15)
+        assert np.all(amps.real < 0)
+        assert np.all(np.diff(np.abs(amps.real)) >= -1e-15)
 
     def test_domain_error(self):
         # kappa < 0 with a large constant drives the denominator through zero
@@ -277,7 +259,7 @@ class TestVdpContinuum:
     def test_fit_envelope_constant_roundtrip(self):
         kappa = kappa_value(0.5, C_SQ)
         const = fit_envelope_constant(0.21, kappa)
-        assert solve_vdp_continuum(const, 0.5, 0.05, 0.0, C_SQ).a1 == pytest.approx(
+        assert solve_vdp_continuum(const, 0.5, 0.05, 0.0, C_SQ).real == pytest.approx(
             0.21, rel=1e-12
         )
 
@@ -322,3 +304,85 @@ class TestContinuumLimit:
         ]
         assert devs[1] > 0
         assert 1.7 <= devs[0] / devs[1] <= 2.3
+
+
+_DT, _N = sp.symbols("dt n", positive=True)
+_A, _B, _L, _X = sp.symbols("a b L X")  # X stands for L^n
+_RATE_KINDS = [CUBIC, VAN_DER_POL, van_der_pol(halving=True)]
+
+
+@lru_cache(maxsize=None)
+def _symbolic_rate(variant, halving):
+    """Per-step amplitude rate over eps of the standard scheme at exact roots.
+
+    Derived from the scheme alone: z0 = a L^n + b L^-n is put into the
+    first-order right-hand side, mu (-z^3) for the cubic scheme and
+    (mu/dt) h (1 - z^2)(z(n+1) - z(n-1)) for the Van der Pol one (h = 1/2
+    under halving), and its L^n coefficient F is collected with
+    L L^-1 = 1.  The scheme's operator maps n L^n to (L - 1/L) L^n at a
+    root, so F drives n L^n with coefficient F / (L - 1/L); the rate is that
+    coefficient per unit of a^2 b (cubic) or a - a^2 b (Van der Pol).
+    """
+    mu = _DT**2
+    root = (2 - mu) / 2 + sp.I * _DT * sp.sqrt(4 - mu) / 2
+
+    def z0(shift):
+        return _A * _L**shift * _X + _B * _L**-shift / _X
+
+    if variant is Variant.CUBIC:
+        rhs, mode = mu * -z0(0) ** 3, _A**2 * _B
+    else:
+        rhs = (mu / _DT) * halving * (1 - z0(0) ** 2) * (z0(1) - z0(-1))
+        mode = _A - _A**2 * _B
+    forcing = sp.expand(rhs).coeff(_X, 1)
+    operator = sp.expand((_N + 1) * _L - (2 - mu) * _N + (_N - 1) / _L)
+    assert sp.simplify(operator.coeff(_N, 1).subs(_L, root)) == 0
+    coefficient = forcing / operator.coeff(_N, 0)
+    rate = sp.factor(sp.cancel(coefficient / mode))
+    assert not rate.free_symbols & {_A, _B, _X}
+    return sp.simplify(rate.subs(_L, root))
+
+
+def _rate_of(kind):
+    return _symbolic_rate(kind.variant, sp.Rational(1, 2) if kind.vdp_halving else sp.Integer(1))
+
+
+class TestSecularRate:
+    """secular_rate against the rate derived with sympy from the two schemes."""
+
+    @pytest.mark.parametrize("kind", _RATE_KINDS)
+    def test_continuum_limit(self, kind):
+        limit = sp.limit(_rate_of(kind) / _DT, _DT, 0)
+        assert complex(limit) == secular_rate(kind, 1.0)
+
+    @pytest.mark.parametrize("dt", [0.01, 0.1, 0.5])
+    @pytest.mark.parametrize("kind", _RATE_KINDS)
+    def test_extract_secular_at_exact_roots(self, kind, dt):
+        p = SchemeParams(dt=dt, eps=0.01, root_convention=RootConvention.EXACT_UNIT_MODULUS)
+        a = 0.4 + 0.3j
+        z1 = first_order_solution(kind, AmplitudePair.conjugate_pair(a), p)
+        sigma = extract_secular(z1, p).sigma_plus
+        mode = a * a * a.conjugate() if kind.variant is Variant.CUBIC else a - a * a * a.conjugate()
+        expected = complex(_rate_of(kind).subs(_DT, sp.Float(dt, 30)).evalf(30))
+        assert abs(sigma / mode - expected) <= 1e-12 * abs(expected)
+
+    def test_cubic_rate_series(self):
+        # the exact-dt rate exceeds its dt -> 0 limit at second order in dt
+        series = sp.series(_rate_of(CUBIC) / _DT, _DT, 0, 4).removeO()
+        assert sp.simplify(series - (3 * sp.I / 2 + 3 * sp.I * _DT**2 / 16)) == 0
+
+    def test_vdp_rate_is_exact_at_every_dt(self):
+        assert sp.simplify(_rate_of(VAN_DER_POL) / _DT) == 1
+        assert sp.simplify(_rate_of(van_der_pol(halving=True)) / _DT) == sp.Rational(1, 2)
+
+    @pytest.mark.parametrize("kind", _RATE_KINDS)
+    def test_build_flow_rate(self, kind):
+        for dt, eps in ((0.01, 0.01), (0.1, 0.03), (0.02, 0.05), (0.3, 0.007)):
+            p = params(dt, eps)
+            assert build_flow(kind, p).rate == secular_rate(kind, p.eps) * p.dt
+
+    def test_frequency_shift(self):
+        for eps, a0 in ((0.01, 0.5), (0.03, 0.4 + 0.3j), (0.05, -0.2 + 0.7j)):
+            shift = GlobalSolution(CUBIC, params(0.01, eps), a0).frequency_shift()
+            c = (a0 * complex(a0).conjugate()).real
+            assert shift == 1 + secular_rate(CUBIC, eps).imag * c
