@@ -312,7 +312,7 @@ _RATE_KINDS = [CUBIC, VAN_DER_POL, van_der_pol(halving=True)]
 
 
 @lru_cache(maxsize=None)
-def _symbolic_rate(variant, halving):
+def _symbolic_rate(kind):
     """Per-step amplitude rate over eps of the standard scheme at exact roots.
 
     Derived from the scheme alone: z0 = a L^n + b L^-n is put into the
@@ -329,9 +329,10 @@ def _symbolic_rate(variant, halving):
     def z0(shift):
         return _A * _L**shift * _X + _B * _L**-shift / _X
 
-    if variant is Variant.CUBIC:
+    if kind.variant is Variant.CUBIC:
         rhs, mode = mu * -z0(0) ** 3, _A**2 * _B
     else:
+        halving = sp.Rational(1, 2) if kind.vdp_halving else 1
         rhs = (mu / _DT) * halving * (1 - z0(0) ** 2) * (z0(1) - z0(-1))
         mode = _A - _A**2 * _B
     forcing = sp.expand(rhs).coeff(_X, 1)
@@ -343,16 +344,12 @@ def _symbolic_rate(variant, halving):
     return sp.simplify(rate.subs(_L, root))
 
 
-def _rate_of(kind):
-    return _symbolic_rate(kind.variant, sp.Rational(1, 2) if kind.vdp_halving else sp.Integer(1))
-
-
 class TestSecularRate:
     """secular_rate against the rate derived with sympy from the two schemes."""
 
     @pytest.mark.parametrize("kind", _RATE_KINDS)
     def test_continuum_limit(self, kind):
-        limit = sp.limit(_rate_of(kind) / _DT, _DT, 0)
+        limit = sp.limit(_symbolic_rate(kind) / _DT, _DT, 0)
         assert complex(limit) == secular_rate(kind, 1.0)
 
     @pytest.mark.parametrize("dt", [0.01, 0.1, 0.5])
@@ -363,17 +360,17 @@ class TestSecularRate:
         z1 = first_order_solution(kind, AmplitudePair.conjugate_pair(a), p)
         sigma = extract_secular(z1, p).sigma_plus
         mode = a * a * a.conjugate() if kind.variant is Variant.CUBIC else a - a * a * a.conjugate()
-        expected = complex(_rate_of(kind).subs(_DT, sp.Float(dt, 30)).evalf(30))
+        expected = complex(_symbolic_rate(kind).subs(_DT, sp.Float(dt, 30)).evalf(30))
         assert abs(sigma / mode - expected) <= 1e-12 * abs(expected)
 
     def test_cubic_rate_series(self):
         # the exact-dt rate exceeds its dt -> 0 limit at second order in dt
-        series = sp.series(_rate_of(CUBIC) / _DT, _DT, 0, 4).removeO()
+        series = sp.series(_symbolic_rate(CUBIC) / _DT, _DT, 0, 4).removeO()
         assert sp.simplify(series - (3 * sp.I / 2 + 3 * sp.I * _DT**2 / 16)) == 0
 
     def test_vdp_rate_is_exact_at_every_dt(self):
-        assert sp.simplify(_rate_of(VAN_DER_POL) / _DT) == 1
-        assert sp.simplify(_rate_of(van_der_pol(halving=True)) / _DT) == sp.Rational(1, 2)
+        assert sp.simplify(_symbolic_rate(VAN_DER_POL) / _DT) == 1
+        assert sp.simplify(_symbolic_rate(van_der_pol(halving=True)) / _DT) == sp.Rational(1, 2)
 
     @pytest.mark.parametrize("kind", _RATE_KINDS)
     def test_build_flow_rate(self, kind):
