@@ -24,12 +24,8 @@ from .lineardiff import (
 )
 from .newton import (
     SampledSequence,
-    TwoScaleExpansion,
     binomial_coefficient,
     check_envelope_constancy,
-    expansion_from_orders,
-    expansion_from_sequence,
-    envelope_partial_sum,
     forward_difference,
     newton_partial_sum,
 )

@@ -35,7 +35,6 @@ class ErrorProfile:
 
     diffs: np.ndarray
     max_abs: float
-    argmax: int
     slope: float
 
 
@@ -48,12 +47,7 @@ def compare(a: Trajectory, b: Trajectory) -> ErrorProfile:
     diffs = np.abs(a.values - b.values)
     running_max = np.maximum.accumulate(diffs)
     slope = float(np.polyfit(a.times, running_max, 1)[0]) if len(a) > 1 else 0.0
-    return ErrorProfile(
-        diffs=diffs,
-        max_abs=float(diffs.max()),
-        argmax=int(diffs.argmax()),
-        slope=slope,
-    )
+    return ErrorProfile(diffs=diffs, max_abs=float(diffs.max()), slope=slope)
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,16 @@ def _nonlinearity(cfg: ExperimentConfig) -> Nonlinearity:
     return Nonlinearity(Variant.VAN_DER_POL, vdp_halving=cfg.vdp_halving)
 
 
+def _global_solution(cfg: ExperimentConfig, kind: Nonlinearity, params: SchemeParams) -> GlobalSolution:
+    """The renormalized solution; raises ValueError for a Van der Pol a0 out of reach."""
+    return GlobalSolution(
+        kind,
+        params,
+        complex(cfg.a0_re, cfg.a0_im),
+        kappa_convention=_KAPPA_CONVENTIONS[cfg.kappa_convention],
+    )
+
+
 def _steps(cfg: ExperimentConfig) -> int:
     ratio = cfg.t_max / cfg.dt
     if not ratio <= _MAX_STEPS:
@@ -304,6 +314,7 @@ def run_compare_pipeline(cfg: ExperimentConfig) -> tuple[dict, dict]:
     kind = _nonlinearity(cfg)
     params = _scheme_params(cfg)
     a0 = complex(cfg.a0_re, cfg.a0_im)
+    sol = _global_solution(cfg, kind, params)  # checks a0's reach before the oracle runs
     oracle_traj = _oracle_trajectory(cfg, kind, params)
     n_steps = len(oracle_traj) - 1
     n = np.arange(n_steps + 1)
@@ -311,9 +322,6 @@ def run_compare_pipeline(cfg: ExperimentConfig) -> tuple[dict, dict]:
     amps = AmplitudePair.conjugate_pair(a0)
     z_naive = naive_solution(kind, amps, params, n)
 
-    sol = GlobalSolution(
-        kind, params, a0, kappa_convention=_KAPPA_CONVENTIONS[cfg.kappa_convention]
-    )
     z_renorm_continuum = sol.eval_discrete(n)
 
     flow = build_flow(kind, params)
@@ -372,7 +380,7 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values: list[float]) -> int:
     row_cfgs = [_validate(dataclasses.replace(cfg, **{param: value})) for value in values]
     for row_cfg in row_cfgs:  # reject a bad value before any pipeline runs
         _steps(row_cfg)
-        _scheme_params(row_cfg)
+        _global_solution(row_cfg, _nonlinearity(row_cfg), _scheme_params(row_cfg))
     summaries = []
     for row_cfg in row_cfgs:
         # `_` holds the previous pipeline's columns until this one returns;

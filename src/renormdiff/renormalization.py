@@ -186,19 +186,23 @@ def solve_vdp_continuum(
 
     A1(t) = a0 e^{rate t} / sqrt(1 + kappa a0^2 e^{2 rate t}) satisfies
     A1' = rate A1 (1 - kappa A1^2) exactly, and tends to 1/sqrt(kappa) as t
-    grows; the component ratio Im(A)/Re(A) stays c.  Accepts scalar or array
-    t; note a0 is the family constant, not the value at t = 0 (see
-    fit_envelope_constant).
+    grows; the component ratio Im(A)/Re(A) stays c.  Where e^{2 rate t}
+    overflows (rate t past about 355) A1 takes that saturated value
+    sign(a0)/sqrt(kappa), which it equals there to double precision.  Accepts
+    scalar or array t; note a0 is the family constant, not the value at
+    t = 0 (see fit_envelope_constant).
     """
     if a0 == 0.0:
         raise ValueError("envelope constant must be nonzero")
     kappa = kappa_value(c, convention)
     t_arr = np.asarray(t, dtype=float)
-    growth = np.exp(rate * t_arr)
-    denom = 1.0 + kappa * a0 * a0 * growth * growth
-    if np.any(denom <= 0.0):
-        raise ValueError("envelope denominator vanishes; solution leaves its domain")
-    a1 = a0 * growth / np.sqrt(denom)
+    with np.errstate(over="ignore", invalid="ignore"):
+        growth = np.exp(rate * t_arr)
+        denom = 1.0 + kappa * a0 * a0 * growth * growth
+        if np.any(denom <= 0.0):
+            raise ValueError("envelope denominator vanishes; solution leaves its domain")
+        a1 = a0 * growth / np.sqrt(denom)
+    a1 = np.where(np.isinf(denom), math.copysign(1.0 / math.sqrt(kappa), a0), a1)
     a = a1 * (1.0 + 1j * c)
     if t_arr.ndim == 0:
         return complex(a)

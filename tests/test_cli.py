@@ -259,6 +259,21 @@ class TestCompare:
         assert err_naive.max() == pytest.approx(summary["max_err_naive"], rel=1e-12)
 
 
+    def test_vdp_out_of_reach_rejected_before_the_oracle(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        real = cli.iterate
+        monkeypatch.setattr(cli, "iterate", lambda *args: calls.append(args) or real(*args))
+        out = tmp_path / "cmp.csv"
+        code = main(
+            ["compare", "--kind", "vdp", "--a0-re", "1.2", "--dt", "0.01", "--t-max", "50",
+             "--output-path", str(out)]
+        )
+        assert code == 2
+        assert "outside the reach of the envelope family" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
+
 class TestSweep:
     def test_eps_sweep_renorm_error_quadratic(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -318,6 +333,21 @@ class TestSweep:
              "--output-path", str(out)]
         )
         assert code == 2
+        assert calls == []
+        assert not out.exists()
+
+    def test_vdp_out_of_reach_rejected_before_any_pipeline(self, tmp_path, monkeypatch, capsys):
+        # kappa a0_re^2 >= 1 at 1.2: no envelope of the family starts there
+        calls = []
+        real = cli.run_compare_pipeline
+        monkeypatch.setattr(cli, "run_compare_pipeline", lambda cfg: calls.append(cfg) or real(cfg))
+        out = tmp_path / "s.csv"
+        code = main(
+            ["sweep", "--kind", "vdp", "--param", "a0_re", "--values", "0.1,1.2",
+             "--dt", "0.002", "--t-max", "200", "--output-path", str(out)]
+        )
+        assert code == 2
+        assert "outside the reach of the envelope family" in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
 

@@ -7,9 +7,6 @@ from renormdiff.newton import (
     SampledSequence,
     binomial_coefficient,
     check_envelope_constancy,
-    envelope_partial_sum,
-    expansion_from_orders,
-    expansion_from_sequence,
     forward_difference,
     newton_partial_sum,
 )
@@ -143,54 +140,52 @@ def _linear_mode_sequence(dt, a, length):
 
 class TestEnvelopeConstancy:
     def test_exact_expansion_is_base_point_free(self):
-        # full-order expansion of an exact homogeneous solution: shifting the
+        # full-order series of an exact homogeneous solution: shifting the
         # base point cannot change the reconstructed value
         seq = _linear_mode_sequence(0.1, 0.4 + 0.3j, 24)
-        exp = expansion_from_sequence(seq, order=12)
         for m in (0, 3, 6):
             for n in (m + 1, m + 4, m + 9):
-                assert check_envelope_constancy(exp, n, m) <= 1e-10
+                assert check_envelope_constancy(seq, n, m, order=12) <= 1e-10
 
     def test_constant_coefficients_self_consistent(self):
-        # Y_0 constant in m forces Y_k = 0 for k >= 1, hence exact constancy
+        # y constant in m forces delta^k y = 0 for k >= 1, hence exact constancy
         seq = SampledSequence(np.full(20, 2.5 + 0j))
-        exp = expansion_from_sequence(seq, order=4)
-        assert check_envelope_constancy(exp, 9, 3) == 0.0
+        assert check_envelope_constancy(seq, 9, 3, order=4) == 0.0
 
     def test_truncation_leaves_residual(self):
         # a genuinely curved sequence truncated at low order is base-point
         # dependent once n - m exceeds the kept order; the residual is small
         # but nonzero
         seq = _linear_mode_sequence(0.1, 0.5 + 0j, 40)
-        exp = expansion_from_sequence(seq, order=2)
-        res = check_envelope_constancy(exp, 12, 4)
+        res = check_envelope_constancy(seq, 12, 4, order=2)
         assert 0.0 < res < 5e-2
 
     def test_short_span_stays_exact_despite_truncation(self):
         # for n - m within the kept order the partial sum terminates, so both
         # base points reconstruct y(n) exactly
         seq = _linear_mode_sequence(0.1, 0.5 + 0j, 40)
-        exp = expansion_from_sequence(seq, order=2)
-        assert check_envelope_constancy(exp, 6, 4) <= 1e-14
+        assert check_envelope_constancy(seq, 6, 4, order=2) <= 1e-14
 
     def test_partial_sum_at_base_returns_y0(self):
         seq = SampledSequence(np.arange(10.0) ** 2)
-        exp = expansion_from_sequence(seq, order=3)
-        assert envelope_partial_sum(exp, 4, 4) == 16.0
+        assert newton_partial_sum(seq, 4, 4, 3) == 16.0
 
     def test_base_range_enforced(self):
+        # the shifted base m + 1 = 4 needs samples up to 4 + 2 = 6
         seq = SampledSequence(np.arange(6.0))
-        exp = expansion_from_sequence(seq, order=2)
         with pytest.raises(IndexError):
-            envelope_partial_sum(exp, 5, 4)
+            check_envelope_constancy(seq, 5, 3, order=2)
 
     def test_orders_combine_with_eps_weights(self):
-        s0 = SampledSequence(np.arange(8.0))
-        s1 = SampledSequence(np.arange(8.0) ** 2)
-        exp = expansion_from_orders([s0, s1], eps=0.5, order=1)
+        # y0 + eps y1 is one sequence; by linearity its differences are
+        # Y_k = delta^k y0 + eps delta^k y1
+        s0 = np.arange(8.0)
+        s1 = np.arange(8.0) ** 2
+        seq = SampledSequence(s0 + 0.5 * s1)
         # Y_0(2) = 2 + 0.5*4, Y_1(2) = 1 + 0.5*(9 - 4)
-        assert exp.coeff(0, 2) == pytest.approx(4.0)
-        assert exp.coeff(1, 2) == pytest.approx(3.5)
+        assert forward_difference(seq, 0, 2) == pytest.approx(4.0)
+        assert forward_difference(seq, 1, 2) == pytest.approx(3.5)
+        assert newton_partial_sum(seq, 2, 5, 1) == pytest.approx(4.0 + 3 * 3.5)
 
 
 class TestSampledSequence:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from renormdiff.asymptotic import GlobalSolution
+from renormdiff.asymptotic import GlobalSolution, third_harmonic_coefficient
 from renormdiff.lineardiff import RootConvention, SchemeParams
 from renormdiff.perturbation import (
     CUBIC,
@@ -20,6 +20,7 @@ from renormdiff.renormalization import (
     KappaConvention,
     build_flow,
     conserved_constant,
+    continuum_amplitude,
     continuum_limit_check,
     fit_envelope_constant,
     flow_path,
@@ -225,6 +226,18 @@ class TestVdpContinuum:
         amps = solve_vdp_continuum(0.2, c, 0.05, 400.0, C_SQ)
         assert 2.0 * np.hypot(amps.real, amps.imag) == pytest.approx(2.0, rel=1e-6)
 
+    @pytest.mark.parametrize("a0", [0.3 + 0.15j, -0.3 + 0.15j])
+    def test_long_horizon_stays_saturated(self, a0):
+        # eps t = 300 keeps e^{2 eps t} finite, at 400 it overflows and at
+        # 1000 so does e^{eps t}; the amplitude stays at its limit throughout
+        c = a0.imag / a0.real
+        limit = np.sign(a0.real) / np.sqrt(kappa_value(c, C_SQ)) * (1.0 + 1j * c)
+        t = np.array([3e5, 4e5, 1e6])
+        on_array = continuum_amplitude(VAN_DER_POL, a0, 0.001, t)
+        on_scalars = [continuum_amplitude(VAN_DER_POL, a0, 0.001, s) for s in t]
+        for amp in (on_array, np.array(on_scalars)):
+            assert np.all(np.abs(amp - limit) <= 1e-14 * abs(limit))
+
     def test_component_ratio_fixed(self):
         amps = solve_vdp_continuum(0.15, 0.7, 0.05, 12.0, C_SQ)
         assert amps.imag == pytest.approx(0.7 * amps.real, rel=1e-14)
@@ -308,40 +321,61 @@ class TestContinuumLimit:
 
 _DT, _N = sp.symbols("dt n", positive=True)
 _A, _B, _L, _X = sp.symbols("a b L X")  # X stands for L^n
+_MU = _DT**2
+_ROOT = (2 - _MU) / 2 + sp.I * _DT * sp.sqrt(4 - _MU) / 2  # exact root of unit modulus
 _RATE_KINDS = [CUBIC, VAN_DER_POL, van_der_pol(halving=True)]
+
+
+def _forcing(kind):
+    """First-order right-hand side of the standard scheme, mu = dt^2, in powers of X.
+
+    z0 = a L^n + b L^-n is put into mu (-z^3) for the cubic scheme and into
+    (mu/dt) h (1 - z^2)(z(n+1) - z(n-1)) for the Van der Pol one (h = 1/2
+    under halving); expanding collects L L^-1 = 1.  Also returns the secular
+    mode, a^2 b (cubic) or a - a^2 b (Van der Pol).
+    """
+
+    def z0(shift):
+        return _A * _L**shift * _X + _B * _L**-shift / _X
+
+    if kind.variant is Variant.CUBIC:
+        return sp.expand(_MU * -z0(0) ** 3), _A**2 * _B
+    halving = sp.Rational(1, 2) if kind.vdp_halving else 1
+    rhs = (_MU / _DT) * halving * (1 - z0(0) ** 2) * (z0(1) - z0(-1))
+    return sp.expand(rhs), _A - _A**2 * _B
 
 
 @lru_cache(maxsize=None)
 def _symbolic_rate(kind):
     """Per-step amplitude rate over eps of the standard scheme at exact roots.
 
-    Derived from the scheme alone: z0 = a L^n + b L^-n is put into the
-    first-order right-hand side, mu (-z^3) for the cubic scheme and
-    (mu/dt) h (1 - z^2)(z(n+1) - z(n-1)) for the Van der Pol one (h = 1/2
-    under halving), and its L^n coefficient F is collected with
-    L L^-1 = 1.  The scheme's operator maps n L^n to (L - 1/L) L^n at a
-    root, so F drives n L^n with coefficient F / (L - 1/L); the rate is that
-    coefficient per unit of a^2 b (cubic) or a - a^2 b (Van der Pol).
+    Derived from the scheme alone: the L^n coefficient F of the first-order
+    right-hand side (see _forcing) is resonant.  The scheme's operator maps
+    n L^n to (L - 1/L) L^n at a root, so F drives n L^n with coefficient
+    F / (L - 1/L); the rate is that coefficient per unit of the secular mode.
     """
-    mu = _DT**2
-    root = (2 - mu) / 2 + sp.I * _DT * sp.sqrt(4 - mu) / 2
-
-    def z0(shift):
-        return _A * _L**shift * _X + _B * _L**-shift / _X
-
-    if kind.variant is Variant.CUBIC:
-        rhs, mode = mu * -z0(0) ** 3, _A**2 * _B
-    else:
-        halving = sp.Rational(1, 2) if kind.vdp_halving else 1
-        rhs = (mu / _DT) * halving * (1 - z0(0) ** 2) * (z0(1) - z0(-1))
-        mode = _A - _A**2 * _B
-    forcing = sp.expand(rhs).coeff(_X, 1)
-    operator = sp.expand((_N + 1) * _L - (2 - mu) * _N + (_N - 1) / _L)
-    assert sp.simplify(operator.coeff(_N, 1).subs(_L, root)) == 0
-    coefficient = forcing / operator.coeff(_N, 0)
+    rhs, mode = _forcing(kind)
+    operator = sp.expand((_N + 1) * _L - (2 - _MU) * _N + (_N - 1) / _L)
+    assert sp.simplify(operator.coeff(_N, 1).subs(_L, _ROOT)) == 0
+    coefficient = rhs.coeff(_X, 1) / operator.coeff(_N, 0)
     rate = sp.factor(sp.cancel(coefficient / mode))
     assert not rate.free_symbols & {_A, _B, _X}
-    return sp.simplify(rate.subs(_L, root))
+    return sp.simplify(rate.subs(_L, _ROOT))
+
+
+@lru_cache(maxsize=None)
+def _symbolic_third_harmonic(kind):
+    """Coefficient of a^3 L^3n in z1 for the standard scheme at exact roots.
+
+    The L^3n coefficient F3 of the first-order right-hand side is not
+    resonant: the scheme's operator maps L^3n to (L^3 - (2 - mu) + L^-3) L^3n,
+    so z1 carries F3 / (L^3 - (2 - mu) + L^-3), taken per unit of a^3.
+    """
+    rhs, _ = _forcing(kind)
+    coefficient = rhs.coeff(_X, 3) / (_L**3 - (2 - _MU) + _L**-3)
+    k3 = sp.cancel(coefficient / _A**3)
+    assert not k3.free_symbols & {_A, _B, _X}
+    return sp.simplify(k3.subs(_L, _ROOT))
 
 
 class TestSecularRate:
@@ -383,3 +417,21 @@ class TestSecularRate:
             shift = GlobalSolution(CUBIC, params(0.01, eps), a0).frequency_shift()
             c = (a0 * complex(a0).conjugate()).real
             assert shift == 1 + secular_rate(CUBIC, eps).imag * c
+
+
+class TestThirdHarmonic:
+    """third_harmonic_coefficient against the coefficient derived with sympy."""
+
+    @pytest.mark.parametrize(
+        "kind, limit",
+        [(CUBIC, sp.Rational(1, 8)), (VAN_DER_POL, sp.I / 4), (van_der_pol(halving=True), sp.I / 8)],
+    )
+    def test_continuum_limit(self, kind, limit):
+        assert sp.simplify(sp.limit(_symbolic_third_harmonic(kind), _DT, 0) - limit) == 0
+
+    @pytest.mark.parametrize("dt", [0.01, 0.1, 0.5])
+    @pytest.mark.parametrize("kind", _RATE_KINDS)
+    def test_coefficient_at_exact_roots(self, kind, dt):
+        p = SchemeParams(dt=dt, eps=0.01, root_convention=RootConvention.EXACT_UNIT_MODULUS)
+        expected = complex(_symbolic_third_harmonic(kind).subs(_DT, sp.Float(dt, 30)).evalf(30))
+        assert abs(third_harmonic_coefficient(kind, p) - expected) <= 1e-12 * abs(expected)
