@@ -196,13 +196,18 @@ def solve_vdp_continuum(
         raise ValueError("envelope constant must be nonzero")
     kappa = kappa_value(c, convention)
     t_arr = np.asarray(t, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         growth = np.exp(rate * t_arr)
         denom = 1.0 + kappa * a0 * a0 * growth * growth
-        if np.any(denom <= 0.0):
-            raise ValueError("envelope denominator vanishes; solution leaves its domain")
+    if np.any(denom <= 0.0):
+        raise ValueError("envelope denominator vanishes; solution leaves its domain")
+    over = np.isinf(denom)
+    if over.any():
+        # denom reaches +inf only for kappa > 0; divide only where it is finite
+        a1 = np.full(t_arr.shape, math.copysign(1.0 / math.sqrt(kappa), a0))
+        np.divide(a0 * growth, np.sqrt(denom), out=a1, where=~over)
+    else:
         a1 = a0 * growth / np.sqrt(denom)
-    a1 = np.where(np.isinf(denom), math.copysign(1.0 / math.sqrt(kappa), a0), a1)
     a = a1 * (1.0 + 1j * c)
     if t_arr.ndim == 0:
         return complex(a)

@@ -258,6 +258,19 @@ class TestCompare:
         )
         assert err_naive.max() == pytest.approx(summary["max_err_naive"], rel=1e-12)
 
+    @pytest.mark.parametrize("a0_re", ["0.3", "0.1"])
+    def test_vdp_nonpositive_kappa_runs(self, tmp_path, a0_re):
+        # c = Im(a0)/Re(a0) = -1 gives kappa = 1 + c = 0, c = -3 gives kappa < 0;
+        # the closed form stays finite over this horizon
+        out = tmp_path / "cmp.csv"
+        code = main(
+            ["compare", "--kind", "vdp", "--a0-re", a0_re, "--a0-im", "-0.3",
+             "--kappa-convention", "one-plus-c", "--dt", "0.05", "--t-max", "20",
+             "--output-path", str(out)]
+        )
+        assert code == 0
+        header, rows, _ = read_csv(out)
+        assert np.all(np.isfinite(rows[:, header.index("err_renorm")]))
 
     def test_vdp_out_of_reach_rejected_before_the_oracle(self, tmp_path, monkeypatch, capsys):
         calls = []

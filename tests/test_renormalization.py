@@ -260,6 +260,25 @@ class TestVdpContinuum:
         assert np.all(amps.real < 0)
         assert np.all(np.diff(np.abs(amps.real)) >= -1e-15)
 
+    @pytest.mark.parametrize("c", [-1.0, -3.0])
+    def test_nonpositive_kappa_keeps_closed_form(self, c):
+        # 1 + c = 0 and 1 + c < 0: the denominator stays positive at short t,
+        # and the saturated value 1/sqrt(kappa) must not be evaluated at all
+        a0, rate = 0.1, 0.05
+        kappa = kappa_value(c, C_LIN)
+        t = np.array([0.0, 2.0, 5.0])
+        growth = np.exp(rate * t)
+        want = a0 * growth / np.sqrt(1.0 + kappa * a0 * a0 * growth * growth) * (1.0 + 1j * c)
+        got = solve_vdp_continuum(a0, c, rate, t, C_LIN)
+        assert np.array_equal(got, want)
+        assert solve_vdp_continuum(a0, c, rate, 5.0, C_LIN) == want[-1]
+
+    def test_underflowed_constant_is_not_silenced(self):
+        # kappa a0^2 underflows to 0, so 0 * inf leaves a NaN denominator;
+        # the invalid-value warning must still reach the caller
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            solve_vdp_continuum(1e-200, 0.0, 0.01, 1e5, C_SQ)
+
     def test_domain_error(self):
         # kappa < 0 with a large constant drives the denominator through zero
         with pytest.raises(ValueError):
