@@ -67,6 +67,8 @@ def matrix() -> list[tuple[list[str], str]]:
     runs.append((["simulate", *DIVERGING], "csv"))
     runs.append((["compare", *DIVERGING], "csv"))
     runs.append((["simulate", *SINGULAR], "csv"))
+    for a0_re in ("1.0", "1.5"):  # Van der Pol from the limit cycle and from above it
+        runs.append((["compare", "--kind=vdp", *BASE[:3], f"--a0-re={a0_re}"], "csv"))
     return runs
 
 

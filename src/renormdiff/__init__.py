@@ -57,7 +57,6 @@ from .renormalization import (
     build_flow,
     conserved_constant,
     continuum_limit_check,
-    fit_envelope_constant,
     flow_path,
     kappa_value,
     secular_rate,

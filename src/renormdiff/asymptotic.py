@@ -20,7 +20,6 @@ from .renormalization import (
     KappaConvention,
     conserved_constant,
     continuum_amplitude,
-    fit_envelope_constant,
     kappa_value,
     secular_rate,
 )
@@ -80,8 +79,8 @@ class GlobalSolution:
     evaluations are real).  For the cubic kind the conserved constant is
     c = |a0|^2 and the amplitude rotates at rate (3/2) eps c; for the Van der
     Pol kind c = Im(a0)/Re(a0) is the invariant component ratio and the
-    envelope follows the logistic-type closed form under the chosen kappa
-    convention.
+    envelope follows the logistic-type closed form from Re(a0) under the
+    chosen kappa convention.
     """
 
     kind: Nonlinearity
@@ -92,9 +91,17 @@ class GlobalSolution:
     def __post_init__(self):
         object.__setattr__(self, "a0", complex(self.a0))
         if self.kind.variant is Variant.VAN_DER_POL:
-            # Fail at construction, not first evaluation, if a0 is outside
-            # the envelope family's reach.
-            fit_envelope_constant(self.a0.real, kappa_value(self.conserved, self.kappa_convention))
+            # Fail at construction, not first evaluation: Re(a0) = 0 leaves
+            # the component ratio undefined, and a settled value kappa Re(a0)^2
+            # below the normal range loses the envelope's limit to rounding
+            # (at 0, the envelope's denominator underflows to 0 with time).
+            a1 = self.a0.real
+            kappa = kappa_value(self.conserved, self.kappa_convention)
+            if kappa > 0.0 and kappa * a1 * a1 < np.finfo(float).tiny:
+                raise ValueError(
+                    f"kappa * Re(a0)^2 underflows at Re(a0) = {a1}; the "
+                    "Van der Pol envelope cannot be evaluated"
+                )
 
     @property
     def conserved(self) -> float:

@@ -14,7 +14,6 @@ flow) are provided, so their gaps can be measured instead of assumed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,7 +31,6 @@ __all__ = [
     "solve_cubic_continuum",
     "solve_vdp_continuum",
     "kappa_value",
-    "fit_envelope_constant",
     "conserved_constant",
     "continuum_amplitude",
     "continuum_limit_check",
@@ -159,56 +157,28 @@ def solve_cubic_continuum(a0: complex, rate: complex, t):
     return a
 
 
-def fit_envelope_constant(a1_initial: float, kappa: float) -> float:
-    """Envelope family constant reproducing A1(0) = a1_initial.
-
-    The closed form A1(t) = K e^{r t} / sqrt(1 + kappa K^2 e^{2 r t}) has
-    A1(0) = K / sqrt(1 + kappa K^2); inverting gives
-    K = a1 / sqrt(1 - kappa a1^2), which requires kappa * a1^2 < 1.
-    """
-    denom = 1.0 - kappa * a1_initial * a1_initial
-    if denom <= 0.0:
-        raise ValueError(
-            f"initial amplitude {a1_initial} outside the reach of the envelope "
-            f"family with kappa = {kappa}"
-        )
-    return a1_initial / math.sqrt(denom)
-
-
 def solve_vdp_continuum(
-    a0: float,
+    a1: float,
     c: float,
     rate: float,
     t,
     convention: KappaConvention = KappaConvention.ONE_PLUS_C_SQUARED,
 ):
-    """Continuum Van der Pol amplitude A = A1 (1 + i c) for the envelope constant a0.
+    """Continuum Van der Pol amplitude A = A1 (1 + i c) with A1(0) = a1.
 
-    A1(t) = a0 e^{rate t} / sqrt(1 + kappa a0^2 e^{2 rate t}) satisfies
-    A1' = rate A1 (1 - kappa A1^2) exactly, and tends to 1/sqrt(kappa) as t
-    grows; the component ratio Im(A)/Re(A) stays c.  Where e^{2 rate t}
-    overflows (rate t past about 355) A1 takes that saturated value
-    sign(a0)/sqrt(kappa), which it equals there to double precision.  Accepts
-    scalar or array t; note a0 is the family constant, not the value at
-    t = 0 (see fit_envelope_constant).
+    A1(t) = a1 / sqrt(kappa a1^2 + (1 - kappa a1^2) e^{-2 rate t}) satisfies
+    A1' = rate A1 (1 - kappa A1^2) exactly from any a1 != 0, below or above
+    the limit sign(a1)/sqrt(kappa) that it tends to as t grows; the component
+    ratio Im(A)/Re(A) stays c.  Accepts scalar or array t.
     """
-    if a0 == 0.0:
-        raise ValueError("envelope constant must be nonzero")
-    kappa = kappa_value(c, convention)
+    if a1 == 0.0:
+        raise ValueError("initial amplitude must be nonzero")
+    settled = kappa_value(c, convention) * a1 * a1
     t_arr = np.asarray(t, dtype=float)
-    with np.errstate(over="ignore"):
-        growth = np.exp(rate * t_arr)
-        denom = 1.0 + kappa * a0 * a0 * growth * growth
+    denom = settled + (1.0 - settled) * np.exp(-2.0 * rate * t_arr)
     if np.any(denom <= 0.0):
         raise ValueError("envelope denominator vanishes; solution leaves its domain")
-    over = np.isinf(denom)
-    if over.any():
-        # denom reaches +inf only for kappa > 0; divide only where it is finite
-        a1 = np.full(t_arr.shape, math.copysign(1.0 / math.sqrt(kappa), a0))
-        np.divide(a0 * growth, np.sqrt(denom), out=a1, where=~over)
-    else:
-        a1 = a0 * growth / np.sqrt(denom)
-    a = a1 * (1.0 + 1j * c)
+    a = a1 / np.sqrt(denom) * (1.0 + 1j * c)
     if t_arr.ndim == 0:
         return complex(a)
     return a
@@ -224,16 +194,15 @@ def continuum_amplitude(
     """Continuum amplitude A(t) with A(0) = a0 and B = conj(A), scalar or array t.
 
     Cubic: a0 rotating at rate Im(r) |a0|^2, r = secular_rate(kind, eps).
-    Van der Pol: the envelope family at rate r fitted to Re(a0) under the
-    kappa convention, with the invariant component ratio c = Im(a0)/Re(a0).
+    Van der Pol: the envelope at rate r from Re(a0) under the kappa
+    convention, with the invariant component ratio c = Im(a0)/Re(a0).
     """
     a0 = complex(a0)
     rate = secular_rate(kind, eps)
     if kind.variant is Variant.CUBIC:
         return solve_cubic_continuum(a0, rate, t)
     c = conserved_constant(kind, a0)
-    constant = fit_envelope_constant(a0.real, kappa_value(c, convention))
-    return solve_vdp_continuum(constant, c, rate, t, convention)
+    return solve_vdp_continuum(a0.real, c, rate, t, convention)
 
 
 def continuum_limit_check(

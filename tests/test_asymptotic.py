@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from renormdiff.analysis import envelope
 from renormdiff.asymptotic import (
     GlobalSolution,
     assemble_modes,
@@ -11,6 +12,7 @@ from renormdiff.lineardiff import (
     SchemeParams,
     characteristic_roots,
 )
+from renormdiff.oracle import init_from_amplitude, iterate
 from renormdiff.perturbation import (
     CUBIC,
     VAN_DER_POL,
@@ -146,6 +148,41 @@ class TestVdpSolution:
     def test_requires_nonzero_real_part(self):
         with pytest.raises(ValueError):
             GlobalSolution(VAN_DER_POL, params(0.1, eps=0.05), 0.5j)
+
+    @pytest.mark.parametrize("a0", [1e-200, -1e-161])
+    def test_underflowed_settled_value_rejected(self, a0):
+        # kappa Re(a0)^2 underflows to 0 at 1e-200, and to a subnormal at
+        # 1e-161, where the envelope's limit would be off by 0.6%
+        with pytest.raises(ValueError, match="underflows"):
+            GlobalSolution(VAN_DER_POL, params(0.5, eps=0.01), a0)
+
+    def test_smallest_normal_settled_value_reaches_the_limit(self):
+        sol = GlobalSolution(VAN_DER_POL, params(0.5, eps=0.01), 1.5e-154)
+        assert sol.amplitude_at(1e6) == pytest.approx(1.0, rel=1e-15)
+
+    def test_zero_kappa_stays_legal(self):
+        # c = -1 under the linear convention: kappa = 0 and the envelope
+        # grows as Re(a0) e^{eps t}
+        sol = GlobalSolution(
+            VAN_DER_POL,
+            params(0.5, eps=0.01),
+            1e-200 - 1e-200j,
+            kappa_convention=KappaConvention.ONE_PLUS_C,
+        )
+        assert sol.amplitude_at(100.0).real == pytest.approx(1e-200 * np.e, rel=1e-12)
+
+    @pytest.mark.parametrize("a0", [1.5, 1.2 + 0.6j])
+    def test_envelope_from_above_tracks_the_oracle(self, a0):
+        # the start lies above the limit cycle; the oracle's envelope decays
+        # to 2 and the renormalized one follows it at every peak
+        eps = 0.05
+        p = params(0.005, eps=eps, convention=EXACT)
+        z0, z1 = init_from_amplitude(a0, p)
+        peaks = envelope(iterate(VAN_DER_POL, p, z0, z1, int(round(10.0 / eps / p.dt))))
+        sol = GlobalSolution(VAN_DER_POL, p, a0)
+        dev = np.abs(sol.fundamental_amplitude(peaks[:, 0]) - peaks[:, 1]) / peaks[:, 1]
+        assert peaks[0, 1] > 2.4
+        assert dev.max() <= 0.01
 
     def test_amplitude_matches_at_time_zero(self):
         a0 = 0.1 * (1 + 2j) / np.sqrt(5)

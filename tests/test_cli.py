@@ -113,6 +113,25 @@ class TestSimulate:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_vdp_zero_real_amplitude_runs(self, tmp_path):
+        # the oracle needs no component ratio
+        out = tmp_path / "vdp.csv"
+        code = main(["simulate", "--kind", "vdp", "--a0-re", "0", "--a0-im", "0.3",
+                     "--t-max", "5", "--output-path", str(out)])
+        assert code == 0
+        _, rows, _ = read_csv(out)
+        assert rows[0, 2] == 0.0
+        assert np.all(np.isfinite(rows[:, 2]))
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_vdp_halving_rejected_for_cubic(self, tmp_path, capsys, command):
+        out = tmp_path / "x.csv"
+        code = main([command, "--kind", "cubic", "--vdp-halving", "--t-max", "5",
+                     "--output-path", str(out)])
+        assert code == 2
+        assert "vdp_halving only applies to the Van der Pol variant" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_zero_eps_all_errors_tiny(self, tmp_path):
@@ -273,17 +292,40 @@ class TestCompare:
         assert np.all(np.isfinite(rows[:, header.index("err_renorm")]))
 
     def test_vdp_out_of_reach_rejected_before_the_oracle(self, tmp_path, monkeypatch, capsys):
+        # kappa a0_re^2 underflows to 0 at 1e-200: the envelope's limit is out
+        # of double precision's reach
         calls = []
         real = cli.iterate
         monkeypatch.setattr(cli, "iterate", lambda *args: calls.append(args) or real(*args))
         out = tmp_path / "cmp.csv"
         code = main(
-            ["compare", "--kind", "vdp", "--a0-re", "1.2", "--dt", "0.01", "--t-max", "50",
-             "--output-path", str(out)]
+            ["compare", "--kind", "vdp", "--a0-re", "1e-200", "--eps", "0.01", "--dt", "0.5",
+             "--t-max", "60000", "--stride", "1000", "--output-path", str(out)]
         )
         assert code == 2
-        assert "outside the reach of the envelope family" in capsys.readouterr().err
+        assert "underflows" in capsys.readouterr().err
         assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("a0_re", ["1.0", "1.5"])
+    def test_vdp_from_the_limit_cycle_and_above(self, tmp_path, a0_re):
+        out = tmp_path / "cmp.csv"
+        code = main(["compare", "--kind", "vdp", "--a0-re", a0_re, "--dt", "0.01",
+                     "--eps", "0.02", "--t-max", "60", "--output-path", str(out)])
+        assert code == 0
+        _, rows, comments = read_csv(out)
+        assert np.all(np.isfinite(rows))
+        assert np.isfinite(summary_from_comments(comments)["max_err_renorm"])
+
+    def test_non_finite_model_column_is_a_numerical_failure(self, tmp_path, capsys):
+        # first-order roots have |lam_p| > 1, and lam_p^n overflows at this
+        # dt while the oracle stays bounded
+        out = tmp_path / "cmp.csv"
+        with pytest.warns(RuntimeWarning):
+            code = main(["compare", "--root-convention", "first-order", "--dt", "1.5",
+                         "--t-max", "1000", "--output-path", str(out)])
+        assert code == 3
+        assert "numerical failure: z_naive is not finite at n=402" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -350,17 +392,17 @@ class TestSweep:
         assert not out.exists()
 
     def test_vdp_out_of_reach_rejected_before_any_pipeline(self, tmp_path, monkeypatch, capsys):
-        # kappa a0_re^2 >= 1 at 1.2: no envelope of the family starts there
+        # kappa a0_re^2 underflows to 0 at 1e-200
         calls = []
         real = cli.run_compare_pipeline
         monkeypatch.setattr(cli, "run_compare_pipeline", lambda cfg: calls.append(cfg) or real(cfg))
         out = tmp_path / "s.csv"
         code = main(
-            ["sweep", "--kind", "vdp", "--param", "a0_re", "--values", "0.1,1.2",
+            ["sweep", "--kind", "vdp", "--param", "a0_re", "--values", "0.1,1e-200",
              "--dt", "0.002", "--t-max", "200", "--output-path", str(out)]
         )
         assert code == 2
-        assert "outside the reach of the envelope family" in capsys.readouterr().err
+        assert "underflows" in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
 

@@ -1,8 +1,11 @@
+import math
 from functools import lru_cache
 
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from renormdiff.asymptotic import GlobalSolution, third_harmonic_coefficient
 from renormdiff.lineardiff import RootConvention, SchemeParams
@@ -22,7 +25,6 @@ from renormdiff.renormalization import (
     conserved_constant,
     continuum_amplitude,
     continuum_limit_check,
-    fit_envelope_constant,
     flow_path,
     kappa_value,
     secular_rate,
@@ -36,6 +38,23 @@ C_LIN = KappaConvention.ONE_PLUS_C
 
 def params(dt, eps):
     return SchemeParams(dt=dt, eps=eps)
+
+
+def _family_constant_form(a1, c, rate, t, convention):
+    """Re(A) of the envelope written through the family constant K.
+
+    A1(t) = K e^{rate t} / sqrt(1 + kappa K^2 e^{2 rate t}) with
+    K = a1 / sqrt(1 - kappa a1^2), so A1(0) = a1; defined for kappa a1^2 < 1
+    and while e^{2 rate t} stays finite.
+    """
+    kappa = kappa_value(c, convention)
+    constant = a1 / math.sqrt(1.0 - kappa * a1 * a1)
+    growth = np.exp(rate * np.asarray(t, dtype=float))
+    return constant * growth / np.sqrt(1.0 + kappa * constant * constant * growth * growth)
+
+
+def _ulps(got, want):
+    return np.abs(got - want) / np.spacing(np.abs(want))
 
 
 class TestBuildFlow:
@@ -228,8 +247,8 @@ class TestVdpContinuum:
 
     @pytest.mark.parametrize("a0", [0.3 + 0.15j, -0.3 + 0.15j])
     def test_long_horizon_stays_saturated(self, a0):
-        # eps t = 300 keeps e^{2 eps t} finite, at 400 it overflows and at
-        # 1000 so does e^{eps t}; the amplitude stays at its limit throughout
+        # e^{-2 eps t} is 1e-261 at eps t = 300 and underflows to 0 at 400 and
+        # 1000; the amplitude stays at its limit throughout
         c = a0.imag / a0.real
         limit = np.sign(a0.real) / np.sqrt(kappa_value(c, C_SQ)) * (1.0 + 1j * c)
         t = np.array([3e5, 4e5, 1e6])
@@ -260,24 +279,55 @@ class TestVdpContinuum:
         assert np.all(amps.real < 0)
         assert np.all(np.diff(np.abs(amps.real)) >= -1e-15)
 
+    @given(
+        a1=st.floats(-0.999, 0.999).filter(lambda x: abs(x) >= 1e-3),
+        c=st.floats(-3.0, 3.0),
+        convention=st.sampled_from([C_SQ, C_LIN]),
+        rate=st.floats(1e-4, 0.3),
+        rate_t=st.floats(0.0, 300.0),
+    )
+    @settings(max_examples=200)
+    def test_matches_family_constant_form(self, a1, c, convention, rate, rate_t):
+        # below the limit cycle the initial-value form and the family-constant
+        # form are the same function; they differ only in rounding
+        assume(0.0 < kappa_value(c, convention) * a1 * a1 < 1.0)
+        t = rate_t / rate
+        want = _family_constant_form(a1, c, rate, t, convention)
+        got = solve_vdp_continuum(a1, c, rate, t, convention)
+        assert _ulps(got.real, want) <= 4.0
+
     @pytest.mark.parametrize("c", [-1.0, -3.0])
     def test_nonpositive_kappa_keeps_closed_form(self, c):
-        # 1 + c = 0 and 1 + c < 0: the denominator stays positive at short t,
-        # and the saturated value 1/sqrt(kappa) must not be evaluated at all
-        a0, rate = 0.1, 0.05
-        kappa = kappa_value(c, C_LIN)
+        # 1 + c = 0 and 1 + c < 0: the denominator stays positive at short t
+        a1, rate = 0.1, 0.05
         t = np.array([0.0, 2.0, 5.0])
-        growth = np.exp(rate * t)
-        want = a0 * growth / np.sqrt(1.0 + kappa * a0 * a0 * growth * growth) * (1.0 + 1j * c)
-        got = solve_vdp_continuum(a0, c, rate, t, C_LIN)
-        assert np.array_equal(got, want)
-        assert solve_vdp_continuum(a0, c, rate, 5.0, C_LIN) == want[-1]
+        want = _family_constant_form(a1, c, rate, t, C_LIN)
+        got = solve_vdp_continuum(a1, c, rate, t, C_LIN)
+        assert np.all(_ulps(got.real, want) <= 4.0)
+        assert np.array_equal(got.imag, c * got.real)
+        assert solve_vdp_continuum(a1, c, rate, 5.0, C_LIN) == got[-1]
 
-    def test_underflowed_constant_is_not_silenced(self):
-        # kappa a0^2 underflows to 0, so 0 * inf leaves a NaN denominator;
-        # the invalid-value warning must still reach the caller
-        with pytest.warns(RuntimeWarning, match="invalid value"):
+    def test_underflowed_settled_value_raises(self):
+        # kappa a1^2 underflows to 0, so the denominator underflows with
+        # e^{-2 rate t}; the closed form raises where it once returned NaN
+        with pytest.raises(ValueError, match="denominator vanishes"):
             solve_vdp_continuum(1e-200, 0.0, 0.01, 1e5, C_SQ)
+
+    @pytest.mark.parametrize("a0", [1.0, -1.0, 0.6 + 0.8j])
+    def test_starts_on_the_limit_cycle_and_stays(self, a0):
+        t = np.array([0.0, 1.0, 1e3, 1e6])
+        amps = continuum_amplitude(VAN_DER_POL, a0, 0.05, t)
+        if a0.imag == 0.0:
+            assert np.all(amps == a0)
+        else:
+            assert np.all(np.abs(amps - a0) <= 1e-15)
+
+    def test_decays_to_the_limit_from_above(self):
+        t = np.linspace(0.0, 400.0, 200)
+        amps = solve_vdp_continuum(1.5, 0.0, 0.05, t, C_SQ).real
+        assert amps[0] == 1.5
+        assert np.all(np.diff(amps) <= 0.0)
+        assert amps[-1] == pytest.approx(1.0, abs=1e-15)
 
     def test_domain_error(self):
         # kappa < 0 with a large constant drives the denominator through zero
@@ -287,17 +337,6 @@ class TestVdpContinuum:
     def test_zero_constant_rejected(self):
         with pytest.raises(ValueError):
             solve_vdp_continuum(0.0, 0.5, 0.05, 1.0)
-
-    def test_fit_envelope_constant_roundtrip(self):
-        kappa = kappa_value(0.5, C_SQ)
-        const = fit_envelope_constant(0.21, kappa)
-        assert solve_vdp_continuum(const, 0.5, 0.05, 0.0, C_SQ).real == pytest.approx(
-            0.21, rel=1e-12
-        )
-
-    def test_fit_envelope_constant_out_of_reach(self):
-        with pytest.raises(ValueError):
-            fit_envelope_constant(2.0, 1.0)
 
 
 class TestConservedConstant:
