@@ -39,9 +39,7 @@ from .oracle import (
 from .perturbation import (
     CUBIC,
     VAN_DER_POL,
-    AmplitudePair,
     Nonlinearity,
-    SecularReport,
     Variant,
     extract_secular,
     first_order_forcing,

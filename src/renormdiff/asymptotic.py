@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lineardiff import SchemeParams, characteristic_roots
-from .perturbation import AmplitudePair, Nonlinearity, Variant, first_order_solution
+from .perturbation import Nonlinearity, Variant, first_order_solution
 from .renormalization import (
     KappaConvention,
     conserved_constant,
@@ -34,12 +34,12 @@ __all__ = [
 def third_harmonic_coefficient(kind: Nonlinearity, params: SchemeParams) -> complex:
     """Coefficient kappa3 such that z1 contains kappa3 * A^3 * lam_p^{3n}.
 
-    Read off the first-order solution with unit plus-amplitude, so it tracks
+    Read off the first-order solution with unit amplitude, so it tracks
     whatever the particular-solution machinery actually produces (including
     the halving convention) rather than a separately maintained formula.
     """
     lam_p, _ = characteristic_roots(params)
-    z1 = first_order_solution(kind, AmplitudePair(1.0, 0.0), params)
+    z1 = first_order_solution(kind, 1.0, params)
     return z1.coefficient(lam_p**3, n_power=0)
 
 

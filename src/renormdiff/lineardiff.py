@@ -219,35 +219,6 @@ class HarmonicSum:
                 return term.coeff
         return 0j
 
-    def is_real_sequence(self, tol: float = 1e-12) -> bool:
-        """True iff the terms pair up under complex conjugation.
-
-        A sum is real-valued at every n exactly when each term has a partner
-        with conjugate coefficient and conjugate base at the same n_power
-        (self-paired when base and coefficient are both real).
-        """
-        unmatched = list(self.terms)
-        while unmatched:
-            term = unmatched.pop()
-            target_c = term.coeff.conjugate()
-            target_b = term.base.conjugate()
-            if (
-                abs(term.base - target_b) <= tol * max(1.0, abs(term.base))
-                and abs(term.coeff - target_c) <= tol * max(1.0, abs(term.coeff))
-            ):
-                continue  # real term, self-paired
-            for i, cand in enumerate(unmatched):
-                if (
-                    cand.n_power == term.n_power
-                    and abs(cand.base - target_b) <= tol * max(1.0, abs(cand.base))
-                    and abs(cand.coeff - target_c) <= tol * max(1.0, abs(cand.coeff))
-                ):
-                    del unmatched[i]
-                    break
-            else:
-                return False
-        return True
-
 
 def resonance_tolerance(base: complex) -> float:
     """Default tolerance for resonance tests.

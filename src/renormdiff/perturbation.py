@@ -1,9 +1,10 @@
 """First-order perturbation construction for the two example nonlinearities.
 
-Builds the zeroth-order solution A lam_p^n + B lam_m^n, the first-order
-forcing and particular solution for the cubic and Van der Pol type schemes,
-extracts the secular (n * lambda^n) content, and evaluates the naive
-(unrenormalized) expansion z0 + eps * z1.
+Builds the zeroth-order solution A lam_p^n + conj(A) lam_m^n of a real
+sequence from the one complex amplitude A, the first-order forcing and
+particular solution for the cubic and Van der Pol type schemes, extracts the
+secular (n * lambda^n) content, and evaluates the naive (unrenormalized)
+expansion z0 + eps * z1.
 
 Cross-term convention: products lam_p^n * lam_m^n arising from powers of z0
 are collected as 1.  This is exact for the unit-modulus roots (whose product
@@ -32,8 +33,6 @@ __all__ = [
     "CUBIC",
     "VAN_DER_POL",
     "van_der_pol",
-    "AmplitudePair",
-    "SecularReport",
     "zeroth_order",
     "first_order_forcing",
     "first_order_solution",
@@ -80,42 +79,12 @@ def van_der_pol(halving: bool = False) -> Nonlinearity:
     return Nonlinearity(Variant.VAN_DER_POL, vdp_halving=halving)
 
 
-@dataclass(frozen=True)
-class AmplitudePair:
-    """Complex amplitudes (a, b) of the two fundamental modes."""
-
-    a: complex
-    b: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "b", complex(self.b))
-
-    @classmethod
-    def conjugate_pair(cls, a: complex) -> "AmplitudePair":
-        """Pair (a, conj(a)), the real-solution constraint."""
-        a = complex(a)
-        return cls(a, a.conjugate())
-
-    @property
-    def is_conjugate_pair(self) -> bool:
-        return abs(self.b - self.a.conjugate()) <= 1e-14 * max(1.0, abs(self.a))
-
-
-@dataclass(frozen=True)
-class SecularReport:
-    """Coefficients of n * lam_p^n and n * lam_m^n in a first-order solution."""
-
-    sigma_plus: complex
-    sigma_minus: complex
-
-
-def zeroth_order(amps: AmplitudePair, params: SchemeParams) -> HarmonicSum:
-    """Homogeneous solution a * lam_p^n + b * lam_m^n."""
+def zeroth_order(a: complex, params: SchemeParams) -> HarmonicSum:
+    """Homogeneous solution a * lam_p^n + conj(a) * lam_m^n."""
+    a = complex(a)
+    b = a.conjugate()
     lam_p, lam_m = characteristic_roots(params)
-    return HarmonicSum(
-        (HarmonicTerm(amps.a, lam_p), HarmonicTerm(amps.b, lam_m))
-    )
+    return HarmonicSum((HarmonicTerm(a, lam_p), HarmonicTerm(b, lam_m)))
 
 
 def vdp_scale(kind: Nonlinearity, params: SchemeParams) -> float:
@@ -128,22 +97,29 @@ def vdp_scale(kind: Nonlinearity, params: SchemeParams) -> float:
 
 
 def first_order_forcing(
-    kind: Nonlinearity, amps: AmplitudePair, params: SchemeParams
+    kind: Nonlinearity, a: complex, params: SchemeParams
 ) -> HarmonicSum:
     """Right-hand side of the first-order equation, collected on four modes.
+
+    With b = conj(a), the amplitude of the lam_m mode:
 
     Cubic: -mu * (a^3 lam_p^3n + b^3 lam_m^3n + 3 a^2 b lam_p^n
     + 3 a b^2 lam_m^n), the mu prefactor being the scheme's.
 
     Van der Pol: (mu/dt) * (1 - z0^2)(z0(n+1) - z0(n-1)) expanded with
-    z0(n +/- 1) = a lam_p^(n+/-1) + b lam_m^(n+/-1) and collected under the
-    cross-term convention lam_p lam_m -> 1 (which also sends
-    lam_m - 1/lam_m -> -(lam_p - 1/lam_p)), yielding coefficients
+    z0(n +/- 1) = a lam_p^(n+/-1) + b lam_m^(n+/-1), yielding coefficients
     -a^3 s, -b^3 s', (a - a^2 b) s, (b - a b^2) s' on the four modes, with
-    s = lam_p - 1/lam_p and s' = lam_m - 1/lam_m.
+    s = lam_p - 1/lam_p and s' = lam_m - 1/lam_m.  The lam_p coefficients
+    are collected under the cross-term convention, read as lam_m = 1/lam_p.
+    The lam_m coefficients carry s', not the -s of that reading: s' is
+    conj(s) for the conjugate root pair, so each lam_m coefficient is the
+    conjugate of its lam_p partner and the forcing is real.  s' = -s holds
+    only at the unit-modulus roots, where 1/lam_p = lam_m; at the first-order
+    roots (dt = 0.1) s' = 0.0099 - 0.199i against -s = -0.0099 - 0.199i.
     """
+    a = complex(a)
+    b = a.conjugate()
     lam_p, lam_m = characteristic_roots(params)
-    a, b = amps.a, amps.b
     if kind.variant is Variant.CUBIC:
         pref = -params.mu
         terms = (
@@ -166,50 +142,45 @@ def first_order_forcing(
 
 
 def first_order_solution(
-    kind: Nonlinearity, amps: AmplitudePair, params: SchemeParams
+    kind: Nonlinearity, a: complex, params: SchemeParams
 ) -> HarmonicSum:
     """Particular solution z1 of the first-order equation.
 
-    Carries exactly two secular terms (on the fundamental modes) whenever both
-    amplitudes are nonzero; the third-harmonic responses are geometric.
+    Carries two secular terms, on the fundamental modes, whenever a is
+    nonzero; the third-harmonic responses are geometric.
     """
-    return particular_solution(first_order_forcing(kind, amps, params), params)
+    return particular_solution(first_order_forcing(kind, a, params), params)
 
 
-def extract_secular(z1: HarmonicSum, params: SchemeParams) -> SecularReport:
-    """Read the secular coefficients off a normalized first-order solution.
+def extract_secular(z1: HarmonicSum, params: SchemeParams) -> complex:
+    """Coefficient of n * lam_p^n in a normalized first-order solution.
 
-    Raises if a secular term sits on a base other than the two characteristic
-    roots of the active convention: that would mean the construction upstream
-    produced resonance where none is expected.
+    The n * lam_m^n coefficient is its conjugate.  Raises if a secular term
+    sits on a base other than the two characteristic roots of the active
+    convention: that would mean the construction upstream produced
+    resonance where none is expected.
     """
     lam_p, lam_m = characteristic_roots(params)
-    sigma_plus = 0j
-    sigma_minus = 0j
+    sigma = 0j
     for term in z1.terms:
         if term.n_power != 1:
             continue
         if abs(term.base - lam_p) <= resonance_tolerance(lam_p):
-            sigma_plus += term.coeff
-        elif abs(term.base - lam_m) <= resonance_tolerance(lam_m):
-            sigma_minus += term.coeff
-        else:
+            sigma += term.coeff
+        elif abs(term.base - lam_m) > resonance_tolerance(lam_m):
             raise ValueError(f"secular term on unexpected base {term.base}")
-    return SecularReport(sigma_plus, sigma_minus)
+    return sigma
 
 
-def naive_solution(
-    kind: Nonlinearity, amps: AmplitudePair, params: SchemeParams, n
-):
+def naive_solution(kind: Nonlinearity, a: complex, params: SchemeParams, n):
     """Real part of the uncorrected expansion z0 + eps * z1 at index n.
 
-    Requires a conjugate amplitude pair so the expansion is a real sequence;
-    accepts a scalar index or an array of indices.
+    a is the amplitude of the lam_p mode; the lam_m mode carries conj(a), so
+    the expansion is a real sequence.  Accepts a scalar index or an array of
+    indices.
     """
-    if not amps.is_conjugate_pair:
-        raise ValueError("naive_solution needs b = conj(a) for a real sequence")
-    full = zeroth_order(amps, params) + first_order_solution(
-        kind, amps, params
+    full = zeroth_order(a, params) + first_order_solution(
+        kind, a, params
     ).scaled(params.eps)
     return full.evaluate(n).real
 

@@ -29,7 +29,6 @@ from renormdiff.oracle import init_from_amplitude, iterate
 from renormdiff.perturbation import (
     CUBIC,
     VAN_DER_POL,
-    AmplitudePair,
     first_order_solution,
     nonlinearity_value,
     zeroth_order,
@@ -98,9 +97,9 @@ def test_criterion_03_first_order_residual_order():
     maxima = []
     for eps in (0.02, 0.01, 0.005):
         params = SchemeParams(dt=dt, eps=eps, root_convention=EXACT)
-        amps = AmplitudePair.conjugate_pair(0.3)
-        full = zeroth_order(amps, params) + first_order_solution(
-            CUBIC, amps, params
+        a0 = 0.3
+        full = zeroth_order(a0, params) + first_order_solution(
+            CUBIC, a0, params
         ).scaled(eps)
         z = full.evaluate(np.arange(horizon + 1)).real
         res = np.abs(
@@ -242,8 +241,8 @@ def test_criterion_09_base_point_shift_identity():
     # exact homogeneous solution, full-order expansion: residual at rounding
     dt = 0.1
     params = SchemeParams(dt=dt, root_convention=EXACT)
-    amps = AmplitudePair.conjugate_pair(0.4 + 0.3j)
-    seq = SampledSequence(zeroth_order(amps, params).evaluate(np.arange(30)))
+    a0 = 0.4 + 0.3j
+    seq = SampledSequence(zeroth_order(a0, params).evaluate(np.arange(30)))
     exact_worst = max(
         check_envelope_constancy(seq, m + span, m, order=14)
         for m in (0, 4, 9)
@@ -253,13 +252,13 @@ def test_criterion_09_base_point_shift_identity():
     # first-order cubic expansion truncated at difference order 2
     eps, dt = 0.01, 0.01
     params = SchemeParams(dt=dt, eps=eps, root_convention=FIRST)
-    amps = AmplitudePair.conjugate_pair(0.5)
+    a0 = 0.5
     idx = np.arange(121)
     # y0 + eps y1 as one sequence: its differences are the eps-weighted sum
     # of the orders' differences
     expansion = SampledSequence(
-        zeroth_order(amps, params).evaluate(idx)
-        + eps * first_order_solution(CUBIC, amps, params).evaluate(idx)
+        zeroth_order(a0, params).evaluate(idx)
+        + eps * first_order_solution(CUBIC, a0, params).evaluate(idx)
     )
     truncated_worst = max(
         check_envelope_constancy(expansion, m + span, m, order=2)

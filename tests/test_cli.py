@@ -328,6 +328,30 @@ class TestCompare:
         assert "numerical failure: z_naive is not finite at n=402" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_naive_column_stops_before_the_renormalized_forms(
+        self, monkeypatch, capsys
+    ):
+        calls = {"flow_path": 0, "assemble_modes": 0}
+
+        def counted(name):
+            original = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counted(name))
+        # the warnings left are the naive sum's own overflow
+        with pytest.warns(RuntimeWarning):
+            code = main(["compare", "--root-convention", "first-order", "--dt", "1.5",
+                         "--t-max", "1000"])
+        assert code == 3
+        assert "numerical failure: z_naive is not finite at n=402" in capsys.readouterr().err
+        assert calls == {"flow_path": 0, "assemble_modes": 0}
+
 
 class TestSweep:
     def test_eps_sweep_renorm_error_quadratic(self, tmp_path):

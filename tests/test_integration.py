@@ -17,7 +17,6 @@ from renormdiff.oracle import init_from_amplitude, iterate
 from renormdiff.perturbation import (
     CUBIC,
     VAN_DER_POL,
-    AmplitudePair,
     extract_secular,
     first_order_solution,
     naive_solution,
@@ -55,33 +54,32 @@ class TestHalvingConvention:
 
     def test_secular_report_scales_with_halving(self):
         p = SchemeParams(dt=0.01, eps=0.05)
-        amps = AmplitudePair.conjugate_pair(0.3 + 0.1j)
-        full = extract_secular(first_order_solution(VAN_DER_POL, amps, p), p)
+        a0 = 0.3 + 0.1j
+        full = extract_secular(first_order_solution(VAN_DER_POL, a0, p), p)
         half = extract_secular(
-            first_order_solution(van_der_pol(halving=True), amps, p), p
+            first_order_solution(van_der_pol(halving=True), a0, p), p
         )
-        assert half.sigma_plus == pytest.approx(0.5 * full.sigma_plus, rel=1e-12)
+        assert half == pytest.approx(0.5 * full, rel=1e-12)
 
     def test_flow_matches_secular_functions(self):
         # the closed-form flow rates agree with the extracted secular
         # coefficients as dt -> 0 (unit-modulus roots)
         dt = 1e-3
         p = SchemeParams(dt=dt, eps=0.05, root_convention=EXACT)
-        amps = AmplitudePair.conjugate_pair(0.4 + 0.2j)
-        a = amps.a
+        a = 0.4 + 0.2j
         for kind in (CUBIC, VAN_DER_POL):
-            report = extract_secular(first_order_solution(kind, amps, p), p)
+            sigma = extract_secular(first_order_solution(kind, a, p), p)
             da = build_flow(kind, p)(a)
-            assert da == pytest.approx(p.eps * report.sigma_plus, rel=1e-5)
+            assert da == pytest.approx(p.eps * sigma, rel=1e-5)
 
 
 class TestVdpNaive:
     def test_real_and_secular_growth(self):
         eps, dt = 0.05, 0.01
         params = SchemeParams(dt=dt, eps=eps, root_convention=EXACT)
-        amps = AmplitudePair.conjugate_pair(0.1)
+        a0 = 0.1
         n = np.arange(int(100 / dt) + 1)
-        z_naive = naive_solution(VAN_DER_POL, amps, params, n)
+        z_naive = naive_solution(VAN_DER_POL, a0, params, n)
         assert np.all(np.isfinite(z_naive))
         z0, z1 = init_from_amplitude(0.1, params)
         traj = iterate(VAN_DER_POL, params, z0, z1, n.size - 1)
@@ -99,11 +97,11 @@ class TestVdpNaive:
         gaps = []
         for eps in (0.04, 0.02):
             params = SchemeParams(dt=dt, eps=eps, root_convention=EXACT)
-            amps = AmplitudePair.conjugate_pair(0.3)
+            a0 = 0.3
             z0, z1 = init_from_amplitude(0.3, params)
             traj = iterate(VAN_DER_POL, params, z0, z1, horizon)
             gap = np.abs(
-                traj.values - naive_solution(VAN_DER_POL, amps, params, np.arange(horizon + 1))
+                traj.values - naive_solution(VAN_DER_POL, a0, params, np.arange(horizon + 1))
             ).max()
             gaps.append(gap)
         assert gaps[0] / gaps[1] == pytest.approx(2.0, rel=0.2)
@@ -199,7 +197,7 @@ class TestReadmeExample:
         z0, z1 = init_from_amplitude(0.5, params)
         oracle = iterate(CUBIC, params, z0, z1, 20_000)
         n = np.arange(20_001)
-        naive = naive_solution(CUBIC, AmplitudePair.conjugate_pair(0.5), params, n)
+        naive = naive_solution(CUBIC, 0.5, params, n)
         renorm = GlobalSolution(CUBIC, params, 0.5).eval_discrete(n)
         naive_err = np.abs(oracle.values - naive).max()
         renorm_err = np.abs(oracle.values - renorm).max()

@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from renormdiff.lineardiff import (
     HarmonicSum,
     HarmonicTerm,
     RootConvention,
+    Scheme,
     SchemeParams,
     characteristic_roots,
     is_resonant,
@@ -19,7 +20,6 @@ from renormdiff.lineardiff import (
 from renormdiff.perturbation import (
     CUBIC,
     VAN_DER_POL,
-    AmplitudePair,
     first_order_solution,
     zeroth_order,
 )
@@ -167,20 +167,6 @@ class TestHarmonicSum:
             val = hs.evaluate(n)
             assert abs(val.imag) <= 1e-12 * max(1.0, abs(val))
 
-    def test_realness_predicate(self):
-        a = 0.4 - 0.7j
-        lam = 1.0 + 0.05j
-        good = HarmonicSum(
-            (HarmonicTerm(a, lam), HarmonicTerm(a.conjugate(), lam.conjugate()))
-        )
-        bad = HarmonicSum(
-            (HarmonicTerm(a, lam), HarmonicTerm(2 * a.conjugate(), lam.conjugate()))
-        )
-        real_only = HarmonicSum((HarmonicTerm(3.0, 1.5),))
-        assert good.is_real_sequence()
-        assert not bad.is_real_sequence()
-        assert real_only.is_real_sequence()
-
     def test_evaluate_accepts_arrays(self):
         hs = HarmonicSum((HarmonicTerm(1.0, 2.0),))
         out = hs.evaluate(np.arange(5))
@@ -226,8 +212,8 @@ def _evaluate_per_term(harmonic_sum, n):
 
 def _naive_sum(kind, convention):
     p = params(0.01, eps=0.02, convention=convention)
-    amps = AmplitudePair(0.4 + 0.15j, 0.4 - 0.15j)
-    return zeroth_order(amps, p) + first_order_solution(kind, amps, p).scaled(p.eps)
+    a0 = 0.4 + 0.15j
+    return zeroth_order(a0, p) + first_order_solution(kind, a0, p).scaled(p.eps)
 
 
 class TestSharedPowers:
@@ -343,6 +329,33 @@ class TestParticularSolution:
                 sol.evaluate(n - 1), sol.evaluate(n), sol.evaluate(n + 1), p
             ) - forcing.evaluate(n)
             assert abs(res) <= 1e-9 * max(1.0, abs(forcing.evaluate(n)))
+
+    @given(
+        c=st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+        modulus=st.floats(0.8, 1.25),
+        angle=st.floats(-math.pi, math.pi),
+        dt=st.floats(0.01, 1.9),
+        scheme=st.sampled_from(Scheme),
+        convention=st.sampled_from(RootConvention),
+        n=st.integers(1, 60),
+    )
+    @settings(max_examples=200)
+    def test_output_satisfies_scheme_random_nonresonant(
+        self, c, modulus, angle, dt, scheme, convention, n
+    ):
+        # a geometric forcing away from both roots and from a vanishing
+        # response denominator, under either scheme and convention
+        p = SchemeParams(dt=dt, root_convention=convention, scheme=scheme)
+        base = cmath.rect(modulus, angle)
+        assume(min(abs(base - root) for root in characteristic_roots(p)) >= 0.05)
+        assume(abs(base + 1.0 / base - 2.0 + p.mu) >= 0.05)
+        forcing = HarmonicSum((HarmonicTerm(c, base),))
+        sol = particular_solution(forcing, p)
+        assert all(t.n_power == 0 for t in sol.terms)
+        res = scheme_residual(
+            sol.evaluate(n - 1), sol.evaluate(n), sol.evaluate(n + 1), p
+        ) - forcing.evaluate(n)
+        assert abs(res) <= 1e-9 * max(1.0, abs(forcing.evaluate(n)))
 
     @given(
         c1=st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),

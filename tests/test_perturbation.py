@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from renormdiff.lineardiff import (
     HarmonicSum,
@@ -15,7 +13,6 @@ from renormdiff.oracle import init_from_amplitude, iterate
 from renormdiff.perturbation import (
     CUBIC,
     VAN_DER_POL,
-    AmplitudePair,
     extract_secular,
     first_order_forcing,
     first_order_solution,
@@ -35,21 +32,20 @@ def params(dt, eps=0.0, convention=FIRST):
 
 class TestZerothOrder:
     def test_conjugate_pair_real_and_unit_at_zero(self):
-        amps = AmplitudePair(0.5, 0.5)
-        z0 = zeroth_order(amps, params(0.1))
+        p = params(0.1)
+        lp, lm = characteristic_roots(p)
+        z0 = zeroth_order(0.5 + 0.2j, p)
         assert z0.evaluate(0) == pytest.approx(1.0)
-        assert z0.is_real_sequence()
-
-    def test_single_mode(self):
-        z0 = zeroth_order(AmplitudePair(1.0, 0.0), params(0.1))
-        assert len(z0.terms) == 1
-        assert z0.terms[0].base == 1.0 + 0.1j
+        assert z0.coefficient(lp) == 0.5 + 0.2j
+        assert z0.coefficient(lm) == 0.5 - 0.2j
+        vals = z0.evaluate(np.arange(0, 2000, 37))
+        assert np.max(np.abs(vals.imag)) <= 1e-12 * np.max(np.abs(vals.real))
 
     def test_exact_roots_give_trig_combination(self):
         dt = 0.1
         p = params(dt, convention=EXACT)
         a = (1.0 - 1.0j) / 2.0
-        z0 = zeroth_order(AmplitudePair.conjugate_pair(a), p)
+        z0 = zeroth_order(a, p)
         theta = np.arccos(1.0 - dt * dt / 2.0)
         for n in (0, 1, 7, 40):
             expected = np.cos(n * theta) + np.sin(n * theta)
@@ -58,15 +54,15 @@ class TestZerothOrder:
 
 class TestFirstOrderForcing:
     def test_cubic_single_mode(self):
+        # the lam_p^3 mode carries -dt^2 a^3 alone
         dt = 0.1
-        f = first_order_forcing(CUBIC, AmplitudePair(1.0, 0.0), params(dt))
-        assert len(f.terms) == 1
-        term = f.terms[0]
-        assert term.base == pytest.approx((1 + 0.1j) ** 3)
-        assert term.coeff == pytest.approx(-(dt**2))
+        a = 0.6 + 0.3j
+        f = first_order_forcing(CUBIC, a, params(dt))
+        assert len(f.terms) == 4
+        assert f.coefficient((1 + 0.1j) ** 3) == pytest.approx(-(dt**2) * a**3)
 
     def test_zero_amplitudes_empty(self):
-        f = first_order_forcing(CUBIC, AmplitudePair(0.0, 0.0), params(0.1))
+        f = first_order_forcing(CUBIC, 0.0, params(0.1))
         assert f.terms == ()
 
     def test_cubic_matches_pointwise_cube_exact_roots(self):
@@ -74,9 +70,9 @@ class TestFirstOrderForcing:
         # collected forcing equals -dt^2 z0(n)^3 pointwise
         dt = 0.05
         p = params(dt, convention=EXACT)
-        amps = AmplitudePair.conjugate_pair(0.4 + 0.3j)
-        z0 = zeroth_order(amps, p)
-        f = first_order_forcing(CUBIC, amps, p)
+        a0 = 0.4 + 0.3j
+        z0 = zeroth_order(a0, p)
+        f = first_order_forcing(CUBIC, a0, p)
         for n in (0, 3, 11, 100):
             expected = -(dt**2) * z0.evaluate(n) ** 3
             assert f.evaluate(n) == pytest.approx(expected, rel=1e-10, abs=1e-13)
@@ -84,9 +80,9 @@ class TestFirstOrderForcing:
     def test_vdp_matches_pointwise_exact_roots(self):
         dt = 0.05
         p = params(dt, convention=EXACT)
-        amps = AmplitudePair.conjugate_pair(0.3 + 0.2j)
-        z0 = zeroth_order(amps, p)
-        f = first_order_forcing(VAN_DER_POL, amps, p)
+        a0 = 0.3 + 0.2j
+        z0 = zeroth_order(a0, p)
+        f = first_order_forcing(VAN_DER_POL, a0, p)
         rng = np.random.default_rng(3)
         for n in rng.integers(1, 200, size=10):
             n = int(n)
@@ -98,26 +94,28 @@ class TestFirstOrderForcing:
             assert f.evaluate(n) == pytest.approx(expected, rel=1e-10, abs=1e-13)
 
     def test_vdp_single_mode_first_order_roots_pointwise(self):
-        # with b = 0 there are no cross terms, so the collection is exact
-        # under the first-order convention as well
+        # the single mode u(n) = a lam_p^n has no cross terms, so its product
+        # dt (1 - u^2)(u(n+1) - u(n-1)) is the forcing's lam_p half exactly
+        # under the first-order convention, once the lam_p coefficient's
+        # cross-term part -dt a^2 b s (b = conj(a), s = lam_p - 1/lam_p) is
+        # taken out
         dt = 0.1
         p = params(dt)
-        amps = AmplitudePair(1.0, 0.0)
-        z0 = zeroth_order(amps, p)
-        f = first_order_forcing(VAN_DER_POL, amps, p)
+        lp, _ = characteristic_roots(p)
+        a = 0.4 + 0.3j
+        f = first_order_forcing(VAN_DER_POL, a, p)
+        half = HarmonicSum(tuple(t for t in f.terms if t.base in (lp, lp**3)))
+        cross = -dt * a * a * a.conjugate() * (lp - 1 / lp)
         for n in (1, 5, 23):
-            expected = (
-                dt
-                * (1.0 - z0.evaluate(n) ** 2)
-                * (z0.evaluate(n + 1) - z0.evaluate(n - 1))
-            )
-            assert f.evaluate(n) == pytest.approx(expected, rel=1e-10)
+            u = [a * lp ** (n + k) for k in (-1, 0, 1)]
+            expected = dt * (1.0 - u[1] ** 2) * (u[2] - u[0])
+            assert half.evaluate(n) - cross * lp**n == pytest.approx(expected, rel=1e-10)
 
     def test_halving_halves_the_forcing(self):
         p = params(0.1)
-        amps = AmplitudePair.conjugate_pair(0.4 + 0.1j)
-        full = first_order_forcing(VAN_DER_POL, amps, p)
-        half = first_order_forcing(van_der_pol(halving=True), amps, p)
+        a0 = 0.4 + 0.1j
+        full = first_order_forcing(VAN_DER_POL, a0, p)
+        half = first_order_forcing(van_der_pol(halving=True), a0, p)
         for t_full, t_half in zip(full.terms, half.terms):
             assert t_half.coeff == pytest.approx(0.5 * t_full.coeff)
 
@@ -128,19 +126,13 @@ class TestFirstOrderSolution:
         p = params(dt)
         lp, _ = characteristic_roots(p)
         a = b = 0.5
-        z1 = first_order_solution(CUBIC, AmplitudePair(a, b), p)
-        sigma = extract_secular(z1, p).sigma_plus
+        z1 = first_order_solution(CUBIC, a, p)
+        sigma = extract_secular(z1, p)
         expected = -3 * dt * dt * a * a * b / (lp - 1 / lp)
         assert sigma == pytest.approx(expected, rel=1e-12)
 
-    def test_no_secular_without_cross_terms(self):
-        z1 = first_order_solution(CUBIC, AmplitudePair(1.0, 0.0), params(0.1))
-        rep = extract_secular(z1, params(0.1))
-        assert rep.sigma_plus == 0
-        assert rep.sigma_minus == 0
-
     def test_two_secular_terms_when_both_amplitudes_nonzero(self):
-        z1 = first_order_solution(CUBIC, AmplitudePair(0.5, 0.5), params(0.1))
+        z1 = first_order_solution(CUBIC, 0.5, params(0.1))
         assert sum(1 for t in z1.terms if t.n_power == 1) == 2
 
     def test_vdp_secular_coefficient_is_exactly_scaled(self):
@@ -151,8 +143,8 @@ class TestFirstOrderSolution:
                 p = params(dt, convention=convention)
                 a = 0.5 + 0.0j
                 b = a.conjugate()
-                z1 = first_order_solution(VAN_DER_POL, AmplitudePair(a, b), p)
-                sigma = extract_secular(z1, p).sigma_plus
+                z1 = first_order_solution(VAN_DER_POL, a, p)
+                sigma = extract_secular(z1, p)
                 assert sigma == pytest.approx(dt * (a - a * a * b), rel=1e-12)
 
     def test_cubic_secular_limit_exact_roots(self):
@@ -162,31 +154,30 @@ class TestFirstOrderSolution:
         rel_errs = []
         for dt in (1e-1, 1e-2):
             p = params(dt, convention=EXACT)
-            sigma = extract_secular(
-                first_order_solution(CUBIC, AmplitudePair(a, b), p), p
-            ).sigma_plus
+            sigma = extract_secular(first_order_solution(CUBIC, a, p), p)
             limit = 1.5j * dt * a * a * b
             rel_errs.append(abs(sigma - limit) / abs(limit))
         assert rel_errs[0] == pytest.approx(rel_errs[1] * 100.0, rel=0.2)
 
     def test_conjugate_symmetry(self):
         p = params(0.1)
-        amps = AmplitudePair.conjugate_pair(0.3 + 0.4j)
-        rep = extract_secular(first_order_solution(CUBIC, amps, p), p)
-        assert rep.sigma_minus == pytest.approx(rep.sigma_plus.conjugate())
+        _, lm = characteristic_roots(p)
+        z1 = first_order_solution(CUBIC, 0.3 + 0.4j, p)
+        sigma = extract_secular(z1, p)
+        assert z1.coefficient(lm, 1) == pytest.approx(sigma.conjugate())
 
 
 class TestExtractSecular:
     def test_no_secular_terms(self):
-        rep = extract_secular(HarmonicSum((HarmonicTerm(1.0, 2.0),)), params(0.1))
-        assert rep.sigma_plus == 0 and rep.sigma_minus == 0
+        assert extract_secular(HarmonicSum((HarmonicTerm(1.0, 2.0),)), params(0.1)) == 0
 
     def test_hand_built_secular(self):
         p = params(0.1)
-        lp, _ = characteristic_roots(p)
-        rep = extract_secular(HarmonicSum((HarmonicTerm(2.0, lp, 1),)), p)
-        assert rep.sigma_plus == 2.0
-        assert rep.sigma_minus == 0
+        lp, lm = characteristic_roots(p)
+        assert extract_secular(HarmonicSum((HarmonicTerm(2.0, lp, 1),)), p) == 2.0
+        # a secular term on lam_m is expected, and left out of the lam_p sum
+        both = HarmonicSum((HarmonicTerm(2.0, lp, 1), HarmonicTerm(5.0, lm, 1)))
+        assert extract_secular(both, p) == 2.0
 
     def test_unexpected_base_raises(self):
         p = params(0.1)
@@ -197,26 +188,22 @@ class TestExtractSecular:
 class TestNaiveSolution:
     def test_eps_zero_reduces_to_homogeneous(self):
         p = params(0.1, eps=0.0)
-        amps = AmplitudePair.conjugate_pair(0.4 + 0.2j)
-        z0 = zeroth_order(amps, p)
+        a0 = 0.4 + 0.2j
+        z0 = zeroth_order(a0, p)
         n = np.arange(50)
-        assert np.allclose(naive_solution(CUBIC, amps, p, n), z0.evaluate(n).real)
+        assert np.allclose(naive_solution(CUBIC, a0, p, n), z0.evaluate(n).real)
 
     def test_value_at_origin(self):
         p = params(0.1, eps=0.02)
-        amps = AmplitudePair.conjugate_pair(0.5)
-        z1 = first_order_solution(CUBIC, amps, p)
+        a0 = 0.5
+        z1 = first_order_solution(CUBIC, a0, p)
         expected = 1.0 + 0.02 * z1.evaluate(0).real
-        assert naive_solution(CUBIC, amps, p, 0) == pytest.approx(expected)
-
-    def test_requires_conjugate_pair(self):
-        with pytest.raises(ValueError):
-            naive_solution(CUBIC, AmplitudePair(1.0, 0.5), params(0.1), 0)
+        assert naive_solution(CUBIC, a0, p, 0) == pytest.approx(expected)
 
     def test_realness_of_expansion(self):
         p = params(0.05, eps=0.03)
-        amps = AmplitudePair.conjugate_pair(0.3 - 0.2j)
-        full = zeroth_order(amps, p) + first_order_solution(CUBIC, amps, p).scaled(
+        a0 = 0.3 - 0.2j
+        full = zeroth_order(a0, p) + first_order_solution(CUBIC, a0, p).scaled(
             p.eps
         )
         vals = full.evaluate(np.arange(0, 2000, 37))
@@ -227,12 +214,12 @@ class TestNaiveSolution:
         # the error near t = 200 dwarfs the error near t = 20
         dt, eps = 0.01, 0.01
         p = params(dt, eps=eps, convention=EXACT)
-        amps = AmplitudePair.conjugate_pair(0.5)
+        a0 = 0.5
         z0, z1 = init_from_amplitude(0.5, p)
         n_steps = int(200 / dt)
         traj = iterate(CUBIC, p, z0, z1, n_steps)
         n = np.arange(n_steps + 1)
-        err = np.abs(traj.values - naive_solution(CUBIC, amps, p, n))
+        err = np.abs(traj.values - naive_solution(CUBIC, a0, p, n))
         early = err[(traj.times >= 10) & (traj.times <= 20)].max()
         late = err[(traj.times >= 190) & (traj.times <= 200)].max()
         assert late >= 5.0 * early
@@ -249,9 +236,9 @@ class TestFirstOrderResidual:
         maxima = []
         for eps in (0.02, 0.01, 0.005):
             p = params(dt, eps=eps, convention=EXACT)
-            amps = AmplitudePair.conjugate_pair(0.3)
-            full = zeroth_order(amps, p) + first_order_solution(
-                CUBIC, amps, p
+            a0 = 0.3
+            full = zeroth_order(a0, p) + first_order_solution(
+                CUBIC, a0, p
             ).scaled(eps)
             z = full.evaluate(np.arange(horizon + 1)).real
             res = np.abs(
@@ -267,14 +254,3 @@ class TestFirstOrderResidual:
         assert 3.5 <= maxima[0] / maxima[1] <= 4.5
         assert 3.5 <= maxima[1] / maxima[2] <= 4.5
 
-
-class TestAmplitudePair:
-    def test_conjugate_pair_flag(self):
-        assert AmplitudePair.conjugate_pair(0.3 + 1j).is_conjugate_pair
-        assert not AmplitudePair(1.0, 1.0j).is_conjugate_pair
-
-    @given(st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False))
-    @settings(max_examples=30)
-    def test_conjugate_pair_roundtrip(self, a):
-        pair = AmplitudePair.conjugate_pair(a)
-        assert pair.b == pair.a.conjugate()

@@ -8,13 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from renormdiff.asymptotic import GlobalSolution, third_harmonic_coefficient
-from renormdiff.lineardiff import RootConvention, SchemeParams
+from renormdiff.lineardiff import RootConvention, Scheme, SchemeParams, characteristic_roots
 from renormdiff.perturbation import (
     CUBIC,
     VAN_DER_POL,
-    AmplitudePair,
     Variant,
     extract_secular,
+    first_order_forcing,
     first_order_solution,
     van_der_pol,
 )
@@ -380,27 +380,40 @@ class TestContinuumLimit:
 _DT, _N = sp.symbols("dt n", positive=True)
 _A, _B, _L, _X = sp.symbols("a b L X")  # X stands for L^n
 _MU = _DT**2
+_MICKENS_MU = 4 * sp.sin(_DT / 2) ** 2
 _ROOT = (2 - _MU) / 2 + sp.I * _DT * sp.sqrt(4 - _MU) / 2  # exact root of unit modulus
 _RATE_KINDS = [CUBIC, VAN_DER_POL, van_der_pol(halving=True)]
 
 
-def _forcing(kind):
-    """First-order right-hand side of the standard scheme, mu = dt^2, in powers of X.
+def _forcing(kind, mu=_MU):
+    """First-order right-hand side of the scheme of weight mu, in powers of X.
 
     z0 = a L^n + b L^-n is put into mu (-z^3) for the cubic scheme and into
     (mu/dt) h (1 - z^2)(z(n+1) - z(n-1)) for the Van der Pol one (h = 1/2
-    under halving); expanding collects L L^-1 = 1.  Also returns the secular
-    mode, a^2 b (cubic) or a - a^2 b (Van der Pol).
+    under halving); expanding collects L L^-1 = 1.  The default weight is the
+    standard scheme's.  Also returns the secular mode, a^2 b (cubic) or
+    a - a^2 b (Van der Pol).
     """
 
     def z0(shift):
         return _A * _L**shift * _X + _B * _L**-shift / _X
 
     if kind.variant is Variant.CUBIC:
-        return sp.expand(_MU * -z0(0) ** 3), _A**2 * _B
+        return sp.expand(mu * -z0(0) ** 3), _A**2 * _B
     halving = sp.Rational(1, 2) if kind.vdp_halving else 1
-    rhs = (_MU / _DT) * halving * (1 - z0(0) ** 2) * (z0(1) - z0(-1))
+    rhs = (mu / _DT) * halving * (1 - z0(0) ** 2) * (z0(1) - z0(-1))
     return sp.expand(rhs), _A - _A**2 * _B
+
+
+@lru_cache(maxsize=None)
+def _forcing_powers(kind, scheme):
+    """The X^k coefficients of _forcing for k in {3, 1, -1, -3}, for one scheme."""
+    rhs, _ = _forcing(kind, _MU if scheme is Scheme.STANDARD else _MICKENS_MU)
+    return {k: rhs.coeff(_X, k) for k in (3, 1, -1, -3)}
+
+
+def _complex30(z):
+    return sp.Float(z.real, 30) + sp.I * sp.Float(z.imag, 30)
 
 
 @lru_cache(maxsize=None)
@@ -449,8 +462,8 @@ class TestSecularRate:
     def test_extract_secular_at_exact_roots(self, kind, dt):
         p = SchemeParams(dt=dt, eps=0.01, root_convention=RootConvention.EXACT_UNIT_MODULUS)
         a = 0.4 + 0.3j
-        z1 = first_order_solution(kind, AmplitudePair.conjugate_pair(a), p)
-        sigma = extract_secular(z1, p).sigma_plus
+        z1 = first_order_solution(kind, a, p)
+        sigma = extract_secular(z1, p)
         mode = a * a * a.conjugate() if kind.variant is Variant.CUBIC else a - a * a * a.conjugate()
         expected = complex(_symbolic_rate(kind).subs(_DT, sp.Float(dt, 30)).evalf(30))
         assert abs(sigma / mode - expected) <= 1e-12 * abs(expected)
@@ -475,6 +488,33 @@ class TestSecularRate:
             shift = GlobalSolution(CUBIC, params(0.01, eps), a0).frequency_shift()
             c = (a0 * complex(a0).conjugate()).real
             assert shift == 1 + secular_rate(CUBIC, eps).imag * c
+
+
+class TestForcingAlgebra:
+    """first_order_forcing against the forcing expanded with sympy, b = conj(a)."""
+
+    @pytest.mark.parametrize("convention", list(RootConvention))
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("dt", [0.01, 0.1, 0.5])
+    @pytest.mark.parametrize("kind", _RATE_KINDS)
+    def test_mode_coefficients(self, kind, dt, scheme, convention):
+        # the lam_p modes match the expansion at L = lam_p under both
+        # conventions; the lam_m modes are their conjugates, and match the
+        # expansion's L^-1 modes only where 1/lam_p = lam_m, at exact roots
+        p = SchemeParams(dt=dt, root_convention=convention, scheme=scheme)
+        lp, lm = characteristic_roots(p)
+        a = 0.4 + 0.3j
+        f = first_order_forcing(kind, a, p)
+        point = {_DT: sp.Float(dt, 30), _L: _complex30(lp), _A: _complex30(a),
+                 _B: _complex30(a.conjugate())}
+        powers = _forcing_powers(kind, scheme)
+        want = {k: complex(c.subs(point).evalf(30)) for k, c in powers.items()}
+        for k in (1, 3):
+            plus, minus = f.coefficient(lp**k), f.coefficient(lm**k)
+            assert abs(plus - want[k]) <= 1e-12 * abs(want[k])
+            assert abs(minus - plus.conjugate()) <= 1e-12 * abs(plus)
+            if convention is RootConvention.EXACT_UNIT_MODULUS:
+                assert abs(minus - want[-k]) <= 1e-12 * abs(want[-k])
 
 
 class TestThirdHarmonic:
