@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lineardiff import SchemeParams, characteristic_roots
-from .perturbation import Nonlinearity, Variant, first_order_solution
+from .lineardiff import HarmonicSum, SchemeParams, characteristic_roots, particular_solution
+from .perturbation import Nonlinearity, Variant, _forcing_terms
 from .renormalization import (
     KappaConvention,
     conserved_constant,
@@ -34,13 +34,13 @@ __all__ = [
 def third_harmonic_coefficient(kind: Nonlinearity, params: SchemeParams) -> complex:
     """Coefficient kappa3 such that z1 contains kappa3 * A^3 * lam_p^{3n}.
 
-    Read off the first-order solution with unit amplitude, so it tracks
-    whatever the particular-solution machinery actually produces (including
-    the halving convention) rather than a separately maintained formula.
+    The particular response to the unit-amplitude lam_p^3 forcing term alone,
+    so it tracks the forcing and particular-solution machinery (including the
+    halving convention) and no lam_m^3 term merged onto the same base.
     """
     lam_p, _ = characteristic_roots(params)
-    z1 = first_order_solution(kind, 1.0, params)
-    return z1.coefficient(lam_p**3, n_power=0)
+    forcing = HarmonicSum(_forcing_terms(kind, 1.0, params)[:1])
+    return particular_solution(forcing, params).coefficient(lam_p**3, n_power=0)
 
 
 def assemble_modes(

@@ -111,34 +111,35 @@ def first_order_forcing(
     -a^3 s, -b^3 s', (a - a^2 b) s, (b - a b^2) s' on the four modes, with
     s = lam_p - 1/lam_p and s' = lam_m - 1/lam_m.  The lam_p coefficients
     are collected under the cross-term convention, read as lam_m = 1/lam_p.
-    The lam_m coefficients carry s', not the -s of that reading: s' is
-    conj(s) for the conjugate root pair, so each lam_m coefficient is the
-    conjugate of its lam_p partner and the forcing is real.  s' = -s holds
-    only at the unit-modulus roots, where 1/lam_p = lam_m; at the first-order
-    roots (dt = 0.1) s' = 0.0099 - 0.199i against -s = -0.0099 - 0.199i.
+    The lam_m ones carry s' = conj(s), which keeps the forcing real (each is
+    the conjugate of its lam_p partner); s' = -s only at unit-modulus roots:
+    at first-order roots, dt = 0.1, s' = 0.0099 - 0.199i, -s = -0.0099 - 0.199i.
     """
+    return HarmonicSum(_forcing_terms(kind, a, params))
+
+
+def _forcing_terms(kind: Nonlinearity, a: complex, params: SchemeParams) -> tuple:
+    """first_order_forcing's four terms, lam_p^3 first, not yet merged by base."""
     a = complex(a)
     b = a.conjugate()
     lam_p, lam_m = characteristic_roots(params)
     if kind.variant is Variant.CUBIC:
         pref = -params.mu
-        terms = (
+        return (
             HarmonicTerm(pref * a**3, lam_p**3),
             HarmonicTerm(pref * b**3, lam_m**3),
             HarmonicTerm(pref * 3.0 * a * a * b, lam_p),
             HarmonicTerm(pref * 3.0 * a * b * b, lam_m),
         )
-    else:
-        scale = vdp_scale(kind, params)
-        s_p = lam_p - 1.0 / lam_p
-        s_m = lam_m - 1.0 / lam_m
-        terms = (
-            HarmonicTerm(-scale * a**3 * s_p, lam_p**3),
-            HarmonicTerm(-scale * b**3 * s_m, lam_m**3),
-            HarmonicTerm(scale * (a - a * a * b) * s_p, lam_p),
-            HarmonicTerm(scale * (b - a * b * b) * s_m, lam_m),
-        )
-    return HarmonicSum(terms)
+    scale = vdp_scale(kind, params)
+    s_p = lam_p - 1.0 / lam_p
+    s_m = lam_m - 1.0 / lam_m
+    return (
+        HarmonicTerm(-scale * a**3 * s_p, lam_p**3),
+        HarmonicTerm(-scale * b**3 * s_m, lam_m**3),
+        HarmonicTerm(scale * (a - a * a * b) * s_p, lam_p),
+        HarmonicTerm(scale * (b - a * b * b) * s_m, lam_m),
+    )
 
 
 def first_order_solution(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from renormdiff.asymptotic import (
 )
 from renormdiff.lineardiff import (
     RootConvention,
+    Scheme,
     SchemeParams,
     characteristic_roots,
 )
@@ -17,6 +20,7 @@ from renormdiff.perturbation import (
     CUBIC,
     VAN_DER_POL,
     van_der_pol,
+    vdp_scale,
     zeroth_order,
 )
 from renormdiff.renormalization import KappaConvention
@@ -47,6 +51,24 @@ class TestThirdHarmonicCoefficient:
         assert third_harmonic_coefficient(VAN_DER_POL, p) == pytest.approx(
             expected, rel=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "convention, scheme, dt",
+        [
+            (EXACT, Scheme.STANDARD, 1.0),
+            (EXACT, Scheme.MICKENS, math.pi / 3),
+            (FIRST, Scheme.STANDARD, math.sqrt(3.0)),
+        ],
+    )
+    @pytest.mark.parametrize("kind", [CUBIC, VAN_DER_POL])
+    def test_real_third_power_of_root(self, kind, convention, scheme, dt):
+        """lam_p^3 = lam_m^3 here: the lam_m^3 forcing term shares the base but not kappa3."""
+        p = SchemeParams(dt=dt, eps=0.05, root_convention=convention, scheme=scheme)
+        lam, _ = characteristic_roots(p)
+        assert abs(lam**3 - lam.conjugate() ** 3) <= 1e-12 * abs(lam**3)
+        weight = -p.mu if kind is CUBIC else -vdp_scale(kind, p) * (lam - 1 / lam)
+        expected = weight / (lam**3 + lam**-3 - 2 + p.mu)
+        assert third_harmonic_coefficient(kind, p) == pytest.approx(expected, rel=1e-12)
 
     def test_small_dt_limits(self):
         p = params(0.001, eps=0.01)

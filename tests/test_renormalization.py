@@ -527,7 +527,7 @@ class TestThirdHarmonic:
     def test_continuum_limit(self, kind, limit):
         assert sp.simplify(sp.limit(_symbolic_third_harmonic(kind), _DT, 0) - limit) == 0
 
-    @pytest.mark.parametrize("dt", [0.01, 0.1, 0.5])
+    @pytest.mark.parametrize("dt", [0.01, 0.1, 0.5, 1.0])
     @pytest.mark.parametrize("kind", _RATE_KINDS)
     def test_coefficient_at_exact_roots(self, kind, dt):
         p = SchemeParams(dt=dt, eps=0.01, root_convention=RootConvention.EXACT_UNIT_MODULUS)

@@ -1,17 +1,16 @@
-"""Every entry point that the benchmark's tracer wraps still exists where it looks.
+"""The benchmark's tracer can still wrap and restore every entry point it names.
 
-``perfbench/tracing.py`` replaces each target by the name the program looks it
-up by, through ``owner.__dict__[attr]``; a refactor that moves or renames one
-fails here rather than crashing a traced benchmark run.  The tracer module is
-loaded from its file and left untouched.
+``perfbench/tracing.py`` wraps each target for the duration of
+``Tracer().installed()``; a refactor that moves or renames one fails here
+rather than crashing a traced benchmark run.  The tracer module is loaded from
+its file and left untouched.
 """
 
 import importlib
 import importlib.util
+import operator
 import sys
 from pathlib import Path
-
-import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -28,13 +27,18 @@ def _load_tracing():
     return module
 
 
-TARGETS = [(module, path) for module, path, *_ in _load_tracing().TARGETS]
+def test_installed_wraps_and_restores_every_target():
+    tracing = _load_tracing()
 
+    def current():
+        return [
+            operator.attrgetter(path)(importlib.import_module(module))
+            for module, path, *_ in tracing.TARGETS
+        ]
 
-@pytest.mark.parametrize("module, path", TARGETS, ids=[f"{m}:{p}" for m, p in TARGETS])
-def test_target_resolves(module, path):
-    owner = importlib.import_module(module)
-    *owners, attr = path.split(".")
-    for part in owners:
-        owner = getattr(owner, part)
-    assert callable(owner.__dict__[attr])
+    before = current()
+    with tracing.Tracer().installed():
+        during = current()
+    after = current()
+    assert [wrapper.__wrapped__ for wrapper in during] == before
+    assert all(a is b for a, b in zip(after, before, strict=True))
