@@ -10,7 +10,12 @@ measurement layer used to compare them.
 """
 
 from .analysis import ErrorProfile, PeriodEstimate, compare, envelope, zero_crossing_period
-from .asymptotic import GlobalSolution, assemble_modes, third_harmonic_coefficient
+from .asymptotic import (
+    GlobalSolution,
+    assemble_modes,
+    discrete_fundamental,
+    third_harmonic_coefficient,
+)
 from .lineardiff import (
     HarmonicSum,
     HarmonicTerm,

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lineardiff import HarmonicSum, SchemeParams, characteristic_roots, particular_solution
+from .lineardiff import (
+    HarmonicSum,
+    SchemeParams,
+    characteristic_roots,
+    is_resonant,
+    particular_solution,
+)
 from .perturbation import Nonlinearity, Variant, _forcing_terms
 from .renormalization import (
     KappaConvention,
@@ -27,8 +33,26 @@ from .renormalization import (
 __all__ = [
     "GlobalSolution",
     "third_harmonic_coefficient",
+    "discrete_fundamental",
     "assemble_modes",
 ]
+
+
+def _third_harmonic_base(params: SchemeParams) -> complex:
+    """The base lam_p^3 of the third harmonic, checked to be non-resonant.
+
+    Below dt of about 1.6e-5 the characteristic polynomial at lam_p^3, about
+    -8 dt^2, falls within resonance_tolerance, so particular_solution would
+    file the third harmonic as secular (or as degenerate at smaller dt) and
+    its coefficient would read 0; that is refused with a ValueError naming dt.
+    """
+    base = characteristic_roots(params)[0] ** 3
+    if is_resonant(base, params):
+        raise ValueError(
+            f"dt = {params.dt} is too small to resolve the third harmonic: its "
+            f"base lam_p^3 = {base} lies within the resonance tolerance"
+        )
+    return base
 
 
 def third_harmonic_coefficient(kind: Nonlinearity, params: SchemeParams) -> complex:
@@ -37,33 +61,35 @@ def third_harmonic_coefficient(kind: Nonlinearity, params: SchemeParams) -> comp
     The particular response to the unit-amplitude lam_p^3 forcing term alone,
     so it tracks the forcing and particular-solution machinery (including the
     halving convention) and no lam_m^3 term merged onto the same base.
+    Raises ValueError where dt is too small for the response to be resolved.
     """
-    lam_p, _ = characteristic_roots(params)
+    base = _third_harmonic_base(params)
     forcing = HarmonicSum(_forcing_terms(kind, 1.0, params)[:1])
-    return particular_solution(forcing, params).coefficient(lam_p**3, n_power=0)
+    return particular_solution(forcing, params).coefficient(base, n_power=0)
+
+
+def discrete_fundamental(params: SchemeParams, n):
+    """The fundamental lam_p^n of the discrete form, as exp(n log lam_p) at indices n."""
+    return np.exp(n * cmath.log(characteristic_roots(params)[0]))
 
 
 def assemble_modes(
     kind: Nonlinearity,
     params: SchemeParams,
     amplitudes,
-    n,
-    log_base: complex | None = None,
+    fundamental,
 ) -> np.ndarray:
-    """Real expansion 2 Re[A lam_p^n + eps kappa3 A^3 lam_p^{3n}] at indices n.
+    """Real expansion 2 Re[A F + eps kappa3 A^3 F^3] per index.
 
-    `amplitudes` is A evaluated per index (scalar or array broadcastable
-    against n); the conjugate half of the expansion is implicit in taking
-    twice the real part.  The fundamental is exp(n * log_base), with
-    log_base = log(lam_p) by default; log_base = 1j with n read as time t
-    gives the continuum fundamental e^{i t}.
+    `amplitudes` is A and `fundamental` is F, each per index (scalars or
+    arrays that broadcast together); the conjugate half of the expansion is
+    implicit in taking twice the real part.  F = lam_p^n = exp(n log lam_p)
+    gives the discrete form and F = e^{i t} the continuum waveform; callers
+    that evaluate several forms at the same indices compute F once.
     """
-    n_arr = np.asarray(n, dtype=float)
     amp = np.asarray(amplitudes, dtype=complex)
+    fundamental = np.asarray(fundamental, dtype=complex)
     k3 = third_harmonic_coefficient(kind, params)
-    if log_base is None:
-        log_base = cmath.log(characteristic_roots(params)[0])
-    fundamental = np.exp(n_arr * log_base)
     value = amp * fundamental + params.eps * k3 * amp**3 * fundamental**3
     out = 2.0 * value.real
     if out.ndim == 0:
@@ -90,11 +116,14 @@ class GlobalSolution:
 
     def __post_init__(self):
         object.__setattr__(self, "a0", complex(self.a0))
+        # Fail at construction, not first evaluation: below dt of about
+        # 1.6e-5 the third harmonic cannot be resolved.
+        _third_harmonic_base(self.params)
         if self.kind.variant is Variant.VAN_DER_POL:
-            # Fail at construction, not first evaluation: Re(a0) = 0 leaves
-            # the component ratio undefined, and a settled value kappa Re(a0)^2
-            # below the normal range loses the envelope's limit to rounding
-            # (at 0, the envelope's denominator underflows to 0 with time).
+            # Re(a0) = 0 leaves the component ratio undefined, and a settled
+            # value kappa Re(a0)^2 below the normal range loses the envelope's
+            # limit to rounding (at 0, the envelope's denominator underflows
+            # to 0 with time).
             a1 = self.a0.real
             kappa = kappa_value(self.conserved, self.kappa_convention)
             if kappa > 0.0 and kappa * a1 * a1 < np.finfo(float).tiny:
@@ -117,7 +146,8 @@ class GlobalSolution:
         """Real solution at integer indices n (scalar or array)."""
         n_arr = np.asarray(n, dtype=float)
         amp = self.amplitude_at(n_arr * self.params.dt)
-        return assemble_modes(self.kind, self.params, amp, n_arr)
+        fundamental = discrete_fundamental(self.params, n_arr)
+        return assemble_modes(self.kind, self.params, amp, fundamental)
 
     def eval_continuum_waveform(self, t):
         """Real waveform at continuous time t, fundamental e^{i t}.
@@ -128,7 +158,7 @@ class GlobalSolution:
         """
         t_arr = np.asarray(t, dtype=float)
         amp = self.amplitude_at(t_arr)
-        return assemble_modes(self.kind, self.params, amp, t_arr, log_base=1j)
+        return assemble_modes(self.kind, self.params, amp, np.exp(t_arr * 1j))
 
     def frequency_shift(self) -> float:
         """Angular frequency 1 + Im(r) |a0|^2 of the cubic waveform, r = (3/2) i eps."""

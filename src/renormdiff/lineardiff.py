@@ -195,19 +195,28 @@ class HarmonicSum:
         the logarithm is immaterial and the polar form avoids the overflow and
         drift of repeated multiplication at large n.  Terms on one base share
         its powers; the key carries the sign of a zero imaginary part, which
-        equality ignores and the logarithm does not.
+        equality ignores and the logarithm does not.  A base whose conjugate
+        is already keyed takes the conjugate of those powers: cmath.log and
+        numpy's complex exp are conjugate-symmetric, so this changes at most
+        the sign of a zero part of the powers, which the sum absorbs.
         """
         arr = np.asarray(n, dtype=float)
         out = np.zeros(arr.shape, dtype=complex)
         powers = {}
         for term in self.terms:
-            key = (term.base, math.copysign(1.0, term.base.imag))
-            grow = powers.get(key)
+            base = term.base
+            sign = math.copysign(1.0, base.imag)
+            grow = powers.get((base, sign))
             if grow is None:
-                grow = powers[key] = np.exp(arr * cmath.log(term.base))
+                mirror = powers.get((base.conjugate(), -sign))
+                if mirror is None:
+                    grow = np.exp(arr * cmath.log(base))
+                else:
+                    grow = np.conj(mirror)
+                powers[(base, sign)] = grow
             if term.n_power == 1:
                 grow = grow * arr
-            out = out + term.coeff * grow
+            out += term.coeff * grow
         if arr.ndim == 0:
             return complex(out)
         return out

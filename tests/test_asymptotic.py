@@ -7,6 +7,7 @@ from renormdiff.analysis import envelope
 from renormdiff.asymptotic import (
     GlobalSolution,
     assemble_modes,
+    discrete_fundamental,
     third_harmonic_coefficient,
 )
 from renormdiff.lineardiff import (
@@ -76,6 +77,22 @@ class TestThirdHarmonicCoefficient:
         assert third_harmonic_coefficient(VAN_DER_POL, p) == pytest.approx(
             0.25j, rel=2e-3
         )
+
+    @pytest.mark.parametrize("convention", [FIRST, EXACT])
+    @pytest.mark.parametrize("kind", [CUBIC, VAN_DER_POL])
+    def test_unresolved_below_the_resonance_tolerance(self, kind, convention):
+        # the polynomial at lam_p^3 is about -8 dt^2, inside the tolerance of
+        # about 2e-9 below dt = 1.58e-5: secular at 1e-5, degenerate at 1e-10
+        limit = 0.125 if kind is CUBIC else 0.25j
+        resolved = third_harmonic_coefficient(kind, params(1.6e-5, convention=convention))
+        assert resolved == pytest.approx(limit, rel=1e-4)
+        for dt in (1.5e-5, 1e-5, 1e-10):
+            p = params(dt, eps=0.01, convention=convention)
+            message = f"dt = {dt} is too small to resolve the third harmonic"
+            with pytest.raises(ValueError, match=message):
+                third_harmonic_coefficient(kind, p)
+            with pytest.raises(ValueError, match=message):
+                GlobalSolution(kind, p, 0.5)
 
     def test_halving_halves_vdp_coefficient(self):
         p = params(0.1, eps=0.05)
@@ -272,10 +289,10 @@ class TestAssembleModes:
         a0 = 0.3 + 0.1j
         sol = GlobalSolution(CUBIC, p, a0)
         n = np.arange(50)
-        assembled = assemble_modes(CUBIC, p, np.full(n.size, a0), n)
+        assembled = assemble_modes(CUBIC, p, np.full(n.size, a0), discrete_fundamental(p, n))
         assert np.allclose(assembled, sol.eval_discrete(n), atol=1e-12)
 
     def test_scalar_input(self):
         p = params(0.1, eps=0.02)
-        out = assemble_modes(CUBIC, p, 0.5 + 0j, 0)
+        out = assemble_modes(CUBIC, p, 0.5 + 0j, discrete_fundamental(p, 0))
         assert isinstance(out, float)

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import json
 
@@ -5,8 +6,11 @@ import numpy as np
 import pytest
 
 from renormdiff import cli
+from renormdiff.asymptotic import third_harmonic_coefficient
 from renormdiff.cli import ExperimentConfig, main, run_compare_pipeline
 from renormdiff.lineardiff import RootConvention, SchemeParams, characteristic_roots
+from renormdiff.perturbation import first_order_solution, zeroth_order
+from renormdiff.renormalization import KappaConvention, build_flow, continuum_amplitude
 
 
 def read_csv(path):
@@ -317,6 +321,26 @@ class TestCompare:
         assert np.all(np.isfinite(rows))
         assert np.isfinite(summary_from_comments(comments)["max_err_renorm"])
 
+    @pytest.mark.parametrize("convention", ["exact", "first-order"])
+    @pytest.mark.parametrize("dt, t_max", [("1e-5", "0.01"), ("1e-10", "1e-8")])
+    def test_unresolved_third_harmonic_rejected_before_the_oracle(
+        self, tmp_path, monkeypatch, capsys, dt, t_max, convention
+    ):
+        # below dt of about 1.6e-5 the lam_p^3 base falls within the resonance
+        # tolerance: at 1e-5 its response used to be filed as secular and its
+        # coefficient read as 0, at 1e-10 as a degenerate base
+        calls = []
+        real = cli.iterate
+        monkeypatch.setattr(cli, "iterate", lambda *args: calls.append(args) or real(*args))
+        out = tmp_path / "cmp.csv"
+        code = main(["compare", f"--dt={dt}", f"--t-max={t_max}",
+                     f"--root-convention={convention}", "--output-path", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"dt = {float(dt)} is too small to resolve the third harmonic" in err
+        assert calls == []
+        assert not out.exists()
+
     def test_non_finite_model_column_is_a_numerical_failure(self, tmp_path, capsys):
         # first-order roots have |lam_p| > 1, and lam_p^n overflows at this
         # dt while the oracle stays bounded
@@ -427,6 +451,21 @@ class TestSweep:
         )
         assert code == 2
         assert "underflows" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("small", ["1e-5", "1e-10"])
+    def test_unresolved_third_harmonic_rejected_before_any_pipeline(
+        self, tmp_path, monkeypatch, capsys, small
+    ):
+        calls = []
+        real = cli.run_compare_pipeline
+        monkeypatch.setattr(cli, "run_compare_pipeline", lambda cfg: calls.append(cfg) or real(cfg))
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--param", "dt", "--values", f"1e-4,{small}", "--t-max", "1e-3",
+                     "--output-path", str(out)])
+        assert code == 2
+        assert "is too small to resolve the third harmonic" in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
 
@@ -647,6 +686,70 @@ class TestPipelineDefaults:
         cfg = ExperimentConfig(kind="vdp", a0_re=0.0)
         with pytest.raises(ValueError):
             run_compare_pipeline(_validated(cfg))
+
+
+def _per_step_fold(flow, a0, steps):
+    """The amplitude flow, one call per step."""
+    a = complex(a0)
+    path = [a]
+    for _ in range(steps):
+        a = a + flow(a)
+        path.append(a)
+    return np.array(path, dtype=complex)
+
+
+def _reference_columns(cfg):
+    """The three model columns by formulas that share no work: one exponential
+    per harmonic term, the per-step fold and exp(n log lam_p) per form."""
+    kind, params = cli._nonlinearity(cfg), cli._scheme_params(cfg)
+    a0 = complex(cfg.a0_re, cfg.a0_im)
+    n = np.arange(cli._steps(cfg) + 1).astype(float)
+    naive = zeroth_order(a0, params) + first_order_solution(kind, a0, params).scaled(params.eps)
+    z_naive = np.zeros(n.shape, dtype=complex)
+    for term in naive.terms:
+        grow = np.exp(n * cmath.log(term.base))
+        if term.n_power == 1:
+            grow = grow * n
+        z_naive = z_naive + term.coeff * grow
+    k3 = third_harmonic_coefficient(kind, params)
+
+    def modes(amp):
+        fundamental = np.exp(n * cmath.log(characteristic_roots(params)[0]))
+        return 2.0 * (amp * fundamental + params.eps * k3 * amp**3 * fundamental**3).real
+
+    continuum = continuum_amplitude(kind, a0, params.eps, n * cfg.dt,
+                                    KappaConvention(cfg.kappa_convention))
+    flow = _per_step_fold(build_flow(kind, params), a0, n.size - 1)
+    return {"z_naive": z_naive.real, "z_renorm_discrete": modes(flow),
+            "z_renorm_continuum": modes(continuum)}
+
+
+class TestPipelineWork:
+    """One run_compare_pipeline evaluates each exponential table once."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [ExperimentConfig(t_max=20.0, a0_im=0.1),
+         ExperimentConfig(kind="vdp", t_max=20.0, eps=0.02, a0_re=0.3, a0_im=0.15)],
+        ids=["cubic", "vdp"],
+    )
+    def test_four_exponential_tables_and_the_same_bytes(self, monkeypatch, cfg):
+        n_points = cli._steps(cfg) + 1
+        real_exp = np.exp
+        sizes = []
+
+        def counted_exp(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return real_exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counted_exp)
+        columns, _ = run_compare_pipeline(cfg)
+        monkeypatch.undo()
+        # the naive sum's lam_p and lam_p^3 (their conjugates reuse them),
+        # one lam_p^n for both renormalized forms, and the continuum amplitude
+        assert sizes.count(n_points) == 4
+        for name, want in _reference_columns(cfg).items():
+            assert columns[name].tobytes() == want.tobytes(), name
 
 
 def _validated(cfg):

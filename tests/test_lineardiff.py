@@ -251,6 +251,56 @@ class TestSharedPowers:
         assert hs.evaluate(n).tobytes() == _evaluate_per_term(hs, n).tobytes()
 
 
+_BASES = st.one_of(
+    st.builds(
+        cmath.rect,
+        st.floats(0.25, 4.0),
+        st.floats(-math.pi, math.pi),
+    ),
+    # real bases, with either sign of zero in the imaginary part
+    st.builds(
+        complex,
+        st.floats(-4.0, 4.0).filter(lambda x: abs(x) >= 0.25),
+        st.sampled_from([0.0, -0.0]),
+    ),
+)
+_TERMS = st.tuples(
+    st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+    _BASES,
+    st.sampled_from([0, 1]),
+    st.sampled_from(["alone", "conjugate after", "conjugate before"]),
+)
+_INDICES = st.one_of(
+    st.integers(-300, 3000),
+    st.lists(st.integers(-300, 3000), min_size=1, max_size=40).map(np.array),
+    st.integers(-300, 3000).map(lambda start: np.arange(start, start + 500)),
+)
+
+
+class TestConjugatePowers:
+    """A base whose conjugate was evaluated reuses its powers, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=st.lists(_TERMS, min_size=1, max_size=6), n=_INDICES)
+    def test_evaluate_matches_one_exponential_per_term(self, spec, n):
+        terms = []
+        for coeff, base, n_power, order in spec:
+            term = HarmonicTerm(coeff, base, n_power)
+            mirror = HarmonicTerm(coeff.conjugate(), base.conjugate(), n_power)
+            if order == "alone":
+                terms.append(term)
+            elif order == "conjugate after":
+                terms += [term, mirror]
+            else:
+                terms += [mirror, term]
+        hs = HarmonicSum(tuple(terms))
+        with np.errstate(all="ignore"):
+            got, want = hs.evaluate(n), _evaluate_per_term(hs, n)
+        if np.ndim(n) == 0:
+            assert type(got) is complex
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 class TestParticularSolution:
     def test_nonresonant_coefficient(self):
         dt = 0.1

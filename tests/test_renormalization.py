@@ -176,11 +176,14 @@ class TestConjugateReduction:
 
 
 def _fold_path(flow, a0, steps):
-    """The fold a = a + flow(a) through the step map, one call per step."""
+    """The fold a = a + flow(a) through the step map, one call and one test of
+    the 1e12 guard per step."""
     a = complex(a0)
     path = [a]
-    for _ in range(steps):
+    for m in range(1, steps + 1):
         a = a + flow(a)
+        if not abs(a) <= 1e12:
+            raise OverflowError(f"amplitude flow exceeded {1e12} at step {m}")
         path.append(a)
     return np.array(path, dtype=complex)
 
@@ -191,6 +194,28 @@ class TestInlineFold:
         flow = build_flow(kind, params(0.02, 0.05))
         a0 = 0.3 + 0.21j
         assert flow_path(flow, a0, 2000).tobytes() == _fold_path(flow, a0, 2000).tobytes()
+
+    @pytest.mark.parametrize(
+        "kind, a0",
+        [
+            (CUBIC, 0.5),  # past the guard at step 30
+            (CUBIC, 3.0 - 1j),
+            (CUBIC, 1e5j),  # at step 1
+            (VAN_DER_POL, 2.5),  # at step 6
+            (VAN_DER_POL, 3.0 - 1j),
+            (VAN_DER_POL, 9e11),
+            (van_der_pol(halving=True), 3.35 + 0.1j),  # at step 6
+            (van_der_pol(halving=True), 12.0),
+            (van_der_pol(halving=True), 9e11),
+        ],
+    )
+    def test_guard_after_the_loop_names_the_step_of_a_guard_per_step(self, kind, a0):
+        flow = build_flow(kind, params(1.0, 0.4))
+        with pytest.raises(OverflowError) as per_step:
+            _fold_path(flow, a0, 2000)
+        with pytest.raises(OverflowError) as after_loop:
+            flow_path(flow, a0, 2000)
+        assert str(after_loop.value) == str(per_step.value)
 
     def test_flow_is_a_frozen_value(self):
         flow = build_flow(van_der_pol(halving=True), params(0.02, 0.05))
