@@ -56,7 +56,8 @@ def matrix() -> list[tuple[list[str], str]]:
         runs.append((["compare", "--kind=vdp", "--vdp-halving", *BASE], fmt))
         runs.append((["compare", "--kind=cubic", "--scheme=mickens", *BASE], fmt))
         runs.append((["compare", "--kind=cubic", *LONG], fmt))
-        for param, values in (("eps", "0.005,0.01,0.02"), ("dt", "0.02,0.01,0.005")):
+        for param, values in (("eps", "0.005,0.01,0.02"), ("dt", "0.02,0.01,0.005"),
+                              ("a0_re", "0.3,0.4,0.5")):
             for kind in ("cubic", "vdp"):
                 runs.append((["sweep", f"--param={param}", f"--values={values}",
                               f"--kind={kind}", *BASE], fmt))

@@ -9,7 +9,7 @@ away, globally valid asymptotic solutions, an exact-iteration oracle, and the
 measurement layer used to compare them.
 """
 
-from .analysis import ErrorProfile, PeriodEstimate, compare, envelope, zero_crossing_period
+from .analysis import ErrorProfile, PeriodEstimate, SlopeFit, compare, envelope, zero_crossing_period
 from .asymptotic import (
     GlobalSolution,
     assemble_modes,
@@ -25,6 +25,7 @@ from .lineardiff import (
     characteristic_roots,
     is_resonant,
     particular_solution,
+    power_table,
     scheme_residual,
 )
 from .newton import (

@@ -9,7 +9,6 @@ dt -> 0 limits are 1/8 (cubic) and i/4 (Van der Pol).
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ from .lineardiff import (
     characteristic_roots,
     is_resonant,
     particular_solution,
+    power_table,
 )
 from .perturbation import Nonlinearity, Variant, _forcing_terms
 from .renormalization import (
@@ -70,7 +70,7 @@ def third_harmonic_coefficient(kind: Nonlinearity, params: SchemeParams) -> comp
 
 def discrete_fundamental(params: SchemeParams, n):
     """The fundamental lam_p^n of the discrete form, as exp(n log lam_p) at indices n."""
-    return np.exp(n * cmath.log(characteristic_roots(params)[0]))
+    return power_table(characteristic_roots(params)[0], n)
 
 
 def assemble_modes(
@@ -78,6 +78,7 @@ def assemble_modes(
     params: SchemeParams,
     amplitudes,
     fundamental,
+    cubed=None,
 ) -> np.ndarray:
     """Real expansion 2 Re[A F + eps kappa3 A^3 F^3] per index.
 
@@ -85,12 +86,15 @@ def assemble_modes(
     arrays that broadcast together); the conjugate half of the expansion is
     implicit in taking twice the real part.  F = lam_p^n = exp(n log lam_p)
     gives the discrete form and F = e^{i t} the continuum waveform; callers
-    that evaluate several forms at the same indices compute F once.
+    that evaluate several forms at the same indices compute F once, and
+    `cubed` = F**3 with it (computed here when omitted; a pow, whose
+    rounding differs from F*F*F).
     """
     amp = np.asarray(amplitudes, dtype=complex)
     fundamental = np.asarray(fundamental, dtype=complex)
+    cubed = fundamental**3 if cubed is None else np.asarray(cubed, dtype=complex)
     k3 = third_harmonic_coefficient(kind, params)
-    value = amp * fundamental + params.eps * k3 * amp**3 * fundamental**3
+    value = amp * fundamental + params.eps * k3 * amp**3 * cubed
     out = 2.0 * value.real
     if out.ndim == 0:
         return float(out)

@@ -22,9 +22,9 @@ from itertools import chain
 
 import numpy as np
 
-from .analysis import compare, envelope, zero_crossing_period
+from .analysis import SlopeFit, compare, envelope, zero_crossing_period
 from .asymptotic import GlobalSolution, assemble_modes, discrete_fundamental
-from .lineardiff import RootConvention, Scheme, SchemeParams
+from .lineardiff import RootConvention, Scheme, SchemeParams, characteristic_roots, power_table
 from .oracle import (
     DivergenceError,
     SingularStepError,
@@ -309,11 +309,40 @@ def _require_finite(name: str, model: np.ndarray) -> None:
         raise DivergenceError(f"{name} is not finite at n={int(finite.argmin())}")
 
 
-def run_compare_pipeline(cfg: ExperimentConfig) -> tuple[dict, dict]:
+@dataclass(frozen=True)
+class _GridTables:
+    """The tables of one time grid, which depends on dt, t_max, the root
+    convention and the scheme but not on eps or a0: every pipeline of a sweep
+    over eps or a0_re reads the same ones."""
+
+    powers: tuple  # (base, power_table(base, n)) for the naive sum's lam_p and lam_p^3
+    fundamental: np.ndarray  # lam_p^n, the table paired with lam_p
+    cubed: np.ndarray  # fundamental**3
+    fit: SlopeFit  # the slope fit over the times n dt
+
+
+def _grid_tables(cfg: ExperimentConfig) -> _GridTables:
+    """The tables of cfg's time grid, built the way run_compare_pipeline builds them."""
+    params = _scheme_params(cfg)
+    n = np.arange(_steps(cfg) + 1)
+    lam_p = characteristic_roots(params)[0]
+    fundamental = discrete_fundamental(params, n)
+    return _GridTables(
+        powers=((lam_p, fundamental), (lam_p**3, power_table(lam_p**3, n))),
+        fundamental=fundamental,
+        cubed=fundamental**3,
+        fit=SlopeFit(n * cfg.dt),
+    )
+
+
+def run_compare_pipeline(cfg: ExperimentConfig, grid: _GridTables | None = None) -> tuple[dict, dict]:
     """Oracle vs naive vs renormalized trajectories, plus summary statistics.
 
     Returns (columns, summary); every summary entry is recomputable from the
-    columns alone.
+    columns alone.  `grid` holds the time grid's tables when the caller shares
+    them between pipelines; without it each table is built where it is first
+    needed and dropped after its last use, and lam_p^{3n} is left to the
+    naive sum.  Either way the bytes are the same.
     """
     kind = _nonlinearity(cfg)
     params = _scheme_params(cfg)
@@ -323,26 +352,33 @@ def run_compare_pipeline(cfg: ExperimentConfig) -> tuple[dict, dict]:
     n_steps = len(oracle_traj) - 1
     n = np.arange(n_steps + 1)
 
+    # lam_p^n once, for the naive sum and both renormalized forms: the discrete
+    # form of the continuum amplitude (what sol.eval_discrete(n) gives) and the flow's.
+    if grid is None:
+        fundamental = discrete_fundamental(params, n)
+        powers = ((characteristic_roots(params)[0], fundamental),)
+    else:
+        fundamental, powers = grid.fundamental, grid.powers
     # Checked at once: an overflowing naive sum stops before the renormalized forms.
-    z_naive = naive_solution(kind, a0, params, n)
+    z_naive = naive_solution(kind, a0, params, n, powers)
     _require_finite("z_naive", z_naive)
 
-    # lam_p^n once, for both renormalized forms: the discrete form of the
-    # continuum amplitude (what sol.eval_discrete(n) gives) and the flow's.
-    fundamental = discrete_fundamental(params, n)
-    z_renorm_continuum = assemble_modes(kind, params, sol.amplitude_at(n * cfg.dt), fundamental)
+    cubed = fundamental**3 if grid is None else grid.cubed
+    z_renorm_continuum = assemble_modes(kind, params, sol.amplitude_at(n * cfg.dt), fundamental, cubed)
 
     flow = build_flow(kind, params)
     # By keyword: perfbench/tracing.py reads the step count from `steps`.
     amp_path = flow_path(flow, a0, steps=n_steps)
-    z_renorm_discrete = assemble_modes(kind, params, amp_path, fundamental)
-    # Freed before the analysis, whose least-squares fits set the peak memory.
-    del fundamental
+    z_renorm_discrete = assemble_modes(kind, params, amp_path, fundamental, cubed)
+    # Freed before the analysis: held through it, lam_p^n, its cube and the flow
+    # would lift the peak memory above the naive sum's.
+    del fundamental, cubed, powers, amp_path
     _require_finite("z_renorm_discrete", z_renorm_discrete)
     _require_finite("z_renorm_continuum", z_renorm_continuum)
 
-    naive_profile = compare(oracle_traj, Trajectory(cfg.dt, z_naive))
-    renorm_profile = compare(oracle_traj, Trajectory(cfg.dt, z_renorm_continuum))
+    fit = SlopeFit(oracle_traj.times) if grid is None else grid.fit
+    naive_profile = compare(oracle_traj, Trajectory(cfg.dt, z_naive), fit)
+    renorm_profile = compare(oracle_traj, Trajectory(cfg.dt, z_renorm_continuum), fit)
 
     summary = {
         "max_err_naive": naive_profile.max_abs,
@@ -393,12 +429,16 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values: list[float]) -> int:
     for row_cfg in row_cfgs:  # reject a bad value before any pipeline runs
         _steps(row_cfg)
         _global_solution(row_cfg, _nonlinearity(row_cfg), _scheme_params(row_cfg))
+    # eps and a0_re keep the time grid, so its tables are built once; each dt
+    # gives a grid of its own, built inside its pipeline.
+    grid = _grid_tables(row_cfgs[0]) if param != "dt" else None
     summaries = []
     for row_cfg in row_cfgs:
-        # `_` holds the previous pipeline's columns until this one returns;
-        # dropping them first measured 48% more page faults and 6% more wall
-        # time on a four-value sweep at 5e4 steps.
-        _, summary = run_compare_pipeline(row_cfg)
+        # `_` holds the previous pipeline's columns until this one returns, so
+        # their pages are reused; dropping them first measured 32% more page
+        # faults and 3.1 MB less peak RSS on a four-value eps sweep at 5e4
+        # steps, and no wall-time difference that 7 alternating rounds resolved.
+        _, summary = run_compare_pipeline(row_cfg, grid)
         summaries.append(summary)
     columns = {"value": list(values)}
     for key in summaries[0]:

@@ -34,6 +34,7 @@ __all__ = [
     "SchemeParams",
     "HarmonicTerm",
     "HarmonicSum",
+    "power_table",
     "characteristic_roots",
     "scheme_residual",
     "is_resonant",
@@ -153,6 +154,22 @@ def _bases_match(b1: complex, b2: complex) -> bool:
     return abs(b1 - b2) <= _BASE_MERGE_TOL * max(1.0, abs(b1), abs(b2))
 
 
+def power_table(base: complex, n):
+    """base^n at indices n (scalar or array), as exp(n log base).
+
+    For integer n the branch of the logarithm is immaterial, and the polar
+    form avoids the overflow and drift of repeated multiplication at large n.
+    Integer and float arrays of the same indices give the same bits.
+    """
+    return np.exp(n * cmath.log(base))
+
+
+def _power_key(base: complex) -> tuple:
+    """Key of a base's powers: complex equality ignores the sign of a zero
+    imaginary part, and the logarithm's branch does not."""
+    return base, math.copysign(1.0, base.imag)
+
+
 @dataclass(frozen=True)
 class HarmonicSum:
     """Normalized finite sum of harmonic terms.
@@ -188,32 +205,30 @@ class HarmonicSum:
             tuple(HarmonicTerm(factor * t.coeff, t.base, t.n_power) for t in self.terms)
         )
 
-    def evaluate(self, n):
+    def evaluate(self, n, powers=None):
         """Evaluate the sum at index n (scalar or array).
 
-        base^n is computed as exp(n * log(base)); for integer n the branch of
-        the logarithm is immaterial and the polar form avoids the overflow and
-        drift of repeated multiplication at large n.  Terms on one base share
-        its powers; the key carries the sign of a zero imaginary part, which
-        equality ignores and the logarithm does not.  A base whose conjugate
-        is already keyed takes the conjugate of those powers: cmath.log and
-        numpy's complex exp are conjugate-symmetric, so this changes at most
-        the sign of a zero part of the powers, which the sum absorbs.
+        base^n is power_table(base, n); terms on one base share its powers.
+        A base whose conjugate is already keyed takes the conjugate of those
+        powers: cmath.log and numpy's complex exp are conjugate-symmetric, so
+        this changes at most the sign of a zero part of the powers, which the
+        sum absorbs.  `powers` optionally holds (base, power_table(base, n))
+        pairs at these indices, computed once by a caller that evaluates
+        several sums on one grid; a term on that base reads the table instead.
+        Pairs, not a dict: a dict keyed by the base would merge -1+0j and
+        -1-0j, whose powers differ.  The tables are read, never written.
         """
         arr = np.asarray(n, dtype=float)
         out = np.zeros(arr.shape, dtype=complex)
-        powers = {}
+        tables = {_power_key(base): table for base, table in powers or ()}
         for term in self.terms:
             base = term.base
-            sign = math.copysign(1.0, base.imag)
-            grow = powers.get((base, sign))
+            key = _power_key(base)
+            grow = tables.get(key)
             if grow is None:
-                mirror = powers.get((base.conjugate(), -sign))
-                if mirror is None:
-                    grow = np.exp(arr * cmath.log(base))
-                else:
-                    grow = np.conj(mirror)
-                powers[(base, sign)] = grow
+                mirror = tables.get(_power_key(base.conjugate()))
+                grow = power_table(base, arr) if mirror is None else np.conj(mirror)
+                tables[key] = grow
             if term.n_power == 1:
                 grow = grow * arr
             out += term.coeff * grow

@@ -173,17 +173,23 @@ def extract_secular(z1: HarmonicSum, params: SchemeParams) -> complex:
     return sigma
 
 
-def naive_solution(kind: Nonlinearity, a: complex, params: SchemeParams, n):
+def naive_solution(kind: Nonlinearity, a: complex, params: SchemeParams, n, powers=None):
     """Real part of the uncorrected expansion z0 + eps * z1 at index n.
 
     a is the amplitude of the lam_p mode; the lam_m mode carries conj(a), so
-    the expansion is a real sequence.  Accepts a scalar index or an array of
-    indices.
+    the expansion is a real sequence.  Accepts a scalar index (returns a
+    float) or an array of indices (returns a float array that owns its data,
+    so the complex sum it was taken from is freed).  `powers` is passed to
+    HarmonicSum.evaluate: (base, power_table(base, n)) pairs for the sum's
+    bases lam_p and lam_p^3 that the caller has already computed.
     """
     full = zeroth_order(a, params) + first_order_solution(
         kind, a, params
     ).scaled(params.eps)
-    return full.evaluate(n).real
+    value = full.evaluate(n, powers)
+    if isinstance(value, complex):
+        return value.real
+    return value.real.copy()
 
 
 def nonlinearity_value(

@@ -296,3 +296,13 @@ class TestAssembleModes:
         p = params(0.1, eps=0.02)
         out = assemble_modes(CUBIC, p, 0.5 + 0j, discrete_fundamental(p, 0))
         assert isinstance(out, float)
+
+    @pytest.mark.parametrize("kind", [CUBIC, VAN_DER_POL])
+    def test_supplied_cube_is_the_pow_it_replaces(self, kind):
+        p = params(0.01, eps=0.03, convention=EXACT)
+        n = np.arange(5000)
+        fundamental = discrete_fundamental(p, n)
+        amp = (0.4 + 0.1j) * np.exp(0.001j * n)
+        want = assemble_modes(kind, p, amp, fundamental)
+        got = assemble_modes(kind, p, amp, fundamental, fundamental**3)
+        assert got.tobytes() == want.tobytes()

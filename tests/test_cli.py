@@ -724,6 +724,23 @@ def _reference_columns(cfg):
             "z_renorm_continuum": modes(continuum)}
 
 
+def _count_exp_calls(monkeypatch, size, run):
+    """Run `run()` and count the np.exp calls on `size` elements it makes."""
+    real_exp = np.exp
+    sizes = []
+
+    def counted_exp(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return real_exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted_exp)
+    try:
+        result = run()
+    finally:
+        monkeypatch.undo()
+    return sizes.count(size), result
+
+
 class TestPipelineWork:
     """One run_compare_pipeline evaluates each exponential table once."""
 
@@ -733,23 +750,46 @@ class TestPipelineWork:
          ExperimentConfig(kind="vdp", t_max=20.0, eps=0.02, a0_re=0.3, a0_im=0.15)],
         ids=["cubic", "vdp"],
     )
-    def test_four_exponential_tables_and_the_same_bytes(self, monkeypatch, cfg):
-        n_points = cli._steps(cfg) + 1
-        real_exp = np.exp
-        sizes = []
-
-        def counted_exp(x, *args, **kwargs):
-            sizes.append(np.size(x))
-            return real_exp(x, *args, **kwargs)
-
-        monkeypatch.setattr(np, "exp", counted_exp)
-        columns, _ = run_compare_pipeline(cfg)
-        monkeypatch.undo()
-        # the naive sum's lam_p and lam_p^3 (their conjugates reuse them),
-        # one lam_p^n for both renormalized forms, and the continuum amplitude
-        assert sizes.count(n_points) == 4
+    def test_three_exponential_tables_and_the_same_bytes(self, monkeypatch, cfg):
+        calls, (columns, _) = _count_exp_calls(
+            monkeypatch, cli._steps(cfg) + 1, lambda: run_compare_pipeline(cfg))
+        # lam_p^n for the naive sum and both renormalized forms, the naive sum's
+        # lam_p^3n (the conjugates reuse both), and the continuum amplitude
+        assert calls == 3
         for name, want in _reference_columns(cfg).items():
             assert columns[name].tobytes() == want.tobytes(), name
+
+    def test_eps_sweep_builds_the_grid_tables_once(self, monkeypatch, tmp_path):
+        argv = ["sweep", "--param=eps", "--values=0.005,0.01,0.02,0.04", "--t-max=20",
+                f"--output-path={tmp_path / 'sweep.csv'}"]
+        calls, code = _count_exp_calls(monkeypatch, 2001, lambda: main(argv))
+        assert code == 0
+        # lam_p^n and lam_p^3n once, and one continuum amplitude per row
+        assert calls == 2 + 4
+
+
+class TestSweepRowsMatchAlone:
+    """A row of a sweep has the summary of its pipeline run on its own."""
+
+    @pytest.mark.parametrize(
+        "kind, param, values",
+        [("cubic", "eps", (0.0, 0.005, 0.02)), ("vdp", "eps", (0.01, 0.03)),
+         ("cubic", "a0_re", (0.3, 0.5)), ("vdp", "a0_re", (0.3, 1.5)),
+         ("cubic", "dt", (0.02, 0.01)), ("vdp", "dt", (0.02, 0.01))],
+    )
+    def test_summaries_are_bitwise_equal(self, tmp_path, kind, param, values):
+        cfg = ExperimentConfig(kind=kind, t_max=30.0, eps=0.02, a0_re=0.4, a0_im=0.15)
+        out = tmp_path / "sweep.json"
+        argv = ["sweep", f"--param={param}", "--values=" + ",".join(map(repr, values)),
+                f"--kind={kind}", "--t-max=30", "--eps=0.02", "--a0-re=0.4", "--a0-im=0.15",
+                "--output-format=json", f"--output-path={out}"]
+        assert main(argv) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [row["value"] for row in rows] == list(values)
+        for row, value in zip(rows, values, strict=True):
+            _, alone = run_compare_pipeline(dataclasses.replace(cfg, **{param: value}))
+            for key, want in alone.items():
+                assert repr(row[key]) == repr(want), (value, key)
 
 
 def _validated(cfg):

@@ -15,6 +15,7 @@ from renormdiff.lineardiff import (
     characteristic_roots,
     is_resonant,
     particular_solution,
+    power_table,
     scheme_residual,
 )
 from renormdiff.perturbation import (
@@ -299,6 +300,36 @@ class TestConjugatePowers:
         if np.ndim(n) == 0:
             assert type(got) is complex
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestSuppliedPowers:
+    """Tables passed to evaluate give the bytes evaluate computes itself."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        spec=st.lists(_TERMS, min_size=1, max_size=6),
+        n=_INDICES,
+        supplied=st.lists(st.booleans(), min_size=6, max_size=6),
+    )
+    def test_supplied_tables_change_no_byte_and_are_not_written(self, spec, n, supplied):
+        terms = []
+        for coeff, base, n_power, order in spec:
+            terms.append(HarmonicTerm(coeff, base, n_power))
+            if order != "alone":
+                terms.append(HarmonicTerm(coeff.conjugate(), base.conjugate(), n_power))
+        hs = HarmonicSum(tuple(terms))
+        with np.errstate(all="ignore"):
+            powers = [(t.base, power_table(t.base, n)) for t, pick in zip(hs.terms, supplied) if pick]
+            before = [np.asarray(table).tobytes() for _, table in powers]
+            got, want = hs.evaluate(n, powers), hs.evaluate(n)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert [np.asarray(table).tobytes() for _, table in powers] == before
+
+    def test_integer_and_float_indices_give_one_table(self):
+        base = characteristic_roots(params(0.01, convention=EXACT))[0]
+        n = np.arange(50_001)
+        assert power_table(base, n).tobytes() == power_table(base, n.astype(float)).tobytes()
 
 
 class TestParticularSolution:

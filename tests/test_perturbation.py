@@ -7,6 +7,7 @@ from renormdiff.lineardiff import (
     RootConvention,
     SchemeParams,
     characteristic_roots,
+    power_table,
     scheme_residual,
 )
 from renormdiff.oracle import init_from_amplitude, iterate
@@ -192,6 +193,21 @@ class TestNaiveSolution:
         z0 = zeroth_order(a0, p)
         n = np.arange(50)
         assert np.allclose(naive_solution(CUBIC, a0, p, n), z0.evaluate(n).real)
+
+    def test_array_owns_its_data_and_scalar_is_a_float(self):
+        p = params(0.01, eps=0.02, convention=EXACT)
+        z = naive_solution(CUBIC, 0.4 + 0.1j, p, np.arange(1000))
+        assert z.dtype == float and z.base is None
+        assert type(naive_solution(CUBIC, 0.4 + 0.1j, p, 7)) is float
+
+    @pytest.mark.parametrize("kind", [CUBIC, VAN_DER_POL])
+    def test_supplied_powers_change_no_byte(self, kind):
+        p = params(0.01, eps=0.02, convention=EXACT)
+        n = np.arange(5000)
+        lam_p = characteristic_roots(p)[0]
+        powers = ((lam_p, power_table(lam_p, n)), (lam_p**3, power_table(lam_p**3, n)))
+        got = naive_solution(kind, 0.4 + 0.1j, p, n, powers)
+        assert got.tobytes() == naive_solution(kind, 0.4 + 0.1j, p, n).tobytes()
 
     def test_value_at_origin(self):
         p = params(0.1, eps=0.02)

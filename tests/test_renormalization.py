@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -216,6 +217,19 @@ class TestInlineFold:
         with pytest.raises(OverflowError) as after_loop:
             flow_path(flow, a0, 2000)
         assert str(after_loop.value) == str(per_step.value)
+
+    @pytest.mark.parametrize("kind", [CUBIC, VAN_DER_POL])
+    def test_peak_memory_is_the_array_and_its_guard(self, kind):
+        # the array, the guard's |A| (half its size) and a boolean mask (a
+        # sixteenth); a list of boxed complex values adds about 40 bytes per step
+        flow = build_flow(kind, params(0.004, 0.01))
+        tracemalloc.start()
+        try:
+            out = flow_path(flow, 0.5 + 0.1j, 50_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * out.nbytes
 
     def test_flow_is_a_frozen_value(self):
         flow = build_flow(van_der_pol(halving=True), params(0.02, 0.05))
