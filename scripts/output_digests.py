@@ -70,6 +70,11 @@ def matrix() -> list[tuple[list[str], str]]:
     runs.append((["simulate", *SINGULAR], "csv"))
     for a0_re in ("1.0", "1.5"):  # Van der Pol from the limit cycle and from above it
         runs.append((["compare", "--kind=vdp", *BASE[:3], f"--a0-re={a0_re}"], "csv"))
+    # A tiny amplitude writes its trajectories in exponent form (below 1e-5) and
+    # its errors below 1e-11, which the CSV writer formats one cell at a time.
+    runs.append((["compare", "--kind=cubic", "--stride=1", *BASE[:3], "--a0-re=1e-7",
+                  "--a0-im=1e-9"], "csv"))
+    runs.append((["simulate", "--kind=vdp", *LONG], "csv"))
     return runs
 
 

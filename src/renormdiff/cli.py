@@ -1,12 +1,11 @@
 """Command-line workbench: simulate, compare, sweep.
 
-Configuration comes from a plain key=value file ('#' comments) plus
-command-line flags; flags win.  Output is CSV (17-significant-digit floats,
-byte-stable across runs) or JSON mirroring the same field names.  Exit codes:
-0 success, 2 configuration error (an output path that cannot be opened
-included), 3 numerical failure: a diverging or singular oracle step, an
-amplitude flow past its guard or a non-finite model column, each named with
-the step where it happened.
+Configuration comes from a plain key=value file ('#' comments) plus command-line
+flags; flags win.  Output is CSV (17-significant-digit floats, byte-stable across
+runs) or JSON mirroring the same field names.  Exit codes: 0 success, 2
+configuration error (an output path that cannot be opened included), 3 numerical
+failure: a diverging or singular oracle step, an amplitude flow past its guard or
+a non-finite model column, each named with the step where it happened.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import g17
 from .analysis import SlopeFit, compare, envelope, zero_crossing_period
 from .asymptotic import GlobalSolution, assemble_modes, discrete_fundamental
 from .lineardiff import RootConvention, Scheme, SchemeParams, characteristic_roots, power_table
@@ -207,22 +207,56 @@ def _json_value(value):
 
 
 # Rows formatted per chunk: a chunk's text is about 0.6 MB of compare CSV or
-# 1.1 MB of JSON, so a long run is never held in memory as one document.
+# 1.1 MB of JSON, so a long run is never held in memory as one document.  A
+# compare CSV chunk also holds its 0.8 MB byte matrix and, while g17 renders
+# one float column into it, about 1.5 MB of kernel scratch (350 B per value).
 _CHUNK_ROWS = 4096
 
 
-def _csv_encoder(column):
-    """(conversion spec, encode) for one CSV column; encode maps a slice to cells.
+# Bytes of a CSV cell of each array kind: the g17 layout, or the widest
+# int64 or uint64 text.
+_CELL_WIDTH = {"f": g17.WIDTH, "i": 20, "u": 20}
 
-    Numeric arrays go through ``tolist()`` and one ``%`` conversion, which
-    writes what ``_fmt`` writes per cell; anything else keeps ``_fmt``.
+
+def _csv_cells(part) -> np.ndarray:
+    """The CSV cells of one column slice as rows of NUL-padded ASCII bytes.
+
+    Each cell, NULs dropped, is ``_fmt`` of its value: float arrays go through
+    the ``g17`` kernel, which calls ``_fmt`` for the values it does not cover,
+    integer arrays through numpy's own decimal text, anything else through
+    ``_fmt`` one value at a time.
     """
-    kind = column.dtype.kind if isinstance(column, np.ndarray) else None
+    kind = part.dtype.kind if isinstance(part, np.ndarray) else None
     if kind == "f":
-        return "%.17g", np.ndarray.tolist
+        return g17.render(part, _fmt)
     if kind in ("i", "u"):
-        return "%d", np.ndarray.tolist
-    return "%s", lambda part: [_fmt(v) for v in part]
+        return part.astype("S20").view(np.uint8).reshape(len(part), 20)
+    text = np.array([_fmt(v).encode("ascii") for v in part])
+    return text.view(np.uint8).reshape(len(part), text.itemsize)
+
+
+def _csv_rows(parts: list) -> str:
+    """The CSV lines of one chunk, from the slice of each column in order.
+
+    Every column's cells go into one byte matrix next to the ``,``/newline
+    separators, and the text is the matrix with its NULs dropped.  Array
+    columns are rendered into the matrix one at a time; any other column is
+    formatted first, for its width.
+    """
+    widths = [_CELL_WIDTH.get(part.dtype.kind) if isinstance(part, np.ndarray) else None
+              for part in parts]
+    ready = [None if width else _csv_cells(part) for part, width in zip(parts, widths)]
+    widths = [width or cells.shape[1] for width, cells in zip(widths, ready)]
+    rows, line = len(parts[0]), sum(widths) + len(widths)
+    text = bytearray(rows * line)
+    table = np.frombuffer(text, np.uint8).reshape(rows, line)
+    end = 0
+    for part, cells, width in zip(parts, ready, widths):
+        table[:, end : end + width] = _csv_cells(part) if cells is None else cells
+        table[:, end + width] = ord(",")
+        end += width + 1
+    table[:, -1] = ord("\n")
+    return text.translate(None, b"\0").decode("ascii")
 
 
 def _json_encoder(column):
@@ -239,40 +273,38 @@ def _json_encoder(column):
 def _table_text(cfg: ExperimentConfig, columns: dict, summary: dict | None):
     """Yield the CSV or JSON document in pieces of at most ``_CHUNK_ROWS`` rows.
 
-    The CSV columns are written in the order of ``columns``.
-
-    Each row comes from one ``%`` template; the pieces join to exactly what
-    ``",".join`` of ``_fmt`` cells per row, or ``json.dumps(doc, indent=1,
-    sort_keys=True)`` of ``{"rows": [...], "summary": ...}``, would give.
+    The CSV columns are written in the order of ``columns``; the cells of a
+    chunk go into one byte matrix (``_csv_rows``).  Each JSON row comes from
+    one ``%`` template.  The pieces join to exactly what ``",".join`` of
+    ``_fmt`` cells per row, or ``json.dumps(doc, indent=1, sort_keys=True)`` of
+    ``{"rows": [...], "summary": ...}``, would give.
     """
     names = list(columns)
-    if cfg.output_format == "csv":
-        specs, encoders = zip(*(_csv_encoder(columns[name]) for name in names))
-        row = ",".join(specs) + "\n"
-        sep = ""
-        head = ",".join(names) + "\n"
-        tail = "" if summary is None else "# summary = " + json.dumps(summary, sort_keys=True) + "\n"
-    else:
-        names.sort()
-        encoders = [_json_encoder(columns[name]) for name in names]
-        row = "  {\n" + ",\n".join(f"   {json.dumps(name)}: %s" for name in names) + "\n  }"
-        sep = ",\n"
-        head = '{\n "rows": [\n'
-        tail = "\n ]"
-        if summary is not None:
-            nested = json.dumps(summary, indent=1, sort_keys=True).replace("\n", "\n ")
-            tail += ',\n "summary": ' + nested
-        tail += "\n}\n"
-    yield head
     stride = cfg.stride
     span = _CHUNK_ROWS * stride
-    n_rows = len(columns[names[0]])
-    for lo in range(0, n_rows, span):
+    chunks = range(0, len(columns[names[0]]), span)
+    if cfg.output_format == "csv":
+        yield ",".join(names) + "\n"
+        for lo in chunks:
+            yield _csv_rows([columns[name][lo : lo + span : stride] for name in names])
+        if summary is not None:
+            yield "# summary = " + json.dumps(summary, sort_keys=True) + "\n"
+        return
+    names.sort()
+    encoders = [_json_encoder(columns[name]) for name in names]
+    row = "  {\n" + ",\n".join(f"   {json.dumps(name)}: %s" for name in names) + "\n  }"
+    sep = ",\n"
+    yield '{\n "rows": [\n'
+    for lo in chunks:
         cells = [encode(columns[name][lo : lo + span : stride])
                  for name, encode in zip(names, encoders)]
         text = sep.join([row] * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))
         yield text if lo == 0 else sep + text
-    yield tail
+    tail = "\n ]"
+    if summary is not None:
+        nested = json.dumps(summary, indent=1, sort_keys=True).replace("\n", "\n ")
+        tail += ',\n "summary": ' + nested
+    yield tail + "\n}\n"
 
 
 def _write_table(cfg: ExperimentConfig, columns: dict, summary: dict | None):

@@ -618,6 +618,35 @@ class TestWriterGolden:
         assert_same_text(got, expected_output("sweep", cfg, "eps", [0.01, 0.02]))
 
 
+
+class TestWriterFallback:
+    """Cells the g17 kernel leaves to _fmt, and integer cells, through the
+    chunked CSV writer against the per-cell reference."""
+
+    @staticmethod
+    def _check(columns, stride=1):
+        summary = {"note": 1}
+        cfg = ExperimentConfig(stride=stride)
+        got = "".join(cli._table_text(cfg, columns, summary))
+        assert_same_text(got, reference_table(list(columns), columns, summary, "csv", stride))
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_special_floats_across_a_chunk_boundary(self, stride):
+        n = 2 * CHUNK + 5
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, n)
+        specials = [0.0, -0.0, 5e-324, 1e-300, 1e300, float("nan"), float("inf"), float("-inf")]
+        x[CHUNK - 4 : CHUNK + 4] = specials  # rows CHUNK - 4 .. CHUNK + 3
+        x[-len(specials) :] = specials
+        self._check({"n": np.arange(n), "x": x, "y": -x[::-1].copy()}, stride)
+
+    def test_integer_columns(self):
+        values = [0, -1, 7, -123456789, 2**63 - 1, -(2**63), 10**18, -(10**18) + 3]
+        big = np.array(values * 700, dtype=np.int64)  # 5600 rows, over a chunk
+        unsigned = np.array([0, 1, 2**64 - 1, 10**19] * 1400, dtype=np.uint64)
+        self._check({"i": big, "u": unsigned, "x": big.astype(float)})
+
+
 class TestConfigFile:
     def test_file_values_and_flag_overrides(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
