@@ -1,11 +1,12 @@
 """Command-line workbench: simulate, compare, sweep.
 
-Configuration comes from a plain key=value file ('#' comments) plus command-line
-flags; flags win.  Output is CSV (17-significant-digit floats, byte-stable across
-runs) or JSON mirroring the same field names.  Exit codes: 0 success, 2
-configuration error (an output path that cannot be opened included), 3 numerical
-failure: a diverging or singular oracle step, an amplitude flow past its guard or
-a non-finite model column, each named with the step where it happened.
+Configuration comes from a plain key=value file ('#' comments) plus
+command-line flags; flags win.  Output is CSV (17-significant-digit floats,
+byte-stable across runs) or JSON mirroring the same field names.  Exit codes:
+0 success, 2 configuration error (an output path that cannot be opened
+included), 3 numerical failure: a diverging or singular oracle step, an
+amplitude flow past its guard or a non-finite model column, each named with
+the step where it happened.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from itertools import chain
 
 import numpy as np
 
-from . import g17
 from .analysis import SlopeFit, compare, envelope, zero_crossing_period
 from .asymptotic import GlobalSolution, assemble_modes, discrete_fundamental
 from .lineardiff import RootConvention, Scheme, SchemeParams, characteristic_roots, power_table
@@ -213,9 +213,9 @@ def _json_value(value):
 _CHUNK_ROWS = 4096
 
 
-# Bytes of a CSV cell of each array kind: the g17 layout, or the widest
-# int64 or uint64 text.
-_CELL_WIDTH = {"f": g17.WIDTH, "i": 20, "u": 20}
+# Bytes of a CSV cell of each array kind: the g17 layout (``g17.WIDTH``), or
+# the widest int64 or uint64 text.
+_CELL_WIDTH = {"f": 24, "i": 20, "u": 20}
 
 
 def _csv_cells(part) -> np.ndarray:
@@ -228,6 +228,8 @@ def _csv_cells(part) -> np.ndarray:
     """
     kind = part.dtype.kind if isinstance(part, np.ndarray) else None
     if kind == "f":
+        from . import g17  # only a CSV float column builds its tables
+
         return g17.render(part, _fmt)
     if kind in ("i", "u"):
         return part.astype("S20").view(np.uint8).reshape(len(part), 20)
@@ -282,10 +284,10 @@ def _table_text(cfg: ExperimentConfig, columns: dict, summary: dict | None):
     names = list(columns)
     stride = cfg.stride
     span = _CHUNK_ROWS * stride
-    chunks = range(0, len(columns[names[0]]), span)
+    n_rows = len(columns[names[0]])
     if cfg.output_format == "csv":
         yield ",".join(names) + "\n"
-        for lo in chunks:
+        for lo in range(0, n_rows, span):
             yield _csv_rows([columns[name][lo : lo + span : stride] for name in names])
         if summary is not None:
             yield "# summary = " + json.dumps(summary, sort_keys=True) + "\n"
@@ -294,17 +296,19 @@ def _table_text(cfg: ExperimentConfig, columns: dict, summary: dict | None):
     encoders = [_json_encoder(columns[name]) for name in names]
     row = "  {\n" + ",\n".join(f"   {json.dumps(name)}: %s" for name in names) + "\n  }"
     sep = ",\n"
-    yield '{\n "rows": [\n'
-    for lo in chunks:
-        cells = [encode(columns[name][lo : lo + span : stride])
-                 for name, encode in zip(names, encoders)]
-        text = sep.join([row] * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))
-        yield text if lo == 0 else sep + text
+    head = '{\n "rows": [\n'
     tail = "\n ]"
     if summary is not None:
         nested = json.dumps(summary, indent=1, sort_keys=True).replace("\n", "\n ")
         tail += ',\n "summary": ' + nested
-    yield tail + "\n}\n"
+    tail += "\n}\n"
+    yield head
+    for lo in range(0, n_rows, span):
+        cells = [encode(columns[name][lo : lo + span : stride])
+                 for name, encode in zip(names, encoders)]
+        text = sep.join([row] * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))
+        yield text if lo == 0 else sep + text
+    yield tail
 
 
 def _write_table(cfg: ExperimentConfig, columns: dict, summary: dict | None):

@@ -186,8 +186,7 @@ def render(values: np.ndarray, fallback) -> np.ndarray:
     cells = cells.view(np.uint8)
 
     if missed:
-        for i in np.flatnonzero(~ok):
-            text = fallback(x[i]).encode("ascii")
-            cells[i] = 0
-            cells[i, : len(text)] = np.frombuffer(text, np.uint8)
+        idx = np.flatnonzero(~ok)
+        text = np.array([fallback(v) for v in x[idx].tolist()], dtype=f"S{WIDTH}")
+        cells[idx] = text.view(np.uint8).reshape(-1, WIDTH)
     return cells

@@ -220,13 +220,6 @@ class HarmonicSum:
         """
         arr = np.asarray(n, dtype=float)
         out = np.zeros(arr.shape, dtype=complex)
-        # An array sum writes each term's products, base^n * n and then coeff
-        # times it, into two buffers that every term reuses.  numpy's complex
-        # multiply can round differently when its output is one of its inputs
-        # (seen at one point) or when its operands swap (coeff * a against
-        # a * coeff), so neither happens.  A scalar n keeps numpy's scalar
-        # arithmetic.
-        product, value = (np.empty_like(out), np.empty_like(out)) if arr.ndim else (None, None)
         tables = {_power_key(base): table for base, table in powers or ()}
         for term in self.terms:
             base = term.base
@@ -237,8 +230,8 @@ class HarmonicSum:
                 grow = power_table(base, arr) if mirror is None else np.conj(mirror)
                 tables[key] = grow
             if term.n_power == 1:
-                grow = np.multiply(grow, arr, out=product)
-            out += term.coeff * grow if value is None else np.multiply(term.coeff, grow, out=value)
+                grow = grow * arr
+            out += term.coeff * grow
         if arr.ndim == 0:
             return complex(out)
         return out

@@ -618,7 +618,6 @@ class TestWriterGolden:
         assert_same_text(got, expected_output("sweep", cfg, "eps", [0.01, 0.02]))
 
 
-
 class TestWriterFallback:
     """Cells the g17 kernel leaves to _fmt, and integer cells, through the
     chunked CSV writer against the per-cell reference."""

@@ -1,6 +1,9 @@
 """The g17 kernel against ``format(x, '.17g')``, one cell at a time."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renormdiff import g17
+import renormdiff
+from renormdiff import cli, g17
 from renormdiff.cli import _fmt
 
 
@@ -141,5 +145,27 @@ class TestInterface:
         narrow = wide.astype(np.float32)
         assert texts(narrow) == [_fmt(x) for x in narrow]
 
+    def test_fallback_cells_are_padded(self):
+        # Uncovered values of several text widths, each among covered ones.
+        uncovered = [math.nan, 0.0, -1e300, 2.2250738585072014e-308, 5e-324]
+        values = [v for x in uncovered for v in (0.25, x)]
+        cells = g17.render(np.array(values), _fmt)
+        for cell, x in zip(cells, values):
+            text = _fmt(x).encode("ascii")
+            assert bytes(cell) == text + bytes(g17.WIDTH - len(text))
+
     def test_empty(self):
         assert g17.render(np.zeros(0), _fmt).shape == (0, g17.WIDTH)
+
+    def test_cli_cell_width(self):
+        assert cli._CELL_WIDTH["f"] == g17.WIDTH
+
+    def test_cli_import_leaves_tables_unbuilt(self):
+        # Only a CSV float column needs the tables; JSON and sweep runs skip them.
+        src = os.path.dirname(os.path.dirname(renormdiff.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, renormdiff.cli; print('renormdiff.g17' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

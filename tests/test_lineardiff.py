@@ -252,29 +252,6 @@ class TestSharedPowers:
         assert hs.evaluate(n).tobytes() == _evaluate_per_term(hs, n).tobytes()
 
 
-
-class TestTermBuffers:
-    """The reused product buffers keep the bits of fresh temporaries."""
-
-    def test_secular_terms_at_many_points(self):
-        # At 5e4 points numpy's complex multiply rounds coeff * a and a * coeff
-        # differently in about a third of these products.
-        rng = np.random.default_rng(3)
-        n = np.arange(50_001)
-        for _ in range(4):
-            base = cmath.rect(1.0, rng.uniform(0.001, 0.1))
-            coeff = complex(*rng.normal(size=2))
-            hs = HarmonicSum((HarmonicTerm(coeff, base, 1), HarmonicTerm(0.5, base**3)))
-            assert hs.evaluate(n).tobytes() == _evaluate_per_term(hs, n).tobytes()
-
-    def test_secular_term_at_one_point(self):
-        # At one point numpy's complex multiply rounds differently when its
-        # output is also its input, so the products need two buffers.
-        hs = HarmonicSum((HarmonicTerm(3 + 1j, cmath.rect(1.0, 1.0), 1),))
-        n = np.array([1])
-        assert hs.evaluate(n).tobytes() == _evaluate_per_term(hs, n).tobytes()
-
-
 _BASES = st.one_of(
     st.builds(
         cmath.rect,
