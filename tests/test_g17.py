@@ -145,15 +145,6 @@ class TestInterface:
         narrow = wide.astype(np.float32)
         assert texts(narrow) == [_fmt(x) for x in narrow]
 
-    def test_fallback_cells_are_padded(self):
-        # Uncovered values of several text widths, each among covered ones.
-        uncovered = [math.nan, 0.0, -1e300, 2.2250738585072014e-308, 5e-324]
-        values = [v for x in uncovered for v in (0.25, x)]
-        cells = g17.render(np.array(values), _fmt)
-        for cell, x in zip(cells, values):
-            text = _fmt(x).encode("ascii")
-            assert bytes(cell) == text + bytes(g17.WIDTH - len(text))
-
     def test_empty(self):
         assert g17.render(np.zeros(0), _fmt).shape == (0, g17.WIDTH)
 
