@@ -6,8 +6,9 @@ checkout this script sits in, for every configuration below and prints one
 line per output: ``<sha256>  <exit code>  <argv>`` for the output file and
 again, tagged ``[stdout]`` and ``[stderr]``, for what the run wrote to stdout
 and to stderr.  The output path in the printed argv is the placeholder
-``OUT.csv``/``OUT.json``, and the path of ``src/`` in stderr is ``SRC``, so
-checkouts at different paths agree.  Three runs end in a numerical failure (exit 3), so
+``OUT.csv``/``OUT.json``, the path of ``src/`` in stderr is ``SRC`` and the
+line number a warning names in a package file is ``LINE``, so checkouts at
+different paths, and code moved within a file, agree.  Three runs end in a numerical failure (exit 3), so
 the stderr digests pin the failure messages and the step each one names.
 
 A change that must not alter a byte is checked by running this script in a
@@ -23,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -71,11 +73,15 @@ def matrix() -> list[tuple[list[str], str]]:
     for a0_re in ("1.0", "1.5"):  # Van der Pol from the limit cycle and from above it
         runs.append((["compare", "--kind=vdp", *BASE[:3], f"--a0-re={a0_re}"], "csv"))
     # A tiny amplitude writes its trajectories in exponent form (below 1e-5) and
-    # its errors below 1e-11, which the CSV writer formats one cell at a time.
-    runs.append((["compare", "--kind=cubic", "--stride=1", *BASE[:3], "--a0-re=1e-7",
-                  "--a0-im=1e-9"], "csv"))
+    # its errors below 1e-11, which the writer formats one cell at a time.
+    for fmt in ("csv", "json"):
+        runs.append((["compare", "--kind=cubic", "--stride=1", *BASE[:3], "--a0-re=1e-7",
+                      "--a0-im=1e-9"], fmt))
     runs.append((["simulate", "--kind=vdp", *LONG], "csv"))
     return runs
+
+
+_SRC_LINE = re.compile(r"(SRC/renormdiff/\w+\.py:)\d+:")
 
 
 def _digest(data: bytes) -> str:
@@ -97,8 +103,9 @@ def run(argv: list[str], fmt: str, tmp: Path) -> list[str]:
         out_path.unlink(missing_ok=True)
         lines.append(f"{_digest(data)}  {code}  {shown}")
     lines.append(f"{_digest(captured.getvalue().encode())}  {code}  {shown} [stdout]")
-    # A warning names its caller's file; drop the checkout's location from it.
-    stderr = errors.getvalue().replace(str(SRC), "SRC")
+    # A warning names its caller's file and line; drop the checkout's location
+    # and the line number, which moves whenever code is added above it.
+    stderr = _SRC_LINE.sub(r"\1LINE:", errors.getvalue().replace(str(SRC), "SRC"))
     lines.append(f"{_digest(stderr.encode())}  {code}  {shown} [stderr]")
     return lines
 

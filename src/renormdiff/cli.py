@@ -18,7 +18,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -206,80 +205,82 @@ def _json_value(value):
     return float(value)
 
 
+def _json_text(value) -> str:
+    """The JSON literal of one cell: ``repr`` floats, ``NaN``, ``null``."""
+    return json.dumps(_json_value(value))
+
+
 # Rows formatted per chunk: a chunk's text is about 0.6 MB of compare CSV or
 # 1.1 MB of JSON, so a long run is never held in memory as one document.  A
-# compare CSV chunk also holds its 0.8 MB byte matrix and, while g17 renders
-# one float column into it, about 1.5 MB of kernel scratch (350 B per value).
+# chunk also holds its byte matrix (0.8 MB of compare CSV, 1.6 MB of JSON)
+# and, while g17 renders one float column into it, about 1.5 MB of kernel
+# scratch (350 B per value).
 _CHUNK_ROWS = 4096
 
 
-# Bytes of a CSV cell of each array kind: the g17 layout (``g17.WIDTH``), or
-# the widest int64 or uint64 text.
+# Bytes of a cell of each array kind: the g17 layout (``g17.WIDTH``), or the
+# widest int64 or uint64 text (``g17.INT_WIDTH``).
 _CELL_WIDTH = {"f": 24, "i": 20, "u": 20}
 
 
-def _csv_cells(part) -> np.ndarray:
-    """The CSV cells of one column slice as rows of NUL-padded ASCII bytes.
+def _cells(part, fmt: str) -> np.ndarray:
+    """The cells of one column slice as rows of NUL-padded ASCII bytes.
 
-    Each cell, NULs dropped, is ``_fmt`` of its value: float arrays go through
-    the ``g17`` kernel, which calls ``_fmt`` for the values it does not cover,
-    integer arrays through numpy's own decimal text, anything else through
-    ``_fmt`` one value at a time.
+    Each cell, NULs dropped, is ``_fmt`` (CSV) or ``_json_text`` (JSON) of
+    its value.  Float arrays go through the ``g17`` kernel of the format,
+    which calls that function for the values it does not cover; integer
+    arrays through ``g17.render_integers``, whose text is the same in both
+    formats; anything else through the function one value at a time.
     """
+    text = _fmt if fmt == "csv" else _json_text
     kind = part.dtype.kind if isinstance(part, np.ndarray) else None
-    if kind == "f":
-        from . import g17  # only a CSV float column builds its tables
+    if kind in _CELL_WIDTH:
+        from . import g17  # only an array column builds its tables
 
-        return g17.render(part, _fmt)
-    if kind in ("i", "u"):
-        return part.astype("S20").view(np.uint8).reshape(len(part), 20)
-    text = np.array([_fmt(v).encode("ascii") for v in part])
-    return text.view(np.uint8).reshape(len(part), text.itemsize)
+        if kind != "f":
+            return g17.render_integers(part, _fmt)
+        return (g17.render if fmt == "csv" else g17.render_shortest)(part, text)
+    cells = np.array([text(v).encode("ascii") for v in part])
+    return cells.view(np.uint8).reshape(len(part), cells.itemsize)
 
 
-def _csv_rows(parts: list) -> str:
-    """The CSV lines of one chunk, from the slice of each column in order.
+def _rows(parts: list, fmt: str, before: list, end: str) -> str:
+    """The text of one chunk: per row, ``before[i]`` and the cell of column
+    ``i`` for every column in order, then ``end``.
 
-    Every column's cells go into one byte matrix next to the ``,``/newline
-    separators, and the text is the matrix with its NULs dropped.  Array
-    columns are rendered into the matrix one at a time; any other column is
-    formatted first, for its width.
+    The rows are one byte matrix, filled with the constant text of a row and
+    then with each column's cells, and the text is the matrix with its NULs
+    dropped.  Array columns are rendered into the matrix one at a time; any
+    other column is formatted first, for its width.
     """
     widths = [_CELL_WIDTH.get(part.dtype.kind) if isinstance(part, np.ndarray) else None
               for part in parts]
-    ready = [None if width else _csv_cells(part) for part, width in zip(parts, widths)]
+    ready = [None if width else _cells(part, fmt) for part, width in zip(parts, widths)]
     widths = [width or cells.shape[1] for width, cells in zip(widths, ready)]
-    rows, line = len(parts[0]), sum(widths) + len(widths)
-    text = bytearray(rows * line)
-    table = np.frombuffer(text, np.uint8).reshape(rows, line)
-    end = 0
-    for part, cells, width in zip(parts, ready, widths):
-        table[:, end : end + width] = _csv_cells(part) if cells is None else cells
-        table[:, end + width] = ord(",")
-        end += width + 1
-    table[:, -1] = ord("\n")
+    template = bytearray()
+    starts = []
+    for lead, width in zip(before, widths):
+        template += lead.encode("ascii")
+        starts.append(len(template))
+        template += bytes(width)
+    template += end.encode("ascii")
+    rows = len(parts[0])
+    text = bytearray(rows * len(template))
+    table = np.frombuffer(text, np.uint8).reshape(rows, len(template))
+    table[:] = np.frombuffer(template, np.uint8)
+    for part, cells, width, at in zip(parts, ready, widths, starts):
+        table[:, at : at + width] = _cells(part, fmt) if cells is None else cells
     return text.translate(None, b"\0").decode("ascii")
-
-
-def _json_encoder(column):
-    """Encode for one JSON column: maps a slice to the literals of its cells.
-
-    The literals are what ``json.dumps`` writes for ``_json_value`` of each
-    value (``repr`` floats, ``NaN``, ``null``).
-    """
-    if isinstance(column, np.ndarray) and column.dtype.kind in ("f", "i", "u"):
-        return lambda part: json.dumps(part.tolist())[1:-1].split(", ")
-    return lambda part: json.dumps([_json_value(v) for v in part])[1:-1].split(", ")
 
 
 def _table_text(cfg: ExperimentConfig, columns: dict, summary: dict | None):
     """Yield the CSV or JSON document in pieces of at most ``_CHUNK_ROWS`` rows.
 
-    The CSV columns are written in the order of ``columns``; the cells of a
-    chunk go into one byte matrix (``_csv_rows``).  Each JSON row comes from
-    one ``%`` template.  The pieces join to exactly what ``",".join`` of
-    ``_fmt`` cells per row, or ``json.dumps(doc, indent=1, sort_keys=True)`` of
-    ``{"rows": [...], "summary": ...}``, would give.
+    The CSV columns are written in the order of ``columns``, the JSON ones
+    sorted by name; the rows of a chunk are one byte matrix (``_rows``).  The
+    pieces join to exactly what ``",".join`` of ``_fmt`` cells per row, or
+    ``json.dumps(doc, indent=1, sort_keys=True)`` of ``{"rows": [...],
+    "summary": ...}``, would give.
     """
     names = list(columns)
     stride = cfg.stride
@@ -287,27 +288,27 @@ def _table_text(cfg: ExperimentConfig, columns: dict, summary: dict | None):
     n_rows = len(columns[names[0]])
     if cfg.output_format == "csv":
         yield ",".join(names) + "\n"
+        before = [""] + [","] * (len(names) - 1)
         for lo in range(0, n_rows, span):
-            yield _csv_rows([columns[name][lo : lo + span : stride] for name in names])
+            parts = [columns[name][lo : lo + span : stride] for name in names]
+            yield _rows(parts, "csv", before, "\n")
         if summary is not None:
             yield "# summary = " + json.dumps(summary, sort_keys=True) + "\n"
         return
     names.sort()
-    encoders = [_json_encoder(columns[name]) for name in names]
-    row = "  {\n" + ",\n".join(f"   {json.dumps(name)}: %s" for name in names) + "\n  }"
-    sep = ",\n"
-    head = '{\n "rows": [\n'
+    # Every row ends in ",\n"; the last chunk drops the one after the last row.
+    before = [("  {\n" if i == 0 else ",\n") + f"   {json.dumps(name)}: "
+              for i, name in enumerate(names)]
     tail = "\n ]"
     if summary is not None:
         nested = json.dumps(summary, indent=1, sort_keys=True).replace("\n", "\n ")
         tail += ',\n "summary": ' + nested
     tail += "\n}\n"
-    yield head
+    yield '{\n "rows": [\n'
     for lo in range(0, n_rows, span):
-        cells = [encode(columns[name][lo : lo + span : stride])
-                 for name, encode in zip(names, encoders)]
-        text = sep.join([row] * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))
-        yield text if lo == 0 else sep + text
+        parts = [columns[name][lo : lo + span : stride] for name in names]
+        text = _rows(parts, "json", before, "\n  },\n")
+        yield text if lo + span < n_rows else text[:-2]
     yield tail
 
 

@@ -1,19 +1,30 @@
-"""Exact ``'%.17g'`` text of a float64 array, without a Python object per value.
+"""Exact decimal text of float64 and integer arrays, without a Python object per value.
 
 A value ``x = m 2^e`` (``m`` the 53-bit significand) with ``k = floor(log10
-|x|)`` has the 17 significant digits ``N = round_half_even(m 5^p 2^(p+e))``,
-``p = 16 - k``.  For ``p`` in [0, 27] and a right shift ``-(p + e)`` in
-[1, 63], that is for ``1e-11 <= |x| < 2^51`` (about 2.25e15), the product
-fits in 128 bits and is formed exactly from 32-bit limbs in uint64.  Every
-other value (zero, subnormals, nan, infinities, other magnitudes) is left to a
-fallback that formats one value at a time.
+|x|)`` is ``y = m 5^p 2^(p+e)`` in units of ``10^-p``, ``p = 16 - k``, so
+that ``10^16 <= y < 10^17``.  For ``p`` in [0, 27] and a right shift ``-(p +
+e)`` in [1, 63], that is for ``1e-11 <= |x| < 2^51`` (about 2.25e15),
+``m 5^p`` fits in 128 bits and is formed exactly from 32-bit limbs in uint64,
+giving ``floor(y)`` and the bits of its fraction.  Every other value (zero,
+subnormals, nan, infinities, other magnitudes) is left to a fallback that
+formats one value at a time.
 
-A cell is the text NUL-padded to ``WIDTH`` bytes, the widest ``'%.17g'`` of a
-float64.  The 17 digits of ``N`` are laid out as bytes 7..23 of three
-little-endian uint64 words.  One row of the layout table, keyed by (sign,
+Two texts are made from ``y``.  ``render`` writes ``'%.17g'``: the 17 digits
+``round_half_even(y)``.  ``render_shortest`` writes ``repr`` (the float
+literal of ``json.dumps``), the fewest digits that read back as ``x``: the
+values reading back as ``x`` are ``y ± u``, ``u = 5^p / 2^(1-e-p)``, half a
+unit in the last place in units of ``10^-p``, and the digits are those of
+``round(y / 10^j) 10^j`` for the largest ``j`` such that a multiple of
+``10^j`` lies in that interval.
+
+A cell is the text NUL-padded to ``WIDTH`` bytes, the widest ``'%.17g'`` or
+``repr`` of a float64.  The 17 digits are laid out as bytes 7..23 of three
+little-endian uint64 words.  One row of a layout table, keyed by (sign,
 decimal exponent, number of digits kept), places them in the cell: the digits
 before the point move by one byte shift, those after it by another, each
 under a mask, and the sign, point, leading zeros and exponent are added.
+``render_integers`` writes the decimal text of an integer array from the same
+4-digit groups.
 """
 
 from __future__ import annotations
@@ -21,14 +32,17 @@ from __future__ import annotations
 import numpy as np
 
 WIDTH = 24  # bytes of one cell: '-2.2250738585072014e-308' is the widest text
+INT_WIDTH = 20  # bytes of an integer cell: the widest int64 or uint64 text
 
 _WORD = np.dtype("<u8")  # a cell's bytes in memory order are its words' bytes
 _P_MAX = 27  # 5^27 < 2^63, so m 5^p < 2^116
 _X_MIN, _X_MAX = -11, 16  # decimal exponents k with 16 - k in [0, 27]
 _POW5 = np.uint64(5) ** np.arange(_P_MAX + 1, dtype=np.uint64)
+_POW10 = np.int64(10) ** np.arange(18, dtype=np.int64)
 _LO32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 _HALF = np.uint64(1 << 63)
 _E16, _E17 = 10**16, 10**17
+_POWER_OF_TWO = 1 << 52  # the significand whose lower neighbour is half as near
 
 
 def _group_tables():
@@ -45,22 +59,25 @@ def _group_tables():
 _GROUP_TEXT, _GROUP_TRAILING = _group_tables()
 
 
-def _layout_rows(x: np.ndarray, form: str) -> np.ndarray:
+def _layout_rows(x: np.ndarray, form: str, point_zero: bool = False) -> np.ndarray:
     """The layout rows of the decimal exponents x, which share one ``%g``
     form ("below one", "fixed" or "exponent"), per sign and number of digits
     kept: masks of the digits before and after the point and the constant
     bytes (3 words each), then the byte shifts a1 and a2 as bit counts 8a and
     64 - 8a.  A cell is ``(D >> a1 & mask1) | (D >> a2 & mask2) | constant``,
-    D read as one little-endian number."""
-    sign = np.arange(2)[:, None, None, None]
-    x = x[None, :, None, None]
-    kept = np.arange(1, 18)[None, None, :, None]
-    pos = np.arange(WIDTH)[None, None, None, :]
+    D read as one little-endian number.  With ``point_zero`` a fixed-form
+    cell with no digit after the point ends in ``.0``, as ``repr`` writes it."""
+    # int8 positions and uint8 bytes keep the scratch of the build small.
+    sign = np.arange(2, dtype=np.int8)[:, None, None, None]
+    x = x.astype(np.int8)[None, :, None, None]
+    kept = np.arange(1, 18, dtype=np.int8)[None, None, :, None]
+    pos = np.arange(WIDTH, dtype=np.int8)[None, None, None, :]
+    none = np.uint8(0)
     if form == "below one":  # "0.", -x-1 zeros, the digits
         first = sign + 1 - x
         mask1 = (pos >= first) & (pos < first + kept)
         mask2 = np.zeros_like(mask1)
-        const = np.where((pos >= sign) & (pos < first), ord("0"), 0)
+        const = np.where((pos >= sign) & (pos < first), ord("0"), none)
         const = np.where(pos == sign + 1, ord("."), const)
     else:  # the digits, a point after digit `before` when more follow, any exponent
         first = sign
@@ -69,30 +86,38 @@ def _layout_rows(x: np.ndarray, form: str) -> np.ndarray:
         after = kept > before + 1
         mask1 = (pos >= sign) & (pos < point)
         mask2 = after & (pos > point) & (pos <= sign + kept)
-        const = np.where(after & (pos == point), ord("."), 0)
+        const = np.where((after | point_zero) & (pos == point), ord("."), none)
+        if point_zero:
+            const = np.where(~after & (pos == point + 1), ord("0"), const)
         if form == "exponent":  # "e-dd": x is from -11 to -5 here
             at = np.where(after, sign + kept + 1, sign + 1)
             const = np.where(pos == at, ord("e"), const)
             const = np.where(pos == at + 1, ord("-"), const)
-            const = np.where(pos == at + 2, -x // 10 + ord("0"), const)
-            const = np.where(pos == at + 3, -x % 10 + ord("0"), const)
+            const = np.where(pos == at + 2, (-x // 10 + ord("0")).astype(np.uint8), const)
+            const = np.where(pos == at + 3, (-x % 10 + ord("0")).astype(np.uint8), const)
     const = np.where((sign == 1) & (pos == 0), ord("-"), const)
     shape = (2, x.shape[1], 17)
     rows = np.empty((*shape, 13), _WORD)
-    parts = [np.broadcast_to(part, (*shape, WIDTH)) for part in (mask1 * 0xFF, mask2 * 0xFF, const)]
-    rows[..., :9] = np.concatenate(parts, axis=-1).astype(np.uint8).view(_WORD)
+    full = np.uint8(0xFF)
+    parts = [np.broadcast_to(part, (*shape, WIDTH)) for part in (mask1 * full, mask2 * full, const)]
+    rows[..., :9] = np.concatenate(parts, axis=-1).view(_WORD)
     a1 = np.broadcast_to(7 - first[..., 0], shape)  # digit j sits at byte 7 + j of D
     a2 = np.broadcast_to(6 - sign[..., 0], shape)
     rows[..., 9:] = np.stack([8 * a1, 64 - 8 * a1, 8 * a2, 64 - 8 * a2], axis=-1)
     return rows
 
 
-# (2 * 28 * 17, 13) words per key (sign, decimal exponent, digits kept).
-_LAYOUT = np.concatenate([
-    _layout_rows(np.arange(_X_MIN, -4), "exponent"),
-    _layout_rows(np.arange(-4, 0), "below one"),
-    _layout_rows(np.arange(0, _X_MAX + 1), "fixed"),
-], axis=1).reshape(-1, 13)
+def _layout_table(point_zero: bool) -> np.ndarray:
+    """(2 * 28 * 17, 13) words per key (sign, decimal exponent, digits kept)."""
+    return np.concatenate([
+        _layout_rows(np.arange(_X_MIN, -4), "exponent"),
+        _layout_rows(np.arange(-4, 0), "below one"),
+        _layout_rows(np.arange(0, _X_MAX + 1), "fixed", point_zero),
+    ], axis=1).reshape(-1, 13)
+
+
+_LAYOUT = _layout_table(point_zero=False)  # '%.17g'
+_LAYOUT_REPR = _layout_table(point_zero=True)  # repr: '100.0', not '100'
 
 
 def _covered(normal, k, e):
@@ -101,8 +126,8 @@ def _covered(normal, k, e):
 
 
 def _scaled(m, e, k):
-    """floor(m 5^p 2^(p+e)) for p = 16 - k, and whether round-half-even
-    rounds it up; p in [0, 27] and the shift -(p+e) in [1, 63]."""
+    """floor(y) for y = m 5^p 2^(p+e), p = 16 - k, and the bits of its
+    fraction at the top of a word; p in [0, 27] and the shift -(p+e) in [1, 63]."""
     m = m.view(np.uint64)
     f = _POW5[16 - k]
     m_lo, m_hi = m & _LO32, m >> _SHIFT32
@@ -117,16 +142,13 @@ def _scaled(m, e, k):
     shift = (k - 16 - e).view(np.uint64)
     back = np.uint64(64) - shift
     q = (hi << back) | (lo >> shift)
-    frac = lo << back  # the bits shifted out, at the top of a word
-    up = (frac > _HALF) | ((frac == _HALF) & (q & np.uint64(1)).astype(bool))
-    return q.view(np.int64), up
+    return q.view(np.int64), lo << back
 
 
-def render(values: np.ndarray, fallback) -> np.ndarray:
-    """The ``(len(values), WIDTH)`` uint8 cells of ``format(v, '.17g')``.
-
-    ``fallback(v)`` gives the text of each value the kernel does not cover.
-    """
+def _split(values: np.ndarray):
+    """The kernel's view of a float array: the values x, their bits, m, e, k,
+    where they are covered, and floor(y) with its fraction bits.  Values not
+    covered are computed as 1.0, to be replaced by the fallback."""
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
     bits = x.view(np.int64)
     biased = (bits >> 52) & 0x7FF
@@ -136,57 +158,153 @@ def render(values: np.ndarray, fallback) -> np.ndarray:
     # log10 sees only normal values; the others read 1.
     k = np.floor(np.log10(np.abs(x, where=normal, out=np.ones_like(x)))).astype(np.int64)
     ok = _covered(normal, k, e)
-    missed = not ok.all()
-    if missed:  # computed as 1.0, replaced at the end
-        m[~ok], e[~ok], k[~ok] = 1 << 52, -52, 0
-    q, up = _scaled(m, e, k)
-    # log10 can miss floor(log10 |x|) by one next to a power of ten; the
-    # unrounded digits then number 16 or 18, and that k is redone.
+    if not ok.all():
+        m[~ok], e[~ok], k[~ok] = _POWER_OF_TWO, -52, 0
+    q, frac = _scaled(m, e, k)
+    # log10 can miss floor(log10 |x|) by one next to a power of ten; floor(y)
+    # then has 16 or 18 digits, and that k is redone.
     off = np.flatnonzero((q < _E16) | (q >= _E17))
     if off.size:
         k[off] += np.where(q[off] >= _E17, 1, -1)
         redo = _covered(normal[off], k[off], e[off])
         ok[off] = redo
-        missed = missed or not redo.all()
         keep, lost = off[redo], off[~redo]
-        q[keep], up[keep] = _scaled(m[keep], e[keep], k[keep])
-        q[lost], up[lost], k[lost] = _E16, False, 0
-    # No covered value lies within half a unit of its 17th digit below a power
-    # of ten, so N never rounds up to 10^17.
-    n = q + up
+        q[keep], frac[keep] = _scaled(m[keep], e[keep], k[keep])
+        m[lost], e[lost], k[lost] = _POWER_OF_TWO, -52, 0
+        q[lost], frac[lost] = _E16, 0
+    return x, bits, m, e, k, ok, q, frac
 
-    lead = n // _E16
-    rest = n - lead * _E16
-    by8, by4 = rest // 10**8, rest // 10**4
-    groups = np.empty((4, x.size), np.int64)  # the 4-digit groups after the lead digit
+
+def _digits(n):
+    """The 16 digits of each n in [0, 10^16), leading zeros included, as two
+    little-endian words of ASCII (digit i at byte i), and the four 4-digit
+    groups they come from."""
+    by8, by4 = n // 10**8, n // 10**4
+    groups = np.empty((4, n.size), np.int64)
     groups[0] = by8 // 10**4
     groups[1] = by8 - groups[0] * 10**4
     groups[2] = by4 - by8 * 10**4
-    groups[3] = rest - by4 * 10**4
-
+    groups[3] = n - by4 * 10**4
     packed = _GROUP_TEXT[groups].astype(_WORD)
-    # D: the lead digit at byte 7, then the groups, and a zero word after them.
-    digits = [(lead + ord("0")).astype(_WORD) << 56, packed[0] | packed[1] << 32,
-              packed[2] | packed[3] << 32, np.zeros_like(packed[0])]
+    return packed[0] | packed[1] << 32, packed[2] | packed[3] << 32, groups
+
+
+def _fill(cells, values, ok, fallback):
+    """Write ``fallback(v)`` into the cell of each value where ``ok`` is false."""
+    missed = np.flatnonzero(~ok)
+    if missed.size:
+        width = cells.shape[1]
+        text = np.array([fallback(v) for v in values[missed].tolist()], dtype=f"S{width}")
+        cells[missed] = text.view(np.uint8).reshape(-1, width)
+    return cells
+
+
+def _lay_out(x, bits, n, k, ok, layout, fallback) -> np.ndarray:
+    """The cells of the 17-digit numbers n with decimal exponents k, laid out
+    by ``layout``; ``fallback`` writes each value where ``ok`` is false."""
+    lead = n // _E16
+    high, low, groups = _digits(n - lead * _E16)
+    # D: the lead digit at byte 7, then the other 16, and a zero word after them.
+    digits = [(lead + ord("0")).astype(_WORD) << 56, high, low, np.zeros_like(low)]
     tz = _GROUP_TRAILING[groups]
     trailing = tz[3] + (tz[3] == 4) * (tz[2] + (tz[2] == 4) * (tz[1] + (tz[1] == 4) * tz[0]))
     key = (bits < 0) * ((_X_MAX - _X_MIN + 1) * 17)
     key += (k - _X_MIN) * 17 + 16
     key -= trailing
-    layout = _LAYOUT.take(key, axis=0)
-    right1, left1, right2, left2 = layout[:, 9], layout[:, 10], layout[:, 11], layout[:, 12]
+    rows = layout.take(key, axis=0)
+    right1, left1, right2, left2 = rows[:, 9], rows[:, 10], rows[:, 11], rows[:, 12]
 
     cells = np.empty((x.size, 3), _WORD)
     for w in range(3):
         here, ahead = digits[w], digits[w + 1]
-        word = ((here >> right1) | (ahead << left1)) & layout[:, w]
-        word |= ((here >> right2) | (ahead << left2)) & layout[:, 3 + w]
-        word |= layout[:, 6 + w]
+        word = ((here >> right1) | (ahead << left1)) & rows[:, w]
+        word |= ((here >> right2) | (ahead << left2)) & rows[:, 3 + w]
+        word |= rows[:, 6 + w]
         cells[:, w] = word
-    cells = cells.view(np.uint8)
+    return _fill(cells.view(np.uint8), x, ok, fallback)
 
-    if missed:
-        idx = np.flatnonzero(~ok)
-        text = np.array([fallback(v) for v in x[idx].tolist()], dtype=f"S{WIDTH}")
-        cells[idx] = text.view(np.uint8).reshape(-1, WIDTH)
-    return cells
+
+def render(values: np.ndarray, fallback) -> np.ndarray:
+    """The ``(len(values), WIDTH)`` uint8 cells of ``format(v, '.17g')``.
+
+    ``fallback(v)`` gives the text of each value the kernel does not cover.
+    """
+    x, bits, _, _, k, ok, q, frac = _split(values)
+    up = (frac > _HALF) | ((frac == _HALF) & (q & 1).astype(bool))
+    # No covered value lies within half a unit of its 17th digit below a power
+    # of ten, so round_half_even(y) never reaches 10^17.
+    return _lay_out(x, bits, q + up, k, ok, _LAYOUT, fallback)
+
+
+def _shortest(values):
+    """The values, their bits, the 17-digit numbers n of their shortest
+    digits with decimal exponents k, and where the kernel covers them; its
+    scratch is freed before the layout runs."""
+    x, bits, m, e, k, ok, q, frac = _split(values)
+    # u = 5^p / 2^t, t = 1 - e - p in [2, 64], as whole + part / 2^64.
+    five = _POW5[16 - k]
+    t = (k - 15 - e).view(np.uint64)
+    whole = ((five >> (t - np.uint64(1))) >> np.uint64(1)).view(np.int64)
+    part = five << (np.uint64(64) - t)
+    # The interval [lo, hi] = y ± u: integer parts and fraction bits.
+    hi_part = frac + part
+    hi = q + whole + (hi_part < frac)
+    lo = q - whole - (frac < part)
+    lo_part = frac - part
+    # Round half even reads an end of the interval back as x when m is even.
+    closed = (m & 1) == 0
+    first = lo + ~(closed & (lo_part == 0))  # the first and last integers in it
+    last = hi - (~closed & (hi_part == 0))
+    # The fewest digits are those of a multiple of the highest power of ten
+    # 10^j in the interval, the one nearest y (two as near are a tie).  The
+    # interval is 2u < 23 wide, so a multiple of 100 in it is the only one
+    # and the one of 10^j for every j >= 2; rounding y to 100 finds it, and
+    # its trailing zeros, counted with the digits, give its length.
+    j = (last // 10 * 10 >= first).view(np.int8) + (last // 100 * 100 >= first)
+    power = _POW10[j]
+    quot = q // power
+    twice = 2 * (q - quot * power) + (frac >> np.uint64(63)).view(np.int64)
+    rest = frac & (_HALF - np.uint64(1))
+    tie = (twice == power) & (rest == 0)
+    n = (quot + ((twice > power) | ((twice == power) & (rest != 0)))) * power
+    carry = n == _E17  # "1" at the next decimal exponent
+    k += carry
+    n[carry] = _E16
+    ok &= (m != _POWER_OF_TWO) & ~tie & (k <= 15)
+    return x, bits, n, k, ok
+
+
+def render_shortest(values: np.ndarray, fallback) -> np.ndarray:
+    """The ``(len(values), WIDTH)`` uint8 cells of ``repr(float(v))``.
+
+    ``fallback(v)`` gives the text of each value the kernel does not cover;
+    besides the magnitudes ``render`` leaves to it, those are the values
+    whose significand is a power of two (their lower neighbour is half as
+    near, so the interval is not symmetric), the values exactly halfway
+    between two candidates of the shortest length, and those whose digits
+    round up to ``1e+16``.
+    """
+    return _lay_out(*_shortest(values), _LAYOUT_REPR, fallback)
+
+
+def render_integers(values: np.ndarray, fallback) -> np.ndarray:
+    """The ``(len(values), INT_WIDTH)`` uint8 cells of ``str(int(v))`` for an
+    integer array.
+
+    Values in [0, 10^16) are laid out from the 4-digit group table: the 16
+    digits with their leading zeros, shifted left by one byte per zero.
+    ``fallback(v)`` gives the text of every other value.
+    """
+    v = np.ascontiguousarray(values).ravel()
+    ok = (v >= 0) & (v < _E16)
+    n = np.where(ok, v, 0).astype(np.int64)
+    head, tail, _ = _digits(n)
+    zeros = 16 - np.maximum(np.searchsorted(_POW10[:16], n, side="right"), 1)
+    wide = zeros >= 8  # the text starts in the second word
+    head = np.where(wide, tail, head)
+    tail = np.where(wide, 0, tail)
+    shift = ((zeros & 7) * 8).astype(_WORD)
+    cells = np.zeros((v.size, 3), _WORD)
+    cells[:, 0] = (head >> shift) | ((tail << np.uint64(1)) << (np.uint64(63) - shift))
+    cells[:, 1] = tail >> shift
+    return _fill(cells.view(np.uint8)[:, :INT_WIDTH], v, ok, fallback)

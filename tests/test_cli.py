@@ -619,8 +619,8 @@ class TestWriterGolden:
 
 
 class TestWriterFallback:
-    """Cells the g17 kernel leaves to _fmt, and integer cells, through the
-    chunked CSV writer against the per-cell reference."""
+    """Cells the g17 kernels leave to their fallback, and integer cells,
+    through the chunked writer against the per-cell reference."""
 
     @staticmethod
     def _check(columns, stride=1):
@@ -644,6 +644,27 @@ class TestWriterFallback:
         big = np.array(values * 700, dtype=np.int64)  # 5600 rows, over a chunk
         unsigned = np.array([0, 1, 2**64 - 1, 10**19] * 1400, dtype=np.uint64)
         self._check({"i": big, "u": unsigned, "x": big.astype(float)})
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_json_special_values_across_a_chunk_boundary(self, stride):
+        # The pipeline never writes these, so the golden cases cannot reach them.
+        n = 2 * CHUNK + 5
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, n)
+        specials = [0.0, -0.0, 5e-324, -2.5e-310, 1e-300, float("nan"), float("inf"),
+                    float("-inf"), 1.0, 1e16, 0.1]
+        x[CHUNK - 5 : CHUNK + 6] = specials  # rows CHUNK - 5 .. CHUNK + 5
+        x[-len(specials) :] = specials
+        ints = np.array([0, -1, 10**16, -(2**63), 2**63 - 1, 42] * n, dtype=np.int64)[:n]
+        columns = {"z": x, "b": -x[::-1].copy(), "n": ints, "u": ints.astype(np.uint64)}
+        summary = {"note": 1}
+        cfg = ExperimentConfig(output_format="json", stride=stride)
+        got = "".join(cli._table_text(cfg, columns, summary))
+        rows = [{name: columns[name][i].item() for name in columns} for i in range(0, n, stride)]
+        want = json.dumps({"rows": rows, "summary": summary}, indent=1, sort_keys=True) + "\n"
+        assert_same_text(got, want)
+        if stride == 1:
+            assert all(f'"z": {text}\n' in got for text in ("-0.0", "5e-324", "NaN", "-Infinity"))
 
 
 class TestConfigFile:

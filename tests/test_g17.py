@@ -1,4 +1,5 @@
-"""The g17 kernel against ``format(x, '.17g')``, one cell at a time."""
+"""The g17 kernels against ``format(x, '.17g')``, ``repr(x)`` and ``str(i)``,
+one cell at a time."""
 
 import math
 import os
@@ -16,17 +17,28 @@ from renormdiff import cli, g17
 from renormdiff.cli import _fmt
 
 
-def texts(values, fallback=_fmt):
+def texts(values, fallback=_fmt, kernel=g17.render, width=g17.WIDTH):
     """Each rendered cell with its NULs dropped."""
-    cells = g17.render(values, fallback)
-    assert cells.shape == (len(values), g17.WIDTH) and cells.dtype == np.uint8
+    cells = kernel(values, fallback)
+    assert cells.shape == (len(values), width) and cells.dtype == np.uint8
     return [bytes(cell[cell != 0]).decode("ascii") for cell in cells]
+
+
+def shortest(values, fallback=repr):
+    return texts(values, fallback, g17.render_shortest)
 
 
 def assert_cells_match(values):
     values = np.asarray(values, dtype=np.float64)
     got = texts(values)
     bad = [(v, g, _fmt(v)) for v, g in zip(values.tolist(), got) if g != _fmt(v)]
+    assert not bad, f"{len(bad)} of {len(values)} cells differ, first: {bad[:5]}"
+
+
+def assert_repr_match(values):
+    values = np.asarray(values, dtype=np.float64)
+    got = shortest(values)
+    bad = [(v, g) for v, g in zip(values.tolist(), got) if g != repr(v)]
     assert not bad, f"{len(bad)} of {len(values)} cells differ, first: {bad[:5]}"
 
 
@@ -124,6 +136,120 @@ class TestFamilies:
             assert power - Fraction(largest_below(power)) > power / 2 / 10**17
 
 
+class TestShortestProperties:
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats())
+    def test_any_float(self, x):
+        assert_repr_match([x])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    def test_any_array(self, xs):
+        assert_repr_match(xs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=1e-11, max_value=2.0**51, exclude_max=True), st.booleans())
+    def test_covered_range(self, x, negative):
+        assert_repr_match([-x if negative else x])
+
+
+class TestShortestFamilies:
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(21)
+        assert_repr_match(rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64))
+
+    def test_random_magnitudes_in_the_covered_range(self):
+        rng = np.random.default_rng(22)
+        scale = 10.0 ** rng.integers(-12, 17, 100_000)
+        assert_repr_match(rng.uniform(-10, 10, 100_000) * scale)
+
+    def test_short_decimals(self):
+        # Few digits, as in a time grid n * dt: the interval holds a multiple of
+        # a high power of ten.
+        rng = np.random.default_rng(23)
+        values = rng.integers(-10**6, 10**6, 50_000) / 10.0 ** rng.integers(0, 12, 50_000)
+        assert_repr_match(np.concatenate([values, np.arange(50_000) * 0.002]))
+
+    def test_power_of_two_significands(self):
+        # The lower neighbour of 2^i is half as near as the upper one.
+        values = [2.0**i for i in range(-40, 52)]
+        values += [math.nextafter(x, 0.0) for x in values] + [math.nextafter(x, math.inf) for x in values]
+        seen = []
+        assert shortest(values, lambda v: seen.append(v) or repr(v)) == [repr(x) for x in values]
+        assert set(values[:92]) <= set(seen)  # every power of two goes to the fallback
+
+    def test_ties_at_the_shortest_length(self):
+        # x = odd / 2^(p+1) puts y = x 10^p halfway between two integers, and
+        # x = odd / 4 near 2^50 puts it halfway between two multiples of ten
+        # with u = 6.25: ties at 17 and at 16 digits.
+        rng = np.random.default_rng(24)
+        ties = []
+        for p in range(1, 28):
+            lo = Fraction(10) ** (16 - p) * 2 ** (p + 1)
+            hi = min(Fraction(10) ** (17 - p) * 2 ** (p + 1), Fraction(2**53))
+            first, stop = math.ceil((lo - 1) / 2), math.ceil((hi - 1) / 2)
+            if stop > first:
+                ties += [(2 * i + 1) / 2 ** (p + 1) for i in rng.integers(first, stop, 200).tolist()]
+        ties += [(2 * i + 1) / 4 for i in rng.integers(2**50, 2**51, 2000).tolist()]
+        seen = []
+        got = shortest(ties + [-x for x in ties], lambda v: seen.append(v) or repr(v))
+        assert got == [repr(x) for x in ties + [-x for x in ties]]
+        assert len(seen) > len(ties)  # most of them are ties at the chosen length
+        assert {len(repr(x).replace(".", "")) for x in seen} >= {16, 17}
+
+    def test_shortest_form_rounds_up_to_a_power_of_ten(self):
+        # The doubles nearest 1e-7 and 1e-6 lie below them, so their 17 digits
+        # start 99999999999999999 and the shortest is the next power of ten.
+        values = [largest_below(Fraction(10) ** j) for j in range(-11, 16)]
+        assert repr(values[4]) == "1e-07" and math.floor(Fraction(values[4]) * 10**8) == 9
+        assert_repr_match(values + [-x for x in values])
+
+    @pytest.mark.parametrize("edge", [1e-5, 1e-4, 1e15, 2.0**51, 1e16])
+    def test_fixed_and_exponent_switch_points(self, edge):
+        values = [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)]
+        assert_repr_match(values + [-x for x in values])
+
+    def test_integral_values_end_in_point_zero(self):
+        values = [float(i) for i in range(1, 3000)] + [i * 1e4 for i in range(1, 300)]
+        values += [1e15, 2.0**50, 2.0**51 - 1, 123456789012345.0, 1e14 + 1, 3.0e-0]
+        got = shortest(values + [-x for x in values])
+        assert got == [repr(x) for x in values + [-x for x in values]]
+        assert got[0] == "1.0" and got[2998] == "2999.0"
+
+    def test_zeros_subnormals_and_non_finite(self):
+        assert_repr_match([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                           math.nan, -math.nan, math.inf, -math.inf, 1e-300, 1e300])
+
+
+class TestIntegers:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=64))
+    def test_any_int64(self, values):
+        got = texts(np.array(values, dtype=np.int64), _fmt, g17.render_integers, g17.INT_WIDTH)
+        assert got == [str(v) for v in values]
+
+    def test_every_length_and_edge(self):
+        values = [0, 9, 10, 99, 100, 10**15, 10**16 - 1, 10**16, 10**18, -1, 2**63 - 1, -(2**63)]
+        values += [10**i + d for i in range(16) for d in (-1, 0, 1)]
+        rng = np.random.default_rng(25)
+        values += rng.integers(0, 10 ** rng.integers(1, 17, 5000)).tolist()
+        got = texts(np.array(values, dtype=np.int64), _fmt, g17.render_integers, g17.INT_WIDTH)
+        assert got == [str(v) for v in values]
+
+    def test_unsigned_and_narrow(self):
+        unsigned = np.array([0, 1, 2**64 - 1, 10**19, 10**16 - 1], dtype=np.uint64)
+        assert texts(unsigned, _fmt, g17.render_integers, g17.INT_WIDTH) == [str(v) for v in unsigned.tolist()]
+        narrow = np.arange(-300, 300, 7, dtype=np.int16)
+        assert texts(narrow, _fmt, g17.render_integers, g17.INT_WIDTH) == [str(v) for v in narrow.tolist()]
+
+    def test_fallback_sees_only_uncovered_values(self):
+        seen = []
+        values = [5, 10**16 - 1, -1, 10**16, 0, -(2**63)]
+        got = texts(np.array(values), lambda v: seen.append(v) or str(v), g17.render_integers,
+                    g17.INT_WIDTH)
+        assert got == [str(v) for v in values] and seen == [-1, 10**16, -(2**63)]
+
+
 class TestInterface:
     def test_fallback_sees_only_uncovered_values(self):
         seen = []
@@ -138,6 +264,19 @@ class TestInterface:
         assert texts(np.array(covered + uncovered), fallback) == [_fmt(x) for x in covered + uncovered]
         assert seen[:2] == [0.0, 0.0] and seen[2:] == uncovered[2:]
 
+    def test_shortest_fallback_sees_only_uncovered_values(self):
+        seen = []
+
+        def fallback(x):
+            seen.append(x)
+            return repr(x)
+
+        covered = [1.5, -0.3, 123.456, 1.5e-11, -2.0**51 + 1, 1e15, 9.99e-5, 100.0]
+        # Uncovered magnitudes, then powers of two, then a tie at 16 digits.
+        uncovered = [0.0, math.inf, 1e-11, 2.0**51, 1e16, 5e-324, 1.0, -0.5, (2**51 + 1) / 4]
+        assert shortest(covered + uncovered, fallback) == [repr(x) for x in covered + uncovered]
+        assert seen == uncovered
+
     def test_strided_and_narrow_inputs(self):
         rng = np.random.default_rng(20)
         wide = rng.normal(size=3000) * 10.0 ** rng.integers(-6, 8, 3000)
@@ -147,16 +286,33 @@ class TestInterface:
 
     def test_empty(self):
         assert g17.render(np.zeros(0), _fmt).shape == (0, g17.WIDTH)
+        assert g17.render_shortest(np.zeros(0), repr).shape == (0, g17.WIDTH)
+        assert g17.render_integers(np.zeros(0, np.int64), _fmt).shape == (0, g17.INT_WIDTH)
 
     def test_cli_cell_width(self):
-        assert cli._CELL_WIDTH["f"] == g17.WIDTH
+        assert cli._CELL_WIDTH == {"f": g17.WIDTH, "i": g17.INT_WIDTH, "u": g17.INT_WIDTH}
 
     def test_cli_import_leaves_tables_unbuilt(self):
-        # Only a CSV float column needs the tables; JSON and sweep runs skip them.
+        # Only an array column needs the tables: importing the CLI, building
+        # its parser and writing a sweep's list columns in either format skip
+        # them, and the first array column builds them.
         src = os.path.dirname(os.path.dirname(renormdiff.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = "import sys, renormdiff.cli; print('renormdiff.g17' in sys.modules)"
+        code = (
+            "import sys, numpy as np, renormdiff.cli as cli\n"
+            "def built(): return 'renormdiff.g17' in sys.modules\n"
+            "print(built())\n"
+            "cli.build_parser()\n"
+            "print(built())\n"
+            "for fmt in ('csv', 'json'):\n"
+            "    cfg = cli.ExperimentConfig(output_format=fmt)\n"
+            "    ''.join(cli._table_text(cfg, {'value': [0.5, 1.5], 'x': [None, 2]}, {}))\n"
+            "print(built())\n"
+            "cfg = cli.ExperimentConfig(output_format='json')\n"
+            "''.join(cli._table_text(cfg, {'x': np.ones(3)}, None))\n"
+            "print(built())\n"
+        )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.split() == ["False", "False", "False", "True"]
