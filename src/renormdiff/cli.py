@@ -212,7 +212,7 @@ def _json_text(value) -> str:
 
 # Rows formatted per chunk: a chunk's text is about 0.6 MB of compare CSV or
 # 1.1 MB of JSON, so a long run is never held in memory as one document.  A
-# chunk also holds its byte matrix (0.8 MB of compare CSV, 1.6 MB of JSON)
+# chunk also holds its byte matrix (0.8 MB of compare CSV, 1.4 MB of JSON)
 # and, while g17 renders one float column into it, about 1.5 MB of kernel
 # scratch (350 B per value).
 _CHUNK_ROWS = 4096

@@ -19,10 +19,12 @@ unit in the last place in units of ``10^-p``, and the digits are those of
 
 A cell is the text NUL-padded to ``WIDTH`` bytes, the widest ``'%.17g'`` or
 ``repr`` of a float64.  The 17 digits are laid out as bytes 7..23 of three
-little-endian uint64 words.  One row of a layout table, keyed by (sign,
+little-endian uint64 words.  One row of the layout table, keyed by (sign,
 decimal exponent, number of digits kept), places them in the cell: the digits
 before the point move by one byte shift, those after it by another, each
-under a mask, and the sign, point, leading zeros and exponent are added.
+under a mask, and the sign, point, leading zeros and exponent are added.  The
+two texts share that layout but for one case: ``repr`` writes a whole number
+with ``.0`` after it.
 ``render_integers`` writes the decimal text of an integer array from the same
 4-digit groups.
 """
@@ -59,25 +61,22 @@ def _group_tables():
 _GROUP_TEXT, _GROUP_TRAILING = _group_tables()
 
 
-def _layout_rows(x: np.ndarray, form: str, point_zero: bool = False) -> np.ndarray:
+def _layout_rows(x: np.ndarray, form: str) -> np.ndarray:
     """The layout rows of the decimal exponents x, which share one ``%g``
     form ("below one", "fixed" or "exponent"), per sign and number of digits
     kept: masks of the digits before and after the point and the constant
     bytes (3 words each), then the byte shifts a1 and a2 as bit counts 8a and
     64 - 8a.  A cell is ``(D >> a1 & mask1) | (D >> a2 & mask2) | constant``,
-    D read as one little-endian number.  With ``point_zero`` a fixed-form
-    cell with no digit after the point ends in ``.0``, as ``repr`` writes it."""
-    # int8 positions and uint8 bytes keep the scratch of the build small.
-    sign = np.arange(2, dtype=np.int8)[:, None, None, None]
-    x = x.astype(np.int8)[None, :, None, None]
-    kept = np.arange(1, 18, dtype=np.int8)[None, None, :, None]
-    pos = np.arange(WIDTH, dtype=np.int8)[None, None, None, :]
-    none = np.uint8(0)
+    D read as one little-endian number."""
+    sign = np.arange(2)[:, None, None, None]
+    x = x[None, :, None, None]
+    kept = np.arange(1, 18)[None, None, :, None]
+    pos = np.arange(WIDTH)[None, None, None, :]
     if form == "below one":  # "0.", -x-1 zeros, the digits
         first = sign + 1 - x
         mask1 = (pos >= first) & (pos < first + kept)
         mask2 = np.zeros_like(mask1)
-        const = np.where((pos >= sign) & (pos < first), ord("0"), none)
+        const = np.where((pos >= sign) & (pos < first), ord("0"), 0)
         const = np.where(pos == sign + 1, ord("."), const)
     else:  # the digits, a point after digit `before` when more follow, any exponent
         first = sign
@@ -86,38 +85,30 @@ def _layout_rows(x: np.ndarray, form: str, point_zero: bool = False) -> np.ndarr
         after = kept > before + 1
         mask1 = (pos >= sign) & (pos < point)
         mask2 = after & (pos > point) & (pos <= sign + kept)
-        const = np.where((after | point_zero) & (pos == point), ord("."), none)
-        if point_zero:
-            const = np.where(~after & (pos == point + 1), ord("0"), const)
+        const = np.where(after & (pos == point), ord("."), 0)
         if form == "exponent":  # "e-dd": x is from -11 to -5 here
             at = np.where(after, sign + kept + 1, sign + 1)
             const = np.where(pos == at, ord("e"), const)
             const = np.where(pos == at + 1, ord("-"), const)
-            const = np.where(pos == at + 2, (-x // 10 + ord("0")).astype(np.uint8), const)
-            const = np.where(pos == at + 3, (-x % 10 + ord("0")).astype(np.uint8), const)
+            const = np.where(pos == at + 2, -x // 10 + ord("0"), const)
+            const = np.where(pos == at + 3, -x % 10 + ord("0"), const)
     const = np.where((sign == 1) & (pos == 0), ord("-"), const)
     shape = (2, x.shape[1], 17)
     rows = np.empty((*shape, 13), _WORD)
-    full = np.uint8(0xFF)
-    parts = [np.broadcast_to(part, (*shape, WIDTH)) for part in (mask1 * full, mask2 * full, const)]
-    rows[..., :9] = np.concatenate(parts, axis=-1).view(_WORD)
+    parts = [np.broadcast_to(part, (*shape, WIDTH)) for part in (mask1 * 0xFF, mask2 * 0xFF, const)]
+    rows[..., :9] = np.concatenate(parts, axis=-1).astype(np.uint8).view(_WORD)
     a1 = np.broadcast_to(7 - first[..., 0], shape)  # digit j sits at byte 7 + j of D
     a2 = np.broadcast_to(6 - sign[..., 0], shape)
     rows[..., 9:] = np.stack([8 * a1, 64 - 8 * a1, 8 * a2, 64 - 8 * a2], axis=-1)
     return rows
 
 
-def _layout_table(point_zero: bool) -> np.ndarray:
-    """(2 * 28 * 17, 13) words per key (sign, decimal exponent, digits kept)."""
-    return np.concatenate([
-        _layout_rows(np.arange(_X_MIN, -4), "exponent"),
-        _layout_rows(np.arange(-4, 0), "below one"),
-        _layout_rows(np.arange(0, _X_MAX + 1), "fixed", point_zero),
-    ], axis=1).reshape(-1, 13)
-
-
-_LAYOUT = _layout_table(point_zero=False)  # '%.17g'
-_LAYOUT_REPR = _layout_table(point_zero=True)  # repr: '100.0', not '100'
+# (2 * 28 * 17, 13) words per key (sign, decimal exponent, digits kept).
+_LAYOUT = np.concatenate([
+    _layout_rows(np.arange(_X_MIN, -4), "exponent"),
+    _layout_rows(np.arange(-4, 0), "below one"),
+    _layout_rows(np.arange(0, _X_MAX + 1), "fixed"),
+], axis=1).reshape(-1, 13)
 
 
 def _covered(normal, k, e):
@@ -284,7 +275,15 @@ def render_shortest(values: np.ndarray, fallback) -> np.ndarray:
     between two candidates of the shortest length, and those whose digits
     round up to ``1e+16``.
     """
-    return _lay_out(*_shortest(values), _LAYOUT_REPR, fallback)
+    x, bits, n, k, ok = _shortest(values)
+    cells = _lay_out(x, bits, n, k, ok, _LAYOUT, fallback)
+    # repr ends a whole number in ".0": a fixed-form cell with no digit
+    # after the point, that is one whose digits after the first k + 1 are 0.
+    integral = np.flatnonzero(ok & (n % _POW10[np.minimum(16 - k, 17)] == 0))
+    end = (bits[integral] < 0) + k[integral] + 1
+    cells[integral, end] = ord(".")
+    cells[integral, end + 1] = ord("0")
+    return cells
 
 
 def render_integers(values: np.ndarray, fallback) -> np.ndarray:
