@@ -190,9 +190,9 @@ def _fill(cells, values, ok, fallback):
     return cells
 
 
-def _lay_out(x, bits, n, k, ok, layout, fallback) -> np.ndarray:
-    """The cells of the 17-digit numbers n with decimal exponents k, laid out
-    by ``layout``; ``fallback`` writes each value where ``ok`` is false."""
+def _lay_out(x, bits, n, k, ok, fallback) -> np.ndarray:
+    """The cells of the 17-digit numbers n with decimal exponents k, by the
+    layout table; ``fallback`` writes each value where ``ok`` is false."""
     lead = n // _E16
     high, low, groups = _digits(n - lead * _E16)
     # D: the lead digit at byte 7, then the other 16, and a zero word after them.
@@ -202,7 +202,7 @@ def _lay_out(x, bits, n, k, ok, layout, fallback) -> np.ndarray:
     key = (bits < 0) * ((_X_MAX - _X_MIN + 1) * 17)
     key += (k - _X_MIN) * 17 + 16
     key -= trailing
-    rows = layout.take(key, axis=0)
+    rows = _LAYOUT.take(key, axis=0)
     right1, left1, right2, left2 = rows[:, 9], rows[:, 10], rows[:, 11], rows[:, 12]
 
     cells = np.empty((x.size, 3), _WORD)
@@ -224,7 +224,7 @@ def render(values: np.ndarray, fallback) -> np.ndarray:
     up = (frac > _HALF) | ((frac == _HALF) & (q & 1).astype(bool))
     # No covered value lies within half a unit of its 17th digit below a power
     # of ten, so round_half_even(y) never reaches 10^17.
-    return _lay_out(x, bits, q + up, k, ok, _LAYOUT, fallback)
+    return _lay_out(x, bits, q + up, k, ok, fallback)
 
 
 def _shortest(values):
@@ -276,7 +276,7 @@ def render_shortest(values: np.ndarray, fallback) -> np.ndarray:
     round up to ``1e+16``.
     """
     x, bits, n, k, ok = _shortest(values)
-    cells = _lay_out(x, bits, n, k, ok, _LAYOUT, fallback)
+    cells = _lay_out(x, bits, n, k, ok, fallback)
     # repr ends a whole number in ".0": a fixed-form cell with no digit
     # after the point, that is one whose digits after the first k + 1 are 0.
     integral = np.flatnonzero(ok & (n % _POW10[np.minimum(16 - k, 17)] == 0))
@@ -298,7 +298,7 @@ def render_integers(values: np.ndarray, fallback) -> np.ndarray:
     ok = (v >= 0) & (v < _E16)
     n = np.where(ok, v, 0).astype(np.int64)
     head, tail, _ = _digits(n)
-    zeros = 16 - np.maximum(np.searchsorted(_POW10[:16], n, side="right"), 1)
+    zeros = (n < _POW10[1:16, None]).sum(axis=0)  # leading zeros of the 16 digits
     wide = zeros >= 8  # the text starts in the second word
     head = np.where(wide, tail, head)
     tail = np.where(wide, 0, tail)
