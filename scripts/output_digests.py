@@ -8,7 +8,7 @@ again, tagged ``[stdout]`` and ``[stderr]``, for what the run wrote to stdout
 and to stderr.  The output path in the printed argv is the placeholder
 ``OUT.csv``/``OUT.json``, the path of ``src/`` in stderr is ``SRC`` and the
 line number a warning names in a package file is ``LINE``, so checkouts at
-different paths, and code moved within a file, agree.  Three runs end in a numerical failure (exit 3), so
+different paths, and code moved within a file, agree.  Four runs end in a numerical failure (exit 3), so
 the stderr digests pin the failure messages and the step each one names.
 
 A change that must not alter a byte is checked by running this script in a
@@ -44,6 +44,10 @@ LONG = ["--dt=0.004", "--t-max=200", "--eps=0.01", "--a0-re=0.5", "--a0-im=-3e-0
 # implicit coefficient vanishes at n=1.
 DIVERGING = ["--kind=cubic", "--dt=1.5", "--t-max=30", "--eps=0.4", "--a0-re=50"]
 SINGULAR = ["--kind=vdp", "--dt=0.1", "--t-max=30", "--eps=10", "--a0-re=1e-7"]
+# kappa = 1 + c = -2: the continuum Van der Pol envelope blows up at t = 94.02,
+# so the compare fails at its first step past that, n=1881.
+BLOW_UP = ["--kind=vdp", "--dt=0.05", "--t-max=400", "--a0-re=0.3", "--a0-im=-0.9",
+           "--kappa-convention=one-plus-c"]
 
 
 def matrix() -> list[tuple[list[str], str]]:
@@ -70,6 +74,7 @@ def matrix() -> list[tuple[list[str], str]]:
     runs.append((["simulate", *DIVERGING], "csv"))
     runs.append((["compare", *DIVERGING], "csv"))
     runs.append((["simulate", *SINGULAR], "csv"))
+    runs.append((["compare", *BLOW_UP], "csv"))
     for a0_re in ("1.0", "1.5"):  # Van der Pol from the limit cycle and from above it
         runs.append((["compare", "--kind=vdp", *BASE[:3], f"--a0-re={a0_re}"], "csv"))
     # A tiny amplitude writes its trajectories in exponent form (below 1e-5) and

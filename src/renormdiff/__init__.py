@@ -9,7 +9,7 @@ away, globally valid asymptotic solutions, an exact-iteration oracle, and the
 measurement layer used to compare them.
 """
 
-from .analysis import ErrorProfile, PeriodEstimate, SlopeFit, compare, envelope, zero_crossing_period
+from .analysis import ErrorProfile, PeriodEstimate, compare, envelope, zero_crossing_period
 from .asymptotic import (
     GlobalSolution,
     assemble_modes,
@@ -57,6 +57,7 @@ from .perturbation import (
 )
 from .renormalization import (
     AmplitudeFlow,
+    EnvelopeDomainError,
     KappaConvention,
     build_flow,
     conserved_constant,

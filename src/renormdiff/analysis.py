@@ -16,7 +16,6 @@ from .oracle import Trajectory
 __all__ = [
     "ErrorProfile",
     "PeriodEstimate",
-    "SlopeFit",
     "compare",
     "zero_crossing_period",
     "envelope",
@@ -39,48 +38,26 @@ class ErrorProfile:
     slope: float
 
 
-class SlopeFit:
-    """The x side of np.polyfit(x, y, 1), built once for every y on the same x.
-
-    The Vandermonde matrix [x, 1] with each column divided by its norm
-    `scale`, and rcond = len(x) * eps: np.polyfit's own arithmetic, so
-    slope(y) is np.polyfit(x, y, 1)[0] bit for bit, at one lstsq per y.
-    """
-
-    def __init__(self, x):
-        x = np.asarray(x) + 0.0
-        design = np.vander(x, 2)
-        self.scale = np.sqrt((design * design).sum(axis=0))
-        design /= self.scale
-        self.design = design
-        self.rcond = len(x) * np.finfo(x.dtype).eps
-
-    def __len__(self) -> int:
-        return self.design.shape[0]
-
-    def slope(self, y) -> float:
-        """Least-squares slope of y against x."""
-        coef = np.linalg.lstsq(self.design, y, self.rcond)[0]
-        return float(coef[0] / self.scale[0])
-
-
-def compare(a: Trajectory, b: Trajectory, fit: SlopeFit | None = None) -> ErrorProfile:
+def compare(a: Trajectory, b: Trajectory) -> ErrorProfile:
     """Absolute pointwise differences |a - b| with a secular-growth fit.
 
-    `fit` is the slope fit over a.times; callers comparing several
-    trajectories on one time grid build it once.
+    The slope is the least-squares one of the running maximum y against the
+    times t, in its centred closed form sum(tc (y - ybar)) / sum(tc^2) with
+    tc = t - tbar; it is np.polyfit(t, y, 1)[0] to within 1e-13 max|y| / span(t).
     """
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     if a.dt != b.dt:
         raise ValueError(f"time-step mismatch: {a.dt} vs {b.dt}")
-    if fit is not None and len(fit) != len(a):
-        raise ValueError(f"slope fit over {len(fit)} times, trajectories of {len(a)}")
     diffs = np.abs(a.values - b.values)
     running_max = np.maximum.accumulate(diffs)
     slope = 0.0
     if len(a) > 1:
-        slope = (SlopeFit(a.times) if fit is None else fit).slope(running_max)
+        # Elementwise products and sums: a BLAS dot product runs on all of
+        # OpenBLAS's threads, 16 ms against 0.1 ms at 5e4 points on 2 vCPUs.
+        tc = a.times
+        tc -= tc.mean()
+        slope = float((tc * (running_max - running_max.mean())).sum() / (tc * tc).sum())
     return ErrorProfile(diffs=diffs, max_abs=float(diffs.max()), slope=slope)
 
 

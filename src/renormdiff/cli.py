@@ -5,8 +5,9 @@ command-line flags; flags win.  Output is CSV (17-significant-digit floats,
 byte-stable across runs) or JSON mirroring the same field names.  Exit codes:
 0 success, 2 configuration error (an output path that cannot be opened
 included), 3 numerical failure: a diverging or singular oracle step, an
-amplitude flow past its guard or a non-finite model column, each named with
-the step where it happened.
+amplitude flow past its guard, a continuum envelope that blows up before
+t_max or a non-finite model column, each named with the step where it
+happened.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import SlopeFit, compare, envelope, zero_crossing_period
+from .analysis import compare, envelope, zero_crossing_period
 from .asymptotic import GlobalSolution, assemble_modes, discrete_fundamental
 from .lineardiff import RootConvention, Scheme, SchemeParams, characteristic_roots, power_table
 from .oracle import (
@@ -32,7 +33,7 @@ from .oracle import (
     iterate,
 )
 from .perturbation import Nonlinearity, Variant, naive_solution
-from .renormalization import KappaConvention, build_flow, flow_path
+from .renormalization import EnvelopeDomainError, KappaConvention, build_flow, flow_path
 
 __all__ = ["ExperimentConfig", "main", "entry", "run_compare_pipeline"]
 
@@ -354,12 +355,10 @@ class _GridTables:
 
     powers: tuple  # (base, power_table(base, n)) for the naive sum's lam_p and lam_p^3
     fundamental: np.ndarray  # lam_p^n, the table paired with lam_p
-    cubed: np.ndarray  # fundamental**3
-    fit: SlopeFit  # the slope fit over the times n dt
 
 
 def _grid_tables(cfg: ExperimentConfig) -> _GridTables:
-    """The tables of cfg's time grid, built the way run_compare_pipeline builds them."""
+    """The tables of cfg's time grid: lam_p^n and lam_p^{3n}."""
     params = _scheme_params(cfg)
     n = np.arange(_steps(cfg) + 1)
     lam_p = characteristic_roots(params)[0]
@@ -367,19 +366,16 @@ def _grid_tables(cfg: ExperimentConfig) -> _GridTables:
     return _GridTables(
         powers=((lam_p, fundamental), (lam_p**3, power_table(lam_p**3, n))),
         fundamental=fundamental,
-        cubed=fundamental**3,
-        fit=SlopeFit(n * cfg.dt),
     )
 
 
 def run_compare_pipeline(cfg: ExperimentConfig, grid: _GridTables | None = None) -> tuple[dict, dict]:
     """Oracle vs naive vs renormalized trajectories, plus summary statistics.
 
-    Returns (columns, summary); every summary entry is recomputable from the
-    columns alone.  `grid` holds the time grid's tables when the caller shares
-    them between pipelines; without it each table is built where it is first
-    needed and dropped after its last use, and lam_p^{3n} is left to the
-    naive sum.  Either way the bytes are the same.
+    Returns (columns, summary); at stride 1 every summary entry is
+    recomputable from the written rows.  `grid` holds the time grid's tables
+    when the caller shares them between pipelines; without it the pipeline
+    builds them itself, after the oracle.  Either way the bytes are the same.
     """
     kind = _nonlinearity(cfg)
     params = _scheme_params(cfg)
@@ -389,19 +385,22 @@ def run_compare_pipeline(cfg: ExperimentConfig, grid: _GridTables | None = None)
     n_steps = len(oracle_traj) - 1
     n = np.arange(n_steps + 1)
 
-    # lam_p^n once, for the naive sum and both renormalized forms: the discrete
-    # form of the continuum amplitude (what sol.eval_discrete(n) gives) and the flow's.
     if grid is None:
-        fundamental = discrete_fundamental(params, n)
-        powers = ((characteristic_roots(params)[0], fundamental),)
-    else:
-        fundamental, powers = grid.fundamental, grid.powers
+        grid = _grid_tables(cfg)
+    # lam_p^n once, for the naive sum and both renormalized forms: the discrete
+    # form of the continuum amplitude (what sol.eval_discrete(n) gives) and the
+    # flow's.  Unless a caller shares the grid, lam_p^{3n} is freed with it.
+    fundamental = grid.fundamental
+    z_naive = naive_solution(kind, a0, params, n, grid.powers)
+    del grid
     # Checked at once: an overflowing naive sum stops before the renormalized forms.
-    z_naive = naive_solution(kind, a0, params, n, powers)
     _require_finite("z_naive", z_naive)
 
-    cubed = fundamental**3 if grid is None else grid.cubed
-    z_renorm_continuum = assemble_modes(kind, params, sol.amplitude_at(n * cfg.dt), fundamental, cubed)
+    cubed = fundamental**3
+    try:
+        z_renorm_continuum = assemble_modes(kind, params, sol.amplitude_at(n * cfg.dt), fundamental, cubed)
+    except EnvelopeDomainError as exc:  # a valid a0 whose envelope blows up before t_max
+        raise DivergenceError(f"z_renorm_continuum at n={exc.index}: {exc}") from None
 
     flow = build_flow(kind, params)
     # By keyword: perfbench/tracing.py reads the step count from `steps`.
@@ -409,13 +408,12 @@ def run_compare_pipeline(cfg: ExperimentConfig, grid: _GridTables | None = None)
     z_renorm_discrete = assemble_modes(kind, params, amp_path, fundamental, cubed)
     # Freed before the analysis: held through it, lam_p^n, its cube and the flow
     # would lift the peak memory above the naive sum's.
-    del fundamental, cubed, powers, amp_path
+    del fundamental, cubed, amp_path
     _require_finite("z_renorm_discrete", z_renorm_discrete)
     _require_finite("z_renorm_continuum", z_renorm_continuum)
 
-    fit = SlopeFit(oracle_traj.times) if grid is None else grid.fit
-    naive_profile = compare(oracle_traj, Trajectory(cfg.dt, z_naive), fit)
-    renorm_profile = compare(oracle_traj, Trajectory(cfg.dt, z_renorm_continuum), fit)
+    naive_profile = compare(oracle_traj, Trajectory(cfg.dt, z_naive))
+    renorm_profile = compare(oracle_traj, Trajectory(cfg.dt, z_renorm_continuum))
 
     summary = {
         "max_err_naive": naive_profile.max_abs,

@@ -30,6 +30,7 @@ __all__ = [
     "flow_path",
     "solve_cubic_continuum",
     "solve_vdp_continuum",
+    "EnvelopeDomainError",
     "kappa_value",
     "conserved_constant",
     "continuum_amplitude",
@@ -37,6 +38,15 @@ __all__ = [
 ]
 
 _FLOW_OVERFLOW_LIMIT = 1e12
+
+
+class EnvelopeDomainError(ValueError):
+    """The Van der Pol envelope's denominator is <= 0 (A1 blew up in finite
+    time), first at position `index` of the flattened times."""
+
+    def __init__(self, index: int, t: float):
+        super().__init__(f"envelope denominator vanishes at t={t:g}; solution leaves its domain")
+        self.index = index
 
 
 class KappaConvention(Enum):
@@ -176,15 +186,19 @@ def solve_vdp_continuum(
     A1(t) = a1 / sqrt(kappa a1^2 + (1 - kappa a1^2) e^{-2 rate t}) satisfies
     A1' = rate A1 (1 - kappa A1^2) exactly from any a1 != 0, below or above
     the limit sign(a1)/sqrt(kappa) that it tends to as t grows; the component
-    ratio Im(A)/Re(A) stays c.  Accepts scalar or array t.
+    ratio Im(A)/Re(A) stays c.  Accepts scalar or array t.  A denominator
+    <= 0 (kappa < 0 blows A1 up; an underflowed kappa a1^2 lets it underflow
+    to 0) raises EnvelopeDomainError, a ValueError naming the first such t.
     """
     if a1 == 0.0:
         raise ValueError("initial amplitude must be nonzero")
     settled = kappa_value(c, convention) * a1 * a1
     t_arr = np.asarray(t, dtype=float)
     denom = settled + (1.0 - settled) * np.exp(-2.0 * rate * t_arr)
-    if np.any(denom <= 0.0):
-        raise ValueError("envelope denominator vanishes; solution leaves its domain")
+    vanishes = np.flatnonzero(denom <= 0.0)
+    if vanishes.size:
+        first = int(vanishes[0])
+        raise EnvelopeDomainError(first, float(np.ravel(t_arr)[first]))
     a = a1 / np.sqrt(denom) * (1.0 + 1j * c)
     if t_arr.ndim == 0:
         return complex(a)

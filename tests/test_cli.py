@@ -280,6 +280,13 @@ class TestCompare:
             rows[:, header.index("z_oracle")] - rows[:, header.index("z_naive")]
         )
         assert err_naive.max() == pytest.approx(summary["max_err_naive"], rel=1e-12)
+        t = rows[:, header.index("t")]
+        for name in ("naive", "renorm"):
+            err = rows[:, header.index(f"err_{name}")]
+            assert summary[f"max_err_{name}"] == err.max()
+            # the bound of the slope's own test against np.polyfit
+            want = np.polyfit(t, np.maximum.accumulate(err), 1)[0]
+            assert abs(summary[f"slope_err_{name}"] - want) <= 1e-13 * err.max() / (t[-1] - t[0])
 
     @pytest.mark.parametrize("a0_re", ["0.3", "0.1"])
     def test_vdp_nonpositive_kappa_runs(self, tmp_path, a0_re):
@@ -294,6 +301,23 @@ class TestCompare:
         assert code == 0
         header, rows, _ = read_csv(out)
         assert np.all(np.isfinite(rows[:, header.index("err_renorm")]))
+
+    def test_vdp_envelope_blow_up_is_a_numerical_failure(self, tmp_path, capsys):
+        # kappa = 1 + c = -2: the continuum envelope's denominator
+        # -0.18 + 1.18 e^{-2 eps t} reaches 0 at t = 94.02, so a valid config
+        # runs to t_max = 20 and fails at the first step past it at t_max = 400
+        out = tmp_path / "cmp.csv"
+        argv = ["compare", "--kind", "vdp", "--a0-re", "0.3", "--a0-im", "-0.9",
+                "--kappa-convention", "one-plus-c", "--dt", "0.05", "--output-path", str(out)]
+        assert main([*argv, "--t-max", "20"]) == 0
+        out.unlink()
+        capsys.readouterr()
+        assert main([*argv, "--t-max", "400"]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: z_renorm_continuum at n=1881: envelope denominator "
+            "vanishes at t=94.05; solution leaves its domain\n"
+        )
+        assert not out.exists()
 
     def test_vdp_out_of_reach_rejected_before_the_oracle(self, tmp_path, monkeypatch, capsys):
         # kappa a0_re^2 underflows to 0 at 1e-200: the envelope's limit is out

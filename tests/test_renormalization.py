@@ -21,6 +21,7 @@ from renormdiff.perturbation import (
 )
 from renormdiff.renormalization import (
     AmplitudeFlow,
+    EnvelopeDomainError,
     KappaConvention,
     build_flow,
     conserved_constant,
@@ -372,6 +373,13 @@ class TestVdpContinuum:
         # kappa < 0 with a large constant drives the denominator through zero
         with pytest.raises(ValueError):
             solve_vdp_continuum(1.0, -3.0, 0.05, 40.0, C_LIN)
+
+    def test_domain_error_names_the_first_time(self):
+        # kappa = -2: the denominator -2 + 3 e^{-0.1 t} reaches 0 at t = 4.05
+        t = np.arange(10) * 1.0
+        with pytest.raises(EnvelopeDomainError, match="vanishes at t=5;") as info:
+            solve_vdp_continuum(1.0, -3.0, 0.05, t, C_LIN)
+        assert info.value.index == 5
 
     def test_zero_constant_rejected(self):
         with pytest.raises(ValueError):
