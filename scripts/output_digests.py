@@ -75,6 +75,11 @@ def matrix() -> list[tuple[list[str], str]]:
     runs.append((["compare", *DIVERGING], "csv"))
     runs.append((["simulate", *SINGULAR], "csv"))
     runs.append((["compare", *BLOW_UP], "csv"))
+    # At exact roots and dt = 1, lam_p^3 = -1 is real, so the first-order sum
+    # merges its lam_p^3 and lam_m^3 terms onto one base.
+    for kind in ("cubic", "vdp"):
+        runs.append((["compare", f"--kind={kind}", "--dt=1", "--root-convention=exact",
+                      *BASE[1:]], "csv"))
     for a0_re in ("1.0", "1.5"):  # Van der Pol from the limit cycle and from above it
         runs.append((["compare", "--kind=vdp", *BASE[:3], f"--a0-re={a0_re}"], "csv"))
     # A tiny amplitude writes its trajectories in exponent form (below 1e-5) and

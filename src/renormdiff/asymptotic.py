@@ -17,11 +17,10 @@ from .lineardiff import (
     HarmonicSum,
     SchemeParams,
     characteristic_roots,
-    is_resonant,
     particular_solution,
     power_table,
 )
-from .perturbation import Nonlinearity, Variant, _forcing_terms
+from .perturbation import Nonlinearity, Variant, _forcing_terms, _third_harmonic_base
 from .renormalization import (
     KappaConvention,
     conserved_constant,
@@ -36,23 +35,6 @@ __all__ = [
     "discrete_fundamental",
     "assemble_modes",
 ]
-
-
-def _third_harmonic_base(params: SchemeParams) -> complex:
-    """The base lam_p^3 of the third harmonic, checked to be non-resonant.
-
-    Below dt of about 1.6e-5 the characteristic polynomial at lam_p^3, about
-    -8 dt^2, falls within resonance_tolerance, so particular_solution would
-    file the third harmonic as secular (or as degenerate at smaller dt) and
-    its coefficient would read 0; that is refused with a ValueError naming dt.
-    """
-    base = characteristic_roots(params)[0] ** 3
-    if is_resonant(base, params):
-        raise ValueError(
-            f"dt = {params.dt} is too small to resolve the third harmonic: its "
-            f"base lam_p^3 = {base} lies within the resonance tolerance"
-        )
-    return base
 
 
 def third_harmonic_coefficient(kind: Nonlinearity, params: SchemeParams) -> complex:
@@ -78,7 +60,6 @@ def assemble_modes(
     params: SchemeParams,
     amplitudes,
     fundamental,
-    cubed=None,
 ) -> np.ndarray:
     """Real expansion 2 Re[A F + eps kappa3 A^3 F^3] per index.
 
@@ -86,15 +67,13 @@ def assemble_modes(
     arrays that broadcast together); the conjugate half of the expansion is
     implicit in taking twice the real part.  F = lam_p^n = exp(n log lam_p)
     gives the discrete form and F = e^{i t} the continuum waveform; callers
-    that evaluate several forms at the same indices compute F once, and
-    `cubed` = F**3 with it (computed here when omitted; a pow, whose
-    rounding differs from F*F*F).
+    that evaluate several forms at the same indices compute F once.  F^3 is
+    the pow F**3, whose rounding differs from F*F*F.
     """
     amp = np.asarray(amplitudes, dtype=complex)
     fundamental = np.asarray(fundamental, dtype=complex)
-    cubed = fundamental**3 if cubed is None else np.asarray(cubed, dtype=complex)
     k3 = third_harmonic_coefficient(kind, params)
-    value = amp * fundamental + params.eps * k3 * amp**3 * cubed
+    value = amp * fundamental + params.eps * k3 * amp**3 * fundamental**3
     out = 2.0 * value.real
     if out.ndim == 0:
         return float(out)

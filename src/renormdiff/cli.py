@@ -24,7 +24,7 @@ import numpy as np
 
 from .analysis import compare, envelope, zero_crossing_period
 from .asymptotic import GlobalSolution, assemble_modes, discrete_fundamental
-from .lineardiff import RootConvention, Scheme, SchemeParams, characteristic_roots, power_table
+from .lineardiff import RootConvention, Scheme, SchemeParams
 from .oracle import (
     DivergenceError,
     SingularStepError,
@@ -171,13 +171,30 @@ def _nonlinearity(cfg: ExperimentConfig) -> Nonlinearity:
 
 
 def _global_solution(cfg: ExperimentConfig, kind: Nonlinearity, params: SchemeParams) -> GlobalSolution:
-    """The renormalized solution; raises ValueError for an a0 it cannot evaluate."""
-    return GlobalSolution(
+    """The renormalized solution; raises ValueError for an a0 it cannot
+    evaluate, and DivergenceError for a Van der Pol envelope that blows up
+    before t_max.
+
+    The envelope's denominator is monotone in t at a rate >= 0, so its value
+    at the grid's last time decides whether any step fails; only then is the
+    whole grid evaluated, to name the first step that does.
+    """
+    sol = GlobalSolution(
         kind,
         params,
         complex(cfg.a0_re, cfg.a0_im),
         kappa_convention=_KAPPA_CONVENTIONS[cfg.kappa_convention],
     )
+    if kind.variant is Variant.VAN_DER_POL:
+        steps = _steps(cfg)
+        try:
+            sol.amplitude_at(steps * cfg.dt)
+        except EnvelopeDomainError:
+            try:
+                sol.amplitude_at(np.arange(steps + 1) * cfg.dt)
+            except EnvelopeDomainError as exc:
+                raise DivergenceError(f"z_renorm_continuum at n={exc.index}: {exc}") from None
+    return sol
 
 
 def _steps(cfg: ExperimentConfig) -> int:
@@ -347,68 +364,40 @@ def _require_finite(name: str, model: np.ndarray) -> None:
         raise DivergenceError(f"{name} is not finite at n={int(finite.argmin())}")
 
 
-@dataclass(frozen=True)
-class _GridTables:
-    """The tables of one time grid, which depends on dt, t_max, the root
-    convention and the scheme but not on eps or a0: every pipeline of a sweep
-    over eps or a0_re reads the same ones."""
-
-    powers: tuple  # (base, power_table(base, n)) for the naive sum's lam_p and lam_p^3
-    fundamental: np.ndarray  # lam_p^n, the table paired with lam_p
-
-
-def _grid_tables(cfg: ExperimentConfig) -> _GridTables:
-    """The tables of cfg's time grid: lam_p^n and lam_p^{3n}."""
-    params = _scheme_params(cfg)
-    n = np.arange(_steps(cfg) + 1)
-    lam_p = characteristic_roots(params)[0]
-    fundamental = discrete_fundamental(params, n)
-    return _GridTables(
-        powers=((lam_p, fundamental), (lam_p**3, power_table(lam_p**3, n))),
-        fundamental=fundamental,
-    )
-
-
-def run_compare_pipeline(cfg: ExperimentConfig, grid: _GridTables | None = None) -> tuple[dict, dict]:
+def run_compare_pipeline(cfg: ExperimentConfig, fundamental: np.ndarray | None = None) -> tuple[dict, dict]:
     """Oracle vs naive vs renormalized trajectories, plus summary statistics.
 
     Returns (columns, summary); at stride 1 every summary entry is
-    recomputable from the written rows.  `grid` holds the time grid's tables
-    when the caller shares them between pipelines; without it the pipeline
-    builds them itself, after the oracle.  Either way the bytes are the same.
+    recomputable from the written rows.  `fundamental` is lam_p^n on the time
+    grid when the caller shares it between pipelines; without it the pipeline
+    computes it itself, after the oracle.  Either way the bytes are the same.
     """
     kind = _nonlinearity(cfg)
     params = _scheme_params(cfg)
     a0 = complex(cfg.a0_re, cfg.a0_im)
-    sol = _global_solution(cfg, kind, params)  # checks a0 before the oracle runs
+    # Checks a0, and that the continuum envelope holds to t_max, before the oracle runs.
+    sol = _global_solution(cfg, kind, params)
     oracle_traj = _oracle_trajectory(cfg, kind, params)
     n_steps = len(oracle_traj) - 1
     n = np.arange(n_steps + 1)
 
-    if grid is None:
-        grid = _grid_tables(cfg)
-    # lam_p^n once, for the naive sum and both renormalized forms: the discrete
-    # form of the continuum amplitude (what sol.eval_discrete(n) gives) and the
-    # flow's.  Unless a caller shares the grid, lam_p^{3n} is freed with it.
-    fundamental = grid.fundamental
-    z_naive = naive_solution(kind, a0, params, n, grid.powers)
-    del grid
+    # lam_p^n once, for the naive expansion and both renormalized forms: the
+    # discrete form of the continuum amplitude (what sol.eval_discrete(n)
+    # gives) and the flow's.
+    if fundamental is None:
+        fundamental = discrete_fundamental(params, n)
+    z_naive = naive_solution(kind, a0, params, n, fundamental)
     # Checked at once: an overflowing naive sum stops before the renormalized forms.
     _require_finite("z_naive", z_naive)
 
-    cubed = fundamental**3
-    try:
-        z_renorm_continuum = assemble_modes(kind, params, sol.amplitude_at(n * cfg.dt), fundamental, cubed)
-    except EnvelopeDomainError as exc:  # a valid a0 whose envelope blows up before t_max
-        raise DivergenceError(f"z_renorm_continuum at n={exc.index}: {exc}") from None
-
+    z_renorm_continuum = assemble_modes(kind, params, sol.amplitude_at(n * cfg.dt), fundamental)
     flow = build_flow(kind, params)
     # By keyword: perfbench/tracing.py reads the step count from `steps`.
     amp_path = flow_path(flow, a0, steps=n_steps)
-    z_renorm_discrete = assemble_modes(kind, params, amp_path, fundamental, cubed)
-    # Freed before the analysis: held through it, lam_p^n, its cube and the flow
-    # would lift the peak memory above the naive sum's.
-    del fundamental, cubed, amp_path
+    z_renorm_discrete = assemble_modes(kind, params, amp_path, fundamental)
+    # Freed before the analysis: held through it, lam_p^n (unless a sweep
+    # shares it) and the flow would lift the peak memory above the naive sum's.
+    del fundamental, amp_path
     _require_finite("z_renorm_discrete", z_renorm_discrete)
     _require_finite("z_renorm_continuum", z_renorm_continuum)
 
@@ -464,16 +453,20 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values: list[float]) -> int:
     for row_cfg in row_cfgs:  # reject a bad value before any pipeline runs
         _steps(row_cfg)
         _global_solution(row_cfg, _nonlinearity(row_cfg), _scheme_params(row_cfg))
-    # eps and a0_re keep the time grid, so its tables are built once; each dt
-    # gives a grid of its own, built inside its pipeline.
-    grid = _grid_tables(row_cfgs[0]) if param != "dt" else None
+    # eps and a0_re keep the time grid (dt, t_max, root convention, scheme),
+    # so its lam_p^n is built once; each dt gives a grid of its own, built
+    # inside its pipeline.
+    fundamental = None
+    if param != "dt":
+        grid_cfg = row_cfgs[0]
+        fundamental = discrete_fundamental(_scheme_params(grid_cfg), np.arange(_steps(grid_cfg) + 1))
     summaries = []
     for row_cfg in row_cfgs:
         # `_` holds the previous pipeline's columns until this one returns, so
         # their pages are reused; dropping them first measured 32% more page
         # faults and 3.1 MB less peak RSS on a four-value eps sweep at 5e4
         # steps, and no wall-time difference that 7 alternating rounds resolved.
-        _, summary = run_compare_pipeline(row_cfg, grid)
+        _, summary = run_compare_pipeline(row_cfg, fundamental)
         summaries.append(summary)
     columns = {"value": list(values)}
     for key in summaries[0]:

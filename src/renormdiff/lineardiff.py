@@ -164,12 +164,6 @@ def power_table(base: complex, n):
     return np.exp(n * cmath.log(base))
 
 
-def _power_key(base: complex) -> tuple:
-    """Key of a base's powers: complex equality ignores the sign of a zero
-    imaginary part, and the logarithm's branch does not."""
-    return base, math.copysign(1.0, base.imag)
-
-
 @dataclass(frozen=True)
 class HarmonicSum:
     """Normalized finite sum of harmonic terms.
@@ -205,30 +199,13 @@ class HarmonicSum:
             tuple(HarmonicTerm(factor * t.coeff, t.base, t.n_power) for t in self.terms)
         )
 
-    def evaluate(self, n, powers=None):
-        """Evaluate the sum at index n (scalar or array).
-
-        base^n is power_table(base, n); terms on one base share its powers.
-        A base whose conjugate is already keyed takes the conjugate of those
-        powers: cmath.log and numpy's complex exp are conjugate-symmetric, so
-        this changes at most the sign of a zero part of the powers, which the
-        sum absorbs.  `powers` optionally holds (base, power_table(base, n))
-        pairs at these indices, computed once by a caller that evaluates
-        several sums on one grid; a term on that base reads the table instead.
-        Pairs, not a dict: a dict keyed by the base would merge -1+0j and
-        -1-0j, whose powers differ.  The tables are read, never written.
-        """
+    def evaluate(self, n):
+        """Evaluate the sum at index n (scalar or array), base^n as
+        power_table(base, n) for each term."""
         arr = np.asarray(n, dtype=float)
         out = np.zeros(arr.shape, dtype=complex)
-        tables = {_power_key(base): table for base, table in powers or ()}
         for term in self.terms:
-            base = term.base
-            key = _power_key(base)
-            grow = tables.get(key)
-            if grow is None:
-                mirror = tables.get(_power_key(base.conjugate()))
-                grow = power_table(base, arr) if mirror is None else np.conj(mirror)
-                tables[key] = grow
+            grow = power_table(term.base, arr)
             if term.n_power == 1:
                 grow = grow * arr
             out += term.coeff * grow

@@ -4,7 +4,7 @@ Builds the zeroth-order solution A lam_p^n + conj(A) lam_m^n of a real
 sequence from the one complex amplitude A, the first-order forcing and
 particular solution for the cubic and Van der Pol type schemes, extracts the
 secular (n * lambda^n) content, and evaluates the naive (unrenormalized)
-expansion z0 + eps * z1.
+expansion z0 + eps * z1 as twice the real part of its lam_p half.
 
 Cross-term convention: products lam_p^n * lam_m^n arising from powers of z0
 are collected as 1.  This is exact for the unit-modulus roots (whose product
@@ -18,12 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .lineardiff import (
     HarmonicSum,
     HarmonicTerm,
     SchemeParams,
     characteristic_roots,
+    is_resonant,
     particular_solution,
+    power_table,
     resonance_tolerance,
 )
 
@@ -142,6 +146,23 @@ def _forcing_terms(kind: Nonlinearity, a: complex, params: SchemeParams) -> tupl
     )
 
 
+def _third_harmonic_base(params: SchemeParams) -> complex:
+    """The base lam_p^3 of the third harmonic, checked to be non-resonant.
+
+    Below dt of about 1.6e-5 the characteristic polynomial at lam_p^3, about
+    -8 dt^2, falls within resonance_tolerance, so particular_solution would
+    file the third harmonic as secular (or as degenerate at smaller dt) and
+    its coefficient would read 0; that is refused with a ValueError naming dt.
+    """
+    base = characteristic_roots(params)[0] ** 3
+    if is_resonant(base, params):
+        raise ValueError(
+            f"dt = {params.dt} is too small to resolve the third harmonic: its "
+            f"base lam_p^3 = {base} lies within the resonance tolerance"
+        )
+    return base
+
+
 def first_order_solution(
     kind: Nonlinearity, a: complex, params: SchemeParams
 ) -> HarmonicSum:
@@ -173,23 +194,34 @@ def extract_secular(z1: HarmonicSum, params: SchemeParams) -> complex:
     return sigma
 
 
-def naive_solution(kind: Nonlinearity, a: complex, params: SchemeParams, n, powers=None):
-    """Real part of the uncorrected expansion z0 + eps * z1 at index n.
+def naive_solution(kind: Nonlinearity, a: complex, params: SchemeParams, n, fundamental=None):
+    """Uncorrected expansion z0 + eps * z1 at index n: 2 Re[(a + eps sigma n) F + eps c3 F^3].
 
-    a is the amplitude of the lam_p mode; the lam_m mode carries conj(a), so
-    the expansion is a real sequence.  Accepts a scalar index (returns a
-    float) or an array of indices (returns a float array that owns its data,
-    so the complex sum it was taken from is freed).  `powers` is passed to
-    HarmonicSum.evaluate: (base, power_table(base, n)) pairs for the sum's
-    bases lam_p and lam_p^3 that the caller has already computed.
+    a is the amplitude of the lam_p mode and F = lam_p^n.  The lam_m mode
+    carries conj(a), and the lam_m half of the expansion is the conjugate of
+    the lam_p half, so twice the real part of the lam_p half is the whole
+    real sequence.  sigma and c3 are the secular and third-harmonic
+    coefficients of the response to the lam_p half of the forcing alone:
+    read off first_order_solution, c3 would double (cubic) or cancel (Van
+    der Pol) wherever lam_p^3 is real and the lam_m^3 term merges onto its
+    base.  `fundamental` is F at these indices, from a caller that also
+    assembles the renormalized forms with it (power_table(lam_p, n) when
+    omitted).  Accepts a scalar index (returns a float) or an array of
+    indices (returns a float array); raises ValueError where dt is too small
+    for the third harmonic to be resolved.
     """
-    full = zeroth_order(a, params) + first_order_solution(
-        kind, a, params
-    ).scaled(params.eps)
-    value = full.evaluate(n, powers)
-    if isinstance(value, complex):
-        return value.real
-    return value.real.copy()
+    lam_p = characteristic_roots(params)[0]
+    base3 = _third_harmonic_base(params)
+    z1 = particular_solution(HarmonicSum(_forcing_terms(kind, a, params)[::2]), params)
+    sigma = z1.coefficient(lam_p, 1)
+    c3 = z1.coefficient(base3)
+    arr = np.asarray(n, dtype=float)
+    f = power_table(lam_p, arr) if fundamental is None else np.asarray(fundamental, dtype=complex)
+    value = (complex(a) + params.eps * sigma * arr) * f + params.eps * c3 * f**3
+    out = 2.0 * value.real
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def nonlinearity_value(

@@ -8,8 +8,14 @@ import pytest
 from renormdiff import cli
 from renormdiff.asymptotic import third_harmonic_coefficient
 from renormdiff.cli import ExperimentConfig, main, run_compare_pipeline
-from renormdiff.lineardiff import RootConvention, SchemeParams, characteristic_roots
-from renormdiff.perturbation import first_order_solution, zeroth_order
+from renormdiff.lineardiff import (
+    HarmonicSum,
+    RootConvention,
+    SchemeParams,
+    characteristic_roots,
+    particular_solution,
+)
+from renormdiff.perturbation import _forcing_terms, first_order_solution, zeroth_order
 from renormdiff.renormalization import KappaConvention, build_flow, continuum_amplitude
 
 
@@ -317,6 +323,29 @@ class TestCompare:
             "numerical failure: z_renorm_continuum at n=1881: envelope denominator "
             "vanishes at t=94.05; solution leaves its domain\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", [["compare"], ["sweep", "--param", "a0_re", "--values", "2.0,0.3"]],
+        ids=["compare", "sweep"])
+    def test_vdp_envelope_blow_up_refused_before_the_oracle(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        # the sweep's first row (c = -0.45, kappa = 0.55) runs to t_max, its
+        # second is the blow-up above
+        calls = []
+        real = cli.iterate
+        monkeypatch.setattr(cli, "iterate", lambda *args: calls.append(args) or real(*args))
+        out = tmp_path / "cmp.csv"
+        code = main([*command, "--kind", "vdp", "--a0-re", "0.3", "--a0-im", "-0.9",
+                     "--kappa-convention", "one-plus-c", "--dt", "0.05", "--t-max", "400",
+                     "--output-path", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: z_renorm_continuum at n=1881: envelope denominator "
+            "vanishes at t=94.05; solution leaves its domain\n"
+        )
+        assert calls == []
         assert not out.exists()
 
     def test_vdp_out_of_reach_rejected_before_the_oracle(self, tmp_path, monkeypatch, capsys):
@@ -771,12 +800,8 @@ def _per_step_fold(flow, a0, steps):
     return np.array(path, dtype=complex)
 
 
-def _reference_columns(cfg):
-    """The three model columns by formulas that share no work: one exponential
-    per harmonic term, the per-step fold and exp(n log lam_p) per form."""
-    kind, params = cli._nonlinearity(cfg), cli._scheme_params(cfg)
-    a0 = complex(cfg.a0_re, cfg.a0_im)
-    n = np.arange(cli._steps(cfg) + 1).astype(float)
+def _naive_per_term(kind, params, a0, n):
+    """The full six-term naive sum, one exponential per harmonic term."""
     naive = zeroth_order(a0, params) + first_order_solution(kind, a0, params).scaled(params.eps)
     z_naive = np.zeros(n.shape, dtype=complex)
     for term in naive.terms:
@@ -784,16 +809,31 @@ def _reference_columns(cfg):
         if term.n_power == 1:
             grow = grow * n
         z_naive = z_naive + term.coeff * grow
+    return z_naive.real
+
+
+def _reference_columns(cfg):
+    """The three model columns by formulas that share no work: the naive
+    expansion's lam_p half from the response to the lam_p half of the
+    forcing, the per-step fold, and exp(n log lam_p) per form."""
+    kind, params = cli._nonlinearity(cfg), cli._scheme_params(cfg)
+    a0 = complex(cfg.a0_re, cfg.a0_im)
+    n = np.arange(cli._steps(cfg) + 1).astype(float)
+    lam_p = characteristic_roots(params)[0]
+    half = particular_solution(HarmonicSum(_forcing_terms(kind, a0, params)[::2]), params)
+    sigma, c3 = half.coefficient(lam_p, 1), half.coefficient(lam_p**3)
+    fundamental = np.exp(n * cmath.log(lam_p))
+    z_naive = (a0 + params.eps * sigma * n) * fundamental + params.eps * c3 * fundamental**3
     k3 = third_harmonic_coefficient(kind, params)
 
     def modes(amp):
-        fundamental = np.exp(n * cmath.log(characteristic_roots(params)[0]))
+        fundamental = np.exp(n * cmath.log(lam_p))
         return 2.0 * (amp * fundamental + params.eps * k3 * amp**3 * fundamental**3).real
 
     continuum = continuum_amplitude(kind, a0, params.eps, n * cfg.dt,
                                     KappaConvention(cfg.kappa_convention))
     flow = _per_step_fold(build_flow(kind, params), a0, n.size - 1)
-    return {"z_naive": z_naive.real, "z_renorm_discrete": modes(flow),
+    return {"z_naive": 2.0 * z_naive.real, "z_renorm_discrete": modes(flow),
             "z_renorm_continuum": modes(continuum)}
 
 
@@ -823,22 +863,26 @@ class TestPipelineWork:
          ExperimentConfig(kind="vdp", t_max=20.0, eps=0.02, a0_re=0.3, a0_im=0.15)],
         ids=["cubic", "vdp"],
     )
-    def test_three_exponential_tables_and_the_same_bytes(self, monkeypatch, cfg):
+    def test_two_exponential_tables_and_the_same_bytes(self, monkeypatch, cfg):
         calls, (columns, _) = _count_exp_calls(
             monkeypatch, cli._steps(cfg) + 1, lambda: run_compare_pipeline(cfg))
-        # lam_p^n for the naive sum and both renormalized forms, the naive sum's
-        # lam_p^3n (the conjugates reuse both), and the continuum amplitude
-        assert calls == 3
+        # lam_p^n for the naive expansion and both renormalized forms, and the
+        # continuum amplitude
+        assert calls == 2
         for name, want in _reference_columns(cfg).items():
             assert columns[name].tobytes() == want.tobytes(), name
+        n = np.arange(cli._steps(cfg) + 1).astype(float)
+        per_term = _naive_per_term(cli._nonlinearity(cfg), cli._scheme_params(cfg),
+                                   complex(cfg.a0_re, cfg.a0_im), n)
+        assert np.all(np.abs(columns["z_naive"] - per_term) <= 1e-12 * np.max(np.abs(per_term)))
 
     def test_eps_sweep_builds_the_grid_tables_once(self, monkeypatch, tmp_path):
         argv = ["sweep", "--param=eps", "--values=0.005,0.01,0.02,0.04", "--t-max=20",
                 f"--output-path={tmp_path / 'sweep.csv'}"]
         calls, code = _count_exp_calls(monkeypatch, 2001, lambda: main(argv))
         assert code == 0
-        # lam_p^n and lam_p^3n once, and one continuum amplitude per row
-        assert calls == 2 + 4
+        # lam_p^n once, and one continuum amplitude per row
+        assert calls == 1 + 4
 
 
 class TestSweepRowsMatchAlone:

@@ -1,5 +1,10 @@
 """Cross-module checks: whole-pipeline consistency beyond single operations."""
 
+import contextlib
+import io
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -207,3 +212,14 @@ class TestReadmeExample:
         assert 2 * np.pi / est.mean_period == pytest.approx(
             GlobalSolution(CUBIC, params, 0.5).frequency_shift(), rel=1e-3
         )
+
+    def test_library_example_runs_as_written(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Library example", 1)[1]
+        code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            exec(compile(code, "README.md", "exec"), {})
+        naive_err, renorm_err = map(float, printed.getvalue().split())
+        assert naive_err > 0.1
+        assert renorm_err < 5e-3

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from renormdiff.lineardiff import (
     HarmonicSum,
     HarmonicTerm,
     RootConvention,
+    Scheme,
     SchemeParams,
     characteristic_roots,
     power_table,
@@ -200,14 +203,37 @@ class TestNaiveSolution:
         assert z.dtype == float and z.base is None
         assert type(naive_solution(CUBIC, 0.4 + 0.1j, p, 7)) is float
 
+    @pytest.mark.parametrize("kind", [CUBIC, VAN_DER_POL, van_der_pol(halving=True)])
+    @pytest.mark.parametrize("convention", [FIRST, EXACT])
+    @pytest.mark.parametrize("scheme", [Scheme.STANDARD, Scheme.MICKENS])
+    @pytest.mark.parametrize("dt", [0.004, 0.1, 0.5, 1.0, math.pi / 3, math.sqrt(3.0)])
+    def test_half_form_is_the_full_first_order_sum(self, kind, convention, scheme, dt):
+        # dt = 1 at exact roots, pi/3 for mickens at exact roots and sqrt(3)
+        # for the standard scheme at either make lam_p^3 real, so the full sum
+        # merges its lam_p^3 and lam_m^3 terms onto one base
+        p = SchemeParams(dt=dt, eps=0.02, root_convention=convention, scheme=scheme)
+        a0 = 0.4 + 0.15j
+        lam_p = characteristic_roots(p)[0]
+        # a horizon at which first-order roots keep |lam_p|^{3n} below 1e260
+        growth = 3.0 * math.log(abs(lam_p))
+        n = np.arange((5000 if growth <= 0.0 else min(5000, int(600.0 / growth))) + 1)
+        full = zeroth_order(a0, p) + first_order_solution(kind, a0, p).scaled(p.eps)
+        want = full.evaluate(n).real
+        got = naive_solution(kind, a0, p, n)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.max(np.abs(want)))
+
     @pytest.mark.parametrize("kind", [CUBIC, VAN_DER_POL])
-    def test_supplied_powers_change_no_byte(self, kind):
+    def test_supplied_fundamental_changes_no_byte(self, kind):
         p = params(0.01, eps=0.02, convention=EXACT)
         n = np.arange(5000)
-        lam_p = characteristic_roots(p)[0]
-        powers = ((lam_p, power_table(lam_p, n)), (lam_p**3, power_table(lam_p**3, n)))
-        got = naive_solution(kind, 0.4 + 0.1j, p, n, powers)
+        fundamental = power_table(characteristic_roots(p)[0], n)
+        got = naive_solution(kind, 0.4 + 0.1j, p, n, fundamental)
         assert got.tobytes() == naive_solution(kind, 0.4 + 0.1j, p, n).tobytes()
+
+    def test_unresolved_third_harmonic_is_refused(self):
+        p = params(1e-5, eps=0.02, convention=EXACT)
+        with pytest.raises(ValueError, match="too small to resolve the third harmonic"):
+            naive_solution(CUBIC, 0.4 + 0.1j, p, np.arange(10))
 
     def test_value_at_origin(self):
         p = params(0.1, eps=0.02)
