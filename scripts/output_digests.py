@@ -67,6 +67,11 @@ def matrix() -> list[tuple[list[str], str]]:
             for kind in ("cubic", "vdp"):
                 runs.append((["sweep", f"--param={param}", f"--values={values}",
                               f"--kind={kind}", *BASE], fmt))
+    # The halving convention runs the scheme at eps/2, but a sweep writes the
+    # values given; with the cubic kind it is refused with exit 2.
+    runs.append((["sweep", "--kind=vdp", "--vdp-halving", "--param=eps",
+                  "--values=0.005,0.01,0.02", *BASE], "csv"))
+    runs.append((["simulate", "--kind=cubic", "--vdp-halving", *BASE], "csv"))
     runs.append((["compare", "--kind=cubic", "--stride=7", *BASE], STDOUT))
     runs.append((["compare", "--kind=vdp", "--output-format=json", *BASE], STDOUT))
     runs.append((["simulate", "--kind=cubic", *BASE], STDOUT))

@@ -45,14 +45,12 @@ from .oracle import (
 from .perturbation import (
     CUBIC,
     VAN_DER_POL,
-    Nonlinearity,
     Variant,
     extract_secular,
     first_order_forcing,
     first_order_solution,
     naive_solution,
     nonlinearity_value,
-    van_der_pol,
     zeroth_order,
 )
 from .renormalization import (

@@ -20,7 +20,7 @@ from .lineardiff import (
     particular_solution,
     power_table,
 )
-from .perturbation import Nonlinearity, Variant, _forcing_terms, _third_harmonic_base
+from .perturbation import Variant, _forcing_terms, _third_harmonic_base
 from .renormalization import (
     KappaConvention,
     conserved_constant,
@@ -37,12 +37,12 @@ __all__ = [
 ]
 
 
-def third_harmonic_coefficient(kind: Nonlinearity, params: SchemeParams) -> complex:
+def third_harmonic_coefficient(kind: Variant, params: SchemeParams) -> complex:
     """Coefficient kappa3 such that z1 contains kappa3 * A^3 * lam_p^{3n}.
 
     The particular response to the unit-amplitude lam_p^3 forcing term alone,
-    so it tracks the forcing and particular-solution machinery (including the
-    halving convention) and no lam_m^3 term merged onto the same base.
+    so it tracks the forcing and particular-solution machinery and no lam_m^3
+    term merged onto the same base.
     Raises ValueError where dt is too small for the response to be resolved.
     """
     base = _third_harmonic_base(params)
@@ -56,7 +56,7 @@ def discrete_fundamental(params: SchemeParams, n):
 
 
 def assemble_modes(
-    kind: Nonlinearity,
+    kind: Variant,
     params: SchemeParams,
     amplitudes,
     fundamental,
@@ -92,7 +92,7 @@ class GlobalSolution:
     chosen kappa convention.
     """
 
-    kind: Nonlinearity
+    kind: Variant
     params: SchemeParams
     a0: complex
     kappa_convention: KappaConvention = KappaConvention.ONE_PLUS_C_SQUARED
@@ -102,7 +102,7 @@ class GlobalSolution:
         # Fail at construction, not first evaluation: below dt of about
         # 1.6e-5 the third harmonic cannot be resolved.
         _third_harmonic_base(self.params)
-        if self.kind.variant is Variant.VAN_DER_POL:
+        if self.kind is Variant.VAN_DER_POL:
             # Re(a0) = 0 leaves the component ratio undefined, and a settled
             # value kappa Re(a0)^2 below the normal range loses the envelope's
             # limit to rounding (at 0, the envelope's denominator underflows
@@ -145,7 +145,7 @@ class GlobalSolution:
 
     def frequency_shift(self) -> float:
         """Angular frequency 1 + Im(r) |a0|^2 of the cubic waveform, r = (3/2) i eps."""
-        if self.kind.variant is not Variant.CUBIC:
+        if self.kind is not Variant.CUBIC:
             raise ValueError(
                 "frequency shift is defined for the cubic kind only; the Van "
                 "der Pol fundamental stays at frequency 1 at this order"

@@ -32,7 +32,7 @@ from .oracle import (
     init_from_amplitude,
     iterate,
 )
-from .perturbation import Nonlinearity, Variant, naive_solution
+from .perturbation import Variant, naive_solution
 from .renormalization import EnvelopeDomainError, KappaConvention, build_flow, flow_path
 
 __all__ = ["ExperimentConfig", "main", "entry", "run_compare_pipeline"]
@@ -59,7 +59,7 @@ class ExperimentConfig:
     stride: int = 1
 
 
-_KINDS = ("cubic", "vdp")
+_KINDS = tuple(v.value for v in Variant)
 _ROOT_CONVENTIONS = {c.value: c for c in RootConvention}
 _KAPPA_CONVENTIONS = {c.value: c for c in KappaConvention}
 _SCHEMES = tuple(s.value for s in Scheme)
@@ -67,8 +67,9 @@ _FORMATS = ("csv", "json")
 _SWEEPABLE = ("dt", "eps", "a0_re")
 _FINITE = ("dt", "eps", "a0_re", "a0_im", "t_max")
 # The oracle runs about 270 (cubic) to 380 (vdp) ns per step in pure Python on
-# a 2-vCPU Xeon and a compare pipeline holds at least 8 float64 columns per step,
-# so 1e8 steps takes minutes and over 6 GB; larger counts are rejected early.
+# a 2-vCPU Xeon.  A cubic CSV compare peaked at 83.7 MiB at 5e5 steps and at
+# 243.9 MiB at 2e6 steps, about 112 B per step, so 1e8 steps takes minutes and
+# about 11 GB; larger counts are rejected early.
 _MAX_STEPS = 10**8
 
 _BOOL_WORDS = {
@@ -154,23 +155,27 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         )
     if cfg.eps < 0.0:
         raise ConfigError("eps must be nonnegative")
+    if cfg.vdp_halving and cfg.kind != Variant.VAN_DER_POL.value:
+        raise ConfigError("vdp_halving only applies to the Van der Pol variant")
     return cfg
 
 
 def _scheme_params(cfg: ExperimentConfig) -> SchemeParams:
+    """The scheme of a config.
+
+    vdp_halving halves the centered difference of the Van der Pol forcing, the
+    standard centered discretization of z', which amounts to eps -> eps/2; it
+    is applied here, and only here, to the scheme's small parameter.
+    """
     return SchemeParams(
         dt=cfg.dt,
-        eps=cfg.eps,
+        eps=0.5 * cfg.eps if cfg.vdp_halving else cfg.eps,
         root_convention=_ROOT_CONVENTIONS[cfg.root_convention],
         scheme=Scheme(cfg.scheme),
     )
 
 
-def _nonlinearity(cfg: ExperimentConfig) -> Nonlinearity:
-    return Nonlinearity(Variant(cfg.kind), vdp_halving=cfg.vdp_halving)
-
-
-def _global_solution(cfg: ExperimentConfig, kind: Nonlinearity, params: SchemeParams) -> GlobalSolution:
+def _global_solution(cfg: ExperimentConfig, kind: Variant, params: SchemeParams) -> GlobalSolution:
     """The renormalized solution; raises ValueError for an a0 it cannot
     evaluate, and DivergenceError for a Van der Pol envelope that blows up
     before t_max.
@@ -185,7 +190,7 @@ def _global_solution(cfg: ExperimentConfig, kind: Nonlinearity, params: SchemePa
         complex(cfg.a0_re, cfg.a0_im),
         kappa_convention=_KAPPA_CONVENTIONS[cfg.kappa_convention],
     )
-    if kind.variant is Variant.VAN_DER_POL:
+    if kind is Variant.VAN_DER_POL:
         steps = _steps(cfg)
         try:
             sol.amplitude_at(steps * cfg.dt)
@@ -343,13 +348,13 @@ def _write_table(cfg: ExperimentConfig, columns: dict, summary: dict | None):
         fh.writelines(pieces)
 
 
-def _oracle_trajectory(cfg: ExperimentConfig, kind: Nonlinearity, params: SchemeParams) -> Trajectory:
+def _oracle_trajectory(cfg: ExperimentConfig, kind: Variant, params: SchemeParams) -> Trajectory:
     z0, z1 = init_from_amplitude(complex(cfg.a0_re, cfg.a0_im), params)
     return iterate(kind, params, z0, z1, _steps(cfg))
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    kind = _nonlinearity(cfg)
+    kind = Variant(cfg.kind)
     params = _scheme_params(cfg)
     traj = _oracle_trajectory(cfg, kind, params)
     n = np.arange(len(traj))
@@ -371,8 +376,10 @@ def run_compare_pipeline(cfg: ExperimentConfig, fundamental: np.ndarray | None =
     recomputable from the written rows.  `fundamental` is lam_p^n on the time
     grid when the caller shares it between pipelines; without it the pipeline
     computes it itself, after the oracle.  Either way the bytes are the same.
+    Raises ConfigError for a config that `main` would refuse.
     """
-    kind = _nonlinearity(cfg)
+    _validate(cfg)
+    kind = Variant(cfg.kind)
     params = _scheme_params(cfg)
     a0 = complex(cfg.a0_re, cfg.a0_im)
     # Checks a0, and that the continuum envelope holds to t_max, before the oracle runs.
@@ -452,7 +459,7 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values: list[float]) -> int:
     row_cfgs = [_validate(dataclasses.replace(cfg, **{param: value})) for value in values]
     for row_cfg in row_cfgs:  # reject a bad value before any pipeline runs
         _steps(row_cfg)
-        _global_solution(row_cfg, _nonlinearity(row_cfg), _scheme_params(row_cfg))
+        _global_solution(row_cfg, Variant(row_cfg.kind), _scheme_params(row_cfg))
     # eps and a0_re keep the time grid (dt, t_max, root convention, scheme),
     # so its lam_p^n is built once; each dt gives a grid of its own, built
     # inside its pipeline.

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lineardiff import SchemeParams, characteristic_roots
-from .perturbation import Nonlinearity, Variant, vdp_scale
+from .perturbation import Variant, vdp_scale
 
 __all__ = [
     "Trajectory",
@@ -73,7 +73,7 @@ def init_from_amplitude(a0: complex, params: SchemeParams) -> tuple[float, float
 
 
 def iterate(
-    kind: Nonlinearity, params: SchemeParams, z0: float, z1: float, n_steps: int
+    kind: Variant, params: SchemeParams, z0: float, z1: float, n_steps: int
 ) -> Trajectory:
     """Iterate the scheme exactly from (z0, z1), returning z(0..n_steps).
 
@@ -95,7 +95,7 @@ def iterate(
     zm, z = float(z0), float(z1)
     values = array("d", (zm, z))
     append = values.append
-    if kind.variant is Variant.CUBIC:
+    if kind is Variant.CUBIC:
         gain = eps * omega * omega
         for n in range(1, n_steps):
             zp = lin * z - zm - gain * z * z * z
@@ -104,7 +104,7 @@ def iterate(
             append(zp)
             zm, z = z, zp
     else:
-        gain = eps * vdp_scale(kind, params)
+        gain = eps * vdp_scale(params)
         for n in range(1, n_steps):
             w = gain * (1.0 - z * z)
             lead = 1.0 - w

@@ -15,7 +15,6 @@ is exactly 1) and a deliberate first-order approximation for the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -33,10 +32,8 @@ from .lineardiff import (
 
 __all__ = [
     "Variant",
-    "Nonlinearity",
     "CUBIC",
     "VAN_DER_POL",
-    "van_der_pol",
     "zeroth_order",
     "first_order_forcing",
     "first_order_solution",
@@ -48,39 +45,18 @@ __all__ = [
 
 
 class Variant(Enum):
+    """Which nonlinear right-hand side the scheme carries.
+
+    CUBIC: the forcing is -z(n)^3 (times the scheme's mu * eps prefactor).
+    VAN_DER_POL: the forcing is eps * (mu/dt) * (1 - z(n)^2) * (z(n+1) - z(n-1)).
+    """
+
     CUBIC = "cubic"
     VAN_DER_POL = "vdp"
 
 
-@dataclass(frozen=True)
-class Nonlinearity:
-    """Which nonlinear right-hand side the scheme carries.
-
-    CUBIC: the forcing is -z(n)^3 (times the scheme's mu * eps prefactor).
-    VAN_DER_POL: the forcing is eps * (mu/dt) * (1 - z(n)^2) * (z(n+1) - z(n-1));
-    with `vdp_halving` the centered difference is halved, which matches the
-    standard centered discretization of z' and amounts to eps -> eps/2.
-    """
-
-    variant: Variant
-    vdp_halving: bool = False
-
-    def __post_init__(self):
-        if self.vdp_halving and self.variant is not Variant.VAN_DER_POL:
-            raise ValueError("vdp_halving only applies to the Van der Pol variant")
-
-    @property
-    def vdp_factor(self) -> float:
-        """The halving convention's factor on every Van der Pol rate (1 if off)."""
-        return 0.5 if self.vdp_halving else 1.0
-
-
-CUBIC = Nonlinearity(Variant.CUBIC)
-VAN_DER_POL = Nonlinearity(Variant.VAN_DER_POL)
-
-
-def van_der_pol(halving: bool = False) -> Nonlinearity:
-    return Nonlinearity(Variant.VAN_DER_POL, vdp_halving=halving)
+CUBIC = Variant.CUBIC
+VAN_DER_POL = Variant.VAN_DER_POL
 
 
 def zeroth_order(a: complex, params: SchemeParams) -> HarmonicSum:
@@ -91,17 +67,17 @@ def zeroth_order(a: complex, params: SchemeParams) -> HarmonicSum:
     return HarmonicSum((HarmonicTerm(a, lam_p), HarmonicTerm(b, lam_m)))
 
 
-def vdp_scale(kind: Nonlinearity, params: SchemeParams) -> float:
-    """Van der Pol forcing weight mu/dt times the halving factor.
+def vdp_scale(params: SchemeParams) -> float:
+    """Van der Pol forcing weight mu/dt.
 
     Written omega * (omega / dt), which is exactly dt for the standard scheme.
     """
     omega = params.omega
-    return omega * (omega / params.dt) * kind.vdp_factor
+    return omega * (omega / params.dt)
 
 
 def first_order_forcing(
-    kind: Nonlinearity, a: complex, params: SchemeParams
+    kind: Variant, a: complex, params: SchemeParams
 ) -> HarmonicSum:
     """Right-hand side of the first-order equation, collected on four modes.
 
@@ -122,12 +98,12 @@ def first_order_forcing(
     return HarmonicSum(_forcing_terms(kind, a, params))
 
 
-def _forcing_terms(kind: Nonlinearity, a: complex, params: SchemeParams) -> tuple:
+def _forcing_terms(kind: Variant, a: complex, params: SchemeParams) -> tuple:
     """first_order_forcing's four terms, lam_p^3 first, not yet merged by base."""
     a = complex(a)
     b = a.conjugate()
     lam_p, lam_m = characteristic_roots(params)
-    if kind.variant is Variant.CUBIC:
+    if kind is Variant.CUBIC:
         pref = -params.mu
         return (
             HarmonicTerm(pref * a**3, lam_p**3),
@@ -135,7 +111,7 @@ def _forcing_terms(kind: Nonlinearity, a: complex, params: SchemeParams) -> tupl
             HarmonicTerm(pref * 3.0 * a * a * b, lam_p),
             HarmonicTerm(pref * 3.0 * a * b * b, lam_m),
         )
-    scale = vdp_scale(kind, params)
+    scale = vdp_scale(params)
     s_p = lam_p - 1.0 / lam_p
     s_m = lam_m - 1.0 / lam_m
     return (
@@ -164,7 +140,7 @@ def _third_harmonic_base(params: SchemeParams) -> complex:
 
 
 def first_order_solution(
-    kind: Nonlinearity, a: complex, params: SchemeParams
+    kind: Variant, a: complex, params: SchemeParams
 ) -> HarmonicSum:
     """Particular solution z1 of the first-order equation.
 
@@ -194,7 +170,7 @@ def extract_secular(z1: HarmonicSum, params: SchemeParams) -> complex:
     return sigma
 
 
-def naive_solution(kind: Nonlinearity, a: complex, params: SchemeParams, n, fundamental=None):
+def naive_solution(kind: Variant, a: complex, params: SchemeParams, n, fundamental=None):
     """Uncorrected expansion z0 + eps * z1 at index n: 2 Re[(a + eps sigma n) F + eps c3 F^3].
 
     a is the amplitude of the lam_p mode and F = lam_p^n.  The lam_m mode
@@ -225,7 +201,7 @@ def naive_solution(kind: Nonlinearity, a: complex, params: SchemeParams, n, fund
 
 
 def nonlinearity_value(
-    kind: Nonlinearity,
+    kind: Variant,
     z_plus: complex,
     z_center: complex,
     z_minus: complex,
@@ -235,9 +211,8 @@ def nonlinearity_value(
 
     For the Van der Pol variant the nonlinearity enters the scheme with the
     weight mu/dt, so f carries a 1/dt to match the mu bookkeeping of the
-    residual (and the halving factor).
+    residual.
     """
-    if kind.variant is Variant.CUBIC:
+    if kind is Variant.CUBIC:
         return -(z_center**3)
-    diff = (1.0 - z_center * z_center) * (z_plus - z_minus)
-    return diff * kind.vdp_factor / params.dt
+    return (1.0 - z_center * z_center) * (z_plus - z_minus) / params.dt

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .lineardiff import SchemeParams
-from .perturbation import Nonlinearity, Variant
+from .perturbation import Variant
 
 __all__ = [
     "KappaConvention",
@@ -86,25 +86,25 @@ class AmplitudeFlow:
         return rate * (a - a * a * a.conjugate())
 
 
-def secular_rate(kind: Nonlinearity, eps: float) -> complex:
+def secular_rate(kind: Variant, eps: float) -> complex:
     """Rate r of the continuum amplitude equation, the dt -> 0 secular coefficient.
 
     Cubic:       A' = r A^2 B with r = (3/2) i eps,
-    Van der Pol: A' = r (A - A^2 B) with r = eps, halved under the halving
-    convention; B = conj(A).  The one definition of both factors.
+    Van der Pol: A' = r (A - A^2 B) with r = eps; B = conj(A).  The one
+    definition of both rates.
     """
-    if kind.variant is Variant.CUBIC:
+    if kind is Variant.CUBIC:
         return 1.5j * eps
-    return eps * kind.vdp_factor
+    return eps
 
 
-def build_flow(kind: Nonlinearity, params: SchemeParams) -> AmplitudeFlow:
+def build_flow(kind: Variant, params: SchemeParams) -> AmplitudeFlow:
     """Discrete amplitude flow for the given nonlinearity: the step map A -> delta A.
 
     The forward Euler step of the continuum equation, rate secular_rate * dt.
     The B equation of the two-amplitude map is the conjugate of the A equation.
     """
-    return AmplitudeFlow(kind.variant, secular_rate(kind, params.eps) * params.dt)
+    return AmplitudeFlow(kind, secular_rate(kind, params.eps) * params.dt)
 
 
 def _cubic_path(a: complex, rate: complex, steps: int):
@@ -144,10 +144,10 @@ def flow_path(flow: AmplitudeFlow, a0: complex, steps: int) -> np.ndarray:
     return out
 
 
-def conserved_constant(kind: Nonlinearity, a: complex) -> float:
+def conserved_constant(kind: Variant, a: complex) -> float:
     """Invariant of the amplitude flow: |A|^2 = A B (cubic) or A2/A1 (Van der Pol)."""
     a = complex(a)
-    if kind.variant is Variant.CUBIC:
+    if kind is Variant.CUBIC:
         return (a * a.conjugate()).real
     if a.real == 0.0:
         raise ValueError("Van der Pol amplitude ratio undefined for Re(A) = 0")
@@ -206,7 +206,7 @@ def solve_vdp_continuum(
 
 
 def continuum_amplitude(
-    kind: Nonlinearity,
+    kind: Variant,
     a0: complex,
     eps: float,
     t,
@@ -220,14 +220,14 @@ def continuum_amplitude(
     """
     a0 = complex(a0)
     rate = secular_rate(kind, eps)
-    if kind.variant is Variant.CUBIC:
+    if kind is Variant.CUBIC:
         return solve_cubic_continuum(a0, rate, t)
     c = conserved_constant(kind, a0)
     return solve_vdp_continuum(a0.real, c, rate, t, convention)
 
 
 def continuum_limit_check(
-    kind: Nonlinearity,
+    kind: Variant,
     a0: complex,
     params: SchemeParams,
     t_max: float,

@@ -227,7 +227,7 @@ def test_criterion_08_continuum_limit_consistency():
             )
             for dt in (0.02, 0.01)
         ]
-        ratios[kind.variant.value] = devs[0] / devs[1]
+        ratios[kind.value] = devs[0] / devs[1]
     ok = all(1.7 <= r <= 2.3 for r in ratios.values())
     report(
         8,

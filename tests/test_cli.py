@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from renormdiff.lineardiff import (
     characteristic_roots,
     particular_solution,
 )
-from renormdiff.perturbation import _forcing_terms, first_order_solution, zeroth_order
+from renormdiff.perturbation import Variant, _forcing_terms, first_order_solution, zeroth_order
 from renormdiff.renormalization import KappaConvention, build_flow, continuum_amplitude
 
 
@@ -133,14 +134,84 @@ class TestSimulate:
         assert rows[0, 2] == 0.0
         assert np.all(np.isfinite(rows[:, 2]))
 
-    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize(
+        "command", [["simulate"], ["compare"], ["sweep", "--param=eps", "--values=0.01,0.02"]],
+        ids=["simulate", "compare", "sweep"],
+    )
     def test_vdp_halving_rejected_for_cubic(self, tmp_path, capsys, command):
         out = tmp_path / "x.csv"
-        code = main([command, "--kind", "cubic", "--vdp-halving", "--t-max", "5",
+        code = main([*command, "--kind", "cubic", "--vdp-halving", "--t-max", "5",
                      "--output-path", str(out)])
         assert code == 2
         assert "vdp_halving only applies to the Van der Pol variant" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_vdp_halving_rejected_for_cubic_pipeline(self):
+        with pytest.raises(cli.ConfigError, match="vdp_halving only applies"):
+            run_compare_pipeline(ExperimentConfig(kind="cubic", vdp_halving=True, t_max=5.0))
+
+
+def _run_bytes(tmp_path, capsys, argv, name):
+    """(output file, stdout, stderr) of one run, as bytes."""
+    out = tmp_path / name
+    code = main([*argv, f"--output-path={out}"])
+    captured = capsys.readouterr()
+    return code, out.read_bytes(), captured.out.encode(), captured.err.encode()
+
+
+_HALVING_BASE = ["--kind=vdp", "--dt=0.01", "--t-max=20", "--a0-re=0.4", "--a0-im=0.15"]
+
+
+class TestHalvingAtTheBoundary:
+    """--vdp-halving runs the Van der Pol scheme at eps/2: every byte equals
+    the unhalved run at half the eps."""
+
+    def _same(self, tmp_path, capsys, argv):
+        halved = _run_bytes(tmp_path, capsys, [*argv, "--vdp-halving", "--eps=0.04"], "halved")
+        plain = _run_bytes(tmp_path, capsys, [*argv, "--eps=0.02"], "plain")
+        assert halved[0] == 0
+        assert halved == plain
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("scheme", ["standard", "mickens"])
+    @pytest.mark.parametrize("roots", ["exact", "first-order"])
+    @pytest.mark.parametrize("kappa", ["one-plus-c", "one-plus-c-squared"])
+    def test_compare(self, tmp_path, capsys, fmt, scheme, roots, kappa):
+        self._same(tmp_path, capsys, ["compare", *_HALVING_BASE, f"--output-format={fmt}",
+                                      f"--scheme={scheme}", f"--root-convention={roots}",
+                                      f"--kappa-convention={kappa}"])
+
+    def test_simulate(self, tmp_path, capsys):
+        self._same(tmp_path, capsys, ["simulate", *_HALVING_BASE])
+
+    @pytest.mark.parametrize("param, values", [("dt", "0.02,0.01"), ("a0_re", "0.3,0.5")])
+    def test_sweep(self, tmp_path, capsys, param, values):
+        self._same(tmp_path, capsys, ["sweep", f"--param={param}", f"--values={values}",
+                                      *_HALVING_BASE])
+
+    def test_eps_sweep_keeps_the_given_values(self, tmp_path, capsys):
+        halved = _run_bytes(tmp_path, capsys, ["sweep", "--param=eps", "--values=0.01,0.02,0.04",
+                                               "--vdp-halving", *_HALVING_BASE], "halved.csv")
+        plain = _run_bytes(tmp_path, capsys, ["sweep", "--param=eps",
+                                              "--values=0.005,0.01,0.02", *_HALVING_BASE],
+                           "plain.csv")
+        assert halved[0] == plain[0] == 0
+        assert halved[2:] == plain[2:]
+        # the plain table with the given values in its first column, rows 1-3
+        lines = plain[1].decode().splitlines(keepends=True)
+        for row, value in enumerate(("0.01", "0.02", "0.040000000000000001"), start=1):
+            lines[row] = value + lines[row][lines[row].index(","):]
+        assert halved[1] == "".join(lines).encode()
+
+    def test_large_eps_warning_judges_the_halved_eps(self, tmp_path):
+        argv = ["simulate", "--kind=vdp", "--vdp-halving", "--t-max=1",
+                f"--output-path={tmp_path / 'x.csv'}"]
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert main([*argv, "--eps=0.8"]) == 0
+        assert not [w for w in record if "is large" in str(w.message)]
+        with pytest.warns(UserWarning, match=r"^eps = 0\.6 is large"):
+            assert main([*argv, "--eps=1.2"]) == 0
 
 
 class TestCompare:
@@ -816,7 +887,7 @@ def _reference_columns(cfg):
     """The three model columns by formulas that share no work: the naive
     expansion's lam_p half from the response to the lam_p half of the
     forcing, the per-step fold, and exp(n log lam_p) per form."""
-    kind, params = cli._nonlinearity(cfg), cli._scheme_params(cfg)
+    kind, params = Variant(cfg.kind), cli._scheme_params(cfg)
     a0 = complex(cfg.a0_re, cfg.a0_im)
     n = np.arange(cli._steps(cfg) + 1).astype(float)
     lam_p = characteristic_roots(params)[0]
@@ -872,7 +943,7 @@ class TestPipelineWork:
         for name, want in _reference_columns(cfg).items():
             assert columns[name].tobytes() == want.tobytes(), name
         n = np.arange(cli._steps(cfg) + 1).astype(float)
-        per_term = _naive_per_term(cli._nonlinearity(cfg), cli._scheme_params(cfg),
+        per_term = _naive_per_term(Variant(cfg.kind), cli._scheme_params(cfg),
                                    complex(cfg.a0_re, cfg.a0_im), n)
         assert np.all(np.abs(columns["z_naive"] - per_term) <= 1e-12 * np.max(np.abs(per_term)))
 

@@ -25,47 +25,28 @@ from renormdiff.perturbation import (
     extract_secular,
     first_order_solution,
     naive_solution,
-    van_der_pol,
 )
 from renormdiff.renormalization import build_flow
 
 EXACT = RootConvention.EXACT_UNIT_MODULUS
 
 
-class TestHalvingConvention:
-    """The halved centered difference must behave as eps -> eps/2 end to end."""
-
-    def test_oracle_halved_equals_half_eps(self):
-        p_full = SchemeParams(dt=0.01, eps=0.025, root_convention=EXACT)
-        p_double = SchemeParams(dt=0.01, eps=0.05, root_convention=EXACT)
-        z0, z1 = init_from_amplitude(0.1, p_full)
-        halved = iterate(van_der_pol(halving=True), p_double, z0, z1, 5000)
-        plain = iterate(VAN_DER_POL, p_full, z0, z1, 5000)
-        assert np.array_equal(halved.values, plain.values)
-
-    def test_renormalized_envelope_tracks_halved_oracle(self):
-        eps, dt = 0.05, 0.005
-        kind = van_der_pol(halving=True)
+class TestHalfEpsVanDerPol:
+    def test_renormalized_envelope_tracks_oracle(self):
+        eps, dt = 0.025, 0.005
         params = SchemeParams(dt=dt, eps=eps, root_convention=EXACT)
         z0, z1 = init_from_amplitude(0.1, params)
-        # halved rate: the limit cycle needs ~2x the time
-        traj = iterate(kind, params, z0, z1, int(400 / dt))
+        # half the eps of the other checks: the limit cycle needs ~2x the time
+        traj = iterate(VAN_DER_POL, params, z0, z1, int(400 / dt))
         peaks = envelope(traj)
-        sol = GlobalSolution(kind, params, 0.1)
+        sol = GlobalSolution(VAN_DER_POL, params, 0.1)
         band = peaks[peaks[:, 0] >= 80.0]
         predicted = sol.fundamental_amplitude(band[:, 0])
         rel = np.abs(predicted - band[:, 1]) / band[:, 1]
         assert rel.max() <= 0.05
 
-    def test_secular_report_scales_with_halving(self):
-        p = SchemeParams(dt=0.01, eps=0.05)
-        a0 = 0.3 + 0.1j
-        full = extract_secular(first_order_solution(VAN_DER_POL, a0, p), p)
-        half = extract_secular(
-            first_order_solution(van_der_pol(halving=True), a0, p), p
-        )
-        assert half == pytest.approx(0.5 * full, rel=1e-12)
 
+class TestSecularFlow:
     def test_flow_matches_secular_functions(self):
         # the closed-form flow rates agree with the extracted secular
         # coefficients as dt -> 0 (unit-modulus roots)

@@ -22,7 +22,6 @@ from renormdiff.perturbation import (
     first_order_solution,
     naive_solution,
     nonlinearity_value,
-    van_der_pol,
     zeroth_order,
 )
 
@@ -115,14 +114,6 @@ class TestFirstOrderForcing:
             expected = dt * (1.0 - u[1] ** 2) * (u[2] - u[0])
             assert half.evaluate(n) - cross * lp**n == pytest.approx(expected, rel=1e-10)
 
-    def test_halving_halves_the_forcing(self):
-        p = params(0.1)
-        a0 = 0.4 + 0.1j
-        full = first_order_forcing(VAN_DER_POL, a0, p)
-        half = first_order_forcing(van_der_pol(halving=True), a0, p)
-        for t_full, t_half in zip(full.terms, half.terms):
-            assert t_half.coeff == pytest.approx(0.5 * t_full.coeff)
-
 
 class TestFirstOrderSolution:
     def test_cubic_secular_coefficient_formula(self):
@@ -203,15 +194,15 @@ class TestNaiveSolution:
         assert z.dtype == float and z.base is None
         assert type(naive_solution(CUBIC, 0.4 + 0.1j, p, 7)) is float
 
-    @pytest.mark.parametrize("kind", [CUBIC, VAN_DER_POL, van_der_pol(halving=True)])
+    @pytest.mark.parametrize("kind, eps", [(CUBIC, 0.02), (VAN_DER_POL, 0.02), (VAN_DER_POL, 0.01)])
     @pytest.mark.parametrize("convention", [FIRST, EXACT])
     @pytest.mark.parametrize("scheme", [Scheme.STANDARD, Scheme.MICKENS])
     @pytest.mark.parametrize("dt", [0.004, 0.1, 0.5, 1.0, math.pi / 3, math.sqrt(3.0)])
-    def test_half_form_is_the_full_first_order_sum(self, kind, convention, scheme, dt):
+    def test_half_form_is_the_full_first_order_sum(self, kind, eps, convention, scheme, dt):
         # dt = 1 at exact roots, pi/3 for mickens at exact roots and sqrt(3)
         # for the standard scheme at either make lam_p^3 real, so the full sum
         # merges its lam_p^3 and lam_m^3 terms onto one base
-        p = SchemeParams(dt=dt, eps=0.02, root_convention=convention, scheme=scheme)
+        p = SchemeParams(dt=dt, eps=eps, root_convention=convention, scheme=scheme)
         a0 = 0.4 + 0.15j
         lam_p = characteristic_roots(p)[0]
         # a horizon at which first-order roots keep |lam_p|^{3n} below 1e260

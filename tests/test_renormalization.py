@@ -17,7 +17,6 @@ from renormdiff.perturbation import (
     extract_secular,
     first_order_forcing,
     first_order_solution,
-    van_der_pol,
 )
 from renormdiff.renormalization import (
     AmplitudeFlow,
@@ -80,12 +79,11 @@ class TestBuildFlow:
         assert da == pytest.approx(0.05 * 0.01 * (a - a * a * b))
         assert db == pytest.approx(0.05 * 0.01 * (b - b * b * a))
 
-    def test_vdp_halving_halves_rate(self):
-        p = params(0.01, 0.05)
+    def test_vdp_half_eps_halves_rate(self):
         a = 0.4 + 0.1j
-        da_full = build_flow(VAN_DER_POL, p)(a)
-        da_half = build_flow(van_der_pol(halving=True), p)(a)
-        assert da_half == pytest.approx(0.5 * da_full)
+        da_full = build_flow(VAN_DER_POL, params(0.01, 0.05))(a)
+        da_half = build_flow(VAN_DER_POL, params(0.01, 0.025))(a)
+        assert da_half == 0.5 * da_full
 
     def test_zero_eps_constant_flow(self):
         flow = build_flow(CUBIC, params(0.01, 0.0))
@@ -162,18 +160,18 @@ def _two_amplitude_path(variant, rate, a0, steps):
 
 class TestConjugateReduction:
     @pytest.mark.parametrize(
-        "kind, variant, rate",
+        "kind, variant, eps, rate",
         [
-            (CUBIC, "cubic", 1.5j * 0.05 * 0.02),
-            (VAN_DER_POL, "vdp", 0.05 * 0.02),
-            (van_der_pol(halving=True), "vdp", 0.05 * 0.02 * 0.5),
+            (CUBIC, "cubic", 0.05, 1.5j * 0.05 * 0.02),
+            (VAN_DER_POL, "vdp", 0.05, 0.05 * 0.02),
+            (VAN_DER_POL, "vdp", 0.025, 0.025 * 0.02),
         ],
     )
-    def test_flow_path_equals_two_amplitude_map(self, kind, variant, rate):
+    def test_flow_path_equals_two_amplitude_map(self, kind, variant, eps, rate):
         a0 = 0.3 + 0.21j
         a_ref, b_ref = _two_amplitude_path(variant, rate, a0, 2000)
         assert b_ref.tobytes() == np.conj(a_ref).tobytes()
-        a_path = flow_path(build_flow(kind, params(0.02, 0.05)), a0, 2000)
+        a_path = flow_path(build_flow(kind, params(0.02, eps)), a0, 2000)
         assert a_path.tobytes() == a_ref.tobytes()
 
 
@@ -191,28 +189,28 @@ def _fold_path(flow, a0, steps):
 
 
 class TestInlineFold:
-    @pytest.mark.parametrize("kind", [CUBIC, VAN_DER_POL, van_der_pol(halving=True)])
-    def test_flow_path_equals_step_map_fold(self, kind):
-        flow = build_flow(kind, params(0.02, 0.05))
+    @pytest.mark.parametrize("kind, eps", [(CUBIC, 0.05), (VAN_DER_POL, 0.05), (VAN_DER_POL, 0.025)])
+    def test_flow_path_equals_step_map_fold(self, kind, eps):
+        flow = build_flow(kind, params(0.02, eps))
         a0 = 0.3 + 0.21j
         assert flow_path(flow, a0, 2000).tobytes() == _fold_path(flow, a0, 2000).tobytes()
 
     @pytest.mark.parametrize(
-        "kind, a0",
+        "kind, eps, a0",
         [
-            (CUBIC, 0.5),  # past the guard at step 30
-            (CUBIC, 3.0 - 1j),
-            (CUBIC, 1e5j),  # at step 1
-            (VAN_DER_POL, 2.5),  # at step 6
-            (VAN_DER_POL, 3.0 - 1j),
-            (VAN_DER_POL, 9e11),
-            (van_der_pol(halving=True), 3.35 + 0.1j),  # at step 6
-            (van_der_pol(halving=True), 12.0),
-            (van_der_pol(halving=True), 9e11),
+            (CUBIC, 0.4, 0.5),  # past the guard at step 30
+            (CUBIC, 0.4, 3.0 - 1j),
+            (CUBIC, 0.4, 1e5j),  # at step 1
+            (VAN_DER_POL, 0.4, 2.5),  # at step 6
+            (VAN_DER_POL, 0.4, 3.0 - 1j),
+            (VAN_DER_POL, 0.4, 9e11),
+            (VAN_DER_POL, 0.2, 3.35 + 0.1j),  # at step 6
+            (VAN_DER_POL, 0.2, 12.0),
+            (VAN_DER_POL, 0.2, 9e11),
         ],
     )
-    def test_guard_after_the_loop_names_the_step_of_a_guard_per_step(self, kind, a0):
-        flow = build_flow(kind, params(1.0, 0.4))
+    def test_guard_after_the_loop_names_the_step_of_a_guard_per_step(self, kind, eps, a0):
+        flow = build_flow(kind, params(1.0, eps))
         with pytest.raises(OverflowError) as per_step:
             _fold_path(flow, a0, 2000)
         with pytest.raises(OverflowError) as after_loop:
@@ -233,8 +231,8 @@ class TestInlineFold:
         assert peak < 1.6 * out.nbytes
 
     def test_flow_is_a_frozen_value(self):
-        flow = build_flow(van_der_pol(halving=True), params(0.02, 0.05))
-        assert flow == AmplitudeFlow(flow.variant, 0.05 * 0.02 * 0.5)
+        flow = build_flow(VAN_DER_POL, params(0.02, 0.025))
+        assert flow == AmplitudeFlow(VAN_DER_POL, 0.025 * 0.02)
         with pytest.raises(AttributeError):
             flow.rate = 0.0
 
@@ -429,15 +427,15 @@ _A, _B, _L, _X = sp.symbols("a b L X")  # X stands for L^n
 _MU = _DT**2
 _MICKENS_MU = 4 * sp.sin(_DT / 2) ** 2
 _ROOT = (2 - _MU) / 2 + sp.I * _DT * sp.sqrt(4 - _MU) / 2  # exact root of unit modulus
-_RATE_KINDS = [CUBIC, VAN_DER_POL, van_der_pol(halving=True)]
+_RATE_KINDS = [CUBIC, VAN_DER_POL]
 
 
 def _forcing(kind, mu=_MU):
     """First-order right-hand side of the scheme of weight mu, in powers of X.
 
     z0 = a L^n + b L^-n is put into mu (-z^3) for the cubic scheme and into
-    (mu/dt) h (1 - z^2)(z(n+1) - z(n-1)) for the Van der Pol one (h = 1/2
-    under halving); expanding collects L L^-1 = 1.  The default weight is the
+    (mu/dt) (1 - z^2)(z(n+1) - z(n-1)) for the Van der Pol one; expanding
+    collects L L^-1 = 1.  The default weight is the
     standard scheme's.  Also returns the secular mode, a^2 b (cubic) or
     a - a^2 b (Van der Pol).
     """
@@ -445,10 +443,9 @@ def _forcing(kind, mu=_MU):
     def z0(shift):
         return _A * _L**shift * _X + _B * _L**-shift / _X
 
-    if kind.variant is Variant.CUBIC:
+    if kind is Variant.CUBIC:
         return sp.expand(mu * -z0(0) ** 3), _A**2 * _B
-    halving = sp.Rational(1, 2) if kind.vdp_halving else 1
-    rhs = (mu / _DT) * halving * (1 - z0(0) ** 2) * (z0(1) - z0(-1))
+    rhs = (mu / _DT) * (1 - z0(0) ** 2) * (z0(1) - z0(-1))
     return sp.expand(rhs), _A - _A**2 * _B
 
 
@@ -511,7 +508,7 @@ class TestSecularRate:
         a = 0.4 + 0.3j
         z1 = first_order_solution(kind, a, p)
         sigma = extract_secular(z1, p)
-        mode = a * a * a.conjugate() if kind.variant is Variant.CUBIC else a - a * a * a.conjugate()
+        mode = a * a * a.conjugate() if kind is Variant.CUBIC else a - a * a * a.conjugate()
         expected = complex(_symbolic_rate(kind).subs(_DT, sp.Float(dt, 30)).evalf(30))
         assert abs(sigma / mode - expected) <= 1e-12 * abs(expected)
 
@@ -522,7 +519,6 @@ class TestSecularRate:
 
     def test_vdp_rate_is_exact_at_every_dt(self):
         assert sp.simplify(_symbolic_rate(VAN_DER_POL) / _DT) == 1
-        assert sp.simplify(_symbolic_rate(van_der_pol(halving=True)) / _DT) == sp.Rational(1, 2)
 
     @pytest.mark.parametrize("kind", _RATE_KINDS)
     def test_build_flow_rate(self, kind):
@@ -569,7 +565,7 @@ class TestThirdHarmonic:
 
     @pytest.mark.parametrize(
         "kind, limit",
-        [(CUBIC, sp.Rational(1, 8)), (VAN_DER_POL, sp.I / 4), (van_der_pol(halving=True), sp.I / 8)],
+        [(CUBIC, sp.Rational(1, 8)), (VAN_DER_POL, sp.I / 4)],
     )
     def test_continuum_limit(self, kind, limit):
         assert sp.simplify(sp.limit(_symbolic_third_harmonic(kind), _DT, 0) - limit) == 0
