@@ -189,7 +189,9 @@ def _fold_path(flow, a0, steps):
 
 
 class TestInlineFold:
-    @pytest.mark.parametrize("kind, eps", [(CUBIC, 0.05), (VAN_DER_POL, 0.05), (VAN_DER_POL, 0.025)])
+    @pytest.mark.parametrize(
+        "kind, eps", [(CUBIC, 0.05), (VAN_DER_POL, 0.05), (VAN_DER_POL, 0.025)]
+    )
     def test_flow_path_equals_step_map_fold(self, kind, eps):
         flow = build_flow(kind, params(0.02, eps))
         a0 = 0.3 + 0.21j
