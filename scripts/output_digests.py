@@ -9,7 +9,10 @@ and to stderr.  The output path in the printed argv is the placeholder
 ``OUT.csv``/``OUT.json``, the path of ``src/`` in stderr is ``SRC`` and the
 line number a warning names in a package file is ``LINE``, so checkouts at
 different paths, and code moved within a file, agree.  Four runs end in a numerical failure (exit 3), so
-the stderr digests pin the failure messages and the step each one names.
+the stderr digests pin the failure messages and the step each one names;
+the ``--help`` runs and the runs refused with exit 2 pin the text of the
+command-line boundary.  argparse wraps its usage lines to the terminal
+width, so the script fixes ``COLUMNS`` before anything is parsed.
 
 A change that must not alter a byte is checked by running this script in a
 checkout of the parent commit and in the changed one and comparing::
@@ -24,10 +27,15 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import re
 import sys
 import tempfile
 from pathlib import Path
+
+# argparse reads the width when it formats; fixed, the digests do not depend
+# on the terminal the script runs in.
+os.environ["COLUMNS"] = "80"
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
@@ -93,6 +101,14 @@ def matrix() -> list[tuple[list[str], str]]:
         runs.append((["compare", "--kind=cubic", "--stride=1", *BASE[:3], "--a0-re=1e-7",
                       "--a0-im=1e-9"], fmt))
     runs.append((["simulate", "--kind=vdp", *LONG], "csv"))
+    # The boundary's text: each subcommand's help, and a choice, a range and a
+    # sign refused with exit 2.
+    for command in ("simulate", "compare", "sweep"):
+        runs.append(([command, "--help"], STDOUT))
+    runs.append((["simulate", "--kind=quadratic", *BASE], "csv"))
+    runs.append((["compare", "--root-convention=bogus", *BASE], "csv"))
+    runs.append((["compare", "--stride=0", *BASE], "csv"))
+    runs.append((["compare", "--kind=cubic", *BASE, "--eps=-1"], "csv"))
     return runs
 
 

@@ -59,13 +59,19 @@ class ExperimentConfig:
     stride: int = 1
 
 
-_KINDS = tuple(v.value for v in Variant)
-_ROOT_CONVENTIONS = {c.value: c for c in RootConvention}
-_KAPPA_CONVENTIONS = {c.value: c for c in KappaConvention}
-_SCHEMES = tuple(s.value for s in Scheme)
-_FORMATS = ("csv", "json")
+# Each field is the flag --<name with dashes> and the config key <name>; its
+# type is its default's (output_path, None by default, holds a str).
+_TYPES = {f.name: str if f.default is None else type(f.default)
+          for f in dataclasses.fields(ExperimentConfig)}
+# The values a field accepts, in the order its flag and its error list them.
+_CHOICES = {
+    "kind": tuple(v.value for v in Variant),
+    "root_convention": sorted(c.value for c in RootConvention),
+    "kappa_convention": sorted(c.value for c in KappaConvention),
+    "scheme": tuple(s.value for s in Scheme),
+    "output_format": ("csv", "json"),
+}
 _SWEEPABLE = ("dt", "eps", "a0_re")
-_FINITE = ("dt", "eps", "a0_re", "a0_im", "t_max")
 # The oracle runs about 270 (cubic) to 380 (vdp) ns per step in pure Python on
 # a 2-vCPU Xeon.  A cubic CSV compare peaked at 83.7 MiB at 5e5 steps and at
 # 243.9 MiB at 2e6 steps, about 112 B per step, so 1e8 steps takes minutes and
@@ -82,10 +88,16 @@ _BOOL_WORDS = {
     "no": False,
     "off": False,
 }
+# How a config-file value of each type is read, and what its error expects.
+_READERS = {
+    bool: (lambda text: _BOOL_WORDS[text.lower()], "a boolean"),
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    str: (str, None),
+}
 
 
 def _parse_config_file(path: str) -> dict:
-    fields = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
     out = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -99,37 +111,22 @@ def _parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in fields:
+        if key not in _TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = _coerce_field(key, value)
+        read, expects = _READERS[_TYPES[key]]
+        try:
+            out[key] = read(value)
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"{path}:{lineno}: {key} expects {expects}, got {value!r}") from exc
     return out
 
 
-def _coerce_field(key: str, value: str):
-    default = getattr(ExperimentConfig(), key)
-    if isinstance(default, bool):
-        word = value.lower()
-        if word not in _BOOL_WORDS:
-            raise ConfigError(f"{key} expects a boolean, got {value!r}")
-        return _BOOL_WORDS[word]
-    if isinstance(default, int):
-        try:
-            return int(value)
-        except ValueError as exc:
-            raise ConfigError(f"{key} expects an integer, got {value!r}") from exc
-    if isinstance(default, float):
-        try:
-            return float(value)
-        except ValueError as exc:
-            raise ConfigError(f"{key} expects a number, got {value!r}") from exc
-    return value
-
-
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
-    if cfg.kind not in _KINDS:
-        raise ConfigError(f"kind must be one of {_KINDS}, got {cfg.kind!r}")
-    for name in _FINITE:
-        if not math.isfinite(getattr(cfg, name)):
+    for name, choices in _CHOICES.items():
+        if getattr(cfg, name) not in choices:
+            raise ConfigError(f"{name} must be one of {choices}, got {getattr(cfg, name)!r}")
+    for name, field_type in _TYPES.items():
+        if field_type is float and not math.isfinite(getattr(cfg, name)):
             raise ConfigError(f"{name} must be finite, got {getattr(cfg, name)!r}")
     if cfg.dt <= 0.0:
         raise ConfigError("dt must be positive")
@@ -137,22 +134,6 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("t_max must be positive")
     if cfg.stride < 1:
         raise ConfigError("stride must be >= 1")
-    if cfg.root_convention not in _ROOT_CONVENTIONS:
-        raise ConfigError(
-            f"root_convention must be one of {sorted(_ROOT_CONVENTIONS)}, "
-            f"got {cfg.root_convention!r}"
-        )
-    if cfg.kappa_convention not in _KAPPA_CONVENTIONS:
-        raise ConfigError(
-            f"kappa_convention must be one of {sorted(_KAPPA_CONVENTIONS)}, "
-            f"got {cfg.kappa_convention!r}"
-        )
-    if cfg.scheme not in _SCHEMES:
-        raise ConfigError(f"scheme must be one of {_SCHEMES}, got {cfg.scheme!r}")
-    if cfg.output_format not in _FORMATS:
-        raise ConfigError(
-            f"output_format must be one of {_FORMATS}, got {cfg.output_format!r}"
-        )
     if cfg.eps < 0.0:
         raise ConfigError("eps must be nonnegative")
     if cfg.vdp_halving and cfg.kind != Variant.VAN_DER_POL.value:
@@ -170,7 +151,7 @@ def _scheme_params(cfg: ExperimentConfig) -> SchemeParams:
     return SchemeParams(
         dt=cfg.dt,
         eps=0.5 * cfg.eps if cfg.vdp_halving else cfg.eps,
-        root_convention=_ROOT_CONVENTIONS[cfg.root_convention],
+        root_convention=RootConvention(cfg.root_convention),
         scheme=Scheme(cfg.scheme),
     )
 
@@ -188,7 +169,7 @@ def _global_solution(cfg: ExperimentConfig, kind: Variant, params: SchemeParams)
         kind,
         params,
         complex(cfg.a0_re, cfg.a0_im),
-        kappa_convention=_KAPPA_CONVENTIONS[cfg.kappa_convention],
+        kappa_convention=KappaConvention(cfg.kappa_convention),
     )
     if kind is Variant.VAN_DER_POL:
         steps = _steps(cfg)
@@ -485,22 +466,12 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values: list[float]) -> int:
 
 def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="key=value config file; flags override")
-    parser.add_argument("--kind", choices=_KINDS)
-    parser.add_argument("--dt", type=float)
-    parser.add_argument("--eps", type=float)
-    parser.add_argument("--a0-re", dest="a0_re", type=float)
-    parser.add_argument("--a0-im", dest="a0_im", type=float)
-    parser.add_argument("--t-max", dest="t_max", type=float)
-    parser.add_argument("--root-convention", dest="root_convention",
-                        choices=sorted(_ROOT_CONVENTIONS))
-    parser.add_argument("--kappa-convention", dest="kappa_convention",
-                        choices=sorted(_KAPPA_CONVENTIONS))
-    parser.add_argument("--vdp-halving", dest="vdp_halving",
-                        action=argparse.BooleanOptionalAction)
-    parser.add_argument("--scheme", choices=_SCHEMES)
-    parser.add_argument("--output-path", dest="output_path")
-    parser.add_argument("--output-format", dest="output_format", choices=_FORMATS)
-    parser.add_argument("--stride", type=int)
+    for name, field_type in _TYPES.items():
+        flag = "--" + name.replace("_", "-")
+        if field_type is bool:
+            parser.add_argument(flag, dest=name, action=argparse.BooleanOptionalAction)
+        else:
+            parser.add_argument(flag, dest=name, type=field_type, choices=_CHOICES.get(name))
 
 
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
@@ -523,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
         p._negative_number_matcher = _NEGATIVE_NUMBER
         _add_config_flags(p)
         if name == "sweep":
-            p.add_argument("--param", required=True, help="one of dt, eps, a0_re")
+            p.add_argument("--param", required=True, help="one of " + ", ".join(_SWEEPABLE))
             p.add_argument("--values", required=True,
                            help="comma-separated list of numbers")
     return parser
@@ -534,10 +505,10 @@ def _resolve_config(ns: argparse.Namespace) -> ExperimentConfig:
     if ns.config:
         for key, value in _parse_config_file(ns.config).items():
             setattr(cfg, key, value)
-    for field in dataclasses.fields(ExperimentConfig):
-        override = getattr(ns, field.name, None)
+    for name in _TYPES:
+        override = getattr(ns, name, None)
         if override is not None:
-            setattr(cfg, field.name, override)
+            setattr(cfg, name, override)
     return _validate(cfg)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import cmath
 import dataclasses
 import json
@@ -825,6 +826,55 @@ class TestConfigFile:
         code = main(["simulate", "--config", str(tmp_path / "absent.cfg")])
         assert code == 2
 
+    @staticmethod
+    def _run_file(tmp_path, capsys, text):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(text)
+        out = tmp_path / "out.csv"
+        code = main(["simulate", "--config", str(cfg_file), "--output-path", str(out)])
+        return code, capsys.readouterr().err, cfg_file
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("kind", "kind must be one of ('cubic', 'vdp'), got 'bogus'"),
+            ("root_convention",
+             "root_convention must be one of ['exact', 'first-order'], got 'bogus'"),
+            ("kappa_convention", "kappa_convention must be one of "
+             "['one-plus-c', 'one-plus-c-squared'], got 'bogus'"),
+            ("scheme", "scheme must be one of ('standard', 'mickens'), got 'bogus'"),
+            ("output_format", "output_format must be one of ('csv', 'json'), got 'bogus'"),
+        ],
+    )
+    def test_bad_choice_in_file_rejected(self, tmp_path, capsys, field, message):
+        code, err, _ = self._run_file(tmp_path, capsys, f"t_max = 1\n{field} = bogus\n")
+        assert code == 2
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("word", [*sorted(cli._BOOL_WORDS), "TRUE", "Off"])
+    def test_boolean_words_set_vdp_halving(self, tmp_path, capsys, word):
+        text = f"kind = vdp\nt_max = 1\nvdp_halving = {word}\n"
+        code, err, cfg_file = self._run_file(tmp_path, capsys, text)
+        assert (code, err) == (0, "")
+        ns = cli.build_parser().parse_args(["simulate", "--config", str(cfg_file)])
+        want = word.lower() in ("1", "true", "yes", "on")
+        assert cli._resolve_config(ns).vdp_halving is want
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("kind = vdp\nvdp_halving = maybe\n", "2: vdp_halving expects a boolean, got 'maybe'"),
+            ("t_max = 1\nstride = 2.5\n", "2: stride expects an integer, got '2.5'"),
+            ("dt = abc\n", "1: dt expects a number, got 'abc'"),
+            ("# a comment\n\ndt 0.1\n", "3: expected key=value, got 'dt 0.1'"),
+            ("t-max = 1\n", "1: unknown config key 't-max'"),
+        ],
+    )
+    def test_unreadable_line_named(self, tmp_path, capsys, text, message):
+        code, err, cfg_file = self._run_file(tmp_path, capsys, text)
+        assert code == 2
+        assert err == f"error: {cfg_file}:{message}\n"
+
     def test_bad_subcommand_exits_two(self, capsys):
         assert main(["frobnicate"]) == 2
 
@@ -847,6 +897,29 @@ class TestConfigFile:
         )
         assert proc.returncode == 0
         assert out.read_text().startswith("n,t,z")
+
+
+class TestFlags:
+    """Every config field is one flag, --<field with dashes>, stored in the field."""
+
+    @pytest.mark.parametrize("command", ["simulate", "compare", "sweep"])
+    def test_flags_map_to_fields(self, command):
+        parser = cli.build_parser()
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        actions = [a for a in subparsers.choices[command]._actions
+                   if not isinstance(a, argparse._HelpAction)]
+        got = {flag: action.dest for action in actions for flag in action.option_strings}
+        want = {"--config": "config", "--no-vdp-halving": "vdp_halving"}
+        for field in dataclasses.fields(ExperimentConfig):
+            want["--" + field.name.replace("_", "-")] = field.name
+        if command == "sweep":
+            want.update({"--param": "param", "--values": "values"})
+        assert got == want
+        for action in actions:
+            assert action.choices == cli._CHOICES.get(action.dest)
+        choice_flags = {a.option_strings[0] for a in actions if a.choices is not None}
+        assert choice_flags == {"--kind", "--root-convention", "--kappa-convention",
+                                "--scheme", "--output-format"}
 
 
 class TestPipelineDefaults:
