@@ -67,7 +67,6 @@ def matrix() -> list[tuple[list[str], str]]:
                 for stride in ("1", "7"):
                     runs.append(([command, f"--kind={kind}", f"--stride={stride}", *BASE], fmt))
     for fmt in ("csv", "json"):
-        runs.append((["compare", "--kind=vdp", "--vdp-halving", *BASE], fmt))
         runs.append((["compare", "--kind=cubic", "--scheme=mickens", *BASE], fmt))
         runs.append((["compare", "--kind=cubic", *LONG], fmt))
         for param, values in (("eps", "0.005,0.01,0.02"), ("dt", "0.02,0.01,0.005"),
@@ -75,11 +74,6 @@ def matrix() -> list[tuple[list[str], str]]:
             for kind in ("cubic", "vdp"):
                 runs.append((["sweep", f"--param={param}", f"--values={values}",
                               f"--kind={kind}", *BASE], fmt))
-    # The halving convention runs the scheme at eps/2, but a sweep writes the
-    # values given; with the cubic kind it is refused with exit 2.
-    runs.append((["sweep", "--kind=vdp", "--vdp-halving", "--param=eps",
-                  "--values=0.005,0.01,0.02", *BASE], "csv"))
-    runs.append((["simulate", "--kind=cubic", "--vdp-halving", *BASE], "csv"))
     runs.append((["compare", "--kind=cubic", "--stride=7", *BASE], STDOUT))
     runs.append((["compare", "--kind=vdp", "--output-format=json", *BASE], STDOUT))
     runs.append((["simulate", "--kind=cubic", *BASE], STDOUT))
@@ -101,14 +95,15 @@ def matrix() -> list[tuple[list[str], str]]:
         runs.append((["compare", "--kind=cubic", "--stride=1", *BASE[:3], "--a0-re=1e-7",
                       "--a0-im=1e-9"], fmt))
     runs.append((["simulate", "--kind=vdp", *LONG], "csv"))
-    # The boundary's text: each subcommand's help, and a choice, a range and a
-    # sign refused with exit 2.
+    # The boundary's text: each subcommand's help, and a choice, a range, a
+    # sign and an unknown flag refused with exit 2.
     for command in ("simulate", "compare", "sweep"):
         runs.append(([command, "--help"], STDOUT))
     runs.append((["simulate", "--kind=quadratic", *BASE], "csv"))
     runs.append((["compare", "--root-convention=bogus", *BASE], "csv"))
     runs.append((["compare", "--stride=0", *BASE], "csv"))
     runs.append((["compare", "--kind=cubic", *BASE, "--eps=-1"], "csv"))
+    runs.append((["compare", "--kind=vdp", "--vdp-halving", *BASE], "csv"))
     return runs
 
 

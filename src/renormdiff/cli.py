@@ -1,11 +1,12 @@
 """Command-line workbench: simulate, compare, sweep.
 
-Configuration comes from a plain key=value file ('#' comments) plus
-command-line flags; flags win.  Output is CSV (17-significant-digit floats,
-byte-stable across runs) or JSON mirroring the same field names.  Exit codes:
-0 success, 2 configuration error (an output path that cannot be opened
-included), 3 numerical failure: a diverging or singular oracle step, an
-amplitude flow past its guard, a continuum envelope that blows up before
+Configuration comes from a plain key=value file ('#' starts a comment at the
+start of a line or after whitespace) plus command-line flags; flags win.
+Output is CSV (17-significant-digit floats, byte-stable across runs) or JSON
+mirroring the same field names.  Exit codes: 0 success, 1 a stdout reader
+that closed early, 2 configuration error (an output path that cannot be
+opened included), 3 numerical failure: a diverging or singular oracle step,
+an amplitude flow past its guard, a continuum envelope that blows up before
 t_max or a non-finite model column, each named with the step where it
 happened.
 """
@@ -16,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -52,7 +54,6 @@ class ExperimentConfig:
     t_max: float = 100.0
     root_convention: str = "exact"
     kappa_convention: str = "one-plus-c-squared"
-    vdp_halving: bool = False
     scheme: str = "standard"
     output_path: str | None = None
     output_format: str = "csv"
@@ -78,23 +79,12 @@ _SWEEPABLE = ("dt", "eps", "a0_re")
 # about 11 GB; larger counts are rejected early.
 _MAX_STEPS = 10**8
 
-_BOOL_WORDS = {
-    "1": True,
-    "true": True,
-    "yes": True,
-    "on": True,
-    "0": False,
-    "false": False,
-    "no": False,
-    "off": False,
-}
-# How a config-file value of each type is read, and what its error expects.
-_READERS = {
-    bool: (lambda text: _BOOL_WORDS[text.lower()], "a boolean"),
-    int: (int, "an integer"),
-    float: (float, "a number"),
-    str: (str, None),
-}
+# A config-file value is read by its field's type; what an int or a float
+# field's error says it expects.
+_EXPECTS = {int: "an integer", float: "a number"}
+# '#' starts a comment at the start of a line or after whitespace, so
+# 'output_path = runs#1.csv' keeps its '#'.
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def _parse_config_file(path: str) -> dict:
@@ -105,7 +95,7 @@ def _parse_config_file(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -113,11 +103,11 @@ def _parse_config_file(path: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        read, expects = _READERS[_TYPES[key]]
         try:
-            out[key] = read(value)
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"{path}:{lineno}: {key} expects {expects}, got {value!r}") from exc
+            out[key] = _TYPES[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {key} expects {_EXPECTS[_TYPES[key]]}, "
+                              f"got {value!r}") from exc
     return out
 
 
@@ -136,21 +126,14 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("stride must be >= 1")
     if cfg.eps < 0.0:
         raise ConfigError("eps must be nonnegative")
-    if cfg.vdp_halving and cfg.kind != Variant.VAN_DER_POL.value:
-        raise ConfigError("vdp_halving only applies to the Van der Pol variant")
     return cfg
 
 
 def _scheme_params(cfg: ExperimentConfig) -> SchemeParams:
-    """The scheme of a config.
-
-    vdp_halving halves the centered difference of the Van der Pol forcing, the
-    standard centered discretization of z', which amounts to eps -> eps/2; it
-    is applied here, and only here, to the scheme's small parameter.
-    """
+    """The scheme of a config."""
     return SchemeParams(
         dt=cfg.dt,
-        eps=0.5 * cfg.eps if cfg.vdp_halving else cfg.eps,
+        eps=cfg.eps,
         root_convention=RootConvention(cfg.root_convention),
         scheme=Scheme(cfg.scheme),
     )
@@ -435,8 +418,6 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
 def cmd_sweep(cfg: ExperimentConfig, param: str, values: list[float]) -> int:
     if param not in _SWEEPABLE:
         raise ConfigError(f"sweep parameter must be one of {_SWEEPABLE}, got {param!r}")
-    if not values:
-        raise ConfigError("sweep needs a non-empty list of values")
     row_cfgs = [_validate(dataclasses.replace(cfg, **{param: value})) for value in values]
     for row_cfg in row_cfgs:  # reject a bad value before any pipeline runs
         _steps(row_cfg)
@@ -467,11 +448,8 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values: list[float]) -> int:
 def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="key=value config file; flags override")
     for name, field_type in _TYPES.items():
-        flag = "--" + name.replace("_", "-")
-        if field_type is bool:
-            parser.add_argument(flag, dest=name, action=argparse.BooleanOptionalAction)
-        else:
-            parser.add_argument(flag, dest=name, type=field_type, choices=_CHOICES.get(name))
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=field_type,
+                            choices=_CHOICES.get(name))
 
 
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
@@ -523,7 +501,10 @@ def main(argv=None) -> int:
             return cmd_simulate(cfg)
         if ns.command == "compare":
             return cmd_compare(cfg)
-        values_raw = [v for v in ns.values.split(",") if v.strip()]
+        values_raw = ns.values.split(",")
+        for i, v in enumerate(values_raw, start=1):
+            if not v.strip():
+                raise ConfigError(f"--values entry {i} of {ns.values!r} is empty")
         try:
             values = [float(v) for v in values_raw]
         except ValueError as exc:
@@ -538,4 +519,16 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    """The console script: ``main`` on ``sys.argv``, exiting with its code.
+
+    A reader that closes the pipe early (``renormdiff simulate | head -1``)
+    ends the run with exit 1 and no traceback: stdout is pointed at devnull,
+    so the flush at interpreter exit cannot fail again.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)

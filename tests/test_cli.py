@@ -2,7 +2,8 @@ import argparse
 import cmath
 import dataclasses
 import json
-import warnings
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -134,85 +135,6 @@ class TestSimulate:
         _, rows, _ = read_csv(out)
         assert rows[0, 2] == 0.0
         assert np.all(np.isfinite(rows[:, 2]))
-
-    @pytest.mark.parametrize(
-        "command", [["simulate"], ["compare"], ["sweep", "--param=eps", "--values=0.01,0.02"]],
-        ids=["simulate", "compare", "sweep"],
-    )
-    def test_vdp_halving_rejected_for_cubic(self, tmp_path, capsys, command):
-        out = tmp_path / "x.csv"
-        code = main([*command, "--kind", "cubic", "--vdp-halving", "--t-max", "5",
-                     "--output-path", str(out)])
-        assert code == 2
-        assert "vdp_halving only applies to the Van der Pol variant" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_vdp_halving_rejected_for_cubic_pipeline(self):
-        with pytest.raises(cli.ConfigError, match="vdp_halving only applies"):
-            run_compare_pipeline(ExperimentConfig(kind="cubic", vdp_halving=True, t_max=5.0))
-
-
-def _run_bytes(tmp_path, capsys, argv, name):
-    """(output file, stdout, stderr) of one run, as bytes."""
-    out = tmp_path / name
-    code = main([*argv, f"--output-path={out}"])
-    captured = capsys.readouterr()
-    return code, out.read_bytes(), captured.out.encode(), captured.err.encode()
-
-
-_HALVING_BASE = ["--kind=vdp", "--dt=0.01", "--t-max=20", "--a0-re=0.4", "--a0-im=0.15"]
-
-
-class TestHalvingAtTheBoundary:
-    """--vdp-halving runs the Van der Pol scheme at eps/2: every byte equals
-    the unhalved run at half the eps."""
-
-    def _same(self, tmp_path, capsys, argv):
-        halved = _run_bytes(tmp_path, capsys, [*argv, "--vdp-halving", "--eps=0.04"], "halved")
-        plain = _run_bytes(tmp_path, capsys, [*argv, "--eps=0.02"], "plain")
-        assert halved[0] == 0
-        assert halved == plain
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("scheme", ["standard", "mickens"])
-    @pytest.mark.parametrize("roots", ["exact", "first-order"])
-    @pytest.mark.parametrize("kappa", ["one-plus-c", "one-plus-c-squared"])
-    def test_compare(self, tmp_path, capsys, fmt, scheme, roots, kappa):
-        self._same(tmp_path, capsys, ["compare", *_HALVING_BASE, f"--output-format={fmt}",
-                                      f"--scheme={scheme}", f"--root-convention={roots}",
-                                      f"--kappa-convention={kappa}"])
-
-    def test_simulate(self, tmp_path, capsys):
-        self._same(tmp_path, capsys, ["simulate", *_HALVING_BASE])
-
-    @pytest.mark.parametrize("param, values", [("dt", "0.02,0.01"), ("a0_re", "0.3,0.5")])
-    def test_sweep(self, tmp_path, capsys, param, values):
-        self._same(tmp_path, capsys, ["sweep", f"--param={param}", f"--values={values}",
-                                      *_HALVING_BASE])
-
-    def test_eps_sweep_keeps_the_given_values(self, tmp_path, capsys):
-        halved = _run_bytes(tmp_path, capsys, ["sweep", "--param=eps", "--values=0.01,0.02,0.04",
-                                               "--vdp-halving", *_HALVING_BASE], "halved.csv")
-        plain = _run_bytes(tmp_path, capsys, ["sweep", "--param=eps",
-                                              "--values=0.005,0.01,0.02", *_HALVING_BASE],
-                           "plain.csv")
-        assert halved[0] == plain[0] == 0
-        assert halved[2:] == plain[2:]
-        # the plain table with the given values in its first column, rows 1-3
-        lines = plain[1].decode().splitlines(keepends=True)
-        for row, value in enumerate(("0.01", "0.02", "0.040000000000000001"), start=1):
-            lines[row] = value + lines[row][lines[row].index(","):]
-        assert halved[1] == "".join(lines).encode()
-
-    def test_large_eps_warning_judges_the_halved_eps(self, tmp_path):
-        argv = ["simulate", "--kind=vdp", "--vdp-halving", "--t-max=1",
-                f"--output-path={tmp_path / 'x.csv'}"]
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            assert main([*argv, "--eps=0.8"]) == 0
-        assert not [w for w in record if "is large" in str(w.message)]
-        with pytest.warns(UserWarning, match=r"^eps = 0\.6 is large"):
-            assert main([*argv, "--eps=1.2"]) == 0
 
 
 class TestCompare:
@@ -543,11 +465,15 @@ class TestSweep:
         drift = rows[:, header.index("max_err_naive")]
         assert drift[0] > 1.5 * drift[1] > 2.0 * drift[2]
 
-    def test_empty_values_rejected(self, tmp_path, capsys):
-        code = main(
-            ["sweep", "--param", "eps", "--values", "", "--output-path", str(tmp_path / "x")]
-        )
+    @pytest.mark.parametrize(
+        "values, entry", [("", 1), ("0.01,,0.02", 2), ("0.01,", 2), (" ,0.01", 1)]
+    )
+    def test_empty_values_rejected(self, tmp_path, capsys, values, entry):
+        out = tmp_path / "x"
+        code = main(["sweep", "--param", "eps", "--values", values, "--output-path", str(out)])
         assert code == 2
+        assert capsys.readouterr().err == f"error: --values entry {entry} of {values!r} is empty\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("values", ["0.002,1e-12", "0.002,2.5"])
     def test_bad_value_rejected_before_any_pipeline(self, tmp_path, monkeypatch, values):
@@ -851,19 +777,10 @@ class TestConfigFile:
         assert code == 2
         assert err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("word", [*sorted(cli._BOOL_WORDS), "TRUE", "Off"])
-    def test_boolean_words_set_vdp_halving(self, tmp_path, capsys, word):
-        text = f"kind = vdp\nt_max = 1\nvdp_halving = {word}\n"
-        code, err, cfg_file = self._run_file(tmp_path, capsys, text)
-        assert (code, err) == (0, "")
-        ns = cli.build_parser().parse_args(["simulate", "--config", str(cfg_file)])
-        want = word.lower() in ("1", "true", "yes", "on")
-        assert cli._resolve_config(ns).vdp_halving is want
-
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("kind = vdp\nvdp_halving = maybe\n", "2: vdp_halving expects a boolean, got 'maybe'"),
+            ("kind = vdp\nvdp_halving = 1\n", "2: unknown config key 'vdp_halving'"),
             ("t_max = 1\nstride = 2.5\n", "2: stride expects an integer, got '2.5'"),
             ("dt = abc\n", "1: dt expects a number, got 'abc'"),
             ("# a comment\n\ndt 0.1\n", "3: expected key=value, got 'dt 0.1'"),
@@ -875,28 +792,47 @@ class TestConfigFile:
         assert code == 2
         assert err == f"error: {cfg_file}:{message}\n"
 
+    @pytest.mark.parametrize(
+        "line, path",
+        [
+            ("output_path = runs#1.csv\n", "runs#1.csv"),
+            ("output_path = runs.csv\t# after a tab\n", "runs.csv"),
+        ],
+    )
+    def test_hash_starts_a_comment_only_after_whitespace(self, tmp_path, monkeypatch, line,
+                                                         path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "exp.cfg").write_text("t_max = 1\n" + line)
+        assert main(["simulate", "--config", "exp.cfg"]) == 0
+        assert sorted(f.name for f in tmp_path.iterdir()) == sorted(["exp.cfg", path])
+
     def test_bad_subcommand_exits_two(self, capsys):
         assert main(["frobnicate"]) == 2
 
-    def test_module_entry_point(self, tmp_path):
-        import os
-        import subprocess
-        import sys
-
-        import renormdiff
-
-        # The child imports the same package as this test, installed or not.
-        src = os.path.dirname(os.path.dirname(renormdiff.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    def test_module_entry_point(self, tmp_path, package_env):
         out = tmp_path / "m.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "renormdiff", "simulate", "--dt", "0.1",
              "--eps", "0", "--t-max", "5", "--output-path", str(out)],
             capture_output=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=package_env,
         )
         assert proc.returncode == 0
         assert out.read_text().startswith("n,t,z")
+
+    def test_reader_closing_early_exits_one_quietly(self, tmp_path, package_env):
+        # `renormdiff simulate --t-max 1000 | head -1`: about 4 MB of rows,
+        # far more than a pipe buffers, so the writer meets the closed pipe.
+        with open(tmp_path / "err", "w+b") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "renormdiff", "simulate", "--t-max", "1000"],
+                stdout=subprocess.PIPE, stderr=err, env=package_env,
+            )
+            assert proc.stdout.readline() == b"n,t,z\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 1
+            err.seek(0)
+            assert err.read() == b""
 
 
 class TestFlags:
@@ -909,7 +845,7 @@ class TestFlags:
         actions = [a for a in subparsers.choices[command]._actions
                    if not isinstance(a, argparse._HelpAction)]
         got = {flag: action.dest for action in actions for flag in action.option_strings}
-        want = {"--config": "config", "--no-vdp-halving": "vdp_halving"}
+        want = {"--config": "config"}
         for field in dataclasses.fields(ExperimentConfig):
             want["--" + field.name.replace("_", "-")] = field.name
         if command == "sweep":
@@ -920,6 +856,15 @@ class TestFlags:
         choice_flags = {a.option_strings[0] for a in actions if a.choices is not None}
         assert choice_flags == {"--kind", "--root-convention", "--kappa-convention",
                                 "--scheme", "--output-format"}
+
+    @pytest.mark.parametrize("flag", ["--vdp-halving", "--no-vdp-halving"])
+    def test_halving_flags_unrecognized(self, tmp_path, capsys, flag):
+        # for the centred-difference Van der Pol forcing, pass half the eps
+        out = tmp_path / "x.csv"
+        code = main(["compare", "--kind=vdp", flag, "--t-max=5", f"--output-path={out}"])
+        assert code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPipelineDefaults:
