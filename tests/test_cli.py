@@ -14,6 +14,7 @@ from renormdiff.cli import ExperimentConfig, main, run_compare_pipeline
 from renormdiff.lineardiff import (
     HarmonicSum,
     RootConvention,
+    Scheme,
     SchemeParams,
     characteristic_roots,
     particular_solution,
@@ -135,6 +136,28 @@ class TestSimulate:
         _, rows, _ = read_csv(out)
         assert rows[0, 2] == 0.0
         assert np.all(np.isfinite(rows[:, 2]))
+
+    @pytest.mark.parametrize("eps", [0.02, 0.2])
+    @pytest.mark.parametrize("roots", ["exact", "first-order"])
+    @pytest.mark.parametrize("scheme", ["standard", "mickens"])
+    def test_centred_difference_vdp_is_the_run_at_half_eps(self, tmp_path, scheme, roots, eps):
+        # The forcing eps (mu/dt) (1 - z^2) (z(n+1) - z(n-1))/2 is the Van der
+        # Pol scheme at eps/2: the run at eps/2 solves the centred form at eps.
+        out = tmp_path / "vdp.csv"
+        code = main(["simulate", "--kind=vdp", "--dt=0.01", "--t-max=20", "--a0-re=0.4",
+                     "--a0-im=0.15", f"--eps={eps / 2!r}", f"--scheme={scheme}",
+                     f"--root-convention={roots}", f"--output-path={out}"])
+        assert code == 0
+        _, rows, _ = read_csv(out)
+        z = rows[:, 2]
+        mu = SchemeParams(dt=0.01, scheme=Scheme(scheme)).mu
+        zm, zc, zp = z[:-2], z[1:-1], z[2:]
+        linear = zp - (2.0 - mu) * zc + zm
+        drive = (mu / 0.01) * (1.0 - zc**2) * (zp - zm)
+        scale = np.abs(z).max()
+        assert np.abs(linear - eps * drive / 2.0).max() <= 1e-13 * scale
+        # the uncentred form at the same eps is a different scheme
+        assert np.abs(linear - eps * drive).max() >= 1e-8 * scale
 
 
 class TestCompare:
@@ -797,6 +820,8 @@ class TestConfigFile:
         [
             ("output_path = runs#1.csv\n", "runs#1.csv"),
             ("output_path = runs.csv\t# after a tab\n", "runs.csv"),
+            ("output_path = runs#1.csv  # run 1\n", "runs#1.csv"),
+            ("output_path=runs.csv #no space after the hash\n", "runs.csv"),
         ],
     )
     def test_hash_starts_a_comment_only_after_whitespace(self, tmp_path, monkeypatch, line,
@@ -805,6 +830,29 @@ class TestConfigFile:
         (tmp_path / "exp.cfg").write_text("t_max = 1\n" + line)
         assert main(["simulate", "--config", "exp.cfg"]) == 0
         assert sorted(f.name for f in tmp_path.iterdir()) == sorted(["exp.cfg", path])
+
+    # A value other than the default for every field, as it is written in a
+    # config file and after its flag.
+    _FIELD_TEXT = {
+        "kind": "vdp", "dt": "0.02", "eps": "0.03", "a0_re": "0.3", "a0_im": "-0.1",
+        "t_max": "2.5", "root_convention": "first-order", "kappa_convention": "one-plus-c",
+        "scheme": "mickens", "output_path": "runs.csv", "output_format": "json",
+        "stride": "3",
+    }
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ExperimentConfig)])
+    def test_field_reads_the_same_from_file_and_flag(self, tmp_path, field):
+        text = self._FIELD_TEXT[field]
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(f"{field} = {text}\n")
+        parser = cli.build_parser()
+        from_file = cli._resolve_config(parser.parse_args(["simulate", "--config", str(cfg_file)]))
+        flag = "--" + field.replace("_", "-")
+        from_flag = cli._resolve_config(parser.parse_args(["simulate", f"{flag}={text}"]))
+        assert from_file == from_flag
+        value = getattr(from_file, field)
+        assert type(value) is cli._TYPES[field]
+        assert value != getattr(ExperimentConfig(), field)
 
     def test_bad_subcommand_exits_two(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -820,15 +868,26 @@ class TestConfigFile:
         assert proc.returncode == 0
         assert out.read_text().startswith("n,t,z")
 
-    def test_reader_closing_early_exits_one_quietly(self, tmp_path, package_env):
-        # `renormdiff simulate --t-max 1000 | head -1`: about 4 MB of rows,
-        # far more than a pipe buffers, so the writer meets the closed pipe.
+    @pytest.mark.parametrize(
+        "argv, first_line",
+        [
+            (["simulate"], b"n,t,z\n"),
+            (["simulate", "--output-format=json"], b"{\n"),
+            (["compare"], b"n,t,z_oracle,z_naive,z_renorm_discrete,z_renorm_continuum,"
+                          b"err_naive,err_renorm\n"),
+        ],
+        ids=["simulate", "simulate-json", "compare"],
+    )
+    def test_reader_closing_early_exits_one_quietly(self, tmp_path, package_env, argv,
+                                                    first_line):
+        # `renormdiff simulate --t-max 1000 | head -1`: 1e5 rows, megabytes of
+        # text, far more than a pipe buffers, so the writer meets the closed pipe.
         with open(tmp_path / "err", "w+b") as err:
             proc = subprocess.Popen(
-                [sys.executable, "-m", "renormdiff", "simulate", "--t-max", "1000"],
+                [sys.executable, "-m", "renormdiff", *argv, "--t-max", "1000"],
                 stdout=subprocess.PIPE, stderr=err, env=package_env,
             )
-            assert proc.stdout.readline() == b"n,t,z\n"
+            assert proc.stdout.readline() == first_line
             proc.stdout.close()
             assert proc.wait(timeout=60) == 1
             err.seek(0)
@@ -858,10 +917,14 @@ class TestFlags:
                                 "--scheme", "--output-format"}
 
     @pytest.mark.parametrize("flag", ["--vdp-halving", "--no-vdp-halving"])
-    def test_halving_flags_unrecognized(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize(
+        "command", [["simulate"], ["compare"], ["sweep", "--param=eps", "--values=0.01,0.02"]],
+        ids=["simulate", "compare", "sweep"],
+    )
+    def test_halving_flags_unrecognized(self, tmp_path, capsys, command, flag):
         # for the centred-difference Van der Pol forcing, pass half the eps
         out = tmp_path / "x.csv"
-        code = main(["compare", "--kind=vdp", flag, "--t-max=5", f"--output-path={out}"])
+        code = main([*command, "--kind=vdp", flag, "--t-max=5", f"--output-path={out}"])
         assert code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not out.exists()
