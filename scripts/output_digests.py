@@ -2,30 +2,37 @@
 """Digests of the CLI's output over a fixed matrix of configurations.
 
 Runs ``renormdiff.cli.main`` in-process, from the ``src/`` directory of the
-checkout this script sits in, for every configuration below and prints one
-line per output: ``<sha256>  <exit code>  <argv>`` for the output file and
-again, tagged ``[stdout]`` and ``[stderr]``, for what the run wrote to stdout
-and to stderr.  The output path in the printed argv is the placeholder
-``OUT.csv``/``OUT.json``, the path of ``src/`` in stderr is ``SRC`` and the
-line number a warning names in a package file is ``LINE``, so checkouts at
-different paths, and code moved within a file, agree.  Four runs end in a numerical failure (exit 3), so
-the stderr digests pin the failure messages and the step each one names;
-the ``--help`` runs and the runs refused with exit 2 pin the text of the
-command-line boundary.  argparse wraps its usage lines to the terminal
-width, so the script fixes ``COLUMNS`` before anything is parsed.
+checkout this script sits in or from the one ``--src`` names, for every
+configuration below and prints one line per output: ``<sha256>  <exit code>
+<argv>`` for the output file and again, tagged ``[stdout]`` and
+``[stderr]``, for what the run wrote to stdout and to stderr.  The output
+path in the printed argv is the placeholder ``OUT.csv``/``OUT.json``, the
+path of ``src/`` in stderr is ``SRC`` and the line number a warning names in
+a package file is ``LINE``, so checkouts at different paths, and code moved
+within a file, agree.  Five runs end in a numerical failure (exit 3), and
+their stderr digests pin the failure message and the step of each guard:
+the oracle's divergence guard at ``z(3)``, in ``simulate`` and in
+``compare``; the Van der Pol step's vanishing implicit coefficient at
+``n=1``; the continuum envelope's vanishing denominator at ``n=1881``; and
+the amplitude flow's overflow guard at step 3.  The ``--help`` runs and the
+runs refused with exit 2 pin the text of the command-line boundary.
+argparse wraps its usage lines to the terminal width, so the script fixes
+``COLUMNS`` before anything is parsed.
 
-A change that must not alter a byte is checked by running this script in a
-checkout of the parent commit and in the changed one and comparing::
+A change that must not alter a byte is checked by running this script's
+matrix on the parent commit's package and on the changed one and comparing::
 
-    python3 scripts/output_digests.py > parent.txt    # in the parent checkout
-    python3 scripts/output_digests.py > change.txt    # in the changed checkout
+    python3 scripts/output_digests.py --src PARENT_CHECKOUT/src > parent.txt
+    python3 scripts/output_digests.py > change.txt
     diff parent.txt change.txt
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import os
 import re
@@ -36,11 +43,6 @@ from pathlib import Path
 # argparse reads the width when it formats; fixed, the digests do not depend
 # on the terminal the script runs in.
 os.environ["COLUMNS"] = "80"
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-sys.path.insert(0, str(SRC))
-
-from renormdiff import cli  # noqa: E402
 
 STDOUT = "-"  # marks a run that writes its table to stdout
 
@@ -56,6 +58,9 @@ SINGULAR = ["--kind=vdp", "--dt=0.1", "--t-max=30", "--eps=10", "--a0-re=1e-7"]
 # so the compare fails at its first step past that, n=1881.
 BLOW_UP = ["--kind=vdp", "--dt=0.05", "--t-max=400", "--a0-re=0.3", "--a0-im=-0.9",
            "--kappa-convention=one-plus-c"]
+# The Van der Pol amplitude flow from a0 = 10 at eps = 0.4 and dt = 1 passes
+# its overflow guard at step 3.
+FLOW_OVERFLOW = ["--kind=vdp", "--eps=0.4", "--dt=1", "--a0-re=10", "--t-max=50"]
 
 
 def matrix() -> list[tuple[list[str], str]]:
@@ -82,6 +87,7 @@ def matrix() -> list[tuple[list[str], str]]:
     runs.append((["compare", *DIVERGING], "csv"))
     runs.append((["simulate", *SINGULAR], "csv"))
     runs.append((["compare", *BLOW_UP], "csv"))
+    runs.append((["compare", *FLOW_OVERFLOW], "csv"))
     # At exact roots and dt = 1, lam_p^3 = -1 is real, so the first-order sum
     # merges its lam_p^3 and lam_m^3 terms onto one base.
     for kind in ("cubic", "vdp"):
@@ -114,8 +120,8 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run(argv: list[str], fmt: str, tmp: Path) -> list[str]:
-    """Run one configuration; return its digest lines."""
+def run(cli, src: Path, argv: list[str], fmt: str, tmp: Path) -> list[str]:
+    """Run one configuration through `cli`, imported from `src`; return its digest lines."""
     flags = [] if fmt == STDOUT else [f"--output-format={fmt}", "--output-path=OUT." + fmt]
     out_path = tmp / ("out." + fmt)
     real = [flag.replace("OUT." + fmt, str(out_path)) for flag in flags]
@@ -131,17 +137,25 @@ def run(argv: list[str], fmt: str, tmp: Path) -> list[str]:
     lines.append(f"{_digest(captured.getvalue().encode())}  {code}  {shown} [stdout]")
     # A warning names its caller's file and line; drop the checkout's location
     # and the line number, which moves whenever code is added above it.
-    stderr = _SRC_LINE.sub(r"\1LINE:", errors.getvalue().replace(str(SRC), "SRC"))
+    stderr = _SRC_LINE.sub(r"\1LINE:", errors.getvalue().replace(str(src), "SRC"))
     lines.append(f"{_digest(stderr.encode())}  {code}  {shown} [stderr]")
     return lines
 
 
 def main() -> int:
-    if Path(cli.__file__).resolve().parent != SRC / "renormdiff":
-        sys.exit(f"output_digests: imported {cli.__file__}, not the package under {SRC}")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
+        help="the src/ directory whose renormdiff package is run "
+             "(default: this checkout's)")
+    src = parser.parse_args().src.resolve()
+    sys.path.insert(0, str(src))
+    cli = importlib.import_module("renormdiff.cli")
+    if Path(cli.__file__).resolve().parent != src / "renormdiff":
+        sys.exit(f"output_digests: imported {cli.__file__}, not the package under {src}")
     with tempfile.TemporaryDirectory() as tmp:
         for argv, fmt in matrix():
-            for line in run(argv, fmt, Path(tmp)):
+            for line in run(cli, src, argv, fmt, Path(tmp)):
                 print(line)
     return 0
 

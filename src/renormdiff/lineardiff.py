@@ -222,7 +222,7 @@ class HarmonicSum:
 
 
 def resonance_tolerance(base: complex) -> float:
-    """Default tolerance for resonance tests.
+    """Tolerance of the resonance tests of is_resonant and particular_solution.
 
     Resonance is structural in this construction (a forcing base equals a
     characteristic root symbolically), so the tolerance only has to absorb
@@ -231,28 +231,25 @@ def resonance_tolerance(base: complex) -> float:
     return 1e-9 * (1.0 + abs(base))
 
 
-def is_resonant(base: complex, params: SchemeParams, tol: float | None = None) -> bool:
+def is_resonant(base: complex, params: SchemeParams) -> bool:
     """Whether a geometric forcing base^n resonates with the homogeneous scheme.
 
     True when the base coincides with one of the active convention's roots, or
     when it annihilates the characteristic polynomial numerically
-    (|base + 1/base - (2 - mu)| <= tol).  The first clause matters for the
-    first-order convention, whose roots satisfy the polynomial only to
-    O(omega^3).
+    (|base + 1/base - (2 - mu)| <= tol), both within tol =
+    resonance_tolerance(base).  The first clause matters for the first-order
+    convention, whose roots satisfy the polynomial only to O(omega^3).
     """
     if base == 0:
         raise ValueError("harmonic base must be nonzero")
-    if tol is None:
-        tol = resonance_tolerance(base)
+    tol = resonance_tolerance(base)
     lam_p, lam_m = characteristic_roots(params)
     if abs(base - lam_p) <= tol or abs(base - lam_m) <= tol:
         return True
     return abs(base + 1.0 / base - (2.0 - params.mu)) <= tol
 
 
-def particular_solution(
-    forcing: HarmonicSum, params: SchemeParams, tol: float | None = None
-) -> HarmonicSum:
+def particular_solution(forcing: HarmonicSum, params: SchemeParams) -> HarmonicSum:
     """Particular solution of the scheme for a purely geometric forcing.
 
     Each non-resonant term c * base^n maps to
@@ -270,14 +267,14 @@ def particular_solution(
                 f"(got a term with n_power={term.n_power})"
             )
         base = term.base
-        term_tol = resonance_tolerance(base) if tol is None else tol
+        tol = resonance_tolerance(base)
         geometric_denom = base + 1.0 / base - 2.0 + mu
         secular_denom = base - 1.0 / base
-        if abs(geometric_denom) <= term_tol and abs(secular_denom) <= term_tol:
+        if abs(geometric_denom) <= tol and abs(secular_denom) <= tol:
             raise ValueError(
                 f"degenerate forcing base {base}: both response denominators vanish"
             )
-        if is_resonant(base, params, tol):
+        if is_resonant(base, params):
             out.append(HarmonicTerm(term.coeff / secular_denom, base, 1))
         else:
             out.append(HarmonicTerm(term.coeff / geometric_denom, base, 0))

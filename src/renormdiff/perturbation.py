@@ -59,12 +59,18 @@ CUBIC = Variant.CUBIC
 VAN_DER_POL = Variant.VAN_DER_POL
 
 
+def _real_sum(half: tuple) -> HarmonicSum:
+    """The real sum whose lam_p half is `half`: each term, then its conjugate."""
+    return HarmonicSum(tuple(
+        term
+        for t in half
+        for term in (t, HarmonicTerm(t.coeff.conjugate(), t.base.conjugate(), t.n_power))
+    ))
+
+
 def zeroth_order(a: complex, params: SchemeParams) -> HarmonicSum:
     """Homogeneous solution a * lam_p^n + conj(a) * lam_m^n."""
-    a = complex(a)
-    b = a.conjugate()
-    lam_p, lam_m = characteristic_roots(params)
-    return HarmonicSum((HarmonicTerm(a, lam_p), HarmonicTerm(b, lam_m)))
+    return _real_sum((HarmonicTerm(a, characteristic_roots(params)[0]),))
 
 
 def vdp_scale(params: SchemeParams) -> float:
@@ -81,44 +87,37 @@ def first_order_forcing(
 ) -> HarmonicSum:
     """Right-hand side of the first-order equation, collected on four modes.
 
-    With b = conj(a), the amplitude of the lam_m mode:
+    Each formula is written for the lam_p half; the lam_m half is its
+    conjugate, which keeps the forcing real.  With b = conj(a):
 
-    Cubic: -mu * (a^3 lam_p^3n + b^3 lam_m^3n + 3 a^2 b lam_p^n
-    + 3 a b^2 lam_m^n), the mu prefactor being the scheme's.
+    Cubic: -mu * (a^3 lam_p^3n + 3 a^2 b lam_p^n), the mu prefactor being
+    the scheme's.
 
     Van der Pol: (mu/dt) * (1 - z0^2)(z0(n+1) - z0(n-1)) expanded with
     z0(n +/- 1) = a lam_p^(n+/-1) + b lam_m^(n+/-1), yielding coefficients
-    -a^3 s, -b^3 s', (a - a^2 b) s, (b - a b^2) s' on the four modes, with
-    s = lam_p - 1/lam_p and s' = lam_m - 1/lam_m.  The lam_p coefficients
-    are collected under the cross-term convention, read as lam_m = 1/lam_p.
-    The lam_m ones carry s' = conj(s), which keeps the forcing real (each is
-    the conjugate of its lam_p partner); s' = -s only at unit-modulus roots:
-    at first-order roots, dt = 0.1, s' = 0.0099 - 0.199i, -s = -0.0099 - 0.199i.
+    -a^3 s and (a - a^2 b) s on lam_p^3n and lam_p^n, with
+    s = lam_p - 1/lam_p.  They are collected under the cross-term
+    convention, read as lam_m = 1/lam_p.
     """
-    return HarmonicSum(_forcing_terms(kind, a, params))
+    return _real_sum(_forcing_terms(kind, a, params))
 
 
 def _forcing_terms(kind: Variant, a: complex, params: SchemeParams) -> tuple:
-    """first_order_forcing's four terms, lam_p^3 first, not yet merged by base."""
+    """first_order_forcing's lam_p half: the lam_p^3 term, then the lam_p term."""
     a = complex(a)
     b = a.conjugate()
-    lam_p, lam_m = characteristic_roots(params)
+    lam_p = characteristic_roots(params)[0]
     if kind is Variant.CUBIC:
         pref = -params.mu
         return (
             HarmonicTerm(pref * a**3, lam_p**3),
-            HarmonicTerm(pref * b**3, lam_m**3),
             HarmonicTerm(pref * 3.0 * a * a * b, lam_p),
-            HarmonicTerm(pref * 3.0 * a * b * b, lam_m),
         )
     scale = vdp_scale(params)
     s_p = lam_p - 1.0 / lam_p
-    s_m = lam_m - 1.0 / lam_m
     return (
         HarmonicTerm(-scale * a**3 * s_p, lam_p**3),
-        HarmonicTerm(-scale * b**3 * s_m, lam_m**3),
         HarmonicTerm(scale * (a - a * a * b) * s_p, lam_p),
-        HarmonicTerm(scale * (b - a * b * b) * s_m, lam_m),
     )
 
 
@@ -188,7 +187,7 @@ def naive_solution(kind: Variant, a: complex, params: SchemeParams, n, fundament
     """
     lam_p = characteristic_roots(params)[0]
     base3 = _third_harmonic_base(params)
-    z1 = particular_solution(HarmonicSum(_forcing_terms(kind, a, params)[::2]), params)
+    z1 = particular_solution(HarmonicSum(_forcing_terms(kind, a, params)), params)
     sigma = z1.coefficient(lam_p, 1)
     c3 = z1.coefficient(base3)
     arr = np.asarray(n, dtype=float)

@@ -446,6 +446,28 @@ class TestCompare:
         assert "numerical failure: z_naive is not finite at n=402" in capsys.readouterr().err
         assert calls == {"flow_path": 0, "assemble_modes": 0}
 
+    @pytest.mark.parametrize(
+        "command, fmt",
+        [(["compare"], "csv"), (["compare"], "json"),
+         (["sweep", "--param", "eps", "--values", "0.01,0.4"], "csv")],
+        ids=["compare-csv", "compare-json", "sweep"])
+    def test_amplitude_flow_overflow_is_a_numerical_failure(
+        self, tmp_path, capsys, command, fmt
+    ):
+        # at eps = 0.4 and dt = 1 the Van der Pol flow from a0 = 10 passes
+        # its overflow guard at step 3; the sweep's first row (eps = 0.01)
+        # runs, and its second fails before anything is written.  A sweep
+        # that skipped the discrete flow, which no summary key reads, would
+        # run to the end instead.
+        out = tmp_path / f"flow.{fmt}"
+        code = main([*command, "--kind=vdp", "--eps=0.4", "--dt=1", "--a0-re=10",
+                     "--t-max=50", f"--output-format={fmt}", "--output-path", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: amplitude flow exceeded 1000000000000.0 at step 3\n"
+        )
+        assert not out.exists()
+
 
 class TestSweep:
     def test_eps_sweep_renorm_error_quadratic(self, tmp_path):
@@ -972,7 +994,7 @@ def _reference_columns(cfg):
     a0 = complex(cfg.a0_re, cfg.a0_im)
     n = np.arange(cli._steps(cfg) + 1).astype(float)
     lam_p = characteristic_roots(params)[0]
-    half = particular_solution(HarmonicSum(_forcing_terms(kind, a0, params)[::2]), params)
+    half = particular_solution(HarmonicSum(_forcing_terms(kind, a0, params)), params)
     sigma, c3 = half.coefficient(lam_p, 1), half.coefficient(lam_p**3)
     fundamental = np.exp(n * cmath.log(lam_p))
     z_naive = (a0 + params.eps * sigma * n) * fundamental + params.eps * c3 * fundamental**3

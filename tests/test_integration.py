@@ -94,13 +94,14 @@ class TestVdpNaive:
 
 
 class TestDegenerateGuard:
-    def test_both_denominators_small_with_wide_tolerance(self):
-        # cannot occur for valid parameters with the default tolerance, but
-        # the guard must fire before a secular division by ~0
-        p = SchemeParams(dt=0.1)
+    def test_both_denominators_small_at_unit_base(self):
+        # at base 1 the secular denominator is 0 and the geometric one is
+        # mu = dt^2, within the resonance tolerance at dt = 1e-5; the guard
+        # must fire before a secular division by ~0
+        p = SchemeParams(dt=1e-5)
         forcing = HarmonicSum((HarmonicTerm(1.0, 1.0 + 0j),))
-        with pytest.raises(ValueError, match="degenerate"):
-            particular_solution(forcing, p, tol=0.1)
+        with pytest.raises(ValueError, match=r"degenerate forcing base \(1\+0j\)"):
+            particular_solution(forcing, p)
 
 
 class TestConfigEdges:

@@ -120,7 +120,7 @@ class TestIsResonant:
     def test_third_harmonic_not_resonant(self):
         p = params(0.1)
         lp, _ = characteristic_roots(p)
-        assert not is_resonant(lp**3, p, tol=1e-6)
+        assert not is_resonant(lp**3, p)
 
     def test_unity_not_resonant(self):
         # 1 + 1 - 2 + dt^2 = dt^2, well away from zero

@@ -17,6 +17,7 @@ from renormdiff.perturbation import (
     extract_secular,
     first_order_forcing,
     first_order_solution,
+    zeroth_order,
 )
 from renormdiff.renormalization import (
     AmplitudeFlow,
@@ -544,8 +545,9 @@ class TestForcingAlgebra:
     @pytest.mark.parametrize("kind", _RATE_KINDS)
     def test_mode_coefficients(self, kind, dt, scheme, convention):
         # the lam_p modes match the expansion at L = lam_p under both
-        # conventions; the lam_m modes are their conjugates, and match the
-        # expansion's L^-1 modes only where 1/lam_p = lam_m, at exact roots
+        # conventions; the lam_m modes are their conjugates, exactly in the
+        # forcing and in the zeroth order, and match the expansion's L^-1
+        # modes only where 1/lam_p = lam_m, at exact roots
         p = SchemeParams(dt=dt, root_convention=convention, scheme=scheme)
         lp, lm = characteristic_roots(p)
         a = 0.4 + 0.3j
@@ -557,9 +559,10 @@ class TestForcingAlgebra:
         for k in (1, 3):
             plus, minus = f.coefficient(lp**k), f.coefficient(lm**k)
             assert abs(plus - want[k]) <= 1e-12 * abs(want[k])
-            assert abs(minus - plus.conjugate()) <= 1e-12 * abs(plus)
             if convention is RootConvention.EXACT_UNIT_MODULUS:
                 assert abs(minus - want[-k]) <= 1e-12 * abs(want[-k])
+        for full, k in ((f, 1), (f, 3), (zeroth_order(a, p), 1)):
+            assert full.coefficient(lm**k) == full.coefficient(lp**k).conjugate()
 
 
 class TestThirdHarmonic:
