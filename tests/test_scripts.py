@@ -1,5 +1,6 @@
 """The experiment scripts under scripts/ still run against the package."""
 
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -24,3 +25,20 @@ def test_script_runs(package_env, argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_digests_of_a_copy_at_another_path(package_env, tmp_path):
+    # --src runs the matrix on the package under another src/; its path is
+    # masked in stderr, so a copy gives the bytes of the checkout's own run
+    src = SCRIPTS.parent / "src"
+    copy = tmp_path / "src"
+    shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    runs = [
+        subprocess.run(
+            [sys.executable, str(SCRIPTS / "output_digests.py"), *extra],
+            capture_output=True, text=True, env=package_env, timeout=120,
+        )
+        for extra in ([], ["--src", str(copy)])
+    ]
+    assert [proc.returncode for proc in runs] == [0, 0], runs[1].stderr
+    assert runs[1].stdout == runs[0].stdout
