@@ -3,7 +3,8 @@
 
 Runs ``renormdiff.cli.main`` in-process, from the ``src/`` directory of the
 checkout this script sits in or from the one ``--src`` names, for every
-configuration below and prints one line per output: ``<sha256>  <exit code>
+configuration below and prints, after one ``#`` header line naming the numpy,
+Python and platform it ran on, one line per output: ``<sha256>  <exit code>
 <argv>`` for the output file and again, tagged ``[stdout]`` and
 ``[stderr]``, for what the run wrote to stdout and to stderr.  The output
 path in the printed argv is the placeholder ``OUT.csv``/``OUT.json``, the
@@ -25,6 +26,10 @@ matrix on the parent commit's package and on the changed one and comparing::
     python3 scripts/output_digests.py --src PARENT_CHECKOUT/src > parent.txt
     python3 scripts/output_digests.py > change.txt
     diff parent.txt change.txt
+
+``tests/data/output_digests.txt`` holds this script's output, and a test
+compares a fresh run with it.  A change that moves output on purpose rewrites
+it with ``python3 scripts/output_digests.py > tests/data/output_digests.txt``.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import hashlib
 import importlib
 import io
 import os
+import platform
 import re
 import sys
 import tempfile
@@ -142,6 +148,15 @@ def run(cli, src: Path, argv: list[str], fmt: str, tmp: Path) -> list[str]:
     return lines
 
 
+def header() -> str:
+    """The versions and platform the digests were made on; a mismatch on
+    another host may come from them and not from the program."""
+    import numpy
+
+    return (f"# numpy {numpy.__version__}, Python {platform.python_version()}, "
+            f"{platform.system()} {platform.machine()}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -153,6 +168,7 @@ def main() -> int:
     cli = importlib.import_module("renormdiff.cli")
     if Path(cli.__file__).resolve().parent != src / "renormdiff":
         sys.exit(f"output_digests: imported {cli.__file__}, not the package under {src}")
+    print(header())
     with tempfile.TemporaryDirectory() as tmp:
         for argv, fmt in matrix():
             for line in run(cli, src, argv, fmt, Path(tmp)):

@@ -1,5 +1,6 @@
 """The experiment scripts under scripts/ still run against the package."""
 
+import difflib
 import shutil
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+DIGESTS = Path(__file__).resolve().parent / "data" / "output_digests.txt"
 
 
 @pytest.mark.parametrize(
@@ -42,3 +44,17 @@ def test_digests_of_a_copy_at_another_path(package_env, tmp_path):
     ]
     assert [proc.returncode for proc in runs] == [0, 0], runs[1].stderr
     assert runs[1].stdout == runs[0].stdout
+
+
+def test_digests_match_the_committed_file(package_env):
+    # The CLI's output bytes over the script's matrix; the header line names
+    # the numpy, Python and platform of each side and is not compared.
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "output_digests.py")],
+        capture_output=True, text=True, env=package_env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    want_header, *want = DIGESTS.read_text().splitlines()
+    got_header, *got = proc.stdout.splitlines()
+    moved = list(difflib.unified_diff(want, got, "committed", "now", n=0, lineterm=""))
+    assert not moved, "\n".join([f"committed: {want_header}", f"now:       {got_header}", *moved])
