@@ -80,8 +80,9 @@ def iterate(
     Cubic: explicit update z(n+1) = (2 - mu) z(n) - z(n-1) - eps mu z(n)^3,
     with the weight mu of `params.scheme`.  Van der Pol: the right-hand side
     is linear in z(n+1), so the step is solved in closed form; a vanishing
-    leading coefficient raises SingularStepError.  Magnitudes beyond 1e8 and
-    non-finite values raise DivergenceError.
+    leading coefficient raises SingularStepError.  It cannot vanish at a
+    gain eps mu/dt in [0, 1/2], where the loop runs without that test.
+    Magnitudes beyond 1e8 and non-finite values raise DivergenceError.
     """
     if n_steps < 2:
         raise ValueError("need at least 2 steps")
@@ -105,16 +106,28 @@ def iterate(
             zm, z = z, zp
     else:
         gain = eps * vdp_scale(params)
-        for n in range(1, n_steps):
-            w = gain * (1.0 - z * z)
-            lead = 1.0 - w
-            if tol_lo < lead < tol_hi:
-                raise SingularStepError(f"implicit coefficient vanished at n={n}")
-            zp = (lin * z - zm - w * zm) / lead
-            if not lo <= zp <= hi:
-                break
-            append(zp)
-            zm, z = z, zp
+        if 0.0 <= gain <= 0.5:
+            # The singular test cannot fire: 1 - z*z <= 1 and rounding is
+            # monotone, so w <= gain and lead >= 0.5 (or lead is +inf or NaN,
+            # once z*z overflows or z is NaN).
+            for n in range(1, n_steps):
+                w = gain * (1.0 - z * z)
+                zp = (lin * z - zm - w * zm) / (1.0 - w)
+                if not lo <= zp <= hi:
+                    break
+                append(zp)
+                zm, z = z, zp
+        else:
+            for n in range(1, n_steps):
+                w = gain * (1.0 - z * z)
+                lead = 1.0 - w
+                if tol_lo < lead < tol_hi:
+                    raise SingularStepError(f"implicit coefficient vanished at n={n}")
+                zp = (lin * z - zm - w * zm) / lead
+                if not lo <= zp <= hi:
+                    break
+                append(zp)
+                zm, z = z, zp
     if len(values) <= n_steps:
         raise DivergenceError(f"|z({n + 1})| = {abs(zp)} exceeded {_DIVERGENCE_LIMIT}")
     return Trajectory(dt=params.dt, values=values)

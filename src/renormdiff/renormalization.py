@@ -7,13 +7,17 @@ equation is the conjugate of the A equation, so this module carries A alone
 and reads B as conj(A) where a formula needs it.  The continuum amplitude
 equation is A' = r A^2 conj(A) (cubic) or A' = r (A - A^2 conj(A)) (Van der
 Pol), with the rate r = secular_rate(kind, eps); the discrete flow steps it
-with r dt.  Both the exact iterated map and the dt -> 0 closed forms (a
-rotation for the cubic flow, a logistic-type envelope for the Van der Pol
-flow) are provided, so their gaps can be measured instead of assumed.
+with r dt: the cubic flow as the complex step, the Van der Pol flow, whose
+rate is real, as one real scale of A, which keeps Im(A)/Re(A) to rounding.
+Both the exact iterated map and the dt -> 0 closed forms (a rotation for the
+cubic flow, a logistic-type envelope for the Van der Pol flow) are provided,
+so their gaps can be measured instead of assumed.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 
@@ -114,33 +118,71 @@ def _cubic_path(a: complex, rate: complex, steps: int):
         yield a
 
 
-def _vdp_path(a: complex, rate: complex, steps: int):
-    yield a
+def _vdp_path(a0: complex, rate, steps: int) -> np.ndarray:
+    """The Van der Pol flow as A(m) = s(m) u, with s(0) u = a0.
+
+    A real rate multiplies A by the real factor 1 + r (1 - |A|^2) each step,
+    so A keeps the direction of u and the complex step is one real
+    recurrence, s <- s + r (s - k s^3) with k = |u|^2, in the order of
+    AmplitudeFlow.__call__ (folding 1 + r would round r).  a0 is split
+    exactly, s(0) = 2^e and u = a0 / 2^e with 1/2 <= max(|Re u|, |Im u|) < 1,
+    so s follows |A|: k cannot underflow for a tiny a0, nor s overflow on its
+    way to the limit cycle.  Powers of two commute with rounding, so the path
+    has the bits of s(0) = 1, u = a0 wherever that split stays in range.
+    """
+    rate = complex(rate)
+    if rate.imag:
+        raise ValueError(f"Van der Pol flow needs a real rate, got {rate!r}")
+    rate = rate.real
+    e = math.frexp(max(abs(a0.real), abs(a0.imag)))[1]
+    u = complex(math.ldexp(a0.real, -e), math.ldexp(a0.imag, -e))
+    k = (u * u.conjugate()).real
+    s = math.ldexp(1.0, e) if u else 0.0  # from A = 0 the flow stays at 0
+    scales = array("d", (s,))
+    append = scales.append
     for _ in range(steps):
-        a = a + rate * (a - a * a * a.conjugate())
-        yield a
+        s = s + rate * (s - k * s * s * s)
+        append(s)
+    scales = np.frombuffer(scales)
+    # |A| = |s| |u| <= 1e12 as a bound on |s|, whose product with |u| could
+    # overflow; |u| >= 1/2 unless a0 = 0, where s stays 0.
+    bound = _FLOW_OVERFLOW_LIMIT / abs(u) if u else math.inf
+    _check_guard(np.abs(scales[1:]) <= bound)
+    out = np.empty(steps + 1, complex)
+    np.multiply(scales, u.real, out=out.real)
+    np.multiply(scales, u.imag, out=out.imag)
+    return out
+
+
+def _check_guard(within: np.ndarray) -> None:
+    """Raise OverflowError at the first step m >= 1 whose within[m - 1],
+    |A(m)| <= 1e12, is false."""
+    if not within.all():
+        step = int(within.argmin()) + 1
+        raise OverflowError(f"amplitude flow exceeded {_FLOW_OVERFLOW_LIMIT} at step {step}")
 
 
 def flow_path(flow: AmplitudeFlow, a0: complex, steps: int) -> np.ndarray:
     """Amplitudes A(m) along the flow for m = 0..steps.
 
-    A strict left fold a = a + flow(a) in a fixed order, so results are
-    bit-reproducible.  The step of each variant is written inline, with the
-    arithmetic of AmplitudeFlow.__call__, in a generator that fills the array
-    directly, so no step pays for a function call and no list of boxed values
-    is held.  Complex arithmetic turns an overflow into inf or nan rather than
-    raising, so the loop runs unchecked and one vectorized test of
-    |A(m)| <= 1e12 over m >= 1 follows it; the OverflowError names the first
-    step that fails, as a test per step would (a nan a0 fails at step 1).
+    A strict left fold in a fixed order, so results are bit-reproducible, and
+    each step's value is stored at once, with no list of boxed values held.
+    The cubic flow folds a = a + flow(a) with the arithmetic of
+    AmplitudeFlow.__call__ written inline, in a generator that fills the array.
+    The Van der Pol flow, whose rate must be real, folds one real scale per
+    step (_vdp_path); it stays within rounding of the complex fold and keeps
+    Im(A)/Re(A) to a few ulp.  Neither loop tests per step: a value that
+    overflows runs on as inf or nan, and one vectorized test of
+    |A(m)| <= 1e12 over m >= 1 follows, on the scales before the complex path
+    is formed for Van der Pol.  The OverflowError names the first step that
+    fails, as a test per step would (a nan a0 fails at step 1).
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    path = _cubic_path if flow.variant is Variant.CUBIC else _vdp_path
-    out = np.fromiter(path(complex(a0), flow.rate, steps), complex, count=steps + 1)
-    failed = ~(np.abs(out[1:]) <= _FLOW_OVERFLOW_LIMIT)
-    if failed.any():
-        step = int(failed.argmax()) + 1
-        raise OverflowError(f"amplitude flow exceeded {_FLOW_OVERFLOW_LIMIT} at step {step}")
+    if flow.variant is not Variant.CUBIC:
+        return _vdp_path(complex(a0), flow.rate, steps)
+    out = np.fromiter(_cubic_path(complex(a0), flow.rate, steps), complex, count=steps + 1)
+    _check_guard(np.abs(out[1:]) <= _FLOW_OVERFLOW_LIMIT)
     return out
 
 

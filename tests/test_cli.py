@@ -1044,7 +1044,13 @@ class TestPipelineWork:
         # continuum amplitude
         assert calls == 2
         for name, want in _reference_columns(cfg).items():
-            assert columns[name].tobytes() == want.tobytes(), name
+            if cfg.kind == "vdp" and name == "z_renorm_discrete":
+                # the Van der Pol flow folds a real scale, within rounding
+                # of the per-step complex fold
+                gap = np.max(np.abs(columns[name] - want))
+                assert gap <= 1e-12 * np.max(np.abs(want)), name
+            else:
+                assert columns[name].tobytes() == want.tobytes(), name
         n = np.arange(cli._steps(cfg) + 1).astype(float)
         per_term = _naive_per_term(Variant(cfg.kind), cli._scheme_params(cfg),
                                    complex(cfg.a0_re, cfg.a0_im), n)

@@ -29,6 +29,13 @@ def params(dt, eps=0.0, convention=EXACT):
     return SchemeParams(dt=dt, eps=eps, root_convention=convention)
 
 
+def large_eps(dt, eps):
+    """params(dt, eps) without the warning that eps > 0.5 is large."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return params(dt, eps=eps)
+
+
 def closed_form(a0, params, n_max):
     lam, _ = characteristic_roots(params)
     n = np.arange(n_max + 1)
@@ -248,6 +255,11 @@ class TestReferenceLoop:
             (VAN_DER_POL, SchemeParams(dt=0.1, eps=0.05, scheme=Scheme.MICKENS)),
             (CUBIC, params(0.02, eps=0.05, convention=FIRST)),
             (VAN_DER_POL, params(0.02, eps=0.05, convention=FIRST)),
+            # the Van der Pol loop without the singular test runs at gains
+            # eps dt in [0, 1/2], the checked loop above them
+            (VAN_DER_POL, large_eps(0.25, 2.0)),  # gain 0.5
+            (VAN_DER_POL, large_eps(0.25, math.nextafter(2.0, 3.0))),
+            (VAN_DER_POL, large_eps(0.1, 5.5)),  # gain 0.55
         ],
     )
     def test_bytes_equal_step_function_loop(self, kind, p):
@@ -261,6 +273,22 @@ class TestReferenceLoop:
         failure = _raised(iterate, CUBIC, p, z0, z1, 20)
         assert failure == _raised(_reference_iterate, CUBIC, p, z0, z1, 20)
         assert failure[1].startswith("|z(3)| = 4123845855.233769")
+
+    def test_vdp_divergence_at_the_bound_same_failure(self):
+        p = large_eps(1.0, 0.5)  # gain 0.5: the loop without the singular test
+        z0, z1 = init_from_amplitude(0.4 + 0.15j, p)
+        failure = _raised(iterate, VAN_DER_POL, p, z0, z1, 100)
+        assert failure == _raised(_reference_iterate, VAN_DER_POL, p, z0, z1, 100)
+        assert failure[1].startswith("|z(38)| = ")
+
+    def test_vdp_singular_step_at_a_negative_gain_same_failure(self):
+        # SchemeParams refuses eps < 0; set on a built one, it gives the gain
+        # -1 and lead = 2 - z^2, which vanishes to rounding at z = sqrt(2)
+        p = params(0.1)
+        object.__setattr__(p, "eps", -10.0)
+        failure = _raised(iterate, VAN_DER_POL, p, 0.0, math.sqrt(2.0), 20)
+        assert failure == _raised(_reference_iterate, VAN_DER_POL, p, 0.0, math.sqrt(2.0), 20)
+        assert failure == (SingularStepError, "implicit coefficient vanished at n=1")
 
     def test_vdp_singular_step_same_failure(self):
         with warnings.catch_warnings():

@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 from functools import lru_cache
@@ -122,10 +123,8 @@ class TestIterateFlow:
     def test_vdp_ratio_invariant_over_long_iteration(self):
         flow = build_flow(VAN_DER_POL, params(0.01, 0.05))
         a0 = 0.3 + 0.21j
-        a = flow_path(flow, a0, 10_000)[-1]
-        ratio0 = a0.imag / a0.real
-        ratio = a.imag / a.real
-        assert abs(ratio - ratio0) <= 1e-10 * abs(ratio0)
+        path = flow_path(flow, a0, 10_000)
+        assert np.all(_ulps(path.imag / path.real, a0.imag / a0.real) <= 4.0)
 
     def test_overflow_guard(self):
         flow = build_flow(CUBIC, params(1.0, 0.4))
@@ -142,6 +141,15 @@ class TestIterateFlow:
         a1 = flow_path(flow, 0.2 + 0.1j, 200)
         a2 = flow_path(flow, 0.2 + 0.1j, 200)
         assert np.array_equal(a1, a2)
+
+
+def _assert_same_path(kind, got, want):
+    """The cubic flow folds the complex step itself, so it keeps its bytes; the
+    Van der Pol flow folds a real scale, within rounding of the complex step."""
+    if kind is CUBIC:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def _two_amplitude_path(variant, rate, a0, steps):
@@ -173,7 +181,7 @@ class TestConjugateReduction:
         a_ref, b_ref = _two_amplitude_path(variant, rate, a0, 2000)
         assert b_ref.tobytes() == np.conj(a_ref).tobytes()
         a_path = flow_path(build_flow(kind, params(0.02, eps)), a0, 2000)
-        assert a_path.tobytes() == a_ref.tobytes()
+        _assert_same_path(kind, a_path, a_ref)
 
 
 def _fold_path(flow, a0, steps):
@@ -196,7 +204,7 @@ class TestInlineFold:
     def test_flow_path_equals_step_map_fold(self, kind, eps):
         flow = build_flow(kind, params(0.02, eps))
         a0 = 0.3 + 0.21j
-        assert flow_path(flow, a0, 2000).tobytes() == _fold_path(flow, a0, 2000).tobytes()
+        _assert_same_path(kind, flow_path(flow, a0, 2000), _fold_path(flow, a0, 2000))
 
     @pytest.mark.parametrize(
         "kind, eps, a0",
@@ -222,8 +230,9 @@ class TestInlineFold:
 
     @pytest.mark.parametrize("kind", [CUBIC, VAN_DER_POL])
     def test_peak_memory_is_the_array_and_its_guard(self, kind):
-        # the array, the guard's |A| (half its size) and a boolean mask (a
-        # sixteenth); a list of boxed complex values adds about 40 bytes per step
+        # the array and the guard's |A| or the real scales (each half its
+        # size), and a boolean mask (a sixteenth); a list of boxed complex
+        # values adds about 40 bytes per step
         flow = build_flow(kind, params(0.004, 0.01))
         tracemalloc.start()
         try:
@@ -232,6 +241,39 @@ class TestInlineFold:
         finally:
             tracemalloc.stop()
         assert peak < 1.6 * out.nbytes
+
+    @given(
+        a0=st.one_of(
+            st.builds(cmath.rect, st.floats(1e-6, 3.0), st.floats(-math.pi, math.pi)),
+            st.builds(complex, st.just(0.0), st.floats(1e-6, 3.0) | st.floats(-3.0, -1e-6)),
+        ),
+        rate=st.floats(1e-5, 0.05),
+        steps=st.integers(0, 20_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_vdp_scale_fold_stays_on_the_complex_fold(self, a0, rate, steps):
+        flow = AmplitudeFlow(VAN_DER_POL, rate)
+        path = flow_path(flow, a0, steps)
+        _assert_same_path(VAN_DER_POL, path, _fold_path(flow, a0, steps))
+        # A2/A1 to a few ulp while both components are normal; a subnormal
+        # one carries fewer bits than the ratio's ulp
+        if a0.real != 0.0 and not 0.0 < min(abs(a0.real), abs(a0.imag)) < 1e-300:
+            assert np.all(_ulps(path.imag / path.real, a0.imag / a0.real) <= 4.0)
+
+    @pytest.mark.parametrize("a0", [1e-160 + 3e-161j, 1e-300j, -1e-310, 0.0, -0.0j])
+    def test_vdp_from_a_tiny_amplitude_reaches_the_limit_cycle(self, a0):
+        # the scales start at a power of two near |a0|, so k = |u|^2 cannot
+        # underflow and the scales cannot overflow on the way to |A| ~ 1
+        flow = AmplitudeFlow(VAN_DER_POL, 0.05)
+        want = _fold_path(flow, a0, 20_000)
+        path = flow_path(flow, a0, 20_000)
+        assert path[0] == a0
+        _assert_same_path(VAN_DER_POL, path, want)
+        assert abs(path[-1]) == pytest.approx(1.0 if a0 else 0.0)
+
+    def test_vdp_flow_refuses_a_complex_rate(self):
+        with pytest.raises(ValueError, match="real rate"):
+            flow_path(AmplitudeFlow(VAN_DER_POL, 0.001 + 1e-9j), 0.3 + 0.2j, 10)
 
     def test_flow_is_a_frozen_value(self):
         flow = build_flow(VAN_DER_POL, params(0.02, 0.025))
