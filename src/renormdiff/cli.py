@@ -73,10 +73,12 @@ _CHOICES = {
     "output_format": ("csv", "json"),
 }
 _SWEEPABLE = ("dt", "eps", "a0_re")
-# The oracle runs about 270 (cubic) to 380 (vdp) ns per step in pure Python on
-# a 2-vCPU Xeon.  A cubic CSV compare peaked at 83.7 MiB at 5e5 steps and at
-# 243.9 MiB at 2e6 steps, about 112 B per step, so 1e8 steps takes minutes and
-# about 11 GB; larger counts are rejected early.
+# The oracle runs about 170 (cubic) to 210 (vdp) ns per step in pure Python,
+# and the amplitude flow 140 (vdp) to 220 (cubic): best of 9 at 1e5 steps on a
+# shared 2-vCPU Xeon, where load can double them.  A cubic CSV compare peaked
+# at 83.7 MiB at 5e5 steps and at 243.9 MiB at 2e6 steps, about 112 B per
+# step, so 1e8 steps takes minutes and about 11 GB; larger counts are rejected
+# early.
 _MAX_STEPS = 10**8
 
 # A config-file value is read by its field's type; what an int or a float

@@ -118,7 +118,7 @@ def _cubic_path(a: complex, rate: complex, steps: int):
         yield a
 
 
-def _vdp_path(a0: complex, rate, steps: int) -> np.ndarray:
+def _vdp_path(a0: complex, rate: complex, steps: int) -> np.ndarray:
     """The Van der Pol flow as A(m) = s(m) u, with s(0) u = a0.
 
     A real rate multiplies A by the real factor 1 + r (1 - |A|^2) each step,
@@ -147,42 +147,41 @@ def _vdp_path(a0: complex, rate, steps: int) -> np.ndarray:
     # |A| = |s| |u| <= 1e12 as a bound on |s|, whose product with |u| could
     # overflow; |u| >= 1/2 unless a0 = 0, where s stays 0.
     bound = _FLOW_OVERFLOW_LIMIT / abs(u) if u else math.inf
-    _check_guard(np.abs(scales[1:]) <= bound)
+    _check_guard(~(np.abs(scales[1:]) <= bound))
     out = np.empty(steps + 1, complex)
     np.multiply(scales, u.real, out=out.real)
     np.multiply(scales, u.imag, out=out.imag)
     return out
 
 
-def _check_guard(within: np.ndarray) -> None:
-    """Raise OverflowError at the first step m >= 1 whose within[m - 1],
-    |A(m)| <= 1e12, is false."""
-    if not within.all():
-        step = int(within.argmin()) + 1
+def _check_guard(failed: np.ndarray) -> None:
+    """Raise OverflowError at the first step m >= 1 whose failed[m - 1],
+    not |A(m)| <= 1e12, is true."""
+    if failed.any():
+        step = int(failed.argmax()) + 1
         raise OverflowError(f"amplitude flow exceeded {_FLOW_OVERFLOW_LIMIT} at step {step}")
 
 
 def flow_path(flow: AmplitudeFlow, a0: complex, steps: int) -> np.ndarray:
     """Amplitudes A(m) along the flow for m = 0..steps.
 
-    A strict left fold in a fixed order, so results are bit-reproducible, and
-    each step's value is stored at once, with no list of boxed values held.
-    The cubic flow folds a = a + flow(a) with the arithmetic of
-    AmplitudeFlow.__call__ written inline, in a generator that fills the array.
+    A strict left fold in a fixed order, so results are bit-reproducible, with
+    each step's value stored at once and no list of boxed values held.  The
+    cubic flow folds a = a + flow(a), its step written inline with the
+    arithmetic of AmplitudeFlow.__call__, in a generator that fills the array.
     The Van der Pol flow, whose rate must be real, folds one real scale per
-    step (_vdp_path); it stays within rounding of the complex fold and keeps
-    Im(A)/Re(A) to a few ulp.  Neither loop tests per step: a value that
-    overflows runs on as inf or nan, and one vectorized test of
-    |A(m)| <= 1e12 over m >= 1 follows, on the scales before the complex path
-    is formed for Van der Pol.  The OverflowError names the first step that
-    fails, as a test per step would (a nan a0 fails at step 1).
+    step (_vdp_path), within rounding of that complex fold.  Neither loop
+    tests per step: an overflow runs on as inf or nan, and one vectorized test
+    of |A(m)| <= 1e12 over m >= 1 follows, for Van der Pol on the scales
+    before the complex path is formed.  The OverflowError names the first
+    step that fails, as a test per step would (a nan a0 fails at step 1).
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if flow.variant is not Variant.CUBIC:
         return _vdp_path(complex(a0), flow.rate, steps)
     out = np.fromiter(_cubic_path(complex(a0), flow.rate, steps), complex, count=steps + 1)
-    _check_guard(np.abs(out[1:]) <= _FLOW_OVERFLOW_LIMIT)
+    _check_guard(~(np.abs(out[1:]) <= _FLOW_OVERFLOW_LIMIT))
     return out
 
 

@@ -248,7 +248,7 @@ class TestInlineFold:
             st.builds(complex, st.just(0.0), st.floats(1e-6, 3.0) | st.floats(-3.0, -1e-6)),
         ),
         rate=st.floats(1e-5, 0.05),
-        steps=st.integers(0, 20_000),
+        steps=st.integers(0, 20_000) | st.just(20_000),
     )
     @settings(max_examples=40, deadline=None)
     def test_vdp_scale_fold_stays_on_the_complex_fold(self, a0, rate, steps):
