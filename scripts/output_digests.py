@@ -116,6 +116,13 @@ def matrix() -> list[tuple[list[str], str]]:
     runs.append((["compare", "--stride=0", *BASE], "csv"))
     runs.append((["compare", "--kind=cubic", *BASE, "--eps=-1"], "csv"))
     runs.append((["compare", "--kind=vdp", "--vdp-halving", *BASE], "csv"))
+    # Configs wrong twice, refused for their first fault in the one check
+    # order (fields, scheme, step count) by every subcommand: dt = 3 is out of
+    # the scheme's range and gives no two steps; dt = 1e-6 breaks the step cap
+    # and is too small to resolve the third harmonic.
+    for wrong in (["--dt=3", "--t-max=1"], ["--dt=1e-6", "--t-max=200"]):
+        for command in (["simulate"], ["compare"], ["sweep", "--param=eps", "--values=0.01"]):
+            runs.append(([*command, *wrong], "csv"))
     return runs
 
 

@@ -2,13 +2,17 @@
 
 Configuration comes from a plain key=value file ('#' starts a comment at the
 start of a line or after whitespace) plus command-line flags; flags win.
-Output is CSV (17-significant-digit floats, byte-stable across runs) or JSON
-mirroring the same field names.  Exit codes: 0 success, 1 a stdout reader
-that closed early, 2 configuration error (an output path that cannot be
-opened included), 3 numerical failure: a diverging or singular oracle step,
-an amplitude flow past its guard, a continuum envelope that blows up before
-t_max or a non-finite model column, each named with the step where it
-happened.
+Every command checks its config at one boundary, in one order: the fields,
+the scheme, the step count; `sweep` checks every row there before its first
+pipeline.  `compare` runs `run_compare_pipeline`, whose stages are the
+boundary, the oracle (all that `simulate` runs), the model columns, and the
+error columns with the summary.  Output is CSV (17-significant-digit floats,
+byte-stable across runs) or JSON mirroring the same field names.  Exit codes:
+0 success, 1 a stdout reader that closed early, 2 configuration error (an
+output path that cannot be opened included), 3 numerical failure: a diverging
+or singular oracle step, an amplitude flow past its guard, a continuum
+envelope that blows up before t_max or a non-finite model column, each named
+with the step where it happened.
 """
 
 from __future__ import annotations
@@ -141,7 +145,25 @@ def _scheme_params(cfg: ExperimentConfig) -> SchemeParams:
     )
 
 
-def _global_solution(cfg: ExperimentConfig, kind: Variant, params: SchemeParams) -> GlobalSolution:
+def _steps(cfg: ExperimentConfig) -> int:
+    ratio = cfg.t_max / cfg.dt
+    if not ratio <= _MAX_STEPS:
+        raise ConfigError(f"t_max/dt must be at most {_MAX_STEPS}, got {ratio!r}")
+    n = int(round(ratio))
+    if n < 2:
+        raise ConfigError("t_max must cover at least two steps")
+    return n
+
+
+def _boundary(cfg: ExperimentConfig) -> tuple[Variant, SchemeParams, int]:
+    """The checks every command runs first, in one order: the fields, the
+    scheme, the step count.  Returns the kind, the scheme and the steps."""
+    _validate(cfg)
+    return Variant(cfg.kind), _scheme_params(cfg), _steps(cfg)
+
+
+def _global_solution(cfg: ExperimentConfig, kind: Variant, params: SchemeParams,
+                     steps: int) -> GlobalSolution:
     """The renormalized solution; raises ValueError for an a0 it cannot
     evaluate, and DivergenceError for a Van der Pol envelope that blows up
     before t_max.
@@ -157,7 +179,6 @@ def _global_solution(cfg: ExperimentConfig, kind: Variant, params: SchemeParams)
         kappa_convention=KappaConvention(cfg.kappa_convention),
     )
     if kind is Variant.VAN_DER_POL:
-        steps = _steps(cfg)
         try:
             sol.amplitude_at(steps * cfg.dt)
         except EnvelopeDomainError:
@@ -168,16 +189,6 @@ def _global_solution(cfg: ExperimentConfig, kind: Variant, params: SchemeParams)
     return sol
 
 
-def _steps(cfg: ExperimentConfig) -> int:
-    ratio = cfg.t_max / cfg.dt
-    if not ratio <= _MAX_STEPS:
-        raise ConfigError(f"t_max/dt must be at most {_MAX_STEPS}, got {ratio!r}")
-    n = int(round(ratio))
-    if n < 2:
-        raise ConfigError("t_max must cover at least two steps")
-    return n
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -186,17 +197,11 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _json_value(value):
-    if value is None:
-        return None
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return float(value)
-
-
 def _json_text(value) -> str:
     """The JSON literal of one cell: ``repr`` floats, ``NaN``, ``null``."""
-    return json.dumps(_json_value(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return json.dumps(None if value is None else float(value))
 
 
 # Rows formatted per chunk: a chunk's text is about 0.6 MB of compare CSV or
@@ -272,32 +277,32 @@ def _table_text(cfg: ExperimentConfig, columns: dict, summary: dict | None):
     "summary": ...}``, would give.
     """
     names = list(columns)
+    if cfg.output_format == "csv":
+        head = ",".join(names) + "\n"
+        before = [""] + [","] * (len(names) - 1)
+        end, trim = "\n", 0
+        tail = "" if summary is None else "# summary = " + json.dumps(summary, sort_keys=True) + "\n"
+    else:
+        names.sort()
+        head = '{\n "rows": [\n'
+        before = [("  {\n" if i == 0 else ",\n") + f"   {json.dumps(name)}: "
+                  for i, name in enumerate(names)]
+        # Every row ends in ",\n"; the last chunk drops the one after the last row.
+        end, trim = "\n  },\n", 2
+        tail = "\n ]"
+        if summary is not None:
+            nested = json.dumps(summary, indent=1, sort_keys=True).replace("\n", "\n ")
+            tail += ',\n "summary": ' + nested
+        tail += "\n}\n"
+    yield head
     stride = cfg.stride
     span = _CHUNK_ROWS * stride
     n_rows = len(columns[names[0]])
-    if cfg.output_format == "csv":
-        yield ",".join(names) + "\n"
-        before = [""] + [","] * (len(names) - 1)
-        for lo in range(0, n_rows, span):
-            parts = [columns[name][lo : lo + span : stride] for name in names]
-            yield _rows(parts, "csv", before, "\n")
-        if summary is not None:
-            yield "# summary = " + json.dumps(summary, sort_keys=True) + "\n"
-        return
-    names.sort()
-    # Every row ends in ",\n"; the last chunk drops the one after the last row.
-    before = [("  {\n" if i == 0 else ",\n") + f"   {json.dumps(name)}: "
-              for i, name in enumerate(names)]
-    tail = "\n ]"
-    if summary is not None:
-        nested = json.dumps(summary, indent=1, sort_keys=True).replace("\n", "\n ")
-        tail += ',\n "summary": ' + nested
-    tail += "\n}\n"
-    yield '{\n "rows": [\n'
     for lo in range(0, n_rows, span):
         parts = [columns[name][lo : lo + span : stride] for name in names]
-        text = _rows(parts, "json", before, "\n  },\n")
-        yield text if lo + span < n_rows else text[:-2]
+        text = _rows(parts, cfg.output_format, before, end)
+        yield text if lo + span < n_rows else text[: len(text) - trim]
+        del text  # not held while the next chunk is built
     yield tail
 
 
@@ -314,17 +319,15 @@ def _write_table(cfg: ExperimentConfig, columns: dict, summary: dict | None):
         fh.writelines(pieces)
 
 
-def _oracle_trajectory(cfg: ExperimentConfig, kind: Variant, params: SchemeParams) -> Trajectory:
+def _oracle_stage(cfg: ExperimentConfig, kind: Variant, params: SchemeParams, steps: int) -> Trajectory:
+    """The exact iteration from the initial amplitude, steps + 1 values."""
     z0, z1 = init_from_amplitude(complex(cfg.a0_re, cfg.a0_im), params)
-    return iterate(kind, params, z0, z1, _steps(cfg))
+    return iterate(kind, params, z0, z1, steps)
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    kind = Variant(cfg.kind)
-    params = _scheme_params(cfg)
-    traj = _oracle_trajectory(cfg, kind, params)
-    n = np.arange(len(traj))
-    columns = {"n": n, "t": traj.times, "z": traj.values}
+    traj = _oracle_stage(cfg, *_boundary(cfg))
+    columns = {"n": np.arange(len(traj)), "t": traj.times, "z": traj.values}
     _write_table(cfg, columns, summary=None)
     return 0
 
@@ -335,25 +338,14 @@ def _require_finite(name: str, model: np.ndarray) -> None:
         raise DivergenceError(f"{name} is not finite at n={int(finite.argmin())}")
 
 
-def run_compare_pipeline(cfg: ExperimentConfig, fundamental: np.ndarray | None = None) -> tuple[dict, dict]:
-    """Oracle vs naive vs renormalized trajectories, plus summary statistics.
-
-    Returns (columns, summary); at stride 1 every summary entry is
-    recomputable from the written rows.  `fundamental` is lam_p^n on the time
-    grid when the caller shares it between pipelines; without it the pipeline
-    computes it itself, after the oracle.  Either way the bytes are the same.
-    Raises ConfigError for a config that `main` would refuse.
-    """
-    _validate(cfg)
-    kind = Variant(cfg.kind)
-    params = _scheme_params(cfg)
+def _model_stage(cfg: ExperimentConfig, kind: Variant, params: SchemeParams, steps: int,
+                 sol: GlobalSolution, fundamental: np.ndarray | None) -> dict:
+    """The naive and the two renormalized columns on n = 0..steps, each checked
+    finite.  lam_p^n (unless a sweep shares it) and the flow path are freed on
+    return: held through the analysis, they would lift the peak memory above
+    the naive sum's."""
     a0 = complex(cfg.a0_re, cfg.a0_im)
-    # Checks a0, and that the continuum envelope holds to t_max, before the oracle runs.
-    sol = _global_solution(cfg, kind, params)
-    oracle_traj = _oracle_trajectory(cfg, kind, params)
-    n_steps = len(oracle_traj) - 1
-    n = np.arange(n_steps + 1)
-
+    n = np.arange(steps + 1)
     # lam_p^n once, for the naive expansion and both renormalized forms: the
     # discrete form of the continuum amplitude (what sol.eval_discrete(n)
     # gives) and the flow's.
@@ -362,21 +354,20 @@ def run_compare_pipeline(cfg: ExperimentConfig, fundamental: np.ndarray | None =
     z_naive = naive_solution(kind, a0, params, n, fundamental)
     # Checked at once: an overflowing naive sum stops before the renormalized forms.
     _require_finite("z_naive", z_naive)
-
     z_renorm_continuum = assemble_modes(kind, params, sol.amplitude_at(n * cfg.dt), fundamental)
-    flow = build_flow(kind, params)
     # By keyword: perfbench/tracing.py reads the step count from `steps`.
-    amp_path = flow_path(flow, a0, steps=n_steps)
+    amp_path = flow_path(build_flow(kind, params), a0, steps=steps)
     z_renorm_discrete = assemble_modes(kind, params, amp_path, fundamental)
-    # Freed before the analysis: held through it, lam_p^n (unless a sweep
-    # shares it) and the flow would lift the peak memory above the naive sum's.
-    del fundamental, amp_path
     _require_finite("z_renorm_discrete", z_renorm_discrete)
     _require_finite("z_renorm_continuum", z_renorm_continuum)
+    return {"z_naive": z_naive, "z_renorm_discrete": z_renorm_discrete,
+            "z_renorm_continuum": z_renorm_continuum}
 
-    naive_profile = compare(oracle_traj, Trajectory(cfg.dt, z_naive))
-    renorm_profile = compare(oracle_traj, Trajectory(cfg.dt, z_renorm_continuum))
 
+def _error_stage(cfg: ExperimentConfig, oracle_traj: Trajectory, models: dict) -> tuple[dict, dict]:
+    """Every column, the errors against the oracle among them, and the summary."""
+    naive_profile = compare(oracle_traj, Trajectory(cfg.dt, models["z_naive"]))
+    renorm_profile = compare(oracle_traj, Trajectory(cfg.dt, models["z_renorm_continuum"]))
     summary = {
         "max_err_naive": naive_profile.max_abs,
         "max_err_renorm": renorm_profile.max_abs,
@@ -397,16 +388,31 @@ def run_compare_pipeline(cfg: ExperimentConfig, fundamental: np.ndarray | None =
         pass
 
     columns = {
-        "n": n,
+        "n": np.arange(len(oracle_traj)),
         "t": oracle_traj.times,
         "z_oracle": oracle_traj.values,
-        "z_naive": z_naive,
-        "z_renorm_discrete": z_renorm_discrete,
-        "z_renorm_continuum": z_renorm_continuum,
+        **models,
         "err_naive": naive_profile.diffs,
         "err_renorm": renorm_profile.diffs,
     }
     return columns, summary
+
+
+def run_compare_pipeline(cfg: ExperimentConfig, fundamental: np.ndarray | None = None) -> tuple[dict, dict]:
+    """Oracle vs naive vs renormalized trajectories, plus summary statistics.
+
+    Returns (columns, summary); at stride 1 every summary entry is
+    recomputable from the written rows.  `fundamental` is lam_p^n on the time
+    grid when the caller shares it between pipelines; without it the pipeline
+    computes it itself, after the oracle.  Either way the bytes are the same.
+    Raises ConfigError for a config that `main` would refuse.
+    """
+    kind, params, steps = _boundary(cfg)
+    # Checks a0, and that the continuum envelope holds to t_max, before the oracle runs.
+    sol = _global_solution(cfg, kind, params, steps)
+    oracle_traj = _oracle_stage(cfg, kind, params, steps)
+    models = _model_stage(cfg, kind, params, steps, sol, fundamental)
+    return _error_stage(cfg, oracle_traj, models)
 
 
 def cmd_compare(cfg: ExperimentConfig) -> int:
@@ -420,17 +426,18 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
 def cmd_sweep(cfg: ExperimentConfig, param: str, values: list[float]) -> int:
     if param not in _SWEEPABLE:
         raise ConfigError(f"sweep parameter must be one of {_SWEEPABLE}, got {param!r}")
-    row_cfgs = [_validate(dataclasses.replace(cfg, **{param: value})) for value in values]
-    for row_cfg in row_cfgs:  # reject a bad value before any pipeline runs
-        _steps(row_cfg)
-        _global_solution(row_cfg, Variant(row_cfg.kind), _scheme_params(row_cfg))
+    row_cfgs = [dataclasses.replace(cfg, **{param: value}) for value in values]
+    # Every row passes the boundary, then compare's solution checks, before any pipeline runs.
+    checked = [_boundary(row_cfg) for row_cfg in row_cfgs]
+    for row_cfg, grid in zip(row_cfgs, checked):
+        _global_solution(row_cfg, *grid)
     # eps and a0_re keep the time grid (dt, t_max, root convention, scheme),
     # so its lam_p^n is built once; each dt gives a grid of its own, built
     # inside its pipeline.
     fundamental = None
     if param != "dt":
-        grid_cfg = row_cfgs[0]
-        fundamental = discrete_fundamental(_scheme_params(grid_cfg), np.arange(_steps(grid_cfg) + 1))
+        _, params, steps = checked[0]
+        fundamental = discrete_fundamental(params, np.arange(steps + 1))
     summaries = []
     for row_cfg in row_cfgs:
         # `_` holds the previous pipeline's columns until this one returns, so
@@ -439,11 +446,8 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values: list[float]) -> int:
         # steps, and no wall-time difference that 7 alternating rounds resolved.
         _, summary = run_compare_pipeline(row_cfg, fundamental)
         summaries.append(summary)
-    columns = {"value": list(values)}
-    for key in summaries[0]:
-        columns[key] = [s[key] for s in summaries]
-    sweep_cfg = dataclasses.replace(cfg, stride=1)
-    _write_table(sweep_cfg, columns, summary={"param": param})
+    columns = {"value": list(values), **{key: [s[key] for s in summaries] for key in summaries[0]}}
+    _write_table(dataclasses.replace(cfg, stride=1), columns, summary={"param": param})
     return 0
 
 
@@ -481,15 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(ns: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    if ns.config:
-        for key, value in _parse_config_file(ns.config).items():
-            setattr(cfg, key, value)
-    for name in _TYPES:
-        override = getattr(ns, name, None)
-        if override is not None:
-            setattr(cfg, name, override)
-    return _validate(cfg)
+    values = _parse_config_file(ns.config) if ns.config else {}
+    values.update((name, getattr(ns, name)) for name in _TYPES if getattr(ns, name) is not None)
+    return ExperimentConfig(**values)
 
 
 def main(argv=None) -> int:

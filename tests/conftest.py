@@ -5,7 +5,7 @@ import pytest
 import renormdiff
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def package_env() -> dict:
     """The environment of a child process that imports the same package as
     the tests, installed or not."""

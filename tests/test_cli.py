@@ -578,6 +578,26 @@ class TestSweep:
         assert "sweep parameter" in capsys.readouterr().err
 
 
+class TestCheckOrder:
+    """Every subcommand checks a config in one order (the fields, the scheme,
+    the step count), so a config wrong twice is refused for the same fault."""
+
+    @pytest.mark.parametrize(
+        "wrong, message",
+        [(["--dt=3", "--t-max=1"], "dt must lie in (0, 2), got 3.0"),
+         (["--dt=1e-6", "--t-max=200"], "t_max/dt must be at most 100000000, got 200000000.0")],
+        ids=["scheme-before-steps", "steps-before-third-harmonic"],
+    )
+    def test_every_subcommand_names_the_same_fault(self, tmp_path, capsys, wrong, message):
+        out = tmp_path / "x.csv"
+        errors = {}
+        for command in (["simulate"], ["compare"], ["sweep", "--param=eps", "--values=0.01"]):
+            assert main([*command, *wrong, f"--output-path={out}"]) == 2
+            errors[command[0]] = capsys.readouterr().err
+        assert errors == dict.fromkeys(errors, f"error: {message}\n")
+        assert not out.exists()
+
+
 class TestOutputPath:
     def test_unwritable_path_exits_two(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"

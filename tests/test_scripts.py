@@ -12,47 +12,47 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 DIGESTS = Path(__file__).resolve().parent / "data" / "output_digests.txt"
 
 
+def _run(argv: list[str], env: dict) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.fixture(scope="session")
+def default_digests(package_env):
+    """One run of output_digests.py over its default matrix, read by every
+    check of that run."""
+    return _run(["output_digests.py"], package_env)
+
+
 @pytest.mark.parametrize(
     "argv",
     [["vdp_limit_cycle.py", "--ratio", "2"], ["mickens_vs_plain.py"], ["output_digests.py"]],
     ids=lambda argv: argv[0],
 )
-def test_script_runs(package_env, argv):
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
-        capture_output=True,
-        text=True,
-        env=package_env,
-        timeout=120,
-    )
+def test_script_runs(request, package_env, argv):
+    if argv == ["output_digests.py"]:
+        proc = request.getfixturevalue("default_digests")
+    else:
+        proc = _run(argv, package_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
 
 
-def test_digests_of_a_copy_at_another_path(package_env, tmp_path):
+def test_digests_of_a_copy_at_another_path(package_env, default_digests, tmp_path):
     # --src runs the matrix on the package under another src/; its path is
     # masked in stderr, so a copy gives the bytes of the checkout's own run
     src = SCRIPTS.parent / "src"
     copy = tmp_path / "src"
     shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
-    runs = [
-        subprocess.run(
-            [sys.executable, str(SCRIPTS / "output_digests.py"), *extra],
-            capture_output=True, text=True, env=package_env, timeout=120,
-        )
-        for extra in ([], ["--src", str(copy)])
-    ]
-    assert [proc.returncode for proc in runs] == [0, 0], runs[1].stderr
-    assert runs[1].stdout == runs[0].stdout
+    copied = _run(["output_digests.py", "--src", str(copy)], package_env)
+    assert [default_digests.returncode, copied.returncode] == [0, 0], copied.stderr
+    assert copied.stdout == default_digests.stdout
 
 
-def test_digests_match_the_committed_file(package_env):
+def test_digests_match_the_committed_file(default_digests):
     # The CLI's output bytes over the script's matrix; the header line names
     # the numpy, Python and platform of each side and is not compared.
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "output_digests.py")],
-        capture_output=True, text=True, env=package_env, timeout=120,
-    )
+    proc = default_digests
     assert proc.returncode == 0, proc.stderr
     want_header, *want = DIGESTS.read_text().splitlines()
     got_header, *got = proc.stdout.splitlines()
