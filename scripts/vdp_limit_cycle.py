@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Van der Pol limit cycle: oracle envelope vs the two envelope conventions.
+"""Van der Pol limit cycle: oracle envelope vs the renormalized envelope.
 
 Iterates the Van der Pol type scheme from a small start, extracts the
-amplitude envelope, and compares it against the renormalized envelope under
-kappa = 1 + c^2 and kappa = 1 + c.  With a nonzero component ratio c the two
-differ; the oracle decides (the squared form tracks the measured envelope and
-saturates at waveform amplitude 2).
+amplitude envelope, and compares it against the renormalized envelope
+A1' = eps A1 (1 - kappa A1^2), kappa = 1 + c^2, with c the component ratio
+of the start amplitude; it saturates at waveform amplitude 2.  Acceptance
+criterion 6 (tests/test_acceptance.py) also refutes kappa = 1 + c against
+the oracle.
 """
 
 import argparse
@@ -18,7 +19,6 @@ from renormdiff.asymptotic import GlobalSolution
 from renormdiff.lineardiff import RootConvention, SchemeParams
 from renormdiff.oracle import init_from_amplitude, iterate
 from renormdiff.perturbation import VAN_DER_POL
-from renormdiff.renormalization import KappaConvention
 
 
 def main():
@@ -40,30 +40,20 @@ def main():
     z0, z1 = init_from_amplitude(a0, params)
     traj = iterate(VAN_DER_POL, params, z0, z1, int(round(t_max / args.dt)))
     peaks = envelope(traj)
-
-    sol_sq = GlobalSolution(VAN_DER_POL, params, a0,
-                            KappaConvention.ONE_PLUS_C_SQUARED)
-    sol_lin = GlobalSolution(VAN_DER_POL, params, a0,
-                             KappaConvention.ONE_PLUS_C)
+    sol = GlobalSolution(VAN_DER_POL, params, a0)
 
     print(f"vdp scheme, eps={args.eps}, dt={args.dt}, "
           f"start amplitude {args.start_amplitude}, ratio c={c}")
     print(f"  final oracle envelope: {peaks[-1, 1]:.4f} (limit cycle amplitude 2)")
-    print("      t    oracle   kappa=1+c^2   kappa=1+c")
+    print("      t    oracle  renormalized")
     for t_probe in np.linspace(peaks[0, 0], peaks[-1, 0], 8):
         nearest = peaks[np.argmin(np.abs(peaks[:, 0] - t_probe))]
         print(f"  {nearest[0]:7.1f}  {nearest[1]:7.4f}"
-              f"  {sol_sq.fundamental_amplitude(nearest[0]):12.4f}"
-              f"  {sol_lin.fundamental_amplitude(nearest[0]):10.4f}")
+              f"  {sol.fundamental_amplitude(nearest[0]):12.4f}")
 
     band = peaks[peaks[:, 0] >= 2.0 / args.eps]
-    dev_sq = np.max(np.abs(sol_sq.fundamental_amplitude(band[:, 0]) - band[:, 1])
-                    / band[:, 1])
-    dev_lin = np.max(np.abs(sol_lin.fundamental_amplitude(band[:, 0]) - band[:, 1])
-                     / band[:, 1])
-    print(f"  worst relative envelope deviation for t >= {2.0 / args.eps:.0f}:")
-    print(f"    kappa = 1 + c^2: {dev_sq:.3f}")
-    print(f"    kappa = 1 + c  : {dev_lin:.3f}")
+    dev = np.max(np.abs(sol.fundamental_amplitude(band[:, 0]) - band[:, 1]) / band[:, 1])
+    print(f"  worst relative envelope deviation for t >= {2.0 / args.eps:.0f}: {dev:.3f}")
 
 
 if __name__ == "__main__":

@@ -56,12 +56,10 @@ from .perturbation import (
 from .renormalization import (
     AmplitudeFlow,
     EnvelopeDomainError,
-    KappaConvention,
     build_flow,
     conserved_constant,
     continuum_limit_check,
     flow_path,
-    kappa_value,
     secular_rate,
     solve_cubic_continuum,
     solve_vdp_continuum,

@@ -21,13 +21,7 @@ from .lineardiff import (
     power_table,
 )
 from .perturbation import Variant, _forcing_terms, _third_harmonic_base
-from .renormalization import (
-    KappaConvention,
-    conserved_constant,
-    continuum_amplitude,
-    kappa_value,
-    secular_rate,
-)
+from .renormalization import conserved_constant, continuum_amplitude, secular_rate
 
 __all__ = [
     "GlobalSolution",
@@ -88,14 +82,13 @@ class GlobalSolution:
     evaluations are real).  For the cubic kind the conserved constant is
     c = |a0|^2 and the amplitude rotates at rate (3/2) eps c; for the Van der
     Pol kind c = Im(a0)/Re(a0) is the invariant component ratio and the
-    envelope follows the logistic-type closed form from Re(a0) under the
-    chosen kappa convention.
+    envelope follows the logistic-type closed form from Re(a0) with
+    kappa = 1 + c^2.
     """
 
     kind: Variant
     params: SchemeParams
     a0: complex
-    kappa_convention: KappaConvention = KappaConvention.ONE_PLUS_C_SQUARED
 
     def __post_init__(self):
         object.__setattr__(self, "a0", complex(self.a0))
@@ -103,16 +96,25 @@ class GlobalSolution:
         # 1.6e-5 the third harmonic cannot be resolved.
         _third_harmonic_base(self.params)
         if self.kind is Variant.VAN_DER_POL:
-            # Re(a0) = 0 leaves the component ratio undefined, and a settled
-            # value kappa Re(a0)^2 below the normal range loses the envelope's
-            # limit to rounding (at 0, the envelope's denominator underflows
-            # to 0 with time).
+            # Re(a0) = 0 leaves the component ratio undefined.  The settled
+            # value kappa Re(a0)^2 = (1 + c^2) Re(a0)^2 must be normal: below
+            # that the envelope's limit is lost to rounding (at 0 its
+            # denominator underflows to 0 with time).  From 2^53 on, 1 minus
+            # it is no longer exact, so A(0) != a0 (and from 2^54 the
+            # denominator rounds to 0 at t = 0).  In between, at t >= 0 and
+            # eps >= 0, the denominator is at least min(settled, 1).
             a1 = self.a0.real
-            kappa = kappa_value(self.conserved, self.kappa_convention)
-            if kappa > 0.0 and kappa * a1 * a1 < np.finfo(float).tiny:
+            c = self.conserved
+            settled = (1.0 + c * c) * a1 * a1
+            if settled < np.finfo(float).tiny:
                 raise ValueError(
                     f"kappa * Re(a0)^2 underflows at Re(a0) = {a1}; the "
                     "Van der Pol envelope cannot be evaluated"
+                )
+            if settled >= 2.0**53:
+                raise ValueError(
+                    f"kappa * Re(a0)^2 reaches 2^53 at a0 = {self.a0}; the "
+                    "Van der Pol envelope cannot start from it exactly"
                 )
 
     @property
@@ -121,9 +123,7 @@ class GlobalSolution:
 
     def amplitude_at(self, t):
         """Renormalized amplitude A(t) from the continuum flow (scalar/array)."""
-        return continuum_amplitude(
-            self.kind, self.a0, self.params.eps, t, self.kappa_convention
-        )
+        return continuum_amplitude(self.kind, self.a0, self.params.eps, t)
 
     def eval_discrete(self, n):
         """Real solution at integer indices n (scalar or array)."""

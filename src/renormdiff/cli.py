@@ -10,9 +10,8 @@ error columns with the summary.  Output is CSV (17-significant-digit floats,
 byte-stable across runs) or JSON mirroring the same field names.  Exit codes:
 0 success, 1 a stdout reader that closed early, 2 configuration error (an
 output path that cannot be opened included), 3 numerical failure: a diverging
-or singular oracle step, an amplitude flow past its guard, a continuum
-envelope that blows up before t_max or a non-finite model column, each named
-with the step where it happened.
+or singular oracle step, an amplitude flow past its guard or a non-finite
+model column, each named with the step where it happened.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .oracle import (
     iterate,
 )
 from .perturbation import Variant, naive_solution
-from .renormalization import EnvelopeDomainError, KappaConvention, build_flow, flow_path
+from .renormalization import build_flow, flow_path
 
 __all__ = ["ExperimentConfig", "main", "entry", "run_compare_pipeline"]
 
@@ -57,7 +56,6 @@ class ExperimentConfig:
     a0_im: float = 0.0
     t_max: float = 100.0
     root_convention: str = "exact"
-    kappa_convention: str = "one-plus-c-squared"
     scheme: str = "standard"
     output_path: str | None = None
     output_format: str = "csv"
@@ -72,7 +70,6 @@ _TYPES = {f.name: str if f.default is None else type(f.default)
 _CHOICES = {
     "kind": tuple(v.value for v in Variant),
     "root_convention": sorted(c.value for c in RootConvention),
-    "kappa_convention": sorted(c.value for c in KappaConvention),
     "scheme": tuple(s.value for s in Scheme),
     "output_format": ("csv", "json"),
 }
@@ -160,33 +157,6 @@ def _boundary(cfg: ExperimentConfig) -> tuple[Variant, SchemeParams, int]:
     scheme, the step count.  Returns the kind, the scheme and the steps."""
     _validate(cfg)
     return Variant(cfg.kind), _scheme_params(cfg), _steps(cfg)
-
-
-def _global_solution(cfg: ExperimentConfig, kind: Variant, params: SchemeParams,
-                     steps: int) -> GlobalSolution:
-    """The renormalized solution; raises ValueError for an a0 it cannot
-    evaluate, and DivergenceError for a Van der Pol envelope that blows up
-    before t_max.
-
-    The envelope's denominator is monotone in t at a rate >= 0, so its value
-    at the grid's last time decides whether any step fails; only then is the
-    whole grid evaluated, to name the first step that does.
-    """
-    sol = GlobalSolution(
-        kind,
-        params,
-        complex(cfg.a0_re, cfg.a0_im),
-        kappa_convention=KappaConvention(cfg.kappa_convention),
-    )
-    if kind is Variant.VAN_DER_POL:
-        try:
-            sol.amplitude_at(steps * cfg.dt)
-        except EnvelopeDomainError:
-            try:
-                sol.amplitude_at(np.arange(steps + 1) * cfg.dt)
-            except EnvelopeDomainError as exc:
-                raise DivergenceError(f"z_renorm_continuum at n={exc.index}: {exc}") from None
-    return sol
 
 
 def _fmt(value) -> str:
@@ -408,8 +378,8 @@ def run_compare_pipeline(cfg: ExperimentConfig, fundamental: np.ndarray | None =
     Raises ConfigError for a config that `main` would refuse.
     """
     kind, params, steps = _boundary(cfg)
-    # Checks a0, and that the continuum envelope holds to t_max, before the oracle runs.
-    sol = _global_solution(cfg, kind, params, steps)
+    # Checks a0 before the oracle runs.
+    sol = GlobalSolution(kind, params, complex(cfg.a0_re, cfg.a0_im))
     oracle_traj = _oracle_stage(cfg, kind, params, steps)
     models = _model_stage(cfg, kind, params, steps, sol, fundamental)
     return _error_stage(cfg, oracle_traj, models)
@@ -427,10 +397,10 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values: list[float]) -> int:
     if param not in _SWEEPABLE:
         raise ConfigError(f"sweep parameter must be one of {_SWEEPABLE}, got {param!r}")
     row_cfgs = [dataclasses.replace(cfg, **{param: value}) for value in values]
-    # Every row passes the boundary, then compare's solution checks, before any pipeline runs.
+    # Every row passes the boundary, then compare's check of a0, before any pipeline runs.
     checked = [_boundary(row_cfg) for row_cfg in row_cfgs]
-    for row_cfg, grid in zip(row_cfgs, checked):
-        _global_solution(row_cfg, *grid)
+    for row_cfg, (kind, params, _) in zip(row_cfgs, checked):
+        GlobalSolution(kind, params, complex(row_cfg.a0_re, row_cfg.a0_im))
     # eps and a0_re keep the time grid (dt, t_max, root convention, scheme),
     # so its lam_p^n is built once; each dt gives a grid of its own, built
     # inside its pipeline.

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .lineardiff import SchemeParams
 from .perturbation import Variant
 
 __all__ = [
-    "KappaConvention",
     "AmplitudeFlow",
     "secular_rate",
     "build_flow",
@@ -35,7 +33,6 @@ __all__ = [
     "solve_cubic_continuum",
     "solve_vdp_continuum",
     "EnvelopeDomainError",
-    "kappa_value",
     "conserved_constant",
     "continuum_amplitude",
     "continuum_limit_check",
@@ -45,32 +42,12 @@ _FLOW_OVERFLOW_LIMIT = 1e12
 
 
 class EnvelopeDomainError(ValueError):
-    """The Van der Pol envelope's denominator is <= 0 (A1 blew up in finite
-    time), first at position `index` of the flattened times."""
+    """The Van der Pol envelope's denominator is <= 0 (A1 leaves its domain),
+    first at position `index` of the flattened times."""
 
     def __init__(self, index: int, t: float):
         super().__init__(f"envelope denominator vanishes at t={t:g}; solution leaves its domain")
         self.index = index
-
-
-class KappaConvention(Enum):
-    """Coefficient kappa in the Van der Pol envelope A1' = r A1 (1 - kappa A1^2).
-
-    Reducing the two real amplitude equations with A2 = c A1 gives
-    1 - A1^2 - A2^2 = 1 - (1 + c^2) A1^2, so ONE_PLUS_C_SQUARED is the
-    algebraically consistent choice and the default; ONE_PLUS_C keeps
-    kappa = 1 + c available for comparison.  The two coincide at c = 0 and
-    c = 1 and predict different limit amplitudes everywhere else.
-    """
-
-    ONE_PLUS_C = "one-plus-c"
-    ONE_PLUS_C_SQUARED = "one-plus-c-squared"
-
-
-def kappa_value(c: float, convention: KappaConvention) -> float:
-    if convention is KappaConvention.ONE_PLUS_C:
-        return 1.0 + c
-    return 1.0 + c * c
 
 
 @dataclass(frozen=True)
@@ -215,25 +192,23 @@ def solve_cubic_continuum(a0: complex, rate: complex, t):
     return a
 
 
-def solve_vdp_continuum(
-    a1: float,
-    c: float,
-    rate: float,
-    t,
-    convention: KappaConvention = KappaConvention.ONE_PLUS_C_SQUARED,
-):
+def solve_vdp_continuum(a1: float, c: float, rate: float, t):
     """Continuum Van der Pol amplitude A = A1 (1 + i c) with A1(0) = a1.
 
-    A1(t) = a1 / sqrt(kappa a1^2 + (1 - kappa a1^2) e^{-2 rate t}) satisfies
-    A1' = rate A1 (1 - kappa A1^2) exactly from any a1 != 0, below or above
-    the limit sign(a1)/sqrt(kappa) that it tends to as t grows; the component
-    ratio Im(A)/Re(A) stays c.  Accepts scalar or array t.  A denominator
-    <= 0 (kappa < 0 blows A1 up; an underflowed kappa a1^2 lets it underflow
-    to 0) raises EnvelopeDomainError, a ValueError naming the first such t.
+    With A2 = c A1 the two real amplitude equations reduce to
+    A1' = rate A1 (1 - kappa A1^2), kappa = 1 + c^2, since
+    1 - A1^2 - A2^2 = 1 - (1 + c^2) A1^2.  Its solution
+    A1(t) = a1 / sqrt(kappa a1^2 + (1 - kappa a1^2) e^{-2 rate t}) holds from
+    any a1 != 0, below or above the limit sign(a1)/sqrt(kappa) that it tends
+    to as t grows; the component ratio Im(A)/Re(A) stays c.  Accepts scalar
+    or array t.  At rate >= 0 and t >= 0 the denominator is at least
+    min(kappa a1^2, 1); a denominator <= 0 (a negative rate or t from above
+    the limit, or a kappa a1^2 that underflows to 0) raises
+    EnvelopeDomainError, a ValueError naming the first such t.
     """
     if a1 == 0.0:
         raise ValueError("initial amplitude must be nonzero")
-    settled = kappa_value(c, convention) * a1 * a1
+    settled = (1.0 + c * c) * a1 * a1
     t_arr = np.asarray(t, dtype=float)
     denom = settled + (1.0 - settled) * np.exp(-2.0 * rate * t_arr)
     vanishes = np.flatnonzero(denom <= 0.0)
@@ -246,34 +221,22 @@ def solve_vdp_continuum(
     return a
 
 
-def continuum_amplitude(
-    kind: Variant,
-    a0: complex,
-    eps: float,
-    t,
-    convention: KappaConvention = KappaConvention.ONE_PLUS_C_SQUARED,
-):
+def continuum_amplitude(kind: Variant, a0: complex, eps: float, t):
     """Continuum amplitude A(t) with A(0) = a0 and B = conj(A), scalar or array t.
 
     Cubic: a0 rotating at rate Im(r) |a0|^2, r = secular_rate(kind, eps).
-    Van der Pol: the envelope at rate r from Re(a0) under the kappa
-    convention, with the invariant component ratio c = Im(a0)/Re(a0).
+    Van der Pol: the envelope at rate r from Re(a0), with the invariant
+    component ratio c = Im(a0)/Re(a0).
     """
     a0 = complex(a0)
     rate = secular_rate(kind, eps)
     if kind is Variant.CUBIC:
         return solve_cubic_continuum(a0, rate, t)
     c = conserved_constant(kind, a0)
-    return solve_vdp_continuum(a0.real, c, rate, t, convention)
+    return solve_vdp_continuum(a0.real, c, rate, t)
 
 
-def continuum_limit_check(
-    kind: Variant,
-    a0: complex,
-    params: SchemeParams,
-    t_max: float,
-    convention: KappaConvention = KappaConvention.ONE_PLUS_C_SQUARED,
-) -> float:
+def continuum_limit_check(kind: Variant, a0: complex, params: SchemeParams, t_max: float) -> float:
     """Max gap between the iterated flow and its continuum closed form.
 
     Runs the discrete flow from a0 for t_max / dt steps and
@@ -285,5 +248,5 @@ def continuum_limit_check(
     flow = build_flow(kind, params)
     a_path = flow_path(flow, a0, steps)
     t = np.arange(steps + 1) * params.dt
-    a_ode = continuum_amplitude(kind, a0, params.eps, t, convention)
+    a_ode = continuum_amplitude(kind, a0, params.eps, t)
     return float(np.max(np.abs(a_path - a_ode)))

@@ -33,12 +33,7 @@ from renormdiff.perturbation import (
     nonlinearity_value,
     zeroth_order,
 )
-from renormdiff.renormalization import (
-    KappaConvention,
-    build_flow,
-    continuum_limit_check,
-    flow_path,
-)
+from renormdiff.renormalization import build_flow, continuum_limit_check, flow_path
 
 EXACT = RootConvention.EXACT_UNIT_MODULUS
 FIRST = RootConvention.FIRST_ORDER
@@ -176,14 +171,17 @@ def test_criterion_06_vdp_limit_cycle():
     )
 
     # renormalized envelope with a nonzero component ratio (c = 2, where the
-    # two kappa conventions disagree; at the printed c = 1 they coincide)
+    # rejected kappa = 1 + c disagrees with 1 + c^2; at the printed c = 1 they
+    # coincide), and the rejected one in the same closed form:
+    # 2 |A| = 2 |a0| / sqrt(k + (1 - k) e^{-2 eps t}), k = kappa Re(a0)^2
     a0 = 0.1 * (1 + 2j) / math.sqrt(5)
     peaks = _oracle_envelope(VAN_DER_POL, params, a0, t_max)
     band = peaks[(peaks[:, 0] >= 2.0 / eps) & (peaks[:, 0] <= 10.0 / eps)]
-    sol_sq = GlobalSolution(VAN_DER_POL, params, a0, KappaConvention.ONE_PLUS_C_SQUARED)
-    sol_lin = GlobalSolution(VAN_DER_POL, params, a0, KappaConvention.ONE_PLUS_C)
-    dev_sq = np.abs(sol_sq.fundamental_amplitude(band[:, 0]) - band[:, 1]) / band[:, 1]
-    dev_lin = np.abs(sol_lin.fundamental_amplitude(band[:, 0]) - band[:, 1]) / band[:, 1]
+    sol = GlobalSolution(VAN_DER_POL, params, a0)
+    lin = (1.0 + a0.imag / a0.real) * a0.real**2
+    rejected = 2.0 * abs(a0) / np.sqrt(lin + (1.0 - lin) * np.exp(-2.0 * eps * band[:, 0]))
+    dev_sq = np.abs(sol.fundamental_amplitude(band[:, 0]) - band[:, 1]) / band[:, 1]
+    dev_lin = np.abs(rejected - band[:, 1]) / band[:, 1]
     ok = reaches and dev_sq.max() <= 0.05 and dev_lin.max() > 0.05
     report(
         6,

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from renormdiff.analysis import envelope
 from renormdiff.asymptotic import (
@@ -23,7 +25,6 @@ from renormdiff.perturbation import (
     vdp_scale,
     zeroth_order,
 )
-from renormdiff.renormalization import KappaConvention
 
 FIRST = RootConvention.FIRST_ORDER
 EXACT = RootConvention.EXACT_UNIT_MODULUS
@@ -191,16 +192,38 @@ class TestVdpSolution:
         sol = GlobalSolution(VAN_DER_POL, params(0.5, eps=0.01), 1.5e-154)
         assert sol.amplitude_at(1e6) == pytest.approx(1.0, rel=1e-15)
 
-    def test_zero_kappa_stays_legal(self):
-        # c = -1 under the linear convention: kappa = 0 and the envelope
-        # grows as Re(a0) e^{eps t}
-        sol = GlobalSolution(
-            VAN_DER_POL,
-            params(0.5, eps=0.01),
-            1e-200 - 1e-200j,
-            kappa_convention=KappaConvention.ONE_PLUS_C,
-        )
-        assert sol.amplitude_at(100.0).real == pytest.approx(1e-200 * np.e, rel=1e-12)
+    def test_settled_value_just_below_2_53_starts_at_a0(self):
+        # kappa Re(a0)^2 = 2^53 - 2: 1 minus it is still exact
+        a0 = 0.75 + 94906265.62425154j
+        got = GlobalSolution(VAN_DER_POL, params(0.5, eps=0.01), a0).amplitude_at(0.0)
+        assert abs(got.real - a0.real) <= np.spacing(a0.real)
+        assert abs(got.imag - a0.imag) <= np.spacing(a0.imag)
+
+    def test_settled_value_from_2_53_rejected(self):
+        # kappa Re(a0)^2 = 2^53: 1 minus it rounds, and the envelope's
+        # denominator with it to 0 at t = 0
+        with pytest.raises(ValueError, match=r"reaches 2\^53 at a0 = \(0.75\+"):
+            GlobalSolution(VAN_DER_POL, params(0.5, eps=0.01), 0.75 + 94906265.62425156j)
+
+    @given(
+        log_modulus=st.floats(-160.0, 9.0),
+        phase=st.floats(-math.pi, math.pi),
+        eps=st.floats(0.0, 0.5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_accepted_amplitude_evaluates_on_any_grid(self, log_modulus, phase, eps):
+        # why the CLI checks no envelope: at eps >= 0 and t >= 0 the
+        # denominator of an accepted a0 is at least min(kappa Re(a0)^2, 1)
+        a0 = 10.0**log_modulus * complex(math.cos(phase), math.sin(phase))
+        try:
+            sol = GlobalSolution(VAN_DER_POL, params(0.01, eps=eps), a0)
+        except ValueError:  # Re(a0) = 0, or kappa Re(a0)^2 out of range
+            reject()
+        t = np.concatenate(([0.0], np.logspace(-3.0, 6.0, 64)))
+        amp = sol.amplitude_at(t)
+        assert np.all(np.isfinite(amp))
+        assert abs(amp[0].real - a0.real) <= np.spacing(abs(a0.real))
+        assert abs(amp[0].imag - a0.imag) <= np.spacing(abs(a0.imag))
 
     @pytest.mark.parametrize("a0", [1.5, 1.2 + 0.6j])
     def test_envelope_from_above_tracks_the_oracle(self, a0):
@@ -225,18 +248,6 @@ class TestVdpSolution:
         a0 = 0.1 * (1 + 2j) / np.sqrt(5)
         sol = GlobalSolution(VAN_DER_POL, params(0.01, eps=0.05), a0)
         assert sol.fundamental_amplitude(400.0) == pytest.approx(2.0, rel=1e-6)
-
-    def test_limit_amplitude_off_under_linear_convention(self):
-        a0 = 0.1 * (1 + 2j) / np.sqrt(5)  # component ratio c = 2
-        sol = GlobalSolution(
-            VAN_DER_POL,
-            params(0.01, eps=0.05),
-            a0,
-            kappa_convention=KappaConvention.ONE_PLUS_C,
-        )
-        limit = sol.fundamental_amplitude(400.0)
-        assert limit == pytest.approx(2 * np.sqrt(5.0 / 3.0), rel=1e-6)
-        assert abs(limit - 2.0) > 0.5
 
     def test_waveform_third_harmonic_demodulates(self):
         # once the envelope has saturated, projecting the waveform onto

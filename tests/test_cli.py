@@ -20,7 +20,7 @@ from renormdiff.lineardiff import (
     particular_solution,
 )
 from renormdiff.perturbation import Variant, _forcing_terms, first_order_solution, zeroth_order
-from renormdiff.renormalization import KappaConvention, build_flow, continuum_amplitude
+from renormdiff.renormalization import build_flow, continuum_amplitude
 
 
 def read_csv(path):
@@ -311,60 +311,6 @@ class TestCompare:
             want = np.polyfit(t, np.maximum.accumulate(err), 1)[0]
             assert abs(summary[f"slope_err_{name}"] - want) <= 1e-13 * err.max() / (t[-1] - t[0])
 
-    @pytest.mark.parametrize("a0_re", ["0.3", "0.1"])
-    def test_vdp_nonpositive_kappa_runs(self, tmp_path, a0_re):
-        # c = Im(a0)/Re(a0) = -1 gives kappa = 1 + c = 0, c = -3 gives kappa < 0;
-        # the closed form stays finite over this horizon
-        out = tmp_path / "cmp.csv"
-        code = main(
-            ["compare", "--kind", "vdp", "--a0-re", a0_re, "--a0-im", "-0.3",
-             "--kappa-convention", "one-plus-c", "--dt", "0.05", "--t-max", "20",
-             "--output-path", str(out)]
-        )
-        assert code == 0
-        header, rows, _ = read_csv(out)
-        assert np.all(np.isfinite(rows[:, header.index("err_renorm")]))
-
-    def test_vdp_envelope_blow_up_is_a_numerical_failure(self, tmp_path, capsys):
-        # kappa = 1 + c = -2: the continuum envelope's denominator
-        # -0.18 + 1.18 e^{-2 eps t} reaches 0 at t = 94.02, so a valid config
-        # runs to t_max = 20 and fails at the first step past it at t_max = 400
-        out = tmp_path / "cmp.csv"
-        argv = ["compare", "--kind", "vdp", "--a0-re", "0.3", "--a0-im", "-0.9",
-                "--kappa-convention", "one-plus-c", "--dt", "0.05", "--output-path", str(out)]
-        assert main([*argv, "--t-max", "20"]) == 0
-        out.unlink()
-        capsys.readouterr()
-        assert main([*argv, "--t-max", "400"]) == 3
-        assert capsys.readouterr().err == (
-            "numerical failure: z_renorm_continuum at n=1881: envelope denominator "
-            "vanishes at t=94.05; solution leaves its domain\n"
-        )
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "command", [["compare"], ["sweep", "--param", "a0_re", "--values", "2.0,0.3"]],
-        ids=["compare", "sweep"])
-    def test_vdp_envelope_blow_up_refused_before_the_oracle(
-        self, tmp_path, monkeypatch, capsys, command
-    ):
-        # the sweep's first row (c = -0.45, kappa = 0.55) runs to t_max, its
-        # second is the blow-up above
-        calls = []
-        real = cli.iterate
-        monkeypatch.setattr(cli, "iterate", lambda *args: calls.append(args) or real(*args))
-        out = tmp_path / "cmp.csv"
-        code = main([*command, "--kind", "vdp", "--a0-re", "0.3", "--a0-im", "-0.9",
-                     "--kappa-convention", "one-plus-c", "--dt", "0.05", "--t-max", "400",
-                     "--output-path", str(out)])
-        assert code == 3
-        assert capsys.readouterr().err == (
-            "numerical failure: z_renorm_continuum at n=1881: envelope denominator "
-            "vanishes at t=94.05; solution leaves its domain\n"
-        )
-        assert calls == []
-        assert not out.exists()
-
     def test_vdp_out_of_reach_rejected_before_the_oracle(self, tmp_path, monkeypatch, capsys):
         # kappa a0_re^2 underflows to 0 at 1e-200: the envelope's limit is out
         # of double precision's reach
@@ -378,6 +324,28 @@ class TestCompare:
         )
         assert code == 2
         assert "underflows" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["compare", "--a0-re", "1", "--a0-im", "1e8"],
+         ["sweep", "--param", "a0_re", "--values", "0.5,1e8"]],
+        ids=["compare", "sweep"])
+    def test_vdp_huge_amplitude_rejected_before_the_oracle(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        # kappa Re(a0)^2 = |a0|^2 = 1e16 is past 2^53, where 1 minus it is no
+        # longer exact and the envelope no longer starts at a0; the sweep's
+        # first row (a0 = 0.5) is legal
+        calls = []
+        real = cli.iterate
+        monkeypatch.setattr(cli, "iterate", lambda *args: calls.append(args) or real(*args))
+        out = tmp_path / "cmp.csv"
+        code = main([*command, "--kind", "vdp", "--dt", "0.01", "--t-max", "5",
+                     "--output-path", str(out)])
+        assert code == 2
+        assert "reaches 2^53" in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
 
@@ -831,8 +799,6 @@ class TestConfigFile:
             ("kind", "kind must be one of ('cubic', 'vdp'), got 'bogus'"),
             ("root_convention",
              "root_convention must be one of ['exact', 'first-order'], got 'bogus'"),
-            ("kappa_convention", "kappa_convention must be one of "
-             "['one-plus-c', 'one-plus-c-squared'], got 'bogus'"),
             ("scheme", "scheme must be one of ('standard', 'mickens'), got 'bogus'"),
             ("output_format", "output_format must be one of ('csv', 'json'), got 'bogus'"),
         ],
@@ -846,6 +812,7 @@ class TestConfigFile:
         "text, message",
         [
             ("kind = vdp\nvdp_halving = 1\n", "2: unknown config key 'vdp_halving'"),
+            ("kappa_convention = one-plus-c\n", "1: unknown config key 'kappa_convention'"),
             ("t_max = 1\nstride = 2.5\n", "2: stride expects an integer, got '2.5'"),
             ("dt = abc\n", "1: dt expects a number, got 'abc'"),
             ("# a comment\n\ndt 0.1\n", "3: expected key=value, got 'dt 0.1'"),
@@ -877,9 +844,8 @@ class TestConfigFile:
     # config file and after its flag.
     _FIELD_TEXT = {
         "kind": "vdp", "dt": "0.02", "eps": "0.03", "a0_re": "0.3", "a0_im": "-0.1",
-        "t_max": "2.5", "root_convention": "first-order", "kappa_convention": "one-plus-c",
-        "scheme": "mickens", "output_path": "runs.csv", "output_format": "json",
-        "stride": "3",
+        "t_max": "2.5", "root_convention": "first-order", "scheme": "mickens",
+        "output_path": "runs.csv", "output_format": "json", "stride": "3",
     }
 
     @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ExperimentConfig)])
@@ -955,16 +921,17 @@ class TestFlags:
         for action in actions:
             assert action.choices == cli._CHOICES.get(action.dest)
         choice_flags = {a.option_strings[0] for a in actions if a.choices is not None}
-        assert choice_flags == {"--kind", "--root-convention", "--kappa-convention",
-                                "--scheme", "--output-format"}
+        assert choice_flags == {"--kind", "--root-convention", "--scheme", "--output-format"}
 
-    @pytest.mark.parametrize("flag", ["--vdp-halving", "--no-vdp-halving"])
+    @pytest.mark.parametrize(
+        "flag", ["--vdp-halving", "--no-vdp-halving", "--kappa-convention=one-plus-c"])
     @pytest.mark.parametrize(
         "command", [["simulate"], ["compare"], ["sweep", "--param=eps", "--values=0.01,0.02"]],
         ids=["simulate", "compare", "sweep"],
     )
     def test_halving_flags_unrecognized(self, tmp_path, capsys, command, flag):
-        # for the centred-difference Van der Pol forcing, pass half the eps
+        # for the centred-difference Van der Pol forcing, pass half the eps;
+        # the Van der Pol envelope has the one kappa = 1 + c^2
         out = tmp_path / "x.csv"
         code = main([*command, "--kind=vdp", flag, "--t-max=5", f"--output-path={out}"])
         assert code == 2
@@ -1024,8 +991,7 @@ def _reference_columns(cfg):
         fundamental = np.exp(n * cmath.log(lam_p))
         return 2.0 * (amp * fundamental + params.eps * k3 * amp**3 * fundamental**3).real
 
-    continuum = continuum_amplitude(kind, a0, params.eps, n * cfg.dt,
-                                    KappaConvention(cfg.kappa_convention))
+    continuum = continuum_amplitude(kind, a0, params.eps, n * cfg.dt)
     flow = _per_step_fold(build_flow(kind, params), a0, n.size - 1)
     return {"z_naive": 2.0 * z_naive.real, "z_renorm_discrete": modes(flow),
             "z_renorm_continuum": modes(continuum)}

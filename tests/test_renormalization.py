@@ -23,34 +23,29 @@ from renormdiff.perturbation import (
 from renormdiff.renormalization import (
     AmplitudeFlow,
     EnvelopeDomainError,
-    KappaConvention,
     build_flow,
     conserved_constant,
     continuum_amplitude,
     continuum_limit_check,
     flow_path,
-    kappa_value,
     secular_rate,
     solve_cubic_continuum,
     solve_vdp_continuum,
 )
-
-C_SQ = KappaConvention.ONE_PLUS_C_SQUARED
-C_LIN = KappaConvention.ONE_PLUS_C
 
 
 def params(dt, eps):
     return SchemeParams(dt=dt, eps=eps)
 
 
-def _family_constant_form(a1, c, rate, t, convention):
+def _family_constant_form(a1, c, rate, t):
     """Re(A) of the envelope written through the family constant K.
 
     A1(t) = K e^{rate t} / sqrt(1 + kappa K^2 e^{2 rate t}) with
-    K = a1 / sqrt(1 - kappa a1^2), so A1(0) = a1; defined for kappa a1^2 < 1
-    and while e^{2 rate t} stays finite.
+    K = a1 / sqrt(1 - kappa a1^2) and kappa = 1 + c^2, so A1(0) = a1; defined
+    for kappa a1^2 < 1 and while e^{2 rate t} stays finite.
     """
-    kappa = kappa_value(c, convention)
+    kappa = 1.0 + c * c
     constant = a1 / math.sqrt(1.0 - kappa * a1 * a1)
     growth = np.exp(rate * np.asarray(t, dtype=float))
     return constant * growth / np.sqrt(1.0 + kappa * constant * constant * growth * growth)
@@ -311,21 +306,11 @@ class TestCubicClosedForms:
 
 
 class TestVdpContinuum:
-    def test_conventions_coincide_at_zero_ratio(self):
-        for t in (0.0, 5.0):
-            lin = solve_vdp_continuum(0.2, 0.0, 0.05, t, C_LIN)
-            sq = solve_vdp_continuum(0.2, 0.0, 0.05, t, C_SQ)
-            assert lin.real == sq.real
-            assert lin.imag == 0.0
-
     def test_saturates_at_inverse_sqrt_kappa(self):
         c = 0.5
-        for convention in (C_SQ, C_LIN):
-            kappa = kappa_value(c, convention)
-            amps = solve_vdp_continuum(0.2, c, 0.05, 400.0, convention)
-            assert amps.real == pytest.approx(1.0 / np.sqrt(kappa), rel=1e-6)
-        # under the squared convention the waveform amplitude saturates at 2
-        amps = solve_vdp_continuum(0.2, c, 0.05, 400.0, C_SQ)
+        amps = solve_vdp_continuum(0.2, c, 0.05, 400.0)
+        assert amps.real == pytest.approx(1.0 / np.sqrt(1.0 + c * c), rel=1e-6)
+        # the waveform amplitude saturates at 2
         assert 2.0 * np.hypot(amps.real, amps.imag) == pytest.approx(2.0, rel=1e-6)
 
     @pytest.mark.parametrize("a0", [0.3 + 0.15j, -0.3 + 0.15j])
@@ -333,7 +318,7 @@ class TestVdpContinuum:
         # e^{-2 eps t} is 1e-261 at eps t = 300 and underflows to 0 at 400 and
         # 1000; the amplitude stays at its limit throughout
         c = a0.imag / a0.real
-        limit = np.sign(a0.real) / np.sqrt(kappa_value(c, C_SQ)) * (1.0 + 1j * c)
+        limit = np.sign(a0.real) / np.sqrt(1.0 + c * c) * (1.0 + 1j * c)
         t = np.array([3e5, 4e5, 1e6])
         on_array = continuum_amplitude(VAN_DER_POL, a0, 0.001, t)
         on_scalars = [continuum_amplitude(VAN_DER_POL, a0, 0.001, s) for s in t]
@@ -341,60 +326,48 @@ class TestVdpContinuum:
             assert np.all(np.abs(amp - limit) <= 1e-14 * abs(limit))
 
     def test_component_ratio_fixed(self):
-        amps = solve_vdp_continuum(0.15, 0.7, 0.05, 12.0, C_SQ)
+        amps = solve_vdp_continuum(0.15, 0.7, 0.05, 12.0)
         assert amps.imag == pytest.approx(0.7 * amps.real, rel=1e-14)
 
     def test_satisfies_ode(self):
         eps, c = 0.05, 0.5
-        kappa = kappa_value(c, C_SQ)
+        kappa = 1.0 + c * c
         h = 1e-5
         for t in (0.0, 1.0, 10.0):
-            prev = solve_vdp_continuum(0.2, c, eps, t - h, C_SQ).real
-            nxt = solve_vdp_continuum(0.2, c, eps, t + h, C_SQ).real
-            mid = solve_vdp_continuum(0.2, c, eps, t, C_SQ).real
+            prev = solve_vdp_continuum(0.2, c, eps, t - h).real
+            nxt = solve_vdp_continuum(0.2, c, eps, t + h).real
+            mid = solve_vdp_continuum(0.2, c, eps, t).real
             derivative = (nxt - prev) / (2 * h)
             rhs = eps * mid * (1 - kappa * mid * mid)
             assert abs(derivative - rhs) <= 1e-8 * max(abs(eps * mid), 1e-12)
 
     def test_sign_preserved_and_monotone(self):
         t = np.linspace(0.0, 100.0, 400)
-        amps = solve_vdp_continuum(-0.2, 0.3, 0.05, t, C_SQ)
+        amps = solve_vdp_continuum(-0.2, 0.3, 0.05, t)
         assert np.all(amps.real < 0)
         assert np.all(np.diff(np.abs(amps.real)) >= -1e-15)
 
     @given(
         a1=st.floats(-0.999, 0.999).filter(lambda x: abs(x) >= 1e-3),
         c=st.floats(-3.0, 3.0),
-        convention=st.sampled_from([C_SQ, C_LIN]),
         rate=st.floats(1e-4, 0.3),
         rate_t=st.floats(0.0, 300.0),
     )
     @settings(max_examples=200)
-    def test_matches_family_constant_form(self, a1, c, convention, rate, rate_t):
+    def test_matches_family_constant_form(self, a1, c, rate, rate_t):
         # below the limit cycle the initial-value form and the family-constant
         # form are the same function; they differ only in rounding
-        assume(0.0 < kappa_value(c, convention) * a1 * a1 < 1.0)
+        assume((1.0 + c * c) * a1 * a1 < 1.0)
         t = rate_t / rate
-        want = _family_constant_form(a1, c, rate, t, convention)
-        got = solve_vdp_continuum(a1, c, rate, t, convention)
+        want = _family_constant_form(a1, c, rate, t)
+        got = solve_vdp_continuum(a1, c, rate, t)
         assert _ulps(got.real, want) <= 4.0
-
-    @pytest.mark.parametrize("c", [-1.0, -3.0])
-    def test_nonpositive_kappa_keeps_closed_form(self, c):
-        # 1 + c = 0 and 1 + c < 0: the denominator stays positive at short t
-        a1, rate = 0.1, 0.05
-        t = np.array([0.0, 2.0, 5.0])
-        want = _family_constant_form(a1, c, rate, t, C_LIN)
-        got = solve_vdp_continuum(a1, c, rate, t, C_LIN)
-        assert np.all(_ulps(got.real, want) <= 4.0)
-        assert np.array_equal(got.imag, c * got.real)
-        assert solve_vdp_continuum(a1, c, rate, 5.0, C_LIN) == got[-1]
 
     def test_underflowed_settled_value_raises(self):
         # kappa a1^2 underflows to 0, so the denominator underflows with
         # e^{-2 rate t}; the closed form raises where it once returned NaN
         with pytest.raises(ValueError, match="denominator vanishes"):
-            solve_vdp_continuum(1e-200, 0.0, 0.01, 1e5, C_SQ)
+            solve_vdp_continuum(1e-200, 0.0, 0.01, 1e5)
 
     @pytest.mark.parametrize("a0", [1.0, -1.0, 0.6 + 0.8j])
     def test_starts_on_the_limit_cycle_and_stays(self, a0):
@@ -407,21 +380,23 @@ class TestVdpContinuum:
 
     def test_decays_to_the_limit_from_above(self):
         t = np.linspace(0.0, 400.0, 200)
-        amps = solve_vdp_continuum(1.5, 0.0, 0.05, t, C_SQ).real
+        amps = solve_vdp_continuum(1.5, 0.0, 0.05, t).real
         assert amps[0] == 1.5
         assert np.all(np.diff(amps) <= 0.0)
         assert amps[-1] == pytest.approx(1.0, abs=1e-15)
 
     def test_domain_error(self):
-        # kappa < 0 with a large constant drives the denominator through zero
+        # a negative rate from above the limit (kappa a1^2 = 2) drives the
+        # denominator 2 - e^{0.1 t} through zero
         with pytest.raises(ValueError):
-            solve_vdp_continuum(1.0, -3.0, 0.05, 40.0, C_LIN)
+            solve_vdp_continuum(1.0, 1.0, -0.05, 40.0)
 
     def test_domain_error_names_the_first_time(self):
-        # kappa = -2: the denominator -2 + 3 e^{-0.1 t} reaches 0 at t = 4.05
+        # kappa = 3 and a negative rate: the denominator 3 - 2 e^{0.1 t}
+        # reaches 0 at t = 4.05
         t = np.arange(10) * 1.0
         with pytest.raises(EnvelopeDomainError, match="vanishes at t=5;") as info:
-            solve_vdp_continuum(1.0, -3.0, 0.05, t, C_LIN)
+            solve_vdp_continuum(1.0, math.sqrt(2.0), -0.05, t)
         assert info.value.index == 5
 
     def test_zero_constant_rejected(self):
