@@ -127,6 +127,12 @@ def matrix() -> list[tuple[list[str], str]]:
 _SRC_LINE = re.compile(r"(SRC/renormdiff/\w+\.py:)\d+:(.*\n)(?:  .*\n)?")
 
 
+def masked_stderr(text: str, src: Path) -> str:
+    """`text` with the path of `src` as ``SRC``, a warning's line number in a
+    package file as ``LINE`` and the source line quoted under it dropped."""
+    return _SRC_LINE.sub(r"\1LINE:\2", text.replace(str(src), "SRC"))
+
+
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -149,7 +155,7 @@ def run(cli, src: Path, argv: list[str], fmt: str, tmp: Path) -> list[str]:
     # A warning names its caller's file and line and quotes that line; drop
     # the checkout's location, the line number, which moves whenever code is
     # added above it, and the quoted line, which moves when it is reformatted.
-    stderr = _SRC_LINE.sub(r"\1LINE:\2", errors.getvalue().replace(str(src), "SRC"))
+    stderr = masked_stderr(errors.getvalue(), src)
     lines.append(f"{_digest(stderr.encode())}  {code}  {shown} [stderr]")
     return lines
 

@@ -399,6 +399,23 @@ class TestVdpContinuum:
             solve_vdp_continuum(1.0, math.sqrt(2.0), -0.05, t)
         assert info.value.index == 5
 
+    def test_negative_time_from_above_names_the_first_time(self):
+        # kappa a1^2 = 4 run backwards: the denominator 4 - 3 e^{0.1 |t|}
+        # reaches 0 at t = -2.88
+        t = -np.arange(6.0)
+        with pytest.raises(EnvelopeDomainError, match="vanishes at t=-3;") as info:
+            solve_vdp_continuum(2.0, 0.0, 0.05, t)
+        assert info.value.index == 3
+
+    def test_negative_time_from_below_stays_in_the_domain(self):
+        # kappa a1^2 = 1/2 run backwards: the denominator only grows, and the
+        # amplitude shrinks toward 0 with its component ratio kept
+        t = -np.array([0.0, 10.0, 100.0, 1000.0])
+        amps = solve_vdp_continuum(0.5, 1.0, 0.05, t)
+        assert amps[0] == 0.5 + 0.5j
+        assert np.all(amps.imag == amps.real)
+        assert np.all(np.diff(amps.real) < 0.0) and amps.real[-1] > 0.0
+
     def test_zero_constant_rejected(self):
         with pytest.raises(ValueError):
             solve_vdp_continuum(0.0, 0.5, 0.05, 1.0)

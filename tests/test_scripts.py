@@ -1,9 +1,11 @@
 """The experiment scripts under scripts/ still run against the package."""
 
 import difflib
+import importlib.util
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -58,3 +60,38 @@ def test_digests_match_the_committed_file(default_digests):
     got_header, *got = proc.stdout.splitlines()
     moved = list(difflib.unified_diff(want, got, "committed", "now", n=0, lineterm=""))
     assert not moved, "\n".join([f"committed: {want_header}", f"now:       {got_header}", *moved])
+
+
+@pytest.fixture
+def output_digests(monkeypatch):
+    """output_digests.py loaded as a module; loading it fixes COLUMNS, which
+    monkeypatch restores afterwards."""
+    monkeypatch.delenv("COLUMNS", raising=False)
+    spec = importlib.util.spec_from_file_location("output_digests", SCRIPTS / "output_digests.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_digests_mask_a_warnings_location_and_quoted_line(output_digests):
+    # one warning raised from checkouts at two paths, from a call written at
+    # two lines in two layouts: the stderr digest sees one text
+    after = "error: z(3) is not finite\n"
+    masked = [
+        output_digests.masked_stderr(
+            warnings.formatwarning("eps is large", UserWarning,
+                                   f"{src}/renormdiff/cli.py", lineno, call) + after,
+            Path(src))
+        for src, lineno, call in [("/a/src", 120, "return SchemeParams("),
+                                  ("/b/src", 97, "return SchemeParams(dt=dt, eps=eps)")]
+    ]
+    assert masked == ["SRC/renormdiff/cli.py:LINE: UserWarning: eps is large\n" + after] * 2
+
+
+def test_digests_keep_the_line_after_an_unquoted_warning(output_digests):
+    # Python quotes no source line when it cannot read the file; the message
+    # that follows the warning is then not mistaken for one
+    text = warnings.formatwarning("eps is large", UserWarning, "/a/src/renormdiff/cli.py", 120, "")
+    masked = output_digests.masked_stderr(text + "error: z(3) is not finite\n", Path("/a/src"))
+    assert masked == ("SRC/renormdiff/cli.py:LINE: UserWarning: eps is large\n"
+                      "error: z(3) is not finite\n")
