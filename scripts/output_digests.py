@@ -96,6 +96,10 @@ def matrix() -> list[tuple[list[str], str]]:
                       *BASE[1:]], "csv"))
     for a0_re in ("1.0", "1.5"):  # Van der Pol from the limit cycle and from above it
         runs.append((["compare", "--kind=vdp", *BASE[:3], f"--a0-re={a0_re}"], "csv"))
+    # The Van der Pol envelope needs |a0|^2 alone: from Re(a0) = 0, and from
+    # Im/Re = 1e155, whose square overflows though |a0|^2 = 1e-10.
+    for a0 in (["--a0-re=0", "--a0-im=0.3"], ["--a0-re=1e-160", "--a0-im=1e-5"]):
+        runs.append((["compare", "--kind=vdp", *BASE[:3], *a0], "csv"))
     # A tiny amplitude writes its trajectories in exponent form (below 1e-5) and
     # its errors below 1e-11, which the writer formats one cell at a time.
     for fmt in ("csv", "json"):
@@ -110,8 +114,8 @@ def matrix() -> list[tuple[list[str], str]]:
     runs.append((["compare", "--root-convention=bogus", *BASE], "csv"))
     runs.append((["compare", "--stride=0", *BASE], "csv"))
     runs.append((["compare", "--kind=cubic", *BASE, "--eps=-1"], "csv"))
-    # |a0| = 1e8: kappa Re(a0)^2 = |a0|^2 is past 2^53, where the Van der Pol
-    # envelope no longer starts at a0.
+    # |a0| = 1e8: |a0|^2 is past 2^53, where the Van der Pol envelope no
+    # longer starts at a0.
     runs.append((["compare", "--kind=vdp", *BASE, "--a0-im=1e8"], "csv"))
     runs.append((["compare", "--kind=vdp", "--vdp-halving", *BASE], "csv"))
     # Configs wrong twice, refused for their first fault in the one check

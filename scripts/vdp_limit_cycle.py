@@ -3,10 +3,11 @@
 
 Iterates the Van der Pol type scheme from a small start, extracts the
 amplitude envelope, and compares it against the renormalized envelope
-A1' = eps A1 (1 - kappa A1^2), kappa = 1 + c^2, with c the component ratio
-of the start amplitude; it saturates at waveform amplitude 2.  Acceptance
-criterion 6 (tests/test_acceptance.py) also refutes kappa = 1 + c against
-the oracle.
+2 |A(t)|, A(t) = a0 / sqrt(|a0|^2 + (1 - |a0|^2) e^{-2 eps t}); it saturates
+at waveform amplitude 2.  --ratio only sets the direction Im(a0)/Re(a0) of
+the start amplitude, which the envelope does not depend on.  Acceptance
+criterion 6 (tests/test_acceptance.py) also refutes kappa = 1 + c, in the
+split A = A1 (1 + i c), against the oracle.
 """
 
 import argparse

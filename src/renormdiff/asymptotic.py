@@ -81,9 +81,9 @@ class GlobalSolution:
     `a0` is the amplitude A at t = 0 (the conjugate mode carries conj(a0), so
     evaluations are real).  For the cubic kind the conserved constant is
     c = |a0|^2 and the amplitude rotates at rate (3/2) eps c; for the Van der
-    Pol kind c = Im(a0)/Re(a0) is the invariant component ratio and the
-    envelope follows the logistic-type closed form from Re(a0) with
-    kappa = 1 + c^2.
+    Pol kind the amplitude is a0 times one real envelope, which tends to the
+    limit cycle |A| = 1 (solve_vdp_continuum, whose domain of a0 the
+    construction checks).
     """
 
     kind: Variant
@@ -93,29 +93,11 @@ class GlobalSolution:
     def __post_init__(self):
         object.__setattr__(self, "a0", complex(self.a0))
         # Fail at construction, not first evaluation: below dt of about
-        # 1.6e-5 the third harmonic cannot be resolved.
+        # 1.6e-5 the third harmonic cannot be resolved, and a Van der Pol
+        # |a0|^2 outside [smallest normal, 2^53) has no envelope.
         _third_harmonic_base(self.params)
         if self.kind is Variant.VAN_DER_POL:
-            # Re(a0) = 0 leaves the component ratio undefined.  The settled
-            # value kappa Re(a0)^2 = (1 + c^2) Re(a0)^2 must be normal: below
-            # that the envelope's limit is lost to rounding (at 0 its
-            # denominator underflows to 0 with time).  From 2^53 on, 1 minus
-            # it is no longer exact, so A(0) != a0 (and from 2^54 the
-            # denominator rounds to 0 at t = 0).  In between, at t >= 0 and
-            # eps >= 0, the denominator is at least min(settled, 1).
-            a1 = self.a0.real
-            c = self.conserved
-            settled = (1.0 + c * c) * a1 * a1
-            if settled < np.finfo(float).tiny:
-                raise ValueError(
-                    f"kappa * Re(a0)^2 underflows at Re(a0) = {a1}; the "
-                    "Van der Pol envelope cannot be evaluated"
-                )
-            if settled >= 2.0**53:
-                raise ValueError(
-                    f"kappa * Re(a0)^2 reaches 2^53 at a0 = {self.a0}; the "
-                    "Van der Pol envelope cannot start from it exactly"
-                )
+            self.amplitude_at(0.0)
 
     @property
     def conserved(self) -> float:
@@ -125,11 +107,16 @@ class GlobalSolution:
         """Renormalized amplitude A(t) from the continuum flow (scalar/array)."""
         return continuum_amplitude(self.kind, self.a0, self.params.eps, t)
 
-    def eval_discrete(self, n):
-        """Real solution at integer indices n (scalar or array)."""
+    def eval_discrete(self, n, fundamental=None):
+        """Real solution at integer indices n (scalar or array).
+
+        `fundamental` is lam_p^n at these indices, from a caller that also
+        assembles other forms with it (discrete_fundamental when omitted).
+        """
         n_arr = np.asarray(n, dtype=float)
         amp = self.amplitude_at(n_arr * self.params.dt)
-        fundamental = discrete_fundamental(self.params, n_arr)
+        if fundamental is None:
+            fundamental = discrete_fundamental(self.params, n_arr)
         return assemble_modes(self.kind, self.params, amp, fundamental)
 
     def eval_continuum_waveform(self, t):

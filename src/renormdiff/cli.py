@@ -168,9 +168,8 @@ def _fmt(value) -> str:
 
 
 def _json_text(value) -> str:
-    """The JSON literal of one cell: ``repr`` floats, ``NaN``, ``null``."""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    """The JSON literal of one float or None cell: ``repr`` floats, ``NaN``,
+    ``null``."""
     return json.dumps(None if value is None else float(value))
 
 
@@ -317,14 +316,13 @@ def _model_stage(cfg: ExperimentConfig, kind: Variant, params: SchemeParams, ste
     a0 = complex(cfg.a0_re, cfg.a0_im)
     n = np.arange(steps + 1)
     # lam_p^n once, for the naive expansion and both renormalized forms: the
-    # discrete form of the continuum amplitude (what sol.eval_discrete(n)
-    # gives) and the flow's.
+    # discrete form of the continuum amplitude and the flow's.
     if fundamental is None:
         fundamental = discrete_fundamental(params, n)
     z_naive = naive_solution(kind, a0, params, n, fundamental)
     # Checked at once: an overflowing naive sum stops before the renormalized forms.
     _require_finite("z_naive", z_naive)
-    z_renorm_continuum = assemble_modes(kind, params, sol.amplitude_at(n * cfg.dt), fundamental)
+    z_renorm_continuum = sol.eval_discrete(n, fundamental)
     # By keyword: perfbench/tracing.py reads the step count from `steps`.
     amp_path = flow_path(build_flow(kind, params), a0, steps=steps)
     z_renorm_discrete = assemble_modes(kind, params, amp_path, fundamental)

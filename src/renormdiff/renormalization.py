@@ -192,30 +192,42 @@ def solve_cubic_continuum(a0: complex, rate: complex, t):
     return a
 
 
-def solve_vdp_continuum(a1: float, c: float, rate: float, t):
-    """Continuum Van der Pol amplitude A = A1 (1 + i c) with A1(0) = a1.
+def solve_vdp_continuum(a0: complex, rate: float, t):
+    """Continuum Van der Pol amplitude A(t) with A(0) = a0.
 
-    With A2 = c A1 the two real amplitude equations reduce to
-    A1' = rate A1 (1 - kappa A1^2), kappa = 1 + c^2, since
-    1 - A1^2 - A2^2 = 1 - (1 + c^2) A1^2.  Its solution
-    A1(t) = a1 / sqrt(kappa a1^2 + (1 - kappa a1^2) e^{-2 rate t}) holds from
-    any a1 != 0, below or above the limit sign(a1)/sqrt(kappa) that it tends
-    to as t grows; the component ratio Im(A)/Re(A) stays c.  Accepts scalar
-    or array t.  At rate >= 0 and t >= 0 the denominator is at least
-    min(kappa a1^2, 1); a denominator <= 0 (a negative rate or t from above
-    the limit, or a kappa a1^2 that underflows to 0) raises
-    EnvelopeDomainError, a ValueError naming the first such t.
+    A real rate keeps A on the ray of a0, A = s(t) a0 with s real, and
+    A' = rate (A - A^2 conj(A)) reduces to s' = rate s (1 - |a0|^2 s^2), so
+    A(t) = a0 / sqrt(|a0|^2 + (1 - |a0|^2) e^{-2 rate t}): one real scale of
+    a0, tending to the limit cycle |A| = 1 from below or above.  (The split
+    A = A1 (1 + i c) with kappa = 1 + c^2 is the same function, since
+    kappa A1^2 = |A|^2.)  Accepts scalar or array t.  |a0|^2 must be normal
+    and below 2^53, or ValueError: below, the limit is lost to rounding (at 0
+    the denominator underflows to 0 with time); from 2^53 on, 1 - |a0|^2 is
+    no longer exact, so A(0) != a0.  In between, at rate >= 0 and t >= 0, the
+    denominator is at least min(|a0|^2, 1); a denominator <= 0 (a negative
+    rate or t from above the limit) raises EnvelopeDomainError, a ValueError
+    naming the first such t.
     """
-    if a1 == 0.0:
-        raise ValueError("initial amplitude must be nonzero")
-    settled = (1.0 + c * c) * a1 * a1
+    a0 = complex(a0)
+    settled = (a0 * a0.conjugate()).real
+    if settled < np.finfo(float).tiny:
+        raise ValueError(f"|a0|^2 underflows at a0 = {a0}; the Van der Pol envelope "
+                         "cannot be evaluated")
+    if settled >= 2.0**53:
+        raise ValueError(f"|a0|^2 reaches 2^53 at a0 = {a0}; the Van der Pol envelope "
+                         "cannot start from it exactly")
     t_arr = np.asarray(t, dtype=float)
     denom = settled + (1.0 - settled) * np.exp(-2.0 * rate * t_arr)
     vanishes = np.flatnonzero(denom <= 0.0)
     if vanishes.size:
         first = int(vanishes[0])
         raise EnvelopeDomainError(first, float(np.ravel(t_arr)[first]))
-    a = a1 / np.sqrt(denom) * (1.0 + 1j * c)
+    root = np.sqrt(denom)
+    # Each component divided by the real root: a complex a0 / root would
+    # multiply by a reciprocal and round differently.
+    a = np.empty(root.shape, complex)
+    np.divide(a0.real, root, out=a.real)
+    np.divide(a0.imag, root, out=a.imag)
     if t_arr.ndim == 0:
         return complex(a)
     return a
@@ -225,15 +237,12 @@ def continuum_amplitude(kind: Variant, a0: complex, eps: float, t):
     """Continuum amplitude A(t) with A(0) = a0 and B = conj(A), scalar or array t.
 
     Cubic: a0 rotating at rate Im(r) |a0|^2, r = secular_rate(kind, eps).
-    Van der Pol: the envelope at rate r from Re(a0), with the invariant
-    component ratio c = Im(a0)/Re(a0).
+    Van der Pol: a0 scaled by the real envelope at rate r.
     """
-    a0 = complex(a0)
     rate = secular_rate(kind, eps)
     if kind is Variant.CUBIC:
         return solve_cubic_continuum(a0, rate, t)
-    c = conserved_constant(kind, a0)
-    return solve_vdp_continuum(a0.real, c, rate, t)
+    return solve_vdp_continuum(a0, rate, t)
 
 
 def continuum_limit_check(kind: Variant, a0: complex, params: SchemeParams, t_max: float) -> float:

@@ -177,14 +177,19 @@ class TestFrequencyShift:
 
 
 class TestVdpSolution:
-    def test_requires_nonzero_real_part(self):
-        with pytest.raises(ValueError):
-            GlobalSolution(VAN_DER_POL, params(0.1, eps=0.05), 0.5j)
+    def test_imaginary_amplitude_runs(self):
+        # Re(a0) = 0 is one more ray: the envelope scales 0.3j up to the
+        # limit cycle and keeps Re(A) = 0
+        sol = GlobalSolution(VAN_DER_POL, params(0.1, eps=0.05), 0.3j)
+        amps = sol.amplitude_at(np.array([0.0, 10.0, 1e3]))
+        assert np.all(amps.real == 0.0)
+        assert amps[0] == 0.3j and 0.3 < amps[1].imag < 1.0
+        assert amps[2].imag == pytest.approx(1.0, rel=1e-15)
 
     @pytest.mark.parametrize("a0", [1e-200, -1e-161])
     def test_underflowed_settled_value_rejected(self, a0):
-        # kappa Re(a0)^2 underflows to 0 at 1e-200, and to a subnormal at
-        # 1e-161, where the envelope's limit would be off by 0.6%
+        # |a0|^2 underflows to 0 at 1e-200, and to a subnormal at 1e-161,
+        # where the envelope's limit would be off by 0.6%
         with pytest.raises(ValueError, match="underflows"):
             GlobalSolution(VAN_DER_POL, params(0.5, eps=0.01), a0)
 
@@ -193,15 +198,15 @@ class TestVdpSolution:
         assert sol.amplitude_at(1e6) == pytest.approx(1.0, rel=1e-15)
 
     def test_settled_value_just_below_2_53_starts_at_a0(self):
-        # kappa Re(a0)^2 = 2^53 - 2: 1 minus it is still exact
+        # |a0|^2 = 2^53 - 1: 1 minus it is still exact
         a0 = 0.75 + 94906265.62425154j
         got = GlobalSolution(VAN_DER_POL, params(0.5, eps=0.01), a0).amplitude_at(0.0)
         assert abs(got.real - a0.real) <= np.spacing(a0.real)
         assert abs(got.imag - a0.imag) <= np.spacing(a0.imag)
 
     def test_settled_value_from_2_53_rejected(self):
-        # kappa Re(a0)^2 = 2^53: 1 minus it rounds, and the envelope's
-        # denominator with it to 0 at t = 0
+        # |a0|^2 = 2^53 + 2, the next value: 1 minus it rounds, and the
+        # envelope no longer starts at a0
         with pytest.raises(ValueError, match=r"reaches 2\^53 at a0 = \(0.75\+"):
             GlobalSolution(VAN_DER_POL, params(0.5, eps=0.01), 0.75 + 94906265.62425156j)
 
@@ -213,11 +218,11 @@ class TestVdpSolution:
     @settings(max_examples=60, deadline=None)
     def test_accepted_amplitude_evaluates_on_any_grid(self, log_modulus, phase, eps):
         # why the CLI checks no envelope: at eps >= 0 and t >= 0 the
-        # denominator of an accepted a0 is at least min(kappa Re(a0)^2, 1)
+        # denominator of an accepted a0 is at least min(|a0|^2, 1)
         a0 = 10.0**log_modulus * complex(math.cos(phase), math.sin(phase))
         try:
             sol = GlobalSolution(VAN_DER_POL, params(0.01, eps=eps), a0)
-        except ValueError:  # Re(a0) = 0, or kappa Re(a0)^2 out of range
+        except ValueError:  # |a0|^2 out of range
             reject()
         t = np.concatenate(([0.0], np.logspace(-3.0, 6.0, 64)))
         amp = sol.amplitude_at(t)

@@ -311,9 +311,23 @@ class TestCompare:
             want = np.polyfit(t, np.maximum.accumulate(err), 1)[0]
             assert abs(summary[f"slope_err_{name}"] - want) <= 1e-13 * err.max() / (t[-1] - t[0])
 
+    @pytest.mark.parametrize("a0_re, a0_im", [("0", "0.3"), ("1e-160", "1e-5")])
+    def test_vdp_amplitude_off_the_real_axis_runs(self, tmp_path, a0_re, a0_im):
+        # the envelope needs |a0|^2 alone, not Im(a0)/Re(a0): Re(a0) = 0 and
+        # Im/Re = 1e155 run, with the renormalized error 2.2e-4 and 1.8e-4 of
+        # the oracle's peak
+        out = tmp_path / "cmp.csv"
+        code = main(["compare", "--kind", "vdp", "--a0-re", a0_re, "--a0-im", a0_im,
+                     "--t-max", "5", "--output-path", str(out)])
+        assert code == 0
+        header, rows, _ = read_csv(out)
+        assert np.all(np.isfinite(rows))
+        peak = np.abs(rows[:, header.index("z_oracle")]).max()
+        assert rows[:, header.index("err_renorm")].max() <= 1e-3 * peak
+
     def test_vdp_out_of_reach_rejected_before_the_oracle(self, tmp_path, monkeypatch, capsys):
-        # kappa a0_re^2 underflows to 0 at 1e-200: the envelope's limit is out
-        # of double precision's reach
+        # |a0|^2 underflows to 0 at 1e-200: the envelope's limit is out of
+        # double precision's reach
         calls = []
         real = cli.iterate
         monkeypatch.setattr(cli, "iterate", lambda *args: calls.append(args) or real(*args))
@@ -335,9 +349,9 @@ class TestCompare:
     def test_vdp_huge_amplitude_rejected_before_the_oracle(
         self, tmp_path, monkeypatch, capsys, command
     ):
-        # kappa Re(a0)^2 = |a0|^2 = 1e16 is past 2^53, where 1 minus it is no
-        # longer exact and the envelope no longer starts at a0; the sweep's
-        # first row (a0 = 0.5) is legal
+        # |a0|^2 = 1e16 is past 2^53, where 1 minus it is no longer exact and
+        # the envelope no longer starts at a0; the sweep's first row
+        # (a0 = 0.5) is legal
         calls = []
         real = cli.iterate
         monkeypatch.setattr(cli, "iterate", lambda *args: calls.append(args) or real(*args))
@@ -504,7 +518,7 @@ class TestSweep:
         assert not out.exists()
 
     def test_vdp_out_of_reach_rejected_before_any_pipeline(self, tmp_path, monkeypatch, capsys):
-        # kappa a0_re^2 underflows to 0 at 1e-200
+        # |a0|^2 underflows to 0 at 1e-200
         calls = []
         real = cli.run_compare_pipeline
         monkeypatch.setattr(cli, "run_compare_pipeline", lambda cfg: calls.append(cfg) or real(cfg))
@@ -533,6 +547,13 @@ class TestSweep:
         assert calls == []
         assert not out.exists()
 
+    def test_unparsable_value_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["sweep", "--param", "eps", "--values", "0.01,abc", "--output-path", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: bad sweep value: ")
+        assert not out.exists()
+
     def test_unknown_parameter_rejected(self, tmp_path, capsys):
         code = main(
             [
@@ -553,8 +574,10 @@ class TestCheckOrder:
     @pytest.mark.parametrize(
         "wrong, message",
         [(["--dt=3", "--t-max=1"], "dt must lie in (0, 2), got 3.0"),
-         (["--dt=1e-6", "--t-max=200"], "t_max/dt must be at most 100000000, got 200000000.0")],
-        ids=["scheme-before-steps", "steps-before-third-harmonic"],
+         (["--dt=1e-6", "--t-max=200"], "t_max/dt must be at most 100000000, got 200000000.0"),
+         (["--dt=1e-5", "--t-max=1.4e-5"], "t_max must cover at least two steps")],
+        ids=["scheme-before-steps", "steps-before-third-harmonic",
+             "two-steps-before-third-harmonic"],
     )
     def test_every_subcommand_names_the_same_fault(self, tmp_path, capsys, wrong, message):
         out = tmp_path / "x.csv"

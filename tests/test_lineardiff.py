@@ -126,6 +126,10 @@ class TestIsResonant:
         # 1 + 1 - 2 + dt^2 = dt^2, well away from zero
         assert not is_resonant(1.0 + 0j, params(0.1))
 
+    def test_zero_base_rejected(self):
+        with pytest.raises(ValueError, match="harmonic base must be nonzero"):
+            is_resonant(0, params(0.1))
+
     def test_numerical_root_detected_without_convention_match(self):
         # a root of the true polynomial is resonant even under the
         # first-order convention

@@ -94,6 +94,10 @@ class TestIterateFlow:
         a = flow_path(flow, 0.5, 0)[-1]
         assert (a, a.conjugate()) == (0.5 + 0j, 0.5 + 0j)
 
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ValueError, match="steps must be nonnegative"):
+            flow_path(build_flow(CUBIC, params(0.01, 0.05)), 0.5, steps=-1)
+
     def test_cubic_per_step_drift_formula(self):
         # the product AB drifts by exactly (9/4) eps^2 dt^2 (AB)^3 per step
         p = params(0.01, 0.02)
@@ -308,7 +312,7 @@ class TestCubicClosedForms:
 class TestVdpContinuum:
     def test_saturates_at_inverse_sqrt_kappa(self):
         c = 0.5
-        amps = solve_vdp_continuum(0.2, c, 0.05, 400.0)
+        amps = solve_vdp_continuum(0.2 * (1.0 + 1j * c), 0.05, 400.0)
         assert amps.real == pytest.approx(1.0 / np.sqrt(1.0 + c * c), rel=1e-6)
         # the waveform amplitude saturates at 2
         assert 2.0 * np.hypot(amps.real, amps.imag) == pytest.approx(2.0, rel=1e-6)
@@ -326,7 +330,7 @@ class TestVdpContinuum:
             assert np.all(np.abs(amp - limit) <= 1e-14 * abs(limit))
 
     def test_component_ratio_fixed(self):
-        amps = solve_vdp_continuum(0.15, 0.7, 0.05, 12.0)
+        amps = solve_vdp_continuum(0.15 * (1.0 + 0.7j), 0.05, 12.0)
         assert amps.imag == pytest.approx(0.7 * amps.real, rel=1e-14)
 
     def test_satisfies_ode(self):
@@ -334,16 +338,17 @@ class TestVdpContinuum:
         kappa = 1.0 + c * c
         h = 1e-5
         for t in (0.0, 1.0, 10.0):
-            prev = solve_vdp_continuum(0.2, c, eps, t - h).real
-            nxt = solve_vdp_continuum(0.2, c, eps, t + h).real
-            mid = solve_vdp_continuum(0.2, c, eps, t).real
+            a0 = 0.2 * (1.0 + 1j * c)
+            prev = solve_vdp_continuum(a0, eps, t - h).real
+            nxt = solve_vdp_continuum(a0, eps, t + h).real
+            mid = solve_vdp_continuum(a0, eps, t).real
             derivative = (nxt - prev) / (2 * h)
             rhs = eps * mid * (1 - kappa * mid * mid)
             assert abs(derivative - rhs) <= 1e-8 * max(abs(eps * mid), 1e-12)
 
     def test_sign_preserved_and_monotone(self):
         t = np.linspace(0.0, 100.0, 400)
-        amps = solve_vdp_continuum(-0.2, 0.3, 0.05, t)
+        amps = solve_vdp_continuum(-0.2 * (1.0 + 0.3j), 0.05, t)
         assert np.all(amps.real < 0)
         assert np.all(np.diff(np.abs(amps.real)) >= -1e-15)
 
@@ -360,14 +365,14 @@ class TestVdpContinuum:
         assume((1.0 + c * c) * a1 * a1 < 1.0)
         t = rate_t / rate
         want = _family_constant_form(a1, c, rate, t)
-        got = solve_vdp_continuum(a1, c, rate, t)
+        got = solve_vdp_continuum(a1 * (1.0 + 1j * c), rate, t)
         assert _ulps(got.real, want) <= 4.0
 
     def test_underflowed_settled_value_raises(self):
-        # kappa a1^2 underflows to 0, so the denominator underflows with
-        # e^{-2 rate t}; the closed form raises where it once returned NaN
-        with pytest.raises(ValueError, match="denominator vanishes"):
-            solve_vdp_continuum(1e-200, 0.0, 0.01, 1e5)
+        # |a0|^2 underflows to 0, where the denominator would underflow with
+        # e^{-2 rate t}; the closed form refuses a0 before evaluating it
+        with pytest.raises(ValueError, match=r"underflows at a0 = \(1e-200\+0j\)"):
+            solve_vdp_continuum(1e-200, 0.01, 1e5)
 
     @pytest.mark.parametrize("a0", [1.0, -1.0, 0.6 + 0.8j])
     def test_starts_on_the_limit_cycle_and_stays(self, a0):
@@ -380,45 +385,45 @@ class TestVdpContinuum:
 
     def test_decays_to_the_limit_from_above(self):
         t = np.linspace(0.0, 400.0, 200)
-        amps = solve_vdp_continuum(1.5, 0.0, 0.05, t).real
+        amps = solve_vdp_continuum(1.5, 0.05, t).real
         assert amps[0] == 1.5
         assert np.all(np.diff(amps) <= 0.0)
         assert amps[-1] == pytest.approx(1.0, abs=1e-15)
 
     def test_domain_error(self):
-        # a negative rate from above the limit (kappa a1^2 = 2) drives the
+        # a negative rate from above the limit (|a0|^2 = 2) drives the
         # denominator 2 - e^{0.1 t} through zero
         with pytest.raises(ValueError):
-            solve_vdp_continuum(1.0, 1.0, -0.05, 40.0)
+            solve_vdp_continuum(1.0 + 1.0j, -0.05, 40.0)
 
     def test_domain_error_names_the_first_time(self):
-        # kappa = 3 and a negative rate: the denominator 3 - 2 e^{0.1 t}
+        # |a0|^2 = 3 and a negative rate: the denominator 3 - 2 e^{0.1 t}
         # reaches 0 at t = 4.05
         t = np.arange(10) * 1.0
         with pytest.raises(EnvelopeDomainError, match="vanishes at t=5;") as info:
-            solve_vdp_continuum(1.0, math.sqrt(2.0), -0.05, t)
+            solve_vdp_continuum(complex(1.0, math.sqrt(2.0)), -0.05, t)
         assert info.value.index == 5
 
     def test_negative_time_from_above_names_the_first_time(self):
-        # kappa a1^2 = 4 run backwards: the denominator 4 - 3 e^{0.1 |t|}
+        # |a0|^2 = 4 run backwards: the denominator 4 - 3 e^{0.1 |t|}
         # reaches 0 at t = -2.88
         t = -np.arange(6.0)
         with pytest.raises(EnvelopeDomainError, match="vanishes at t=-3;") as info:
-            solve_vdp_continuum(2.0, 0.0, 0.05, t)
+            solve_vdp_continuum(2.0, 0.05, t)
         assert info.value.index == 3
 
     def test_negative_time_from_below_stays_in_the_domain(self):
-        # kappa a1^2 = 1/2 run backwards: the denominator only grows, and the
+        # |a0|^2 = 1/2 run backwards: the denominator only grows, and the
         # amplitude shrinks toward 0 with its component ratio kept
         t = -np.array([0.0, 10.0, 100.0, 1000.0])
-        amps = solve_vdp_continuum(0.5, 1.0, 0.05, t)
+        amps = solve_vdp_continuum(0.5 + 0.5j, 0.05, t)
         assert amps[0] == 0.5 + 0.5j
         assert np.all(amps.imag == amps.real)
         assert np.all(np.diff(amps.real) < 0.0) and amps.real[-1] > 0.0
 
     def test_zero_constant_rejected(self):
         with pytest.raises(ValueError):
-            solve_vdp_continuum(0.0, 0.5, 0.05, 1.0)
+            solve_vdp_continuum(0.0, 0.05, 1.0)
 
 
 class TestConservedConstant:
