@@ -100,6 +100,11 @@ def matrix() -> list[tuple[list[str], str]]:
     # Im/Re = 1e155, whose square overflows though |a0|^2 = 1e-10.
     for a0 in (["--a0-re=0", "--a0-im=0.3"], ["--a0-re=1e-160", "--a0-im=1e-5"]):
         runs.append((["compare", "--kind=vdp", *BASE[:3], *a0], "csv"))
+    # The cubic flow's turn x = Im(r dt) |A|^2 at its edges: 0 from a0 = 0, and
+    # the smallest subnormal from |a0| = 1e-160, whose |a0|^2 underflows; each
+    # turn 1 + i x then leaves A as it is.
+    for a0 in (["--a0-re=0", "--a0-im=0"], ["--a0-re=1e-160", "--a0-im=1e-161"]):
+        runs.append((["compare", "--kind=cubic", *BASE[:3], *a0], "csv"))
     # A tiny amplitude writes its trajectories in exponent form (below 1e-5) and
     # its errors below 1e-11, which the writer formats one cell at a time.
     for fmt in ("csv", "json"):

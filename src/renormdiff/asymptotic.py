@@ -99,10 +99,6 @@ class GlobalSolution:
         if self.kind is Variant.VAN_DER_POL:
             self.amplitude_at(0.0)
 
-    @property
-    def conserved(self) -> float:
-        return conserved_constant(self.kind, self.a0)
-
     def amplitude_at(self, t):
         """Renormalized amplitude A(t) from the continuum flow (scalar/array)."""
         return continuum_amplitude(self.kind, self.a0, self.params.eps, t)
@@ -137,7 +133,8 @@ class GlobalSolution:
                 "frequency shift is defined for the cubic kind only; the Van "
                 "der Pol fundamental stays at frequency 1 at this order"
             )
-        return 1.0 + secular_rate(self.kind, self.params.eps).imag * self.conserved
+        c = conserved_constant(Variant.CUBIC, self.a0)
+        return 1.0 + secular_rate(self.kind, self.params.eps).imag * c
 
     def fundamental_amplitude(self, t):
         """Peak amplitude 2 |A(t)| of the fundamental component."""

@@ -7,9 +7,11 @@ equation is the conjugate of the A equation, so this module carries A alone
 and reads B as conj(A) where a formula needs it.  The continuum amplitude
 equation is A' = r A^2 conj(A) (cubic) or A' = r (A - A^2 conj(A)) (Van der
 Pol), with the rate r = secular_rate(kind, eps); the discrete flow steps it
-with r dt: the cubic flow as the complex step, the Van der Pol flow, whose
-rate is real, as one real scale of A, which keeps Im(A)/Re(A) to rounding.
-Both the exact iterated map and the dt -> 0 closed forms (a rotation for the
+with r dt.  Both rates make the step one real recurrence: the cubic rate is
+imaginary, so the flow turns A by the factors 1 + i x with the real
+x = Im(r dt) |A|^2, and the Van der Pol rate is real, so the flow is one real
+scale of A, which keeps Im(A)/Re(A) to rounding.
+Both the iterated map and the dt -> 0 closed forms (a rotation for the
 cubic flow, a logistic-type envelope for the Van der Pol flow) are provided,
 so their gaps can be measured instead of assumed.
 """
@@ -88,11 +90,36 @@ def build_flow(kind: Variant, params: SchemeParams) -> AmplitudeFlow:
     return AmplitudeFlow(kind, secular_rate(kind, params.eps) * params.dt)
 
 
-def _cubic_path(a: complex, rate: complex, steps: int):
-    yield a
+def _cubic_path(a0: complex, rate: complex, steps: int) -> np.ndarray:
+    """The cubic flow as A(m) = a0 prod_{j<m} (1 + i x_j).
+
+    An imaginary rate r = i w makes the step A <- A + r A^2 conj(A) the turn
+    A <- A (1 + i x) with the real x = w |A|^2, so |A|^2 gains the factor
+    1 + x^2 and x follows one real recurrence, x <- x + x^3, from
+    x_0 = w |a0|^2.  The loop folds x alone, and one cumulative product of
+    [a0, 1 + i x_0, ..., 1 + i x_{steps-1}], in place, forms the path: no
+    exp, atan or phase table.  The x values are freed before the guard's
+    |A| is formed, so the peak is the path and the guard's temporaries.
+    """
+    rate = complex(rate)
+    if rate.real:
+        raise ValueError(f"cubic flow needs an imaginary rate, got {rate!r}")
+    x = rate.imag * (a0 * a0.conjugate()).real
+    turns = array("d")
+    append = turns.append
     for _ in range(steps):
-        a = a + rate * a * a * a.conjugate()
-        yield a
+        append(x)
+        x = x + x * x * x
+    out = np.empty(steps + 1, complex)
+    out[0] = a0
+    out.real[1:] = 1.0
+    out.imag[1:] = np.frombuffer(turns)
+    del turns, append  # the bound append holds the array too
+    # An overflow runs on as inf or nan to the guard, without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumprod(out, out=out)
+    _check_guard(~(np.abs(out[1:]) <= _FLOW_OVERFLOW_LIMIT))
+    return out
 
 
 def _vdp_path(a0: complex, rate: complex, steps: int) -> np.ndarray:
@@ -143,23 +170,21 @@ def flow_path(flow: AmplitudeFlow, a0: complex, steps: int) -> np.ndarray:
     """Amplitudes A(m) along the flow for m = 0..steps.
 
     A strict left fold in a fixed order, so results are bit-reproducible, with
-    each step's value stored at once and no list of boxed values held.  The
-    cubic flow folds a = a + flow(a), its step written inline with the
-    arithmetic of AmplitudeFlow.__call__, in a generator that fills the array.
-    The Van der Pol flow, whose rate must be real, folds one real scale per
-    step (_vdp_path), within rounding of that complex fold.  Neither loop
-    tests per step: an overflow runs on as inf or nan, and one vectorized test
-    of |A(m)| <= 1e12 over m >= 1 follows, for Van der Pol on the scales
-    before the complex path is formed.  The OverflowError names the first
-    step that fails, as a test per step would (a nan a0 fails at step 1).
+    each step's value stored at once and no list of boxed values held.  Each
+    variant folds one real recurrence per step, within rounding of the complex
+    fold a = a + flow(a) through AmplitudeFlow.__call__: the cubic flow, whose
+    rate must be imaginary, folds the turn x = Im(rate) |A|^2 and forms the
+    path as one cumulative product (_cubic_path); the Van der Pol flow, whose
+    rate must be real, folds one real scale (_vdp_path).  Neither loop tests
+    per step: an overflow runs on as inf or nan, and one vectorized test of
+    |A(m)| <= 1e12 over m >= 1 follows, for Van der Pol on the scales before
+    the complex path is formed.  The OverflowError names the first step that
+    fails, as a test per step would (a nan a0 fails at step 1).
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    if flow.variant is not Variant.CUBIC:
-        return _vdp_path(complex(a0), flow.rate, steps)
-    out = np.fromiter(_cubic_path(complex(a0), flow.rate, steps), complex, count=steps + 1)
-    _check_guard(~(np.abs(out[1:]) <= _FLOW_OVERFLOW_LIMIT))
-    return out
+    path = _cubic_path if flow.variant is Variant.CUBIC else _vdp_path
+    return path(complex(a0), flow.rate, steps)
 
 
 def conserved_constant(kind: Variant, a: complex) -> float:

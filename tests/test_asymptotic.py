@@ -175,6 +175,15 @@ class TestFrequencyShift:
         with pytest.raises(ValueError):
             sol.frequency_shift()
 
+    def test_imaginary_vdp_amplitude_meets_only_the_kind_refusal(self):
+        # Re(a0) = 0 is accepted, though the Van der Pol invariant Im/Re is
+        # undefined there; frequency_shift reads only the cubic |a0|^2, so
+        # it refuses the kind and nothing else
+        sol = GlobalSolution(VAN_DER_POL, params(0.1, eps=0.05), 0.3j)
+        with pytest.raises(ValueError, match="cubic kind only") as info:
+            sol.frequency_shift()
+        assert "ratio" not in str(info.value)
+
 
 class TestVdpSolution:
     def test_imaginary_amplitude_runs(self):

@@ -1053,9 +1053,10 @@ class TestPipelineWork:
         # continuum amplitude
         assert calls == 2
         for name, want in _reference_columns(cfg).items():
-            if cfg.kind == "vdp" and name == "z_renorm_discrete":
-                # the Van der Pol flow folds a real scale, within rounding
-                # of the per-step complex fold
+            if name == "z_renorm_discrete":
+                # each flow folds one real recurrence (the cubic turn, the
+                # Van der Pol scale), within rounding of the per-step complex
+                # fold
                 gap = np.max(np.abs(columns[name] - want))
                 assert gap <= 1e-12 * np.max(np.abs(want)), name
             else:
