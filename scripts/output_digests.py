@@ -11,11 +11,14 @@ path in the printed argv is the placeholder ``OUT.csv``/``OUT.json``, the
 path of ``src/`` in stderr is ``SRC``, the line number a warning names in a
 package file is ``LINE`` and the source line Python quotes under it is
 dropped, so checkouts at different paths, and code moved or reformatted
-within a file, agree.  Four runs end in a numerical failure (exit 3), and
+within a file, agree.  Six runs end in a numerical failure (exit 3), and
 their stderr digests pin the failure message and the step of each guard:
 the oracle's divergence guard at ``z(3)``, in ``simulate`` and in
-``compare``; the Van der Pol step's vanishing implicit coefficient at
-``n=1``; and the amplitude flow's overflow guard at step 3.  The ``--help``
+``compare``, and late, at ``z(582)`` in a cubic ``compare`` and at
+``z(133)`` in a Van der Pol ``simulate``, where the loop runs on through
+inf and nan before its guard names the first step; the Van der Pol step's
+vanishing implicit coefficient at ``n=1``; and the amplitude flow's
+overflow guard at step 3.  The ``--help``
 runs and the runs refused with exit 2 pin the text of the command-line
 boundary.  argparse wraps its usage lines to the terminal width, so the
 script fixes ``COLUMNS`` before anything is parsed.
@@ -60,6 +63,12 @@ LONG = ["--dt=0.004", "--t-max=200", "--eps=0.01", "--a0-re=0.5", "--a0-im=-3e-0
 # implicit coefficient vanishes at n=1.
 DIVERGING = ["--kind=cubic", "--dt=1.5", "--t-max=30", "--eps=0.4", "--a0-re=50"]
 SINGULAR = ["--kind=vdp", "--dt=0.1", "--t-max=30", "--eps=10", "--a0-re=1e-7"]
+# Oracles that pass the divergence guard late and run on to the last step: the
+# cubic one at z(582), through inf and then nan, and the Van der Pol one at
+# z(133) (gain eps dt = 0.15, no singular test), through nan once z*z
+# overflows.
+LATE_CUBIC = ["--kind=cubic", "--dt=1", "--t-max=2000", "--eps=0.4", "--a0-re=0.638"]
+LATE_VDP = ["--kind=vdp", "--dt=1.5", "--t-max=15000", "--eps=0.1", "--a0-re=0.3"]
 # The Van der Pol amplitude flow from a0 = 10 at eps = 0.4 and dt = 1 passes
 # its overflow guard at step 3.
 FLOW_OVERFLOW = ["--kind=vdp", "--eps=0.4", "--dt=1", "--a0-re=10", "--t-max=50"]
@@ -89,6 +98,8 @@ def matrix() -> list[tuple[list[str], str]]:
     runs.append((["compare", *DIVERGING], "csv"))
     runs.append((["simulate", *SINGULAR], "csv"))
     runs.append((["compare", *FLOW_OVERFLOW], "csv"))
+    runs.append((["compare", *LATE_CUBIC], "csv"))
+    runs.append((["simulate", *LATE_VDP], "csv"))
     # At exact roots and dt = 1, lam_p^3 = -1 is real, so the first-order sum
     # merges its lam_p^3 and lam_m^3 terms onto one base.
     for kind in ("cubic", "vdp"):

@@ -61,13 +61,15 @@ def assemble_modes(
     arrays that broadcast together); the conjugate half of the expansion is
     implicit in taking twice the real part.  F = lam_p^n = exp(n log lam_p)
     gives the discrete form and F = e^{i t} the continuum waveform; callers
-    that evaluate several forms at the same indices compute F once.  F^3 is
-    the pow F**3, whose rounding differs from F*F*F.
+    that evaluate several forms at the same indices compute F once.  The
+    third harmonic is the cube u*u*u of the fundamental mode u = A F, not
+    numpy's general complex pow.
     """
     amp = np.asarray(amplitudes, dtype=complex)
     fundamental = np.asarray(fundamental, dtype=complex)
     k3 = third_harmonic_coefficient(kind, params)
-    value = amp * fundamental + params.eps * k3 * amp**3 * fundamental**3
+    u = amp * fundamental
+    value = u + params.eps * k3 * (u * u * u)
     out = 2.0 * value.real
     if out.ndim == 0:
         return float(out)

@@ -74,8 +74,8 @@ _CHOICES = {
     "output_format": ("csv", "json"),
 }
 _SWEEPABLE = ("dt", "eps", "a0_re")
-# The oracle runs about 140 (cubic) to 175 (vdp) ns per step in pure Python,
-# and the amplitude flow 100 (cubic) to 120 (vdp): best of 9 at 1e5 steps on a
+# The oracle runs about 110 (cubic) to 140 (vdp) ns per step in pure Python,
+# and the amplitude flow 80 (cubic) to 100 (vdp): best of 9 at 1e5 steps on a
 # shared 2-vCPU Xeon, where load can double them.  A cubic CSV compare peaked
 # at 83.7 MiB at 5e5 steps and at 243.9 MiB at 2e6 steps, about 112 B per
 # step, so 1e8 steps takes minutes and about 11 GB; larger counts are rejected

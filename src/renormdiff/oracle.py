@@ -7,7 +7,6 @@ a fixed evaluation order, so identical inputs give bit-identical output.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,52 +81,66 @@ def iterate(
     is linear in z(n+1), so the step is solved in closed form; a vanishing
     leading coefficient raises SingularStepError.  It cannot vanish at a
     gain eps mu/dt in [0, 1/2], where the loop runs without that test.
-    Magnitudes beyond 1e8 and non-finite values raise DivergenceError.
+    Magnitudes beyond 1e8 and non-finite values raise DivergenceError,
+    naming the first such step.  The cubic loop and the Van der Pol loop at
+    gains in [0, 1/2] test no step: float arithmetic runs on through inf and
+    nan without raising, and one vectorized test after the loop finds the
+    first failing step, so a diverging run finishes its loop first.  The
+    checked Van der Pol loop tests every step and raises at once.
     """
     if n_steps < 2:
         raise ValueError("need at least 2 steps")
     omega, eps = params.omega, params.eps
     lin = 2.0 - params.mu
-    # One inline loop per variant, with its bounds in locals: no call and no
-    # negation per step.  The chained guards equal not abs(zp) <= 1e8 and
-    # abs(lead) < 1e-12 for every float, NaN and +/-inf included.
-    lo, hi = -_DIVERGENCE_LIMIT, _DIVERGENCE_LIMIT
-    tol_lo, tol_hi = -_SINGULAR_STEP_TOL, _SINGULAR_STEP_TOL
     zm, z = float(z0), float(z1)
-    values = array("d", (zm, z))
-    append = values.append
+    values = np.empty(n_steps + 1)
+    # A store through a memoryview converts the float directly; array('d')'s
+    # append parses it as a call argument first.
+    store = memoryview(values)
+    store[0], store[1] = zm, z
     if kind is Variant.CUBIC:
         gain = eps * omega * omega
-        for n in range(1, n_steps):
+        for n in range(2, n_steps + 1):
             zp = lin * z - zm - gain * z * z * z
-            if not lo <= zp <= hi:
-                break
-            append(zp)
+            store[n] = zp
             zm, z = z, zp
     else:
         gain = eps * vdp_scale(params)
         if 0.0 <= gain <= 0.5:
             # The singular test cannot fire: 1 - z*z <= 1 and rounding is
             # monotone, so w <= gain and lead >= 0.5 (or lead is +inf or NaN,
-            # once z*z overflows or z is NaN).
-            for n in range(1, n_steps):
+            # once z*z overflows or z is NaN), and the division never meets 0.
+            for n in range(2, n_steps + 1):
                 w = gain * (1.0 - z * z)
                 zp = (lin * z - zm - w * zm) / (1.0 - w)
-                if not lo <= zp <= hi:
-                    break
-                append(zp)
+                store[n] = zp
                 zm, z = z, zp
         else:
-            for n in range(1, n_steps):
+            # Bounds in locals: the chained tests equal not abs(zp) <= 1e8 and
+            # abs(lead) < 1e-12 for every float, NaN and +/-inf included.
+            lo, hi = -_DIVERGENCE_LIMIT, _DIVERGENCE_LIMIT
+            tol_lo, tol_hi = -_SINGULAR_STEP_TOL, _SINGULAR_STEP_TOL
+            for n in range(2, n_steps + 1):
                 w = gain * (1.0 - z * z)
                 lead = 1.0 - w
                 if tol_lo < lead < tol_hi:
-                    raise SingularStepError(f"implicit coefficient vanished at n={n}")
+                    raise SingularStepError(f"implicit coefficient vanished at n={n - 1}")
                 zp = (lin * z - zm - w * zm) / lead
+                store[n] = zp
                 if not lo <= zp <= hi:
-                    break
-                append(zp)
+                    break  # the guard below names z(n); later entries are unset
                 zm, z = z, zp
-    if len(values) <= n_steps:
-        raise DivergenceError(f"|z({n + 1})| = {abs(zp)} exceeded {_DIVERGENCE_LIMIT}")
+    _check_guard(values)
     return Trajectory(dt=params.dt, values=values)
+
+
+def _check_guard(values: np.ndarray) -> None:
+    """Raise DivergenceError at the first step n >= 2 where not
+    |z(n)| <= 1e8.  Comparisons alone, which a NaN fails, so the test holds
+    booleans and no float temporary; they are freed before the Trajectory
+    copies the values."""
+    ok = values[2:] >= -_DIVERGENCE_LIMIT
+    ok &= values[2:] <= _DIVERGENCE_LIMIT
+    if not ok.all():
+        n = int(ok.argmin()) + 2
+        raise DivergenceError(f"|z({n})| = {abs(float(values[n]))} exceeded {_DIVERGENCE_LIMIT}")

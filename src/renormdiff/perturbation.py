@@ -192,7 +192,7 @@ def naive_solution(kind: Variant, a: complex, params: SchemeParams, n, fundament
     c3 = z1.coefficient(base3)
     arr = np.asarray(n, dtype=float)
     f = power_table(lam_p, arr) if fundamental is None else np.asarray(fundamental, dtype=complex)
-    value = (complex(a) + params.eps * sigma * arr) * f + params.eps * c3 * f**3
+    value = (complex(a) + params.eps * sigma * arr) * f + params.eps * c3 * (f * f * f)
     out = 2.0 * value.real
     if out.ndim == 0:
         return float(out)

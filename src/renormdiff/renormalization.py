@@ -19,7 +19,6 @@ so their gaps can be measured instead of assumed.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,25 +95,22 @@ def _cubic_path(a0: complex, rate: complex, steps: int) -> np.ndarray:
     An imaginary rate r = i w makes the step A <- A + r A^2 conj(A) the turn
     A <- A (1 + i x) with the real x = w |A|^2, so |A|^2 gains the factor
     1 + x^2 and x follows one real recurrence, x <- x + x^3, from
-    x_0 = w |a0|^2.  The loop folds x alone, and one cumulative product of
+    x_0 = w |a0|^2.  The loop folds x alone, storing x_j as the imaginary
+    part of entry j + 1 through a memoryview, and one cumulative product of
     [a0, 1 + i x_0, ..., 1 + i x_{steps-1}], in place, forms the path: no
-    exp, atan or phase table.  The x values are freed before the guard's
-    |A| is formed, so the peak is the path and the guard's temporaries.
+    exp, atan or phase table, and no array beside the path.
     """
     rate = complex(rate)
     if rate.real:
         raise ValueError(f"cubic flow needs an imaginary rate, got {rate!r}")
     x = rate.imag * (a0 * a0.conjugate()).real
-    turns = array("d")
-    append = turns.append
-    for _ in range(steps):
-        append(x)
-        x = x + x * x * x
     out = np.empty(steps + 1, complex)
     out[0] = a0
     out.real[1:] = 1.0
-    out.imag[1:] = np.frombuffer(turns)
-    del turns, append  # the bound append holds the array too
+    turns = memoryview(out.imag)
+    for m in range(1, steps + 1):
+        turns[m] = x
+        x = x + x * x * x
     # An overflow runs on as inf or nan to the guard, without a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         np.cumprod(out, out=out)
@@ -133,6 +129,8 @@ def _vdp_path(a0: complex, rate: complex, steps: int) -> np.ndarray:
     so s follows |A|: k cannot underflow for a tiny a0, nor s overflow on its
     way to the limit cycle.  Powers of two commute with rounding, so the path
     has the bits of s(0) = 1, u = a0 wherever that split stays in range.
+    The scales are written through a memoryview into the array the guard
+    reads and the path is formed from.
     """
     rate = complex(rate)
     if rate.imag:
@@ -142,12 +140,12 @@ def _vdp_path(a0: complex, rate: complex, steps: int) -> np.ndarray:
     u = complex(math.ldexp(a0.real, -e), math.ldexp(a0.imag, -e))
     k = (u * u.conjugate()).real
     s = math.ldexp(1.0, e) if u else 0.0  # from A = 0 the flow stays at 0
-    scales = array("d", (s,))
-    append = scales.append
-    for _ in range(steps):
+    scales = np.empty(steps + 1)
+    store = memoryview(scales)
+    store[0] = s
+    for m in range(1, steps + 1):
         s = s + rate * (s - k * s * s * s)
-        append(s)
-    scales = np.frombuffer(scales)
+        store[m] = s
     # |A| = |s| |u| <= 1e12 as a bound on |s|, whose product with |u| could
     # overflow; |u| >= 1/2 unless a0 = 0, where s stays 0.
     bound = _FLOW_OVERFLOW_LIMIT / abs(u) if u else math.inf
@@ -169,17 +167,18 @@ def _check_guard(failed: np.ndarray) -> None:
 def flow_path(flow: AmplitudeFlow, a0: complex, steps: int) -> np.ndarray:
     """Amplitudes A(m) along the flow for m = 0..steps.
 
-    A strict left fold in a fixed order, so results are bit-reproducible, with
-    each step's value stored at once and no list of boxed values held.  Each
-    variant folds one real recurrence per step, within rounding of the complex
-    fold a = a + flow(a) through AmplitudeFlow.__call__: the cubic flow, whose
-    rate must be imaginary, folds the turn x = Im(rate) |A|^2 and forms the
-    path as one cumulative product (_cubic_path); the Van der Pol flow, whose
-    rate must be real, folds one real scale (_vdp_path).  Neither loop tests
-    per step: an overflow runs on as inf or nan, and one vectorized test of
-    |A(m)| <= 1e12 over m >= 1 follows, for Van der Pol on the scales before
-    the complex path is formed.  The OverflowError names the first step that
-    fails, as a test per step would (a nan a0 fails at step 1).
+    A strict left fold in a fixed order, so results are bit-reproducible.
+    Each variant folds one real recurrence per step, within rounding of the
+    complex fold a = a + flow(a) through AmplitudeFlow.__call__, and writes
+    each step's real value through a memoryview into a numpy array, with no
+    list of boxed values: the cubic flow, whose rate must be imaginary, folds
+    the turn x = Im(rate) |A|^2 and forms the path as one cumulative product
+    (_cubic_path); the Van der Pol flow, whose rate must be real, folds one
+    real scale (_vdp_path).  Neither loop tests per step: an overflow runs on
+    as inf or nan, and one vectorized test of |A(m)| <= 1e12 over m >= 1
+    follows, for Van der Pol on the scales before the complex path is
+    formed.  The OverflowError names the first step that fails, as a test
+    per step would (a nan a0 fails at step 1).
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")

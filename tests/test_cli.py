@@ -996,10 +996,19 @@ def _naive_per_term(kind, params, a0, n):
     return z_naive.real
 
 
-def _reference_columns(cfg):
+def _cube(u):
+    return u * u * u
+
+
+def _pow3(u):
+    return u**3
+
+
+def _reference_columns(cfg, cube=_cube):
     """The three model columns by formulas that share no work: the naive
     expansion's lam_p half from the response to the lam_p half of the
-    forcing, the per-step fold, and exp(n log lam_p) per form."""
+    forcing, the per-step fold, and exp(n log lam_p) per form.  `cube`
+    forms the third harmonic from the fundamental mode."""
     kind, params = Variant(cfg.kind), cli._scheme_params(cfg)
     a0 = complex(cfg.a0_re, cfg.a0_im)
     n = np.arange(cli._steps(cfg) + 1).astype(float)
@@ -1007,12 +1016,12 @@ def _reference_columns(cfg):
     half = particular_solution(HarmonicSum(_forcing_terms(kind, a0, params)), params)
     sigma, c3 = half.coefficient(lam_p, 1), half.coefficient(lam_p**3)
     fundamental = np.exp(n * cmath.log(lam_p))
-    z_naive = (a0 + params.eps * sigma * n) * fundamental + params.eps * c3 * fundamental**3
+    z_naive = (a0 + params.eps * sigma * n) * fundamental + params.eps * c3 * cube(fundamental)
     k3 = third_harmonic_coefficient(kind, params)
 
     def modes(amp):
-        fundamental = np.exp(n * cmath.log(lam_p))
-        return 2.0 * (amp * fundamental + params.eps * k3 * amp**3 * fundamental**3).real
+        mode = amp * np.exp(n * cmath.log(lam_p))
+        return 2.0 * (mode + params.eps * k3 * cube(mode)).real
 
     continuum = continuum_amplitude(kind, a0, params.eps, n * cfg.dt)
     flow = _per_step_fold(build_flow(kind, params), a0, n.size - 1)
@@ -1052,7 +1061,8 @@ class TestPipelineWork:
         # lam_p^n for the naive expansion and both renormalized forms, and the
         # continuum amplitude
         assert calls == 2
-        for name, want in _reference_columns(cfg).items():
+        reference = _reference_columns(cfg)
+        for name, want in reference.items():
             if name == "z_renorm_discrete":
                 # each flow folds one real recurrence (the cubic turn, the
                 # Van der Pol scale), within rounding of the per-step complex
@@ -1061,6 +1071,10 @@ class TestPipelineWork:
                 assert gap <= 1e-12 * np.max(np.abs(want)), name
             else:
                 assert columns[name].tobytes() == want.tobytes(), name
+        # the cube rounds apart from numpy's complex pow, by an ulp of the column
+        for name, want in _reference_columns(cfg, cube=_pow3).items():
+            gap = np.max(np.abs(reference[name] - want))
+            assert gap <= 1e-15 * np.max(np.abs(want)), name
         n = np.arange(cli._steps(cfg) + 1).astype(float)
         per_term = _naive_per_term(Variant(cfg.kind), cli._scheme_params(cfg),
                                    complex(cfg.a0_re, cfg.a0_im), n)

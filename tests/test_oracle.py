@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -217,8 +218,9 @@ def _step_vdp(z, zm, lin, gain):
     return (lin * z - zm - w * zm) / lead
 
 
-def _reference_iterate(kind, p, z0, z1, n_steps):
-    """The oracle as one loop over a step function, the form the inline loops replace."""
+def _reference_iterate(kind, p, z0, z1, n_steps, guard=True):
+    """The oracle as one loop over a step function, the form the inline loops
+    replace; without the guard it runs to the end and returns every value."""
     omega, eps = p.omega, p.eps
     lin = 2.0 - p.mu
     if kind is Variant.CUBIC:
@@ -231,7 +233,7 @@ def _reference_iterate(kind, p, z0, z1, n_steps):
     try:
         for n in range(1, n_steps):
             zp = step(z, zm, lin, gain)
-            if not abs(zp) <= 1e8:
+            if guard and not abs(zp) <= 1e8:
                 raise DivergenceError(f"|z({n + 1})| = {abs(zp)} exceeded {1e8}")
             values[n + 1] = zp
             zm, z = z, zp
@@ -287,6 +289,36 @@ class TestReferenceLoop:
         assert failure == _raised(_reference_iterate, VAN_DER_POL, p, z0, z1, 100)
         assert failure[1].startswith("|z(38)| = ")
 
+    @pytest.mark.parametrize(
+        "kind, p, a0, first",
+        [
+            (CUBIC, params(1.5, eps=0.4), 50.0, 3),
+            (CUBIC, params(1.0, eps=0.4), 0.638, 582),
+            (VAN_DER_POL, large_eps(1.0, 0.5), 0.4 + 0.15j, 38),  # gain 0.5
+            (VAN_DER_POL, params(1.5, eps=0.1), 0.3, 133),  # gain 0.15
+        ],
+    )
+    def test_run_on_through_inf_and_nan_same_failure(self, kind, p, a0, first):
+        # The unchecked loops store every step of a run that has passed the
+        # bound: cubic values overflow to inf and then turn nan (inf - inf);
+        # Van der Pol values pass sqrt(max float), where z*z overflows and
+        # the step turns nan.  The guard after the loop names the first step
+        # past the bound, with its value, as a guard per step does.
+        n_steps = 10_000
+        z0, z1 = init_from_amplitude(a0, p)
+        stored = _reference_iterate(kind, p, z0, z1, n_steps, guard=False)
+        past = np.flatnonzero(~(np.abs(stored[2:]) <= 1e8)) + 2
+        assert past[0] == first and np.isnan(stored[-1])
+        if kind is CUBIC:
+            assert np.isinf(stored).any()
+        else:
+            assert np.nanmax(np.abs(stored)) > math.sqrt(np.finfo(float).max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            failure = _raised(iterate, kind, p, z0, z1, n_steps)
+        assert failure == _raised(_reference_iterate, kind, p, z0, z1, n_steps)
+        assert failure[1].startswith(f"|z({first})| = ")
+
     def test_vdp_singular_step_at_a_negative_gain_same_failure(self):
         # SchemeParams refuses eps < 0; set on a built one, it gives the gain
         # -1 and lead = 2 - z^2, which vanishes to rounding at z = sqrt(2)
@@ -304,6 +336,24 @@ class TestReferenceLoop:
         failure = _raised(iterate, VAN_DER_POL, p, z0, z1, 20)
         assert failure == _raised(_reference_iterate, VAN_DER_POL, p, z0, z1, 20)
         assert failure == (SingularStepError, "implicit coefficient vanished at n=1")
+
+
+class TestPeakMemory:
+    @pytest.mark.parametrize("kind", [CUBIC, VAN_DER_POL])
+    def test_peak_bytes_per_step(self, kind):
+        # The values (8 bytes a step) and the Trajectory's copy (8), with its
+        # finiteness mask (1); the guard's masks (2) are freed before the
+        # copy.  Within a byte of the 17.1 of values appended to an array('d').
+        p, steps = params(0.01, eps=0.05), 100_000
+        iterate(kind, p, 0.8, 0.8, 10)
+        tracemalloc.start()
+        try:
+            traj = iterate(kind, p, 0.8, 0.8, steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == steps + 1
+        assert peak / steps <= 18.1
 
 
 class TestSchemeResidual:

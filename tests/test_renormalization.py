@@ -229,15 +229,19 @@ class TestInlineFold:
     def test_peak_memory_is_the_array_and_its_guard(self, kind):
         # the array and the guard's |A| or the real scales (each half its
         # size), and a boolean mask (a sixteenth); a list of boxed complex
-        # values adds about 40 bytes per step
-        flow = build_flow(kind, params(0.004, 0.01))
+        # values adds about 40 bytes per step.  Per step, within a byte of
+        # the 25.0 (cubic) and 24.5 bytes of the path built from an
+        # array('d') of turns or scales.
+        flow, steps = build_flow(kind, params(0.004, 0.01)), 100_000
+        flow_path(flow, 0.5 + 0.1j, 10)
         tracemalloc.start()
         try:
-            out = flow_path(flow, 0.5 + 0.1j, 50_000)
+            out = flow_path(flow, 0.5 + 0.1j, steps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1.6 * out.nbytes
+        assert peak / steps <= {CUBIC: 26.0, VAN_DER_POL: 25.5}[kind]
 
     @given(
         a0=st.builds(cmath.rect, st.floats(1e-6, 3.0), st.floats(-math.pi, math.pi)),

@@ -3,12 +3,15 @@
 ``perfbench/tracing.py`` wraps each target for the duration of
 ``Tracer().installed()``; a refactor that moves or renames one fails here
 rather than crashing a traced benchmark run.  The benchmark's modules are
-loaded from their files and left untouched.
+loaded from their files and left untouched.  Its self-test runs whole, so a
+change that leaves a benchmark metric null or malformed fails here too.
 """
 
 import importlib
 import importlib.util
 import operator
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -67,3 +70,14 @@ def test_every_workload_traces_its_oracle_and_flow_steps(tmp_path, name):
     counts = tracer.op_profile(0)["counts"]
     assert counts.get("oracle.iterate") == workload.steps_per_op(scale)
     assert counts.get("renormalization.flow_path") == workload.steps_per_op(scale)
+
+
+def test_benchmark_self_test_passes():
+    # Every workload once at a short horizon, traced and untraced, each listed
+    # metric numeric; it rewrites the seed-0 records under .perfbench_out/.
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}  # no cache file under perfbench/
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "run.py"), "--self-test"],
+                          cwd=PERFBENCH.parent, capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "self-test passed"
