@@ -16,7 +16,8 @@ their stderr digests pin the failure message and the step of each guard:
 the oracle's divergence guard at ``z(3)``, in ``simulate`` and in
 ``compare``, and late, at ``z(582)`` in a cubic ``compare`` and at
 ``z(133)`` in a Van der Pol ``simulate``, where the loop runs on through
-inf and nan before its guard names the first step; the Van der Pol step's
+inf and nan to the end of its guard block before the guard names the first
+step; the Van der Pol step's
 vanishing implicit coefficient at ``n=1``; and the amplitude flow's
 overflow guard at step 3.  The ``--help``
 runs and the runs refused with exit 2 pin the text of the command-line
@@ -63,15 +64,20 @@ LONG = ["--dt=0.004", "--t-max=200", "--eps=0.01", "--a0-re=0.5", "--a0-im=-3e-0
 # implicit coefficient vanishes at n=1.
 DIVERGING = ["--kind=cubic", "--dt=1.5", "--t-max=30", "--eps=0.4", "--a0-re=50"]
 SINGULAR = ["--kind=vdp", "--dt=0.1", "--t-max=30", "--eps=10", "--a0-re=1e-7"]
-# Oracles that pass the divergence guard late and run on to the last step: the
-# cubic one at z(582), through inf and then nan, and the Van der Pol one at
-# z(133) (gain eps dt = 0.15, no singular test), through nan once z*z
-# overflows.
+# Oracles that pass the divergence guard late and run on to the end of that
+# guard block: the cubic one at z(582), through inf and then nan, and the Van
+# der Pol one at z(133) (gain eps dt = 0.15, no singular test), through nan
+# once z*z overflows.
 LATE_CUBIC = ["--kind=cubic", "--dt=1", "--t-max=2000", "--eps=0.4", "--a0-re=0.638"]
 LATE_VDP = ["--kind=vdp", "--dt=1.5", "--t-max=15000", "--eps=0.1", "--a0-re=0.3"]
 # The Van der Pol amplitude flow from a0 = 10 at eps = 0.4 and dt = 1 passes
 # its overflow guard at step 3.
 FLOW_OVERFLOW = ["--kind=vdp", "--eps=0.4", "--dt=1", "--a0-re=10", "--t-max=50"]
+# Many blocks of the compare pipeline (8192 steps) at a stride: 1e5 Van der
+# Pol steps written every 10th as JSON, and LONG every 7th, where each block
+# boundary falls inside a stride.
+BLOCKS_VDP = ["--kind=vdp", "--dt=0.002", "--t-max=200", "--eps=0.01", "--a0-re=0.3",
+              "--a0-im=0.01", "--stride=10"]
 
 
 def matrix() -> list[tuple[list[str], str]]:
@@ -141,6 +147,8 @@ def matrix() -> list[tuple[list[str], str]]:
     for wrong in (["--dt=3", "--t-max=1"], ["--dt=1e-6", "--t-max=200"]):
         for command in (["simulate"], ["compare"], ["sweep", "--param=eps", "--values=0.01"]):
             runs.append(([*command, *wrong], "csv"))
+    runs.append((["compare", *BLOCKS_VDP], "json"))
+    runs.append((["compare", "--kind=cubic", "--stride=7", *LONG], "csv"))
     return runs
 
 

@@ -5,13 +5,15 @@ start of a line or after whitespace) plus command-line flags; flags win.
 Every command checks its config at one boundary, in one order: the fields,
 the scheme, the step count; `sweep` checks every row there before its first
 pipeline.  `compare` runs `run_compare_pipeline`, whose stages are the
-boundary, the oracle (all that `simulate` runs), the model columns, and the
-error columns with the summary.  Output is CSV (17-significant-digit floats,
-byte-stable across runs) or JSON mirroring the same field names.  Exit codes:
-0 success, 1 a stdout reader that closed early, 2 configuration error (an
-output path that cannot be opened included), 3 numerical failure: a diverging
-or singular oracle step, an amplitude flow past its guard or a non-finite
-model column, each named with the step where it happened.
+boundary, the oracle (all that `simulate` runs), a pass over blocks of steps
+for the naive and continuum columns and their errors, the summary, and the
+flow with a pass for the discrete column; only the rows written are kept.
+Output is CSV (17-significant-digit floats, byte-stable across runs) or JSON
+mirroring the same field names.  Exit codes: 0 success, 1 a stdout reader
+that closed early, 2 configuration error (an output path that cannot be
+opened included), 3 numerical failure: a diverging or singular oracle step,
+an amplitude flow past its guard or a non-finite model column, each named
+with the step where it happened.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import compare, envelope, zero_crossing_period
+# perfbench/tracing.py wraps cli.compare; the pipeline shares its running
+# maximum and slope, each error taken one block at a time.
+from .analysis import compare, envelope, growth_slope, running_max, zero_crossing_period  # noqa: F401
 from .asymptotic import GlobalSolution, assemble_modes, discrete_fundamental
 from .lineardiff import RootConvention, Scheme, SchemeParams
 from .oracle import (
@@ -76,9 +80,10 @@ _CHOICES = {
 _SWEEPABLE = ("dt", "eps", "a0_re")
 # The oracle runs about 110 (cubic) to 140 (vdp) ns per step in pure Python,
 # and the amplitude flow 80 (cubic) to 100 (vdp): best of 9 at 1e5 steps on a
-# shared 2-vCPU Xeon, where load can double them.  A cubic CSV compare peaked
-# at 83.7 MiB at 5e5 steps and at 243.9 MiB at 2e6 steps, about 112 B per
-# step, so 1e8 steps takes minutes and about 11 GB; larger counts are rejected
+# shared 2-vCPU Xeon, where load can double them.  At 1e6 steps a compare's
+# traced peak is 90 B per step at stride 1 and 54 at stride 10, either kind
+# (a cubic CSV compare peaked at 116 and 82 MiB RSS), so 1e8 steps takes
+# minutes and about 9 GB, or 5.4 GB at stride 10; larger counts are rejected
 # early.
 _MAX_STEPS = 10**8
 
@@ -179,6 +184,10 @@ def _json_text(value) -> str:
 # and, while g17 renders one float column into it, about 1.5 MB of kernel
 # scratch (350 B per value).
 _CHUNK_ROWS = 4096
+# Steps per block of the compare pipeline's passes: a block's model and error
+# columns, about 0.8 MB of temporaries at this size, are reduced to the
+# written rows and the running maxima before the next block is formed.
+_BLOCK_STEPS = 8192
 
 
 # Bytes of a cell of each array kind: the g17 layout (``g17.WIDTH``), or the
@@ -237,7 +246,8 @@ def _rows(parts: list, fmt: str, before: list, end: str) -> str:
 
 
 def _table_text(cfg: ExperimentConfig, columns: dict, summary: dict | None):
-    """Yield the CSV or JSON document in pieces of at most ``_CHUNK_ROWS`` rows.
+    """Yield the CSV or JSON document of every row of ``columns``, in pieces of
+    at most ``_CHUNK_ROWS`` rows (a stride is applied where the columns are made).
 
     The CSV columns are written in the order of ``columns``, the JSON ones
     sorted by name; the rows of a chunk are one byte matrix (``_rows``).  The
@@ -264,13 +274,11 @@ def _table_text(cfg: ExperimentConfig, columns: dict, summary: dict | None):
             tail += ',\n "summary": ' + nested
         tail += "\n}\n"
     yield head
-    stride = cfg.stride
-    span = _CHUNK_ROWS * stride
     n_rows = len(columns[names[0]])
-    for lo in range(0, n_rows, span):
-        parts = [columns[name][lo : lo + span : stride] for name in names]
+    for lo in range(0, n_rows, _CHUNK_ROWS):
+        parts = [columns[name][lo : lo + _CHUNK_ROWS] for name in names]
         text = _rows(parts, cfg.output_format, before, end)
-        yield text if lo + span < n_rows else text[: len(text) - trim]
+        yield text if lo + _CHUNK_ROWS < n_rows else text[: len(text) - trim]
         del text  # not held while the next chunk is built
     yield tail
 
@@ -296,91 +304,160 @@ def _oracle_stage(cfg: ExperimentConfig, kind: Variant, params: SchemeParams, st
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     traj = _oracle_stage(cfg, *_boundary(cfg))
-    columns = {"n": np.arange(len(traj)), "t": traj.times, "z": traj.values}
+    rows = np.arange(0, len(traj), cfg.stride)
+    columns = {"n": rows, "t": rows * traj.dt, "z": traj.values[:: cfg.stride]}
     _write_table(cfg, columns, summary=None)
     return 0
 
 
-def _require_finite(name: str, model: np.ndarray) -> None:
-    finite = np.isfinite(model)
-    if not finite.all():
-        raise DivergenceError(f"{name} is not finite at n={int(finite.argmin())}")
+def _first_non_finite(block: np.ndarray, lo: int) -> int | None:
+    """The step of the first non-finite value of a block that starts at step lo."""
+    finite = np.isfinite(block)
+    return None if finite.all() else lo + int(finite.argmin())
+
+
+def _not_finite(name: str, n: int) -> DivergenceError:
+    return DivergenceError(f"{name} is not finite at n={n}")
+
+
+def _blocks(steps: int, rows: np.ndarray):
+    """Blocks [lo, hi) of _BLOCK_STEPS steps covering 0..steps, each with the
+    span of `rows` (sorted) that falls in it and those rows' places in the block."""
+    for lo in range(0, steps + 1, _BLOCK_STEPS):
+        hi = min(lo + _BLOCK_STEPS, steps + 1)
+        first, last = rows.searchsorted((lo, hi))
+        yield lo, hi, slice(first, last), rows[first:last] - lo
 
 
 def _model_stage(cfg: ExperimentConfig, kind: Variant, params: SchemeParams, steps: int,
-                 sol: GlobalSolution, fundamental: np.ndarray | None) -> dict:
-    """The naive and the two renormalized columns on n = 0..steps, each checked
-    finite.  lam_p^n (unless a sweep shares it) and the flow path are freed on
-    return: held through the analysis, they would lift the peak memory above
-    the naive sum's."""
-    a0 = complex(cfg.a0_re, cfg.a0_im)
-    n = np.arange(steps + 1)
-    # lam_p^n once, for the naive expansion and both renormalized forms: the
-    # discrete form of the continuum amplitude and the flow's.
-    if fundamental is None:
-        fundamental = discrete_fundamental(params, n)
-    z_naive = naive_solution(kind, a0, params, n, fundamental)
+                 sol: GlobalSolution, oracle: Trajectory, fundamental: np.ndarray,
+                 rows: np.ndarray) -> tuple[dict, tuple, int | None]:
+    """The naive and continuum columns and their errors against the oracle, in
+    one pass over blocks of steps (_model_block).
+
+    Only the columns at `rows` and the two errors' running maxima, held whole
+    for the summary's slopes, outlive a block.  The first non-finite step of
+    the continuum column is returned, to be raised after the discrete
+    column's check.
+    """
+    kept = {name: np.empty(rows.size)
+            for name in ("z_naive", "z_renorm_continuum", "err_naive", "err_renorm")}
+    running = (np.empty(steps + 1), np.empty(steps + 1))
+    bad_continuum = None
+    for block in _blocks(steps, rows):
+        bad = _model_block(cfg, kind, params, sol, oracle, fundamental, block, kept, running)
+        if bad_continuum is None:
+            bad_continuum = bad
+    return kept, running, bad_continuum
+
+
+def _model_block(cfg: ExperimentConfig, kind: Variant, params: SchemeParams,
+                 sol: GlobalSolution, oracle: Trajectory, fundamental: np.ndarray,
+                 block: tuple, kept: dict, running: tuple) -> int | None:
+    """One block of _model_stage: the naive column, checked at once, the
+    continuum column, whose first non-finite step it returns, and both
+    errors, written into `kept` and `running`.  Its arrays are freed on
+    return, before the next block's are made."""
+    lo, hi, at, picks = block
+    n = np.arange(lo, hi)
+    f = fundamental[lo:hi]
+    z_naive = naive_solution(kind, complex(cfg.a0_re, cfg.a0_im), params, n, f)
     # Checked at once: an overflowing naive sum stops before the renormalized forms.
-    _require_finite("z_naive", z_naive)
-    z_renorm_continuum = sol.eval_discrete(n, fundamental)
-    # By keyword: perfbench/tracing.py reads the step count from `steps`.
-    amp_path = flow_path(build_flow(kind, params), a0, steps=steps)
-    z_renorm_discrete = assemble_modes(kind, params, amp_path, fundamental)
-    _require_finite("z_renorm_discrete", z_renorm_discrete)
-    _require_finite("z_renorm_continuum", z_renorm_continuum)
-    return {"z_naive": z_naive, "z_renorm_discrete": z_renorm_discrete,
-            "z_renorm_continuum": z_renorm_continuum}
+    bad = _first_non_finite(z_naive, lo)
+    if bad is not None:
+        raise _not_finite("z_naive", bad)
+    z_continuum = sol.eval_discrete(n, f)
+    kept["z_naive"][at] = z_naive[picks]
+    kept["z_renorm_continuum"][at] = z_continuum[picks]
+    z = oracle.values[lo:hi]
+    for name, model, maxima in (("err_naive", z_naive, running[0]),
+                                ("err_renorm", z_continuum, running[1])):
+        err = np.abs(z - model)
+        running_max(err, out=maxima[lo:hi], start=maxima[lo - 1] if lo else None)
+        kept[name][at] = err[picks]
+    return _first_non_finite(z_continuum, lo)
 
 
-def _error_stage(cfg: ExperimentConfig, oracle_traj: Trajectory, models: dict) -> tuple[dict, dict]:
-    """Every column, the errors against the oracle among them, and the summary."""
-    naive_profile = compare(oracle_traj, Trajectory(cfg.dt, models["z_naive"]))
-    renorm_profile = compare(oracle_traj, Trajectory(cfg.dt, models["z_renorm_continuum"]))
+def _summary_stage(oracle: Trajectory, running: tuple) -> dict:
+    """The summary: each error's maximum and growth slope, from its running
+    maximum (overwritten by the fit), and the oracle's period and limit amplitude."""
+    naive, renorm = running
     summary = {
-        "max_err_naive": naive_profile.max_abs,
-        "max_err_renorm": renorm_profile.max_abs,
-        "slope_err_naive": naive_profile.slope,
-        "slope_err_renorm": renorm_profile.slope,
+        "max_err_naive": float(naive[-1]),
+        "max_err_renorm": float(renorm[-1]),
+        "slope_err_naive": growth_slope(oracle.dt, naive),
+        "slope_err_renorm": growth_slope(oracle.dt, renorm),
         "period_oracle": None,
         "limit_amplitude_oracle": None,
     }
     try:
-        summary["period_oracle"] = zero_crossing_period(oracle_traj).mean_period
+        summary["period_oracle"] = zero_crossing_period(oracle).mean_period
     except ValueError:
         pass
     try:
-        peaks = envelope(oracle_traj)
+        peaks = envelope(oracle)
         tail = peaks[-min(5, peaks.shape[0]) :, 1]
         summary["limit_amplitude_oracle"] = float(tail.mean())
     except ValueError:
         pass
-
-    columns = {
-        "n": np.arange(len(oracle_traj)),
-        "t": oracle_traj.times,
-        "z_oracle": oracle_traj.values,
-        **models,
-        "err_naive": naive_profile.diffs,
-        "err_renorm": renorm_profile.diffs,
-    }
-    return columns, summary
+    return summary
 
 
-def run_compare_pipeline(cfg: ExperimentConfig, fundamental: np.ndarray | None = None) -> tuple[dict, dict]:
+def _flow_stage(cfg: ExperimentConfig, kind: Variant, params: SchemeParams, steps: int,
+                fundamental: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The flow path, then the discrete column over blocks of steps, each
+    checked; the column comes back at `rows`."""
+    # By keyword: perfbench/tracing.py reads the step count from `steps`.
+    amp_path = flow_path(build_flow(kind, params), complex(cfg.a0_re, cfg.a0_im), steps=steps)
+    kept = np.empty(rows.size)
+    for lo, hi, at, picks in _blocks(steps, rows):
+        z = assemble_modes(kind, params, amp_path[lo:hi], fundamental[lo:hi])
+        bad = _first_non_finite(z, lo)
+        if bad is not None:
+            raise _not_finite("z_renorm_discrete", bad)
+        kept[at] = z[picks]
+        del z  # freed before the next block's is made
+    return kept
+
+
+def run_compare_pipeline(cfg: ExperimentConfig, fundamental: np.ndarray | None = None,
+                         columns: bool = True) -> tuple[dict, dict]:
     """Oracle vs naive vs renormalized trajectories, plus summary statistics.
 
-    Returns (columns, summary); at stride 1 every summary entry is
-    recomputable from the written rows.  `fundamental` is lam_p^n on the time
-    grid when the caller shares it between pipelines; without it the pipeline
-    computes it itself, after the oracle.  Either way the bytes are the same.
-    Raises ConfigError for a config that `main` would refuse.
+    Returns (columns, summary).  The columns hold the rows the writer writes,
+    every `stride`-th step, or none when `columns` is false (a sweep reads
+    the summary alone); the summary covers every step either way, and at
+    stride 1 it is recomputable from the rows.  `fundamental` is lam_p^n on
+    the time grid when the caller shares it between pipelines; without it the
+    pipeline computes it itself, after the oracle.  Either way the bytes are
+    the same.  Raises ConfigError for a config that `main` would refuse.
     """
     kind, params, steps = _boundary(cfg)
     # Checks a0 before the oracle runs.
     sol = GlobalSolution(kind, params, complex(cfg.a0_re, cfg.a0_im))
-    oracle_traj = _oracle_stage(cfg, kind, params, steps)
-    models = _model_stage(cfg, kind, params, steps, sol, fundamental)
-    return _error_stage(cfg, oracle_traj, models)
+    oracle = _oracle_stage(cfg, kind, params, steps)
+    if fundamental is None:
+        fundamental = discrete_fundamental(params, np.arange(steps + 1))
+    rows = np.arange(0, steps + 1, cfg.stride) if columns else np.arange(0)
+    kept, running, bad_continuum = _model_stage(cfg, kind, params, steps, sol, oracle,
+                                                fundamental, rows)
+    # The running maxima are freed before the flow.  A continuum column that
+    # is not finite fails below, so its summary is never formed.
+    summary = _summary_stage(oracle, running) if bad_continuum is None else None
+    del running
+    z_renorm_discrete = _flow_stage(cfg, kind, params, steps, fundamental, rows)
+    if bad_continuum is not None:
+        raise _not_finite("z_renorm_continuum", bad_continuum)
+    return {
+        "n": rows,
+        "t": rows * oracle.dt,
+        "z_oracle": oracle.values[rows],
+        "z_naive": kept["z_naive"],
+        "z_renorm_discrete": z_renorm_discrete,
+        "z_renorm_continuum": kept["z_renorm_continuum"],
+        "err_naive": kept["err_naive"],
+        "err_renorm": kept["err_renorm"],
+    }, summary
 
 
 def cmd_compare(cfg: ExperimentConfig) -> int:
@@ -408,14 +485,11 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values: list[float]) -> int:
         fundamental = discrete_fundamental(params, np.arange(steps + 1))
     summaries = []
     for row_cfg in row_cfgs:
-        # `_` holds the previous pipeline's columns until this one returns, so
-        # their pages are reused; dropping them first measured 32% more page
-        # faults and 3.1 MB less peak RSS on a four-value eps sweep at 5e4
-        # steps, and no wall-time difference that 7 alternating rounds resolved.
-        _, summary = run_compare_pipeline(row_cfg, fundamental)
-        summaries.append(summary)
+        # The summary alone: the pipeline keeps no rows, but still runs the
+        # flow and checks the discrete column, so a row fails as compare would.
+        summaries.append(run_compare_pipeline(row_cfg, fundamental, columns=False)[1])
     columns = {"value": list(values), **{key: [s[key] for s in summaries] for key in summaries[0]}}
-    _write_table(dataclasses.replace(cfg, stride=1), columns, summary={"param": param})
+    _write_table(cfg, columns, summary={"param": param})
     return 0
 
 

@@ -24,6 +24,9 @@ __all__ = [
 
 _DIVERGENCE_LIMIT = 1e8
 _SINGULAR_STEP_TOL = 1e-12
+# Steps an unchecked loop runs between two tests of its guard: a diverging run
+# stops within this many steps of its first failing one.
+_GUARD_BLOCK = 4096
 
 
 class DivergenceError(RuntimeError):
@@ -49,6 +52,17 @@ class Trajectory:
             raise ValueError("trajectory contains non-finite values")
         arr.setflags(write=False)  # arr is our own copy
         object.__setattr__(self, "values", arr)
+
+    @classmethod
+    def _guarded(cls, dt: float, values: np.ndarray) -> Trajectory:
+        """The trajectory of an array `iterate` built and guarded, held as it
+        is: no copy and no second finiteness test.  The guard passed every
+        z(n), n >= 2, and a non-finite z(0) or z(1) makes z(2) fail it."""
+        values.setflags(write=False)
+        traj = object.__new__(cls)
+        object.__setattr__(traj, "dt", dt)
+        object.__setattr__(traj, "values", values)
+        return traj
 
     def __len__(self) -> int:
         return self.values.size
@@ -83,10 +97,11 @@ def iterate(
     gain eps mu/dt in [0, 1/2], where the loop runs without that test.
     Magnitudes beyond 1e8 and non-finite values raise DivergenceError,
     naming the first such step.  The cubic loop and the Van der Pol loop at
-    gains in [0, 1/2] test no step: float arithmetic runs on through inf and
-    nan without raising, and one vectorized test after the loop finds the
-    first failing step, so a diverging run finishes its loop first.  The
-    checked Van der Pol loop tests every step and raises at once.
+    gains in [0, 1/2] test no single step: float arithmetic runs on through
+    inf and nan without raising, and one vectorized test after each block of
+    _GUARD_BLOCK steps finds the first failing step, so a diverging run
+    stops at the end of that block.  The checked Van der Pol loop tests
+    every step and raises at once.
     """
     if n_steps < 2:
         raise ValueError("need at least 2 steps")
@@ -100,21 +115,25 @@ def iterate(
     store[0], store[1] = zm, z
     if kind is Variant.CUBIC:
         gain = eps * omega * omega
-        for n in range(2, n_steps + 1):
-            zp = lin * z - zm - gain * z * z * z
-            store[n] = zp
-            zm, z = z, zp
+        for lo, hi in _guard_blocks(2, n_steps + 1):
+            for n in range(lo, hi):
+                zp = lin * z - zm - gain * z * z * z
+                store[n] = zp
+                zm, z = z, zp
+            _check_guard(values, lo, hi)
     else:
         gain = eps * vdp_scale(params)
         if 0.0 <= gain <= 0.5:
             # The singular test cannot fire: 1 - z*z <= 1 and rounding is
             # monotone, so w <= gain and lead >= 0.5 (or lead is +inf or NaN,
             # once z*z overflows or z is NaN), and the division never meets 0.
-            for n in range(2, n_steps + 1):
-                w = gain * (1.0 - z * z)
-                zp = (lin * z - zm - w * zm) / (1.0 - w)
-                store[n] = zp
-                zm, z = z, zp
+            for lo, hi in _guard_blocks(2, n_steps + 1):
+                for n in range(lo, hi):
+                    w = gain * (1.0 - z * z)
+                    zp = (lin * z - zm - w * zm) / (1.0 - w)
+                    store[n] = zp
+                    zm, z = z, zp
+                _check_guard(values, lo, hi)
         else:
             # Bounds in locals: the chained tests equal not abs(zp) <= 1e8 and
             # abs(lead) < 1e-12 for every float, NaN and +/-inf included.
@@ -128,19 +147,28 @@ def iterate(
                 zp = (lin * z - zm - w * zm) / lead
                 store[n] = zp
                 if not lo <= zp <= hi:
-                    break  # the guard below names z(n); later entries are unset
+                    raise _diverged(n, zp)
                 zm, z = z, zp
-    _check_guard(values)
-    return Trajectory(dt=params.dt, values=values)
+    return Trajectory._guarded(params.dt, values)
 
 
-def _check_guard(values: np.ndarray) -> None:
-    """Raise DivergenceError at the first step n >= 2 where not
+def _guard_blocks(start: int, stop: int):
+    """The blocks [lo, hi) of at most _GUARD_BLOCK steps that cover range(start, stop)."""
+    for lo in range(start, stop, _GUARD_BLOCK):
+        yield lo, min(lo + _GUARD_BLOCK, stop)
+
+
+def _diverged(n: int, z: float) -> DivergenceError:
+    return DivergenceError(f"|z({n})| = {abs(float(z))} exceeded {_DIVERGENCE_LIMIT}")
+
+
+def _check_guard(values: np.ndarray, lo: int, hi: int) -> None:
+    """Raise DivergenceError at the first step n in [lo, hi) where not
     |z(n)| <= 1e8.  Comparisons alone, which a NaN fails, so the test holds
-    booleans and no float temporary; they are freed before the Trajectory
-    copies the values."""
-    ok = values[2:] >= -_DIVERGENCE_LIMIT
-    ok &= values[2:] <= _DIVERGENCE_LIMIT
+    one block's booleans and no float temporary."""
+    block = values[lo:hi]
+    ok = block >= -_DIVERGENCE_LIMIT
+    ok &= block <= _DIVERGENCE_LIMIT
     if not ok.all():
-        n = int(ok.argmin()) + 2
-        raise DivergenceError(f"|z({n})| = {abs(float(values[n]))} exceeded {_DIVERGENCE_LIMIT}")
+        n = lo + int(ok.argmin())
+        raise _diverged(n, values[n])

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lineardiff import SchemeParams
+from .oracle import _guard_blocks
 from .perturbation import Variant
 
 __all__ = [
@@ -96,9 +97,11 @@ def _cubic_path(a0: complex, rate: complex, steps: int) -> np.ndarray:
     A <- A (1 + i x) with the real x = w |A|^2, so |A|^2 gains the factor
     1 + x^2 and x follows one real recurrence, x <- x + x^3, from
     x_0 = w |a0|^2.  The loop folds x alone, storing x_j as the imaginary
-    part of entry j + 1 through a memoryview, and one cumulative product of
+    part of entry j + 1 through a memoryview, and a cumulative product of
     [a0, 1 + i x_0, ..., 1 + i x_{steps-1}], in place, forms the path: no
-    exp, atan or phase table, and no array beside the path.
+    exp, atan or phase table, and no array beside the path.  Both run one
+    guard block at a time, the product from the block's last entry before
+    it, so the guard stops a diverging flow at the end of its block.
     """
     rate = complex(rate)
     if rate.real:
@@ -106,15 +109,16 @@ def _cubic_path(a0: complex, rate: complex, steps: int) -> np.ndarray:
     x = rate.imag * (a0 * a0.conjugate()).real
     out = np.empty(steps + 1, complex)
     out[0] = a0
-    out.real[1:] = 1.0
     turns = memoryview(out.imag)
-    for m in range(1, steps + 1):
-        turns[m] = x
-        x = x + x * x * x
-    # An overflow runs on as inf or nan to the guard, without a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.cumprod(out, out=out)
-    _check_guard(~(np.abs(out[1:]) <= _FLOW_OVERFLOW_LIMIT))
+    for lo, hi in _guard_blocks(1, steps + 1):
+        out.real[lo:hi] = 1.0
+        for m in range(lo, hi):
+            turns[m] = x
+            x = x + x * x * x
+        # An overflow runs on as inf or nan to the guard, without a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.cumprod(out[lo - 1 : hi], out=out[lo - 1 : hi])
+        _check_guard(~(np.abs(out[lo:hi]) <= _FLOW_OVERFLOW_LIMIT), lo)
     return out
 
 
@@ -130,7 +134,7 @@ def _vdp_path(a0: complex, rate: complex, steps: int) -> np.ndarray:
     way to the limit cycle.  Powers of two commute with rounding, so the path
     has the bits of s(0) = 1, u = a0 wherever that split stays in range.
     The scales are written through a memoryview into the array the guard
-    reads and the path is formed from.
+    reads, one guard block at a time, and the path is formed from it.
     """
     rate = complex(rate)
     if rate.imag:
@@ -140,27 +144,28 @@ def _vdp_path(a0: complex, rate: complex, steps: int) -> np.ndarray:
     u = complex(math.ldexp(a0.real, -e), math.ldexp(a0.imag, -e))
     k = (u * u.conjugate()).real
     s = math.ldexp(1.0, e) if u else 0.0  # from A = 0 the flow stays at 0
-    scales = np.empty(steps + 1)
-    store = memoryview(scales)
-    store[0] = s
-    for m in range(1, steps + 1):
-        s = s + rate * (s - k * s * s * s)
-        store[m] = s
     # |A| = |s| |u| <= 1e12 as a bound on |s|, whose product with |u| could
     # overflow; |u| >= 1/2 unless a0 = 0, where s stays 0.
     bound = _FLOW_OVERFLOW_LIMIT / abs(u) if u else math.inf
-    _check_guard(~(np.abs(scales[1:]) <= bound))
+    scales = np.empty(steps + 1)
+    store = memoryview(scales)
+    store[0] = s
+    for lo, hi in _guard_blocks(1, steps + 1):
+        for m in range(lo, hi):
+            s = s + rate * (s - k * s * s * s)
+            store[m] = s
+        _check_guard(~(np.abs(scales[lo:hi]) <= bound), lo)
     out = np.empty(steps + 1, complex)
     np.multiply(scales, u.real, out=out.real)
     np.multiply(scales, u.imag, out=out.imag)
     return out
 
 
-def _check_guard(failed: np.ndarray) -> None:
-    """Raise OverflowError at the first step m >= 1 whose failed[m - 1],
-    not |A(m)| <= 1e12, is true."""
+def _check_guard(failed: np.ndarray, first: int) -> None:
+    """Raise OverflowError at the first step whose `failed` entry, not
+    |A(m)| <= 1e12, is true; failed[0] is step `first`."""
     if failed.any():
-        step = int(failed.argmax()) + 1
+        step = first + int(failed.argmax())
         raise OverflowError(f"amplitude flow exceeded {_FLOW_OVERFLOW_LIMIT} at step {step}")
 
 
@@ -175,10 +180,10 @@ def flow_path(flow: AmplitudeFlow, a0: complex, steps: int) -> np.ndarray:
     the turn x = Im(rate) |A|^2 and forms the path as one cumulative product
     (_cubic_path); the Van der Pol flow, whose rate must be real, folds one
     real scale (_vdp_path).  Neither loop tests per step: an overflow runs on
-    as inf or nan, and one vectorized test of |A(m)| <= 1e12 over m >= 1
-    follows, for Van der Pol on the scales before the complex path is
-    formed.  The OverflowError names the first step that fails, as a test
-    per step would (a nan a0 fails at step 1).
+    as inf or nan, and one vectorized test of |A(m)| <= 1e12 follows each
+    block of steps (oracle._GUARD_BLOCK), for Van der Pol on the scales
+    before the complex path is formed.  The OverflowError names the first
+    step that fails, as a test per step would (a nan a0 fails at step 1).
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")

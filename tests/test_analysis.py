@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renormdiff.analysis import compare, envelope, zero_crossing_period
+from renormdiff.analysis import compare, envelope, growth_slope, running_max, zero_crossing_period
 from renormdiff.oracle import Trajectory
 
 
@@ -61,6 +61,27 @@ class TestSlope:
         t = np.arange(y.size) * dt
         want = float(np.polyfit(t, fitted, 1)[0])
         assert abs(got - want) <= 1e-13 * fitted.max() / (t[-1] - t[0])
+
+
+class TestRunningMax:
+    @pytest.mark.parametrize("block", [1, 7, 64, 1000])
+    def test_blockwise_from_the_last_entry_is_the_whole(self, block):
+        rng = np.random.default_rng(6)
+        diffs = np.abs(rng.normal(size=1000)) * np.linspace(1.0, 3.0, 1000)
+        out = np.empty_like(diffs)
+        for lo in range(0, diffs.size, block):
+            part = slice(lo, lo + block)
+            running_max(diffs[part], out=out[part], start=out[lo - 1] if lo else None)
+        assert out.tobytes() == np.maximum.accumulate(diffs).tobytes()
+
+    def test_growth_slope_is_compares_and_overwrites_its_input(self):
+        rng = np.random.default_rng(7)
+        a = Trajectory(0.01, rng.normal(size=500))
+        b = Trajectory(0.01, rng.normal(size=500))
+        running = running_max(np.abs(a.values - b.values))
+        slope = growth_slope(0.01, running)
+        assert repr(slope) == repr(compare(a, b).slope)
+        assert abs(running.sum()) > 0.0 and not np.all(np.diff(running) >= 0.0)
 
 
 class TestZeroCrossingPeriod:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -649,7 +650,8 @@ def expected_output(command, cfg, param=None, values=()):
         columns.update({key: [s[key] for s in summaries] for key in summaries[0]})
         assert any(None in columns[key] for key in header)  # the empty-cell rule runs
         return reference_table(header, columns, {"param": param}, cfg.output_format)
-    columns, summary = run_compare_pipeline(cfg)
+    # Every row, strided here: the pipeline's own rows at the stride must be these.
+    columns, summary = run_compare_pipeline(dataclasses.replace(cfg, stride=1))
     if command == "simulate":
         header = ["n", "t", "z"]
         columns = {"n": columns["n"], "t": columns["t"], "z": columns["z_oracle"]}
@@ -732,8 +734,9 @@ class TestWriterFallback:
     @staticmethod
     def _check(columns, stride=1):
         summary = {"note": 1}
-        cfg = ExperimentConfig(stride=stride)
-        got = "".join(cli._table_text(cfg, columns, summary))
+        # The writer writes every row it is given; the pipeline applies the stride.
+        strided = {name: column[::stride] for name, column in columns.items()}
+        got = "".join(cli._table_text(ExperimentConfig(), strided, summary))
         assert_same_text(got, reference_table(list(columns), columns, summary, "csv", stride))
 
     @pytest.mark.parametrize("stride", [1, 3])
@@ -765,8 +768,9 @@ class TestWriterFallback:
         ints = np.array([0, -1, 10**16, -(2**63), 2**63 - 1, 42] * n, dtype=np.int64)[:n]
         columns = {"z": x, "b": -x[::-1].copy(), "n": ints, "u": ints.astype(np.uint64)}
         summary = {"note": 1}
-        cfg = ExperimentConfig(output_format="json", stride=stride)
-        got = "".join(cli._table_text(cfg, columns, summary))
+        cfg = ExperimentConfig(output_format="json")
+        strided = {name: column[::stride] for name, column in columns.items()}
+        got = "".join(cli._table_text(cfg, strided, summary))
         rows = [{name: columns[name][i].item() for name in columns} for i in range(0, n, stride)]
         want = json.dumps({"rows": rows, "summary": summary}, indent=1, sort_keys=True) + "\n"
         assert_same_text(got, want)
@@ -1087,6 +1091,71 @@ class TestPipelineWork:
         assert code == 0
         # lam_p^n once, and one continuum amplitude per row
         assert calls == 1 + 4
+
+
+class TestPipelineBlocks:
+    """The pipeline's passes over blocks of steps give the bytes of one block."""
+
+    @pytest.mark.parametrize("kind", ["cubic", "vdp"])
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_block_size_moves_no_byte(self, monkeypatch, kind, stride):
+        # 2001 steps: one block by default, 21 blocks of 97 steps, whose
+        # boundaries fall inside a stride
+        cfg = ExperimentConfig(kind=kind, t_max=20.0, eps=0.02, a0_re=0.4, a0_im=0.15,
+                               stride=stride)
+        columns, summary = run_compare_pipeline(cfg)
+        monkeypatch.setattr(cli, "_BLOCK_STEPS", 97)
+        blocked, blocked_summary = run_compare_pipeline(cfg)
+        assert repr(blocked_summary) == repr(summary)
+        assert list(blocked) == list(columns)
+        for name, column in columns.items():
+            assert len(column) == len(range(0, 2001, stride)), name
+            assert blocked[name].tobytes() == column.tobytes(), name
+
+    def test_naive_failure_in_a_later_block_names_its_step(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_BLOCK_STEPS", 100)
+        with pytest.warns(RuntimeWarning):
+            code = main(["compare", "--root-convention", "first-order", "--dt", "1.5",
+                         "--t-max", "1000", "--stride", "7"])
+        assert code == 3
+        assert capsys.readouterr().err == "numerical failure: z_naive is not finite at n=402\n"
+
+    def test_summary_alone_keeps_no_rows(self):
+        cfg = ExperimentConfig(kind="vdp", t_max=20.0, eps=0.02, a0_re=0.4, stride=3)
+        columns, summary = run_compare_pipeline(cfg)
+        empty, alone = run_compare_pipeline(cfg, columns=False)
+        assert repr(alone) == repr(summary)
+        assert list(empty) == list(columns)
+        assert all(len(column) == 0 for column in empty.values())
+
+
+class TestPipelinePeakMemory:
+    """The pipeline holds the oracle, the flow path, the two running maxima
+    and the written rows whole; its other columns live one block at a time."""
+
+    @pytest.mark.parametrize(
+        "cfg, bound",
+        [
+            # the parent of the blocked pipeline peaked at 104.0 and 104.1
+            (ExperimentConfig(kind="vdp", dt=0.002, t_max=200.0, eps=0.01, a0_re=0.3,
+                              a0_im=0.01, stride=10), 64.0),
+            (ExperimentConfig(kind="cubic", dt=0.004, t_max=400.0, eps=0.01, a0_re=0.5,
+                              a0_im=5e-4), 104.1),
+        ],
+        ids=["vdp-stride-10", "cubic-stride-1"],
+    )
+    def test_peak_bytes_per_step(self, cfg, bound):
+        steps = cli._steps(cfg)
+        assert steps == 100_000
+        run_compare_pipeline(dataclasses.replace(cfg, t_max=1.0))
+        tracemalloc.start()
+        try:
+            columns, _ = run_compare_pipeline(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(columns["n"]) == len(range(0, steps + 1, cfg.stride))
+        assert peak / steps <= bound
 
 
 class TestSweepRowsMatchAlone:

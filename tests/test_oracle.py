@@ -15,6 +15,7 @@ from renormdiff.lineardiff import (
     scheme_residual,
 )
 from renormdiff.oracle import (
+    _GUARD_BLOCK,
     DivergenceError,
     SingularStepError,
     Trajectory,
@@ -302,8 +303,8 @@ class TestReferenceLoop:
         # The unchecked loops store every step of a run that has passed the
         # bound: cubic values overflow to inf and then turn nan (inf - inf);
         # Van der Pol values pass sqrt(max float), where z*z overflows and
-        # the step turns nan.  The guard after the loop names the first step
-        # past the bound, with its value, as a guard per step does.
+        # the step turns nan.  The guard after each block names the first
+        # step past the bound, with its value, as a guard per step does.
         n_steps = 10_000
         z0, z1 = init_from_amplitude(a0, p)
         stored = _reference_iterate(kind, p, z0, z1, n_steps, guard=False)
@@ -338,12 +339,54 @@ class TestReferenceLoop:
         assert failure == (SingularStepError, "implicit coefficient vanished at n=1")
 
 
+class TestGuardBlocks:
+    """An unchecked loop tests its guard once per block of steps."""
+
+    @pytest.mark.parametrize(
+        "kind, p, a0, first",
+        [
+            (CUBIC, params(1.5, eps=0.4), 50.0, 3),
+            (CUBIC, params(1.0, eps=0.4), 0.638, 582),
+            (VAN_DER_POL, params(1.5, eps=0.1), 0.3, 133),  # gain 0.15
+        ],
+    )
+    def test_diverging_run_stops_at_the_end_of_its_guard_block(self, monkeypatch, kind, p, a0,
+                                                               first):
+        # The steps after the failing block are never computed, so the
+        # entries np.empty handed out keep their fill.
+        n_steps = 100_000
+        z0, z1 = init_from_amplitude(a0, p)
+        real_empty = np.empty
+        made = []
+
+        def filled_empty(shape, *args, **kwargs):
+            out = real_empty(shape, *args, **kwargs)
+            out.fill(7.0)
+            made.append(out)
+            return out
+
+        monkeypatch.setattr(np, "empty", filled_empty)
+        with pytest.raises(DivergenceError, match=rf"^\|z\({first}\)\| = "):
+            iterate(kind, p, z0, z1, n_steps)
+        monkeypatch.undo()
+        (values,) = [out for out in made if out.size == n_steps + 1]
+        assert np.all(values[2 + _GUARD_BLOCK :] == 7.0)
+
+    def test_failure_in_a_later_block_names_the_step_of_a_guard_per_step(self):
+        # from a0 = 0.635 the run passes the bound at z(12506), in its fourth
+        # block of 4096 steps
+        p = params(1.0, eps=0.4)
+        z0, z1 = init_from_amplitude(0.635, p)
+        failure = _raised(iterate, CUBIC, p, z0, z1, 20_000)
+        assert failure == _raised(_reference_iterate, CUBIC, p, z0, z1, 20_000)
+        assert failure[1].startswith("|z(12506)| = ")
+
+
 class TestPeakMemory:
     @pytest.mark.parametrize("kind", [CUBIC, VAN_DER_POL])
     def test_peak_bytes_per_step(self, kind):
-        # The values (8 bytes a step) and the Trajectory's copy (8), with its
-        # finiteness mask (1); the guard's masks (2) are freed before the
-        # copy.  Within a byte of the 17.1 of values appended to an array('d').
+        # The values (8 bytes a step), handed to the Trajectory without a
+        # copy, and one guard block's masks.
         p, steps = params(0.01, eps=0.05), 100_000
         iterate(kind, p, 0.8, 0.8, 10)
         tracemalloc.start()
@@ -353,7 +396,7 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
         assert len(traj) == steps + 1
-        assert peak / steps <= 18.1
+        assert peak / steps <= 8.1
 
 
 class TestSchemeResidual:

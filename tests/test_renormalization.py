@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from renormdiff.asymptotic import GlobalSolution, third_harmonic_coefficient
 from renormdiff.lineardiff import RootConvention, Scheme, SchemeParams, characteristic_roots
+from renormdiff.oracle import _GUARD_BLOCK
 from renormdiff.perturbation import (
     CUBIC,
     VAN_DER_POL,
@@ -36,6 +37,23 @@ from renormdiff.renormalization import (
 
 def params(dt, eps):
     return SchemeParams(dt=dt, eps=eps)
+
+
+def _filled_empty(monkeypatch, size):
+    """Make np.empty fill what it hands out with 7; returns the list of the
+    arrays of `size` entries made, in order."""
+    real_empty = np.empty
+    made = []
+
+    def empty(shape, *args, **kwargs):
+        out = real_empty(shape, *args, **kwargs)
+        out.fill(7.0)
+        if out.size == size:
+            made.append(out)
+        return out
+
+    monkeypatch.setattr(np, "empty", empty)
+    return made
 
 
 def _family_constant_form(a0, rate, t):
@@ -225,13 +243,41 @@ class TestInlineFold:
             flow_path(flow, a0, 2000)
         assert str(after_loop.value) == str(per_step.value)
 
+    @pytest.mark.parametrize(
+        "flow, a0, first",
+        [
+            (AmplitudeFlow(CUBIC, 0.6j), 0.13, 4874),
+            (AmplitudeFlow(VAN_DER_POL, -0.0004), 1.005, 5778),  # a negative rate
+        ],
+    )
+    def test_guard_in_a_later_block_names_the_step_of_a_guard_per_step(self, flow, a0, first):
+        # past the first guard block of 4096 steps
+        with pytest.raises(OverflowError) as per_step:
+            _fold_path(flow, a0, 8000)
+        with pytest.raises(OverflowError) as blocked:
+            flow_path(flow, a0, 8000)
+        assert str(blocked.value) == str(per_step.value)
+        assert str(blocked.value).endswith(f"at step {first}")
+
+    @pytest.mark.parametrize(
+        "flow, a0", [(AmplitudeFlow(CUBIC, 0.6j), 10.0), (AmplitudeFlow(VAN_DER_POL, 0.4), 10.0)]
+    )
+    def test_diverging_flow_stops_at_the_end_of_its_guard_block(self, monkeypatch, flow, a0):
+        # Both fail within their first block; the steps after it are never
+        # computed, so the entries np.empty handed out keep their fill.
+        steps = 100_000
+        made = _filled_empty(monkeypatch, steps + 1)
+        with pytest.raises(OverflowError, match="at step [1-9]$"):
+            flow_path(flow, a0, steps)
+        monkeypatch.undo()
+        (stored,) = made  # the path (cubic) or the scales (Van der Pol)
+        assert np.all(stored[1 + _GUARD_BLOCK :] == 7.0)
+
     @pytest.mark.parametrize("kind", [CUBIC, VAN_DER_POL])
     def test_peak_memory_is_the_array_and_its_guard(self, kind):
-        # the array and the guard's |A| or the real scales (each half its
-        # size), and a boolean mask (a sixteenth); a list of boxed complex
-        # values adds about 40 bytes per step.  Per step, within a byte of
-        # the 25.0 (cubic) and 24.5 bytes of the path built from an
-        # array('d') of turns or scales.
+        # the path (16 bytes a step) and, for Van der Pol, the real scales
+        # it is formed from (8); the guard's |A| and mask hold one block of
+        # steps.  A list of boxed complex values adds about 40 bytes per step.
         flow, steps = build_flow(kind, params(0.004, 0.01)), 100_000
         flow_path(flow, 0.5 + 0.1j, 10)
         tracemalloc.start()
@@ -241,7 +287,7 @@ class TestInlineFold:
         finally:
             tracemalloc.stop()
         assert peak < 1.6 * out.nbytes
-        assert peak / steps <= {CUBIC: 26.0, VAN_DER_POL: 25.5}[kind]
+        assert peak / steps <= {CUBIC: 16.5, VAN_DER_POL: 24.1}[kind]
 
     @given(
         a0=st.builds(cmath.rect, st.floats(1e-6, 3.0), st.floats(-math.pi, math.pi)),
