@@ -29,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# perfbench/tracing.py wraps cli.compare; the pipeline shares its running
-# maximum and slope, each error taken one block at a time.
+# `compare` is not called here: the pipeline forms its errors a block at a
+# time with compare's running_max and growth_slope.  perfbench/tracing.py
+# wraps cli.compare, so the name stays.
 from .analysis import compare, envelope, growth_slope, running_max, zero_crossing_period  # noqa: F401
 from .asymptotic import GlobalSolution, assemble_modes, discrete_fundamental
 from .lineardiff import RootConvention, Scheme, SchemeParams
