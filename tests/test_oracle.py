@@ -350,26 +350,15 @@ class TestGuardBlocks:
             (VAN_DER_POL, params(1.5, eps=0.1), 0.3, 133),  # gain 0.15
         ],
     )
-    def test_diverging_run_stops_at_the_end_of_its_guard_block(self, monkeypatch, kind, p, a0,
-                                                               first):
-        # The steps after the failing block are never computed, so the
-        # entries np.empty handed out keep their fill.
+    def test_diverging_run_stops_at_the_end_of_its_guard_block(self, monkeypatch, filled_empty,
+                                                               kind, p, a0, first):
+        # The steps after the failing block are never computed.
         n_steps = 100_000
         z0, z1 = init_from_amplitude(a0, p)
-        real_empty = np.empty
-        made = []
-
-        def filled_empty(shape, *args, **kwargs):
-            out = real_empty(shape, *args, **kwargs)
-            out.fill(7.0)
-            made.append(out)
-            return out
-
-        monkeypatch.setattr(np, "empty", filled_empty)
         with pytest.raises(DivergenceError, match=rf"^\|z\({first}\)\| = "):
             iterate(kind, p, z0, z1, n_steps)
         monkeypatch.undo()
-        (values,) = [out for out in made if out.size == n_steps + 1]
+        (values,) = filled_empty(n_steps + 1)
         assert np.all(values[2 + _GUARD_BLOCK :] == 7.0)
 
     def test_failure_in_a_later_block_names_the_step_of_a_guard_per_step(self):

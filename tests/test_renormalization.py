@@ -39,23 +39,6 @@ def params(dt, eps):
     return SchemeParams(dt=dt, eps=eps)
 
 
-def _filled_empty(monkeypatch, size):
-    """Make np.empty fill what it hands out with 7; returns the list of the
-    arrays of `size` entries made, in order."""
-    real_empty = np.empty
-    made = []
-
-    def empty(shape, *args, **kwargs):
-        out = real_empty(shape, *args, **kwargs)
-        out.fill(7.0)
-        if out.size == size:
-            made.append(out)
-        return out
-
-    monkeypatch.setattr(np, "empty", empty)
-    return made
-
-
 def _family_constant_form(a0, rate, t):
     """Re(A) of the envelope written through the family constant K.
 
@@ -262,15 +245,15 @@ class TestInlineFold:
     @pytest.mark.parametrize(
         "flow, a0", [(AmplitudeFlow(CUBIC, 0.6j), 10.0), (AmplitudeFlow(VAN_DER_POL, 0.4), 10.0)]
     )
-    def test_diverging_flow_stops_at_the_end_of_its_guard_block(self, monkeypatch, flow, a0):
+    def test_diverging_flow_stops_at_the_end_of_its_guard_block(self, monkeypatch, filled_empty,
+                                                                flow, a0):
         # Both fail within their first block; the steps after it are never
-        # computed, so the entries np.empty handed out keep their fill.
+        # computed.
         steps = 100_000
-        made = _filled_empty(monkeypatch, steps + 1)
         with pytest.raises(OverflowError, match="at step [1-9]$"):
             flow_path(flow, a0, steps)
         monkeypatch.undo()
-        (stored,) = made  # the path (cubic) or the scales (Van der Pol)
+        (stored,) = filled_empty(steps + 1)  # the path (cubic) or the scales (Van der Pol)
         assert np.all(stored[1 + _GUARD_BLOCK :] == 7.0)
 
     @pytest.mark.parametrize("kind", [CUBIC, VAN_DER_POL])
