@@ -40,17 +40,15 @@ class ErrorProfile:
     slope: float
 
 
-def running_max(diffs: np.ndarray, out: np.ndarray | None = None, start: float | None = None):
-    """The running maximum of `diffs`, into `out` when given.
+def running_max(diffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The running maximum of `diffs`, into `out` when given (`diffs` itself
+    included: it is then formed in place).
 
-    `start` is the running maximum of the values before `diffs`, so the
-    running maximum of a sequence taken block by block, each block started
-    from the previous block's last entry, has the bits of the whole one.
+    A maximum is exact, so a sequence taken block by block, each block run
+    in place from the previous block's last entry (``a[lo - 1 : hi]``), gets
+    the bits of the running maximum of the whole.  nan and inf carry forward.
     """
-    out = np.maximum.accumulate(diffs, out=out)
-    if start is not None:
-        np.maximum(out, start, out=out)
-    return out
+    return np.maximum.accumulate(diffs, out=out)
 
 
 def growth_slope(dt: float, running: np.ndarray) -> float:

@@ -20,11 +20,13 @@ from .lineardiff import (
     particular_solution,
     power_table,
 )
-from .perturbation import Variant, _forcing_terms, _third_harmonic_base
+from .perturbation import Variant, _forcing_terms, _naive_coefficients, _third_harmonic_base
 from .renormalization import conserved_constant, continuum_amplitude, secular_rate
 
 __all__ = [
+    "FirstOrder",
     "GlobalSolution",
+    "first_order",
     "third_harmonic_coefficient",
     "discrete_fundamental",
     "assemble_modes",
@@ -44,6 +46,29 @@ def third_harmonic_coefficient(kind: Variant, params: SchemeParams) -> complex:
     return particular_solution(forcing, params).coefficient(base, n_power=0)
 
 
+@dataclass(frozen=True)
+class FirstOrder:
+    """The first-order coefficients of one pipeline, derived once.
+
+    `k3` is third_harmonic_coefficient, which assemble_modes reads; `sigma`
+    and `c3` are naive_solution's coefficients at the pipeline's amplitude.
+    A pipeline that evaluates its columns block by block passes this record
+    to every block instead of deriving them per call; the values are the
+    ones those calls derive.
+    """
+
+    k3: complex
+    sigma: complex
+    c3: complex
+
+
+def first_order(kind: Variant, a: complex, params: SchemeParams) -> FirstOrder:
+    """The first-order coefficients of the scheme at amplitude a, by the
+    calls that naive_solution and assemble_modes make without a record."""
+    sigma, c3 = _naive_coefficients(kind, a, params)
+    return FirstOrder(third_harmonic_coefficient(kind, params), sigma, c3)
+
+
 def discrete_fundamental(params: SchemeParams, n):
     """The fundamental lam_p^n of the discrete form, as exp(n log lam_p) at indices n."""
     return power_table(characteristic_roots(params)[0], n)
@@ -54,6 +79,7 @@ def assemble_modes(
     params: SchemeParams,
     amplitudes,
     fundamental,
+    coeffs: FirstOrder | None = None,
 ) -> np.ndarray:
     """Real expansion 2 Re[A F + eps kappa3 A^3 F^3] per index.
 
@@ -61,13 +87,15 @@ def assemble_modes(
     arrays that broadcast together); the conjugate half of the expansion is
     implicit in taking twice the real part.  F = lam_p^n = exp(n log lam_p)
     gives the discrete form and F = e^{i t} the continuum waveform; callers
-    that evaluate several forms at the same indices compute F once.  The
-    third harmonic is the cube u*u*u of the fundamental mode u = A F, not
-    numpy's general complex pow.
+    that evaluate several forms at the same indices compute F once.
+    kappa3 is `coeffs.k3` from a caller that derived its first-order
+    coefficients once (first_order), third_harmonic_coefficient otherwise.
+    The third harmonic is the cube u*u*u of the fundamental mode u = A F,
+    not numpy's general complex pow.
     """
     amp = np.asarray(amplitudes, dtype=complex)
     fundamental = np.asarray(fundamental, dtype=complex)
-    k3 = third_harmonic_coefficient(kind, params)
+    k3 = third_harmonic_coefficient(kind, params) if coeffs is None else coeffs.k3
     u = amp * fundamental
     value = u + params.eps * k3 * (u * u * u)
     out = 2.0 * value.real
@@ -105,17 +133,18 @@ class GlobalSolution:
         """Renormalized amplitude A(t) from the continuum flow (scalar/array)."""
         return continuum_amplitude(self.kind, self.a0, self.params.eps, t)
 
-    def eval_discrete(self, n, fundamental=None):
+    def eval_discrete(self, n, fundamental=None, coeffs: FirstOrder | None = None):
         """Real solution at integer indices n (scalar or array).
 
         `fundamental` is lam_p^n at these indices, from a caller that also
-        assembles other forms with it (discrete_fundamental when omitted).
+        assembles other forms with it (discrete_fundamental when omitted);
+        `coeffs` is that caller's first-order record, for assemble_modes.
         """
         n_arr = np.asarray(n, dtype=float)
         amp = self.amplitude_at(n_arr * self.params.dt)
         if fundamental is None:
             fundamental = discrete_fundamental(self.params, n_arr)
-        return assemble_modes(self.kind, self.params, amp, fundamental)
+        return assemble_modes(self.kind, self.params, amp, fundamental, coeffs)
 
     def eval_continuum_waveform(self, t):
         """Real waveform at continuous time t, fundamental e^{i t}.

@@ -33,7 +33,7 @@ import numpy as np
 # time with compare's running_max and growth_slope.  perfbench/tracing.py
 # wraps cli.compare, so the name stays.
 from .analysis import compare, envelope, growth_slope, running_max, zero_crossing_period  # noqa: F401
-from .asymptotic import GlobalSolution, assemble_modes, discrete_fundamental
+from .asymptotic import FirstOrder, GlobalSolution, assemble_modes, discrete_fundamental, first_order
 from .lineardiff import RootConvention, Scheme, SchemeParams
 from .oracle import (
     DivergenceError,
@@ -180,14 +180,15 @@ def _json_text(value) -> str:
 
 
 # Rows formatted per chunk: a chunk's text is about 0.6 MB of compare CSV or
-# 1.1 MB of JSON, so a long run is never held in memory as one document.  A
-# chunk also holds its byte matrix (0.8 MB of compare CSV, 1.4 MB of JSON)
-# and, while g17 renders one float column into it, about 1.5 MB of kernel
-# scratch (350 B per value).
+# 1.1 MB of JSON, so a long run is never held in memory as one document.  The
+# document holds one byte matrix of at most this many rows (0.8 MB of compare
+# CSV, 1.4 MB of JSON), whose cells every chunk rewrites, and, while g17
+# renders one float column into it, about 1.5 MB of kernel scratch (350 B
+# per value).
 _CHUNK_ROWS = 4096
-# Steps per block of the compare pipeline's passes: a block's model and error
-# columns, about 0.8 MB of temporaries at this size, are reduced to the
-# written rows and the running maxima before the next block is formed.
+# Steps per block of the compare pipeline's passes: a block's model columns,
+# about 0.7 MB of temporaries at this size, are reduced to the written rows
+# and the errors' running maxima before the next block is formed.
 _BLOCK_STEPS = 8192
 
 
@@ -217,47 +218,25 @@ def _cells(part, fmt: str) -> np.ndarray:
     return cells.view(np.uint8).reshape(len(part), cells.itemsize)
 
 
-def _rows(parts: list, fmt: str, before: list, end: str) -> str:
-    """The text of one chunk: per row, ``before[i]`` and the cell of column
-    ``i`` for every column in order, then ``end``.
-
-    The rows are one byte matrix, filled with the constant text of a row and
-    then with each column's cells, and the text is the matrix with its NULs
-    dropped.  Array columns are rendered into the matrix one at a time; any
-    other column is formatted first, for its width.
-    """
-    widths = [_CELL_WIDTH.get(part.dtype.kind) if isinstance(part, np.ndarray) else None
-              for part in parts]
-    ready = [None if width else _cells(part, fmt) for part, width in zip(parts, widths)]
-    widths = [width or cells.shape[1] for width, cells in zip(widths, ready)]
-    template = bytearray()
-    starts = []
-    for lead, width in zip(before, widths):
-        template += lead.encode("ascii")
-        starts.append(len(template))
-        template += bytes(width)
-    template += end.encode("ascii")
-    rows = len(parts[0])
-    text = bytearray(rows * len(template))
-    table = np.frombuffer(text, np.uint8).reshape(rows, len(template))
-    table[:] = np.frombuffer(template, np.uint8)
-    for part, cells, width, at in zip(parts, ready, widths, starts):
-        table[:, at : at + width] = _cells(part, fmt) if cells is None else cells
-    return text.translate(None, b"\0").decode("ascii")
-
-
-def _table_text(cfg: ExperimentConfig, columns: dict, summary: dict | None):
-    """Yield the CSV or JSON document of every row of ``columns``, in pieces of
-    at most ``_CHUNK_ROWS`` rows (a stride is applied where the columns are made).
+def _table_bytes(cfg: ExperimentConfig, columns: dict, summary: dict | None):
+    """Yield the CSV or JSON document of every row of ``columns`` as bytes, in
+    pieces of at most ``_CHUNK_ROWS`` rows (a stride is applied where the
+    columns are made).
 
     The CSV columns are written in the order of ``columns``, the JSON ones
-    sorted by name; the rows of a chunk are one byte matrix (``_rows``).  The
-    pieces join to exactly what ``",".join`` of ``_fmt`` cells per row, or
-    ``json.dumps(doc, indent=1, sort_keys=True)`` of ``{"rows": [...],
-    "summary": ...}``, would give.
+    sorted by name.  The rows of a chunk are one byte matrix, built once per
+    document: each row holds the constant text (separators, JSON keys) and a
+    NUL-padded slot per cell, and each chunk rewrites only the cells, a
+    short last chunk in the leading rows; a chunk's bytes are its rows with
+    the NULs dropped.  An array column is rendered a chunk at a time at its
+    kind's width; any other column is formatted whole first, so that one
+    width serves the document.  The pieces join to exactly what ``",".join``
+    of ``_fmt`` cells per row, or ``json.dumps(doc, indent=1,
+    sort_keys=True)`` of ``{"rows": [...], "summary": ...}``, would give.
     """
+    fmt = cfg.output_format
     names = list(columns)
-    if cfg.output_format == "csv":
+    if fmt == "csv":
         head = ",".join(names) + "\n"
         before = [""] + [","] * (len(names) - 1)
         end, trim = "\n", 0
@@ -274,27 +253,46 @@ def _table_text(cfg: ExperimentConfig, columns: dict, summary: dict | None):
             nested = json.dumps(summary, indent=1, sort_keys=True).replace("\n", "\n ")
             tail += ',\n "summary": ' + nested
         tail += "\n}\n"
-    yield head
-    n_rows = len(columns[names[0]])
+    yield head.encode()
+    parts = [columns[name] for name in names]
+    ready = [None if isinstance(part, np.ndarray) and part.dtype.kind in _CELL_WIDTH
+             else _cells(part, fmt) for part in parts]
+    template = bytearray()
+    slots = []
+    for lead, part, cells in zip(before, parts, ready):
+        width = _CELL_WIDTH[part.dtype.kind] if cells is None else cells.shape[1]
+        template += lead.encode("ascii") + bytes(width)
+        slots.append(slice(len(template) - width, len(template)))
+    template += end.encode("ascii")
+    n_rows = len(parts[0])
+    text = bytearray(min(n_rows, _CHUNK_ROWS) * len(template))
+    table = np.frombuffer(text, np.uint8).reshape(-1, len(template))
+    table[:] = np.frombuffer(template, np.uint8)
     for lo in range(0, n_rows, _CHUNK_ROWS):
-        parts = [columns[name][lo : lo + _CHUNK_ROWS] for name in names]
-        text = _rows(parts, cfg.output_format, before, end)
-        yield text if lo + _CHUNK_ROWS < n_rows else text[: len(text) - trim]
-        del text  # not held while the next chunk is built
-    yield tail
+        hi = min(lo + _CHUNK_ROWS, n_rows)
+        for part, cells, slot in zip(parts, ready, slots):
+            table[: hi - lo, slot] = _cells(part[lo:hi], fmt) if cells is None else cells[lo:hi]
+        size = (hi - lo) * len(template) - (trim if hi == n_rows else 0)
+        yield (text if size == len(text) else text[:size]).translate(None, b"\0")
+    yield tail.encode()
+
+
+def _table_text(cfg: ExperimentConfig, columns: dict, summary: dict | None):
+    """The pieces of ``_table_bytes`` decoded, for a text stream."""
+    return (piece.decode() for piece in _table_bytes(cfg, columns, summary))
 
 
 def _write_table(cfg: ExperimentConfig, columns: dict, summary: dict | None):
-    pieces = _table_text(cfg, columns, summary)
+    """The document to stdout, decoded, or to ``cfg.output_path`` as bytes."""
     if cfg.output_path is None:
-        sys.stdout.writelines(pieces)
+        sys.stdout.writelines(_table_text(cfg, columns, summary))
         return
     try:
-        fh = open(cfg.output_path, "w", encoding="utf-8")
+        fh = open(cfg.output_path, "wb")
     except OSError as exc:
         raise ConfigError(f"cannot write output: {exc}") from exc
     with fh:
-        fh.writelines(pieces)
+        fh.writelines(_table_bytes(cfg, columns, summary))
 
 
 def _oracle_stage(cfg: ExperimentConfig, kind: Variant, params: SchemeParams, steps: int) -> Trajectory:
@@ -330,11 +328,11 @@ def _blocks(steps: int, rows: np.ndarray):
         yield lo, hi, slice(first, last), rows[first:last] - lo
 
 
-def _model_stage(cfg: ExperimentConfig, kind: Variant, params: SchemeParams, steps: int,
-                 sol: GlobalSolution, oracle: Trajectory, fundamental: np.ndarray,
-                 rows: np.ndarray) -> tuple[dict, tuple, int | None]:
-    """The naive and continuum columns and their errors against the oracle, in
-    one pass over blocks of steps (_model_block).
+def _model_stage(sol: GlobalSolution, steps: int, oracle: Trajectory, fundamental: np.ndarray,
+                 coeffs: FirstOrder, rows: np.ndarray) -> tuple[dict, tuple, int | None]:
+    """The naive and continuum columns of `sol`'s scheme and amplitude and
+    their errors against the oracle, in one pass over blocks of steps
+    (_model_block) that all read the pipeline's one first-order record.
 
     Only the columns at `rows` and the two errors' running maxima, held whole
     for the summary's slopes, outlive a block.  The first non-finite step of
@@ -346,37 +344,52 @@ def _model_stage(cfg: ExperimentConfig, kind: Variant, params: SchemeParams, ste
     running = (np.empty(steps + 1), np.empty(steps + 1))
     bad_continuum = None
     for block in _blocks(steps, rows):
-        bad = _model_block(cfg, kind, params, sol, oracle, fundamental, block, kept, running)
+        bad = _model_block(sol, oracle, fundamental, coeffs, block, kept, running)
         if bad_continuum is None:
             bad_continuum = bad
     return kept, running, bad_continuum
 
 
-def _model_block(cfg: ExperimentConfig, kind: Variant, params: SchemeParams,
-                 sol: GlobalSolution, oracle: Trajectory, fundamental: np.ndarray,
-                 block: tuple, kept: dict, running: tuple) -> int | None:
-    """One block of _model_stage: the naive column, checked at once, the
-    continuum column, whose first non-finite step it returns, and both
-    errors, written into `kept` and `running`.  Its arrays are freed on
-    return, before the next block's are made."""
+def _model_block(sol: GlobalSolution, oracle: Trajectory, fundamental: np.ndarray,
+                 coeffs: FirstOrder, block: tuple, kept: dict, running: tuple) -> int | None:
+    """One block of _model_stage: the naive column, checked at once, and the
+    continuum column, whose first non-finite step it returns, each with its
+    error (_error_block) written into `kept` and `running`.  Its arrays are
+    freed on return, before the next block's are made."""
     lo, hi, at, picks = block
     n = np.arange(lo, hi)
     f = fundamental[lo:hi]
-    z_naive = naive_solution(kind, complex(cfg.a0_re, cfg.a0_im), params, n, f)
+    z = oracle.values[lo:hi]
+    z_naive = naive_solution(sol.kind, sol.a0, sol.params, n, f, coeffs)
     # Checked at once: an overflowing naive sum stops before the renormalized forms.
-    bad = _first_non_finite(z_naive, lo)
+    bad = _error_block(z, z_naive, running[0], block, kept["err_naive"])
     if bad is not None:
         raise _not_finite("z_naive", bad)
-    z_continuum = sol.eval_discrete(n, f)
     kept["z_naive"][at] = z_naive[picks]
+    z_continuum = sol.eval_discrete(n, f, coeffs)
     kept["z_renorm_continuum"][at] = z_continuum[picks]
-    z = oracle.values[lo:hi]
-    for name, model, maxima in (("err_naive", z_naive, running[0]),
-                                ("err_renorm", z_continuum, running[1])):
-        err = np.abs(z - model)
-        running_max(err, out=maxima[lo:hi], start=maxima[lo - 1] if lo else None)
-        kept[name][at] = err[picks]
-    return _first_non_finite(z_continuum, lo)
+    return _error_block(z, z_continuum, running[1], block, kept["err_renorm"])
+
+
+def _error_block(z, model, maxima, block, kept):
+    """|z - model| over a block, formed in its running maximum `maxima`: its
+    rows at the block's picks go to `kept`, then the running maximum is
+    carried in place from the previous block's last entry.  Returns the
+    first non-finite step, looked for only when the block's last entry is
+    not finite.
+
+    The oracle is guarded to |z| <= 1e8, so an error is non-finite exactly
+    where its model is; a running maximum carries nan and inf, so while
+    every earlier block is finite, its first non-finite entry is the error's.
+    """
+    lo, hi, at, picks = block
+    err = maxima[lo:hi]
+    np.subtract(z, model, out=err)
+    np.abs(err, out=err)
+    kept[at] = err[picks]
+    carried = maxima[max(lo - 1, 0) : hi]
+    running_max(carried, out=carried)
+    return None if np.isfinite(err[-1]) else _first_non_finite(err, lo)
 
 
 def _summary_stage(oracle: Trajectory, running: tuple) -> dict:
@@ -404,15 +417,17 @@ def _summary_stage(oracle: Trajectory, running: tuple) -> dict:
     return summary
 
 
-def _flow_stage(cfg: ExperimentConfig, kind: Variant, params: SchemeParams, steps: int,
-                fundamental: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The flow path, then the discrete column over blocks of steps, each
-    checked; the column comes back at `rows`."""
+def _flow_stage(sol: GlobalSolution, steps: int, fundamental: np.ndarray, coeffs: FirstOrder,
+                rows: np.ndarray) -> np.ndarray:
+    """The flow path of `sol`'s scheme from its amplitude, then the discrete
+    column over blocks of steps, each checked; the column comes back at
+    `rows`.  With no rows (a sweep, whose summary reads no discrete value)
+    the flow still runs, for its guard, but no column is assembled."""
     # By keyword: perfbench/tracing.py reads the step count from `steps`.
-    amp_path = flow_path(build_flow(kind, params), complex(cfg.a0_re, cfg.a0_im), steps=steps)
+    amp_path = flow_path(build_flow(sol.kind, sol.params), sol.a0, steps=steps)
     kept = np.empty(rows.size)
-    for lo, hi, at, picks in _blocks(steps, rows):
-        z = assemble_modes(kind, params, amp_path[lo:hi], fundamental[lo:hi])
+    for lo, hi, at, picks in _blocks(steps, rows) if rows.size else ():
+        z = assemble_modes(sol.kind, sol.params, amp_path[lo:hi], fundamental[lo:hi], coeffs)
         bad = _first_non_finite(z, lo)
         if bad is not None:
             raise _not_finite("z_renorm_discrete", bad)
@@ -427,11 +442,13 @@ def run_compare_pipeline(cfg: ExperimentConfig, fundamental: np.ndarray | None =
 
     Returns (columns, summary).  The columns hold the rows the writer writes,
     every `stride`-th step, or none when `columns` is false (a sweep reads
-    the summary alone); the summary covers every step either way, and at
-    stride 1 it is recomputable from the rows.  `fundamental` is lam_p^n on
-    the time grid when the caller shares it between pipelines; without it the
-    pipeline computes it itself, after the oracle.  Either way the bytes are
-    the same.  Raises ConfigError for a config that `main` would refuse.
+    the summary alone, and no discrete column is assembled); the summary
+    covers every step either way, and at stride 1 it is recomputable from
+    the rows.  `fundamental` is lam_p^n on the time grid when the caller
+    shares it between pipelines; without it the pipeline computes it itself,
+    after the oracle, and then the first-order record (first_order).  Either
+    way the bytes are the same.  Raises ConfigError for a config that `main`
+    would refuse.
     """
     kind, params, steps = _boundary(cfg)
     # Checks a0 before the oracle runs.
@@ -439,14 +456,14 @@ def run_compare_pipeline(cfg: ExperimentConfig, fundamental: np.ndarray | None =
     oracle = _oracle_stage(cfg, kind, params, steps)
     if fundamental is None:
         fundamental = discrete_fundamental(params, np.arange(steps + 1))
+    coeffs = first_order(kind, sol.a0, params)
     rows = np.arange(0, steps + 1, cfg.stride) if columns else np.arange(0)
-    kept, running, bad_continuum = _model_stage(cfg, kind, params, steps, sol, oracle,
-                                                fundamental, rows)
+    kept, running, bad_continuum = _model_stage(sol, steps, oracle, fundamental, coeffs, rows)
     # The running maxima are freed before the flow.  A continuum column that
     # is not finite fails below, so its summary is never formed.
     summary = _summary_stage(oracle, running) if bad_continuum is None else None
     del running
-    z_renorm_discrete = _flow_stage(cfg, kind, params, steps, fundamental, rows)
+    z_renorm_discrete = _flow_stage(sol, steps, fundamental, coeffs, rows)
     if bad_continuum is not None:
         raise _not_finite("z_renorm_continuum", bad_continuum)
     return {
@@ -484,11 +501,10 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values: list[float]) -> int:
     if param != "dt":
         _, params, steps = checked[0]
         fundamental = discrete_fundamental(params, np.arange(steps + 1))
-    summaries = []
-    for row_cfg in row_cfgs:
-        # The summary alone: the pipeline keeps no rows, but still runs the
-        # flow and checks the discrete column, so a row fails as compare would.
-        summaries.append(run_compare_pipeline(row_cfg, fundamental, columns=False)[1])
+    # The summary alone: the pipeline keeps no rows and assembles no discrete
+    # column, but still runs the flow, so its guard fails a row as it fails
+    # compare.
+    summaries = [run_compare_pipeline(row_cfg, fundamental, columns=False)[1] for row_cfg in row_cfgs]
     columns = {"value": list(values), **{key: [s[key] for s in summaries] for key in summaries[0]}}
     _write_table(cfg, columns, summary={"param": param})
     return 0

@@ -19,7 +19,7 @@ unit in the last place in units of ``10^-p``, and the digits are those of
 
 A cell is the text NUL-padded to ``WIDTH`` bytes, the widest ``'%.17g'`` or
 ``repr`` of a float64.  The 17 digits are laid out as bytes 7..23 of three
-little-endian uint64 words.  One row of the layout table, keyed by (sign,
+little-endian uint64 words.  One entry of the layout table, keyed by (sign,
 decimal exponent, number of digits kept), places them in the cell: the digits
 before the point move by one byte shift, those after it by another, each
 under a mask, and the sign, point, leading zeros and exponent are added.  The
@@ -48,36 +48,39 @@ _POWER_OF_TWO = 1 << 52  # the significand whose lower neighbour is half as near
 
 
 def _group_tables():
-    """Each 4-digit group as its 4 ASCII bytes packed in a uint32, and its
-    count of trailing zeros (4 for 0000), from the 100 pairs of digits."""
+    """Each 4-digit group as its 4 ASCII bytes packed in the low half of a
+    uint64, and its count of trailing zeros (4 for 0000), from the 100 pairs
+    of digits."""
     pair = np.arange(100, dtype=np.uint8)
     text = np.stack([pair // 10, pair % 10], axis=1) + np.uint8(ord("0"))
     zeros = (pair % 10 == 0).astype(np.uint8) + (pair == 0)
     groups = np.concatenate([np.repeat(text, 100, axis=0), np.tile(text, (100, 1))], axis=1)
     trailing = np.tile(zeros, 100) + (np.tile(pair, 100) == 0) * np.repeat(zeros, 100)
-    return np.ascontiguousarray(groups).view("<u4").ravel(), trailing.astype(np.uint8)
+    return np.ascontiguousarray(groups).view("<u4").ravel().astype(_WORD), trailing.astype(np.uint8)
 
 
 _GROUP_TEXT, _GROUP_TRAILING = _group_tables()
 
 
 def _layout_rows(x: np.ndarray, form: str) -> np.ndarray:
-    """The layout rows of the decimal exponents x, which share one ``%g``
+    """The layout fields of the decimal exponents x, which share one ``%g``
     form ("below one", "fixed" or "exponent"), per sign and number of digits
     kept: masks of the digits before and after the point and the constant
     bytes (3 words each), then the byte shifts a1 and a2 as bit counts 8a and
-    64 - 8a.  A cell is ``(D >> a1 & mask1) | (D >> a2 & mask2) | constant``,
-    D read as one little-endian number."""
+    64 - 8a; shape (13, 2, len(x), 17).  A cell is ``(D >> a1 & mask1) | (D
+    >> a2 & mask2) | constant``, D read as one little-endian number.  The
+    bytes are built as uint8, the only width they need."""
     sign = np.arange(2)[:, None, None, None]
     x = x[None, :, None, None]
     kept = np.arange(1, 18)[None, None, :, None]
     pos = np.arange(WIDTH)[None, None, None, :]
+    byte = np.uint8
     if form == "below one":  # "0.", -x-1 zeros, the digits
         first = sign + 1 - x
         mask1 = (pos >= first) & (pos < first + kept)
         mask2 = np.zeros_like(mask1)
-        const = np.where((pos >= sign) & (pos < first), ord("0"), 0)
-        const = np.where(pos == sign + 1, ord("."), const)
+        const = np.where((pos >= sign) & (pos < first), byte(ord("0")), byte(0))
+        const = np.where(pos == sign + 1, byte(ord(".")), const)
     else:  # the digits, a point after digit `before` when more follow, any exponent
         first = sign
         before = x if form == "fixed" else 0
@@ -85,30 +88,31 @@ def _layout_rows(x: np.ndarray, form: str) -> np.ndarray:
         after = kept > before + 1
         mask1 = (pos >= sign) & (pos < point)
         mask2 = after & (pos > point) & (pos <= sign + kept)
-        const = np.where(after & (pos == point), ord("."), 0)
+        const = np.where(after & (pos == point), byte(ord(".")), byte(0))
         if form == "exponent":  # "e-dd": x is from -11 to -5 here
             at = np.where(after, sign + kept + 1, sign + 1)
-            const = np.where(pos == at, ord("e"), const)
-            const = np.where(pos == at + 1, ord("-"), const)
-            const = np.where(pos == at + 2, -x // 10 + ord("0"), const)
-            const = np.where(pos == at + 3, -x % 10 + ord("0"), const)
-    const = np.where((sign == 1) & (pos == 0), ord("-"), const)
+            const = np.where(pos == at, byte(ord("e")), const)
+            const = np.where(pos == at + 1, byte(ord("-")), const)
+            const = np.where(pos == at + 2, (-x // 10 + ord("0")).astype(byte), const)
+            const = np.where(pos == at + 3, (-x % 10 + ord("0")).astype(byte), const)
+    const = np.where((sign == 1) & (pos == 0), byte(ord("-")), const)
     shape = (2, x.shape[1], 17)
-    rows = np.empty((*shape, 13), _WORD)
-    parts = [np.broadcast_to(part, (*shape, WIDTH)) for part in (mask1 * 0xFF, mask2 * 0xFF, const)]
-    rows[..., :9] = np.concatenate(parts, axis=-1).astype(np.uint8).view(_WORD)
+    parts = [np.broadcast_to(part, (*shape, WIDTH))
+             for part in (mask1 * byte(0xFF), mask2 * byte(0xFF), const)]
+    words = np.concatenate(parts, axis=-1).view(_WORD)
     a1 = np.broadcast_to(7 - first[..., 0], shape)  # digit j sits at byte 7 + j of D
     a2 = np.broadcast_to(6 - sign[..., 0], shape)
-    rows[..., 9:] = np.stack([8 * a1, 64 - 8 * a1, 8 * a2, 64 - 8 * a2], axis=-1)
-    return rows
+    shifts = np.stack([8 * a1, 64 - 8 * a1, 8 * a2, 64 - 8 * a2]).astype(_WORD)
+    return np.concatenate([np.moveaxis(words, -1, 0), shifts])
 
 
-# (2 * 28 * 17, 13) words per key (sign, decimal exponent, digits kept).
+# 13 fields, each a row of (2 * 28 * 17) words, one per key (sign, decimal
+# exponent, digits kept): the fields of the taken keys are contiguous.
 _LAYOUT = np.concatenate([
     _layout_rows(np.arange(_X_MIN, -4), "exponent"),
     _layout_rows(np.arange(-4, 0), "below one"),
     _layout_rows(np.arange(0, _X_MAX + 1), "fixed"),
-], axis=1).reshape(-1, 13)
+], axis=2).reshape(13, -1)
 
 
 def _covered(normal, k, e):
@@ -153,8 +157,9 @@ def _split(values: np.ndarray):
         m[~ok], e[~ok], k[~ok] = _POWER_OF_TWO, -52, 0
     q, frac = _scaled(m, e, k)
     # log10 can miss floor(log10 |x|) by one next to a power of ten; floor(y)
-    # then has 16 or 18 digits, and that k is redone.
-    off = np.flatnonzero((q < _E16) | (q >= _E17))
+    # then has 16 or 18 digits, and that k is redone.  One unsigned
+    # comparison: q - 10^16 wraps to above 9 10^16 for q below 10^16.
+    off = np.flatnonzero((q - _E16).view(np.uint64) >= _E17 - _E16)
     if off.size:
         k[off] += np.where(q[off] >= _E17, 1, -1)
         redo = _covered(normal[off], k[off], e[off])
@@ -176,7 +181,7 @@ def _digits(n):
     groups[1] = by8 - groups[0] * 10**4
     groups[2] = by4 - by8 * 10**4
     groups[3] = n - by4 * 10**4
-    packed = _GROUP_TEXT[groups].astype(_WORD)
+    packed = _GROUP_TEXT.take(groups)
     return packed[0] | packed[1] << 32, packed[2] | packed[3] << 32, groups
 
 
@@ -195,22 +200,29 @@ def _lay_out(x, bits, n, k, ok, fallback) -> np.ndarray:
     layout table; ``fallback`` writes each value where ``ok`` is false."""
     lead = n // _E16
     high, low, groups = _digits(n - lead * _E16)
-    # D: the lead digit at byte 7, then the other 16, and a zero word after them.
-    digits = [(lead + ord("0")).astype(_WORD) << 56, high, low, np.zeros_like(low)]
-    tz = _GROUP_TRAILING[groups]
+    # D: the lead digit at byte 7, then the other 16; the word after them is zero.
+    digits = [(lead + ord("0")).astype(_WORD) << 56, high, low]
+    tz = _GROUP_TRAILING.take(groups)
     trailing = tz[3] + (tz[3] == 4) * (tz[2] + (tz[2] == 4) * (tz[1] + (tz[1] == 4) * tz[0]))
     key = (bits < 0) * ((_X_MAX - _X_MIN + 1) * 17)
     key += (k - _X_MIN) * 17 + 16
     key -= trailing
-    rows = _LAYOUT.take(key, axis=0)
-    right1, left1, right2, left2 = rows[:, 9], rows[:, 10], rows[:, 11], rows[:, 12]
+    rows = _LAYOUT.take(key, axis=1)
+    right1, left1, right2, left2 = rows[9:]
 
     cells = np.empty((x.size, 3), _WORD)
     for w in range(3):
-        here, ahead = digits[w], digits[w + 1]
-        word = ((here >> right1) | (ahead << left1)) & rows[:, w]
-        word |= ((here >> right2) | (ahead << left2)) & rows[:, 3 + w]
-        word |= rows[:, 6 + w]
+        here = digits[w]
+        word = here >> right1
+        part = here >> right2
+        if w < 2:  # the last word's next is the zero word
+            ahead = digits[w + 1]
+            word |= ahead << left1
+            part |= ahead << left2
+        word &= rows[w]
+        part &= rows[3 + w]
+        word |= part
+        word |= rows[6 + w]
         cells[:, w] = word
     return _fill(cells.view(np.uint8), x, ok, fallback)
 
@@ -221,7 +233,8 @@ def render(values: np.ndarray, fallback) -> np.ndarray:
     ``fallback(v)`` gives the text of each value the kernel does not cover.
     """
     x, bits, _, _, k, ok, q, frac = _split(values)
-    up = (frac > _HALF) | ((frac == _HALF) & (q & 1).astype(bool))
+    # Up past half a unit, or at half a unit when q is odd: round half to even.
+    up = frac > _HALF - (q.view(np.uint64) & np.uint64(1))
     # No covered value lies within half a unit of its 17th digit below a power
     # of ten, so round_half_even(y) never reaches 10^17.
     return _lay_out(x, bits, q + up, k, ok, fallback)
@@ -298,7 +311,7 @@ def render_integers(values: np.ndarray, fallback) -> np.ndarray:
     ok = (v >= 0) & (v < _E16)
     n = np.where(ok, v, 0).astype(np.int64)
     head, tail, _ = _digits(n)
-    zeros = (n < _POW10[1:16, None]).sum(axis=0)  # leading zeros of the 16 digits
+    zeros = 15 - _POW10[1:16].searchsorted(n, side="right")  # leading zeros of the 16 digits
     wide = zeros >= 8  # the text starts in the second word
     head = np.where(wide, tail, head)
     tail = np.where(wide, 0, tail)

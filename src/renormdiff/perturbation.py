@@ -169,7 +169,17 @@ def extract_secular(z1: HarmonicSum, params: SchemeParams) -> complex:
     return sigma
 
 
-def naive_solution(kind: Variant, a: complex, params: SchemeParams, n, fundamental=None):
+def _naive_coefficients(kind: Variant, a: complex, params: SchemeParams) -> tuple[complex, complex]:
+    """naive_solution's sigma and c3 at amplitude a (see there); raises
+    ValueError where dt is too small for the third harmonic to be resolved."""
+    lam_p = characteristic_roots(params)[0]
+    base3 = _third_harmonic_base(params)
+    z1 = particular_solution(HarmonicSum(_forcing_terms(kind, a, params)), params)
+    return z1.coefficient(lam_p, 1), z1.coefficient(base3)
+
+
+def naive_solution(kind: Variant, a: complex, params: SchemeParams, n, fundamental=None,
+                   coeffs=None):
     """Uncorrected expansion z0 + eps * z1 at index n: 2 Re[(a + eps sigma n) F + eps c3 F^3].
 
     a is the amplitude of the lam_p mode and F = lam_p^n.  The lam_m mode
@@ -179,19 +189,21 @@ def naive_solution(kind: Variant, a: complex, params: SchemeParams, n, fundament
     coefficients of the response to the lam_p half of the forcing alone:
     read off first_order_solution, c3 would double (cubic) or cancel (Van
     der Pol) wherever lam_p^3 is real and the lam_m^3 term merges onto its
-    base.  `fundamental` is F at these indices, from a caller that also
-    assembles the renormalized forms with it (power_table(lam_p, n) when
-    omitted).  Accepts a scalar index (returns a float) or an array of
-    indices (returns a float array); raises ValueError where dt is too small
-    for the third harmonic to be resolved.
+    base.  `coeffs` holds sigma and c3 (``asymptotic.FirstOrder``), from a
+    caller that evaluates the expansion block by block and derives them
+    once; without it they are derived here.  `fundamental` is F at these
+    indices, from a caller that also assembles the renormalized forms with
+    it (power_table(lam_p, n) when omitted).  Accepts a scalar index
+    (returns a float) or an array of indices (returns a float array);
+    raises ValueError where dt is too small for the third harmonic to be
+    resolved.
     """
-    lam_p = characteristic_roots(params)[0]
-    base3 = _third_harmonic_base(params)
-    z1 = particular_solution(HarmonicSum(_forcing_terms(kind, a, params)), params)
-    sigma = z1.coefficient(lam_p, 1)
-    c3 = z1.coefficient(base3)
+    sigma, c3 = _naive_coefficients(kind, a, params) if coeffs is None else (coeffs.sigma, coeffs.c3)
     arr = np.asarray(n, dtype=float)
-    f = power_table(lam_p, arr) if fundamental is None else np.asarray(fundamental, dtype=complex)
+    if fundamental is None:
+        f = power_table(characteristic_roots(params)[0], arr)
+    else:
+        f = np.asarray(fundamental, dtype=complex)
     value = (complex(a) + params.eps * sigma * arr) * f + params.eps * c3 * (f * f * f)
     out = 2.0 * value.real
     if out.ndim == 0:

@@ -68,10 +68,12 @@ class TestRunningMax:
     def test_blockwise_from_the_last_entry_is_the_whole(self, block):
         rng = np.random.default_rng(6)
         diffs = np.abs(rng.normal(size=1000)) * np.linspace(1.0, 3.0, 1000)
+        # Each block copied into place, then run in place from the entry before it.
         out = np.empty_like(diffs)
         for lo in range(0, diffs.size, block):
-            part = slice(lo, lo + block)
-            running_max(diffs[part], out=out[part], start=out[lo - 1] if lo else None)
+            out[lo : lo + block] = diffs[lo : lo + block]
+            carried = out[max(lo - 1, 0) : lo + block]
+            assert running_max(carried, out=carried) is carried
         assert out.tobytes() == np.maximum.accumulate(diffs).tobytes()
 
     def test_growth_slope_is_compares_and_overwrites_its_input(self):

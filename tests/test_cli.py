@@ -440,8 +440,8 @@ class TestCompare:
         # at eps = 0.4 and dt = 1 the Van der Pol flow from a0 = 10 passes
         # its overflow guard at step 3; the sweep's first row (eps = 0.01)
         # runs, and its second fails before anything is written.  A sweep
-        # that skipped the discrete flow, which no summary key reads, would
-        # run to the end instead.
+        # assembles no discrete column, which no summary key reads, but runs
+        # the flow for this guard.
         out = tmp_path / f"flow.{fmt}"
         code = main([*command, "--kind=vdp", "--eps=0.4", "--dt=1", "--a0-re=10",
                      "--t-max=50", f"--output-format={fmt}", "--output-path", str(out)])
@@ -566,6 +566,56 @@ class TestSweep:
         )
         assert code == 2
         assert "sweep parameter" in capsys.readouterr().err
+
+
+class TestSweepDiscreteColumn:
+    """A sweep row runs the flow, for its guard, but assembles no discrete
+    column: no summary key reads one."""
+
+    def test_flow_runs_and_no_column_is_assembled(self, monkeypatch, tmp_path):
+        calls = {"flow_path": 0, "assemble_modes": 0}
+        for name in calls:
+            original = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, _o=original, _n=name, **k:
+                                calls.__setitem__(_n, calls[_n] + 1) or _o(*a, **k))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--param=eps", "--values=0.01,0.02", "--t-max=20",
+                     f"--output-path={out}"]) == 0
+        assert calls == {"flow_path": 2, "assemble_modes": 0}
+
+    # Only at first-order roots (|lam_p| > 1) can the discrete column go
+    # non-finite before the naive one, which is checked first over every
+    # step: there |A| > |a0| makes A^3 lam_p^3n overflow first.  At exact
+    # roots |lam_p^n| = 1 and the flow's guard holds |A| <= 1e12, so the
+    # discrete column stays finite once the flow has passed.
+    @pytest.mark.parametrize(
+        "flags, compare_err, sweep_code, sweep_err",
+        [(["--kind=vdp", "--dt=1", "--a0-re=1.5", "--t-max=683"],
+          "z_renorm_discrete is not finite at n=683", 3, "z_renorm_continuum is not finite at n=683"),
+         (["--kind=cubic", "--dt=0.1", "--a0-re=1", "--t-max=4755"],
+          "z_renorm_discrete is not finite at n=47546", 0, None)],
+        ids=["vdp-continuum-next", "cubic-all-else-finite"],
+    )
+    def test_first_order_roots_where_the_discrete_column_fails_first(
+        self, tmp_path, capsys, flags, compare_err, sweep_code, sweep_err
+    ):
+        flags = ["--root-convention=first-order", *flags]
+        with pytest.warns(RuntimeWarning):
+            assert main(["compare", "--eps=0.01", *flags]) == 3
+        assert capsys.readouterr().err.endswith(f"numerical failure: {compare_err}\n")
+        out = tmp_path / "sweep.csv"
+        with pytest.warns(RuntimeWarning):
+            code = main(["sweep", "--param=eps", "--values=0.01", *flags, f"--output-path={out}"])
+        assert code == sweep_code
+        err = capsys.readouterr().err
+        if sweep_err is None:
+            # the summary is written: finite maxima; the slopes' fit
+            # overflows, as it does for compare just before n=47546
+            _, rows, _ = read_csv(out)
+            assert np.isfinite(rows[0, 1:3]).all()
+            assert "numerical failure" not in err
+        else:
+            assert err.endswith(f"numerical failure: {sweep_err}\n") and not out.exists()
 
 
 class TestCheckOrder:
@@ -776,6 +826,39 @@ class TestWriterFallback:
         assert_same_text(got, want)
         if stride == 1:
             assert all(f'"z": {text}\n' in got for text in ("-0.0", "5e-324", "NaN", "-Infinity"))
+
+
+class TestWriterChunks:
+    """One byte matrix per document, with a small _CHUNK_ROWS: every chunk
+    rewrites its cells, a short last chunk its leading rows, and a list
+    column keeps one width for the whole document."""
+
+    @staticmethod
+    def _columns(rows):
+        rng = np.random.default_rng(rows)
+        x = rng.normal(size=rows) * 10.0 ** rng.integers(-9, 9, rows)
+        # widths differ from chunk to chunk: short and empty cells first,
+        # the widest texts in the last rows
+        label = [None if i % 3 == 0 else float(i) if i < 5 else -x[i] * 1e-300
+                 for i in range(rows)]
+        return {"n": np.arange(rows), "x": x, "label": label, "y": -x[::-1].copy()}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("rows", [1, 4, 5, 13], ids=["one", "chunk", "chunk+1", "2chunk+5"])
+    def test_document_matches_reference(self, monkeypatch, tmp_path, fmt, rows):
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 4)
+        columns = self._columns(rows)
+        summary = {"note": 1}
+        cfg = ExperimentConfig(output_format=fmt, output_path=str(tmp_path / f"out.{fmt}"))
+        pieces = list(cli._table_text(cfg, columns, summary))
+        assert len(pieces) == 2 + -(-rows // 4)  # head, one piece per chunk, tail
+        got = "".join(pieces)
+        header = list(columns) if fmt == "csv" else sorted(columns)
+        assert_same_text(got, reference_table(header, columns, summary, fmt))
+        if fmt == "json":  # the trim after the last row leaves valid JSON
+            assert len(json.loads(got)["rows"]) == rows
+        cli._write_table(cfg, columns, summary)
+        assert (tmp_path / f"out.{fmt}").read_bytes() == got.encode()
 
 
 class TestConfigFile:
@@ -1127,6 +1210,63 @@ class TestPipelineBlocks:
         assert repr(alone) == repr(summary)
         assert list(empty) == list(columns)
         assert all(len(column) == 0 for column in empty.values())
+
+    @staticmethod
+    def _spoil(monkeypatch, owner, name, step, value, steps_of=None):
+        """Replace `owner.name` by a wrapper that writes `value` at `step` of
+        its result; `steps_of(args, result)` gives the steps of a call (the
+        result's running offset when None)."""
+        original = getattr(owner, name)
+        done = [0]
+
+        def spoiled(*args, **kwargs):
+            out = original(*args, **kwargs)
+            at = steps_of(args) if steps_of else np.arange(done[0], done[0] + out.size)
+            done[0] += out.size
+            out[at == step] = value
+            return out
+
+        monkeypatch.setattr(owner, name, spoiled)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column, step", [("naive", 402), ("continuum", 250),
+                                              ("continuum", 291), ("continuum", 96)])
+    def test_running_maximum_check_names_the_step(self, monkeypatch, capsys, value, column,
+                                                   step):
+        # 97-step blocks: 96 ends the first block, 291 starts the fourth
+        monkeypatch.setattr(cli, "_BLOCK_STEPS", 97)
+        if column == "naive":
+            self._spoil(monkeypatch, cli, "naive_solution", step, value, lambda args: args[3])
+        else:
+            self._spoil(monkeypatch, cli.GlobalSolution, "eval_discrete", step, value,
+                        lambda args: args[1])
+        assert main(["compare", "--t-max=20", "--stride=7"]) == 3
+        name = "z_naive" if column == "naive" else "z_renorm_continuum"
+        assert capsys.readouterr().err == f"numerical failure: {name} is not finite at n={step}\n"
+
+    def test_discrete_check_comes_before_an_earlier_continuum_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_BLOCK_STEPS", 97)
+        self._spoil(monkeypatch, cli.GlobalSolution, "eval_discrete", 250, np.nan,
+                    lambda args: args[1])
+        self._spoil(monkeypatch, cli, "assemble_modes", 1500, np.inf)
+        assert main(["compare", "--t-max=20"]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: z_renorm_discrete is not finite at n=1500\n")
+
+    def test_first_order_coefficients_are_derived_once_per_pipeline(self, monkeypatch, tmp_path):
+        from renormdiff import asymptotic
+
+        calls = []
+        original = asymptotic.third_harmonic_coefficient
+        monkeypatch.setattr(asymptotic, "third_harmonic_coefficient",
+                            lambda *args: calls.append(args) or original(*args))
+        monkeypatch.setattr(cli, "_BLOCK_STEPS", 97)
+        columns, _ = run_compare_pipeline(ExperimentConfig(t_max=20.0))
+        assert len(columns["n"]) == 2001 and len(calls) == 1
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--param=eps", "--values=0.005,0.01,0.02", "--t-max=20",
+                     f"--output-path={out}"]) == 0
+        assert len(calls) == 1 + 3
 
 
 class TestPipelinePeakMemory:
