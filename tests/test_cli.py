@@ -574,10 +574,18 @@ class TestSweepDiscreteColumn:
 
     def test_flow_runs_and_no_column_is_assembled(self, monkeypatch, tmp_path):
         calls = {"flow_path": 0, "assemble_modes": 0}
-        for name in calls:
+
+        def counted(name):
             original = getattr(cli, name)
-            monkeypatch.setattr(cli, name, lambda *a, _o=original, _n=name, **k:
-                                calls.__setitem__(_n, calls[_n] + 1) or _o(*a, **k))
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counted(name))
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--param=eps", "--values=0.01,0.02", "--t-max=20",
                      f"--output-path={out}"]) == 0
@@ -1214,8 +1222,9 @@ class TestPipelineBlocks:
     @staticmethod
     def _spoil(monkeypatch, owner, name, step, value, steps_of=None):
         """Replace `owner.name` by a wrapper that writes `value` at `step` of
-        its result; `steps_of(args, result)` gives the steps of a call (the
-        result's running offset when None)."""
+        its result; `steps_of(args)` gives the steps of a call's result from
+        its arguments (when None, the results are taken as consecutive
+        blocks from step 0)."""
         original = getattr(owner, name)
         done = [0]
 
@@ -1258,8 +1267,12 @@ class TestPipelineBlocks:
 
         calls = []
         original = asymptotic.third_harmonic_coefficient
-        monkeypatch.setattr(asymptotic, "third_harmonic_coefficient",
-                            lambda *args: calls.append(args) or original(*args))
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(asymptotic, "third_harmonic_coefficient", counted)
         monkeypatch.setattr(cli, "_BLOCK_STEPS", 97)
         columns, _ = run_compare_pipeline(ExperimentConfig(t_max=20.0))
         assert len(columns["n"]) == 2001 and len(calls) == 1
