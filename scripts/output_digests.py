@@ -109,8 +109,7 @@ def matrix() -> list[tuple[list[str], str]]:
     # At exact roots and dt = 1, lam_p^3 = -1 is real, so the first-order sum
     # merges its lam_p^3 and lam_m^3 terms onto one base.
     for kind in ("cubic", "vdp"):
-        runs.append((["compare", f"--kind={kind}", "--dt=1", "--root-convention=exact",
-                      *BASE[1:]], "csv"))
+        runs.append((["compare", f"--kind={kind}", "--dt=1", *BASE[1:]], "csv"))
     for a0_re in ("1.0", "1.5"):  # Van der Pol from the limit cycle and from above it
         runs.append((["compare", "--kind=vdp", *BASE[:3], f"--a0-re={a0_re}"], "csv"))
     # The Van der Pol envelope needs |a0|^2 alone: from Re(a0) = 0, and from
@@ -128,12 +127,14 @@ def matrix() -> list[tuple[list[str], str]]:
         runs.append((["compare", "--kind=cubic", "--stride=1", *BASE[:3], "--a0-re=1e-7",
                       "--a0-im=1e-9"], fmt))
     runs.append((["simulate", "--kind=vdp", *LONG], "csv"))
-    # The boundary's text: each subcommand's help, and a choice, a range, a
-    # sign and an unknown flag refused with exit 2.
+    # The boundary's text: each subcommand's help, and a choice (the
+    # first-order roots among them), a range, a sign and an unknown flag
+    # refused with exit 2.
     for command in ("simulate", "compare", "sweep"):
         runs.append(([command, "--help"], STDOUT))
     runs.append((["simulate", "--kind=quadratic", *BASE], "csv"))
     runs.append((["compare", "--root-convention=bogus", *BASE], "csv"))
+    runs.append((["compare", "--root-convention=first-order", *BASE], "csv"))
     runs.append((["compare", "--stride=0", *BASE], "csv"))
     runs.append((["compare", "--kind=cubic", *BASE, "--eps=-1"], "csv"))
     # |a0| = 1e8: |a0|^2 is past 2^53, where the Van der Pol envelope no

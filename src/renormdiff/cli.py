@@ -4,10 +4,12 @@ Configuration comes from a plain key=value file ('#' starts a comment at the
 start of a line or after whitespace) plus command-line flags; flags win.
 Every command checks its config at one boundary, in one order: the fields,
 the scheme, the step count; `sweep` checks every row there before its first
-pipeline.  `compare` runs `run_compare_pipeline`, whose stages are the
-boundary, the oracle (all that `simulate` runs), a pass over blocks of steps
-for the naive and continuum columns and their errors, the summary, and the
-flow with a pass for the discrete column; only the rows written are kept.
+pipeline.  Every command runs at the exact (unit-modulus) characteristic
+roots: `root_convention` accepts `exact` alone.  `compare` runs
+`run_compare_pipeline`, whose stages are the boundary, the oracle (all that
+`simulate` runs), a pass over blocks of steps for the naive and continuum
+columns and their errors, the summary, and the flow with the discrete column
+at the written rows; only the rows written are kept.
 Output is CSV (17-significant-digit floats, byte-stable across runs) or JSON
 mirroring the same field names.  Exit codes: 0 success, 1 a stdout reader
 that closed early, 2 configuration error (an output path that cannot be
@@ -74,7 +76,10 @@ _TYPES = {f.name: str if f.default is None else type(f.default)
 # The values a field accepts, in the order its flag and its error list them.
 _CHOICES = {
     "kind": tuple(v.value for v in Variant),
-    "root_convention": sorted(c.value for c in RootConvention),
+    # First-order roots have |lam_p| > 1, so a comparison at them would measure
+    # the roots' growth and not the asymptotics; the field stays for the argv
+    # and files that name the exact roots.
+    "root_convention": ("exact",),
     "scheme": tuple(s.value for s in Scheme),
     "output_format": ("csv", "json"),
 }
@@ -143,7 +148,7 @@ def _scheme_params(cfg: ExperimentConfig) -> SchemeParams:
     return SchemeParams(
         dt=cfg.dt,
         eps=cfg.eps,
-        root_convention=RootConvention(cfg.root_convention),
+        root_convention=RootConvention.EXACT_UNIT_MODULUS,
         scheme=Scheme(cfg.scheme),
     )
 
@@ -310,7 +315,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 
 def _first_non_finite(block: np.ndarray, lo: int) -> int | None:
-    """The step of the first non-finite value of a block that starts at step lo."""
+    """The step of the first non-finite value of a block that starts at step
+    lo (with lo = 0, its place in the block)."""
     finite = np.isfinite(block)
     return None if finite.all() else lo + int(finite.argmin())
 
@@ -329,54 +335,47 @@ def _blocks(steps: int, rows: np.ndarray):
 
 
 def _model_stage(sol: GlobalSolution, steps: int, oracle: Trajectory, fundamental: np.ndarray,
-                 coeffs: FirstOrder, rows: np.ndarray) -> tuple[dict, tuple, int | None]:
+                 coeffs: FirstOrder, rows: np.ndarray) -> tuple[dict, tuple]:
     """The naive and continuum columns of `sol`'s scheme and amplitude and
     their errors against the oracle, in one pass over blocks of steps
     (_model_block) that all read the pipeline's one first-order record.
 
     Only the columns at `rows` and the two errors' running maxima, held whole
-    for the summary's slopes, outlive a block.  The first non-finite step of
-    the continuum column is returned, to be raised after the discrete
-    column's check.
+    for the summary's slopes, outlive a block.
     """
     kept = {name: np.empty(rows.size)
             for name in ("z_naive", "z_renorm_continuum", "err_naive", "err_renorm")}
     running = (np.empty(steps + 1), np.empty(steps + 1))
-    bad_continuum = None
     for block in _blocks(steps, rows):
-        bad = _model_block(sol, oracle, fundamental, coeffs, block, kept, running)
-        if bad_continuum is None:
-            bad_continuum = bad
-    return kept, running, bad_continuum
+        _model_block(sol, oracle, fundamental, coeffs, block, kept, running)
+    return kept, running
 
 
 def _model_block(sol: GlobalSolution, oracle: Trajectory, fundamental: np.ndarray,
-                 coeffs: FirstOrder, block: tuple, kept: dict, running: tuple) -> int | None:
-    """One block of _model_stage: the naive column, checked at once, and the
-    continuum column, whose first non-finite step it returns, each with its
-    error (_error_block) written into `kept` and `running`.  Its arrays are
-    freed on return, before the next block's are made."""
+                 coeffs: FirstOrder, block: tuple, kept: dict, running: tuple):
+    """One block of _model_stage: the naive column, then the continuum
+    column, each checked with its error (_error_block) as it is formed, so an
+    overflowing naive sum stops before the continuum form.  The rows and
+    maxima go into `kept` and `running`; the arrays are freed on return,
+    before the next block's are made."""
     lo, hi, at, picks = block
     n = np.arange(lo, hi)
     f = fundamental[lo:hi]
     z = oracle.values[lo:hi]
     z_naive = naive_solution(sol.kind, sol.a0, sol.params, n, f, coeffs)
-    # Checked at once: an overflowing naive sum stops before the renormalized forms.
-    bad = _error_block(z, z_naive, running[0], block, kept["err_naive"])
-    if bad is not None:
-        raise _not_finite("z_naive", bad)
+    _error_block("z_naive", z, z_naive, running[0], block, kept["err_naive"])
     kept["z_naive"][at] = z_naive[picks]
     z_continuum = sol.eval_discrete(n, f, coeffs)
+    _error_block("z_renorm_continuum", z, z_continuum, running[1], block, kept["err_renorm"])
     kept["z_renorm_continuum"][at] = z_continuum[picks]
-    return _error_block(z, z_continuum, running[1], block, kept["err_renorm"])
 
 
-def _error_block(z, model, maxima, block, kept):
+def _error_block(name, z, model, maxima, block, kept):
     """|z - model| over a block, formed in its running maximum `maxima`: its
     rows at the block's picks go to `kept`, then the running maximum is
-    carried in place from the previous block's last entry.  Returns the
-    first non-finite step, looked for only when the block's last entry is
-    not finite.
+    carried in place from the previous block's last entry.  Raises at the
+    first non-finite step of the column `name`, looked for only when the
+    block's last entry is not finite.
 
     The oracle is guarded to |z| <= 1e8, so an error is non-finite exactly
     where its model is; a running maximum carries nan and inf, so while
@@ -389,7 +388,8 @@ def _error_block(z, model, maxima, block, kept):
     kept[at] = err[picks]
     carried = maxima[max(lo - 1, 0) : hi]
     running_max(carried, out=carried)
-    return None if np.isfinite(err[-1]) else _first_non_finite(err, lo)
+    if not np.isfinite(err[-1]):
+        raise _not_finite(name, _first_non_finite(err, lo))
 
 
 def _summary_stage(oracle: Trajectory, running: tuple) -> dict:
@@ -420,19 +420,19 @@ def _summary_stage(oracle: Trajectory, running: tuple) -> dict:
 def _flow_stage(sol: GlobalSolution, steps: int, fundamental: np.ndarray, coeffs: FirstOrder,
                 rows: np.ndarray) -> np.ndarray:
     """The flow path of `sol`'s scheme from its amplitude, then the discrete
-    column over blocks of steps, each checked; the column comes back at
-    `rows`.  With no rows (a sweep, whose summary reads no discrete value)
-    the flow still runs, for its guard, but no column is assembled."""
+    column at `rows` alone, assembled _BLOCK_STEPS rows at a time and checked
+    at those rows.  With no rows (a sweep, whose summary reads no discrete
+    value) the flow still runs, for its guard, but no column is assembled."""
     # By keyword: perfbench/tracing.py reads the step count from `steps`.
     amp_path = flow_path(build_flow(sol.kind, sol.params), sol.a0, steps=steps)
     kept = np.empty(rows.size)
-    for lo, hi, at, picks in _blocks(steps, rows) if rows.size else ():
-        z = assemble_modes(sol.kind, sol.params, amp_path[lo:hi], fundamental[lo:hi], coeffs)
-        bad = _first_non_finite(z, lo)
-        if bad is not None:
-            raise _not_finite("z_renorm_discrete", bad)
-        kept[at] = z[picks]
-        del z  # freed before the next block's is made
+    for lo in range(0, rows.size, _BLOCK_STEPS):
+        at = rows[lo : lo + _BLOCK_STEPS]
+        kept[lo : lo + at.size] = assemble_modes(sol.kind, sol.params, amp_path[at],
+                                                 fundamental[at], coeffs)
+    bad = _first_non_finite(kept, 0)
+    if bad is not None:
+        raise _not_finite("z_renorm_discrete", rows[bad])
     return kept
 
 
@@ -458,14 +458,10 @@ def run_compare_pipeline(cfg: ExperimentConfig, fundamental: np.ndarray | None =
         fundamental = discrete_fundamental(params, np.arange(steps + 1))
     coeffs = first_order(kind, sol.a0, params)
     rows = np.arange(0, steps + 1, cfg.stride) if columns else np.arange(0)
-    kept, running, bad_continuum = _model_stage(sol, steps, oracle, fundamental, coeffs, rows)
-    # The running maxima are freed before the flow.  A continuum column that
-    # is not finite fails below, so its summary is never formed.
-    summary = _summary_stage(oracle, running) if bad_continuum is None else None
-    del running
+    kept, running = _model_stage(sol, steps, oracle, fundamental, coeffs, rows)
+    summary = _summary_stage(oracle, running)
+    del running  # the running maxima are freed before the flow
     z_renorm_discrete = _flow_stage(sol, steps, fundamental, coeffs, rows)
-    if bad_continuum is not None:
-        raise _not_finite("z_renorm_continuum", bad_continuum)
     return {
         "n": rows,
         "t": rows * oracle.dt,
@@ -494,7 +490,7 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values: list[float]) -> int:
     checked = [_boundary(row_cfg) for row_cfg in row_cfgs]
     for row_cfg, (kind, params, _) in zip(row_cfgs, checked):
         GlobalSolution(kind, params, complex(row_cfg.a0_re, row_cfg.a0_im))
-    # eps and a0_re keep the time grid (dt, t_max, root convention, scheme),
+    # eps and a0_re keep the time grid (dt, t_max, scheme),
     # so its lam_p^n is built once; each dt gives a grid of its own, built
     # inside its pipeline.
     fundamental = None

@@ -42,6 +42,24 @@ def summary_from_comments(comments):
     raise AssertionError("no summary comment found")
 
 
+def _count_calls(monkeypatch, owner, *names):
+    """Count the calls of each of `names` on `owner`; the calls still run."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(owner, name, counted(name))
+    return calls
+
+
 class TestSimulate:
     def test_linear_run_matches_closed_form(self, tmp_path):
         out = tmp_path / "traj.csv"
@@ -139,15 +157,14 @@ class TestSimulate:
         assert np.all(np.isfinite(rows[:, 2]))
 
     @pytest.mark.parametrize("eps", [0.02, 0.2])
-    @pytest.mark.parametrize("roots", ["exact", "first-order"])
     @pytest.mark.parametrize("scheme", ["standard", "mickens"])
-    def test_centred_difference_vdp_is_the_run_at_half_eps(self, tmp_path, scheme, roots, eps):
+    def test_centred_difference_vdp_is_the_run_at_half_eps(self, tmp_path, scheme, eps):
         # The forcing eps (mu/dt) (1 - z^2) (z(n+1) - z(n-1))/2 is the Van der
         # Pol scheme at eps/2: the run at eps/2 solves the centred form at eps.
         out = tmp_path / "vdp.csv"
         code = main(["simulate", "--kind=vdp", "--dt=0.01", "--t-max=20", "--a0-re=0.4",
                      "--a0-im=0.15", f"--eps={eps / 2!r}", f"--scheme={scheme}",
-                     f"--root-convention={roots}", f"--output-path={out}"])
+                     f"--output-path={out}"])
         assert code == 0
         _, rows, _ = read_csv(out)
         z = rows[:, 2]
@@ -374,10 +391,9 @@ class TestCompare:
         assert np.all(np.isfinite(rows))
         assert np.isfinite(summary_from_comments(comments)["max_err_renorm"])
 
-    @pytest.mark.parametrize("convention", ["exact", "first-order"])
     @pytest.mark.parametrize("dt, t_max", [("1e-5", "0.01"), ("1e-10", "1e-8")])
     def test_unresolved_third_harmonic_rejected_before_the_oracle(
-        self, tmp_path, monkeypatch, capsys, dt, t_max, convention
+        self, tmp_path, monkeypatch, capsys, dt, t_max
     ):
         # below dt of about 1.6e-5 the lam_p^3 base falls within the resonance
         # tolerance: at 1e-5 its response used to be filed as secular and its
@@ -386,48 +402,25 @@ class TestCompare:
         real = cli.iterate
         monkeypatch.setattr(cli, "iterate", lambda *args: calls.append(args) or real(*args))
         out = tmp_path / "cmp.csv"
-        code = main(["compare", f"--dt={dt}", f"--t-max={t_max}",
-                     f"--root-convention={convention}", "--output-path", str(out)])
+        code = main(["compare", f"--dt={dt}", f"--t-max={t_max}", "--output-path", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert f"dt = {float(dt)} is too small to resolve the third harmonic" in err
         assert calls == []
         assert not out.exists()
 
-    def test_non_finite_model_column_is_a_numerical_failure(self, tmp_path, capsys):
-        # first-order roots have |lam_p| > 1, and lam_p^n overflows at this
-        # dt while the oracle stays bounded
+    def test_non_finite_naive_column_stops_before_the_flow(self, monkeypatch, tmp_path,
+                                                            capsys):
+        # no exact-root config makes a model column non-finite, so the value
+        # is written into the naive column's result
+        calls = _count_calls(monkeypatch, cli, "flow_path", "assemble_modes")
+        TestPipelineBlocks._spoil(monkeypatch, cli, "naive_solution", 402, np.inf,
+                                  lambda args: args[3])
         out = tmp_path / "cmp.csv"
-        with pytest.warns(RuntimeWarning):
-            code = main(["compare", "--root-convention", "first-order", "--dt", "1.5",
-                         "--t-max", "1000", "--output-path", str(out)])
-        assert code == 3
-        assert "numerical failure: z_naive is not finite at n=402" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_overflowing_naive_column_stops_before_the_renormalized_forms(
-        self, monkeypatch, capsys
-    ):
-        calls = {"flow_path": 0, "assemble_modes": 0}
-
-        def counted(name):
-            original = getattr(cli, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(cli, name, counted(name))
-        # the warnings left are the naive sum's own overflow
-        with pytest.warns(RuntimeWarning):
-            code = main(["compare", "--root-convention", "first-order", "--dt", "1.5",
-                         "--t-max", "1000"])
-        assert code == 3
-        assert "numerical failure: z_naive is not finite at n=402" in capsys.readouterr().err
+        assert main(["compare", "--t-max=20", f"--output-path={out}"]) == 3
+        assert capsys.readouterr().err == "numerical failure: z_naive is not finite at n=402\n"
         assert calls == {"flow_path": 0, "assemble_modes": 0}
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, fmt",
@@ -472,26 +465,6 @@ class TestSweep:
         err = rows[:, header.index("max_err_renorm")]
         assert err[1] / err[0] == pytest.approx(4.0, rel=0.25)
         assert err[2] / err[1] == pytest.approx(4.0, rel=0.25)
-
-    def test_dt_sweep_drift_shrinks_for_first_order_roots(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        code = main(
-            [
-                "sweep",
-                "--param", "dt",
-                "--values", "0.02,0.01,0.005",
-                "--kind", "cubic",
-                "--eps", "0",
-                "--a0-re", "0.5",
-                "--t-max", "20",
-                "--root-convention", "first-order",
-                "--output-path", str(out),
-            ]
-        )
-        assert code == 0
-        header, rows, _ = read_csv(out)
-        drift = rows[:, header.index("max_err_naive")]
-        assert drift[0] > 1.5 * drift[1] > 2.0 * drift[2]
 
     @pytest.mark.parametrize(
         "values, entry", [("", 1), ("0.01,,0.02", 2), ("0.01,", 2), (" ,0.01", 1)]
@@ -566,64 +539,6 @@ class TestSweep:
         )
         assert code == 2
         assert "sweep parameter" in capsys.readouterr().err
-
-
-class TestSweepDiscreteColumn:
-    """A sweep row runs the flow, for its guard, but assembles no discrete
-    column: no summary key reads one."""
-
-    def test_flow_runs_and_no_column_is_assembled(self, monkeypatch, tmp_path):
-        calls = {"flow_path": 0, "assemble_modes": 0}
-
-        def counted(name):
-            original = getattr(cli, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(cli, name, counted(name))
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--param=eps", "--values=0.01,0.02", "--t-max=20",
-                     f"--output-path={out}"]) == 0
-        assert calls == {"flow_path": 2, "assemble_modes": 0}
-
-    # Only at first-order roots (|lam_p| > 1) can the discrete column go
-    # non-finite before the naive one, which is checked first over every
-    # step: there |A| > |a0| makes A^3 lam_p^3n overflow first.  At exact
-    # roots |lam_p^n| = 1 and the flow's guard holds |A| <= 1e12, so the
-    # discrete column stays finite once the flow has passed.
-    @pytest.mark.parametrize(
-        "flags, compare_err, sweep_code, sweep_err",
-        [(["--kind=vdp", "--dt=1", "--a0-re=1.5", "--t-max=683"],
-          "z_renorm_discrete is not finite at n=683", 3, "z_renorm_continuum is not finite at n=683"),
-         (["--kind=cubic", "--dt=0.1", "--a0-re=1", "--t-max=4755"],
-          "z_renorm_discrete is not finite at n=47546", 0, None)],
-        ids=["vdp-continuum-next", "cubic-all-else-finite"],
-    )
-    def test_first_order_roots_where_the_discrete_column_fails_first(
-        self, tmp_path, capsys, flags, compare_err, sweep_code, sweep_err
-    ):
-        flags = ["--root-convention=first-order", *flags]
-        with pytest.warns(RuntimeWarning):
-            assert main(["compare", "--eps=0.01", *flags]) == 3
-        assert capsys.readouterr().err.endswith(f"numerical failure: {compare_err}\n")
-        out = tmp_path / "sweep.csv"
-        with pytest.warns(RuntimeWarning):
-            code = main(["sweep", "--param=eps", "--values=0.01", *flags, f"--output-path={out}"])
-        assert code == sweep_code
-        err = capsys.readouterr().err
-        if sweep_err is None:
-            # the summary is written: finite maxima; the slopes' fit
-            # overflows, as it does for compare just before n=47546
-            _, rows, _ = read_csv(out)
-            assert np.isfinite(rows[0, 1:3]).all()
-            assert "numerical failure" not in err
-        else:
-            assert err.endswith(f"numerical failure: {sweep_err}\n") and not out.exists()
 
 
 class TestCheckOrder:
@@ -915,8 +830,7 @@ class TestConfigFile:
         "field, message",
         [
             ("kind", "kind must be one of ('cubic', 'vdp'), got 'bogus'"),
-            ("root_convention",
-             "root_convention must be one of ['exact', 'first-order'], got 'bogus'"),
+            ("root_convention", "root_convention must be one of ('exact',), got 'bogus'"),
             ("scheme", "scheme must be one of ('standard', 'mickens'), got 'bogus'"),
             ("output_format", "output_format must be one of ('csv', 'json'), got 'bogus'"),
         ],
@@ -958,11 +872,12 @@ class TestConfigFile:
         assert main(["simulate", "--config", "exp.cfg"]) == 0
         assert sorted(f.name for f in tmp_path.iterdir()) == sorted(["exp.cfg", path])
 
-    # A value other than the default for every field, as it is written in a
-    # config file and after its flag.
+    # A value other than the default for every field that has one, as it is
+    # written in a config file and after its flag; root_convention has the
+    # one choice, its default.
     _FIELD_TEXT = {
         "kind": "vdp", "dt": "0.02", "eps": "0.03", "a0_re": "0.3", "a0_im": "-0.1",
-        "t_max": "2.5", "root_convention": "first-order", "scheme": "mickens",
+        "t_max": "2.5", "root_convention": "exact", "scheme": "mickens",
         "output_path": "runs.csv", "output_format": "json", "stride": "3",
     }
 
@@ -978,7 +893,7 @@ class TestConfigFile:
         assert from_file == from_flag
         value = getattr(from_file, field)
         assert type(value) is cli._TYPES[field]
-        assert value != getattr(ExperimentConfig(), field)
+        assert value != getattr(ExperimentConfig(), field) or cli._CHOICES[field] == (value,)
 
     def test_bad_subcommand_exits_two(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -1054,6 +969,33 @@ class TestFlags:
         code = main([*command, "--kind=vdp", flag, "--t-max=5", f"--output-path={out}"])
         assert code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestExactRootsOnly:
+    """Every subcommand runs at the exact roots: first-order roots, from a flag
+    or a config file, are refused before any oracle step."""
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize(
+        "command", [["simulate"], ["compare"], ["sweep", "--param=eps", "--values=0.01,0.02"]],
+        ids=["simulate", "compare", "sweep"],
+    )
+    def test_first_order_roots_refused(self, tmp_path, monkeypatch, capsys, command, source):
+        calls = _count_calls(monkeypatch, cli, "iterate")
+        out = tmp_path / "x.csv"
+        if source == "flag":
+            flags = ["--root-convention=first-order"]
+            message = ("argument --root-convention: invalid choice: 'first-order' "
+                       "(choose from 'exact')")
+        else:
+            cfg_file = tmp_path / "exp.cfg"
+            cfg_file.write_text("root_convention = first-order\n")
+            flags = ["--config", str(cfg_file)]
+            message = "error: root_convention must be one of ('exact',), got 'first-order'\n"
+        assert main([*command, *flags, "--t-max=5", f"--output-path={out}"]) == 2
+        assert message in capsys.readouterr().err
+        assert calls == {"iterate": 0}
         assert not out.exists()
 
 
@@ -1203,14 +1145,6 @@ class TestPipelineBlocks:
             assert len(column) == len(range(0, 2001, stride)), name
             assert blocked[name].tobytes() == column.tobytes(), name
 
-    def test_naive_failure_in_a_later_block_names_its_step(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_BLOCK_STEPS", 100)
-        with pytest.warns(RuntimeWarning):
-            code = main(["compare", "--root-convention", "first-order", "--dt", "1.5",
-                         "--t-max", "1000", "--stride", "7"])
-        assert code == 3
-        assert capsys.readouterr().err == "numerical failure: z_naive is not finite at n=402\n"
-
     def test_summary_alone_keeps_no_rows(self):
         cfg = ExperimentConfig(kind="vdp", t_max=20.0, eps=0.02, a0_re=0.4, stride=3)
         columns, summary = run_compare_pipeline(cfg)
@@ -1218,6 +1152,29 @@ class TestPipelineBlocks:
         assert repr(alone) == repr(summary)
         assert list(empty) == list(columns)
         assert all(len(column) == 0 for column in empty.values())
+
+    def test_sweep_runs_the_flow_and_assembles_no_column(self, monkeypatch, tmp_path):
+        # the flow runs for its guard; no summary key reads the discrete column
+        calls = _count_calls(monkeypatch, cli, "flow_path", "assemble_modes")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--param=eps", "--values=0.01,0.02", "--t-max=20",
+                     f"--output-path={out}"]) == 0
+        assert calls == {"flow_path": 2, "assemble_modes": 0}
+
+    def test_discrete_column_is_assembled_at_the_written_rows_alone(self, monkeypatch):
+        # 2001 steps, 286 written rows at stride 7, in blocks of 97 rows
+        monkeypatch.setattr(cli, "_BLOCK_STEPS", 97)
+        sizes = []
+        original = cli.assemble_modes
+
+        def recorded(kind, params, amplitudes, fundamental, coeffs):
+            sizes.append(amplitudes.size)
+            return original(kind, params, amplitudes, fundamental, coeffs)
+
+        monkeypatch.setattr(cli, "assemble_modes", recorded)
+        columns, _ = run_compare_pipeline(ExperimentConfig(t_max=20.0, stride=7))
+        assert len(columns["n"]) == 286
+        assert sizes == [97, 97, 92]
 
     @staticmethod
     def _spoil(monkeypatch, owner, name, step, value, steps_of=None):
@@ -1253,14 +1210,43 @@ class TestPipelineBlocks:
         name = "z_naive" if column == "naive" else "z_renorm_continuum"
         assert capsys.readouterr().err == f"numerical failure: {name} is not finite at n={step}\n"
 
-    def test_discrete_check_comes_before_an_earlier_continuum_failure(self, monkeypatch, capsys):
+    def test_continuum_failure_stops_its_block_before_the_flow(self, monkeypatch, tmp_path,
+                                                               capsys):
+        # 97-step blocks: n=250 is in the third, and no later block is formed
         monkeypatch.setattr(cli, "_BLOCK_STEPS", 97)
+        calls = _count_calls(monkeypatch, cli, "naive_solution", "flow_path", "assemble_modes")
         self._spoil(monkeypatch, cli.GlobalSolution, "eval_discrete", 250, np.nan,
                     lambda args: args[1])
-        self._spoil(monkeypatch, cli, "assemble_modes", 1500, np.inf)
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--t-max=20", f"--output-path={out}"]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: z_renorm_continuum is not finite at n=250\n")
+        assert calls == {"naive_solution": 3, "flow_path": 0, "assemble_modes": 0}
+        assert not out.exists()
+
+    def test_continuum_check_comes_before_a_later_discrete_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_BLOCK_STEPS", 97)
+        self._spoil(monkeypatch, cli.GlobalSolution, "eval_discrete", 1500, np.nan,
+                    lambda args: args[1])
+        self._spoil(monkeypatch, cli, "assemble_modes", 250, np.inf)
         assert main(["compare", "--t-max=20"]) == 3
         assert capsys.readouterr().err == (
-            "numerical failure: z_renorm_discrete is not finite at n=1500\n")
+            "numerical failure: z_renorm_continuum is not finite at n=1500\n")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("place", [96, 97, 285])
+    def test_discrete_failure_names_its_written_row(self, monkeypatch, tmp_path, capsys, value,
+                                                    place):
+        # the discrete column is assembled at the 286 rows of stride 7 alone,
+        # in blocks of 97 rows, so the value goes to the row at `place`,
+        # step 7 * place
+        monkeypatch.setattr(cli, "_BLOCK_STEPS", 97)
+        self._spoil(monkeypatch, cli, "assemble_modes", place, value)
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--t-max=20", "--stride=7", f"--output-path={out}"]) == 3
+        assert capsys.readouterr().err == (
+            f"numerical failure: z_renorm_discrete is not finite at n={7 * place}\n")
+        assert not out.exists()
 
     def test_first_order_coefficients_are_derived_once_per_pipeline(self, monkeypatch, tmp_path):
         from renormdiff import asymptotic
