@@ -126,9 +126,8 @@ class TestSimulate:
         assert code == 0
         _, rows, _ = read_csv(out)
         # with eps = 0 the trigonometric scheme reproduces cos(n h) for the
-        # matching initial data; a0 = 0.5 gives exactly that data under the
-        # first-order convention... z(1) = Re(1 + i h) = 1, so just check
-        # boundedness and the documented column layout here
+        # matching initial data; check boundedness and the documented column
+        # layout here
         assert np.abs(rows[:, 2]).max() <= 1.2
 
     def test_divergence_exit_code(self, tmp_path, capsys):
