@@ -7,9 +7,10 @@ the scheme, the step count; `sweep` checks every row there before its first
 pipeline.  Every command runs at the exact (unit-modulus) characteristic
 roots: `root_convention` accepts `exact` alone.  `compare` runs
 `run_compare_pipeline`, whose stages are the boundary, the oracle (all that
-`simulate` runs), a pass over blocks of steps for the naive and continuum
-columns and their errors, the summary, and the flow with the discrete column
-at the written rows; only the rows written are kept.
+`simulate` runs), the amplitude flow, one pass over blocks of steps that
+forms each block's lam_p^n and the naive, continuum and discrete columns,
+checked in that order, with the first two's errors, and the summary; only
+the rows written are kept.
 Output is CSV (17-significant-digit floats, byte-stable across runs) or JSON
 mirroring the same field names.  Exit codes: 0 success, 1 a stdout reader
 that closed early, 2 configuration error (an output path that cannot be
@@ -87,9 +88,9 @@ _SWEEPABLE = ("dt", "eps", "a0_re")
 # The oracle runs about 110 (cubic) to 140 (vdp) ns per step in pure Python,
 # and the amplitude flow 80 (cubic) to 100 (vdp): best of 9 at 1e5 steps on a
 # shared 2-vCPU Xeon, where load can double them.  At 1e6 steps a compare's
-# traced peak is 90 B per step at stride 1 and 54 at stride 10, either kind
-# (a cubic CSV compare peaked at 116 and 82 MiB RSS), so 1e8 steps takes
-# minutes and about 9 GB, or 5.4 GB at stride 10; larger counts are rejected
+# traced peak is 89 B per step at stride 1 and 39 at stride 10, either kind
+# (a cubic CSV compare peaked at 114 and 68 MiB RSS), so 1e8 steps takes
+# minutes and about 9 GB, or 3.9 GB at stride 10; larger counts are rejected
 # early.
 _MAX_STEPS = 10**8
 
@@ -191,9 +192,9 @@ def _json_text(value) -> str:
 # renders one float column into it, about 1.5 MB of kernel scratch (350 B
 # per value).
 _CHUNK_ROWS = 4096
-# Steps per block of the compare pipeline's passes: a block's model columns,
-# about 0.7 MB of temporaries at this size, are reduced to the written rows
-# and the errors' running maxima before the next block is formed.
+# Steps per block of the compare pipeline's pass: a block's lam_p^n and model
+# columns, a traced 0.85 MB of temporaries at this size, are reduced to the
+# written rows and the errors' running maxima before the next block is formed.
 _BLOCK_STEPS = 8192
 
 
@@ -334,33 +335,45 @@ def _blocks(steps: int, rows: np.ndarray):
         yield lo, hi, slice(first, last), rows[first:last] - lo
 
 
-def _model_stage(sol: GlobalSolution, steps: int, oracle: Trajectory, fundamental: np.ndarray,
-                 coeffs: FirstOrder, rows: np.ndarray) -> tuple[dict, tuple]:
-    """The naive and continuum columns of `sol`'s scheme and amplitude and
-    their errors against the oracle, in one pass over blocks of steps
-    (_model_block) that all read the pipeline's one first-order record.
+def _model_stage(sol: GlobalSolution, steps: int, oracle: Trajectory,
+                 fundamental: np.ndarray | None, coeffs: FirstOrder,
+                 rows: np.ndarray) -> tuple[dict, tuple]:
+    """The flow path of `sol`'s scheme from its amplitude, then the three
+    model columns and the naive and continuum errors against the oracle, in
+    one pass over blocks of steps (_model_block) that all read the
+    pipeline's one first-order record.
 
-    Only the columns at `rows` and the two errors' running maxima, held whole
-    for the summary's slopes, outlive a block.
+    Of the path only its values at `rows` are kept: the path itself at
+    stride 1, a compact copy otherwise, none in a sweep, whose flow runs for
+    its guard alone.  `fundamental` is a sweep's shared lam_p^n, sliced per
+    block, or None, and each block forms its own.  Only the columns at
+    `rows` and the two errors' running maxima, held whole for the summary's
+    slopes, outlive a block; the path is freed on return.
     """
-    kept = {name: np.empty(rows.size)
-            for name in ("z_naive", "z_renorm_continuum", "err_naive", "err_renorm")}
+    # By keyword: perfbench/tracing.py reads the step count from `steps`.
+    path = flow_path(build_flow(sol.kind, sol.params), sol.a0, steps=steps)
+    if rows.size <= steps:  # not every step is written
+        path = path[rows]
+    # In the order the writer writes them, after n, t and z_oracle.
+    kept = {name: np.empty(rows.size) for name in
+            ("z_naive", "z_renorm_discrete", "z_renorm_continuum", "err_naive", "err_renorm")}
     running = (np.empty(steps + 1), np.empty(steps + 1))
     for block in _blocks(steps, rows):
-        _model_block(sol, oracle, fundamental, coeffs, block, kept, running)
+        _model_block(sol, oracle, fundamental, coeffs, path, block, kept, running)
     return kept, running
 
 
-def _model_block(sol: GlobalSolution, oracle: Trajectory, fundamental: np.ndarray,
-                 coeffs: FirstOrder, block: tuple, kept: dict, running: tuple):
-    """One block of _model_stage: the naive column, then the continuum
-    column, each checked with its error (_error_block) as it is formed, so an
-    overflowing naive sum stops before the continuum form.  The rows and
+def _model_block(sol: GlobalSolution, oracle: Trajectory, fundamental: np.ndarray | None,
+                 coeffs: FirstOrder, path: np.ndarray, block: tuple, kept: dict, running: tuple):
+    """One block of _model_stage: lam_p^n, then the naive column, the
+    continuum column and the discrete column at the block's written rows,
+    each checked as it is formed (the first two with their errors,
+    _error_block), so the first failing one names the column.  The rows and
     maxima go into `kept` and `running`; the arrays are freed on return,
     before the next block's are made."""
     lo, hi, at, picks = block
     n = np.arange(lo, hi)
-    f = fundamental[lo:hi]
+    f = discrete_fundamental(sol.params, n) if fundamental is None else fundamental[lo:hi]
     z = oracle.values[lo:hi]
     z_naive = naive_solution(sol.kind, sol.a0, sol.params, n, f, coeffs)
     _error_block("z_naive", z, z_naive, running[0], block, kept["err_naive"])
@@ -368,6 +381,12 @@ def _model_block(sol: GlobalSolution, oracle: Trajectory, fundamental: np.ndarra
     z_continuum = sol.eval_discrete(n, f, coeffs)
     _error_block("z_renorm_continuum", z, z_continuum, running[1], block, kept["err_renorm"])
     kept["z_renorm_continuum"][at] = z_continuum[picks]
+    if picks.size:  # a sweep, or a block with no written row, assembles nothing
+        z_discrete = assemble_modes(sol.kind, sol.params, path[at], f[picks], coeffs)
+        bad = _first_non_finite(z_discrete, 0)
+        if bad is not None:
+            raise _not_finite("z_renorm_discrete", lo + picks[bad])
+        kept["z_renorm_discrete"][at] = z_discrete
 
 
 def _error_block(name, z, model, maxima, block, kept):
@@ -417,25 +436,6 @@ def _summary_stage(oracle: Trajectory, running: tuple) -> dict:
     return summary
 
 
-def _flow_stage(sol: GlobalSolution, steps: int, fundamental: np.ndarray, coeffs: FirstOrder,
-                rows: np.ndarray) -> np.ndarray:
-    """The flow path of `sol`'s scheme from its amplitude, then the discrete
-    column at `rows` alone, assembled _BLOCK_STEPS rows at a time and checked
-    at those rows.  With no rows (a sweep, whose summary reads no discrete
-    value) the flow still runs, for its guard, but no column is assembled."""
-    # By keyword: perfbench/tracing.py reads the step count from `steps`.
-    amp_path = flow_path(build_flow(sol.kind, sol.params), sol.a0, steps=steps)
-    kept = np.empty(rows.size)
-    for lo in range(0, rows.size, _BLOCK_STEPS):
-        at = rows[lo : lo + _BLOCK_STEPS]
-        kept[lo : lo + at.size] = assemble_modes(sol.kind, sol.params, amp_path[at],
-                                                 fundamental[at], coeffs)
-    bad = _first_non_finite(kept, 0)
-    if bad is not None:
-        raise _not_finite("z_renorm_discrete", rows[bad])
-    return kept
-
-
 def run_compare_pipeline(cfg: ExperimentConfig, fundamental: np.ndarray | None = None,
                          columns: bool = True) -> tuple[dict, dict]:
     """Oracle vs naive vs renormalized trajectories, plus summary statistics.
@@ -444,34 +444,21 @@ def run_compare_pipeline(cfg: ExperimentConfig, fundamental: np.ndarray | None =
     every `stride`-th step, or none when `columns` is false (a sweep reads
     the summary alone, and no discrete column is assembled); the summary
     covers every step either way, and at stride 1 it is recomputable from
-    the rows.  `fundamental` is lam_p^n on the time grid when the caller
-    shares it between pipelines; without it the pipeline computes it itself,
-    after the oracle, and then the first-order record (first_order).  Either
-    way the bytes are the same.  Raises ConfigError for a config that `main`
-    would refuse.
+    the rows.  The flow runs whole before the pass over blocks, which keeps
+    its path at the written rows alone.  `fundamental` is lam_p^n on the
+    time grid when the caller shares it between pipelines; without it each
+    block forms its own span.  Either way the bytes are the same.  Raises
+    ConfigError for a config that `main` would refuse.
     """
     kind, params, steps = _boundary(cfg)
     # Checks a0 before the oracle runs.
     sol = GlobalSolution(kind, params, complex(cfg.a0_re, cfg.a0_im))
     oracle = _oracle_stage(cfg, kind, params, steps)
-    if fundamental is None:
-        fundamental = discrete_fundamental(params, np.arange(steps + 1))
     coeffs = first_order(kind, sol.a0, params)
     rows = np.arange(0, steps + 1, cfg.stride) if columns else np.arange(0)
     kept, running = _model_stage(sol, steps, oracle, fundamental, coeffs, rows)
     summary = _summary_stage(oracle, running)
-    del running  # the running maxima are freed before the flow
-    z_renorm_discrete = _flow_stage(sol, steps, fundamental, coeffs, rows)
-    return {
-        "n": rows,
-        "t": rows * oracle.dt,
-        "z_oracle": oracle.values[rows],
-        "z_naive": kept["z_naive"],
-        "z_renorm_discrete": z_renorm_discrete,
-        "z_renorm_continuum": kept["z_renorm_continuum"],
-        "err_naive": kept["err_naive"],
-        "err_renorm": kept["err_renorm"],
-    }, summary
+    return {"n": rows, "t": rows * oracle.dt, "z_oracle": oracle.values[rows], **kept}, summary
 
 
 def cmd_compare(cfg: ExperimentConfig) -> int:
@@ -490,9 +477,9 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values: list[float]) -> int:
     checked = [_boundary(row_cfg) for row_cfg in row_cfgs]
     for row_cfg, (kind, params, _) in zip(row_cfgs, checked):
         GlobalSolution(kind, params, complex(row_cfg.a0_re, row_cfg.a0_im))
-    # eps and a0_re keep the time grid (dt, t_max, scheme),
-    # so its lam_p^n is built once; each dt gives a grid of its own, built
-    # inside its pipeline.
+    # eps and a0_re keep the time grid (dt, t_max, scheme), so its lam_p^n is
+    # built once and the blocks slice it; each dt gives a grid of its own,
+    # formed a block at a time inside its pipeline.
     fundamental = None
     if param != "dt":
         _, params, steps = checked[0]

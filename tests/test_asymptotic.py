@@ -314,3 +314,29 @@ class TestAssembleModes:
         out = assemble_modes(CUBIC, p, 0.5 + 0j, discrete_fundamental(p, 0))
         assert isinstance(out, float)
 
+
+
+class TestDiscreteFundamentalSpans:
+    """lam_p^n formed over a span of indices has the bits of that span of the
+    whole table, so a pipeline may form it a block at a time."""
+
+    STEPS = 3 * 8192 + 4
+
+    @pytest.mark.parametrize("scheme", [Scheme.STANDARD, Scheme.MICKENS])
+    @pytest.mark.parametrize("dt", [0.002, 0.01, 0.1, 0.5, 1.0, 1.5, 1.9])
+    def test_spans_and_strided_rows_match_the_whole_table(self, scheme, dt):
+        p = SchemeParams(dt=dt, eps=0.01, root_convention=EXACT, scheme=scheme)
+        size = self.STEPS + 1
+        whole = discrete_fundamental(p, np.arange(size))
+        rng = np.random.default_rng(7)
+        spans = [(lo, min(lo + block, size))
+                 for block in (97, 1000, 8191, 8192) for lo in range(0, size, block)]
+        spans += [tuple(sorted(pair)) for pair in rng.integers(0, size + 1, (50, 2))]
+        for lo, hi in spans:
+            span = discrete_fundamental(p, np.arange(lo, hi))
+            assert span.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
+        for stride in (3, 7, 10, 8193):
+            for start in (0, int(rng.integers(1, stride))):
+                rows = np.arange(start, size, stride)
+                at_rows = discrete_fundamental(p, rows)
+                assert at_rows.tobytes() == whole[rows].tobytes(), (stride, start)

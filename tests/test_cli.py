@@ -42,9 +42,11 @@ def summary_from_comments(comments):
     raise AssertionError("no summary comment found")
 
 
-def _count_calls(monkeypatch, owner, *names):
-    """Count the calls of each of `names` on `owner`; the calls still run."""
-    calls = dict.fromkeys(names, 0)
+def _count_calls(monkeypatch, owner, *names, calls=None):
+    """Count the calls of each of `names` on `owner`, in `calls` when given;
+    the calls still run."""
+    calls = {} if calls is None else calls
+    calls.update(dict.fromkeys(names, 0))
 
     def counted(name):
         original = getattr(owner, name)
@@ -408,17 +410,21 @@ class TestCompare:
         assert calls == []
         assert not out.exists()
 
-    def test_non_finite_naive_column_stops_before_the_flow(self, monkeypatch, tmp_path,
-                                                            capsys):
+    def test_non_finite_naive_column_stops_its_block_and_every_later_one(
+        self, monkeypatch, tmp_path, capsys
+    ):
         # no exact-root config makes a model column non-finite, so the value
-        # is written into the naive column's result
-        calls = _count_calls(monkeypatch, cli, "flow_path", "assemble_modes")
+        # is written into the naive column's result; 97-step blocks: n=402 is
+        # in the fifth, whose continuum and discrete columns are not formed
+        monkeypatch.setattr(cli, "_BLOCK_STEPS", 97)
         TestPipelineBlocks._spoil(monkeypatch, cli, "naive_solution", 402, np.inf,
                                   lambda args: args[3])
+        calls = TestPipelineBlocks._count_stages(monkeypatch)
         out = tmp_path / "cmp.csv"
         assert main(["compare", "--t-max=20", f"--output-path={out}"]) == 3
         assert capsys.readouterr().err == "numerical failure: z_naive is not finite at n=402\n"
-        assert calls == {"flow_path": 0, "assemble_modes": 0}
+        assert calls == {"flow_path": 1, "discrete_fundamental": 5, "naive_solution": 5,
+                         "eval_discrete": 4, "assemble_modes": 4}
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -1124,6 +1130,28 @@ class TestPipelineWork:
         # lam_p^n once, and one continuum amplitude per row
         assert calls == 1 + 4
 
+    @pytest.mark.parametrize("kind, stride", [("cubic", 1), ("vdp", 7)])
+    def test_compare_forms_lam_p_n_a_block_at_a_time(self, monkeypatch, tmp_path, kind, stride):
+        # 2001 steps in 97-step blocks: 21 spans that tile the grid once
+        monkeypatch.setattr(cli, "_BLOCK_STEPS", 97)
+        spans = []
+        original = cli.discrete_fundamental
+
+        def recorded(params, n):
+            spans.append(np.array(n))
+            return original(params, n)
+
+        monkeypatch.setattr(cli, "discrete_fundamental", recorded)
+        assert main(["compare", f"--kind={kind}", "--t-max=20", "--a0-re=0.4",
+                     f"--stride={stride}", f"--output-path={tmp_path / 'cmp.csv'}"]) == 0
+        assert max(span.size for span in spans) <= 97
+        assert np.concatenate(spans).tobytes() == np.arange(2001).tobytes()
+        spans.clear()
+        assert main(["sweep", "--param=eps", "--values=0.01,0.02,0.04", "--t-max=20",
+                     f"--output-path={tmp_path / 'sweep.csv'}"]) == 0
+        # an eps sweep shares one table between its rows, and blocks slice it
+        assert [span.size for span in spans] == [2001]
+
 
 class TestPipelineBlocks:
     """The pipeline's passes over blocks of steps give the bytes of one block."""
@@ -1160,20 +1188,26 @@ class TestPipelineBlocks:
                      f"--output-path={out}"]) == 0
         assert calls == {"flow_path": 2, "assemble_modes": 0}
 
-    def test_discrete_column_is_assembled_at_the_written_rows_alone(self, monkeypatch):
-        # 2001 steps, 286 written rows at stride 7, in blocks of 97 rows
+    def test_discrete_column_is_assembled_per_block_at_its_written_rows(self, monkeypatch):
+        # 2001 steps in 97-step blocks, 286 written rows at stride 7: each
+        # block assembles its own rows, from the flow path at those rows
         monkeypatch.setattr(cli, "_BLOCK_STEPS", 97)
-        sizes = []
+        cfg = ExperimentConfig(t_max=20.0, stride=7)
+        calls = []
         original = cli.assemble_modes
 
         def recorded(kind, params, amplitudes, fundamental, coeffs):
-            sizes.append(amplitudes.size)
+            calls.append(amplitudes.copy())
             return original(kind, params, amplitudes, fundamental, coeffs)
 
         monkeypatch.setattr(cli, "assemble_modes", recorded)
-        columns, _ = run_compare_pipeline(ExperimentConfig(t_max=20.0, stride=7))
+        columns, _ = run_compare_pipeline(cfg)
         assert len(columns["n"]) == 286
-        assert sizes == [97, 97, 92]
+        assert [a.size for a in calls] == [len(range(-(-lo // 7) * 7, min(lo + 97, 2001), 7))
+                                           for lo in range(0, 2001, 97)]
+        kind, params = Variant(cfg.kind), cli._scheme_params(cfg)
+        path = cli.flow_path(build_flow(kind, params), complex(cfg.a0_re, cfg.a0_im), steps=2000)
+        assert np.concatenate(calls).tobytes() == path[::7].tobytes()
 
     @staticmethod
     def _spoil(monkeypatch, owner, name, step, value, steps_of=None):
@@ -1209,28 +1243,64 @@ class TestPipelineBlocks:
         name = "z_naive" if column == "naive" else "z_renorm_continuum"
         assert capsys.readouterr().err == f"numerical failure: {name} is not finite at n={step}\n"
 
-    def test_continuum_failure_stops_its_block_before_the_flow(self, monkeypatch, tmp_path,
-                                                               capsys):
-        # 97-step blocks: n=250 is in the third, and no later block is formed
+    @staticmethod
+    def _count_stages(monkeypatch):
+        """Count the pipeline's calls of the flow, lam_p^n and each model column."""
+        calls = _count_calls(monkeypatch, cli, "flow_path", "discrete_fundamental",
+                             "naive_solution", "assemble_modes")
+        return _count_calls(monkeypatch, cli.GlobalSolution, "eval_discrete", calls=calls)
+
+    def test_continuum_failure_stops_its_block_and_every_later_one(self, monkeypatch, tmp_path,
+                                                                   capsys):
+        # 97-step blocks: n=250 is in the third, whose discrete column is not
+        # formed, and no later block is
         monkeypatch.setattr(cli, "_BLOCK_STEPS", 97)
-        calls = _count_calls(monkeypatch, cli, "naive_solution", "flow_path", "assemble_modes")
         self._spoil(monkeypatch, cli.GlobalSolution, "eval_discrete", 250, np.nan,
                     lambda args: args[1])
+        calls = self._count_stages(monkeypatch)
         out = tmp_path / "cmp.csv"
         assert main(["compare", "--t-max=20", f"--output-path={out}"]) == 3
         assert capsys.readouterr().err == (
             "numerical failure: z_renorm_continuum is not finite at n=250\n")
-        assert calls == {"naive_solution": 3, "flow_path": 0, "assemble_modes": 0}
+        assert calls == {"flow_path": 1, "discrete_fundamental": 3, "naive_solution": 3,
+                         "eval_discrete": 3, "assemble_modes": 2}
         assert not out.exists()
 
-    def test_continuum_check_comes_before_a_later_discrete_failure(self, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "spoils, column, step",
+        [
+            ((("discrete", 250), ("continuum", 1500)), "z_renorm_discrete", 250),
+            ((("continuum", 250), ("discrete", 1500)), "z_renorm_continuum", 250),
+            ((("discrete", 250), ("naive", 1500)), "z_renorm_discrete", 250),
+            ((("naive", 291), ("discrete", 290)), "z_renorm_discrete", 290),
+            # within one block the columns are checked in the order they are formed
+            ((("discrete", 200), ("continuum", 260), ("naive", 280)), "z_naive", 280),
+            ((("discrete", 200), ("continuum", 260)), "z_renorm_continuum", 260),
+        ],
+        ids=["discrete-then-continuum", "continuum-then-discrete", "discrete-then-naive",
+             "discrete-in-the-block-before-naive", "naive-first-in-one-block",
+             "continuum-before-discrete-in-one-block"],
+    )
+    def test_the_first_failing_block_wins(self, monkeypatch, tmp_path, capsys, spoils, column,
+                                          step):
+        # 97-step blocks at stride 1: the failing block is the last one formed
         monkeypatch.setattr(cli, "_BLOCK_STEPS", 97)
-        self._spoil(monkeypatch, cli.GlobalSolution, "eval_discrete", 1500, np.nan,
-                    lambda args: args[1])
-        self._spoil(monkeypatch, cli, "assemble_modes", 250, np.inf)
-        assert main(["compare", "--t-max=20"]) == 3
-        assert capsys.readouterr().err == (
-            "numerical failure: z_renorm_continuum is not finite at n=1500\n")
+        for which, at in spoils:
+            if which == "naive":
+                self._spoil(monkeypatch, cli, "naive_solution", at, np.inf, lambda args: args[3])
+            elif which == "continuum":
+                self._spoil(monkeypatch, cli.GlobalSolution, "eval_discrete", at, np.nan,
+                            lambda args: args[1])
+            else:
+                self._spoil(monkeypatch, cli, "assemble_modes", at, -np.inf)
+        calls = self._count_stages(monkeypatch)
+        out = tmp_path / "cmp.json"
+        assert main(["compare", "--t-max=20", "--output-format=json",
+                     f"--output-path={out}"]) == 3
+        assert capsys.readouterr().err == f"numerical failure: {column} is not finite at n={step}\n"
+        assert calls["naive_solution"] == step // 97 + 1
+        assert calls["discrete_fundamental"] == step // 97 + 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("place", [96, 97, 285])
@@ -1268,15 +1338,17 @@ class TestPipelineBlocks:
 
 
 class TestPipelinePeakMemory:
-    """The pipeline holds the oracle, the flow path, the two running maxima
-    and the written rows whole; its other columns live one block at a time."""
+    """The pipeline holds the oracle, the two running maxima, the written
+    rows and the flow path at them (the whole path at stride 1) whole;
+    lam_p^n and the model columns live one block at a time."""
 
     @pytest.mark.parametrize(
         "cfg, bound",
         [
-            # the parent of the blocked pipeline peaked at 104.0 and 104.1
+            # the parent of the blocked pipeline peaked at 104.0 and 104.1, and
+            # the parent of the one-pass pipeline at 55.0 at stride 10
             (ExperimentConfig(kind="vdp", dt=0.002, t_max=200.0, eps=0.01, a0_re=0.3,
-                              a0_im=0.01, stride=10), 64.0),
+                              a0_im=0.01, stride=10), 42.0),
             (ExperimentConfig(kind="cubic", dt=0.004, t_max=400.0, eps=0.01, a0_re=0.5,
                               a0_im=5e-4), 104.1),
         ],
