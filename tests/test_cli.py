@@ -1089,7 +1089,7 @@ def _count_exp_calls(monkeypatch, size, run):
 
 
 class TestPipelineWork:
-    """One run_compare_pipeline evaluates each exponential table once."""
+    """One run_compare_pipeline evaluates each exponential table once per step."""
 
     @pytest.mark.parametrize(
         "cfg",
@@ -1154,7 +1154,7 @@ class TestPipelineWork:
 
 
 class TestPipelineBlocks:
-    """The pipeline's passes over blocks of steps give the bytes of one block."""
+    """The pipeline's pass over blocks of steps gives the bytes of one block."""
 
     @pytest.mark.parametrize("kind", ["cubic", "vdp"])
     @pytest.mark.parametrize("stride", [1, 7])
