@@ -13,13 +13,12 @@ package file is ``LINE`` and the source line Python quotes under it is
 dropped, so checkouts at different paths, and code moved or reformatted
 within a file, agree.  Six runs end in a numerical failure (exit 3), and
 their stderr digests pin the failure message and the step of each guard:
-the oracle's divergence guard at ``z(3)``, in ``simulate`` and in
-``compare``, and late, at ``z(582)`` in a cubic ``compare`` and at
-``z(133)`` in a Van der Pol ``simulate``, where the loop runs on through
-inf and nan to the end of its guard block before the guard names the first
-step; the Van der Pol step's
-vanishing implicit coefficient at ``n=1``; and the amplitude flow's
-overflow guard at step 3.  The ``--help``
+the oracle's divergence guard at ``z(2)``, in ``simulate`` and in
+``compare``, and late, at ``z(133)`` in a Van der Pol ``simulate``, where
+the loop runs on through inf and nan to the end of its guard block before
+the guard names the first step; the Van der Pol step's vanishing implicit
+coefficient at ``n=1``; and the amplitude flow's overflow guard at step 3
+(Van der Pol) and at step 13 (cubic).  The ``--help``
 runs and the runs refused with exit 2 pin the text of the command-line
 boundary.  argparse wraps its usage lines to the terminal width, so the
 script fixes ``COLUMNS`` before anything is parsed.
@@ -60,14 +59,17 @@ STDOUT = "-"  # marks a run that writes its table to stdout
 # writer chunks at stride 1.
 BASE = ["--dt=0.01", "--t-max=60", "--eps=0.02", "--a0-re=0.4", "--a0-im=0.15"]
 LONG = ["--dt=0.004", "--t-max=200", "--eps=0.01", "--a0-re=0.5", "--a0-im=-3e-05"]
-# The cubic oracle passes the divergence guard at z(3); the Van der Pol step's
-# implicit coefficient vanishes at n=1.
+# The cubic oracle passes the divergence guard at z(2) (at z(3) from
+# zeroth-order initial data); the Van der Pol step's implicit coefficient
+# vanishes at n=1.
 DIVERGING = ["--kind=cubic", "--dt=1.5", "--t-max=30", "--eps=0.4", "--a0-re=50"]
 SINGULAR = ["--kind=vdp", "--dt=0.1", "--t-max=30", "--eps=10", "--a0-re=1e-7"]
-# Oracles that pass the divergence guard late and run on to the end of that
-# guard block: the cubic one at z(582), through inf and then nan, and the Van
-# der Pol one at z(133) (gain eps dt = 0.15, no singular test), through nan
-# once z*z overflows.
+# Runs that fail late.  The Van der Pol oracle passes the divergence guard at
+# z(133) (gain eps dt = 0.15, no singular test) and runs on through nan to
+# the end of that guard block once z*z overflows.  The cubic oracle passed
+# its guard at z(582) from zeroth-order initial data; from the first-order
+# bridge it runs all 2000 steps, and the amplitude flow passes its overflow
+# guard at step 13.
 LATE_CUBIC = ["--kind=cubic", "--dt=1", "--t-max=2000", "--eps=0.4", "--a0-re=0.638"]
 LATE_VDP = ["--kind=vdp", "--dt=1.5", "--t-max=15000", "--eps=0.1", "--a0-re=0.3"]
 # The Van der Pol amplitude flow from a0 = 10 at eps = 0.4 and dt = 1 passes

@@ -16,9 +16,9 @@ import math
 import numpy as np
 
 from renormdiff.analysis import envelope
-from renormdiff.asymptotic import GlobalSolution
+from renormdiff.asymptotic import GlobalSolution, init_from_amplitude
 from renormdiff.lineardiff import RootConvention, SchemeParams
-from renormdiff.oracle import init_from_amplitude, iterate
+from renormdiff.oracle import iterate
 from renormdiff.perturbation import VAN_DER_POL
 
 
@@ -38,7 +38,7 @@ def main():
     a0 = 0.5 * args.start_amplitude * (1 + 1j * c) / math.hypot(1.0, c)
     t_max = 10.0 / args.eps
 
-    z0, z1 = init_from_amplitude(a0, params)
+    z0, z1 = init_from_amplitude(VAN_DER_POL, a0, params)
     traj = iterate(VAN_DER_POL, params, z0, z1, int(round(t_max / args.dt)))
     peaks = envelope(traj)
     sol = GlobalSolution(VAN_DER_POL, params, a0)

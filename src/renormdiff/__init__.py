@@ -14,6 +14,7 @@ from .asymptotic import (
     GlobalSolution,
     assemble_modes,
     discrete_fundamental,
+    init_from_amplitude,
     third_harmonic_coefficient,
 )
 from .lineardiff import (
@@ -39,14 +40,15 @@ from .oracle import (
     DivergenceError,
     SingularStepError,
     Trajectory,
-    init_from_amplitude,
     iterate,
 )
 from .perturbation import (
     CUBIC,
     VAN_DER_POL,
+    FirstOrder,
     Variant,
     extract_secular,
+    first_order,
     first_order_forcing,
     first_order_solution,
     naive_solution,
@@ -60,7 +62,6 @@ from .renormalization import (
     conserved_constant,
     continuum_limit_check,
     flow_path,
-    secular_rate,
     solve_cubic_continuum,
     solve_vdp_continuum,
 )

@@ -9,64 +9,31 @@ dt -> 0 limits are 1/8 (cubic) and i/4 (Van der Pol).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lineardiff import (
-    HarmonicSum,
-    SchemeParams,
-    characteristic_roots,
-    particular_solution,
-    power_table,
-)
-from .perturbation import Variant, _forcing_terms, _naive_coefficients, _third_harmonic_base
-from .renormalization import conserved_constant, continuum_amplitude, secular_rate
+from .lineardiff import SchemeParams, characteristic_roots, power_table
+from .perturbation import FirstOrder, Variant, _unit_response, first_order
+from .renormalization import build_flow, conserved_constant, continuum_amplitude
 
 __all__ = [
-    "FirstOrder",
     "GlobalSolution",
-    "first_order",
     "third_harmonic_coefficient",
     "discrete_fundamental",
     "assemble_modes",
+    "init_from_amplitude",
 ]
 
 
 def third_harmonic_coefficient(kind: Variant, params: SchemeParams) -> complex:
-    """Coefficient kappa3 such that z1 contains kappa3 * A^3 * lam_p^{3n}.
+    """Coefficient kappa3 such that z1 contains kappa3 * A^3 * lam_p^{3n}:
+    the first-order record's k3, under either root convention.
 
-    The particular response to the unit-amplitude lam_p^3 forcing term alone,
-    so it tracks the forcing and particular-solution machinery and no lam_m^3
-    term merged onto the same base.
     Raises ValueError where dt is too small for the response to be resolved.
     """
-    base = _third_harmonic_base(params)
-    forcing = HarmonicSum(_forcing_terms(kind, 1.0, params)[:1])
-    return particular_solution(forcing, params).coefficient(base, n_power=0)
-
-
-@dataclass(frozen=True)
-class FirstOrder:
-    """The first-order coefficients of one pipeline, derived once.
-
-    `k3` is third_harmonic_coefficient, which assemble_modes reads; `sigma`
-    and `c3` are naive_solution's coefficients at the pipeline's amplitude.
-    A pipeline that evaluates its columns block by block passes this record
-    to every block instead of deriving them per call; the values are the
-    ones those calls derive.
-    """
-
-    k3: complex
-    sigma: complex
-    c3: complex
-
-
-def first_order(kind: Variant, a: complex, params: SchemeParams) -> FirstOrder:
-    """The first-order coefficients of the scheme at amplitude a, by the
-    calls that naive_solution and assemble_modes make without a record."""
-    sigma, c3 = _naive_coefficients(kind, a, params)
-    return FirstOrder(third_harmonic_coefficient(kind, params), sigma, c3)
+    z1, base3 = _unit_response(kind, params)
+    return z1.coefficient(base3)
 
 
 def discrete_fundamental(params: SchemeParams, n):
@@ -79,7 +46,7 @@ def assemble_modes(
     params: SchemeParams,
     amplitudes,
     fundamental,
-    coeffs: FirstOrder | None = None,
+    first: FirstOrder | None = None,
 ) -> np.ndarray:
     """Real expansion 2 Re[A F + eps kappa3 A^3 F^3] per index.
 
@@ -87,21 +54,36 @@ def assemble_modes(
     arrays that broadcast together); the conjugate half of the expansion is
     implicit in taking twice the real part.  F = lam_p^n = exp(n log lam_p)
     gives the discrete form and F = e^{i t} the continuum waveform; callers
-    that evaluate several forms at the same indices compute F once.
-    kappa3 is `coeffs.k3` from a caller that derived its first-order
-    coefficients once (first_order), third_harmonic_coefficient otherwise.
+    that evaluate several forms at the same indices compute F once.  kappa3
+    is the k3 of the first-order record `first` (derived here when omitted).
     The third harmonic is the cube u*u*u of the fundamental mode u = A F,
-    not numpy's general complex pow.
+    not numpy's general complex pow.  Scalars stay scalars, whose complex
+    multiply rounds each product; numpy's array loop fuses them.
     """
-    amp = np.asarray(amplitudes, dtype=complex)
-    fundamental = np.asarray(fundamental, dtype=complex)
-    k3 = third_harmonic_coefficient(kind, params) if coeffs is None else coeffs.k3
-    u = amp * fundamental
+    k3 = (first_order(kind, params) if first is None else first).k3
+    u = amplitudes * fundamental
     value = u + params.eps * k3 * (u * u * u)
     out = 2.0 * value.real
-    if out.ndim == 0:
+    if np.ndim(out) == 0:
         return float(out)
     return out
+
+
+def init_from_amplitude(kind: Variant, a0: complex, params: SchemeParams,
+                        first: FirstOrder | None = None) -> tuple[float, float]:
+    """First-order bridge from amplitude space to initial data.
+
+    z(0) and z(1) of the discrete renormalized form, assemble_modes at
+    A(0) = a0 and A(1) = a0 + flow(a0) on F = 1 and lam_p, so the oracle starts
+    on the first-order solution and not O(eps) off it.  `first` is the
+    first-order record (derived here when omitted).  At eps = 0 this is the
+    zeroth-order data 2 Re(a0), 2 Re(a0 lam_p), to the bit.
+    """
+    first = first_order(kind, params) if first is None else first
+    a0 = complex(a0)
+    a1 = a0 + build_flow(kind, params, first)(a0)
+    return (assemble_modes(kind, params, a0, 1.0, first),
+            assemble_modes(kind, params, a1, characteristic_roots(params)[0], first))
 
 
 @dataclass(frozen=True)
@@ -109,63 +91,66 @@ class GlobalSolution:
     """Secular-free solution determined by an initial complex amplitude.
 
     `a0` is the amplitude A at t = 0 (the conjugate mode carries conj(a0), so
-    evaluations are real).  For the cubic kind the conserved constant is
-    c = |a0|^2 and the amplitude rotates at rate (3/2) eps c; for the Van der
-    Pol kind the amplitude is a0 times one real envelope, which tends to the
-    limit cycle |A| = 1 (solve_vdp_continuum, whose domain of a0 the
-    construction checks).
+    evaluations are real), and `first` the scheme's first-order record,
+    derived at construction; the amplitude follows the continuum equation at
+    r/dt, r the record's per-step rate.  A cubic amplitude rotates at rate
+    Im(r/dt) |a0|^2, which tends to (3/2) eps |a0|^2 as dt -> 0; a Van der
+    Pol one is a0 times one real envelope, which tends to the limit cycle
+    |A| = 1 (solve_vdp_continuum, whose domain of a0 the construction checks).
     """
 
     kind: Variant
     params: SchemeParams
     a0: complex
+    first: FirstOrder = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a0", complex(self.a0))
-        # Fail at construction, not first evaluation: below dt of about
-        # 1.6e-5 the third harmonic cannot be resolved, and a Van der Pol
-        # |a0|^2 outside [smallest normal, 2^53) has no envelope.
-        _third_harmonic_base(self.params)
+        # Fail at construction, not first evaluation: the record refuses
+        # first-order roots and a dt below about 1.6e-5, where the third
+        # harmonic cannot be resolved, and a Van der Pol |a0|^2 outside
+        # [smallest normal, 2^53) has no envelope.
+        object.__setattr__(self, "first", first_order(self.kind, self.params))
         if self.kind is Variant.VAN_DER_POL:
             self.amplitude_at(0.0)
 
     def amplitude_at(self, t):
         """Renormalized amplitude A(t) from the continuum flow (scalar/array)."""
-        return continuum_amplitude(self.kind, self.a0, self.params.eps, t)
+        return continuum_amplitude(self.kind, self.a0, self.first.rate / self.params.dt, t)
 
-    def eval_discrete(self, n, fundamental=None, coeffs: FirstOrder | None = None):
+    def eval_discrete(self, n, fundamental=None):
         """Real solution at integer indices n (scalar or array).
 
         `fundamental` is lam_p^n at these indices, from a caller that also
-        assembles other forms with it (discrete_fundamental when omitted);
-        `coeffs` is that caller's first-order record, for assemble_modes.
+        assembles other forms with it (discrete_fundamental when omitted).
         """
         n_arr = np.asarray(n, dtype=float)
         amp = self.amplitude_at(n_arr * self.params.dt)
         if fundamental is None:
             fundamental = discrete_fundamental(self.params, n_arr)
-        return assemble_modes(self.kind, self.params, amp, fundamental, coeffs)
+        return assemble_modes(self.kind, self.params, amp, fundamental, self.first)
 
     def eval_continuum_waveform(self, t):
         """Real waveform at continuous time t, fundamental e^{i t}.
 
         Same amplitude and third-harmonic structure as the discrete form with
         lam_p^n replaced by its limit; for the cubic kind this is exactly
-        periodic with angular frequency 1 + (3/2) eps |a0|^2.
+        periodic with angular frequency frequency_shift().
         """
         t_arr = np.asarray(t, dtype=float)
         amp = self.amplitude_at(t_arr)
-        return assemble_modes(self.kind, self.params, amp, np.exp(t_arr * 1j))
+        return assemble_modes(self.kind, self.params, amp, np.exp(t_arr * 1j), self.first)
 
     def frequency_shift(self) -> float:
-        """Angular frequency 1 + Im(r) |a0|^2 of the cubic waveform, r = (3/2) i eps."""
+        """Angular frequency 1 + Im(r/dt) |a0|^2 of the cubic waveform, with r
+        the record's per-step rate (r/dt tends to (3/2) i eps as dt -> 0)."""
         if self.kind is not Variant.CUBIC:
             raise ValueError(
                 "frequency shift is defined for the cubic kind only; the Van "
                 "der Pol fundamental stays at frequency 1 at this order"
             )
         c = conserved_constant(Variant.CUBIC, self.a0)
-        return 1.0 + secular_rate(self.kind, self.params.eps).imag * c
+        return 1.0 + (self.first.rate / self.params.dt).imag * c
 
     def fundamental_amplitude(self, t):
         """Peak amplitude 2 |A(t)| of the fundamental component."""

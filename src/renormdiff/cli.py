@@ -6,11 +6,11 @@ Every command checks its config at one boundary, in one order: the fields,
 the scheme, the step count; `sweep` checks every row there before its first
 pipeline.  Every command runs at the exact (unit-modulus) characteristic
 roots: `root_convention` accepts `exact` alone.  `compare` runs
-`run_compare_pipeline`, whose stages are the boundary, the oracle (all that
-`simulate` runs), the amplitude flow, one pass over blocks of steps that
-forms each block's lam_p^n and the naive, continuum and discrete columns,
-checked in that order, with the first two's errors, and the summary; only
-the rows written are kept.
+`run_compare_pipeline`, whose stages are the boundary, the oracle from the
+first-order bridge (all that `simulate` runs), the amplitude flow, one pass
+over blocks of steps that forms each block's lam_p^n and the naive,
+continuum and discrete columns, checked in that order, with the first two's
+errors, and the summary; only the rows written are kept.
 Output is CSV (17-significant-digit floats, byte-stable across runs) or JSON
 mirroring the same field names.  Exit codes: 0 success, 1 a stdout reader
 that closed early, 2 configuration error (an output path that cannot be
@@ -36,16 +36,10 @@ import numpy as np
 # time with compare's running_max and growth_slope.  perfbench/tracing.py
 # wraps cli.compare, so the name stays.
 from .analysis import compare, envelope, growth_slope, running_max, zero_crossing_period  # noqa: F401
-from .asymptotic import FirstOrder, GlobalSolution, assemble_modes, discrete_fundamental, first_order
+from .asymptotic import GlobalSolution, assemble_modes, discrete_fundamental, init_from_amplitude
 from .lineardiff import RootConvention, Scheme, SchemeParams
-from .oracle import (
-    DivergenceError,
-    SingularStepError,
-    Trajectory,
-    init_from_amplitude,
-    iterate,
-)
-from .perturbation import Variant, naive_solution
+from .oracle import DivergenceError, SingularStepError, Trajectory, iterate
+from .perturbation import FirstOrder, Variant, first_order, naive_solution
 from .renormalization import build_flow, flow_path
 
 __all__ = ["ExperimentConfig", "main", "entry", "run_compare_pipeline"]
@@ -301,14 +295,17 @@ def _write_table(cfg: ExperimentConfig, columns: dict, summary: dict | None):
         fh.writelines(_table_bytes(cfg, columns, summary))
 
 
-def _oracle_stage(cfg: ExperimentConfig, kind: Variant, params: SchemeParams, steps: int) -> Trajectory:
-    """The exact iteration from the initial amplitude, steps + 1 values."""
-    z0, z1 = init_from_amplitude(complex(cfg.a0_re, cfg.a0_im), params)
+def _oracle_stage(cfg: ExperimentConfig, kind: Variant, params: SchemeParams, steps: int,
+                  first: FirstOrder) -> Trajectory:
+    """The exact iteration from the first-order bridge at the initial
+    amplitude (with the first-order record `first`), steps + 1 values."""
+    z0, z1 = init_from_amplitude(kind, complex(cfg.a0_re, cfg.a0_im), params, first)
     return iterate(kind, params, z0, z1, steps)
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    traj = _oracle_stage(cfg, *_boundary(cfg))
+    kind, params, steps = _boundary(cfg)
+    traj = _oracle_stage(cfg, kind, params, steps, first_order(kind, params))
     rows = np.arange(0, len(traj), cfg.stride)
     columns = {"n": rows, "t": rows * traj.dt, "z": traj.values[:: cfg.stride]}
     _write_table(cfg, columns, summary=None)
@@ -336,12 +333,11 @@ def _blocks(steps: int, rows: np.ndarray):
 
 
 def _model_stage(sol: GlobalSolution, steps: int, oracle: Trajectory,
-                 fundamental: np.ndarray | None, coeffs: FirstOrder,
-                 rows: np.ndarray) -> tuple[dict, tuple]:
+                 fundamental: np.ndarray | None, rows: np.ndarray) -> tuple[dict, tuple]:
     """The flow path of `sol`'s scheme from its amplitude, then the three
     model columns and the naive and continuum errors against the oracle, in
     one pass over blocks of steps (_model_block) that all read the
-    pipeline's one first-order record.
+    pipeline's one first-order record, `sol.first`.
 
     Of the path only its values at `rows` are kept: the path itself at
     stride 1, a compact copy otherwise, none in a sweep, whose flow runs for
@@ -351,7 +347,7 @@ def _model_stage(sol: GlobalSolution, steps: int, oracle: Trajectory,
     slopes, outlive a block; the path is freed on return.
     """
     # By keyword: perfbench/tracing.py reads the step count from `steps`.
-    path = flow_path(build_flow(sol.kind, sol.params), sol.a0, steps=steps)
+    path = flow_path(build_flow(sol.kind, sol.params, sol.first), sol.a0, steps=steps)
     if rows.size <= steps:  # not every step is written
         path = path[rows]
     # In the order the writer writes them, after n, t and z_oracle.
@@ -359,12 +355,12 @@ def _model_stage(sol: GlobalSolution, steps: int, oracle: Trajectory,
             ("z_naive", "z_renorm_discrete", "z_renorm_continuum", "err_naive", "err_renorm")}
     running = (np.empty(steps + 1), np.empty(steps + 1))
     for block in _blocks(steps, rows):
-        _model_block(sol, oracle, fundamental, coeffs, path, block, kept, running)
+        _model_block(sol, oracle, fundamental, path, block, kept, running)
     return kept, running
 
 
 def _model_block(sol: GlobalSolution, oracle: Trajectory, fundamental: np.ndarray | None,
-                 coeffs: FirstOrder, path: np.ndarray, block: tuple, kept: dict, running: tuple):
+                 path: np.ndarray, block: tuple, kept: dict, running: tuple):
     """One block of _model_stage: lam_p^n, then the naive column, the
     continuum column and the discrete column at the block's written rows,
     each checked as it is formed (the first two with their errors,
@@ -375,14 +371,14 @@ def _model_block(sol: GlobalSolution, oracle: Trajectory, fundamental: np.ndarra
     n = np.arange(lo, hi)
     f = discrete_fundamental(sol.params, n) if fundamental is None else fundamental[lo:hi]
     z = oracle.values[lo:hi]
-    z_naive = naive_solution(sol.kind, sol.a0, sol.params, n, f, coeffs)
+    z_naive = naive_solution(sol.kind, sol.a0, sol.params, n, f, sol.first)
     _error_block("z_naive", z, z_naive, running[0], block, kept["err_naive"])
     kept["z_naive"][at] = z_naive[picks]
-    z_continuum = sol.eval_discrete(n, f, coeffs)
+    z_continuum = sol.eval_discrete(n, f)
     _error_block("z_renorm_continuum", z, z_continuum, running[1], block, kept["err_renorm"])
     kept["z_renorm_continuum"][at] = z_continuum[picks]
     if picks.size:  # a sweep, or a block with no written row, assembles nothing
-        z_discrete = assemble_modes(sol.kind, sol.params, path[at], f[picks], coeffs)
+        z_discrete = assemble_modes(sol.kind, sol.params, path[at], f[picks], sol.first)
         bad = _first_non_finite(z_discrete, 0)
         if bad is not None:
             raise _not_finite("z_renorm_discrete", lo + picks[bad])
@@ -437,7 +433,7 @@ def _summary_stage(oracle: Trajectory, running: tuple) -> dict:
 
 
 def run_compare_pipeline(cfg: ExperimentConfig, fundamental: np.ndarray | None = None,
-                         columns: bool = True) -> tuple[dict, dict]:
+                         columns: bool = True, sol: GlobalSolution | None = None) -> tuple[dict, dict]:
     """Oracle vs naive vs renormalized trajectories, plus summary statistics.
 
     Returns (columns, summary).  The columns hold the rows the writer writes,
@@ -447,16 +443,17 @@ def run_compare_pipeline(cfg: ExperimentConfig, fundamental: np.ndarray | None =
     the rows.  The flow runs whole before the pass over blocks, which keeps
     its path at the written rows alone.  `fundamental` is lam_p^n on the
     time grid when the caller shares it between pipelines; without it each
-    block forms its own span.  Either way the bytes are the same.  Raises
-    ConfigError for a config that `main` would refuse.
+    block forms its own span.  Either way the bytes are the same.  `sol` is
+    the config's GlobalSolution, from a caller that checked it already, with
+    the first-order record that every stage reads.  Raises ConfigError for a
+    config that `main` would refuse.
     """
     kind, params, steps = _boundary(cfg)
-    # Checks a0 before the oracle runs.
-    sol = GlobalSolution(kind, params, complex(cfg.a0_re, cfg.a0_im))
-    oracle = _oracle_stage(cfg, kind, params, steps)
-    coeffs = first_order(kind, sol.a0, params)
+    # Checks a0, and derives the record, before the oracle runs.
+    sol = sol or GlobalSolution(kind, params, complex(cfg.a0_re, cfg.a0_im))
+    oracle = _oracle_stage(cfg, kind, params, steps, sol.first)
     rows = np.arange(0, steps + 1, cfg.stride) if columns else np.arange(0)
-    kept, running = _model_stage(sol, steps, oracle, fundamental, coeffs, rows)
+    kept, running = _model_stage(sol, steps, oracle, fundamental, rows)
     summary = _summary_stage(oracle, running)
     return {"n": rows, "t": rows * oracle.dt, "z_oracle": oracle.values[rows], **kept}, summary
 
@@ -473,10 +470,11 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values: list[float]) -> int:
     if param not in _SWEEPABLE:
         raise ConfigError(f"sweep parameter must be one of {_SWEEPABLE}, got {param!r}")
     row_cfgs = [dataclasses.replace(cfg, **{param: value}) for value in values]
-    # Every row passes the boundary, then compare's check of a0, before any pipeline runs.
+    # Every row passes the boundary, then compare's check of a0, before any
+    # pipeline runs; each row's solution, with its record, goes to its pipeline.
     checked = [_boundary(row_cfg) for row_cfg in row_cfgs]
-    for row_cfg, (kind, params, _) in zip(row_cfgs, checked):
-        GlobalSolution(kind, params, complex(row_cfg.a0_re, row_cfg.a0_im))
+    sols = [GlobalSolution(kind, params, complex(row_cfg.a0_re, row_cfg.a0_im))
+            for row_cfg, (kind, params, _) in zip(row_cfgs, checked)]
     # eps and a0_re keep the time grid (dt, t_max, scheme), so its lam_p^n is
     # built once and the blocks slice it; each dt gives a grid of its own,
     # formed a block at a time inside its pipeline.
@@ -487,7 +485,8 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values: list[float]) -> int:
     # The summary alone: the pipeline keeps no rows and assembles no discrete
     # column, but still runs the flow, so its guard fails a row as it fails
     # compare.
-    summaries = [run_compare_pipeline(row_cfg, fundamental, columns=False)[1] for row_cfg in row_cfgs]
+    summaries = [run_compare_pipeline(row_cfg, fundamental, False, sol)[1]
+                 for row_cfg, sol in zip(row_cfgs, sols)]
     columns = {"value": list(values), **{key: [s[key] for s in summaries] for key in summaries[0]}}
     _write_table(cfg, columns, summary={"param": param})
     return 0

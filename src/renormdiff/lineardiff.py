@@ -13,9 +13,9 @@ FIRST_ORDER uses lambda = 1 +/- i*omega.  These satisfy the characteristic
 polynomial only to O(omega^3) per step and their product is 1 + mu, not 1; the
 convention exists to reproduce the first-order perturbation formulas verbatim.
 EXACT_UNIT_MODULUS uses the exact roots e^{+/- i theta} with
-cos(theta) = 1 - mu/2, which have unit modulus and product exactly 1.  Use
-the exact convention whenever trajectories are compared against brute-force
-iteration.
+cos(theta) = 1 - mu/2, which have unit modulus and product exactly 1.  It is
+the default, and the only convention the first-order record (and so every
+renormalized or naive solution) accepts.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class SchemeParams:
 
     dt: float
     eps: float = 0.0
-    root_convention: RootConvention = RootConvention.FIRST_ORDER
+    root_convention: RootConvention = RootConvention.EXACT_UNIT_MODULUS
     scheme: Scheme = Scheme.STANDARD
 
     def __post_init__(self):

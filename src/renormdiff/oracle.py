@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lineardiff import SchemeParams, characteristic_roots
+from .lineardiff import SchemeParams
 from .perturbation import Variant, vdp_scale
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "DivergenceError",
     "SingularStepError",
     "iterate",
-    "init_from_amplitude",
 ]
 
 _DIVERGENCE_LIMIT = 1e8
@@ -70,19 +69,6 @@ class Trajectory:
     @property
     def times(self) -> np.ndarray:
         return np.arange(self.values.size) * self.dt
-
-
-def init_from_amplitude(a0: complex, params: SchemeParams) -> tuple[float, float]:
-    """Zeroth-order bridge from amplitude space to initial data.
-
-    z(0) = 2 Re(a0) and z(1) = 2 Re(a0 * lam_p) under the active root
-    convention.  The bridge ignores the first-order correction, which costs an
-    O(eps) offset against the asymptotic solution; comparisons absorb it in
-    their tolerances.
-    """
-    a0 = complex(a0)
-    lam_p, _ = characteristic_roots(params)
-    return 2.0 * a0.real, 2.0 * (a0 * lam_p).real
 
 
 def iterate(

@@ -3,8 +3,10 @@
 Builds the zeroth-order solution A lam_p^n + conj(A) lam_m^n of a real
 sequence from the one complex amplitude A, the first-order forcing and
 particular solution for the cubic and Van der Pol type schemes, extracts the
-secular (n * lambda^n) content, and evaluates the naive (unrenormalized)
-expansion z0 + eps * z1 as twice the real part of its lam_p half.
+secular (n * lambda^n) content, derives the first-order record that every
+consumer reads (the per-step secular rate and the third-harmonic
+coefficient), and evaluates the naive (unrenormalized) expansion
+z0 + eps * z1 as twice the real part of its lam_p half.
 
 Cross-term convention: products lam_p^n * lam_m^n arising from powers of z0
 are collected as 1.  This is exact for the unit-modulus roots (whose product
@@ -15,6 +17,7 @@ is exactly 1) and a deliberate first-order approximation for the
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -22,6 +25,7 @@ import numpy as np
 from .lineardiff import (
     HarmonicSum,
     HarmonicTerm,
+    RootConvention,
     SchemeParams,
     characteristic_roots,
     is_resonant,
@@ -38,6 +42,9 @@ __all__ = [
     "first_order_forcing",
     "first_order_solution",
     "extract_secular",
+    "FirstOrder",
+    "first_order",
+    "monomial",
     "naive_solution",
     "nonlinearity_value",
     "vdp_scale",
@@ -82,13 +89,33 @@ def vdp_scale(params: SchemeParams) -> float:
     return omega * (omega / params.dt)
 
 
+def monomial(kind: Variant, a: complex) -> complex:
+    """The monomial mono(a) that the secular term and the flow step carry:
+    a^2 conj(a) (cubic) or a - a^2 conj(a) (Van der Pol)."""
+    cube = a * a * a.conjugate()
+    return cube if kind is Variant.CUBIC else a - cube
+
+
+def _unit_forcing(kind: Variant, params: SchemeParams) -> tuple:
+    """The lam_p half of the forcing with a unit coefficient on each monomial:
+    the lam_p^3 term per a^3, then the lam_p term per mono(a)."""
+    lam_p = characteristic_roots(params)[0]
+    if kind is Variant.CUBIC:
+        w3, w1 = -params.mu, -3.0 * params.mu
+    else:
+        w1 = vdp_scale(params) * (lam_p - 1.0 / lam_p)
+        w3 = -w1
+    return HarmonicTerm(w3, lam_p**3), HarmonicTerm(w1, lam_p)
+
+
 def first_order_forcing(
     kind: Variant, a: complex, params: SchemeParams
 ) -> HarmonicSum:
     """Right-hand side of the first-order equation, collected on four modes.
 
-    Each formula is written for the lam_p half; the lam_m half is its
-    conjugate, which keeps the forcing real.  With b = conj(a):
+    Each formula is written for the lam_p half (_unit_forcing times a^3 and
+    mono(a)); the lam_m half is its conjugate, which keeps the forcing real.
+    With b = conj(a):
 
     Cubic: -mu * (a^3 lam_p^3n + 3 a^2 b lam_p^n), the mu prefactor being
     the scheme's.
@@ -99,43 +126,64 @@ def first_order_forcing(
     s = lam_p - 1/lam_p.  They are collected under the cross-term
     convention, read as lam_m = 1/lam_p.
     """
-    return _real_sum(_forcing_terms(kind, a, params))
-
-
-def _forcing_terms(kind: Variant, a: complex, params: SchemeParams) -> tuple:
-    """first_order_forcing's lam_p half: the lam_p^3 term, then the lam_p term."""
     a = complex(a)
-    b = a.conjugate()
-    lam_p = characteristic_roots(params)[0]
-    if kind is Variant.CUBIC:
-        pref = -params.mu
-        return (
-            HarmonicTerm(pref * a**3, lam_p**3),
-            HarmonicTerm(pref * 3.0 * a * a * b, lam_p),
-        )
-    scale = vdp_scale(params)
-    s_p = lam_p - 1.0 / lam_p
-    return (
-        HarmonicTerm(-scale * a**3 * s_p, lam_p**3),
-        HarmonicTerm(scale * (a - a * a * b) * s_p, lam_p),
-    )
+    t3, t1 = _unit_forcing(kind, params)
+    return _real_sum((HarmonicTerm(t3.coeff * (a * a * a), t3.base),
+                      HarmonicTerm(t1.coeff * monomial(kind, a), t1.base)))
 
 
-def _third_harmonic_base(params: SchemeParams) -> complex:
-    """The base lam_p^3 of the third harmonic, checked to be non-resonant.
+def _unit_response(kind: Variant, params: SchemeParams) -> tuple[HarmonicSum, complex]:
+    """particular_solution of _unit_forcing, and its base lam_p^3.
 
     Below dt of about 1.6e-5 the characteristic polynomial at lam_p^3, about
     -8 dt^2, falls within resonance_tolerance, so particular_solution would
     file the third harmonic as secular (or as degenerate at smaller dt) and
     its coefficient would read 0; that is refused with a ValueError naming dt.
     """
-    base = characteristic_roots(params)[0] ** 3
-    if is_resonant(base, params):
+    forcing = _unit_forcing(kind, params)
+    base3 = forcing[0].base
+    if is_resonant(base3, params):
         raise ValueError(
             f"dt = {params.dt} is too small to resolve the third harmonic: its "
-            f"base lam_p^3 = {base} lies within the resonance tolerance"
+            f"base lam_p^3 = {base3} lies within the resonance tolerance"
         )
-    return base
+    return particular_solution(HarmonicSum(forcing), params), base3
+
+
+@dataclass(frozen=True)
+class FirstOrder:
+    """The first-order record of one (kind, params), derived once per pipeline.
+
+    `rate` is the per-step secular rate r, with eps sigma(a) = r mono(a): the
+    naive expansion's secular coefficient and the step of the discrete
+    renormalization equation A(m+1) - A(m) = eps sigma(A(m)), at the
+    scheme's own dt.  `k3` is the third-harmonic coefficient per unit a^3 and
+    `base3` the checked base lam_p^3.
+    """
+
+    rate: complex
+    k3: complex
+    base3: complex
+
+
+def first_order(kind: Variant, params: SchemeParams) -> FirstOrder:
+    """The first-order record, from one particular_solution of the lam_p half
+    of the forcing with a unit coefficient on each monomial.
+
+    At exact roots lam_p - 1/lam_p is imaginary, so the cubic rate is
+    imaginary and the Van der Pol rate real; the record keeps that part alone
+    (the other is rounding, below 1e-13 of it), which makes each flow one
+    real recurrence.  A dt too small to resolve the third harmonic is
+    refused with a ValueError, and so are first-order roots, where the
+    dropped part is of relative size dt/2.
+    """
+    z1, base3 = _unit_response(kind, params)
+    if params.root_convention is not RootConvention.EXACT_UNIT_MODULUS:
+        raise ValueError(f"the first-order record needs the exact roots, not the "
+                         f"{params.root_convention.value!r} root convention")
+    sigma = params.eps * z1.coefficient(characteristic_roots(params)[0], 1)
+    rate = complex(0.0, sigma.imag) if kind is Variant.CUBIC else complex(sigma.real)
+    return FirstOrder(rate, z1.coefficient(base3), base3)
 
 
 def first_order_solution(
@@ -169,42 +217,33 @@ def extract_secular(z1: HarmonicSum, params: SchemeParams) -> complex:
     return sigma
 
 
-def _naive_coefficients(kind: Variant, a: complex, params: SchemeParams) -> tuple[complex, complex]:
-    """naive_solution's sigma and c3 at amplitude a (see there); raises
-    ValueError where dt is too small for the third harmonic to be resolved."""
-    lam_p = characteristic_roots(params)[0]
-    base3 = _third_harmonic_base(params)
-    z1 = particular_solution(HarmonicSum(_forcing_terms(kind, a, params)), params)
-    return z1.coefficient(lam_p, 1), z1.coefficient(base3)
-
-
 def naive_solution(kind: Variant, a: complex, params: SchemeParams, n, fundamental=None,
-                   coeffs=None):
-    """Uncorrected expansion z0 + eps * z1 at index n: 2 Re[(a + eps sigma n) F + eps c3 F^3].
+                   first: FirstOrder | None = None):
+    """Uncorrected expansion z0 + eps * z1 at index n: 2 Re[(a + n r mono(a)) F + eps k3 a^3 F^3].
 
     a is the amplitude of the lam_p mode and F = lam_p^n.  The lam_m mode
     carries conj(a), and the lam_m half of the expansion is the conjugate of
     the lam_p half, so twice the real part of the lam_p half is the whole
-    real sequence.  sigma and c3 are the secular and third-harmonic
-    coefficients of the response to the lam_p half of the forcing alone:
-    read off first_order_solution, c3 would double (cubic) or cancel (Van
-    der Pol) wherever lam_p^3 is real and the lam_m^3 term merges onto its
-    base.  `coeffs` holds sigma and c3 (``asymptotic.FirstOrder``), from a
-    caller that evaluates the expansion block by block and derives them
-    once; without it they are derived here.  `fundamental` is F at these
-    indices, from a caller that also assembles the renormalized forms with
-    it (power_table(lam_p, n) when omitted).  Accepts a scalar index
-    (returns a float) or an array of indices (returns a float array);
-    raises ValueError where dt is too small for the third harmonic to be
-    resolved.
+    real sequence.  r and k3 come from the first-order record `first`
+    (derived here when omitted): n r mono(a) is n times the flow's first
+    step, so the naive and renormalized solutions share one secular
+    coefficient, and k3, the response to the lam_p^3 half of the forcing, is
+    not doubled or cancelled where a real lam_p^3 merges the lam_m^3 term
+    onto its base.  `fundamental` is F at these indices, from a caller that
+    also assembles the renormalized forms with it (power_table(lam_p, n)
+    when omitted).  Accepts a scalar index (returns a float) or an array of
+    indices (returns a float array).
     """
-    sigma, c3 = _naive_coefficients(kind, a, params) if coeffs is None else (coeffs.sigma, coeffs.c3)
+    first = first_order(kind, params) if first is None else first
+    a = complex(a)
+    secular = first.rate * monomial(kind, a)
+    third = params.eps * first.k3 * (a * a * a)
     arr = np.asarray(n, dtype=float)
     if fundamental is None:
         f = power_table(characteristic_roots(params)[0], arr)
     else:
         f = np.asarray(fundamental, dtype=complex)
-    value = (complex(a) + params.eps * sigma * arr) * f + params.eps * c3 * (f * f * f)
+    value = (a + secular * arr) * f + third * (f * f * f)
     out = 2.0 * value.real
     if out.ndim == 0:
         return float(out)

@@ -4,13 +4,15 @@ The integration constants of the zeroth-order solution are promoted to slowly
 varying amplitudes A(m), B(m) driven per step by eps times the secular
 coefficients.  For the real solutions studied here B = conj(A), and the B
 equation is the conjugate of the A equation, so this module carries A alone
-and reads B as conj(A) where a formula needs it.  The continuum amplitude
-equation is A' = r A^2 conj(A) (cubic) or A' = r (A - A^2 conj(A)) (Van der
-Pol), with the rate r = secular_rate(kind, eps); the discrete flow steps it
-with r dt.  Both rates make the step one real recurrence: the cubic rate is
-imaginary, so the flow turns A by the factors 1 + i x with the real
-x = Im(r dt) |A|^2, and the Van der Pol rate is real, so the flow is one real
-scale of A, which keeps Im(A)/Re(A) to rounding.
+and reads B as conj(A) where a formula needs it.  The discrete flow steps the
+renormalization equation A(m+1) - A(m) = eps sigma(A(m)) = r mono(A(m)),
+with mono(A) = A^2 conj(A) (cubic) or A - A^2 conj(A) (Van der Pol) and the
+per-step rate r of the scheme's first-order record (perturbation.first_order),
+at its own dt.  The continuum amplitude equation is A' = (r/dt) mono(A).
+Both rates make the step one real recurrence: the cubic rate is imaginary,
+so the flow turns A by the factors 1 + i x with the real x = Im(r) |A|^2, and
+the Van der Pol rate is real, so the flow is one real scale of A, which keeps
+Im(A)/Re(A) to rounding.
 Both the iterated map and the dt -> 0 closed forms (a rotation for the
 cubic flow, a logistic-type envelope for the Van der Pol flow) are provided,
 so their gaps can be measured instead of assumed.
@@ -25,11 +27,10 @@ import numpy as np
 
 from .lineardiff import SchemeParams
 from .oracle import _guard_blocks
-from .perturbation import Variant
+from .perturbation import FirstOrder, Variant, first_order, monomial
 
 __all__ = [
     "AmplitudeFlow",
-    "secular_rate",
     "build_flow",
     "flow_path",
     "solve_cubic_continuum",
@@ -56,38 +57,26 @@ class EnvelopeDomainError(ValueError):
 class AmplitudeFlow:
     """Discrete amplitude flow of one variant; calling it returns delta A.
 
-    delta A = rate A^2 B (cubic) or rate (A - A^2 B) (Van der Pol), B = conj(A).
+    delta A = rate mono(A): rate A^2 B (cubic) or rate (A - A^2 B) (Van der
+    Pol), B = conj(A).
     """
 
     variant: Variant
     rate: complex
 
     def __call__(self, a: complex) -> complex:
-        rate = self.rate
-        if self.variant is Variant.CUBIC:
-            return rate * a * a * a.conjugate()
-        return rate * (a - a * a * a.conjugate())
+        return self.rate * monomial(self.variant, a)
 
 
-def secular_rate(kind: Variant, eps: float) -> complex:
-    """Rate r of the continuum amplitude equation, the dt -> 0 secular coefficient.
-
-    Cubic:       A' = r A^2 B with r = (3/2) i eps,
-    Van der Pol: A' = r (A - A^2 B) with r = eps; B = conj(A).  The one
-    definition of both rates.
-    """
-    if kind is Variant.CUBIC:
-        return 1.5j * eps
-    return eps
-
-
-def build_flow(kind: Variant, params: SchemeParams) -> AmplitudeFlow:
+def build_flow(kind: Variant, params: SchemeParams, first: FirstOrder | None = None) -> AmplitudeFlow:
     """Discrete amplitude flow for the given nonlinearity: the step map A -> delta A.
 
-    The forward Euler step of the continuum equation, rate secular_rate * dt.
-    The B equation of the two-amplitude map is the conjugate of the A equation.
+    The discrete renormalization equation at the per-step rate r of the
+    first-order record `first` (derived here when omitted): the forward Euler
+    step of A' = (r/dt) mono(A).  The B equation is the A equation's conjugate.
     """
-    return AmplitudeFlow(kind, secular_rate(kind, params.eps) * params.dt)
+    first = first_order(kind, params) if first is None else first
+    return AmplitudeFlow(kind, first.rate)
 
 
 def _cubic_path(a0: complex, rate: complex, steps: int) -> np.ndarray:
@@ -205,7 +194,7 @@ def solve_cubic_continuum(a0: complex, rate: complex, t):
     """Continuum amplitude A(t) = A0 e^{rate c t} with c = |A0|^2.
 
     Exact solution of A' = rate A^2 conj(A); for an imaginary rate (the
-    cubic secular_rate) the modulus is conserved identically.  Accepts scalar
+    cubic record's) the modulus is conserved identically.  Accepts scalar
     or array t.
     """
     a0 = complex(a0)
@@ -262,16 +251,16 @@ def solve_vdp_continuum(a0: complex, rate: float, t):
     return a
 
 
-def continuum_amplitude(kind: Variant, a0: complex, eps: float, t):
-    """Continuum amplitude A(t) with A(0) = a0 and B = conj(A), scalar or array t.
+def continuum_amplitude(kind: Variant, a0: complex, rate: complex, t):
+    """Continuum amplitude A(t) of A' = rate mono(A) with A(0) = a0 and
+    B = conj(A), scalar or array t; `rate` is the record's per-step rate r over dt.
 
-    Cubic: a0 rotating at rate Im(r) |a0|^2, r = secular_rate(kind, eps).
-    Van der Pol: a0 scaled by the real envelope at rate r.
+    Cubic: a0 rotating at rate Im(rate) |a0|^2.  Van der Pol: a0 scaled by
+    the real envelope at the real part of the rate.
     """
-    rate = secular_rate(kind, eps)
     if kind is Variant.CUBIC:
         return solve_cubic_continuum(a0, rate, t)
-    return solve_vdp_continuum(a0, rate, t)
+    return solve_vdp_continuum(a0, complex(rate).real, t)
 
 
 def continuum_limit_check(kind: Variant, a0: complex, params: SchemeParams, t_max: float) -> float:
@@ -279,12 +268,12 @@ def continuum_limit_check(kind: Variant, a0: complex, params: SchemeParams, t_ma
 
     Runs the discrete flow from a0 for t_max / dt steps and
     reports max_m |A_discrete(m) - A_ode(m dt)|.  The map is the forward Euler
-    step of the continuum equation, so the gap shrinks linearly as dt is
-    halved; callers assert that ratio.
+    step of the continuum equation at the same rate, so the gap shrinks
+    linearly as dt is halved; callers assert that ratio.
     """
     steps = int(round(t_max / params.dt))
-    flow = build_flow(kind, params)
-    a_path = flow_path(flow, a0, steps)
+    first = first_order(kind, params)
+    a_path = flow_path(build_flow(kind, params, first), a0, steps)
     t = np.arange(steps + 1) * params.dt
-    a_ode = continuum_amplitude(kind, a0, params.eps, t)
+    a_ode = continuum_amplitude(kind, a0, first.rate / params.dt, t)
     return float(np.max(np.abs(a_path - a_ode)))

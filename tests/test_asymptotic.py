@@ -10,6 +10,7 @@ from renormdiff.asymptotic import (
     GlobalSolution,
     assemble_modes,
     discrete_fundamental,
+    init_from_amplitude,
     third_harmonic_coefficient,
 )
 from renormdiff.lineardiff import (
@@ -18,19 +19,21 @@ from renormdiff.lineardiff import (
     SchemeParams,
     characteristic_roots,
 )
-from renormdiff.oracle import init_from_amplitude, iterate
+from renormdiff.oracle import iterate
 from renormdiff.perturbation import (
     CUBIC,
     VAN_DER_POL,
+    first_order,
     vdp_scale,
     zeroth_order,
 )
+from renormdiff.renormalization import build_flow
 
 FIRST = RootConvention.FIRST_ORDER
 EXACT = RootConvention.EXACT_UNIT_MODULUS
 
 
-def params(dt, eps=0.0, convention=FIRST):
+def params(dt, eps=0.0, convention=EXACT):
     return SchemeParams(dt=dt, eps=eps, root_convention=convention)
 
 
@@ -45,7 +48,7 @@ class TestThirdHarmonicCoefficient:
 
     def test_vdp_matches_denominator_formula(self):
         dt = 0.1
-        p = params(dt, eps=0.05)
+        p = params(dt, eps=0.05, convention=FIRST)
         lam, _ = characteristic_roots(p)
         s = lam - 1 / lam
         expected = -dt * s / (lam**3 + lam**-3 - 2 + dt * dt)
@@ -72,7 +75,7 @@ class TestThirdHarmonicCoefficient:
         assert third_harmonic_coefficient(kind, p) == pytest.approx(expected, rel=1e-12)
 
     def test_small_dt_limits(self):
-        p = params(0.001, eps=0.01)
+        p = params(0.001, eps=0.01, convention=FIRST)
         assert third_harmonic_coefficient(CUBIC, p) == pytest.approx(0.125, rel=2e-3)
         assert third_harmonic_coefficient(VAN_DER_POL, p) == pytest.approx(
             0.25j, rel=2e-3
@@ -127,12 +130,12 @@ class TestCubicSolution:
         assert np.allclose(sol.eval_continuum_waveform(t), np.cos(t), atol=1e-12)
 
     def test_discrete_converges_to_waveform(self):
-        # with the first-order roots the gap over a fixed horizon shrinks at
-        # least linearly in dt (the modulus factor (1+dt^2)^(n/2) dominates)
+        # lam_p^n = e^{i theta n} with theta = dt + O(dt^3): the phase gap to
+        # e^{i t} over a fixed horizon shrinks like dt^2
         eps, a0 = 0.05, 0.5
         gaps = []
         for dt in (0.02, 0.01):
-            p = params(dt, eps=eps, convention=FIRST)
+            p = params(dt, eps=eps)
             sol = GlobalSolution(CUBIC, p, a0)
             n = np.arange(int(20 / dt) + 1)
             gap = np.abs(sol.eval_discrete(n) - sol.eval_continuum_waveform(n * dt))
@@ -163,8 +166,14 @@ class TestFrequencyShift:
         assert GlobalSolution(CUBIC, params(0.1, eps=0.0), 0.5).frequency_shift() == 1.0
 
     def test_reference_value(self):
+        # 1 + (3/2) eps |a0|^2 at dt -> 0, times the exact-dt factor
+        # 1/sqrt(1 - mu/4) of the standard scheme's rate
         sol = GlobalSolution(CUBIC, params(0.1, eps=0.05), 0.5)
-        assert sol.frequency_shift() == pytest.approx(1.01875)
+        assert sol.frequency_shift() == pytest.approx(1 + 0.01875 / math.sqrt(1 - 0.0025))
+
+    def test_first_order_roots_refused(self):
+        with pytest.raises(ValueError, match="'first-order' root convention"):
+            GlobalSolution(CUBIC, params(0.1, eps=0.05, convention=FIRST), 0.5)
 
     def test_zero_amplitude(self):
         sol = GlobalSolution(CUBIC, params(0.1, eps=0.05), 0.0)
@@ -245,7 +254,7 @@ class TestVdpSolution:
         # to 2 and the renormalized one follows it at every peak
         eps = 0.05
         p = params(0.005, eps=eps, convention=EXACT)
-        z0, z1 = init_from_amplitude(a0, p)
+        z0, z1 = init_from_amplitude(VAN_DER_POL, a0, p)
         peaks = envelope(iterate(VAN_DER_POL, p, z0, z1, int(round(10.0 / eps / p.dt))))
         sol = GlobalSolution(VAN_DER_POL, p, a0)
         dev = np.abs(sol.fundamental_amplitude(peaks[:, 0]) - peaks[:, 1]) / peaks[:, 1]
@@ -298,6 +307,63 @@ class TestVdpSolution:
         assert slow.fundamental_amplitude(2 * t) == pytest.approx(
             fast.fundamental_amplitude(t), rel=1e-12
         )
+
+
+class TestInitFromAmplitude:
+    """The first-order bridge: z(0), z(1) of the discrete renormalized form."""
+
+    def test_real_amplitude(self):
+        p = params(0.1)
+        z0, z1 = init_from_amplitude(CUBIC, 0.5, p)
+        assert z0 == 1.0
+        assert z1 == 2 * (0.5 * characteristic_roots(p)[0]).real
+
+    def test_exact_convention_uses_cosine(self):
+        _, z1 = init_from_amplitude(CUBIC, 0.5, params(0.1))
+        assert z1 == pytest.approx(2 * 0.5 * (1 - 0.005))
+
+    def test_imaginary_amplitude_starts_at_zero(self):
+        for kind in (CUBIC, VAN_DER_POL):
+            z0, _ = init_from_amplitude(kind, 0.5j, params(0.1))
+            assert z0 == 0.0
+
+    def test_round_trip_against_closed_form(self):
+        p = params(0.2)
+        a0 = 0.3 - 0.4j
+        z0, z1 = init_from_amplitude(CUBIC, a0, p)
+        lam, _ = characteristic_roots(p)
+        expected = 2.0 * np.real(a0 * np.exp(np.arange(2) * np.log(lam)))
+        assert z0 == pytest.approx(expected[0], rel=1e-14)
+        assert z1 == pytest.approx(expected[1], rel=1e-14)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("dt", [0.01, 0.1, 1.3])
+    @pytest.mark.parametrize("kind", [CUBIC, VAN_DER_POL])
+    def test_zeroth_order_data_to_the_bit_at_eps_zero(self, kind, dt, scheme):
+        p = SchemeParams(dt=dt, eps=0.0, scheme=scheme)
+        lam, _ = characteristic_roots(p)
+        for a0 in (0.5, 0.3 + 0.2j, -0.7 + 0.11j, 1e-7 + 3e-9j, 123.4 - 0.3j):
+            want = (2.0 * complex(a0).real, 2.0 * (complex(a0) * lam).real)
+            assert init_from_amplitude(kind, a0, p) == want
+
+    @pytest.mark.parametrize("kind", [CUBIC, VAN_DER_POL])
+    def test_first_order_data(self, kind):
+        # z(0) = 2 Re[a0 + eps k3 a0^3]; z(1) the same form at A(1) = a0 +
+        # flow(a0) on lam_p, both from the one record
+        p = params(0.05, eps=0.03)
+        a0 = 0.4 + 0.2j
+        first = first_order(kind, p)
+        lam, _ = characteristic_roots(p)
+        a1 = a0 + build_flow(kind, p)(a0)
+        want = [2.0 * (u + p.eps * first.k3 * u**3).real for u in (a0, a1 * lam)]
+        got = init_from_amplitude(kind, a0, p)
+        assert got == pytest.approx(want, rel=1e-14)
+        assert got == init_from_amplitude(kind, a0, p, first)
+        assert got[0] != 2.0 * a0.real
+
+    def test_first_order_roots_refused(self):
+        with pytest.raises(ValueError, match="needs the exact roots"):
+            init_from_amplitude(CUBIC, 0.5, params(0.1, convention=FIRST))
 
 
 class TestAssembleModes:

@@ -10,17 +10,21 @@ import numpy as np
 import pytest
 
 from renormdiff import cli
-from renormdiff.asymptotic import third_harmonic_coefficient
+from renormdiff.asymptotic import init_from_amplitude
 from renormdiff.cli import ExperimentConfig, main, run_compare_pipeline
 from renormdiff.lineardiff import (
-    HarmonicSum,
     RootConvention,
     Scheme,
     SchemeParams,
     characteristic_roots,
-    particular_solution,
 )
-from renormdiff.perturbation import Variant, _forcing_terms, first_order_solution, zeroth_order
+from renormdiff.perturbation import (
+    Variant,
+    first_order,
+    first_order_solution,
+    monomial,
+    zeroth_order,
+)
 from renormdiff.renormalization import build_flow, continuum_amplitude
 
 
@@ -148,13 +152,15 @@ class TestSimulate:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_vdp_zero_real_amplitude_runs(self, tmp_path):
-        # the oracle needs no component ratio
+        # the oracle needs no component ratio; it starts from the first-order
+        # bridge, whose z(0) = 2 Re(eps k3 a0^3) is not 0 at a0 = 0.3i
         out = tmp_path / "vdp.csv"
         code = main(["simulate", "--kind", "vdp", "--a0-re", "0", "--a0-im", "0.3",
                      "--t-max", "5", "--output-path", str(out)])
         assert code == 0
         _, rows, _ = read_csv(out)
-        assert rows[0, 2] == 0.0
+        params = cli._scheme_params(ExperimentConfig(kind="vdp"))
+        assert rows[0, 2] == init_from_amplitude(Variant.VAN_DER_POL, 0.3j, params)[0] != 0.0
         assert np.all(np.isfinite(rows[:, 2]))
 
     @pytest.mark.parametrize("eps", [0.02, 0.2])
@@ -1048,24 +1054,24 @@ def _pow3(u):
 
 def _reference_columns(cfg, cube=_cube):
     """The three model columns by formulas that share no work: the naive
-    expansion's lam_p half from the response to the lam_p half of the
-    forcing, the per-step fold, and exp(n log lam_p) per form.  `cube`
-    forms the third harmonic from the fundamental mode."""
+    expansion's lam_p half at the record's rate and k3, the per-step fold,
+    and exp(n log lam_p) per form.  `cube` forms the third harmonic from
+    the fundamental mode."""
     kind, params = Variant(cfg.kind), cli._scheme_params(cfg)
     a0 = complex(cfg.a0_re, cfg.a0_im)
     n = np.arange(cli._steps(cfg) + 1).astype(float)
     lam_p = characteristic_roots(params)[0]
-    half = particular_solution(HarmonicSum(_forcing_terms(kind, a0, params)), params)
-    sigma, c3 = half.coefficient(lam_p, 1), half.coefficient(lam_p**3)
+    first = first_order(kind, params)
+    k3 = first.k3
     fundamental = np.exp(n * cmath.log(lam_p))
-    z_naive = (a0 + params.eps * sigma * n) * fundamental + params.eps * c3 * cube(fundamental)
-    k3 = third_harmonic_coefficient(kind, params)
+    z_naive = ((a0 + first.rate * monomial(kind, a0) * n) * fundamental
+               + params.eps * k3 * (a0 * a0 * a0) * cube(fundamental))
 
     def modes(amp):
         mode = amp * np.exp(n * cmath.log(lam_p))
         return 2.0 * (mode + params.eps * k3 * cube(mode)).real
 
-    continuum = continuum_amplitude(kind, a0, params.eps, n * cfg.dt)
+    continuum = continuum_amplitude(kind, a0, first.rate / params.dt, n * cfg.dt)
     flow = _per_step_fold(build_flow(kind, params), a0, n.size - 1)
     return {"z_naive": 2.0 * z_naive.real, "z_renorm_discrete": modes(flow),
             "z_renorm_continuum": modes(continuum)}
@@ -1196,9 +1202,9 @@ class TestPipelineBlocks:
         calls = []
         original = cli.assemble_modes
 
-        def recorded(kind, params, amplitudes, fundamental, coeffs):
+        def recorded(kind, params, amplitudes, fundamental, first):
             calls.append(amplitudes.copy())
-            return original(kind, params, amplitudes, fundamental, coeffs)
+            return original(kind, params, amplitudes, fundamental, first)
 
         monkeypatch.setattr(cli, "assemble_modes", recorded)
         columns, _ = run_compare_pipeline(cfg)
@@ -1317,17 +1323,20 @@ class TestPipelineBlocks:
             f"numerical failure: z_renorm_discrete is not finite at n={7 * place}\n")
         assert not out.exists()
 
-    def test_first_order_coefficients_are_derived_once_per_pipeline(self, monkeypatch, tmp_path):
-        from renormdiff import asymptotic
+    def test_first_order_record_is_derived_once_per_pipeline(self, monkeypatch, tmp_path):
+        # one particular_solution per record: one for compare (the bridge,
+        # the flow and every block read it), one per sweep row, one for
+        # simulate's bridge
+        from renormdiff import perturbation
 
         calls = []
-        original = asymptotic.third_harmonic_coefficient
+        original = perturbation.particular_solution
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(asymptotic, "third_harmonic_coefficient", counted)
+        monkeypatch.setattr(perturbation, "particular_solution", counted)
         monkeypatch.setattr(cli, "_BLOCK_STEPS", 97)
         columns, _ = run_compare_pipeline(ExperimentConfig(t_max=20.0))
         assert len(columns["n"]) == 2001 and len(calls) == 1
@@ -1335,6 +1344,8 @@ class TestPipelineBlocks:
         assert main(["sweep", "--param=eps", "--values=0.005,0.01,0.02", "--t-max=20",
                      f"--output-path={out}"]) == 0
         assert len(calls) == 1 + 3
+        assert main(["simulate", "--t-max=20", f"--output-path={out}"]) == 0
+        assert len(calls) == 1 + 3 + 1
 
 
 class TestPipelinePeakMemory:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from renormdiff.analysis import envelope, zero_crossing_period
-from renormdiff.asymptotic import GlobalSolution
+from renormdiff.asymptotic import GlobalSolution, init_from_amplitude
 from renormdiff.cli import main
 from renormdiff.lineardiff import (
     HarmonicSum,
@@ -18,7 +18,7 @@ from renormdiff.lineardiff import (
     SchemeParams,
     particular_solution,
 )
-from renormdiff.oracle import init_from_amplitude, iterate
+from renormdiff.oracle import iterate
 from renormdiff.perturbation import (
     CUBIC,
     VAN_DER_POL,
@@ -35,7 +35,7 @@ class TestHalfEpsVanDerPol:
     def test_renormalized_envelope_tracks_oracle(self):
         eps, dt = 0.025, 0.005
         params = SchemeParams(dt=dt, eps=eps, root_convention=EXACT)
-        z0, z1 = init_from_amplitude(0.1, params)
+        z0, z1 = init_from_amplitude(VAN_DER_POL, 0.1, params)
         # half the eps of the other checks: the limit cycle needs ~2x the time
         traj = iterate(VAN_DER_POL, params, z0, z1, int(400 / dt))
         peaks = envelope(traj)
@@ -67,30 +67,30 @@ class TestVdpNaive:
         n = np.arange(int(100 / dt) + 1)
         z_naive = naive_solution(VAN_DER_POL, a0, params, n)
         assert np.all(np.isfinite(z_naive))
-        z0, z1 = init_from_amplitude(0.1, params)
+        z0, z1 = init_from_amplitude(VAN_DER_POL, 0.1, params)
         traj = iterate(VAN_DER_POL, params, z0, z1, n.size - 1)
         err = np.abs(traj.values - z_naive)
         # the linearized growth overshoots once eps * t is order one
         assert err[n * dt <= 10].max() < 0.1
         assert err.max() > 0.3
 
-    def test_early_gap_scales_with_initial_bridging_mismatch(self):
-        # the oracle is seeded with zeroth-order data while the expansion
-        # carries eps * z1 from the start, so on short horizons the gap is
-        # dominated by that O(eps) offset: halving eps halves it
+    def test_early_gap_is_second_order_from_the_first_order_bridge(self):
+        # the oracle starts on the first-order solution (z(0), z(1) of the
+        # renormalized form), so on short horizons no O(eps) offset is left:
+        # halving eps quarters the gap to the naive expansion
         dt = 0.01
         horizon = int(5 / dt)
         gaps = []
         for eps in (0.04, 0.02):
             params = SchemeParams(dt=dt, eps=eps, root_convention=EXACT)
             a0 = 0.3
-            z0, z1 = init_from_amplitude(0.3, params)
+            z0, z1 = init_from_amplitude(VAN_DER_POL, a0, params)
             traj = iterate(VAN_DER_POL, params, z0, z1, horizon)
             gap = np.abs(
                 traj.values - naive_solution(VAN_DER_POL, a0, params, np.arange(horizon + 1))
             ).max()
             gaps.append(gap)
-        assert gaps[0] / gaps[1] == pytest.approx(2.0, rel=0.2)
+        assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=0.1)
 
 
 class TestDegenerateGuard:
@@ -181,7 +181,7 @@ class TestCliVdpComplexAmplitude:
 class TestReadmeExample:
     def test_quickstart_numbers(self):
         params = SchemeParams(dt=0.01, eps=0.01, root_convention=EXACT)
-        z0, z1 = init_from_amplitude(0.5, params)
+        z0, z1 = init_from_amplitude(CUBIC, 0.5, params)
         oracle = iterate(CUBIC, params, z0, z1, 20_000)
         n = np.arange(20_001)
         naive = naive_solution(CUBIC, 0.5, params, n)

@@ -19,7 +19,6 @@ from renormdiff.oracle import (
     DivergenceError,
     SingularStepError,
     Trajectory,
-    init_from_amplitude,
     iterate,
 )
 from renormdiff.perturbation import CUBIC, VAN_DER_POL, Variant, nonlinearity_value, vdp_scale
@@ -37,6 +36,17 @@ def large_eps(dt, eps):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return params(dt, eps=eps)
+
+
+def zeroth_order_data(a0, params):
+    """The zeroth-order initial data z(0) = 2 Re(a0), z(1) = 2 Re(a0 lam_p).
+
+    The oracle's own tests start from the homogeneous solution under either
+    root convention, so the steps and values they pin do not depend on the
+    package's first-order bridge (asymptotic.init_from_amplitude).
+    """
+    a0 = complex(a0)
+    return 2.0 * a0.real, 2.0 * (a0 * characteristic_roots(params)[0]).real
 
 
 def closed_form(a0, params, n_max):
@@ -65,35 +75,10 @@ class TestTrajectory:
             traj.values[0] = 0.0
 
 
-class TestInitFromAmplitude:
-    def test_real_amplitude(self):
-        p = params(0.1, convention=FIRST)
-        z0, z1 = init_from_amplitude(0.5, p)
-        assert z0 == 1.0
-        assert z1 == 1.0  # Re(1 + i dt) = 1
-
-    def test_exact_convention_uses_cosine(self):
-        p = params(0.1)
-        _, z1 = init_from_amplitude(0.5, p)
-        assert z1 == pytest.approx(2 * 0.5 * (1 - 0.005))
-
-    def test_imaginary_amplitude_starts_at_zero(self):
-        z0, _ = init_from_amplitude(0.5j, params(0.1))
-        assert z0 == 0.0
-
-    def test_round_trip_against_closed_form(self):
-        p = params(0.2)
-        a0 = 0.3 - 0.4j
-        z0, z1 = init_from_amplitude(a0, p)
-        expected = closed_form(a0, p, 1)
-        assert z0 == pytest.approx(expected[0], rel=1e-14)
-        assert z1 == pytest.approx(expected[1], rel=1e-14)
-
-
 class TestIterate:
     def test_linear_scheme_reproduces_exact_closed_form(self):
         p = params(0.1)
-        z0, z1 = init_from_amplitude(0.5, p)
+        z0, z1 = zeroth_order_data(0.5, p)
         traj = iterate(CUBIC, p, z0, z1, 10_000)
         expected = closed_form(0.5, p, 10_000)
         scale = np.abs(expected).max()
@@ -107,7 +92,7 @@ class TestIterate:
         drifts = {}
         for dt in (0.02, 0.01):
             p = params(dt, convention=FIRST)
-            z0, z1 = init_from_amplitude(0.5, p)
+            z0, z1 = zeroth_order_data(0.5, p)
             traj = iterate(CUBIC, p, z0, z1, 800)
             err = np.abs(traj.values - closed_form(0.5, p, 800))
             drifts[dt] = np.maximum.accumulate(err)
@@ -122,7 +107,7 @@ class TestIterate:
 
     def test_linear_regime_no_energy_growth(self):
         p = params(0.1)
-        z0, z1 = init_from_amplitude(0.5, p)
+        z0, z1 = zeroth_order_data(0.5, p)
         traj = iterate(CUBIC, p, z0, z1, 100_000)
         early_max = np.abs(traj.values[:1001]).max()
         assert np.abs(traj.values).max() <= 1.001 * early_max
@@ -159,7 +144,7 @@ class TestIterate:
         p = params(0.005, eps=0.05)
         n_steps = int(150 / p.dt)
         for a0 in (0.1, 1.5):  # start below and above the limit cycle
-            z0, z1 = init_from_amplitude(a0, p)
+            z0, z1 = zeroth_order_data(a0, p)
             traj = iterate(VAN_DER_POL, p, z0, z1, n_steps)
             peaks = envelope(traj)[:, 1]
             coarse = peaks[:: max(1, peaks.size // 30)]
@@ -272,20 +257,20 @@ class TestReferenceLoop:
         ],
     )
     def test_bytes_equal_step_function_loop(self, kind, p):
-        z0, z1 = init_from_amplitude(0.4 + 0.15j, p)
+        z0, z1 = zeroth_order_data(0.4 + 0.15j, p)
         expected = _reference_iterate(kind, p, z0, z1, 5000)
         assert iterate(kind, p, z0, z1, 5000).values.tobytes() == expected.tobytes()
 
     def test_cubic_divergence_same_failure(self):
         p = params(1.5, eps=0.4)
-        z0, z1 = init_from_amplitude(50.0, p)
+        z0, z1 = zeroth_order_data(50.0, p)
         failure = _raised(iterate, CUBIC, p, z0, z1, 20)
         assert failure == _raised(_reference_iterate, CUBIC, p, z0, z1, 20)
         assert failure[1].startswith("|z(3)| = 4123845855.233769")
 
     def test_vdp_divergence_at_the_bound_same_failure(self):
         p = large_eps(1.0, 0.5)  # gain 0.5: the loop without the singular test
-        z0, z1 = init_from_amplitude(0.4 + 0.15j, p)
+        z0, z1 = zeroth_order_data(0.4 + 0.15j, p)
         failure = _raised(iterate, VAN_DER_POL, p, z0, z1, 100)
         assert failure == _raised(_reference_iterate, VAN_DER_POL, p, z0, z1, 100)
         assert failure[1].startswith("|z(38)| = ")
@@ -306,7 +291,7 @@ class TestReferenceLoop:
         # the step turns nan.  The guard after each block names the first
         # step past the bound, with its value, as a guard per step does.
         n_steps = 10_000
-        z0, z1 = init_from_amplitude(a0, p)
+        z0, z1 = zeroth_order_data(a0, p)
         stored = _reference_iterate(kind, p, z0, z1, n_steps, guard=False)
         past = np.flatnonzero(~(np.abs(stored[2:]) <= 1e8)) + 2
         assert past[0] == first and np.isnan(stored[-1])
@@ -333,7 +318,7 @@ class TestReferenceLoop:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             p = params(0.1, eps=10.0)
-        z0, z1 = init_from_amplitude(1e-7, p)
+        z0, z1 = zeroth_order_data(1e-7, p)
         failure = _raised(iterate, VAN_DER_POL, p, z0, z1, 20)
         assert failure == _raised(_reference_iterate, VAN_DER_POL, p, z0, z1, 20)
         assert failure == (SingularStepError, "implicit coefficient vanished at n=1")
@@ -354,7 +339,7 @@ class TestGuardBlocks:
                                                                kind, p, a0, first):
         # The steps after the failing block are never computed.
         n_steps = 100_000
-        z0, z1 = init_from_amplitude(a0, p)
+        z0, z1 = zeroth_order_data(a0, p)
         with pytest.raises(DivergenceError, match=rf"^\|z\({first}\)\| = "):
             iterate(kind, p, z0, z1, n_steps)
         monkeypatch.undo()
@@ -365,7 +350,7 @@ class TestGuardBlocks:
         # from a0 = 0.635 the run passes the bound at z(12506), in its fourth
         # block of 4096 steps
         p = params(1.0, eps=0.4)
-        z0, z1 = init_from_amplitude(0.635, p)
+        z0, z1 = zeroth_order_data(0.635, p)
         failure = _raised(iterate, CUBIC, p, z0, z1, 20_000)
         assert failure == _raised(_reference_iterate, CUBIC, p, z0, z1, 20_000)
         assert failure[1].startswith("|z(12506)| = ")
@@ -402,7 +387,7 @@ class TestSchemeResidual:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # eps = 5.5 is large
             p = SchemeParams(dt=dt, eps=eps, root_convention=EXACT, scheme=scheme)
-        z0, z1 = init_from_amplitude(0.4 + 0.15j, p)
+        z0, z1 = zeroth_order_data(0.4 + 0.15j, p)
         z = iterate(kind, p, z0, z1, 5000).values
         forcing = nonlinearity_value(kind, z[2:], z[1:-1], z[:-2], p)
         residual = scheme_residual(z[:-2], z[1:-1], z[2:], p, forcing)
@@ -435,7 +420,7 @@ class TestHighPrecisionBound:
         # must sit far below that scale (measured 4.9e-12 cubic, 9.9e-12 vdp)
         p = params(0.01, eps=0.01)
         n_steps = 10_000
-        z0, z1 = init_from_amplitude(0.5 + 0.2j, p)
+        z0, z1 = zeroth_order_data(0.5 + 0.2j, p)
         double = iterate(kind, p, z0, z1, n_steps).values
         exact = _mp_iterate(kind, p, z0, z1, n_steps)
         err = max(abs(mpmath.mpf(x) - y) for x, y in zip(double.tolist(), exact))

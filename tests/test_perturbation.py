@@ -13,7 +13,8 @@ from renormdiff.lineardiff import (
     power_table,
     scheme_residual,
 )
-from renormdiff.oracle import init_from_amplitude, iterate
+from renormdiff.asymptotic import init_from_amplitude
+from renormdiff.oracle import iterate
 from renormdiff.perturbation import (
     CUBIC,
     VAN_DER_POL,
@@ -182,7 +183,7 @@ class TestExtractSecular:
 
 class TestNaiveSolution:
     def test_eps_zero_reduces_to_homogeneous(self):
-        p = params(0.1, eps=0.0)
+        p = params(0.1, eps=0.0, convention=EXACT)
         a0 = 0.4 + 0.2j
         z0 = zeroth_order(a0, p)
         n = np.arange(50)
@@ -195,19 +196,15 @@ class TestNaiveSolution:
         assert type(naive_solution(CUBIC, 0.4 + 0.1j, p, 7)) is float
 
     @pytest.mark.parametrize("kind, eps", [(CUBIC, 0.02), (VAN_DER_POL, 0.02), (VAN_DER_POL, 0.01)])
-    @pytest.mark.parametrize("convention", [FIRST, EXACT])
     @pytest.mark.parametrize("scheme", [Scheme.STANDARD, Scheme.MICKENS])
     @pytest.mark.parametrize("dt", [0.004, 0.1, 0.5, 1.0, math.pi / 3, math.sqrt(3.0)])
-    def test_half_form_is_the_full_first_order_sum(self, kind, eps, convention, scheme, dt):
-        # dt = 1 at exact roots, pi/3 for mickens at exact roots and sqrt(3)
-        # for the standard scheme at either make lam_p^3 real, so the full sum
-        # merges its lam_p^3 and lam_m^3 terms onto one base
-        p = SchemeParams(dt=dt, eps=eps, root_convention=convention, scheme=scheme)
+    def test_half_form_is_the_full_first_order_sum(self, kind, eps, scheme, dt):
+        # dt = 1 and sqrt(3) for the standard scheme and pi/3 for mickens make
+        # lam_p^3 real, so the full sum merges its lam_p^3 and lam_m^3 terms onto one
+        # base; the secular term n r mono(a) is the full sum's
+        p = SchemeParams(dt=dt, eps=eps, root_convention=EXACT, scheme=scheme)
         a0 = 0.4 + 0.15j
-        lam_p = characteristic_roots(p)[0]
-        # a horizon at which first-order roots keep |lam_p|^{3n} below 1e260
-        growth = 3.0 * math.log(abs(lam_p))
-        n = np.arange((5000 if growth <= 0.0 else min(5000, int(600.0 / growth))) + 1)
+        n = np.arange(5001)
         full = zeroth_order(a0, p) + first_order_solution(kind, a0, p).scaled(p.eps)
         want = full.evaluate(n).real
         got = naive_solution(kind, a0, p, n)
@@ -221,13 +218,20 @@ class TestNaiveSolution:
         got = naive_solution(kind, 0.4 + 0.1j, p, n, fundamental)
         assert got.tobytes() == naive_solution(kind, 0.4 + 0.1j, p, n).tobytes()
 
+    def test_first_order_roots_are_refused(self):
+        # at lam_p = 1 + i omega the derived rate is not on its axis: the
+        # record refuses the convention rather than drop a real part of
+        # relative size dt/2
+        with pytest.raises(ValueError, match="needs the exact roots"):
+            naive_solution(CUBIC, 0.4 + 0.1j, params(0.1, eps=0.02), np.arange(10))
+
     def test_unresolved_third_harmonic_is_refused(self):
         p = params(1e-5, eps=0.02, convention=EXACT)
         with pytest.raises(ValueError, match="too small to resolve the third harmonic"):
             naive_solution(CUBIC, 0.4 + 0.1j, p, np.arange(10))
 
     def test_value_at_origin(self):
-        p = params(0.1, eps=0.02)
+        p = params(0.1, eps=0.02, convention=EXACT)
         a0 = 0.5
         z1 = first_order_solution(CUBIC, a0, p)
         expected = 1.0 + 0.02 * z1.evaluate(0).real
@@ -248,7 +252,7 @@ class TestNaiveSolution:
         dt, eps = 0.01, 0.01
         p = params(dt, eps=eps, convention=EXACT)
         a0 = 0.5
-        z0, z1 = init_from_amplitude(0.5, p)
+        z0, z1 = init_from_amplitude(CUBIC, 0.5, p)
         n_steps = int(200 / dt)
         traj = iterate(CUBIC, p, z0, z1, n_steps)
         n = np.arange(n_steps + 1)

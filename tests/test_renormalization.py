@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from renormdiff.asymptotic import GlobalSolution, third_harmonic_coefficient
+from renormdiff import perturbation
 from renormdiff.lineardiff import RootConvention, Scheme, SchemeParams, characteristic_roots
 from renormdiff.oracle import _GUARD_BLOCK
 from renormdiff.perturbation import (
@@ -17,8 +18,10 @@ from renormdiff.perturbation import (
     VAN_DER_POL,
     Variant,
     extract_secular,
+    first_order,
     first_order_forcing,
     first_order_solution,
+    monomial,
     zeroth_order,
 )
 from renormdiff.renormalization import (
@@ -29,7 +32,6 @@ from renormdiff.renormalization import (
     continuum_amplitude,
     continuum_limit_check,
     flow_path,
-    secular_rate,
     solve_cubic_continuum,
     solve_vdp_continuum,
 )
@@ -59,14 +61,16 @@ def _ulps(got, want):
 
 class TestBuildFlow:
     def test_cubic_step(self):
+        # the standard scheme's exact-dt rate: (3/2) i eps dt / sqrt(1 - mu/4)
         p = params(0.01, 0.05)
         flow = build_flow(CUBIC, p)
         a = 0.4 + 0.1j
         b = a.conjugate()
         da = flow(a)
         db = da.conjugate()
-        assert da == pytest.approx(1.5j * 0.05 * 0.01 * a * a * b)
-        assert db == pytest.approx(-1.5j * 0.05 * 0.01 * b * b * a)
+        rate = 1.5j * 0.05 * 0.01 / math.sqrt(1.0 - 0.01**2 / 4)
+        assert da == pytest.approx(rate * a * a * b, rel=1e-14)
+        assert db == pytest.approx(-rate * b * b * a, rel=1e-14)
 
     def test_vdp_step(self):
         p = params(0.01, 0.05)
@@ -101,14 +105,15 @@ class TestIterateFlow:
             flow_path(build_flow(CUBIC, params(0.01, 0.05)), 0.5, steps=-1)
 
     def test_cubic_per_step_drift_formula(self):
-        # the product AB drifts by exactly (9/4) eps^2 dt^2 (AB)^3 per step
+        # the product AB drifts by exactly |r|^2 (AB)^3 per step, with
+        # |r|^2 = (9/4) eps^2 dt^2 / (1 - mu/4)
         p = params(0.01, 0.02)
         flow = build_flow(CUBIC, p)
         a0, b0 = 0.6 + 0.1j, 0.6 - 0.1j
         a1 = flow_path(flow, a0, 1)[-1]
         b1 = a1.conjugate()
         drift = a1 * b1 - a0 * b0
-        expected = 2.25 * p.eps**2 * p.dt**2 * (a0 * b0) ** 3
+        expected = 2.25 * p.eps**2 * p.dt**2 / (1.0 - p.mu / 4) * (a0 * b0) ** 3
         assert abs(drift - expected) <= 1e-12
 
     def test_cubic_drift_quarters_with_eps(self):
@@ -117,8 +122,9 @@ class TestIterateFlow:
         for eps in (0.04, 0.02):
             flow = build_flow(CUBIC, params(0.01, eps))
             a1 = flow_path(flow, a0, 1)[-1]
-            b1 = a1.conjugate()
-            drifts.append(abs(a1 * b1 - a0 * b0))
+            # |A1|^2 - |A0|^2 by component: the products' difference, about
+            # 1e-9 of 0.25, would cancel to a relative 2e-8
+            drifts.append((a1.real**2 - a0.real**2) + (a1.imag**2 - b0.imag**2))
         assert drifts[0] / drifts[1] == pytest.approx(4.0, rel=1e-9)
 
     def test_vdp_ratio_invariant_over_long_iteration(self):
@@ -167,19 +173,16 @@ def _two_amplitude_path(variant, rate, a0, steps):
 
 class TestConjugateReduction:
     @pytest.mark.parametrize(
-        "kind, variant, eps, rate",
-        [
-            (CUBIC, "cubic", 0.05, 1.5j * 0.05 * 0.02),
-            (VAN_DER_POL, "vdp", 0.05, 0.05 * 0.02),
-            (VAN_DER_POL, "vdp", 0.025, 0.025 * 0.02),
-        ],
+        "kind, variant, eps",
+        [(CUBIC, "cubic", 0.05), (VAN_DER_POL, "vdp", 0.05), (VAN_DER_POL, "vdp", 0.025)],
     )
-    def test_flow_path_equals_two_amplitude_map(self, kind, variant, eps, rate):
+    def test_flow_path_equals_two_amplitude_map(self, kind, variant, eps):
         a0 = 0.3 + 0.21j
+        flow = build_flow(kind, params(0.02, eps))
+        rate = flow.rate if kind is CUBIC else flow.rate.real
         a_ref, b_ref = _two_amplitude_path(variant, rate, a0, 2000)
         assert b_ref.tobytes() == np.conj(a_ref).tobytes()
-        a_path = flow_path(build_flow(kind, params(0.02, eps)), a0, 2000)
-        _assert_same_path(a_path, a_ref)
+        _assert_same_path(flow_path(flow, a0, 2000), a_ref)
 
 
 def _fold_path(flow, a0, steps):
@@ -535,7 +538,9 @@ _A, _B, _L, _X = sp.symbols("a b L X")  # X stands for L^n
 _MU = _DT**2
 _MICKENS_MU = 4 * sp.sin(_DT / 2) ** 2
 _ROOT = (2 - _MU) / 2 + sp.I * _DT * sp.sqrt(4 - _MU) / 2  # exact root of unit modulus
+_MICKENS_ROOT = sp.cos(_DT) + sp.I * sp.sin(_DT)  # the mickens scheme's, e^{i dt}
 _RATE_KINDS = [CUBIC, VAN_DER_POL]
+_LIMITS = {CUBIC: 1.5j, VAN_DER_POL: 1.0}  # the dt -> 0 rate over eps dt
 
 
 def _forcing(kind, mu=_MU):
@@ -569,21 +574,22 @@ def _complex30(z):
 
 
 @lru_cache(maxsize=None)
-def _symbolic_rate(kind):
-    """Per-step amplitude rate over eps of the standard scheme at exact roots.
+def _symbolic_rate(kind, scheme=Scheme.STANDARD):
+    """Per-step amplitude rate over eps of a scheme at its exact roots.
 
     Derived from the scheme alone: the L^n coefficient F of the first-order
     right-hand side (see _forcing) is resonant.  The scheme's operator maps
     n L^n to (L - 1/L) L^n at a root, so F drives n L^n with coefficient
     F / (L - 1/L); the rate is that coefficient per unit of the secular mode.
     """
-    rhs, mode = _forcing(kind)
-    operator = sp.expand((_N + 1) * _L - (2 - _MU) * _N + (_N - 1) / _L)
-    assert sp.simplify(operator.coeff(_N, 1).subs(_L, _ROOT)) == 0
+    mu, root = (_MU, _ROOT) if scheme is Scheme.STANDARD else (_MICKENS_MU, _MICKENS_ROOT)
+    rhs, mode = _forcing(kind, mu)
+    operator = sp.expand((_N + 1) * _L - (2 - mu) * _N + (_N - 1) / _L)
+    assert sp.simplify(operator.coeff(_N, 1).subs(_L, root)) == 0
     coefficient = rhs.coeff(_X, 1) / operator.coeff(_N, 0)
     rate = sp.factor(sp.cancel(coefficient / mode))
     assert not rate.free_symbols & {_A, _B, _X}
-    return sp.simplify(rate.subs(_L, _ROOT))
+    return sp.simplify(rate.subs(_L, root))
 
 
 @lru_cache(maxsize=None)
@@ -602,12 +608,18 @@ def _symbolic_third_harmonic(kind):
 
 
 class TestSecularRate:
-    """secular_rate against the rate derived with sympy from the two schemes."""
+    """The first-order record's rate against the rate derived with sympy from
+    the two schemes."""
 
     @pytest.mark.parametrize("kind", _RATE_KINDS)
     def test_continuum_limit(self, kind):
+        # (3/2) i eps (cubic) and eps (Van der Pol) as dt -> 0
         limit = sp.limit(_symbolic_rate(kind) / _DT, _DT, 0)
-        assert complex(limit) == secular_rate(kind, 1.0)
+        assert complex(limit) == _LIMITS[kind]
+        for scheme in Scheme:
+            p = SchemeParams(dt=1e-4, eps=0.5, scheme=scheme)
+            rate = first_order(kind, p).rate / (p.eps * p.dt)
+            assert rate == pytest.approx(_LIMITS[kind], rel=1e-8)
 
     @pytest.mark.parametrize("dt", [0.01, 0.1, 0.5])
     @pytest.mark.parametrize("kind", _RATE_KINDS)
@@ -632,13 +644,87 @@ class TestSecularRate:
     def test_build_flow_rate(self, kind):
         for dt, eps in ((0.01, 0.01), (0.1, 0.03), (0.02, 0.05), (0.3, 0.007)):
             p = params(dt, eps)
-            assert build_flow(kind, p).rate == secular_rate(kind, p.eps) * p.dt
+            first = first_order(kind, p)
+            assert build_flow(kind, p).rate == first.rate
+            assert build_flow(kind, p, first) == build_flow(kind, p)
+            assert first.rate / (eps * dt) == pytest.approx(_LIMITS[kind], rel=0.02)
 
     def test_frequency_shift(self):
         for eps, a0 in ((0.01, 0.5), (0.03, 0.4 + 0.3j), (0.05, -0.2 + 0.7j)):
-            shift = GlobalSolution(CUBIC, params(0.01, eps), a0).frequency_shift()
+            p = params(0.01, eps)
+            shift = GlobalSolution(CUBIC, p, a0).frequency_shift()
             c = (a0 * complex(a0).conjugate()).real
-            assert shift == 1 + secular_rate(CUBIC, eps).imag * c
+            assert shift == 1 + (first_order(CUBIC, p).rate / p.dt).imag * c
+
+
+class TestFirstOrderRecord:
+    """The one first-order record per (kind, params), pinned independently of
+    the code that builds it."""
+
+    # eps sigma / (mono(a) limit dt), derived at finite dt (ROADMAP item 3)
+    CLOSED_FORMS = {
+        (CUBIC, Scheme.STANDARD): 1 / sp.sqrt(1 - _MU / 4),
+        (CUBIC, Scheme.MICKENS): 2 * sp.tan(_DT / 2) / _DT,
+        (VAN_DER_POL, Scheme.STANDARD): sp.Integer(1),
+        (VAN_DER_POL, Scheme.MICKENS): _MICKENS_MU / _DT**2,
+    }
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("kind", _RATE_KINDS)
+    def test_rate_factor_at_finite_dt(self, kind, scheme):
+        closed = self.CLOSED_FORMS[kind, scheme]
+        limit = 3 * sp.I / 2 if kind is CUBIC else 1
+        factor = sp.simplify(_symbolic_rate(kind, scheme) / (limit * _DT))
+        assert sp.simplify(factor - closed) == 0
+        for dt in (0.01, 0.1, 0.5, 1.0):
+            p = SchemeParams(dt=dt, eps=0.01, scheme=scheme)
+            got = first_order(kind, p).rate / (_LIMITS[kind] * p.eps * dt)
+            want = complex(closed.subs(_DT, sp.Float(dt, 30)).evalf(30))
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("dt", [0.01, 0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("kind", _RATE_KINDS)
+    def test_rate_times_monomial_is_the_extracted_secular(self, kind, scheme, dt):
+        p = SchemeParams(dt=dt, eps=0.02, scheme=scheme)
+        first = first_order(kind, p)
+        for a in (0.4 + 0.3j, -0.7 + 0.05j, 1.3j):
+            sigma = extract_secular(first_order_solution(kind, a, p), p)
+            assert abs(p.eps * sigma - first.rate * monomial(kind, a)) <= 1e-13 * abs(p.eps * sigma)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("kind", _RATE_KINDS)
+    def test_projection_drops_rounding_alone(self, kind, scheme):
+        # the cubic rate kept on the imaginary axis, the Van der Pol one on
+        # the real axis; the part dropped is rounding (at most 1.4e-14 of it
+        # when measured)
+        for dt in (1.6e-5, 1e-3, 0.01, 0.1, 0.5, 1.0, 1.5, 1.9):
+            p = SchemeParams(dt=dt, eps=0.01, scheme=scheme)
+            z1, _ = perturbation._unit_response(kind, p)
+            full = p.eps * z1.coefficient(characteristic_roots(p)[0], 1)
+            kept = first_order(kind, p).rate
+            assert kept == (1j * full.imag if kind is CUBIC else full.real)
+            assert abs(full - kept) <= 1e-13 * abs(full)
+
+    @pytest.mark.parametrize("kind", _RATE_KINDS)
+    def test_one_particular_solution_per_record(self, monkeypatch, kind):
+        calls = []
+        original = perturbation.particular_solution
+        monkeypatch.setattr(perturbation, "particular_solution",
+                            lambda *args: calls.append(args) or original(*args))
+        first = first_order(kind, params(0.1, 0.02))
+        assert len(calls) == 1
+        assert first.k3 == third_harmonic_coefficient(kind, params(0.1, 0.02))
+        assert first.base3 == characteristic_roots(params(0.1, 0.02))[0] ** 3
+
+    @pytest.mark.parametrize("kind", _RATE_KINDS)
+    def test_first_order_roots_refused(self, kind):
+        p = SchemeParams(dt=0.1, eps=0.02, root_convention=RootConvention.FIRST_ORDER)
+        with pytest.raises(ValueError, match="needs the exact roots, not the 'first-order'"):
+            first_order(kind, p)
+        for call in (build_flow, lambda k, q: GlobalSolution(k, q, 0.5)):
+            with pytest.raises(ValueError, match="needs the exact roots"):
+                call(kind, p)
 
 
 class TestForcingAlgebra:
