@@ -55,8 +55,10 @@ def growth_slope(dt: float, running: np.ndarray) -> float:
     """Least-squares slope (per time unit) of `running` against the times n dt.
 
     The centred closed form sum(tc (y - ybar)) / sum(tc^2) with tc = t - tbar;
-    it is np.polyfit(t, y, 1)[0] to within 1e-13 max|y| / span(t).  It works
-    in place and overwrites `running`, so the fit holds one array beside it.
+    it is np.polyfit(t, y, 1)[0] to within 1e-13 max|y| / span(t) plus
+    2 ulp(0) (1 + size / sum(tc^2)), for products that round below the
+    normal range.  It works in place and overwrites `running`, so the fit
+    holds one array beside it.
     """
     if running.size < 2:
         return 0.0

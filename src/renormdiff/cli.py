@@ -11,12 +11,12 @@ first-order bridge (all that `simulate` runs), the amplitude flow, one pass
 over blocks of steps that forms each block's lam_p^n and the naive,
 continuum and discrete columns, checked in that order, with the first two's
 errors, and the summary; only the rows written are kept.
-Output is CSV (17-significant-digit floats, byte-stable across runs) or JSON
-mirroring the same field names.  Exit codes: 0 success, 1 a stdout reader
-that closed early, 2 configuration error (an output path that cannot be
-opened included), 3 numerical failure: a diverging or singular oracle step,
-an amplitude flow past its guard or a non-finite model column, each named
-with the step where it happened.
+Output is CSV or JSON in the format `renormdiff.writer` defines; this module
+chooses stdout or a file.  Exit codes: 0 success, 1 a stdout reader that
+closed early, 2 configuration error (an output path that cannot be opened
+included), 3 numerical failure: a diverging or singular oracle step, an
+amplitude flow past its guard or a non-finite model column, each named with
+the step where it happened.
 """
 
 from __future__ import annotations
@@ -133,6 +133,8 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("t_max must be positive")
     if cfg.stride < 1:
         raise ConfigError("stride must be >= 1")
+    if cfg.stride > _MAX_STEPS:  # no run has more steps, so it could only pick row 0
+        raise ConfigError(f"stride must be at most {_MAX_STEPS}, got {cfg.stride}")
     if cfg.eps < 0.0:
         raise ConfigError("eps must be nonnegative")
     return cfg
@@ -165,134 +167,19 @@ def _boundary(cfg: ExperimentConfig) -> tuple[Variant, SchemeParams, int]:
     return Variant(cfg.kind), _scheme_params(cfg), _steps(cfg)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
-def _json_text(value) -> str:
-    """The JSON literal of one float or None cell: ``repr`` floats, ``NaN``,
-    ``null``."""
-    return json.dumps(None if value is None else float(value))
-
-
-# Rows formatted per chunk: a chunk's text is about 0.6 MB of compare CSV or
-# 1.1 MB of JSON, so a long run is never held in memory as one document.  The
-# document holds one byte matrix of at most this many rows (0.8 MB of compare
-# CSV, 1.4 MB of JSON), whose cells every chunk rewrites, and, while g17
-# renders one float column into it, about 1.5 MB of kernel scratch (350 B
-# per value).
-_CHUNK_ROWS = 4096
-# Steps per block of the compare pipeline's pass: a block's lam_p^n and model
-# columns, a traced 0.85 MB of temporaries at this size, are reduced to the
-# written rows and the errors' running maxima before the next block is formed.
-_BLOCK_STEPS = 8192
-
-
-# Bytes of a cell of each array kind: the g17 layout (``g17.WIDTH``), or the
-# widest int64 or uint64 text (``g17.INT_WIDTH``).
-_CELL_WIDTH = {"f": 24, "i": 20, "u": 20}
-
-
-def _cells(part, fmt: str) -> np.ndarray:
-    """The cells of one column slice as rows of NUL-padded ASCII bytes.
-
-    Each cell, NULs dropped, is ``_fmt`` (CSV) or ``_json_text`` (JSON) of
-    its value.  Float arrays go through the ``g17`` kernel of the format,
-    which calls that function for the values it does not cover; integer
-    arrays through ``g17.render_integers``, whose text is the same in both
-    formats; anything else through the function one value at a time.
-    """
-    text = _fmt if fmt == "csv" else _json_text
-    kind = part.dtype.kind if isinstance(part, np.ndarray) else None
-    if kind in _CELL_WIDTH:
-        from . import g17  # only an array column builds its tables
-
-        if kind != "f":
-            return g17.render_integers(part, _fmt)
-        return (g17.render if fmt == "csv" else g17.render_shortest)(part, text)
-    cells = np.array([text(v).encode("ascii") for v in part])
-    return cells.view(np.uint8).reshape(len(part), cells.itemsize)
-
-
-def _table_bytes(cfg: ExperimentConfig, columns: dict, summary: dict | None):
-    """Yield the CSV or JSON document of every row of ``columns`` as bytes, in
-    pieces of at most ``_CHUNK_ROWS`` rows (a stride is applied where the
-    columns are made).
-
-    The CSV columns are written in the order of ``columns``, the JSON ones
-    sorted by name.  The rows of a chunk are one byte matrix, built once per
-    document: each row holds the constant text (separators, JSON keys) and a
-    NUL-padded slot per cell, and each chunk rewrites only the cells, a
-    short last chunk in the leading rows; a chunk's bytes are its rows with
-    the NULs dropped.  An array column is rendered a chunk at a time at its
-    kind's width; any other column is formatted whole first, so that one
-    width serves the document.  The pieces join to exactly what ``",".join``
-    of ``_fmt`` cells per row, or ``json.dumps(doc, indent=1,
-    sort_keys=True)`` of ``{"rows": [...], "summary": ...}``, would give.
-    """
-    fmt = cfg.output_format
-    names = list(columns)
-    if fmt == "csv":
-        head = ",".join(names) + "\n"
-        before = [""] + [","] * (len(names) - 1)
-        end, trim = "\n", 0
-        tail = "" if summary is None else "# summary = " + json.dumps(summary, sort_keys=True) + "\n"
-    else:
-        names.sort()
-        head = '{\n "rows": [\n'
-        before = [("  {\n" if i == 0 else ",\n") + f"   {json.dumps(name)}: "
-                  for i, name in enumerate(names)]
-        # Every row ends in ",\n"; the last chunk drops the one after the last row.
-        end, trim = "\n  },\n", 2
-        tail = "\n ]"
-        if summary is not None:
-            nested = json.dumps(summary, indent=1, sort_keys=True).replace("\n", "\n ")
-            tail += ',\n "summary": ' + nested
-        tail += "\n}\n"
-    yield head.encode()
-    parts = [columns[name] for name in names]
-    ready = [None if isinstance(part, np.ndarray) and part.dtype.kind in _CELL_WIDTH
-             else _cells(part, fmt) for part in parts]
-    template = bytearray()
-    slots = []
-    for lead, part, cells in zip(before, parts, ready):
-        width = _CELL_WIDTH[part.dtype.kind] if cells is None else cells.shape[1]
-        template += lead.encode("ascii") + bytes(width)
-        slots.append(slice(len(template) - width, len(template)))
-    template += end.encode("ascii")
-    n_rows = len(parts[0])
-    text = bytearray(min(n_rows, _CHUNK_ROWS) * len(template))
-    table = np.frombuffer(text, np.uint8).reshape(-1, len(template))
-    table[:] = np.frombuffer(template, np.uint8)
-    for lo in range(0, n_rows, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, n_rows)
-        for part, cells, slot in zip(parts, ready, slots):
-            table[: hi - lo, slot] = _cells(part[lo:hi], fmt) if cells is None else cells[lo:hi]
-        size = (hi - lo) * len(template) - (trim if hi == n_rows else 0)
-        yield (text if size == len(text) else text[:size]).translate(None, b"\0")
-    yield tail.encode()
-
-
-def _table_text(cfg: ExperimentConfig, columns: dict, summary: dict | None):
-    """The pieces of ``_table_bytes`` decoded, for a text stream."""
-    return (piece.decode() for piece in _table_bytes(cfg, columns, summary))
-
-
 def _write_table(cfg: ExperimentConfig, columns: dict, summary: dict | None):
     """The document to stdout, decoded, or to ``cfg.output_path`` as bytes."""
+    from .writer import table_bytes, table_text  # loaded on the first write, not with the parser
+
     if cfg.output_path is None:
-        sys.stdout.writelines(_table_text(cfg, columns, summary))
+        sys.stdout.writelines(table_text(cfg.output_format, columns, summary))
         return
     try:
         fh = open(cfg.output_path, "wb")
     except OSError as exc:
         raise ConfigError(f"cannot write output: {exc}") from exc
     with fh:
-        fh.writelines(_table_bytes(cfg, columns, summary))
+        fh.writelines(table_bytes(cfg.output_format, columns, summary))
 
 
 def _oracle_stage(cfg: ExperimentConfig, kind: Variant, params: SchemeParams, steps: int,
@@ -321,6 +208,12 @@ def _first_non_finite(block: np.ndarray, lo: int) -> int | None:
 
 def _not_finite(name: str, n: int) -> DivergenceError:
     return DivergenceError(f"{name} is not finite at n={n}")
+
+
+# Steps per block of the compare pipeline's pass: a block's lam_p^n and model
+# columns, a traced 0.85 MB of temporaries at this size, are reduced to the
+# written rows and the errors' running maxima before the next block is formed.
+_BLOCK_STEPS = 8192
 
 
 def _blocks(steps: int, rows: np.ndarray):

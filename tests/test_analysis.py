@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renormdiff.analysis import compare, envelope, growth_slope, running_max, zero_crossing_period
@@ -54,13 +56,18 @@ class TestSlope:
         dt=st.floats(1e-4, 1.5),
         swap=st.booleans(),
     )
+    # A subnormal series, and a normal one whose products in the fit are subnormal.
+    @example(y=np.array([0.0, 2.2250738585e-313]), dt=1.0, swap=False)
+    @example(y=np.array([0.0, 1e-307]), dt=1e-4, swap=False)
     def test_slope_is_polyfit_to_rounding(self, y, dt, swap):
         traj, zero = Trajectory(dt, y), Trajectory(dt, np.zeros(y.size))
         got = (compare(zero, traj) if swap else compare(traj, zero)).slope
         fitted = np.maximum.accumulate(np.abs(y))  # what compare fits
         t = np.arange(y.size) * dt
         want = float(np.polyfit(t, fitted, 1)[0])
-        assert abs(got - want) <= 1e-13 * fitted.max() / (t[-1] - t[0])
+        tc = t - t.mean()
+        floor = 2 * math.ulp(0.0) * (1 + y.size / (tc * tc).sum())
+        assert abs(got - want) <= 1e-13 * fitted.max() / (t[-1] - t[0]) + floor
 
 
 class TestRunningMax:

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from renormdiff import cli
+from renormdiff import cli, writer
 from renormdiff.asymptotic import init_from_amplitude
 from renormdiff.cli import ExperimentConfig, main, run_compare_pipeline
 from renormdiff.lineardiff import (
@@ -657,7 +657,7 @@ def assert_same_text(got, want):
     )
 
 
-CHUNK = cli._CHUNK_ROWS
+CHUNK = writer._CHUNK_ROWS
 
 # (command, format, stride, steps, destination, extra config); the step counts
 # put the written rows below, exactly at and one past a writer chunk.
@@ -720,7 +720,7 @@ class TestWriterFallback:
         summary = {"note": 1}
         # The writer writes every row it is given; the pipeline applies the stride.
         strided = {name: column[::stride] for name, column in columns.items()}
-        got = "".join(cli._table_text(ExperimentConfig(), strided, summary))
+        got = "".join(writer.table_text("csv", strided, summary))
         assert_same_text(got, reference_table(list(columns), columns, summary, "csv", stride))
 
     @pytest.mark.parametrize("stride", [1, 3])
@@ -752,9 +752,8 @@ class TestWriterFallback:
         ints = np.array([0, -1, 10**16, -(2**63), 2**63 - 1, 42] * n, dtype=np.int64)[:n]
         columns = {"z": x, "b": -x[::-1].copy(), "n": ints, "u": ints.astype(np.uint64)}
         summary = {"note": 1}
-        cfg = ExperimentConfig(output_format="json")
         strided = {name: column[::stride] for name, column in columns.items()}
-        got = "".join(cli._table_text(cfg, strided, summary))
+        got = "".join(writer.table_text("json", strided, summary))
         rows = [{name: columns[name][i].item() for name in columns} for i in range(0, n, stride)]
         want = json.dumps({"rows": rows, "summary": summary}, indent=1, sort_keys=True) + "\n"
         assert_same_text(got, want)
@@ -780,11 +779,11 @@ class TestWriterChunks:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("rows", [1, 4, 5, 13], ids=["one", "chunk", "chunk+1", "2chunk+5"])
     def test_document_matches_reference(self, monkeypatch, tmp_path, fmt, rows):
-        monkeypatch.setattr(cli, "_CHUNK_ROWS", 4)
+        monkeypatch.setattr(writer, "_CHUNK_ROWS", 4)
         columns = self._columns(rows)
         summary = {"note": 1}
         cfg = ExperimentConfig(output_format=fmt, output_path=str(tmp_path / f"out.{fmt}"))
-        pieces = list(cli._table_text(cfg, columns, summary))
+        pieces = list(writer.table_text(fmt, columns, summary))
         assert len(pieces) == 2 + -(-rows // 4)  # head, one piece per chunk, tail
         got = "".join(pieces)
         header = list(columns) if fmt == "csv" else sorted(columns)
@@ -1006,6 +1005,34 @@ class TestExactRootsOnly:
             message = "error: root_convention must be one of ('exact',), got 'first-order'\n"
         assert main([*command, *flags, "--t-max=5", f"--output-path={out}"]) == 2
         assert message in capsys.readouterr().err
+        assert calls == {"iterate": 0}
+        assert not out.exists()
+
+
+class TestHugeStride:
+    """A stride past the step cap, from a flag or a config file, is refused
+    at the boundary: no run has that many steps, and at 2^63 or more numpy
+    would build an object array of rows."""
+
+    @pytest.mark.parametrize("stride", [10**8 + 1, 2**63])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize(
+        "command", [["simulate"], ["compare"], ["sweep", "--param=eps", "--values=0.01,0.02"]],
+        ids=["simulate", "compare", "sweep"],
+    )
+    def test_refused_before_the_oracle(self, tmp_path, monkeypatch, capsys, command, source,
+                                       stride):
+        calls = _count_calls(monkeypatch, cli, "iterate")
+        out = tmp_path / "x.json"
+        if source == "flag":
+            flags = [f"--stride={stride}"]
+        else:
+            cfg_file = tmp_path / "exp.cfg"
+            cfg_file.write_text(f"stride = {stride}\n")
+            flags = ["--config", str(cfg_file)]
+        assert main([*command, *flags, "--t-max=5", "--output-format=json",
+                     f"--output-path={out}"]) == 2
+        assert capsys.readouterr().err == f"error: stride must be at most 100000000, got {stride}\n"
         assert calls == {"iterate": 0}
         assert not out.exists()
 

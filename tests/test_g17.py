@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import renormdiff
-from renormdiff import cli, g17
-from renormdiff.cli import _fmt
+from renormdiff import g17, writer
+from renormdiff.writer import _fmt
 
 
 def texts(values, fallback=_fmt, kernel=g17.render, width=g17.WIDTH):
@@ -290,12 +290,13 @@ class TestInterface:
         assert g17.render_integers(np.zeros(0, np.int64), _fmt).shape == (0, g17.INT_WIDTH)
 
     def test_cli_cell_width(self):
-        assert cli._CELL_WIDTH == {"f": g17.WIDTH, "i": g17.INT_WIDTH, "u": g17.INT_WIDTH}
+        assert writer._CELL_WIDTH == {"f": g17.WIDTH, "i": g17.INT_WIDTH, "u": g17.INT_WIDTH}
 
     def test_cli_import_leaves_tables_unbuilt(self):
         # Only an array column needs the tables: importing the CLI, building
         # its parser and writing a sweep's list columns in either format skip
-        # them, and the first array column builds them.
+        # them, and the first array column builds them.  The CLI loads the
+        # writer itself only when it writes.
         src = os.path.dirname(os.path.dirname(renormdiff.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = (
@@ -304,15 +305,17 @@ class TestInterface:
             "print(built())\n"
             "cli.build_parser()\n"
             "print(built())\n"
+            "print('renormdiff.writer' in sys.modules)\n"
+            "from renormdiff import writer\n"
             "for fmt in ('csv', 'json'):\n"
-            "    cfg = cli.ExperimentConfig(output_format=fmt)\n"
-            "    ''.join(cli._table_text(cfg, {'value': [0.5, 1.5], 'x': [None, 2]}, {}))\n"
+            "    ''.join(writer.table_text(fmt, {'value': [0.5, 1.5], 'x': [None, 2]}, {}))\n"
             "print(built())\n"
-            "cfg = cli.ExperimentConfig(output_format='json')\n"
-            "''.join(cli._table_text(cfg, {'x': np.ones(3)}, None))\n"
+            "''.join(writer.table_text('json', {'x': np.ones(3)}, None))\n"
             "print(built())\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "False", "False", "True"]
+        # g17 after the import and the parser, the writer after the parser,
+        # g17 after the list columns and after the array column
+        assert proc.stdout.split() == ["False", "False", "False", "False", "True"]
