@@ -38,7 +38,8 @@ import numpy as np
 from .analysis import compare, envelope, growth_slope, running_max, zero_crossing_period  # noqa: F401
 from .asymptotic import GlobalSolution, assemble_modes, discrete_fundamental, init_from_amplitude
 from .lineardiff import RootConvention, Scheme, SchemeParams
-from .oracle import DivergenceError, SingularStepError, Trajectory, iterate
+from .oracle import (DivergenceError, SingularStepError, Trajectory, first_failure, guard_blocks,
+                     iterate)
 from .perturbation import FirstOrder, Variant, first_order, naive_solution
 from .renormalization import build_flow, flow_path
 
@@ -199,28 +200,16 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _first_non_finite(block: np.ndarray, lo: int) -> int | None:
-    """The step of the first non-finite value of a block that starts at step
-    lo (with lo = 0, its place in the block)."""
-    finite = np.isfinite(block)
-    return None if finite.all() else lo + int(finite.argmin())
-
-
 def _not_finite(name: str, n: int) -> DivergenceError:
     return DivergenceError(f"{name} is not finite at n={n}")
 
 
-# Steps per block of the compare pipeline's pass: a block's lam_p^n and model
-# columns, a traced 0.85 MB of temporaries at this size, are reduced to the
-# written rows and the errors' running maxima before the next block is formed.
-_BLOCK_STEPS = 8192
-
-
 def _blocks(steps: int, rows: np.ndarray):
-    """Blocks [lo, hi) of _BLOCK_STEPS steps covering 0..steps, each with the
-    span of `rows` (sorted) that falls in it and those rows' places in the block."""
-    for lo in range(0, steps + 1, _BLOCK_STEPS):
-        hi = min(lo + _BLOCK_STEPS, steps + 1)
+    """The oracle's guard blocks [lo, hi) covering 0..steps, each with the
+    span of `rows` (sorted) that falls in it and those rows' places in the
+    block.  A block's lam_p^n and model columns are reduced to the written
+    rows and the errors' running maxima before the next block is formed."""
+    for lo, hi in guard_blocks(0, steps + 1):
         first, last = rows.searchsorted((lo, hi))
         yield lo, hi, slice(first, last), rows[first:last] - lo
 
@@ -272,7 +261,7 @@ def _model_block(sol: GlobalSolution, oracle: Trajectory, fundamental: np.ndarra
     kept["z_renorm_continuum"][at] = z_continuum[picks]
     if picks.size:  # a sweep, or a block with no written row, assembles nothing
         z_discrete = assemble_modes(sol.kind, sol.params, path[at], f[picks], sol.first)
-        bad = _first_non_finite(z_discrete, 0)
+        bad = first_failure(np.isfinite(z_discrete), 0)
         if bad is not None:
             raise _not_finite("z_renorm_discrete", lo + picks[bad])
         kept["z_renorm_discrete"][at] = z_discrete
@@ -297,7 +286,7 @@ def _error_block(name, z, model, maxima, block, kept):
     carried = maxima[max(lo - 1, 0) : hi]
     running_max(carried, out=carried)
     if not np.isfinite(err[-1]):
-        raise _not_finite(name, _first_non_finite(err, lo))
+        raise _not_finite(name, first_failure(np.isfinite(err), lo))
 
 
 def _summary_stage(oracle: Trajectory, running: tuple) -> dict:

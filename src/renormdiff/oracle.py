@@ -7,6 +7,7 @@ a fixed evaluation order, so identical inputs give bit-identical output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,15 +80,15 @@ def iterate(
     Cubic: explicit update z(n+1) = (2 - mu) z(n) - z(n-1) - eps mu z(n)^3,
     with the weight mu of `params.scheme`.  Van der Pol: the right-hand side
     is linear in z(n+1), so the step is solved in closed form; a vanishing
-    leading coefficient raises SingularStepError.  It cannot vanish at a
-    gain eps mu/dt in [0, 1/2], where the loop runs without that test.
-    Magnitudes beyond 1e8 and non-finite values raise DivergenceError,
-    naming the first such step.  The cubic loop and the Van der Pol loop at
-    gains in [0, 1/2] test no single step: float arithmetic runs on through
-    inf and nan without raising, and one vectorized test after each block of
-    _GUARD_BLOCK steps finds the first failing step, so a diverging run
-    stops at the end of that block.  The checked Van der Pol loop tests
-    every step and raises at once.
+    leading coefficient raises SingularStepError.  Magnitudes beyond 1e8 and
+    non-finite values raise DivergenceError, naming the first such step.
+    Neither loop tests a single step: float arithmetic runs on through inf
+    and nan without raising (a leading coefficient of exactly 0 stores nan
+    and ends its block), and one vectorized test after each block of
+    _GUARD_BLOCK steps names the first failing step, so a failing run stops
+    at the end of that block.  At Van der Pol gains eps mu/dt outside
+    [0, 1/2] that test also finds the first vanishing coefficient, which
+    wins over a divergence at the same or a later step.
     """
     if n_steps < 2:
         raise ValueError("need at least 2 steps")
@@ -101,7 +102,7 @@ def iterate(
     store[0], store[1] = zm, z
     if kind is Variant.CUBIC:
         gain = eps * omega * omega
-        for lo, hi in _guard_blocks(2, n_steps + 1):
+        for lo, hi in guard_blocks(2, n_steps + 1):
             for n in range(lo, hi):
                 zp = lin * z - zm - gain * z * z * z
                 store[n] = zp
@@ -109,52 +110,57 @@ def iterate(
             _check_guard(values, lo, hi)
     else:
         gain = eps * vdp_scale(params)
-        if 0.0 <= gain <= 0.5:
-            # The singular test cannot fire: 1 - z*z <= 1 and rounding is
-            # monotone, so w <= gain and lead >= 0.5 (or lead is +inf or NaN,
-            # once z*z overflows or z is NaN), and the division never meets 0.
-            for lo, hi in _guard_blocks(2, n_steps + 1):
+        # 1 - z*z <= 1 and rounding is monotone, so at a gain in [0, 1/2]
+        # w <= gain and the leading coefficient is at least 0.5 (or +inf or
+        # NaN, once z*z overflows or z is NaN): the guard need not test it.
+        singular_gain = None if 0.0 <= gain <= 0.5 else gain
+        for lo, hi in guard_blocks(2, n_steps + 1):
+            try:
                 for n in range(lo, hi):
                     w = gain * (1.0 - z * z)
                     zp = (lin * z - zm - w * zm) / (1.0 - w)
                     store[n] = zp
                     zm, z = z, zp
-                _check_guard(values, lo, hi)
-        else:
-            # Bounds in locals: the chained tests equal not abs(zp) <= 1e8 and
-            # abs(lead) < 1e-12 for every float, NaN and +/-inf included.
-            lo, hi = -_DIVERGENCE_LIMIT, _DIVERGENCE_LIMIT
-            tol_lo, tol_hi = -_SINGULAR_STEP_TOL, _SINGULAR_STEP_TOL
-            for n in range(2, n_steps + 1):
-                w = gain * (1.0 - z * z)
-                lead = 1.0 - w
-                if tol_lo < lead < tol_hi:
-                    raise SingularStepError(f"implicit coefficient vanished at n={n - 1}")
-                zp = (lin * z - zm - w * zm) / lead
-                store[n] = zp
-                if not lo <= zp <= hi:
-                    raise _diverged(n, zp)
-                zm, z = z, zp
+            except ZeroDivisionError:  # the guard names this step singular
+                store[n] = math.nan
+                hi = n + 1
+            _check_guard(values, lo, hi, singular_gain)
     return Trajectory._guarded(params.dt, values)
 
 
-def _guard_blocks(start: int, stop: int):
+def guard_blocks(start: int, stop: int):
     """The blocks [lo, hi) of at most _GUARD_BLOCK steps that cover range(start, stop)."""
     for lo in range(start, stop, _GUARD_BLOCK):
         yield lo, min(lo + _GUARD_BLOCK, stop)
+
+
+def first_failure(ok: np.ndarray, lo: int) -> int | None:
+    """The step of the first false entry of `ok`, whose entry 0 is step lo, or None."""
+    return None if ok.all() else lo + int(ok.argmin())
 
 
 def _diverged(n: int, z: float) -> DivergenceError:
     return DivergenceError(f"|z({n})| = {abs(float(z))} exceeded {_DIVERGENCE_LIMIT}")
 
 
-def _check_guard(values: np.ndarray, lo: int, hi: int) -> None:
+def _check_guard(values: np.ndarray, lo: int, hi: int, gain: float | None = None) -> None:
     """Raise DivergenceError at the first step n in [lo, hi) where not
-    |z(n)| <= 1e8.  Comparisons alone, which a NaN fails, so the test holds
-    one block's booleans and no float temporary."""
+    |z(n)| <= 1e8, by comparisons alone, which a NaN fails.  Given a Van der
+    Pol gain, raise SingularStepError instead at the first step whose leading
+    coefficient 1 - gain (1 - z(n-1)^2) is within 1e-12 of 0, if it comes
+    no later."""
     block = values[lo:hi]
     ok = block >= -_DIVERGENCE_LIMIT
     ok &= block <= _DIVERGENCE_LIMIT
-    if not ok.all():
-        n = lo + int(ok.argmin())
-        raise _diverged(n, values[n])
+    diverged = first_failure(ok, lo)
+    if gain is not None:
+        z = values[lo - 1 : hi - 1]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan pass, as in the loop
+            lead = 1.0 - gain * (1.0 - z * z)  # the loop's arithmetic, in its order
+        vanished = lead > -_SINGULAR_STEP_TOL
+        vanished &= lead < _SINGULAR_STEP_TOL
+        singular = first_failure(~vanished, lo)
+        if singular is not None and (diverged is None or singular <= diverged):
+            raise SingularStepError(f"implicit coefficient vanished at n={singular - 1}")
+    if diverged is not None:
+        raise _diverged(diverged, values[diverged])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lineardiff import SchemeParams
-from .oracle import _guard_blocks
+from .oracle import first_failure, guard_blocks
 from .perturbation import FirstOrder, Variant, first_order, monomial
 
 __all__ = [
@@ -99,7 +99,7 @@ def _cubic_path(a0: complex, rate: complex, steps: int) -> np.ndarray:
     out = np.empty(steps + 1, complex)
     out[0] = a0
     turns = memoryview(out.imag)
-    for lo, hi in _guard_blocks(1, steps + 1):
+    for lo, hi in guard_blocks(1, steps + 1):
         out.real[lo:hi] = 1.0
         for m in range(lo, hi):
             turns[m] = x
@@ -107,7 +107,7 @@ def _cubic_path(a0: complex, rate: complex, steps: int) -> np.ndarray:
         # An overflow runs on as inf or nan to the guard, without a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             np.cumprod(out[lo - 1 : hi], out=out[lo - 1 : hi])
-        _check_guard(~(np.abs(out[lo:hi]) <= _FLOW_OVERFLOW_LIMIT), lo)
+        _check_guard(np.abs(out[lo:hi]) <= _FLOW_OVERFLOW_LIMIT, lo)
     return out
 
 
@@ -139,22 +139,22 @@ def _vdp_path(a0: complex, rate: complex, steps: int) -> np.ndarray:
     scales = np.empty(steps + 1)
     store = memoryview(scales)
     store[0] = s
-    for lo, hi in _guard_blocks(1, steps + 1):
+    for lo, hi in guard_blocks(1, steps + 1):
         for m in range(lo, hi):
             s = s + rate * (s - k * s * s * s)
             store[m] = s
-        _check_guard(~(np.abs(scales[lo:hi]) <= bound), lo)
+        _check_guard(np.abs(scales[lo:hi]) <= bound, lo)
     out = np.empty(steps + 1, complex)
     np.multiply(scales, u.real, out=out.real)
     np.multiply(scales, u.imag, out=out.imag)
     return out
 
 
-def _check_guard(failed: np.ndarray, first: int) -> None:
-    """Raise OverflowError at the first step whose `failed` entry, not
-    |A(m)| <= 1e12, is true; failed[0] is step `first`."""
-    if failed.any():
-        step = first + int(failed.argmax())
+def _check_guard(ok: np.ndarray, lo: int) -> None:
+    """Raise OverflowError at the first step whose `ok` entry, |A(m)| <= 1e12,
+    is false; ok[0] is step lo."""
+    step = first_failure(ok, lo)
+    if step is not None:
         raise OverflowError(f"amplitude flow exceeded {_FLOW_OVERFLOW_LIMIT} at step {step}")
 
 

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from renormdiff import cli, writer
+from renormdiff import cli, oracle, writer
 from renormdiff.asymptotic import init_from_amplitude
 from renormdiff.cli import ExperimentConfig, main, run_compare_pipeline
 from renormdiff.lineardiff import (
@@ -422,7 +422,7 @@ class TestCompare:
         # no exact-root config makes a model column non-finite, so the value
         # is written into the naive column's result; 97-step blocks: n=402 is
         # in the fifth, whose continuum and discrete columns are not formed
-        monkeypatch.setattr(cli, "_BLOCK_STEPS", 97)
+        monkeypatch.setattr(oracle, "_GUARD_BLOCK", 97)
         TestPipelineBlocks._spoil(monkeypatch, cli, "naive_solution", 402, np.inf,
                                   lambda args: args[3])
         calls = TestPipelineBlocks._count_stages(monkeypatch)
@@ -1166,7 +1166,7 @@ class TestPipelineWork:
     @pytest.mark.parametrize("kind, stride", [("cubic", 1), ("vdp", 7)])
     def test_compare_forms_lam_p_n_a_block_at_a_time(self, monkeypatch, tmp_path, kind, stride):
         # 2001 steps in 97-step blocks: 21 spans that tile the grid once
-        monkeypatch.setattr(cli, "_BLOCK_STEPS", 97)
+        monkeypatch.setattr(oracle, "_GUARD_BLOCK", 97)
         spans = []
         original = cli.discrete_fundamental
 
@@ -1197,7 +1197,7 @@ class TestPipelineBlocks:
         cfg = ExperimentConfig(kind=kind, t_max=20.0, eps=0.02, a0_re=0.4, a0_im=0.15,
                                stride=stride)
         columns, summary = run_compare_pipeline(cfg)
-        monkeypatch.setattr(cli, "_BLOCK_STEPS", 97)
+        monkeypatch.setattr(oracle, "_GUARD_BLOCK", 97)
         blocked, blocked_summary = run_compare_pipeline(cfg)
         assert repr(blocked_summary) == repr(summary)
         assert list(blocked) == list(columns)
@@ -1224,7 +1224,7 @@ class TestPipelineBlocks:
     def test_discrete_column_is_assembled_per_block_at_its_written_rows(self, monkeypatch):
         # 2001 steps in 97-step blocks, 286 written rows at stride 7: each
         # block assembles its own rows, from the flow path at those rows
-        monkeypatch.setattr(cli, "_BLOCK_STEPS", 97)
+        monkeypatch.setattr(oracle, "_GUARD_BLOCK", 97)
         cfg = ExperimentConfig(t_max=20.0, stride=7)
         calls = []
         original = cli.assemble_modes
@@ -1266,7 +1266,7 @@ class TestPipelineBlocks:
     def test_running_maximum_check_names_the_step(self, monkeypatch, capsys, value, column,
                                                    step):
         # 97-step blocks: 96 ends the first block, 291 starts the fourth
-        monkeypatch.setattr(cli, "_BLOCK_STEPS", 97)
+        monkeypatch.setattr(oracle, "_GUARD_BLOCK", 97)
         if column == "naive":
             self._spoil(monkeypatch, cli, "naive_solution", step, value, lambda args: args[3])
         else:
@@ -1287,7 +1287,7 @@ class TestPipelineBlocks:
                                                                    capsys):
         # 97-step blocks: n=250 is in the third, whose discrete column is not
         # formed, and no later block is
-        monkeypatch.setattr(cli, "_BLOCK_STEPS", 97)
+        monkeypatch.setattr(oracle, "_GUARD_BLOCK", 97)
         self._spoil(monkeypatch, cli.GlobalSolution, "eval_discrete", 250, np.nan,
                     lambda args: args[1])
         calls = self._count_stages(monkeypatch)
@@ -1317,7 +1317,7 @@ class TestPipelineBlocks:
     def test_the_first_failing_block_wins(self, monkeypatch, tmp_path, capsys, spoils, column,
                                           step):
         # 97-step blocks at stride 1: the failing block is the last one formed
-        monkeypatch.setattr(cli, "_BLOCK_STEPS", 97)
+        monkeypatch.setattr(oracle, "_GUARD_BLOCK", 97)
         for which, at in spoils:
             if which == "naive":
                 self._spoil(monkeypatch, cli, "naive_solution", at, np.inf, lambda args: args[3])
@@ -1342,7 +1342,7 @@ class TestPipelineBlocks:
         # the discrete column is assembled at the 286 rows of stride 7 alone,
         # in blocks of 97 rows, so the value goes to the row at `place`,
         # step 7 * place
-        monkeypatch.setattr(cli, "_BLOCK_STEPS", 97)
+        monkeypatch.setattr(oracle, "_GUARD_BLOCK", 97)
         self._spoil(monkeypatch, cli, "assemble_modes", place, value)
         out = tmp_path / "cmp.csv"
         assert main(["compare", "--t-max=20", "--stride=7", f"--output-path={out}"]) == 3
@@ -1364,7 +1364,7 @@ class TestPipelineBlocks:
             return original(*args)
 
         monkeypatch.setattr(perturbation, "particular_solution", counted)
-        monkeypatch.setattr(cli, "_BLOCK_STEPS", 97)
+        monkeypatch.setattr(oracle, "_GUARD_BLOCK", 97)
         columns, _ = run_compare_pipeline(ExperimentConfig(t_max=20.0))
         assert len(columns["n"]) == 2001 and len(calls) == 1
         out = tmp_path / "sweep.csv"
