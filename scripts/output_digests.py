@@ -11,14 +11,16 @@ path in the printed argv is the placeholder ``OUT.csv``/``OUT.json``, the
 path of ``src/`` in stderr is ``SRC``, the line number a warning names in a
 package file is ``LINE`` and the source line Python quotes under it is
 dropped, so checkouts at different paths, and code moved or reformatted
-within a file, agree.  Six runs end in a numerical failure (exit 3), and
+within a file, agree.  Eight runs end in a numerical failure (exit 3), and
 their stderr digests pin the failure message and the step of each guard:
-the oracle's divergence guard at ``z(2)``, in ``simulate`` and in
-``compare``, and late, at ``z(133)`` in a Van der Pol ``simulate``, where
-the loop runs on through inf and nan to the end of its guard block before
-the guard names the first step; the Van der Pol step's vanishing implicit
-coefficient at ``n=1``; and the amplitude flow's overflow guard at step 3
-(Van der Pol) and at step 13 (cubic).  The ``--help``
+the oracle's divergence guard at ``z(1)``, in ``simulate`` and in
+``compare``, at ``z(0)`` in a ``compare``, and late, at ``z(133)`` in a Van
+der Pol ``simulate``, where the loop runs on through inf and nan to the end
+of its guard block before the guard names the first step, and at
+``z(4534)``, in the second guard block of a Van der Pol ``simulate`` whose
+guard also tests the implicit coefficient; the Van der Pol step's vanishing
+implicit coefficient at ``n=1``; and the amplitude flow's overflow guard at
+step 3 (Van der Pol) and at step 13 (cubic).  The ``--help``
 runs and the runs refused with exit 2 pin the text of the command-line
 boundary.  argparse wraps its usage lines to the terminal width, so the
 script fixes ``COLUMNS`` before anything is parsed.
@@ -59,10 +61,11 @@ STDOUT = "-"  # marks a run that writes its table to stdout
 # writer chunks at stride 1.
 BASE = ["--dt=0.01", "--t-max=60", "--eps=0.02", "--a0-re=0.4", "--a0-im=0.15"]
 LONG = ["--dt=0.004", "--t-max=200", "--eps=0.01", "--a0-re=0.5", "--a0-im=-3e-05"]
-# The cubic oracle passes the divergence guard at z(2) (at z(3) from
-# zeroth-order initial data); the Van der Pol step's implicit coefficient
-# vanishes at n=1.
+# The cubic oracle passes the divergence guard at z(1) (at z(3) from
+# zeroth-order initial data), and at eps = 1e150 at z(0); the Van der Pol
+# step's implicit coefficient vanishes at n=1.
 DIVERGING = ["--kind=cubic", "--dt=1.5", "--t-max=30", "--eps=0.4", "--a0-re=50"]
+DIVERGING_AT_0 = ["--kind=cubic", "--eps=1e150", "--dt=0.01", "--t-max=1"]
 SINGULAR = ["--kind=vdp", "--dt=0.1", "--t-max=30", "--eps=10", "--a0-re=1e-7"]
 # Runs that fail late.  The Van der Pol oracle passes the divergence guard at
 # z(133) (gain eps dt = 0.15, no singular test) and runs on through nan to
@@ -72,10 +75,14 @@ SINGULAR = ["--kind=vdp", "--dt=0.1", "--t-max=30", "--eps=10", "--a0-re=1e-7"]
 # guard at step 13.
 LATE_CUBIC = ["--kind=cubic", "--dt=1", "--t-max=2000", "--eps=0.4", "--a0-re=0.638"]
 LATE_VDP = ["--kind=vdp", "--dt=1.5", "--t-max=15000", "--eps=0.1", "--a0-re=0.3"]
+# At the Van der Pol gain eps dt = 0.55 the guard also tests the implicit
+# coefficient: 4500 steps cross a guard block's end, and 5000 pass the
+# divergence guard at z(4534), in the second block.
+GAIN_055 = ["--kind=vdp", "--dt=0.1", "--eps=5.5", "--a0-re=0.4", "--a0-im=0.15"]
 # The Van der Pol amplitude flow from a0 = 10 at eps = 0.4 and dt = 1 passes
 # its overflow guard at step 3.
 FLOW_OVERFLOW = ["--kind=vdp", "--eps=0.4", "--dt=1", "--a0-re=10", "--t-max=50"]
-# Many blocks of the compare pipeline (8192 steps) at a stride: 1e5 Van der
+# Many guard blocks of the compare pipeline (4096 steps) at a stride: 1e5 Van der
 # Pol steps written every 10th as JSON, and LONG every 7th, where each block
 # boundary falls inside a stride.
 BLOCKS_VDP = ["--kind=vdp", "--dt=0.002", "--t-max=200", "--eps=0.01", "--a0-re=0.3",
@@ -104,10 +111,13 @@ def matrix() -> list[tuple[list[str], str]]:
     runs.append((["sweep", "--param=eps", "--values=0.01,0.02", "--t-max=3", "--dt=0.01"], STDOUT))
     runs.append((["simulate", *DIVERGING], "csv"))
     runs.append((["compare", *DIVERGING], "csv"))
+    runs.append((["compare", *DIVERGING_AT_0], "csv"))
     runs.append((["simulate", *SINGULAR], "csv"))
     runs.append((["compare", *FLOW_OVERFLOW], "csv"))
     runs.append((["compare", *LATE_CUBIC], "csv"))
     runs.append((["simulate", *LATE_VDP], "csv"))
+    for t_max in ("450", "500"):
+        runs.append((["simulate", *GAIN_055, f"--t-max={t_max}"], "csv"))
     # At exact roots and dt = 1, lam_p^3 = -1 is real, so the first-order sum
     # merges its lam_p^3 and lam_m^3 terms onto one base.
     for kind in ("cubic", "vdp"):

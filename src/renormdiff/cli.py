@@ -8,9 +8,9 @@ pipeline.  Every command runs at the exact (unit-modulus) characteristic
 roots: `root_convention` accepts `exact` alone.  `compare` runs
 `run_compare_pipeline`, whose stages are the boundary, the oracle from the
 first-order bridge (all that `simulate` runs), the amplitude flow, one pass
-over blocks of steps that forms each block's lam_p^n and the naive,
-continuum and discrete columns, checked in that order, with the first two's
-errors, and the summary; only the rows written are kept.
+over the oracle's guard blocks that forms each block's lam_p^n and the
+naive, continuum and discrete columns, checked in that order, with the first
+two's errors, and the summary; only the rows written are kept.
 Output is CSV or JSON in the format `renormdiff.writer` defines; this module
 chooses stdout or a file.  Exit codes: 0 success, 1 a stdout reader that
 closed early, 2 configuration error (an output path that cannot be opened
@@ -83,8 +83,8 @@ _SWEEPABLE = ("dt", "eps", "a0_re")
 # The oracle runs about 110 (cubic) to 140 (vdp) ns per step in pure Python,
 # and the amplitude flow 80 (cubic) to 100 (vdp): best of 9 at 1e5 steps on a
 # shared 2-vCPU Xeon, where load can double them.  At 1e6 steps a compare's
-# traced peak is 89 B per step at stride 1 and 39 at stride 10, either kind
-# (a cubic CSV compare peaked at 114 and 68 MiB RSS), so 1e8 steps takes
+# traced peak is 88 B per step at stride 1 and 39 at stride 10, either kind
+# (a cubic CSV compare peaked at 114 and 67 MiB RSS), so 1e8 steps takes
 # minutes and about 9 GB, or 3.9 GB at stride 10; larger counts are rejected
 # early.
 _MAX_STEPS = 10**8

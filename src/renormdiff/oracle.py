@@ -24,8 +24,9 @@ __all__ = [
 
 _DIVERGENCE_LIMIT = 1e8
 _SINGULAR_STEP_TOL = 1e-12
-# Steps an unchecked loop runs between two tests of its guard: a diverging run
-# stops within this many steps of its first failing one.
+# Steps a loop runs unchecked between two tests of its guard, in the oracle,
+# both amplitude flows and the compare pass: a failing run stops within this
+# many steps of its first failing one.
 _GUARD_BLOCK = 4096
 
 
@@ -57,7 +58,7 @@ class Trajectory:
     def _guarded(cls, dt: float, values: np.ndarray) -> Trajectory:
         """The trajectory of an array `iterate` built and guarded, held as it
         is: no copy and no second finiteness test.  The guard passed every
-        z(n), n >= 2, and a non-finite z(0) or z(1) makes z(2) fail it."""
+        z(n), z(0) and z(1) included."""
         values.setflags(write=False)
         traj = object.__new__(cls)
         object.__setattr__(traj, "dt", dt)
@@ -81,14 +82,15 @@ def iterate(
     with the weight mu of `params.scheme`.  Van der Pol: the right-hand side
     is linear in z(n+1), so the step is solved in closed form; a vanishing
     leading coefficient raises SingularStepError.  Magnitudes beyond 1e8 and
-    non-finite values raise DivergenceError, naming the first such step.
-    Neither loop tests a single step: float arithmetic runs on through inf
-    and nan without raising (a leading coefficient of exactly 0 stores nan
-    and ends its block), and one vectorized test after each block of
-    _GUARD_BLOCK steps names the first failing step, so a failing run stops
-    at the end of that block.  At Van der Pol gains eps mu/dt outside
-    [0, 1/2] that test also finds the first vanishing coefficient, which
-    wins over a divergence at the same or a later step.
+    non-finite values raise DivergenceError, naming the first such step,
+    z(0) and z(1) included.  Neither loop tests a single step: float
+    arithmetic runs on through inf and nan without raising (a leading
+    coefficient of exactly 0 stores nan and ends its block), and one
+    vectorized test after each block of _GUARD_BLOCK steps names the first
+    failing step, so a failing run stops at the end of that block.  At Van
+    der Pol gains eps mu/dt outside [0, 1/2] that test also finds the first
+    vanishing coefficient, which wins over a divergence at the same or a
+    later step.
     """
     if n_steps < 2:
         raise ValueError("need at least 2 steps")
@@ -100,6 +102,7 @@ def iterate(
     # append parses it as a call argument first.
     store = memoryview(values)
     store[0], store[1] = zm, z
+    _check_guard(values, 0, 2)
     if kind is Variant.CUBIC:
         gain = eps * omega * omega
         for lo, hi in guard_blocks(2, n_steps + 1):
@@ -139,10 +142,6 @@ def first_failure(ok: np.ndarray, lo: int) -> int | None:
     return None if ok.all() else lo + int(ok.argmin())
 
 
-def _diverged(n: int, z: float) -> DivergenceError:
-    return DivergenceError(f"|z({n})| = {abs(float(z))} exceeded {_DIVERGENCE_LIMIT}")
-
-
 def _check_guard(values: np.ndarray, lo: int, hi: int, gain: float | None = None) -> None:
     """Raise DivergenceError at the first step n in [lo, hi) where not
     |z(n)| <= 1e8, by comparisons alone, which a NaN fails.  Given a Van der
@@ -163,4 +162,5 @@ def _check_guard(values: np.ndarray, lo: int, hi: int, gain: float | None = None
         if singular is not None and (diverged is None or singular <= diverged):
             raise SingularStepError(f"implicit coefficient vanished at n={singular - 1}")
     if diverged is not None:
-        raise _diverged(diverged, values[diverged])
+        z = abs(float(values[diverged]))
+        raise DivergenceError(f"|z({diverged})| = {z} exceeded {_DIVERGENCE_LIMIT}")

@@ -19,7 +19,7 @@ from renormdiff.lineardiff import (
     SchemeParams,
     characteristic_roots,
 )
-from renormdiff.oracle import iterate
+from renormdiff.oracle import _GUARD_BLOCK, iterate
 from renormdiff.perturbation import (
     CUBIC,
     VAN_DER_POL,
@@ -386,7 +386,7 @@ class TestDiscreteFundamentalSpans:
     """lam_p^n formed over a span of indices has the bits of that span of the
     whole table, so a pipeline may form it a block at a time."""
 
-    STEPS = 3 * 8192 + 4
+    STEPS = 3 * _GUARD_BLOCK + 4
 
     @pytest.mark.parametrize("scheme", [Scheme.STANDARD, Scheme.MICKENS])
     @pytest.mark.parametrize("dt", [0.002, 0.01, 0.1, 0.5, 1.0, 1.5, 1.9])
@@ -396,12 +396,13 @@ class TestDiscreteFundamentalSpans:
         whole = discrete_fundamental(p, np.arange(size))
         rng = np.random.default_rng(7)
         spans = [(lo, min(lo + block, size))
-                 for block in (97, 1000, 8191, 8192) for lo in range(0, size, block)]
+                 for block in (97, 1000, _GUARD_BLOCK - 1, _GUARD_BLOCK)
+                 for lo in range(0, size, block)]
         spans += [tuple(sorted(pair)) for pair in rng.integers(0, size + 1, (50, 2))]
         for lo, hi in spans:
             span = discrete_fundamental(p, np.arange(lo, hi))
             assert span.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
-        for stride in (3, 7, 10, 8193):
+        for stride in (3, 7, 10, _GUARD_BLOCK + 1):
             for start in (0, int(rng.integers(1, stride))):
                 rows = np.arange(start, size, stride)
                 at_rows = discrete_fundamental(p, rows)

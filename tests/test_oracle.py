@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from renormdiff import oracle
 from renormdiff.analysis import envelope
 from renormdiff.lineardiff import (
     RootConvention,
@@ -129,7 +130,7 @@ class TestIterate:
 
     @pytest.mark.parametrize("kind", [CUBIC, VAN_DER_POL])
     def test_nan_stops_at_the_guard(self, kind):
-        with pytest.raises(DivergenceError, match=r"z\(2\)"):
+        with pytest.raises(DivergenceError, match=r"z\(1\)"):
             iterate(kind, params(0.1, eps=0.1), 1.0, math.nan, 10)
 
     def test_singular_step_detected(self):
@@ -216,6 +217,9 @@ def _reference_iterate(kind, p, z0, z1, n_steps, guard=True):
     values = np.empty(n_steps + 1, dtype=float)
     values[0] = zm = float(z0)
     values[1] = z = float(z1)
+    for n in (0, 1) if guard else ():
+        if not abs(values[n]) <= 1e8:
+            raise DivergenceError(f"|z({n})| = {abs(float(values[n]))} exceeded {1e8}")
     try:
         for n in range(1, n_steps):
             zp = step(z, zm, lin, gain)
@@ -249,8 +253,8 @@ class TestReferenceLoop:
             (VAN_DER_POL, SchemeParams(dt=0.1, eps=0.05, scheme=Scheme.MICKENS)),
             (CUBIC, params(0.02, eps=0.05, convention=FIRST)),
             (VAN_DER_POL, params(0.02, eps=0.05, convention=FIRST)),
-            # the Van der Pol loop without the singular test runs at gains
-            # eps dt in [0, 1/2], the checked loop above them
+            # the Van der Pol guard tests the leading coefficient at gains
+            # eps dt outside [0, 1/2] alone
             (VAN_DER_POL, large_eps(0.25, 2.0)),  # gain 0.5
             (VAN_DER_POL, large_eps(0.25, math.nextafter(2.0, 3.0))),
             (VAN_DER_POL, large_eps(0.1, 5.5)),  # gain 0.55
@@ -269,7 +273,7 @@ class TestReferenceLoop:
         assert failure[1].startswith("|z(3)| = 4123845855.233769")
 
     def test_vdp_divergence_at_the_bound_same_failure(self):
-        p = large_eps(1.0, 0.5)  # gain 0.5: the loop without the singular test
+        p = large_eps(1.0, 0.5)  # gain 0.5: the guard without the singular test
         z0, z1 = zeroth_order_data(0.4 + 0.15j, p)
         failure = _raised(iterate, VAN_DER_POL, p, z0, z1, 100)
         assert failure == _raised(_reference_iterate, VAN_DER_POL, p, z0, z1, 100)
@@ -314,14 +318,28 @@ class TestReferenceLoop:
         assert failure == _raised(_reference_iterate, VAN_DER_POL, p, 0.0, math.sqrt(2.0), 20)
         assert failure == (SingularStepError, "implicit coefficient vanished at n=1")
 
-    def test_vdp_singular_step_same_failure(self):
+    @pytest.mark.parametrize(
+        "data, block, n",
+        [
+            (1e-7, None, 1),  # zeroth-order data from a0: the lead z(1)^2 is below 1e-12
+            ((0.0, 0.0), None, 1),  # a lead of exactly 0, which Python cannot divide by
+            # data run back from z(7) = 0: the step to z(8) is singular, and
+            # diverges, at the start of the third block of 3 steps and inside
+            # the second block of 5
+            ((0.3047720314829509, 0.3064637683294363), 3, 7),
+            ((0.3047720314829509, 0.3064637683294363), 5, 7),
+        ],
+    )
+    def test_vdp_singular_step_same_failure(self, monkeypatch, data, block, n):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            p = params(0.1, eps=10.0)
-        z0, z1 = zeroth_order_data(1e-7, p)
+            p = params(0.1, eps=10.0)  # gain 1: the lead 1 - (1 - z^2) is z^2
+        z0, z1 = data if isinstance(data, tuple) else zeroth_order_data(data, p)
+        if block is not None:
+            monkeypatch.setattr(oracle, "_GUARD_BLOCK", block)
         failure = _raised(iterate, VAN_DER_POL, p, z0, z1, 20)
         assert failure == _raised(_reference_iterate, VAN_DER_POL, p, z0, z1, 20)
-        assert failure == (SingularStepError, "implicit coefficient vanished at n=1")
+        assert failure == (SingularStepError, f"implicit coefficient vanished at n={n}")
 
 
 class TestGuardBlocks:
@@ -346,14 +364,27 @@ class TestGuardBlocks:
         (values,) = filled_empty(n_steps + 1)
         assert np.all(values[2 + _GUARD_BLOCK :] == 7.0)
 
-    def test_failure_in_a_later_block_names_the_step_of_a_guard_per_step(self):
-        # from a0 = 0.635 the run passes the bound at z(12506), in its fourth
-        # block of 4096 steps
-        p = params(1.0, eps=0.4)
-        z0, z1 = zeroth_order_data(0.635, p)
-        failure = _raised(iterate, CUBIC, p, z0, z1, 20_000)
-        assert failure == _raised(_reference_iterate, CUBIC, p, z0, z1, 20_000)
-        assert failure[1].startswith("|z(12506)| = ")
+    @pytest.mark.parametrize(
+        "kind, p, a0, n_steps, block, first",
+        [
+            # the fourth block of 4096 steps
+            (CUBIC, params(1.0, eps=0.4), 0.635, 20_000, None, 12506),
+            # Van der Pol gains above 1/2, where the guard also tests the
+            # leading coefficient, in blocks of 97 steps
+            (VAN_DER_POL, large_eps(0.1, 6.0), 0.4 + 0.15j, 5000, 97, 2412),  # gain 0.6
+            (VAN_DER_POL, large_eps(0.25, 2.5), 0.5, 1000, 97, 125),  # gain 0.625
+            (VAN_DER_POL, large_eps(0.1, 10.0), 1.0, 1000, 97, 185),  # gain 1
+        ],
+    )
+    def test_failure_in_a_later_block_names_the_step_of_a_guard_per_step(
+        self, monkeypatch, kind, p, a0, n_steps, block, first
+    ):
+        if block is not None:
+            monkeypatch.setattr(oracle, "_GUARD_BLOCK", block)
+        z0, z1 = zeroth_order_data(a0, p)
+        failure = _raised(iterate, kind, p, z0, z1, n_steps)
+        assert failure == _raised(_reference_iterate, kind, p, z0, z1, n_steps)
+        assert failure[1].startswith(f"|z({first})| = ")
 
 
 class TestPeakMemory:
@@ -379,8 +410,8 @@ class TestSchemeResidual:
 
     @pytest.mark.parametrize("kind", [CUBIC, VAN_DER_POL])
     @pytest.mark.parametrize("scheme", list(Scheme))
-    # Van der Pol gains eps mu/dt of about 0.0005 and 0.55: the loop without
-    # the singular test and the checked one
+    # Van der Pol gains eps mu/dt of about 0.0005 and 0.55: the guard
+    # without and with the singular test
     @pytest.mark.parametrize("dt, eps", [(0.01, 0.05), (0.1, 5.5)])
     def test_oracle_residual_at_rounding(self, kind, scheme, dt, eps):
         # measured 1.2-1.4e-16 (cubic) and 2.0-6.5e-16 (vdp) of max|z|
