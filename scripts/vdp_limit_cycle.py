@@ -38,10 +38,10 @@ def main():
     a0 = 0.5 * args.start_amplitude * (1 + 1j * c) / math.hypot(1.0, c)
     t_max = 10.0 / args.eps
 
-    z0, z1 = init_from_amplitude(VAN_DER_POL, a0, params)
+    sol = GlobalSolution(VAN_DER_POL, params, a0)
+    z0, z1 = init_from_amplitude(sol.first, a0)
     traj = iterate(VAN_DER_POL, params, z0, z1, int(round(t_max / args.dt)))
     peaks = envelope(traj)
-    sol = GlobalSolution(VAN_DER_POL, params, a0)
 
     print(f"vdp scheme, eps={args.eps}, dt={args.dt}, "
           f"start amplitude {args.start_amplitude}, ratio c={c}")

@@ -41,13 +41,7 @@ def discrete_fundamental(params: SchemeParams, n):
     return power_table(characteristic_roots(params)[0], n)
 
 
-def assemble_modes(
-    kind: Variant,
-    params: SchemeParams,
-    amplitudes,
-    fundamental,
-    first: FirstOrder | None = None,
-) -> np.ndarray:
+def assemble_modes(first: FirstOrder, amplitudes, fundamental) -> np.ndarray:
     """Real expansion 2 Re[A F + eps kappa3 A^3 F^3] per index.
 
     `amplitudes` is A and `fundamental` is F, each per index (scalars or
@@ -55,35 +49,32 @@ def assemble_modes(
     implicit in taking twice the real part.  F = lam_p^n = exp(n log lam_p)
     gives the discrete form and F = e^{i t} the continuum waveform; callers
     that evaluate several forms at the same indices compute F once.  kappa3
-    is the k3 of the first-order record `first` (derived here when omitted).
+    is the k3 of the scheme's first-order record `first`.
     The third harmonic is the cube u*u*u of the fundamental mode u = A F,
     not numpy's general complex pow.  Scalars stay scalars, whose complex
     multiply rounds each product; numpy's array loop fuses them.
     """
-    k3 = (first_order(kind, params) if first is None else first).k3
     u = amplitudes * fundamental
-    value = u + params.eps * k3 * (u * u * u)
+    value = u + first.params.eps * first.k3 * (u * u * u)
     out = 2.0 * value.real
     if np.ndim(out) == 0:
         return float(out)
     return out
 
 
-def init_from_amplitude(kind: Variant, a0: complex, params: SchemeParams,
-                        first: FirstOrder | None = None) -> tuple[float, float]:
+def init_from_amplitude(first: FirstOrder, a0: complex) -> tuple[float, float]:
     """First-order bridge from amplitude space to initial data.
 
-    z(0) and z(1) of the discrete renormalized form, assemble_modes at
-    A(0) = a0 and A(1) = a0 + flow(a0) on F = 1 and lam_p, so the oracle starts
-    on the first-order solution and not O(eps) off it.  `first` is the
-    first-order record (derived here when omitted).  At eps = 0 this is the
+    z(0) and z(1) of the discrete renormalized form of the scheme of the
+    first-order record `first`, assemble_modes at A(0) = a0 and
+    A(1) = a0 + flow(a0) on F = 1 and lam_p, so the oracle starts on the
+    first-order solution and not O(eps) off it.  At eps = 0 this is the
     zeroth-order data 2 Re(a0), 2 Re(a0 lam_p), to the bit.
     """
-    first = first_order(kind, params) if first is None else first
     a0 = complex(a0)
-    a1 = a0 + build_flow(kind, params, first)(a0)
-    return (assemble_modes(kind, params, a0, 1.0, first),
-            assemble_modes(kind, params, a1, characteristic_roots(params)[0], first))
+    a1 = a0 + build_flow(first)(a0)
+    return (assemble_modes(first, a0, 1.0),
+            assemble_modes(first, a1, characteristic_roots(first.params)[0]))
 
 
 @dataclass(frozen=True)
@@ -128,7 +119,7 @@ class GlobalSolution:
         amp = self.amplitude_at(n_arr * self.params.dt)
         if fundamental is None:
             fundamental = discrete_fundamental(self.params, n_arr)
-        return assemble_modes(self.kind, self.params, amp, fundamental, self.first)
+        return assemble_modes(self.first, amp, fundamental)
 
     def eval_continuum_waveform(self, t):
         """Real waveform at continuous time t, fundamental e^{i t}.
@@ -139,7 +130,7 @@ class GlobalSolution:
         """
         t_arr = np.asarray(t, dtype=float)
         amp = self.amplitude_at(t_arr)
-        return assemble_modes(self.kind, self.params, amp, np.exp(t_arr * 1j), self.first)
+        return assemble_modes(self.first, amp, np.exp(t_arr * 1j))
 
     def frequency_shift(self) -> float:
         """Angular frequency 1 + Im(r/dt) |a0|^2 of the cubic waveform, with r

@@ -183,17 +183,16 @@ def _write_table(cfg: ExperimentConfig, columns: dict, summary: dict | None):
         fh.writelines(table_bytes(cfg.output_format, columns, summary))
 
 
-def _oracle_stage(cfg: ExperimentConfig, kind: Variant, params: SchemeParams, steps: int,
-                  first: FirstOrder) -> Trajectory:
-    """The exact iteration from the first-order bridge at the initial
-    amplitude (with the first-order record `first`), steps + 1 values."""
-    z0, z1 = init_from_amplitude(kind, complex(cfg.a0_re, cfg.a0_im), params, first)
-    return iterate(kind, params, z0, z1, steps)
+def _oracle_stage(first: FirstOrder, a0: complex, steps: int) -> Trajectory:
+    """The exact iteration of the scheme of the first-order record `first`,
+    from the first-order bridge at the amplitude a0, steps + 1 values."""
+    z0, z1 = init_from_amplitude(first, a0)
+    return iterate(first.kind, first.params, z0, z1, steps)
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     kind, params, steps = _boundary(cfg)
-    traj = _oracle_stage(cfg, kind, params, steps, first_order(kind, params))
+    traj = _oracle_stage(first_order(kind, params), complex(cfg.a0_re, cfg.a0_im), steps)
     rows = np.arange(0, len(traj), cfg.stride)
     columns = {"n": rows, "t": rows * traj.dt, "z": traj.values[:: cfg.stride]}
     _write_table(cfg, columns, summary=None)
@@ -229,7 +228,7 @@ def _model_stage(sol: GlobalSolution, steps: int, oracle: Trajectory,
     slopes, outlive a block; the path is freed on return.
     """
     # By keyword: perfbench/tracing.py reads the step count from `steps`.
-    path = flow_path(build_flow(sol.kind, sol.params, sol.first), sol.a0, steps=steps)
+    path = flow_path(build_flow(sol.first), sol.a0, steps=steps)
     if rows.size <= steps:  # not every step is written
         path = path[rows]
     # In the order the writer writes them, after n, t and z_oracle.
@@ -253,14 +252,14 @@ def _model_block(sol: GlobalSolution, oracle: Trajectory, fundamental: np.ndarra
     n = np.arange(lo, hi)
     f = discrete_fundamental(sol.params, n) if fundamental is None else fundamental[lo:hi]
     z = oracle.values[lo:hi]
-    z_naive = naive_solution(sol.kind, sol.a0, sol.params, n, f, sol.first)
+    z_naive = naive_solution(sol.first, sol.a0, n, f)
     _error_block("z_naive", z, z_naive, running[0], block, kept["err_naive"])
     kept["z_naive"][at] = z_naive[picks]
     z_continuum = sol.eval_discrete(n, f)
     _error_block("z_renorm_continuum", z, z_continuum, running[1], block, kept["err_renorm"])
     kept["z_renorm_continuum"][at] = z_continuum[picks]
     if picks.size:  # a sweep, or a block with no written row, assembles nothing
-        z_discrete = assemble_modes(sol.kind, sol.params, path[at], f[picks], sol.first)
+        z_discrete = assemble_modes(sol.first, path[at], f[picks])
         bad = first_failure(np.isfinite(z_discrete), 0)
         if bad is not None:
             raise _not_finite("z_renorm_discrete", lo + picks[bad])
@@ -333,7 +332,7 @@ def run_compare_pipeline(cfg: ExperimentConfig, fundamental: np.ndarray | None =
     kind, params, steps = _boundary(cfg)
     # Checks a0, and derives the record, before the oracle runs.
     sol = sol or GlobalSolution(kind, params, complex(cfg.a0_re, cfg.a0_im))
-    oracle = _oracle_stage(cfg, kind, params, steps, sol.first)
+    oracle = _oracle_stage(sol.first, sol.a0, steps)
     rows = np.arange(0, steps + 1, cfg.stride) if columns else np.arange(0)
     kept, running = _model_stage(sol, steps, oracle, fundamental, rows)
     summary = _summary_stage(oracle, running)

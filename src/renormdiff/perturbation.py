@@ -4,9 +4,10 @@ Builds the zeroth-order solution A lam_p^n + conj(A) lam_m^n of a real
 sequence from the one complex amplitude A, the first-order forcing and
 particular solution for the cubic and Van der Pol type schemes, extracts the
 secular (n * lambda^n) content, derives the first-order record that every
-consumer reads (the per-step secular rate and the third-harmonic
-coefficient), and evaluates the naive (unrenormalized) expansion
-z0 + eps * z1 as twice the real part of its lam_p half.
+consumer takes alone (the scheme, its per-step secular rate and its
+third-harmonic coefficient), and evaluates the naive (unrenormalized)
+expansion z0 + eps * z1 from that record as twice the real part of its
+lam_p half.
 
 Cross-term convention: products lam_p^n * lam_m^n arising from powers of z0
 are collected as 1.  This is exact for the unit-modulus roots (whose product
@@ -152,7 +153,8 @@ def _unit_response(kind: Variant, params: SchemeParams) -> tuple[HarmonicSum, co
 
 @dataclass(frozen=True)
 class FirstOrder:
-    """The first-order record of one (kind, params), derived once per pipeline.
+    """The first-order record of the scheme `kind` under `params`, derived
+    once per pipeline; it names its scheme, so a consumer takes it alone.
 
     `rate` is the per-step secular rate r, with eps sigma(a) = r mono(a): the
     naive expansion's secular coefficient and the step of the discrete
@@ -161,6 +163,8 @@ class FirstOrder:
     `base3` the checked base lam_p^3.
     """
 
+    kind: Variant
+    params: SchemeParams
     rate: complex
     k3: complex
     base3: complex
@@ -183,7 +187,7 @@ def first_order(kind: Variant, params: SchemeParams) -> FirstOrder:
                          f"{params.root_convention.value!r} root convention")
     sigma = params.eps * z1.coefficient(characteristic_roots(params)[0], 1)
     rate = complex(0.0, sigma.imag) if kind is Variant.CUBIC else complex(sigma.real)
-    return FirstOrder(rate, z1.coefficient(base3), base3)
+    return FirstOrder(kind, params, rate, z1.coefficient(base3), base3)
 
 
 def first_order_solution(
@@ -217,30 +221,28 @@ def extract_secular(z1: HarmonicSum, params: SchemeParams) -> complex:
     return sigma
 
 
-def naive_solution(kind: Variant, a: complex, params: SchemeParams, n, fundamental=None,
-                   first: FirstOrder | None = None):
+def naive_solution(first: FirstOrder, a: complex, n, fundamental=None):
     """Uncorrected expansion z0 + eps * z1 at index n: 2 Re[(a + n r mono(a)) F + eps k3 a^3 F^3].
 
     a is the amplitude of the lam_p mode and F = lam_p^n.  The lam_m mode
     carries conj(a), and the lam_m half of the expansion is the conjugate of
     the lam_p half, so twice the real part of the lam_p half is the whole
-    real sequence.  r and k3 come from the first-order record `first`
-    (derived here when omitted): n r mono(a) is n times the flow's first
-    step, so the naive and renormalized solutions share one secular
-    coefficient, and k3, the response to the lam_p^3 half of the forcing, is
-    not doubled or cancelled where a real lam_p^3 merges the lam_m^3 term
-    onto its base.  `fundamental` is F at these indices, from a caller that
-    also assembles the renormalized forms with it (power_table(lam_p, n)
-    when omitted).  Accepts a scalar index (returns a float) or an array of
-    indices (returns a float array).
+    real sequence.  r and k3 come from the first-order record `first` of the
+    scheme: n r mono(a) is n times the flow's first step, so the naive and
+    renormalized solutions share one secular coefficient, and k3, the
+    response to the lam_p^3 half of the forcing, is not doubled or cancelled
+    where a real lam_p^3 merges the lam_m^3 term onto its base.
+    `fundamental` is F at these indices, from a caller that also assembles
+    the renormalized forms with it (power_table(lam_p, n) when omitted).
+    Accepts a scalar index (returns a float) or an array of indices (returns
+    a float array).
     """
-    first = first_order(kind, params) if first is None else first
     a = complex(a)
-    secular = first.rate * monomial(kind, a)
-    third = params.eps * first.k3 * (a * a * a)
+    secular = first.rate * monomial(first.kind, a)
+    third = first.params.eps * first.k3 * (a * a * a)
     arr = np.asarray(n, dtype=float)
     if fundamental is None:
-        f = power_table(characteristic_roots(params)[0], arr)
+        f = power_table(characteristic_roots(first.params)[0], arr)
     else:
         f = np.asarray(fundamental, dtype=complex)
     value = (a + secular * arr) * f + third * (f * f * f)

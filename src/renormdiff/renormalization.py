@@ -7,8 +7,9 @@ equation is the conjugate of the A equation, so this module carries A alone
 and reads B as conj(A) where a formula needs it.  The discrete flow steps the
 renormalization equation A(m+1) - A(m) = eps sigma(A(m)) = r mono(A(m)),
 with mono(A) = A^2 conj(A) (cubic) or A - A^2 conj(A) (Van der Pol) and the
-per-step rate r of the scheme's first-order record (perturbation.first_order),
-at its own dt.  The continuum amplitude equation is A' = (r/dt) mono(A).
+per-step rate r at the scheme's own dt, both read from its first-order record
+(perturbation.first_order), which build_flow takes alone.  The continuum
+amplitude equation is A' = (r/dt) mono(A).
 Both rates make the step one real recurrence: the cubic rate is imaginary,
 so the flow turns A by the factors 1 + i x with the real x = Im(r) |A|^2, and
 the Van der Pol rate is real, so the flow is one real scale of A, which keeps
@@ -68,15 +69,15 @@ class AmplitudeFlow:
         return self.rate * monomial(self.variant, a)
 
 
-def build_flow(kind: Variant, params: SchemeParams, first: FirstOrder | None = None) -> AmplitudeFlow:
-    """Discrete amplitude flow for the given nonlinearity: the step map A -> delta A.
+def build_flow(first: FirstOrder) -> AmplitudeFlow:
+    """Discrete amplitude flow of the scheme of the first-order record
+    `first`: the step map A -> delta A.
 
-    The discrete renormalization equation at the per-step rate r of the
-    first-order record `first` (derived here when omitted): the forward Euler
-    step of A' = (r/dt) mono(A).  The B equation is the A equation's conjugate.
+    The discrete renormalization equation at the record's per-step rate r:
+    the forward Euler step of A' = (r/dt) mono(A).  The B equation is the A
+    equation's conjugate.
     """
-    first = first_order(kind, params) if first is None else first
-    return AmplitudeFlow(kind, first.rate)
+    return AmplitudeFlow(first.kind, first.rate)
 
 
 def _cubic_path(a0: complex, rate: complex, steps: int) -> np.ndarray:
@@ -273,7 +274,7 @@ def continuum_limit_check(kind: Variant, a0: complex, params: SchemeParams, t_ma
     """
     steps = int(round(t_max / params.dt))
     first = first_order(kind, params)
-    a_path = flow_path(build_flow(kind, params, first), a0, steps)
+    a_path = flow_path(build_flow(first), a0, steps)
     t = np.arange(steps + 1) * params.dt
     a_ode = continuum_amplitude(kind, a0, first.rate / params.dt, t)
     return float(np.max(np.abs(a_path - a_ode)))

@@ -29,6 +29,7 @@ from renormdiff.oracle import iterate
 from renormdiff.perturbation import (
     CUBIC,
     VAN_DER_POL,
+    first_order,
     first_order_solution,
     nonlinearity_value,
     zeroth_order,
@@ -65,7 +66,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 def test_criterion_01_linear_exactness():
     params = SchemeParams(dt=0.1, eps=0.0, root_convention=EXACT)
     a0 = 0.5
-    z0, z1 = init_from_amplitude(CUBIC, a0, params)
+    z0, z1 = init_from_amplitude(first_order(CUBIC, params), a0)
     traj = iterate(CUBIC, params, z0, z1, 10_000)
     lam, _ = characteristic_roots(params)
     n = np.arange(10_001)
@@ -123,7 +124,7 @@ def test_criterion_03_first_order_residual_order():
 def test_criterion_04_duffing_frequency_shift():
     eps, dt, a0 = 0.05, 0.005, 0.5
     params = SchemeParams(dt=dt, eps=eps, root_convention=EXACT)
-    z0, z1 = init_from_amplitude(CUBIC, a0, params)
+    z0, z1 = init_from_amplitude(first_order(CUBIC, params), a0)
     traj = iterate(CUBIC, params, z0, z1, int(150 / dt))
     measured = zero_crossing_period(traj).mean_period
     expected = 2 * math.pi / 1.01875
@@ -156,7 +157,7 @@ def test_criterion_05_secular_vs_renormalized():
 
 
 def _oracle_envelope(kind, params, a0, t_max):
-    z0, z1 = init_from_amplitude(kind, a0, params)
+    z0, z1 = init_from_amplitude(first_order(kind, params), a0)
     traj = iterate(kind, params, z0, z1, int(round(t_max / params.dt)))
     return envelope(traj)
 
@@ -202,12 +203,12 @@ def test_criterion_06_vdp_limit_cycle():
 def test_criterion_07_exact_discrete_invariants():
     params = SchemeParams(dt=0.01, eps=0.05)
 
-    flow_vdp = build_flow(VAN_DER_POL, params)
+    flow_vdp = build_flow(first_order(VAN_DER_POL, params))
     a0 = 0.3 + 0.21j
     a = flow_path(flow_vdp, a0, 10_000)[-1]
     ratio_drift = abs(a.imag / a.real - a0.imag / a0.real) / abs(a0.imag / a0.real)
 
-    flow_cubic = build_flow(CUBIC, params)
+    flow_cubic = build_flow(first_order(CUBIC, params))
     b0 = 0.6 + 0.1j
     a1 = flow_path(flow_cubic, b0, 1)[-1]
     b1 = a1.conjugate()

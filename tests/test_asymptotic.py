@@ -254,7 +254,7 @@ class TestVdpSolution:
         # to 2 and the renormalized one follows it at every peak
         eps = 0.05
         p = params(0.005, eps=eps, convention=EXACT)
-        z0, z1 = init_from_amplitude(VAN_DER_POL, a0, p)
+        z0, z1 = init_from_amplitude(first_order(VAN_DER_POL, p), a0)
         peaks = envelope(iterate(VAN_DER_POL, p, z0, z1, int(round(10.0 / eps / p.dt))))
         sol = GlobalSolution(VAN_DER_POL, p, a0)
         dev = np.abs(sol.fundamental_amplitude(peaks[:, 0]) - peaks[:, 1]) / peaks[:, 1]
@@ -314,23 +314,23 @@ class TestInitFromAmplitude:
 
     def test_real_amplitude(self):
         p = params(0.1)
-        z0, z1 = init_from_amplitude(CUBIC, 0.5, p)
+        z0, z1 = init_from_amplitude(first_order(CUBIC, p), 0.5)
         assert z0 == 1.0
         assert z1 == 2 * (0.5 * characteristic_roots(p)[0]).real
 
     def test_exact_convention_uses_cosine(self):
-        _, z1 = init_from_amplitude(CUBIC, 0.5, params(0.1))
+        _, z1 = init_from_amplitude(first_order(CUBIC, params(0.1)), 0.5)
         assert z1 == pytest.approx(2 * 0.5 * (1 - 0.005))
 
     def test_imaginary_amplitude_starts_at_zero(self):
         for kind in (CUBIC, VAN_DER_POL):
-            z0, _ = init_from_amplitude(kind, 0.5j, params(0.1))
+            z0, _ = init_from_amplitude(first_order(kind, params(0.1)), 0.5j)
             assert z0 == 0.0
 
     def test_round_trip_against_closed_form(self):
         p = params(0.2)
         a0 = 0.3 - 0.4j
-        z0, z1 = init_from_amplitude(CUBIC, a0, p)
+        z0, z1 = init_from_amplitude(first_order(CUBIC, p), a0)
         lam, _ = characteristic_roots(p)
         expected = 2.0 * np.real(a0 * np.exp(np.arange(2) * np.log(lam)))
         assert z0 == pytest.approx(expected[0], rel=1e-14)
@@ -344,7 +344,7 @@ class TestInitFromAmplitude:
         lam, _ = characteristic_roots(p)
         for a0 in (0.5, 0.3 + 0.2j, -0.7 + 0.11j, 1e-7 + 3e-9j, 123.4 - 0.3j):
             want = (2.0 * complex(a0).real, 2.0 * (complex(a0) * lam).real)
-            assert init_from_amplitude(kind, a0, p) == want
+            assert init_from_amplitude(first_order(kind, p), a0) == want
 
     @pytest.mark.parametrize("kind", [CUBIC, VAN_DER_POL])
     def test_first_order_data(self, kind):
@@ -354,16 +354,16 @@ class TestInitFromAmplitude:
         a0 = 0.4 + 0.2j
         first = first_order(kind, p)
         lam, _ = characteristic_roots(p)
-        a1 = a0 + build_flow(kind, p)(a0)
+        a1 = a0 + build_flow(first_order(kind, p))(a0)
         want = [2.0 * (u + p.eps * first.k3 * u**3).real for u in (a0, a1 * lam)]
-        got = init_from_amplitude(kind, a0, p)
+        got = init_from_amplitude(first_order(kind, p), a0)
         assert got == pytest.approx(want, rel=1e-14)
-        assert got == init_from_amplitude(kind, a0, p, first)
+        assert got == init_from_amplitude(first, a0)
         assert got[0] != 2.0 * a0.real
 
     def test_first_order_roots_refused(self):
         with pytest.raises(ValueError, match="needs the exact roots"):
-            init_from_amplitude(CUBIC, 0.5, params(0.1, convention=FIRST))
+            init_from_amplitude(first_order(CUBIC, params(0.1, convention=FIRST)), 0.5)
 
 
 class TestAssembleModes:
@@ -372,12 +372,12 @@ class TestAssembleModes:
         a0 = 0.3 + 0.1j
         sol = GlobalSolution(CUBIC, p, a0)
         n = np.arange(50)
-        assembled = assemble_modes(CUBIC, p, np.full(n.size, a0), discrete_fundamental(p, n))
+        assembled = assemble_modes(sol.first, np.full(n.size, a0), discrete_fundamental(p, n))
         assert np.allclose(assembled, sol.eval_discrete(n), atol=1e-12)
 
     def test_scalar_input(self):
         p = params(0.1, eps=0.02)
-        out = assemble_modes(CUBIC, p, 0.5 + 0j, discrete_fundamental(p, 0))
+        out = assemble_modes(first_order(CUBIC, p), 0.5 + 0j, discrete_fundamental(p, 0))
         assert isinstance(out, float)
 
 

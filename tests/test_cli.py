@@ -160,7 +160,8 @@ class TestSimulate:
         assert code == 0
         _, rows, _ = read_csv(out)
         params = cli._scheme_params(ExperimentConfig(kind="vdp"))
-        assert rows[0, 2] == init_from_amplitude(Variant.VAN_DER_POL, 0.3j, params)[0] != 0.0
+        first = first_order(Variant.VAN_DER_POL, params)
+        assert rows[0, 2] == init_from_amplitude(first, 0.3j)[0] != 0.0
         assert np.all(np.isfinite(rows[:, 2]))
 
     @pytest.mark.parametrize("eps", [0.02, 0.2])
@@ -424,7 +425,7 @@ class TestCompare:
         # in the fifth, whose continuum and discrete columns are not formed
         monkeypatch.setattr(oracle, "_GUARD_BLOCK", 97)
         TestPipelineBlocks._spoil(monkeypatch, cli, "naive_solution", 402, np.inf,
-                                  lambda args: args[3])
+                                  lambda args: args[2])
         calls = TestPipelineBlocks._count_stages(monkeypatch)
         out = tmp_path / "cmp.csv"
         assert main(["compare", "--t-max=20", f"--output-path={out}"]) == 3
@@ -1099,7 +1100,7 @@ def _reference_columns(cfg, cube=_cube):
         return 2.0 * (mode + params.eps * k3 * cube(mode)).real
 
     continuum = continuum_amplitude(kind, a0, first.rate / params.dt, n * cfg.dt)
-    flow = _per_step_fold(build_flow(kind, params), a0, n.size - 1)
+    flow = _per_step_fold(build_flow(first_order(kind, params)), a0, n.size - 1)
     return {"z_naive": 2.0 * z_naive.real, "z_renorm_discrete": modes(flow),
             "z_renorm_continuum": modes(continuum)}
 
@@ -1229,17 +1230,17 @@ class TestPipelineBlocks:
         calls = []
         original = cli.assemble_modes
 
-        def recorded(kind, params, amplitudes, fundamental, first):
+        def recorded(first, amplitudes, fundamental):
             calls.append(amplitudes.copy())
-            return original(kind, params, amplitudes, fundamental, first)
+            return original(first, amplitudes, fundamental)
 
         monkeypatch.setattr(cli, "assemble_modes", recorded)
         columns, _ = run_compare_pipeline(cfg)
         assert len(columns["n"]) == 286
         assert [a.size for a in calls] == [len(range(-(-lo // 7) * 7, min(lo + 97, 2001), 7))
                                            for lo in range(0, 2001, 97)]
-        kind, params = Variant(cfg.kind), cli._scheme_params(cfg)
-        path = cli.flow_path(build_flow(kind, params), complex(cfg.a0_re, cfg.a0_im), steps=2000)
+        first = first_order(Variant(cfg.kind), cli._scheme_params(cfg))
+        path = cli.flow_path(build_flow(first), complex(cfg.a0_re, cfg.a0_im), steps=2000)
         assert np.concatenate(calls).tobytes() == path[::7].tobytes()
 
     @staticmethod
@@ -1268,7 +1269,7 @@ class TestPipelineBlocks:
         # 97-step blocks: 96 ends the first block, 291 starts the fourth
         monkeypatch.setattr(oracle, "_GUARD_BLOCK", 97)
         if column == "naive":
-            self._spoil(monkeypatch, cli, "naive_solution", step, value, lambda args: args[3])
+            self._spoil(monkeypatch, cli, "naive_solution", step, value, lambda args: args[2])
         else:
             self._spoil(monkeypatch, cli.GlobalSolution, "eval_discrete", step, value,
                         lambda args: args[1])
@@ -1320,7 +1321,7 @@ class TestPipelineBlocks:
         monkeypatch.setattr(oracle, "_GUARD_BLOCK", 97)
         for which, at in spoils:
             if which == "naive":
-                self._spoil(monkeypatch, cli, "naive_solution", at, np.inf, lambda args: args[3])
+                self._spoil(monkeypatch, cli, "naive_solution", at, np.inf, lambda args: args[2])
             elif which == "continuum":
                 self._spoil(monkeypatch, cli.GlobalSolution, "eval_discrete", at, np.nan,
                             lambda args: args[1])

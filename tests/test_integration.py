@@ -23,6 +23,7 @@ from renormdiff.perturbation import (
     CUBIC,
     VAN_DER_POL,
     extract_secular,
+    first_order,
     first_order_solution,
     naive_solution,
 )
@@ -35,7 +36,7 @@ class TestHalfEpsVanDerPol:
     def test_renormalized_envelope_tracks_oracle(self):
         eps, dt = 0.025, 0.005
         params = SchemeParams(dt=dt, eps=eps, root_convention=EXACT)
-        z0, z1 = init_from_amplitude(VAN_DER_POL, 0.1, params)
+        z0, z1 = init_from_amplitude(first_order(VAN_DER_POL, params), 0.1)
         # half the eps of the other checks: the limit cycle needs ~2x the time
         traj = iterate(VAN_DER_POL, params, z0, z1, int(400 / dt))
         peaks = envelope(traj)
@@ -55,7 +56,7 @@ class TestSecularFlow:
         a = 0.4 + 0.2j
         for kind in (CUBIC, VAN_DER_POL):
             sigma = extract_secular(first_order_solution(kind, a, p), p)
-            da = build_flow(kind, p)(a)
+            da = build_flow(first_order(kind, p))(a)
             assert da == pytest.approx(p.eps * sigma, rel=1e-5)
 
 
@@ -65,9 +66,9 @@ class TestVdpNaive:
         params = SchemeParams(dt=dt, eps=eps, root_convention=EXACT)
         a0 = 0.1
         n = np.arange(int(100 / dt) + 1)
-        z_naive = naive_solution(VAN_DER_POL, a0, params, n)
+        z_naive = naive_solution(first_order(VAN_DER_POL, params), a0, n)
         assert np.all(np.isfinite(z_naive))
-        z0, z1 = init_from_amplitude(VAN_DER_POL, 0.1, params)
+        z0, z1 = init_from_amplitude(first_order(VAN_DER_POL, params), 0.1)
         traj = iterate(VAN_DER_POL, params, z0, z1, n.size - 1)
         err = np.abs(traj.values - z_naive)
         # the linearized growth overshoots once eps * t is order one
@@ -84,11 +85,10 @@ class TestVdpNaive:
         for eps in (0.04, 0.02):
             params = SchemeParams(dt=dt, eps=eps, root_convention=EXACT)
             a0 = 0.3
-            z0, z1 = init_from_amplitude(VAN_DER_POL, a0, params)
+            first = first_order(VAN_DER_POL, params)
+            z0, z1 = init_from_amplitude(first, a0)
             traj = iterate(VAN_DER_POL, params, z0, z1, horizon)
-            gap = np.abs(
-                traj.values - naive_solution(VAN_DER_POL, a0, params, np.arange(horizon + 1))
-            ).max()
+            gap = np.abs(traj.values - naive_solution(first, a0, np.arange(horizon + 1))).max()
             gaps.append(gap)
         assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=0.1)
 
@@ -181,10 +181,10 @@ class TestCliVdpComplexAmplitude:
 class TestReadmeExample:
     def test_quickstart_numbers(self):
         params = SchemeParams(dt=0.01, eps=0.01, root_convention=EXACT)
-        z0, z1 = init_from_amplitude(CUBIC, 0.5, params)
+        z0, z1 = init_from_amplitude(first_order(CUBIC, params), 0.5)
         oracle = iterate(CUBIC, params, z0, z1, 20_000)
         n = np.arange(20_001)
-        naive = naive_solution(CUBIC, 0.5, params, n)
+        naive = naive_solution(first_order(CUBIC, params), 0.5, n)
         renorm = GlobalSolution(CUBIC, params, 0.5).eval_discrete(n)
         naive_err = np.abs(oracle.values - naive).max()
         renorm_err = np.abs(oracle.values - renorm).max()

@@ -19,6 +19,7 @@ from renormdiff.perturbation import (
     CUBIC,
     VAN_DER_POL,
     extract_secular,
+    first_order,
     first_order_forcing,
     first_order_solution,
     naive_solution,
@@ -187,13 +188,13 @@ class TestNaiveSolution:
         a0 = 0.4 + 0.2j
         z0 = zeroth_order(a0, p)
         n = np.arange(50)
-        assert np.allclose(naive_solution(CUBIC, a0, p, n), z0.evaluate(n).real)
+        assert np.allclose(naive_solution(first_order(CUBIC, p), a0, n), z0.evaluate(n).real)
 
     def test_array_owns_its_data_and_scalar_is_a_float(self):
         p = params(0.01, eps=0.02, convention=EXACT)
-        z = naive_solution(CUBIC, 0.4 + 0.1j, p, np.arange(1000))
+        z = naive_solution(first_order(CUBIC, p), 0.4 + 0.1j, np.arange(1000))
         assert z.dtype == float and z.base is None
-        assert type(naive_solution(CUBIC, 0.4 + 0.1j, p, 7)) is float
+        assert type(naive_solution(first_order(CUBIC, p), 0.4 + 0.1j, 7)) is float
 
     @pytest.mark.parametrize("kind, eps", [(CUBIC, 0.02), (VAN_DER_POL, 0.02), (VAN_DER_POL, 0.01)])
     @pytest.mark.parametrize("scheme", [Scheme.STANDARD, Scheme.MICKENS])
@@ -207,7 +208,7 @@ class TestNaiveSolution:
         n = np.arange(5001)
         full = zeroth_order(a0, p) + first_order_solution(kind, a0, p).scaled(p.eps)
         want = full.evaluate(n).real
-        got = naive_solution(kind, a0, p, n)
+        got = naive_solution(first_order(kind, p), a0, n)
         assert np.all(np.abs(got - want) <= 1e-12 * np.max(np.abs(want)))
 
     @pytest.mark.parametrize("kind", [CUBIC, VAN_DER_POL])
@@ -215,27 +216,27 @@ class TestNaiveSolution:
         p = params(0.01, eps=0.02, convention=EXACT)
         n = np.arange(5000)
         fundamental = power_table(characteristic_roots(p)[0], n)
-        got = naive_solution(kind, 0.4 + 0.1j, p, n, fundamental)
-        assert got.tobytes() == naive_solution(kind, 0.4 + 0.1j, p, n).tobytes()
+        got = naive_solution(first_order(kind, p), 0.4 + 0.1j, n, fundamental)
+        assert got.tobytes() == naive_solution(first_order(kind, p), 0.4 + 0.1j, n).tobytes()
 
     def test_first_order_roots_are_refused(self):
         # at lam_p = 1 + i omega the derived rate is not on its axis: the
         # record refuses the convention rather than drop a real part of
         # relative size dt/2
         with pytest.raises(ValueError, match="needs the exact roots"):
-            naive_solution(CUBIC, 0.4 + 0.1j, params(0.1, eps=0.02), np.arange(10))
+            naive_solution(first_order(CUBIC, params(0.1, eps=0.02)), 0.4 + 0.1j, np.arange(10))
 
     def test_unresolved_third_harmonic_is_refused(self):
         p = params(1e-5, eps=0.02, convention=EXACT)
         with pytest.raises(ValueError, match="too small to resolve the third harmonic"):
-            naive_solution(CUBIC, 0.4 + 0.1j, p, np.arange(10))
+            naive_solution(first_order(CUBIC, p), 0.4 + 0.1j, np.arange(10))
 
     def test_value_at_origin(self):
         p = params(0.1, eps=0.02, convention=EXACT)
         a0 = 0.5
         z1 = first_order_solution(CUBIC, a0, p)
         expected = 1.0 + 0.02 * z1.evaluate(0).real
-        assert naive_solution(CUBIC, a0, p, 0) == pytest.approx(expected)
+        assert naive_solution(first_order(CUBIC, p), a0, 0) == pytest.approx(expected)
 
     def test_realness_of_expansion(self):
         p = params(0.05, eps=0.03)
@@ -252,11 +253,11 @@ class TestNaiveSolution:
         dt, eps = 0.01, 0.01
         p = params(dt, eps=eps, convention=EXACT)
         a0 = 0.5
-        z0, z1 = init_from_amplitude(CUBIC, 0.5, p)
+        z0, z1 = init_from_amplitude(first_order(CUBIC, p), 0.5)
         n_steps = int(200 / dt)
         traj = iterate(CUBIC, p, z0, z1, n_steps)
         n = np.arange(n_steps + 1)
-        err = np.abs(traj.values - naive_solution(CUBIC, a0, p, n))
+        err = np.abs(traj.values - naive_solution(first_order(CUBIC, p), a0, n))
         early = err[(traj.times >= 10) & (traj.times <= 20)].max()
         late = err[(traj.times >= 190) & (traj.times <= 200)].max()
         assert late >= 5.0 * early

@@ -63,7 +63,7 @@ class TestBuildFlow:
     def test_cubic_step(self):
         # the standard scheme's exact-dt rate: (3/2) i eps dt / sqrt(1 - mu/4)
         p = params(0.01, 0.05)
-        flow = build_flow(CUBIC, p)
+        flow = build_flow(first_order(CUBIC, p))
         a = 0.4 + 0.1j
         b = a.conjugate()
         da = flow(a)
@@ -74,7 +74,7 @@ class TestBuildFlow:
 
     def test_vdp_step(self):
         p = params(0.01, 0.05)
-        flow = build_flow(VAN_DER_POL, p)
+        flow = build_flow(first_order(VAN_DER_POL, p))
         a = 0.4 + 0.1j
         b = a.conjugate()
         da = flow(a)
@@ -84,31 +84,31 @@ class TestBuildFlow:
 
     def test_vdp_half_eps_halves_rate(self):
         a = 0.4 + 0.1j
-        da_full = build_flow(VAN_DER_POL, params(0.01, 0.05))(a)
-        da_half = build_flow(VAN_DER_POL, params(0.01, 0.025))(a)
+        da_full = build_flow(first_order(VAN_DER_POL, params(0.01, 0.05)))(a)
+        da_half = build_flow(first_order(VAN_DER_POL, params(0.01, 0.025)))(a)
         assert da_half == 0.5 * da_full
 
     def test_zero_eps_constant_flow(self):
-        flow = build_flow(CUBIC, params(0.01, 0.0))
+        flow = build_flow(first_order(CUBIC, params(0.01, 0.0)))
         a = flow_path(flow, 0.3 + 0.2j, 500)[-1]
         assert (a, a.conjugate()) == (0.3 + 0.2j, 0.3 - 0.2j)
 
 
 class TestIterateFlow:
     def test_zero_steps_identity(self):
-        flow = build_flow(CUBIC, params(0.01, 0.05))
+        flow = build_flow(first_order(CUBIC, params(0.01, 0.05)))
         a = flow_path(flow, 0.5, 0)[-1]
         assert (a, a.conjugate()) == (0.5 + 0j, 0.5 + 0j)
 
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError, match="steps must be nonnegative"):
-            flow_path(build_flow(CUBIC, params(0.01, 0.05)), 0.5, steps=-1)
+            flow_path(build_flow(first_order(CUBIC, params(0.01, 0.05))), 0.5, steps=-1)
 
     def test_cubic_per_step_drift_formula(self):
         # the product AB drifts by exactly |r|^2 (AB)^3 per step, with
         # |r|^2 = (9/4) eps^2 dt^2 / (1 - mu/4)
         p = params(0.01, 0.02)
-        flow = build_flow(CUBIC, p)
+        flow = build_flow(first_order(CUBIC, p))
         a0, b0 = 0.6 + 0.1j, 0.6 - 0.1j
         a1 = flow_path(flow, a0, 1)[-1]
         b1 = a1.conjugate()
@@ -120,7 +120,7 @@ class TestIterateFlow:
         a0, b0 = 0.5, 0.5
         drifts = []
         for eps in (0.04, 0.02):
-            flow = build_flow(CUBIC, params(0.01, eps))
+            flow = build_flow(first_order(CUBIC, params(0.01, eps)))
             a1 = flow_path(flow, a0, 1)[-1]
             # |A1|^2 - |A0|^2 by component: the products' difference, about
             # 1e-9 of 0.25, would cancel to a relative 2e-8
@@ -128,23 +128,23 @@ class TestIterateFlow:
         assert drifts[0] / drifts[1] == pytest.approx(4.0, rel=1e-9)
 
     def test_vdp_ratio_invariant_over_long_iteration(self):
-        flow = build_flow(VAN_DER_POL, params(0.01, 0.05))
+        flow = build_flow(first_order(VAN_DER_POL, params(0.01, 0.05)))
         a0 = 0.3 + 0.21j
         path = flow_path(flow, a0, 10_000)
         assert np.all(_ulps(path.imag / path.real, a0.imag / a0.real) <= 4.0)
 
     def test_overflow_guard(self):
-        flow = build_flow(CUBIC, params(1.0, 0.4))
+        flow = build_flow(first_order(CUBIC, params(1.0, 0.4)))
         with pytest.raises(OverflowError):
             flow_path(flow, 1e5, 10)
 
     def test_nan_amplitude_stops_at_the_guard(self):
-        flow = build_flow(CUBIC, params(0.01, 0.01))
+        flow = build_flow(first_order(CUBIC, params(0.01, 0.01)))
         with pytest.raises(OverflowError, match="at step 1$"):
             flow_path(flow, complex("nan"), 3)
 
     def test_path_is_deterministic(self):
-        flow = build_flow(VAN_DER_POL, params(0.01, 0.05))
+        flow = build_flow(first_order(VAN_DER_POL, params(0.01, 0.05)))
         a1 = flow_path(flow, 0.2 + 0.1j, 200)
         a2 = flow_path(flow, 0.2 + 0.1j, 200)
         assert np.array_equal(a1, a2)
@@ -178,7 +178,7 @@ class TestConjugateReduction:
     )
     def test_flow_path_equals_two_amplitude_map(self, kind, variant, eps):
         a0 = 0.3 + 0.21j
-        flow = build_flow(kind, params(0.02, eps))
+        flow = build_flow(first_order(kind, params(0.02, eps)))
         rate = flow.rate if kind is CUBIC else flow.rate.real
         a_ref, b_ref = _two_amplitude_path(variant, rate, a0, 2000)
         assert b_ref.tobytes() == np.conj(a_ref).tobytes()
@@ -203,7 +203,7 @@ class TestInlineFold:
         "kind, eps", [(CUBIC, 0.05), (VAN_DER_POL, 0.05), (VAN_DER_POL, 0.025)]
     )
     def test_flow_path_equals_step_map_fold(self, kind, eps):
-        flow = build_flow(kind, params(0.02, eps))
+        flow = build_flow(first_order(kind, params(0.02, eps)))
         a0 = 0.3 + 0.21j
         _assert_same_path(flow_path(flow, a0, 2000), _fold_path(flow, a0, 2000))
 
@@ -222,7 +222,7 @@ class TestInlineFold:
         ],
     )
     def test_guard_after_the_loop_names_the_step_of_a_guard_per_step(self, kind, eps, a0):
-        flow = build_flow(kind, params(1.0, eps))
+        flow = build_flow(first_order(kind, params(1.0, eps)))
         with pytest.raises(OverflowError) as per_step:
             _fold_path(flow, a0, 2000)
         with pytest.raises(OverflowError) as after_loop:
@@ -264,7 +264,7 @@ class TestInlineFold:
         # the path (16 bytes a step) and, for Van der Pol, the real scales
         # it is formed from (8); the guard's |A| and mask hold one block of
         # steps.  A list of boxed complex values adds about 40 bytes per step.
-        flow, steps = build_flow(kind, params(0.004, 0.01)), 100_000
+        flow, steps = build_flow(first_order(kind, params(0.004, 0.01))), 100_000
         flow_path(flow, 0.5 + 0.1j, 10)
         tracemalloc.start()
         try:
@@ -338,7 +338,7 @@ class TestInlineFold:
             flow_path(AmplitudeFlow(CUBIC, 1e-9 + 0.0015j), 0.3 + 0.2j, 10)
 
     def test_flow_is_a_frozen_value(self):
-        flow = build_flow(VAN_DER_POL, params(0.02, 0.025))
+        flow = build_flow(first_order(VAN_DER_POL, params(0.02, 0.025)))
         assert flow == AmplitudeFlow(VAN_DER_POL, 0.025 * 0.02)
         with pytest.raises(AttributeError):
             flow.rate = 0.0
@@ -645,8 +645,8 @@ class TestSecularRate:
         for dt, eps in ((0.01, 0.01), (0.1, 0.03), (0.02, 0.05), (0.3, 0.007)):
             p = params(dt, eps)
             first = first_order(kind, p)
-            assert build_flow(kind, p).rate == first.rate
-            assert build_flow(kind, p, first) == build_flow(kind, p)
+            assert build_flow(first_order(kind, p)).rate == first.rate
+            assert build_flow(first) == build_flow(first_order(kind, p))
             assert first.rate / (eps * dt) == pytest.approx(_LIMITS[kind], rel=0.02)
 
     def test_frequency_shift(self):
@@ -722,9 +722,8 @@ class TestFirstOrderRecord:
         p = SchemeParams(dt=0.1, eps=0.02, root_convention=RootConvention.FIRST_ORDER)
         with pytest.raises(ValueError, match="needs the exact roots, not the 'first-order'"):
             first_order(kind, p)
-        for call in (build_flow, lambda k, q: GlobalSolution(k, q, 0.5)):
-            with pytest.raises(ValueError, match="needs the exact roots"):
-                call(kind, p)
+        with pytest.raises(ValueError, match="needs the exact roots"):
+            GlobalSolution(kind, p, 0.5)
 
 
 class TestForcingAlgebra:
