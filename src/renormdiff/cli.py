@@ -13,8 +13,8 @@ naive, continuum and discrete columns, checked in that order, with the first
 two's errors, and the summary; only the rows written are kept.
 Output is CSV or JSON in the format `renormdiff.writer` defines; this module
 chooses stdout or a file.  Exit codes: 0 success, 1 a stdout reader that
-closed early, 2 configuration error (an output path that cannot be opened
-included), 3 numerical failure: a diverging or singular oracle step, an
+closed early, 2 configuration error (an output that cannot be opened or
+written included), 3 numerical failure: a diverging or singular oracle step, an
 amplitude flow past its guard or a non-finite model column, each named with
 the step where it happened.
 """
@@ -169,18 +169,21 @@ def _boundary(cfg: ExperimentConfig) -> tuple[Variant, SchemeParams, int]:
 
 
 def _write_table(cfg: ExperimentConfig, columns: dict, summary: dict | None):
-    """The document to stdout, decoded, or to ``cfg.output_path`` as bytes."""
+    """The document to stdout, decoded, or to ``cfg.output_path`` as bytes; a
+    file's failed open, write or close is a ConfigError, a broken pipe and
+    stdout's failed write are left to ``entry``."""
     from .writer import table_bytes, table_text  # loaded on the first write, not with the parser
 
     if cfg.output_path is None:
         sys.stdout.writelines(table_text(cfg.output_format, columns, summary))
         return
     try:
-        fh = open(cfg.output_path, "wb")
+        with open(cfg.output_path, "wb") as fh:
+            fh.writelines(table_bytes(cfg.output_format, columns, summary))
+    except BrokenPipeError:
+        raise
     except OSError as exc:
         raise ConfigError(f"cannot write output: {exc}") from exc
-    with fh:
-        fh.writelines(table_bytes(cfg.output_format, columns, summary))
 
 
 def _oracle_stage(first: FirstOrder, a0: complex, steps: int) -> Trajectory:
@@ -444,13 +447,17 @@ def entry() -> None:
     """The console script: ``main`` on ``sys.argv``, exiting with its code.
 
     A reader that closes the pipe early (``renormdiff simulate | head -1``)
-    ends the run with exit 1 and no traceback: stdout is pointed at devnull,
-    so the flush at interpreter exit cannot fail again.
+    ends the run with exit 1 and no traceback; any other failed write of
+    stdout (a full device) with exit 2 and the message of a failed write of
+    the output file.  Either way stdout is pointed at devnull, so the flush
+    at interpreter exit cannot fail again.
     """
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError as exc:
+        code = 1 if isinstance(exc, BrokenPipeError) else 2
+        if code == 2:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 1
     raise SystemExit(code)

@@ -6,8 +6,7 @@ particular solution for the cubic and Van der Pol type schemes, extracts the
 secular (n * lambda^n) content, derives the first-order record that every
 consumer takes alone (the scheme, its per-step secular rate and its
 third-harmonic coefficient), and evaluates the naive (unrenormalized)
-expansion z0 + eps * z1 from that record as twice the real part of its
-lam_p half.
+expansion z0 + eps * z1 as twice the real part of its lam_p half.
 
 Cross-term convention: products lam_p^n * lam_m^n arising from powers of z0
 are collected as 1.  This is exact for the unit-modulus roots (whose product

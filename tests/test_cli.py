@@ -1,7 +1,10 @@
 import argparse
 import cmath
 import dataclasses
+import errno
+import inspect
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -424,8 +427,7 @@ class TestCompare:
         # is written into the naive column's result; 97-step blocks: n=402 is
         # in the fifth, whose continuum and discrete columns are not formed
         monkeypatch.setattr(oracle, "_GUARD_BLOCK", 97)
-        TestPipelineBlocks._spoil(monkeypatch, cli, "naive_solution", 402, np.inf,
-                                  lambda args: args[2])
+        TestPipelineBlocks._spoil(monkeypatch, cli, "naive_solution", 402, np.inf)
         calls = TestPipelineBlocks._count_stages(monkeypatch)
         out = tmp_path / "cmp.csv"
         assert main(["compare", "--t-max=20", f"--output-path={out}"]) == 3
@@ -493,7 +495,8 @@ class TestSweep:
         # 1e-12 breaks the step cap, 2.5 the standard scheme's dt < 2
         calls = []
         real = cli.run_compare_pipeline
-        monkeypatch.setattr(cli, "run_compare_pipeline", lambda cfg: calls.append(cfg) or real(cfg))
+        monkeypatch.setattr(cli, "run_compare_pipeline",
+                            lambda *args: calls.append(args) or real(*args))
         out = tmp_path / "s.csv"
         code = main(
             ["sweep", "--param", "dt", "--values", values, "--t-max", "200",
@@ -507,7 +510,8 @@ class TestSweep:
         # |a0|^2 underflows to 0 at 1e-200
         calls = []
         real = cli.run_compare_pipeline
-        monkeypatch.setattr(cli, "run_compare_pipeline", lambda cfg: calls.append(cfg) or real(cfg))
+        monkeypatch.setattr(cli, "run_compare_pipeline",
+                            lambda *args: calls.append(args) or real(*args))
         out = tmp_path / "s.csv"
         code = main(
             ["sweep", "--kind", "vdp", "--param", "a0_re", "--values", "0.1,1e-200",
@@ -524,7 +528,8 @@ class TestSweep:
     ):
         calls = []
         real = cli.run_compare_pipeline
-        monkeypatch.setattr(cli, "run_compare_pipeline", lambda cfg: calls.append(cfg) or real(cfg))
+        monkeypatch.setattr(cli, "run_compare_pipeline",
+                            lambda *args: calls.append(args) or real(*args))
         out = tmp_path / "s.csv"
         code = main(["sweep", "--param", "dt", "--values", f"1e-4,{small}", "--t-max", "1e-3",
                      "--output-path", str(out)])
@@ -582,6 +587,41 @@ class TestOutputPath:
         assert code == 2
         assert "error: cannot write output:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["simulate"], ["compare"],
+                                         ["sweep", "--param=eps", "--values=0.01,0.02"]],
+                             ids=["simulate", "compare", "sweep"])
+    def test_failed_write_exits_two(self, monkeypatch, capsys, command):
+        # a file that opens, then fails its first write and its close, as
+        # one on a full device does
+        full = OSError(errno.ENOSPC, "No space left on device")
+        monkeypatch.setattr(cli, "open", lambda path, mode: _FailingFile(full), raising=False)
+        assert main([*command, "--t-max=1", "--output-path=x.csv"]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot write output: [Errno 28] No space left on device\n")
+
+    def test_broken_pipe_of_the_file_reaches_entry(self, monkeypatch):
+        # exit 1 with no traceback, as for stdout (TestConfigFile)
+        broken = BrokenPipeError(errno.EPIPE, "Broken pipe")
+        monkeypatch.setattr(cli, "open", lambda path, mode: _FailingFile(broken), raising=False)
+        with pytest.raises(BrokenPipeError):
+            main(["simulate", "--t-max=1", "--output-path=x.csv"])
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv, stdout_full", [
+        (["compare", "--output-path=/dev/full"], False),
+        (["simulate"], True),
+        # the table goes to a file; the summary line fails at the final flush
+        (["compare", "--output-path=OUT"], True),
+    ], ids=["file", "stdout", "stdout-summary"])
+    def test_full_device_exits_two_without_a_traceback(self, tmp_path, package_env, argv,
+                                                       stdout_full):
+        argv = [arg.replace("OUT", str(tmp_path / "cmp.csv")) for arg in argv]
+        with open("/dev/full" if stdout_full else os.devnull, "wb") as stdout:
+            proc = subprocess.run([sys.executable, "-m", "renormdiff", *argv, "--t-max=5"],
+                                  stdout=stdout, stderr=subprocess.PIPE, env=package_env)
+        assert proc.returncode == 2
+        assert proc.stderr == b"error: cannot write output: [Errno 28] No space left on device\n"
+
     def test_numerical_failure_leaves_existing_file(self, tmp_path):
         out = tmp_path / "keep.csv"
         out.write_text("earlier run\n")
@@ -591,6 +631,23 @@ class TestOutputPath:
         )
         assert code == 3
         assert out.read_text() == "earlier run\n"
+
+
+class _FailingFile:
+    """An output file whose first write and whose close raise `error`."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        raise self.error
+
+    def writelines(self, pieces):
+        next(iter(pieces))
+        raise self.error
 
 
 def _ref_csv_cell(value):
@@ -1100,7 +1157,7 @@ def _reference_columns(cfg, cube=_cube):
         return 2.0 * (mode + params.eps * k3 * cube(mode)).real
 
     continuum = continuum_amplitude(kind, a0, first.rate / params.dt, n * cfg.dt)
-    flow = _per_step_fold(build_flow(first_order(kind, params)), a0, n.size - 1)
+    flow = _per_step_fold(build_flow(first), a0, n.size - 1)
     return {"z_naive": 2.0 * z_naive.real, "z_renorm_discrete": modes(flow),
             "z_renorm_continuum": modes(continuum)}
 
@@ -1244,17 +1301,19 @@ class TestPipelineBlocks:
         assert np.concatenate(calls).tobytes() == path[::7].tobytes()
 
     @staticmethod
-    def _spoil(monkeypatch, owner, name, step, value, steps_of=None):
+    def _spoil(monkeypatch, owner, name, step, value):
         """Replace `owner.name` by a wrapper that writes `value` at `step` of
-        its result; `steps_of(args)` gives the steps of a call's result from
-        its arguments (when None, the results are taken as consecutive
-        blocks from step 0)."""
+        its result.  A call's steps are its argument `n`, found by name, when
+        the function has one; otherwise the results are taken as consecutive
+        blocks from step 0."""
         original = getattr(owner, name)
+        signature = inspect.signature(original)
         done = [0]
 
         def spoiled(*args, **kwargs):
             out = original(*args, **kwargs)
-            at = steps_of(args) if steps_of else np.arange(done[0], done[0] + out.size)
+            steps = signature.bind(*args, **kwargs).arguments.get("n")
+            at = np.arange(done[0], done[0] + out.size) if steps is None else steps
             done[0] += out.size
             out[at == step] = value
             return out
@@ -1269,10 +1328,9 @@ class TestPipelineBlocks:
         # 97-step blocks: 96 ends the first block, 291 starts the fourth
         monkeypatch.setattr(oracle, "_GUARD_BLOCK", 97)
         if column == "naive":
-            self._spoil(monkeypatch, cli, "naive_solution", step, value, lambda args: args[2])
+            self._spoil(monkeypatch, cli, "naive_solution", step, value)
         else:
-            self._spoil(monkeypatch, cli.GlobalSolution, "eval_discrete", step, value,
-                        lambda args: args[1])
+            self._spoil(monkeypatch, cli.GlobalSolution, "eval_discrete", step, value)
         assert main(["compare", "--t-max=20", "--stride=7"]) == 3
         name = "z_naive" if column == "naive" else "z_renorm_continuum"
         assert capsys.readouterr().err == f"numerical failure: {name} is not finite at n={step}\n"
@@ -1289,8 +1347,7 @@ class TestPipelineBlocks:
         # 97-step blocks: n=250 is in the third, whose discrete column is not
         # formed, and no later block is
         monkeypatch.setattr(oracle, "_GUARD_BLOCK", 97)
-        self._spoil(monkeypatch, cli.GlobalSolution, "eval_discrete", 250, np.nan,
-                    lambda args: args[1])
+        self._spoil(monkeypatch, cli.GlobalSolution, "eval_discrete", 250, np.nan)
         calls = self._count_stages(monkeypatch)
         out = tmp_path / "cmp.csv"
         assert main(["compare", "--t-max=20", f"--output-path={out}"]) == 3
@@ -1321,10 +1378,9 @@ class TestPipelineBlocks:
         monkeypatch.setattr(oracle, "_GUARD_BLOCK", 97)
         for which, at in spoils:
             if which == "naive":
-                self._spoil(monkeypatch, cli, "naive_solution", at, np.inf, lambda args: args[2])
+                self._spoil(monkeypatch, cli, "naive_solution", at, np.inf)
             elif which == "continuum":
-                self._spoil(monkeypatch, cli.GlobalSolution, "eval_discrete", at, np.nan,
-                            lambda args: args[1])
+                self._spoil(monkeypatch, cli.GlobalSolution, "eval_discrete", at, np.nan)
             else:
                 self._spoil(monkeypatch, cli, "assemble_modes", at, -np.inf)
         calls = self._count_stages(monkeypatch)
