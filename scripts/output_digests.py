@@ -160,6 +160,10 @@ def matrix() -> list[tuple[list[str], str]]:
     for wrong in (["--dt=3", "--t-max=1"], ["--dt=1e-6", "--t-max=200"]):
         for command in (["simulate"], ["compare"], ["sweep", "--param=eps", "--values=0.01"]):
             runs.append(([*command, *wrong], "csv"))
+    # A sweep checks its rows one at a time, so it is refused for its first
+    # row's first fault: row 1's dt = 1e-5 is too small to resolve the third
+    # harmonic, though row 2's dt = 2.5 is outside the scheme's range.
+    runs.append((["sweep", "--param=dt", "--values=1e-5,2.5", "--t-max=1e-3"], "csv"))
     runs.append((["compare", *BLOCKS_VDP], "json"))
     runs.append((["compare", "--kind=cubic", "--stride=7", *LONG], "csv"))
     return runs

@@ -19,7 +19,7 @@ from renormdiff.analysis import envelope
 from renormdiff.asymptotic import GlobalSolution, init_from_amplitude
 from renormdiff.lineardiff import RootConvention, SchemeParams
 from renormdiff.oracle import iterate
-from renormdiff.perturbation import VAN_DER_POL
+from renormdiff.perturbation import VAN_DER_POL, first_order
 
 
 def main():
@@ -38,7 +38,7 @@ def main():
     a0 = 0.5 * args.start_amplitude * (1 + 1j * c) / math.hypot(1.0, c)
     t_max = 10.0 / args.eps
 
-    sol = GlobalSolution(VAN_DER_POL, params, a0)
+    sol = GlobalSolution(first_order(VAN_DER_POL, params), a0)
     z0, z1 = init_from_amplitude(sol.first, a0)
     traj = iterate(VAN_DER_POL, params, z0, z1, int(round(t_max / args.dt)))
     peaks = envelope(traj)

@@ -29,13 +29,13 @@ _MIN_PEAKS = 2
 
 @dataclass(frozen=True)
 class ErrorProfile:
-    """Pointwise gap between two trajectories plus growth summary.
+    """Growth summary of the pointwise gap between two trajectories.
 
-    `slope` is the least-squares slope (per time unit) of the running maximum
-    of the gap: flat for a bounded mismatch, positive under secular growth.
+    `max_abs` is the gap's maximum and `slope` the least-squares slope (per
+    time unit) of its running maximum: flat for a bounded mismatch, positive
+    under secular growth.
     """
 
-    diffs: np.ndarray
     max_abs: float
     slope: float
 
@@ -84,8 +84,8 @@ def compare(a: Trajectory, b: Trajectory) -> ErrorProfile:
     if a.dt != b.dt:
         raise ValueError(f"time-step mismatch: {a.dt} vs {b.dt}")
     diffs = np.abs(a.values - b.values)
-    return ErrorProfile(diffs=diffs, max_abs=float(diffs.max()),
-                        slope=growth_slope(a.dt, running_max(diffs)))
+    return ErrorProfile(max_abs=float(diffs.max()),
+                        slope=growth_slope(a.dt, running_max(diffs, out=diffs)))
 
 
 @dataclass(frozen=True)

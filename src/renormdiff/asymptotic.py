@@ -9,12 +9,12 @@ dt -> 0 limits are 1/8 (cubic) and i/4 (Van der Pol).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .lineardiff import SchemeParams, characteristic_roots, power_table
-from .perturbation import FirstOrder, Variant, _unit_response, first_order
+from .perturbation import FirstOrder, Variant, _unit_response
 from .renormalization import build_flow, conserved_constant, continuum_amplitude
 
 __all__ = [
@@ -81,33 +81,29 @@ def init_from_amplitude(first: FirstOrder, a0: complex) -> tuple[float, float]:
 class GlobalSolution:
     """Secular-free solution determined by an initial complex amplitude.
 
-    `a0` is the amplitude A at t = 0 (the conjugate mode carries conj(a0), so
-    evaluations are real), and `first` the scheme's first-order record,
-    derived at construction; the amplitude follows the continuum equation at
+    `first` is the scheme's first-order record, without which none is built
+    (first_order refuses a dt too small to resolve the third harmonic), and
+    `a0` the amplitude A at t = 0 (the conjugate mode carries conj(a0), so
+    evaluations are real); the amplitude follows the continuum equation at
     r/dt, r the record's per-step rate.  A cubic amplitude rotates at rate
     Im(r/dt) |a0|^2, which tends to (3/2) eps |a0|^2 as dt -> 0; a Van der
     Pol one is a0 times one real envelope, which tends to the limit cycle
     |A| = 1 (solve_vdp_continuum, whose domain of a0 the construction checks).
     """
 
-    kind: Variant
-    params: SchemeParams
+    first: FirstOrder
     a0: complex
-    first: FirstOrder = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a0", complex(self.a0))
-        # Fail at construction, not first evaluation: the record refuses
-        # first-order roots and a dt below about 1.6e-5, where the third
-        # harmonic cannot be resolved, and a Van der Pol |a0|^2 outside
-        # [smallest normal, 2^53) has no envelope.
-        object.__setattr__(self, "first", first_order(self.kind, self.params))
-        if self.kind is Variant.VAN_DER_POL:
+        # Fail at construction, not first evaluation: a Van der Pol |a0|^2
+        # outside [smallest normal, 2^53) has no envelope.
+        if self.first.kind is Variant.VAN_DER_POL:
             self.amplitude_at(0.0)
 
     def amplitude_at(self, t):
         """Renormalized amplitude A(t) from the continuum flow (scalar/array)."""
-        return continuum_amplitude(self.kind, self.a0, self.first.rate / self.params.dt, t)
+        return continuum_amplitude(self.first.kind, self.a0, self.first.rate / self.first.params.dt, t)
 
     def eval_discrete(self, n, fundamental=None):
         """Real solution at integer indices n (scalar or array).
@@ -116,9 +112,9 @@ class GlobalSolution:
         assembles other forms with it (discrete_fundamental when omitted).
         """
         n_arr = np.asarray(n, dtype=float)
-        amp = self.amplitude_at(n_arr * self.params.dt)
+        amp = self.amplitude_at(n_arr * self.first.params.dt)
         if fundamental is None:
-            fundamental = discrete_fundamental(self.params, n_arr)
+            fundamental = discrete_fundamental(self.first.params, n_arr)
         return assemble_modes(self.first, amp, fundamental)
 
     def eval_continuum_waveform(self, t):
@@ -135,13 +131,13 @@ class GlobalSolution:
     def frequency_shift(self) -> float:
         """Angular frequency 1 + Im(r/dt) |a0|^2 of the cubic waveform, with r
         the record's per-step rate (r/dt tends to (3/2) i eps as dt -> 0)."""
-        if self.kind is not Variant.CUBIC:
+        if self.first.kind is not Variant.CUBIC:
             raise ValueError(
                 "frequency shift is defined for the cubic kind only; the Van "
                 "der Pol fundamental stays at frequency 1 at this order"
             )
         c = conserved_constant(Variant.CUBIC, self.a0)
-        return 1.0 + (self.first.rate / self.params.dt).imag * c
+        return 1.0 + (self.first.rate / self.first.params.dt).imag * c
 
     def fundamental_amplitude(self, t):
         """Peak amplitude 2 |A(t)| of the fundamental component."""

@@ -3,30 +3,33 @@
 Configuration comes from a plain key=value file ('#' starts a comment at the
 start of a line or after whitespace) plus command-line flags; flags win.
 Every command checks its config at one boundary, in one order: the fields,
-the scheme, the step count; `sweep` checks every row there before its first
-pipeline.  Every command runs at the exact (unit-modulus) characteristic
-roots: `root_convention` accepts `exact` alone.  `compare` runs
-`run_compare_pipeline`, whose stages are the boundary, the oracle from the
-first-order bridge (all that `simulate` runs), the amplitude flow, one pass
-over the oracle's guard blocks that forms each block's lam_p^n and the
-naive, continuum and discrete columns, checked in that order, with the first
-two's errors, and the summary; only the rows written are kept.
-Output is CSV or JSON in the format `renormdiff.writer` defines; this module
-chooses stdout or a file.  Exit codes: 0 success, 1 a stdout reader that
-closed early, 2 configuration error (an output that cannot be opened or
-written included), 3 numerical failure: a diverging or singular oracle step, an
-amplitude flow past its guard or a non-finite model column, each named with
-the step where it happened.
+the scheme, the step count, then the command's one first-order record, which
+refuses a dt too small to resolve the third harmonic; `compare` then checks
+a0, and `sweep` runs both checks row by row before its first pipeline.  Every
+command runs at the exact (unit-modulus) characteristic roots:
+`root_convention` accepts `exact` alone.  `compare` runs `run_compare_pipeline`,
+whose stages are the boundary, the oracle from the first-order bridge (all
+that `simulate` runs), the amplitude flow, one pass over the oracle's guard
+blocks that forms each block's lam_p^n and the naive, continuum and discrete
+columns, checked in that order, with the first two's errors, and the summary;
+only the rows written are kept.  Output is CSV or JSON in the format
+`renormdiff.writer` defines; this module chooses stdout or a file.  Exit
+codes: 0 success, 1 a stdout reader that closed early, 2 configuration error
+(an output that cannot be opened or written included), 3 numerical failure:
+a diverging or singular oracle step, an amplitude flow past its guard or a
+non-finite model column, each named with the step where it happened.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
 import os
 import re
+import stat
 import sys
 from dataclasses import dataclass
 
@@ -161,28 +164,42 @@ def _steps(cfg: ExperimentConfig) -> int:
     return n
 
 
-def _boundary(cfg: ExperimentConfig) -> tuple[Variant, SchemeParams, int]:
+def _boundary(cfg: ExperimentConfig) -> tuple[FirstOrder, int]:
     """The checks every command runs first, in one order: the fields, the
-    scheme, the step count.  Returns the kind, the scheme and the steps."""
+    scheme, the step count, the first-order record (first_order refuses a dt
+    too small to resolve the third harmonic).  Returns the record and steps."""
     _validate(cfg)
-    return Variant(cfg.kind), _scheme_params(cfg), _steps(cfg)
+    params, steps = _scheme_params(cfg), _steps(cfg)
+    return first_order(Variant(cfg.kind), params), steps
+
+
+def _checked(cfg: ExperimentConfig) -> tuple[GlobalSolution, int]:
+    """The boundary, then compare's check of a0: the solution and the steps."""
+    first, steps = _boundary(cfg)
+    return GlobalSolution(first, complex(cfg.a0_re, cfg.a0_im)), steps
 
 
 def _write_table(cfg: ExperimentConfig, columns: dict, summary: dict | None):
     """The document to stdout, decoded, or to ``cfg.output_path`` as bytes; a
-    file's failed open, write or close is a ConfigError, a broken pipe and
-    stdout's failed write are left to ``entry``."""
+    file's failed open, write or close is a ConfigError (a failed write or
+    close removes the regular file it opened), a broken pipe and stdout's
+    failed write are left to ``entry``."""
     from .writer import table_bytes, table_text  # loaded on the first write, not with the parser
 
     if cfg.output_path is None:
         sys.stdout.writelines(table_text(cfg.output_format, columns, summary))
         return
+    path, opened = cfg.output_path, None
     try:
-        with open(cfg.output_path, "wb") as fh:
+        with open(path, "wb") as fh:
+            opened = os.fstat(fh.fileno())
             fh.writelines(table_bytes(cfg.output_format, columns, summary))
-    except BrokenPipeError:
-        raise
     except OSError as exc:
+        with contextlib.suppress(OSError):  # no partial document is left behind
+            if opened and stat.S_ISREG(opened.st_mode) and os.path.samestat(opened, os.stat(path)):
+                os.remove(path)
+        if isinstance(exc, BrokenPipeError):
+            raise
         raise ConfigError(f"cannot write output: {exc}") from exc
 
 
@@ -194,8 +211,8 @@ def _oracle_stage(first: FirstOrder, a0: complex, steps: int) -> Trajectory:
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    kind, params, steps = _boundary(cfg)
-    traj = _oracle_stage(first_order(kind, params), complex(cfg.a0_re, cfg.a0_im), steps)
+    first, steps = _boundary(cfg)
+    traj = _oracle_stage(first, complex(cfg.a0_re, cfg.a0_im), steps)
     rows = np.arange(0, len(traj), cfg.stride)
     columns = {"n": rows, "t": rows * traj.dt, "z": traj.values[:: cfg.stride]}
     _write_table(cfg, columns, summary=None)
@@ -253,7 +270,7 @@ def _model_block(sol: GlobalSolution, oracle: Trajectory, fundamental: np.ndarra
     before the next block's are made."""
     lo, hi, at, picks = block
     n = np.arange(lo, hi)
-    f = discrete_fundamental(sol.params, n) if fundamental is None else fundamental[lo:hi]
+    f = discrete_fundamental(sol.first.params, n) if fundamental is None else fundamental[lo:hi]
     z = oracle.values[lo:hi]
     z_naive = naive_solution(sol.first, sol.a0, n, f)
     _error_block("z_naive", z, z_naive, running[0], block, kept["err_naive"])
@@ -303,21 +320,16 @@ def _summary_stage(oracle: Trajectory, running: tuple) -> dict:
         "period_oracle": None,
         "limit_amplitude_oracle": None,
     }
-    try:
+    # Each stays None where the oracle has too few crossings or peaks.
+    with contextlib.suppress(ValueError):
         summary["period_oracle"] = zero_crossing_period(oracle).mean_period
-    except ValueError:
-        pass
-    try:
-        peaks = envelope(oracle)
-        tail = peaks[-min(5, peaks.shape[0]) :, 1]
-        summary["limit_amplitude_oracle"] = float(tail.mean())
-    except ValueError:
-        pass
+    with contextlib.suppress(ValueError):  # the mean of the last five peaks, or of all
+        summary["limit_amplitude_oracle"] = float(envelope(oracle)[-5:, 1].mean())
     return summary
 
 
 def run_compare_pipeline(cfg: ExperimentConfig, fundamental: np.ndarray | None = None,
-                         columns: bool = True, sol: GlobalSolution | None = None) -> tuple[dict, dict]:
+                         columns: bool = True, checked: tuple | None = None) -> tuple[dict, dict]:
     """Oracle vs naive vs renormalized trajectories, plus summary statistics.
 
     Returns (columns, summary).  The columns hold the rows the writer writes,
@@ -327,14 +339,12 @@ def run_compare_pipeline(cfg: ExperimentConfig, fundamental: np.ndarray | None =
     the rows.  The flow runs whole before the pass over blocks, which keeps
     its path at the written rows alone.  `fundamental` is lam_p^n on the
     time grid when the caller shares it between pipelines; without it each
-    block forms its own span.  Either way the bytes are the same.  `sol` is
-    the config's GlobalSolution, from a caller that checked it already, with
-    the first-order record that every stage reads.  Raises ConfigError for a
-    config that `main` would refuse.
+    block forms its own span.  Either way the bytes are the same.  `checked`
+    is `_checked(cfg)` from a caller that ran it already: the solution, whose
+    first-order record every stage reads, and the steps.  Raises ConfigError
+    for a config that `main` would refuse.
     """
-    kind, params, steps = _boundary(cfg)
-    # Checks a0, and derives the record, before the oracle runs.
-    sol = sol or GlobalSolution(kind, params, complex(cfg.a0_re, cfg.a0_im))
+    sol, steps = checked or _checked(cfg)
     oracle = _oracle_stage(sol.first, sol.a0, steps)
     rows = np.arange(0, steps + 1, cfg.stride) if columns else np.arange(0)
     kept, running = _model_stage(sol, steps, oracle, fundamental, rows)
@@ -354,23 +364,20 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values: list[float]) -> int:
     if param not in _SWEEPABLE:
         raise ConfigError(f"sweep parameter must be one of {_SWEEPABLE}, got {param!r}")
     row_cfgs = [dataclasses.replace(cfg, **{param: value}) for value in values]
-    # Every row passes the boundary, then compare's check of a0, before any
-    # pipeline runs; each row's solution, with its record, goes to its pipeline.
-    checked = [_boundary(row_cfg) for row_cfg in row_cfgs]
-    sols = [GlobalSolution(kind, params, complex(row_cfg.a0_re, row_cfg.a0_im))
-            for row_cfg, (kind, params, _) in zip(row_cfgs, checked)]
+    # Each row passes compare's checks, in order, before any pipeline runs.
+    checked = [_checked(row_cfg) for row_cfg in row_cfgs]
     # eps and a0_re keep the time grid (dt, t_max, scheme), so its lam_p^n is
     # built once and the blocks slice it; each dt gives a grid of its own,
     # formed a block at a time inside its pipeline.
     fundamental = None
     if param != "dt":
-        _, params, steps = checked[0]
-        fundamental = discrete_fundamental(params, np.arange(steps + 1))
+        sol, steps = checked[0]
+        fundamental = discrete_fundamental(sol.first.params, np.arange(steps + 1))
     # The summary alone: the pipeline keeps no rows and assembles no discrete
     # column, but still runs the flow, so its guard fails a row as it fails
     # compare.
-    summaries = [run_compare_pipeline(row_cfg, fundamental, False, sol)[1]
-                 for row_cfg, sol in zip(row_cfgs, sols)]
+    summaries = [run_compare_pipeline(row_cfg, fundamental, False, row)[1]
+                 for row_cfg, row in zip(row_cfgs, checked)]
     columns = {"value": list(values), **{key: [s[key] for s in summaries] for key in summaries[0]}}
     _write_table(cfg, columns, summary={"param": param})
     return 0

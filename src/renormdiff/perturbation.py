@@ -158,15 +158,13 @@ class FirstOrder:
     `rate` is the per-step secular rate r, with eps sigma(a) = r mono(a): the
     naive expansion's secular coefficient and the step of the discrete
     renormalization equation A(m+1) - A(m) = eps sigma(A(m)), at the
-    scheme's own dt.  `k3` is the third-harmonic coefficient per unit a^3 and
-    `base3` the checked base lam_p^3.
+    scheme's own dt.  `k3` is the third-harmonic coefficient per unit a^3.
     """
 
     kind: Variant
     params: SchemeParams
     rate: complex
     k3: complex
-    base3: complex
 
 
 def first_order(kind: Variant, params: SchemeParams) -> FirstOrder:
@@ -186,7 +184,7 @@ def first_order(kind: Variant, params: SchemeParams) -> FirstOrder:
                          f"{params.root_convention.value!r} root convention")
     sigma = params.eps * z1.coefficient(characteristic_roots(params)[0], 1)
     rate = complex(0.0, sigma.imag) if kind is Variant.CUBIC else complex(sigma.real)
-    return FirstOrder(kind, params, rate, z1.coefficient(base3), base3)
+    return FirstOrder(kind, params, rate, z1.coefficient(base3))
 
 
 def first_order_solution(

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lineardiff import SchemeParams
 from .oracle import first_failure, guard_blocks
-from .perturbation import FirstOrder, Variant, first_order, monomial
+from .perturbation import FirstOrder, Variant, monomial
 
 __all__ = [
     "AmplitudeFlow",
@@ -264,17 +263,17 @@ def continuum_amplitude(kind: Variant, a0: complex, rate: complex, t):
     return solve_vdp_continuum(a0, complex(rate).real, t)
 
 
-def continuum_limit_check(kind: Variant, a0: complex, params: SchemeParams, t_max: float) -> float:
+def continuum_limit_check(first: FirstOrder, a0: complex, t_max: float) -> float:
     """Max gap between the iterated flow and its continuum closed form.
 
-    Runs the discrete flow from a0 for t_max / dt steps and
-    reports max_m |A_discrete(m) - A_ode(m dt)|.  The map is the forward Euler
-    step of the continuum equation at the same rate, so the gap shrinks
-    linearly as dt is halved; callers assert that ratio.
+    Runs the discrete flow of the first-order record `first` from a0 for
+    t_max / dt steps and reports max_m |A_discrete(m) - A_ode(m dt)|.  The
+    map is the forward Euler step of the continuum equation at the same rate,
+    so the gap shrinks linearly as dt is halved; callers assert that ratio.
     """
-    steps = int(round(t_max / params.dt))
-    first = first_order(kind, params)
+    dt = first.params.dt
+    steps = int(round(t_max / dt))
     a_path = flow_path(build_flow(first), a0, steps)
-    t = np.arange(steps + 1) * params.dt
-    a_ode = continuum_amplitude(kind, a0, first.rate / params.dt, t)
+    t = np.arange(steps + 1) * dt
+    a_ode = continuum_amplitude(first.kind, a0, first.rate / dt, t)
     return float(np.max(np.abs(a_path - a_ode)))

@@ -185,7 +185,7 @@ def test_criterion_06_vdp_limit_cycle():
     a0 = 0.1 * (1 + 2j) / math.sqrt(5)
     peaks = _oracle_envelope(VAN_DER_POL, params, a0, t_max)
     band = peaks[(peaks[:, 0] >= 2.0 / eps) & (peaks[:, 0] <= 10.0 / eps)]
-    sol = GlobalSolution(VAN_DER_POL, params, a0)
+    sol = GlobalSolution(first_order(VAN_DER_POL, params), a0)
     lin = (1.0 + a0.imag / a0.real) * a0.real**2
     rejected = 2.0 * abs(a0) / np.sqrt(lin + (1.0 - lin) * np.exp(-2.0 * eps * band[:, 0]))
     dev_sq = np.abs(sol.fundamental_amplitude(band[:, 0]) - band[:, 1]) / band[:, 1]
@@ -228,9 +228,7 @@ def test_criterion_08_continuum_limit_consistency():
     ratios = {}
     for kind, a0 in ((CUBIC, 0.5 + 0j), (VAN_DER_POL, 0.3 + 0.15j)):
         devs = [
-            continuum_limit_check(
-                kind, a0, SchemeParams(dt=dt, eps=0.05), t_max=20.0
-            )
+            continuum_limit_check(first_order(kind, SchemeParams(dt=dt, eps=0.05)), a0, t_max=20.0)
             for dt in (0.02, 0.01)
         ]
         ratios[kind.value] = devs[0] / devs[1]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from renormdiff import perturbation
 from renormdiff.analysis import envelope
 from renormdiff.asymptotic import (
     GlobalSolution,
@@ -95,28 +97,28 @@ class TestThirdHarmonicCoefficient:
             with pytest.raises(ValueError, match=message):
                 third_harmonic_coefficient(kind, p)
             with pytest.raises(ValueError, match=message):
-                GlobalSolution(kind, p, 0.5)
+                GlobalSolution(first_order(kind, p), 0.5)
 
 
 class TestCubicSolution:
     def test_value_at_origin(self):
         dt, eps, a0 = 0.1, 0.05, 0.5
         p = params(dt, eps=eps)
-        sol = GlobalSolution(CUBIC, p, a0)
+        sol = GlobalSolution(first_order(CUBIC, p), a0)
         k3 = third_harmonic_coefficient(CUBIC, p)
         expected = 1.0 + eps * 2.0 * (k3 * a0**3).real
         assert sol.eval_discrete(0) == pytest.approx(expected, rel=1e-12)
 
     def test_eps_zero_reduces_to_homogeneous(self):
         p = params(0.1, eps=0.0)
-        sol = GlobalSolution(CUBIC, p, 0.3 + 0.2j)
+        sol = GlobalSolution(first_order(CUBIC, p), 0.3 + 0.2j)
         z0 = zeroth_order(0.3 + 0.2j, p)
         n = np.arange(200)
         assert np.allclose(sol.eval_discrete(n), z0.evaluate(n).real, atol=1e-12)
 
     def test_waveform_exactly_periodic(self):
         p = params(0.1, eps=0.05)
-        sol = GlobalSolution(CUBIC, p, 0.5)
+        sol = GlobalSolution(first_order(CUBIC, p), 0.5)
         period = 2 * np.pi / sol.frequency_shift()
         for t in (0.0, 1.7, 300.0):
             assert sol.eval_continuum_waveform(t + period) == pytest.approx(
@@ -125,7 +127,7 @@ class TestCubicSolution:
 
     def test_waveform_eps_zero_is_cosine(self):
         p = params(0.1, eps=0.0)
-        sol = GlobalSolution(CUBIC, p, 0.5)
+        sol = GlobalSolution(first_order(CUBIC, p), 0.5)
         t = np.linspace(0.0, 20.0, 500)
         assert np.allclose(sol.eval_continuum_waveform(t), np.cos(t), atol=1e-12)
 
@@ -136,7 +138,7 @@ class TestCubicSolution:
         gaps = []
         for dt in (0.02, 0.01):
             p = params(dt, eps=eps)
-            sol = GlobalSolution(CUBIC, p, a0)
+            sol = GlobalSolution(first_order(CUBIC, p), a0)
             n = np.arange(int(20 / dt) + 1)
             gap = np.abs(sol.eval_discrete(n) - sol.eval_continuum_waveform(n * dt))
             gaps.append(gap.max())
@@ -147,7 +149,7 @@ class TestCubicSolution:
         # construction; check against an explicitly conjugated assembly
         dt, eps, a0 = 0.05, 0.03, 0.4 - 0.3j
         p = params(dt, eps=eps)
-        sol = GlobalSolution(CUBIC, p, a0)
+        sol = GlobalSolution(first_order(CUBIC, p), a0)
         lam, lam_m = characteristic_roots(p)
         k3 = third_harmonic_coefficient(CUBIC, p)
         n = np.arange(0, 3000, 113)
@@ -163,24 +165,25 @@ class TestCubicSolution:
 
 class TestFrequencyShift:
     def test_zero_eps(self):
-        assert GlobalSolution(CUBIC, params(0.1, eps=0.0), 0.5).frequency_shift() == 1.0
+        sol = GlobalSolution(first_order(CUBIC, params(0.1, eps=0.0)), 0.5)
+        assert sol.frequency_shift() == 1.0
 
     def test_reference_value(self):
         # 1 + (3/2) eps |a0|^2 at dt -> 0, times the exact-dt factor
         # 1/sqrt(1 - mu/4) of the standard scheme's rate
-        sol = GlobalSolution(CUBIC, params(0.1, eps=0.05), 0.5)
+        sol = GlobalSolution(first_order(CUBIC, params(0.1, eps=0.05)), 0.5)
         assert sol.frequency_shift() == pytest.approx(1 + 0.01875 / math.sqrt(1 - 0.0025))
 
     def test_first_order_roots_refused(self):
         with pytest.raises(ValueError, match="'first-order' root convention"):
-            GlobalSolution(CUBIC, params(0.1, eps=0.05, convention=FIRST), 0.5)
+            GlobalSolution(first_order(CUBIC, params(0.1, eps=0.05, convention=FIRST)), 0.5)
 
     def test_zero_amplitude(self):
-        sol = GlobalSolution(CUBIC, params(0.1, eps=0.05), 0.0)
+        sol = GlobalSolution(first_order(CUBIC, params(0.1, eps=0.05)), 0.0)
         assert sol.frequency_shift() == 1.0
 
     def test_wrong_kind_rejected(self):
-        sol = GlobalSolution(VAN_DER_POL, params(0.1, eps=0.05), 0.2)
+        sol = GlobalSolution(first_order(VAN_DER_POL, params(0.1, eps=0.05)), 0.2)
         with pytest.raises(ValueError):
             sol.frequency_shift()
 
@@ -188,17 +191,36 @@ class TestFrequencyShift:
         # Re(a0) = 0 is accepted, though the Van der Pol invariant Im/Re is
         # undefined there; frequency_shift reads only the cubic |a0|^2, so
         # it refuses the kind and nothing else
-        sol = GlobalSolution(VAN_DER_POL, params(0.1, eps=0.05), 0.3j)
+        sol = GlobalSolution(first_order(VAN_DER_POL, params(0.1, eps=0.05)), 0.3j)
         with pytest.raises(ValueError, match="cubic kind only") as info:
             sol.frequency_shift()
         assert "ratio" not in str(info.value)
+
+
+class TestGlobalSolutionRecord:
+    """A GlobalSolution holds the record it is given and derives none."""
+
+    def test_fields_are_the_record_and_the_amplitude(self):
+        assert [f.name for f in dataclasses.fields(GlobalSolution)] == ["first", "a0"]
+
+    @pytest.mark.parametrize("kind, a0", [(CUBIC, 0.5), (VAN_DER_POL, 0.3 + 0.1j)])
+    def test_construction_derives_no_record(self, monkeypatch, kind, a0):
+        first = first_order(kind, params(0.1, eps=0.05))
+        calls = []
+        original = perturbation.particular_solution
+        monkeypatch.setattr(perturbation, "particular_solution",
+                            lambda *args: calls.append(args) or original(*args))
+        sol = GlobalSolution(first, a0)
+        assert sol.first is first and sol.a0 == complex(a0)
+        assert sol.eval_discrete(np.arange(5)).shape == (5,)
+        assert calls == []
 
 
 class TestVdpSolution:
     def test_imaginary_amplitude_runs(self):
         # Re(a0) = 0 is one more ray: the envelope scales 0.3j up to the
         # limit cycle and keeps Re(A) = 0
-        sol = GlobalSolution(VAN_DER_POL, params(0.1, eps=0.05), 0.3j)
+        sol = GlobalSolution(first_order(VAN_DER_POL, params(0.1, eps=0.05)), 0.3j)
         amps = sol.amplitude_at(np.array([0.0, 10.0, 1e3]))
         assert np.all(amps.real == 0.0)
         assert amps[0] == 0.3j and 0.3 < amps[1].imag < 1.0
@@ -209,16 +231,16 @@ class TestVdpSolution:
         # |a0|^2 underflows to 0 at 1e-200, and to a subnormal at 1e-161,
         # where the envelope's limit would be off by 0.6%
         with pytest.raises(ValueError, match="underflows"):
-            GlobalSolution(VAN_DER_POL, params(0.5, eps=0.01), a0)
+            GlobalSolution(first_order(VAN_DER_POL, params(0.5, eps=0.01)), a0)
 
     def test_smallest_normal_settled_value_reaches_the_limit(self):
-        sol = GlobalSolution(VAN_DER_POL, params(0.5, eps=0.01), 1.5e-154)
+        sol = GlobalSolution(first_order(VAN_DER_POL, params(0.5, eps=0.01)), 1.5e-154)
         assert sol.amplitude_at(1e6) == pytest.approx(1.0, rel=1e-15)
 
     def test_settled_value_just_below_2_53_starts_at_a0(self):
         # |a0|^2 = 2^53 - 1: 1 minus it is still exact
         a0 = 0.75 + 94906265.62425154j
-        got = GlobalSolution(VAN_DER_POL, params(0.5, eps=0.01), a0).amplitude_at(0.0)
+        got = GlobalSolution(first_order(VAN_DER_POL, params(0.5, eps=0.01)), a0).amplitude_at(0.0)
         assert abs(got.real - a0.real) <= np.spacing(a0.real)
         assert abs(got.imag - a0.imag) <= np.spacing(a0.imag)
 
@@ -226,7 +248,8 @@ class TestVdpSolution:
         # |a0|^2 = 2^53 + 2, the next value: 1 minus it rounds, and the
         # envelope no longer starts at a0
         with pytest.raises(ValueError, match=r"reaches 2\^53 at a0 = \(0.75\+"):
-            GlobalSolution(VAN_DER_POL, params(0.5, eps=0.01), 0.75 + 94906265.62425156j)
+            GlobalSolution(first_order(VAN_DER_POL, params(0.5, eps=0.01)),
+                           0.75 + 94906265.62425156j)
 
     @given(
         log_modulus=st.floats(-160.0, 9.0),
@@ -239,7 +262,7 @@ class TestVdpSolution:
         # denominator of an accepted a0 is at least min(|a0|^2, 1)
         a0 = 10.0**log_modulus * complex(math.cos(phase), math.sin(phase))
         try:
-            sol = GlobalSolution(VAN_DER_POL, params(0.01, eps=eps), a0)
+            sol = GlobalSolution(first_order(VAN_DER_POL, params(0.01, eps=eps)), a0)
         except ValueError:  # |a0|^2 out of range
             reject()
         t = np.concatenate(([0.0], np.logspace(-3.0, 6.0, 64)))
@@ -256,27 +279,27 @@ class TestVdpSolution:
         p = params(0.005, eps=eps, convention=EXACT)
         z0, z1 = init_from_amplitude(first_order(VAN_DER_POL, p), a0)
         peaks = envelope(iterate(VAN_DER_POL, p, z0, z1, int(round(10.0 / eps / p.dt))))
-        sol = GlobalSolution(VAN_DER_POL, p, a0)
+        sol = GlobalSolution(first_order(VAN_DER_POL, p), a0)
         dev = np.abs(sol.fundamental_amplitude(peaks[:, 0]) - peaks[:, 1]) / peaks[:, 1]
         assert peaks[0, 1] > 2.4
         assert dev.max() <= 0.01
 
     def test_amplitude_matches_at_time_zero(self):
         a0 = 0.1 * (1 + 2j) / np.sqrt(5)
-        sol = GlobalSolution(VAN_DER_POL, params(0.01, eps=0.05), a0)
+        sol = GlobalSolution(first_order(VAN_DER_POL, params(0.01, eps=0.05)), a0)
         assert sol.amplitude_at(0.0) == pytest.approx(a0, rel=1e-12)
         assert sol.fundamental_amplitude(0.0) == pytest.approx(2 * abs(a0), rel=1e-12)
 
     def test_limit_amplitude_two_under_squared_convention(self):
         a0 = 0.1 * (1 + 2j) / np.sqrt(5)
-        sol = GlobalSolution(VAN_DER_POL, params(0.01, eps=0.05), a0)
+        sol = GlobalSolution(first_order(VAN_DER_POL, params(0.01, eps=0.05)), a0)
         assert sol.fundamental_amplitude(400.0) == pytest.approx(2.0, rel=1e-6)
 
     def test_waveform_third_harmonic_demodulates(self):
         # once the envelope has saturated, projecting the waveform onto
         # e^{3it} over whole periods recovers eps * kappa3 * A^3
         p = params(0.01, eps=0.05)
-        sol = GlobalSolution(VAN_DER_POL, p, 0.9)
+        sol = GlobalSolution(first_order(VAN_DER_POL, p), 0.9)
         t0 = 300.0
         t = np.linspace(t0, t0 + 8 * np.pi, 16001)
         wave = sol.eval_continuum_waveform(t)
@@ -291,7 +314,7 @@ class TestVdpSolution:
         # moves the maximum
         eps = 0.05
         p = params(0.01, eps=eps)
-        sol = GlobalSolution(VAN_DER_POL, p, 0.1)
+        sol = GlobalSolution(first_order(VAN_DER_POL, p), 0.1)
         t0 = 10.0 / eps
         t = np.linspace(t0, t0 + 2 * np.pi, 4001)
         peak = np.abs(sol.eval_continuum_waveform(t)).max()
@@ -299,8 +322,8 @@ class TestVdpSolution:
 
     def test_half_eps_slows_envelope_growth(self):
         a0 = 0.1
-        fast = GlobalSolution(VAN_DER_POL, params(0.01, eps=0.05), a0)
-        slow = GlobalSolution(VAN_DER_POL, params(0.01, eps=0.025), a0)
+        fast = GlobalSolution(first_order(VAN_DER_POL, params(0.01, eps=0.05)), a0)
+        slow = GlobalSolution(first_order(VAN_DER_POL, params(0.01, eps=0.025)), a0)
         t = 30.0
         assert slow.fundamental_amplitude(t) < fast.fundamental_amplitude(t)
         # the envelope depends on eps t alone: half the eps takes twice the time
@@ -370,7 +393,7 @@ class TestAssembleModes:
     def test_matches_global_solution_with_constant_amplitude(self):
         p = params(0.1, eps=0.0)
         a0 = 0.3 + 0.1j
-        sol = GlobalSolution(CUBIC, p, a0)
+        sol = GlobalSolution(first_order(CUBIC, p), a0)
         n = np.arange(50)
         assembled = assemble_modes(sol.first, np.full(n.size, a0), discrete_fundamental(p, n))
         assert np.allclose(assembled, sol.eval_discrete(n), atol=1e-12)

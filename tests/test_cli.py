@@ -3,14 +3,24 @@ import cmath
 import dataclasses
 import errno
 import inspect
+import io
 import json
+import math
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 from renormdiff import cli, oracle, writer
 from renormdiff.asymptotic import init_from_amplitude
@@ -538,6 +548,21 @@ class TestSweep:
         assert calls == []
         assert not out.exists()
 
+    def test_each_row_is_checked_once(self, tmp_path, monkeypatch):
+        # the boundary and the a0 check run once per row, before the
+        # pipelines, which take the checked solution and run neither again
+        calls, sols = [], []
+        real_validate, real_solution = cli._validate, cli.GlobalSolution
+        monkeypatch.setattr(cli, "_validate",
+                            lambda cfg: calls.append(cfg) or real_validate(cfg))
+        monkeypatch.setattr(cli, "GlobalSolution",
+                            lambda *args: sols.append(args) or real_solution(*args))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--param=eps", "--values=0.005,0.01,0.02", "--t-max=5",
+                     f"--output-path={out}"]) == 0
+        assert [cfg.eps for cfg in calls] == [0.005, 0.01, 0.02]
+        assert len(sols) == 3
+
     def test_unparsable_value_rejected(self, tmp_path, capsys):
         out = tmp_path / "x"
         code = main(["sweep", "--param", "eps", "--values", "0.01,abc", "--output-path", str(out)])
@@ -560,7 +585,8 @@ class TestSweep:
 
 class TestCheckOrder:
     """Every subcommand checks a config in one order (the fields, the scheme,
-    the step count), so a config wrong twice is refused for the same fault."""
+    the step count, the first-order record), so a config wrong twice is
+    refused for the same fault."""
 
     @pytest.mark.parametrize(
         "wrong, message",
@@ -577,6 +603,16 @@ class TestCheckOrder:
             assert main([*command, *wrong, f"--output-path={out}"]) == 2
             errors[command[0]] = capsys.readouterr().err
         assert errors == dict.fromkeys(errors, f"error: {message}\n")
+        assert not out.exists()
+
+    def test_sweep_refuses_its_first_rows_first_fault(self, tmp_path, capsys):
+        # row 1's dt is too small to resolve the third harmonic, row 2's is
+        # outside the scheme's range; each row is checked whole before the next
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--param=dt", "--values=1e-5,2.5", "--t-max=1e-3",
+                     f"--output-path={out}"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: dt = 1e-05 is too small to resolve the third harmonic")
         assert not out.exists()
 
 
@@ -621,6 +657,51 @@ class TestOutputPath:
                                   stdout=stdout, stderr=subprocess.PIPE, env=package_env)
         assert proc.returncode == 2
         assert proc.stderr == b"error: cannot write output: [Errno 28] No space left on device\n"
+        assert stat.S_ISCHR(os.stat("/dev/full").st_mode)  # the device is never removed
+
+    @pytest.mark.skipif(resource is None, reason="needs resource.RLIMIT_FSIZE")
+    def test_write_past_the_file_size_limit_leaves_no_file(self, tmp_path, package_env):
+        # a compare document of 20001 rows passes 51200 bytes part way
+        out = tmp_path / "x.csv"
+
+        def limit():
+            hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+            resource.setrlimit(resource.RLIMIT_FSIZE, (51200, hard))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "renormdiff", "compare", "--t-max=200", f"--output-path={out}"],
+            capture_output=True, env=package_env, preexec_fn=limit)
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == (
+            f"error: cannot write output: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["opened", "replaced", "device"])
+    def test_failed_write_removes_only_the_file_it_opened(self, tmp_path, monkeypatch, capsys,
+                                                          case):
+        # the first piece reaches the path, then the write fails: the regular
+        # file the run opened goes; a file that took the path over meanwhile,
+        # or a link to a device, stays
+        out, other = tmp_path / "x.csv", tmp_path / "other.csv"
+        other.write_text("another run\n")
+        if case == "device":
+            out.symlink_to(os.devnull)
+
+        class Cut(io.FileIO):
+            def writelines(self, pieces):
+                self.write(next(iter(pieces)))
+                if case == "replaced":
+                    os.replace(other, out)
+                raise OSError(errno.EFBIG, "File too large")
+
+        monkeypatch.setattr(cli, "open", lambda path, mode: Cut(path, mode), raising=False)
+        assert main(["compare", "--t-max=1", f"--output-path={out}"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write output: [Errno {errno.EFBIG}] File too large\n")
+        assert out.is_symlink() == (case == "device")
+        assert out.exists() == (case != "opened")
+        if case == "replaced":
+            assert out.read_text() == "another run\n"
 
     def test_numerical_failure_leaves_existing_file(self, tmp_path):
         out = tmp_path / "keep.csv"
@@ -634,16 +715,22 @@ class TestOutputPath:
 
 
 class _FailingFile:
-    """An output file whose first write and whose close raise `error`."""
+    """An output file whose first write and whose close raise `error`; its
+    descriptor is one of os.devnull, a device, so no failure removes it."""
 
     def __init__(self, error):
         self.error = error
+        self.fd = os.open(os.devnull, os.O_WRONLY)
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
+        os.close(self.fd)
         raise self.error
+
+    def fileno(self):
+        return self.fd
 
     def writelines(self, pieces):
         next(iter(pieces))
@@ -1105,6 +1192,31 @@ class TestPipelineDefaults:
         cfg = ExperimentConfig(kind="vdp", a0_re=0.0)
         with pytest.raises(ValueError):
             run_compare_pipeline(_validated(cfg))
+
+
+class TestOracleStartsOnTheDiscreteForm:
+    """The oracle's z(0) and z(1), from the first-order bridge, are the
+    discrete renormalized column's first two rows to a few ulp, wherever the
+    flow's first step is at most half the amplitude, |r| |a0|^2 <= 1/2."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(kind=st.sampled_from(["cubic", "vdp"]), scheme=st.sampled_from(["standard", "mickens"]),
+           dt=st.floats(1e-3, 1.0), eps=st.floats(0.0, 0.5), size=st.floats(1e-3, 10.0),
+           phase=st.floats(-math.pi, math.pi))
+    def test_first_two_rows_within_8_ulp(self, kind, scheme, dt, eps, size, phase):
+        # dt <= 1 and eps <= 1/2 keep the Van der Pol gain eps mu/dt <= 1/2,
+        # where the oracle's step cannot be singular
+        first = first_order(Variant(kind), SchemeParams(dt=dt, eps=eps, scheme=Scheme(scheme)))
+        if first.rate:
+            size = min(size, math.sqrt(0.5 / abs(first.rate)))
+        a0 = cmath.rect(size, phase)
+        cfg = ExperimentConfig(kind=kind, scheme=scheme, dt=dt, eps=eps, a0_re=a0.real,
+                               a0_im=a0.imag, t_max=2.0 * dt)
+        columns, _ = run_compare_pipeline(cfg)
+        for k, a in enumerate((a0, a0 + first.rate * monomial(first.kind, a0))):
+            scale = 2.0 * abs(a) * (1.0 + eps * abs(first.k3) * abs(a) ** 2)
+            gap = abs(columns["z_oracle"][k] - columns["z_renorm_discrete"][k])
+            assert gap <= 8.0 * np.spacing(scale), (k, gap / np.spacing(scale))
 
 
 def _per_step_fold(flow, a0, steps):

@@ -40,7 +40,7 @@ class TestHalfEpsVanDerPol:
         # half the eps of the other checks: the limit cycle needs ~2x the time
         traj = iterate(VAN_DER_POL, params, z0, z1, int(400 / dt))
         peaks = envelope(traj)
-        sol = GlobalSolution(VAN_DER_POL, params, 0.1)
+        sol = GlobalSolution(first_order(VAN_DER_POL, params), 0.1)
         band = peaks[peaks[:, 0] >= 80.0]
         predicted = sol.fundamental_amplitude(band[:, 0])
         rel = np.abs(predicted - band[:, 1]) / band[:, 1]
@@ -185,14 +185,14 @@ class TestReadmeExample:
         oracle = iterate(CUBIC, params, z0, z1, 20_000)
         n = np.arange(20_001)
         naive = naive_solution(first_order(CUBIC, params), 0.5, n)
-        renorm = GlobalSolution(CUBIC, params, 0.5).eval_discrete(n)
+        renorm = GlobalSolution(first_order(CUBIC, params), 0.5).eval_discrete(n)
         naive_err = np.abs(oracle.values - naive).max()
         renorm_err = np.abs(oracle.values - renorm).max()
         assert naive_err > 0.1
         assert renorm_err < 5e-3
         est = zero_crossing_period(oracle)
         assert 2 * np.pi / est.mean_period == pytest.approx(
-            GlobalSolution(CUBIC, params, 0.5).frequency_shift(), rel=1e-3
+            GlobalSolution(first_order(CUBIC, params), 0.5).frequency_shift(), rel=1e-3
         )
 
     def test_library_example_runs_as_written(self):

@@ -513,12 +513,12 @@ class TestConservedConstant:
 
 class TestContinuumLimit:
     def test_zero_eps_no_deviation(self):
-        dev = continuum_limit_check(CUBIC, 0.5, params(0.01, 0.0), 10.0)
+        dev = continuum_limit_check(first_order(CUBIC, params(0.01, 0.0)), 0.5, 10.0)
         assert dev == 0.0
 
     def test_cubic_first_order_in_dt(self):
         devs = [
-            continuum_limit_check(CUBIC, 0.5, params(dt, 0.05), 20.0)
+            continuum_limit_check(first_order(CUBIC, params(dt, 0.05)), 0.5, 20.0)
             for dt in (0.02, 0.01)
         ]
         assert devs[1] > 0
@@ -526,7 +526,7 @@ class TestContinuumLimit:
 
     def test_vdp_first_order_in_dt(self):
         devs = [
-            continuum_limit_check(VAN_DER_POL, 0.3 + 0.15j, params(dt, 0.05), 20.0)
+            continuum_limit_check(first_order(VAN_DER_POL, params(dt, 0.05)), 0.3 + 0.15j, 20.0)
             for dt in (0.02, 0.01)
         ]
         assert devs[1] > 0
@@ -652,7 +652,7 @@ class TestSecularRate:
     def test_frequency_shift(self):
         for eps, a0 in ((0.01, 0.5), (0.03, 0.4 + 0.3j), (0.05, -0.2 + 0.7j)):
             p = params(0.01, eps)
-            shift = GlobalSolution(CUBIC, p, a0).frequency_shift()
+            shift = GlobalSolution(first_order(CUBIC, p), a0).frequency_shift()
             c = (a0 * complex(a0).conjugate()).real
             assert shift == 1 + (first_order(CUBIC, p).rate / p.dt).imag * c
 
@@ -715,7 +715,6 @@ class TestFirstOrderRecord:
         first = first_order(kind, params(0.1, 0.02))
         assert len(calls) == 1
         assert first.k3 == third_harmonic_coefficient(kind, params(0.1, 0.02))
-        assert first.base3 == characteristic_roots(params(0.1, 0.02))[0] ** 3
 
     @pytest.mark.parametrize("kind", _RATE_KINDS)
     def test_first_order_roots_refused(self, kind):
@@ -723,7 +722,7 @@ class TestFirstOrderRecord:
         with pytest.raises(ValueError, match="needs the exact roots, not the 'first-order'"):
             first_order(kind, p)
         with pytest.raises(ValueError, match="needs the exact roots"):
-            GlobalSolution(kind, p, 0.5)
+            GlobalSolution(first_order(kind, p), 0.5)
 
 
 class TestForcingAlgebra:
