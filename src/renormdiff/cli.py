@@ -9,15 +9,21 @@ a0, and `sweep` runs both checks row by row before its first pipeline.  Every
 command runs at the exact (unit-modulus) characteristic roots:
 `root_convention` accepts `exact` alone.  `compare` runs `run_compare_pipeline`,
 whose stages are the boundary, the oracle from the first-order bridge (all
-that `simulate` runs), the amplitude flow, one pass over the oracle's guard
-blocks that forms each block's lam_p^n and the naive, continuum and discrete
-columns, checked in that order, with the first two's errors, and the summary;
-only the rows written are kept.  Output is CSV or JSON in the format
-`renormdiff.writer` defines; this module chooses stdout or a file.  Exit
-codes: 0 success, 1 a stdout reader that closed early, 2 configuration error
-(an output that cannot be opened or written included), 3 numerical failure:
-a diverging or singular oracle step, an amplitude flow past its guard or a
-non-finite model column, each named with the step where it happened.
+that `simulate` runs), its period and limit amplitude, one pass over the
+oracle's guard blocks that runs the amplitude flow through each block and
+forms its lam_p^n and the naive, continuum and discrete columns, checked in
+that order, with the first two's errors, and hands the block's written rows
+to the writer, and the errors' slopes; only the oracle and the errors' two
+running maxima are held whole.  Output is CSV or JSON in the format
+`renormdiff.writer` defines; this module chooses stdout or a file (_output):
+a file is written whole or not at all, through a temporary file renamed over
+it, and stdout gets the document as it is formed, so a numerical failure
+after the first chunk of rows leaves those rows on stdout, with no summary.
+Exit codes: 0 success, 1 a stdout reader that closed early, 2 configuration
+error (an output that cannot be opened or written included), 3 numerical
+failure: a diverging or singular oracle step, an amplitude flow past its
+guard or a non-finite model column, each named with the step where it
+happened.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -44,7 +51,7 @@ from .lineardiff import RootConvention, Scheme, SchemeParams
 from .oracle import (DivergenceError, SingularStepError, Trajectory, first_failure, guard_blocks,
                      iterate)
 from .perturbation import FirstOrder, Variant, first_order, naive_solution
-from .renormalization import build_flow, flow_path
+from .renormalization import build_flow, flow_path, flow_state
 
 __all__ = ["ExperimentConfig", "main", "entry", "run_compare_pipeline"]
 
@@ -85,11 +92,12 @@ _CHOICES = {
 _SWEEPABLE = ("dt", "eps", "a0_re")
 # The oracle runs about 110 (cubic) to 140 (vdp) ns per step in pure Python,
 # and the amplitude flow 80 (cubic) to 100 (vdp): best of 9 at 1e5 steps on a
-# shared 2-vCPU Xeon, where load can double them.  At 1e6 steps a compare's
-# traced peak is 88 B per step at stride 1 and 39 at stride 10, either kind
-# (a cubic CSV compare peaked at 114 and 67 MiB RSS), so 1e8 steps takes
-# minutes and about 9 GB, or 3.9 GB at stride 10; larger counts are rejected
-# early.
+# shared 2-vCPU Xeon, where load can double them.  A compare holds the oracle
+# and the errors' two running maxima whole, 24 B per step, and the rest a
+# guard block at a time: at 1e6 steps its traced peak is 25.4 B per step at
+# stride 1 and 25.0 at stride 10 (a cubic CSV compare peaked at 56 and 55 MiB
+# RSS), so 1e8 steps takes minutes and about 2.5 GB; larger counts are
+# rejected early.
 _MAX_STEPS = 10**8
 
 # A config-file value is read by its field's type; what an int or a float
@@ -179,28 +187,71 @@ def _checked(cfg: ExperimentConfig) -> tuple[GlobalSolution, int]:
     return GlobalSolution(first, complex(cfg.a0_re, cfg.a0_im)), steps
 
 
-def _write_table(cfg: ExperimentConfig, columns: dict, summary: dict | None):
-    """The document to stdout, decoded, or to ``cfg.output_path`` as bytes; a
-    file's failed open, write or close is a ConfigError (a failed write or
-    close removes the regular file it opened), a broken pipe and stdout's
-    failed write are left to ``entry``."""
-    from .writer import table_bytes, table_text  # loaded on the first write, not with the parser
+@contextlib.contextmanager
+def _output(cfg: ExperimentConfig):
+    """A ``write(pieces)`` of the document's bytes to stdout, decoded, or to
+    ``cfg.output_path``, which is opened at the first piece.
 
+    stdout gets each piece as it comes.  A file is written to a temporary
+    file beside its symlink-resolved path, which replaces it, with the
+    permission bits of a file it replaces, only once the block has run
+    without an exception: a failed run leaves no new file and an existing
+    one as it was.  A path to anything but a regular file (a device such as
+    /dev/null) is written directly.  A file's failed open, write, close or
+    rename is a ConfigError (a failed write or close removes the regular
+    file it opened); a broken pipe and stdout's failed write are left to
+    ``entry``.
+    """
     if cfg.output_path is None:
-        sys.stdout.writelines(table_text(cfg.output_format, columns, summary))
+        yield lambda pieces: sys.stdout.writelines(piece.decode() for piece in pieces)
         return
     path, opened = cfg.output_path, None
+    target = os.path.realpath(path)
     try:
-        with open(path, "wb") as fh:
-            opened = os.fstat(fh.fileno())
-            fh.writelines(table_bytes(cfg.output_format, columns, summary))
-    except OSError as exc:
+        existing = os.stat(target)
+    except OSError:
+        existing = None
+    direct = existing is not None and not stat.S_ISREG(existing.st_mode)
+    folder, base = os.path.split(target)
+    name = path if direct else os.path.join(folder, f".{base}.{os.urandom(6).hex()}.tmp")
+    try:
+        with contextlib.ExitStack() as stack:
+
+            def write(pieces):
+                nonlocal opened
+                pieces = iter(pieces)
+                first = next(pieces, None)
+                if first is None:
+                    return
+                if opened is None:
+                    # "x" for the temporary file: it never truncates one it did not make.
+                    fh = stack.enter_context(open(name, "wb" if direct else "xb"))
+                    opened = fh, os.fstat(fh.fileno())
+                opened[0].writelines(itertools.chain([first], pieces))
+
+            yield write
+        if not direct:
+            if existing is not None:
+                os.chmod(name, stat.S_IMODE(existing.st_mode))
+            os.replace(name, target)
+    except BaseException as exc:
         with contextlib.suppress(OSError):  # no partial document is left behind
-            if opened and stat.S_ISREG(opened.st_mode) and os.path.samestat(opened, os.stat(path)):
-                os.remove(path)
-        if isinstance(exc, BrokenPipeError):
+            if opened and stat.S_ISREG(opened[1].st_mode) and os.path.samestat(opened[1],
+                                                                             os.stat(name)):
+                os.remove(name)
+        if not isinstance(exc, OSError) or isinstance(exc, BrokenPipeError):
             raise
+        if opened is None and exc.filename == name:  # the open names the output path
+            exc = OSError(exc.errno, exc.strerror, path)
         raise ConfigError(f"cannot write output: {exc}") from exc
+
+
+def _write_table(cfg: ExperimentConfig, columns: dict, summary: dict | None):
+    """The whole document of ``columns`` and ``summary`` to the output (_output)."""
+    from .writer import table_bytes  # loaded on the first write, not with the parser
+
+    with _output(cfg) as write:
+        write(table_bytes(cfg.output_format, columns, summary))
 
 
 def _oracle_stage(first: FirstOrder, a0: complex, steps: int) -> Trajectory:
@@ -223,138 +274,163 @@ def _not_finite(name: str, n: int) -> DivergenceError:
     return DivergenceError(f"{name} is not finite at n={n}")
 
 
-def _blocks(steps: int, rows: np.ndarray):
-    """The oracle's guard blocks [lo, hi) covering 0..steps, each with the
-    span of `rows` (sorted) that falls in it and those rows' places in the
-    block.  A block's lam_p^n and model columns are reduced to the written
-    rows and the errors' running maxima before the next block is formed."""
-    for lo, hi in guard_blocks(0, steps + 1):
-        first, last = rows.searchsorted((lo, hi))
-        yield lo, hi, slice(first, last), rows[first:last] - lo
-
-
 def _model_stage(sol: GlobalSolution, steps: int, oracle: Trajectory,
-                 fundamental: np.ndarray | None, rows: np.ndarray) -> tuple[dict, tuple]:
-    """The flow path of `sol`'s scheme from its amplitude, then the three
-    model columns and the naive and continuum errors against the oracle, in
-    one pass over blocks of steps (_model_block) that all read the
-    pipeline's one first-order record, `sol.first`.
+                 fundamental: np.ndarray | None, stride: int, write_rows) -> list:
+    """The flow path of `sol`'s scheme from its amplitude, the three model
+    columns and the naive and continuum errors against the oracle, in one
+    pass over the oracle's guard blocks that all read the pipeline's one
+    first-order record, `sol.first`.
 
-    Of the path only its values at `rows` are kept: the path itself at
-    stride 1, a compact copy otherwise, none in a sweep, whose flow runs for
-    its guard alone.  `fundamental` is a sweep's shared lam_p^n, sliced per
-    block, or None, and each block forms its own.  Only the columns at
-    `rows` and the two errors' running maxima, held whole for the summary's
-    slopes, outlive a block; the path is freed on return.
+    Each block first runs the flow through its steps and one more, resumed
+    from the state the block before it left (flow_state), then forms its
+    model columns (_model_block) and hands its rows at every `stride`-th
+    step to `write_rows`, or forms no row without it (a sweep, whose flow
+    runs for its guard alone).  `fundamental` is a sweep's shared lam_p^n, sliced per
+    block, or None, and each block forms its own.  Only the two errors'
+    running maxima, held whole for the summary's slopes, outlive a block.
+    A model column that fails stops the rows, but the flow runs on to the
+    last step first, so that its overflow, at any step, wins as it would if
+    the flow ran whole before the columns.
     """
-    # By keyword: perfbench/tracing.py reads the step count from `steps`.
-    path = flow_path(build_flow(sol.first), sol.a0, steps=steps)
-    if rows.size <= steps:  # not every step is written
-        path = path[rows]
-    # In the order the writer writes them, after n, t and z_oracle.
-    kept = {name: np.empty(rows.size) for name in
-            ("z_naive", "z_renorm_discrete", "z_renorm_continuum", "err_naive", "err_renorm")}
-    running = (np.empty(steps + 1), np.empty(steps + 1))
-    for block in _blocks(steps, rows):
-        _model_block(sol, oracle, fundamental, path, block, kept, running)
-    return kept, running
+    flow = build_flow(sol.first)
+    state = flow_state(flow, sol.a0)
+    running = [np.empty(steps + 1), np.empty(steps + 1)]
+    failure = None
+    for lo, hi in guard_blocks(0, steps + 1):
+        # A(lo) .. A(hi), one step past the block: the flow's own guard blocks
+        # of a whole run, whose cumulative products these repeat bit for bit.
+        # By keyword: perfbench/tracing.py reads the step count from `steps`.
+        path = flow_path(flow, state, steps=min(hi, steps) - lo)
+        if failure is not None:
+            continue
+        try:
+            rows = _model_block(sol, oracle, fundamental, path[: hi - lo], (lo, hi),
+                                stride if write_rows else None, running)
+        except DivergenceError as exc:
+            failure = exc
+            continue
+        del path  # the block's arrays are freed before its rows are written
+        if rows is not None:
+            write_rows(rows)
+    if failure is not None:
+        raise failure
+    return running
 
 
 def _model_block(sol: GlobalSolution, oracle: Trajectory, fundamental: np.ndarray | None,
-                 path: np.ndarray, block: tuple, kept: dict, running: tuple):
-    """One block of _model_stage: lam_p^n, then the naive column, the
-    continuum column and the discrete column at the block's written rows,
-    each checked as it is formed (the first two with their errors,
-    _error_block), so the first failing one names the column.  The rows and
-    maxima go into `kept` and `running`; the arrays are freed on return,
-    before the next block's are made."""
-    lo, hi, at, picks = block
+                 path: np.ndarray, block: tuple, stride: int | None, running: list) -> dict | None:
+    """One guard block [lo, hi) of _model_stage: lam_p^n, then the naive
+    column, the continuum column and the discrete column at the block's
+    rows, every `stride`-th step from step 0 (none at stride None), each
+    checked as it is formed (the first two with their errors, _error_block),
+    so the first failing one names the column.  Returns the rows, in the
+    order the writer writes them, or None when the block has none; every
+    other array is freed on return, before the next block's are made."""
+    lo, hi = block
     n = np.arange(lo, hi)
     f = discrete_fundamental(sol.first.params, n) if fundamental is None else fundamental[lo:hi]
     z = oracle.values[lo:hi]
+    picks = np.arange(-lo % stride, hi - lo, stride) if stride else np.arange(0)
     z_naive = naive_solution(sol.first, sol.a0, n, f)
-    _error_block("z_naive", z, z_naive, running[0], block, kept["err_naive"])
-    kept["z_naive"][at] = z_naive[picks]
+    err_naive = _error_block("z_naive", z, z_naive, running[0], block, picks)
     z_continuum = sol.eval_discrete(n, f)
-    _error_block("z_renorm_continuum", z, z_continuum, running[1], block, kept["err_renorm"])
-    kept["z_renorm_continuum"][at] = z_continuum[picks]
-    if picks.size:  # a sweep, or a block with no written row, assembles nothing
-        z_discrete = assemble_modes(sol.first, path[at], f[picks])
-        bad = first_failure(np.isfinite(z_discrete), 0)
-        if bad is not None:
-            raise _not_finite("z_renorm_discrete", lo + picks[bad])
-        kept["z_renorm_discrete"][at] = z_discrete
+    err_renorm = _error_block("z_renorm_continuum", z, z_continuum, running[1], block, picks)
+    if not picks.size:  # a sweep, or a block with no written row, assembles nothing
+        return None
+    z_discrete = assemble_modes(sol.first, path[picks], f[picks])
+    bad = first_failure(np.isfinite(z_discrete), 0)
+    if bad is not None:
+        raise _not_finite("z_renorm_discrete", lo + picks[bad])
+    steps = n[picks]
+    return {"n": steps, "t": steps * oracle.dt, "z_oracle": z[picks], "z_naive": z_naive[picks],
+            "z_renorm_discrete": z_discrete, "z_renorm_continuum": z_continuum[picks],
+            "err_naive": err_naive, "err_renorm": err_renorm}
 
 
-def _error_block(name, z, model, maxima, block, kept):
-    """|z - model| over a block, formed in its running maximum `maxima`: its
-    rows at the block's picks go to `kept`, then the running maximum is
-    carried in place from the previous block's last entry.  Raises at the
-    first non-finite step of the column `name`, looked for only when the
-    block's last entry is not finite.
+def _error_block(name, z, model, maxima, block, picks) -> np.ndarray:
+    """|z - model| over a block, formed in its running maximum `maxima`:
+    returns its rows at `picks`, then carries the running maximum in place
+    from the previous block's last entry.  Raises at the first non-finite
+    step of the column `name`, looked for only when the block's last entry
+    is not finite.
 
     The oracle is guarded to |z| <= 1e8, so an error is non-finite exactly
     where its model is; a running maximum carries nan and inf, so while
     every earlier block is finite, its first non-finite entry is the error's.
     """
-    lo, hi, at, picks = block
+    lo, hi = block
     err = maxima[lo:hi]
     np.subtract(z, model, out=err)
     np.abs(err, out=err)
-    kept[at] = err[picks]
+    rows = err[picks]
     carried = maxima[max(lo - 1, 0) : hi]
     running_max(carried, out=carried)
     if not np.isfinite(err[-1]):
         raise _not_finite(name, first_failure(np.isfinite(err), lo))
+    return rows
 
 
-def _summary_stage(oracle: Trajectory, running: tuple) -> dict:
-    """The summary: each error's maximum and growth slope, from its running
-    maximum (overwritten by the fit), and the oracle's period and limit amplitude."""
-    naive, renorm = running
-    summary = {
-        "max_err_naive": float(naive[-1]),
-        "max_err_renorm": float(renorm[-1]),
-        "slope_err_naive": growth_slope(oracle.dt, naive),
-        "slope_err_renorm": growth_slope(oracle.dt, renorm),
-        "period_oracle": None,
-        "limit_amplitude_oracle": None,
-    }
-    # Each stays None where the oracle has too few crossings or peaks.
+def _shape_stage(oracle: Trajectory) -> dict:
+    """The oracle's period and limit amplitude, each None where the oracle
+    has too few crossings or peaks."""
+    shape = {"period_oracle": None, "limit_amplitude_oracle": None}
     with contextlib.suppress(ValueError):
-        summary["period_oracle"] = zero_crossing_period(oracle).mean_period
+        shape["period_oracle"] = zero_crossing_period(oracle).mean_period
     with contextlib.suppress(ValueError):  # the mean of the last five peaks, or of all
-        summary["limit_amplitude_oracle"] = float(envelope(oracle)[-5:, 1].mean())
-    return summary
+        shape["limit_amplitude_oracle"] = float(envelope(oracle)[-5:, 1].mean())
+    return shape
+
+
+def _summary_stage(dt: float, running: list, shape: dict) -> dict:
+    """The summary: each error's maximum and growth slope, from its running
+    maximum, taken from `running` and overwritten by the fit, and the
+    oracle's `shape`.  The naive maximum is freed before the renormalized
+    one is fitted."""
+    naive, renorm = running.pop(0), running.pop(0)
+    summary = {"max_err_naive": float(naive[-1]), "max_err_renorm": float(renorm[-1]),
+               "slope_err_naive": growth_slope(dt, naive)}
+    del naive
+    summary["slope_err_renorm"] = growth_slope(dt, renorm)
+    return {**summary, **shape}
 
 
 def run_compare_pipeline(cfg: ExperimentConfig, fundamental: np.ndarray | None = None,
-                         columns: bool = True, checked: tuple | None = None) -> tuple[dict, dict]:
+                         write_rows=None, checked: tuple | None = None) -> dict:
     """Oracle vs naive vs renormalized trajectories, plus summary statistics.
 
-    Returns (columns, summary).  The columns hold the rows the writer writes,
-    every `stride`-th step, or none when `columns` is false (a sweep reads
-    the summary alone, and no discrete column is assembled); the summary
-    covers every step either way, and at stride 1 it is recomputable from
-    the rows.  The flow runs whole before the pass over blocks, which keeps
-    its path at the written rows alone.  `fundamental` is lam_p^n on the
-    time grid when the caller shares it between pipelines; without it each
-    block forms its own span.  Either way the bytes are the same.  `checked`
-    is `_checked(cfg)` from a caller that ran it already: the solution, whose
-    first-order record every stage reads, and the steps.  Raises ConfigError
-    for a config that `main` would refuse.
+    Returns the summary, which covers every step, and hands the rows the
+    writer writes, every `stride`-th step, to `write_rows` one guard block
+    at a time, as soon as the block is formed: a dict of the block's columns
+    in the writer's order, n, t, z_oracle, z_naive, z_renorm_discrete,
+    z_renorm_continuum, err_naive and err_renorm.  Without `write_rows` (a
+    sweep reads the summary alone) no row and no discrete column is formed.
+    At stride 1 the summary is recomputable from the rows.  The stages are
+    the oracle, its period and limit amplitude, the pass over blocks
+    (_model_stage) and the errors' slopes, after the oracle is freed, so
+    only the oracle and the two running maxima are held whole.
+    `fundamental` is lam_p^n on the time grid when the caller shares it
+    between pipelines; without it each block forms its own span.  Either way
+    the bytes are the same.  `checked` is `_checked(cfg)` from a caller that
+    ran it already: the solution, whose first-order record every stage
+    reads, and the steps.  Raises ConfigError for a config that `main` would
+    refuse.
     """
     sol, steps = checked or _checked(cfg)
     oracle = _oracle_stage(sol.first, sol.a0, steps)
-    rows = np.arange(0, steps + 1, cfg.stride) if columns else np.arange(0)
-    kept, running = _model_stage(sol, steps, oracle, fundamental, rows)
-    summary = _summary_stage(oracle, running)
-    return {"n": rows, "t": rows * oracle.dt, "z_oracle": oracle.values[rows], **kept}, summary
+    shape = _shape_stage(oracle)
+    running = _model_stage(sol, steps, oracle, fundamental, cfg.stride, write_rows)
+    dt = oracle.dt
+    del oracle  # the fits hold the maxima alone
+    return _summary_stage(dt, running, shape)
 
 
 def cmd_compare(cfg: ExperimentConfig) -> int:
-    columns, summary = run_compare_pipeline(cfg)
-    _write_table(cfg, columns, summary)
+    from .writer import Document  # loaded on the first write, not with the parser
+
+    doc = Document(cfg.output_format)
+    with _output(cfg) as write:
+        summary = run_compare_pipeline(cfg, None, lambda rows: write(doc.rows(rows)))
+        write(doc.end(summary))
     if cfg.output_path is not None:
         sys.stdout.write(json.dumps(summary, sort_keys=True) + "\n")
     return 0
@@ -376,7 +452,7 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values: list[float]) -> int:
     # The summary alone: the pipeline keeps no rows and assembles no discrete
     # column, but still runs the flow, so its guard fails a row as it fails
     # compare.
-    summaries = [run_compare_pipeline(row_cfg, fundamental, False, row)[1]
+    summaries = [run_compare_pipeline(row_cfg, fundamental, None, row)
                  for row_cfg, row in zip(row_cfgs, checked)]
     columns = {"value": list(values), **{key: [s[key] for s in summaries] for key in summaries[0]}}
     _write_table(cfg, columns, summary={"param": param})

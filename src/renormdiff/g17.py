@@ -106,13 +106,15 @@ def _layout_rows(x: np.ndarray, form: str) -> np.ndarray:
     return np.concatenate([np.moveaxis(words, -1, 0), shifts])
 
 
-# 13 fields, each a row of (2 * 28 * 17) words, one per key (sign, decimal
-# exponent, digits kept): the fields of the taken keys are contiguous.
+# 13 fields, each a row of (2 * 28 * 17) entries, one per key (sign, decimal
+# exponent, digits kept): the 9 mask and constant words, and the 4 shifts as
+# one byte each (every shift is at most 64).
 _LAYOUT = np.concatenate([
     _layout_rows(np.arange(_X_MIN, -4), "exponent"),
     _layout_rows(np.arange(-4, 0), "below one"),
     _layout_rows(np.arange(0, _X_MAX + 1), "fixed"),
 ], axis=2).reshape(13, -1)
+_LAYOUT, _SHIFTS = _LAYOUT[:9], _LAYOUT[9:].astype(np.uint8)
 
 
 def _covered(normal, k, e):
@@ -122,36 +124,57 @@ def _covered(normal, k, e):
 
 def _scaled(m, e, k):
     """floor(y) for y = m 5^p 2^(p+e), p = 16 - k, and the bits of its
-    fraction at the top of a word; p in [0, 27] and the shift -(p+e) in [1, 63]."""
+    fraction at the top of a word; p in [0, 27] and the shift -(p+e) in
+    [1, 63].  The 128-bit product is formed from 32-bit limbs, each partial
+    product in the array of a limb it no longer needs."""
     m = m.view(np.uint64)
-    f = _POW5[16 - k]
+    f_lo = _POW5[16 - k]
+    f_hi = f_lo >> _SHIFT32
+    f_lo &= _LO32
     m_lo, m_hi = m & _LO32, m >> _SHIFT32
-    f_lo, f_hi = f & _LO32, f >> _SHIFT32
     low = m_lo * f_lo
-    mid = m_hi * f_lo
-    mid += m_lo * f_hi  # < 2^63 + 2^53
-    lo = low + (mid << _SHIFT32)
-    hi = m_hi * f_hi
-    hi += mid >> _SHIFT32
+    mid = np.multiply(m_hi, f_lo, out=f_lo)
+    mid += np.multiply(m_lo, f_hi, out=m_lo)  # < 2^63 + 2^53
+    del m_lo
+    hi = np.multiply(m_hi, f_hi, out=m_hi)
+    del f_hi
+    lo = mid << _SHIFT32
+    lo += low
     hi += lo < low
-    shift = (k - 16 - e).view(np.uint64)
-    back = np.uint64(64) - shift
-    q = (hi << back) | (lo >> shift)
-    return q.view(np.int64), lo << back
+    del low
+    mid >>= _SHIFT32
+    hi += mid
+    del mid
+    shift = k - 16
+    shift -= e
+    shift = shift.view(np.uint64)
+    back = np.subtract(np.uint64(64), shift)
+    hi <<= back
+    hi |= np.right_shift(lo, shift, out=shift)
+    lo <<= back
+    return hi.view(np.int64), lo
 
 
 def _split(values: np.ndarray):
     """The kernel's view of a float array: the values x, their bits, m, e, k,
     where they are covered, and floor(y) with its fraction bits.  Values not
-    covered are computed as 1.0, to be replaced by the fallback."""
+    covered are computed as 1.0, to be replaced by the fallback.  Each
+    intermediate array is formed in place where it can be and freed once
+    used, so the kernel's scratch stays a few words per value."""
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
     bits = x.view(np.int64)
-    biased = (bits >> 52) & 0x7FF
-    normal = (biased != 0) & (biased != 0x7FF)
-    m = (bits & ((1 << 52) - 1)) | (1 << 52)
-    e = biased - 1075
+    e = bits >> 52
+    e &= 0x7FF
+    normal = e != 0
+    normal &= e != 0x7FF
+    e -= 1075
+    m = bits & ((1 << 52) - 1)
+    m |= 1 << 52
     # log10 sees only normal values; the others read 1.
-    k = np.floor(np.log10(np.abs(x, where=normal, out=np.ones_like(x)))).astype(np.int64)
+    k = np.abs(x, where=normal, out=np.ones_like(x))
+    np.log10(k, out=k)
+    np.floor(k, out=k)
+    k = k.astype(np.int64)
     ok = _covered(normal, k, e)
     if not ok.all():
         m[~ok], e[~ok], k[~ok] = _POWER_OF_TWO, -52, 0
@@ -173,16 +196,25 @@ def _split(values: np.ndarray):
 
 def _digits(n):
     """The 16 digits of each n in [0, 10^16), leading zeros included, as two
-    little-endian words of ASCII (digit i at byte i), and the four 4-digit
-    groups they come from."""
-    by8, by4 = n // 10**8, n // 10**4
-    groups = np.empty((4, n.size), np.int64)
-    groups[0] = by8 // 10**4
-    groups[1] = by8 - groups[0] * 10**4
-    groups[2] = by4 - by8 * 10**4
-    groups[3] = n - by4 * 10**4
-    packed = _GROUP_TEXT.take(groups)
-    return packed[0] | packed[1] << 32, packed[2] | packed[3] << 32, groups
+    little-endian words of ASCII (digit i at byte i), and the trailing zeros
+    of the four 4-digit groups they come from, most significant first (4 for
+    0000), one byte each.  The words are formed one at a time, and `n` is
+    overwritten."""
+    zeros = np.empty((4, n.size), np.uint8)
+    high = n // 10**8
+    n -= high * 10**8
+    words = []
+    for i, half in enumerate((high, n)):
+        group = half // 10**4
+        half -= group * 10**4  # the half's lower group
+        word = _GROUP_TEXT.take(group, mode="clip")
+        _GROUP_TRAILING.take(group, out=zeros[2 * i], mode="clip")
+        group = _GROUP_TEXT.take(half, mode="clip")
+        group <<= np.uint64(32)
+        word |= group
+        _GROUP_TRAILING.take(half, out=zeros[2 * i + 1], mode="clip")
+        words.append(word)
+    return words[0], words[1], zeros
 
 
 def _fill(cells, values, ok, fallback):
@@ -195,35 +227,54 @@ def _fill(cells, values, ok, fallback):
     return cells
 
 
-def _lay_out(x, bits, n, k, ok, fallback) -> np.ndarray:
-    """The cells of the 17-digit numbers n with decimal exponents k, by the
-    layout table; ``fallback`` writes each value where ``ok`` is false."""
+def _digit_words(bits, n, k):
+    """The layout key of each cell, (sign, decimal exponent, digits kept),
+    and the three words of D, the 17-digit numbers n, which are overwritten:
+    the lead digit at byte 7, then the other 16; the word after them is
+    zero."""
     lead = n // _E16
-    high, low, groups = _digits(n - lead * _E16)
-    # D: the lead digit at byte 7, then the other 16; the word after them is zero.
-    digits = [(lead + ord("0")).astype(_WORD) << 56, high, low]
-    tz = _GROUP_TRAILING.take(groups)
+    n -= lead * _E16
+    high, low, tz = _digits(n)
     trailing = tz[3] + (tz[3] == 4) * (tz[2] + (tz[2] == 4) * (tz[1] + (tz[1] == 4) * tz[0]))
+    del tz
     key = (bits < 0) * ((_X_MAX - _X_MIN + 1) * 17)
     key += (k - _X_MIN) * 17 + 16
     key -= trailing
-    rows = _LAYOUT.take(key, axis=1)
-    right1, left1, right2, left2 = rows[9:]
+    lead += ord("0")
+    lead = lead.view(_WORD)
+    lead <<= np.uint64(56)
+    return key, [lead, high, low]
 
+
+def _lay_out(x, ok, fallback, key, digits) -> np.ndarray:
+    """The cells of the digit words `digits` (_digit_words), by the layout
+    table's entries `key`; ``fallback`` writes each value where ``ok`` is
+    false.
+
+    The layout is gathered from the table's rows one field at a time, as the
+    word it builds needs it, and each word of `digits` is overwritten and
+    dropped once used, so the kernel holds a few words per value beside the
+    cells, not all 13 fields."""
+    # Every key and group is in its table's range: "clip" skips the bounds
+    # test, and with `out` the copy numpy buffers it through under "raise".
+    right1, right2 = _SHIFTS[0].take(key, mode="clip"), _SHIFTS[2].take(key, mode="clip")
     cells = np.empty((x.size, 3), _WORD)
+    field = np.empty(x.size, _WORD)
+    left = np.empty(x.size, np.uint8)
     for w in range(3):
         here = digits[w]
         word = here >> right1
-        part = here >> right2
+        part = np.right_shift(here, right2, out=here)
         if w < 2:  # the last word's next is the zero word
             ahead = digits[w + 1]
-            word |= ahead << left1
-            part |= ahead << left2
-        word &= rows[w]
-        part &= rows[3 + w]
+            word |= np.left_shift(ahead, _SHIFTS[1].take(key, out=left, mode="clip"), out=field)
+            part |= np.left_shift(ahead, _SHIFTS[3].take(key, out=left, mode="clip"), out=field)
+        word &= _LAYOUT[w].take(key, out=field, mode="clip")
+        part &= _LAYOUT[3 + w].take(key, out=field, mode="clip")
         word |= part
-        word |= rows[6 + w]
+        word |= _LAYOUT[6 + w].take(key, out=field, mode="clip")
         cells[:, w] = word
+        digits[w] = here = part = word = None  # this word's arrays are done
     return _fill(cells.view(np.uint8), x, ok, fallback)
 
 
@@ -232,12 +283,16 @@ def render(values: np.ndarray, fallback) -> np.ndarray:
 
     ``fallback(v)`` gives the text of each value the kernel does not cover.
     """
-    x, bits, _, _, k, ok, q, frac = _split(values)
+    x, bits, m, e, k, ok, q, frac = _split(values)
+    del m, e
     # Up past half a unit, or at half a unit when q is odd: round half to even.
-    up = frac > _HALF - (q.view(np.uint64) & np.uint64(1))
+    q += frac > _HALF - (q.view(np.uint64) & np.uint64(1))
+    del frac
     # No covered value lies within half a unit of its 17th digit below a power
     # of ten, so round_half_even(y) never reaches 10^17.
-    return _lay_out(x, bits, q + up, k, ok, fallback)
+    key, digits = _digit_words(bits, q, k)
+    del q, k
+    return _lay_out(x, ok, fallback, key, digits)
 
 
 def _shortest(values):
@@ -245,36 +300,58 @@ def _shortest(values):
     digits with decimal exponents k, and where the kernel covers them; its
     scratch is freed before the layout runs."""
     x, bits, m, e, k, ok, q, frac = _split(values)
+    ok &= m != _POWER_OF_TWO
     # u = 5^p / 2^t, t = 1 - e - p in [2, 64], as whole + part / 2^64.
     five = _POW5[16 - k]
     t = (k - 15 - e).view(np.uint64)
+    del e
     whole = ((five >> (t - np.uint64(1))) >> np.uint64(1)).view(np.int64)
-    part = five << (np.uint64(64) - t)
+    part = np.left_shift(five, np.subtract(np.uint64(64), t, out=t), out=five)
+    del five, t
     # The interval [lo, hi] = y ± u: integer parts and fraction bits.
     hi_part = frac + part
-    hi = q + whole + (hi_part < frac)
-    lo = q - whole - (frac < part)
-    lo_part = frac - part
+    hi = q + whole
+    hi += hi_part < frac
+    lo = q - whole
+    lo -= frac < part
+    del whole
+    lo_part = np.subtract(frac, part, out=part)
+    del part
     # Round half even reads an end of the interval back as x when m is even.
     closed = (m & 1) == 0
+    del m
     first = lo + ~(closed & (lo_part == 0))  # the first and last integers in it
+    del lo, lo_part
     last = hi - (~closed & (hi_part == 0))
+    del hi, hi_part, closed
     # The fewest digits are those of a multiple of the highest power of ten
     # 10^j in the interval, the one nearest y (two as near are a tie).  The
     # interval is 2u < 23 wide, so a multiple of 100 in it is the only one
     # and the one of 10^j for every j >= 2; rounding y to 100 finds it, and
     # its trailing zeros, counted with the digits, give its length.
     j = (last // 10 * 10 >= first).view(np.int8) + (last // 100 * 100 >= first)
+    del first, last
     power = _POW10[j]
+    del j
     quot = q // power
-    twice = 2 * (q - quot * power) + (frac >> np.uint64(63)).view(np.int64)
-    rest = frac & (_HALF - np.uint64(1))
-    tie = (twice == power) & (rest == 0)
-    n = (quot + ((twice > power) | ((twice == power) & (rest != 0)))) * power
+    q -= quot * power  # twice the remainder, and the top fraction bit
+    q *= 2
+    q += (frac >> np.uint64(63)).view(np.int64)
+    twice = q
+    rest = np.bitwise_and(frac, _HALF - np.uint64(1), out=frac)
+    half = twice == power
+    ok &= ~(half & (rest == 0))  # a tie
+    half &= rest != 0
+    half |= twice > power
+    del q, twice, frac, rest
+    quot += half
+    quot *= power
+    n = quot
+    del quot, half, power
     carry = n == _E17  # "1" at the next decimal exponent
     k += carry
     n[carry] = _E16
-    ok &= (m != _POWER_OF_TWO) & ~tie & (k <= 15)
+    ok &= k <= 15
     return x, bits, n, k, ok
 
 
@@ -289,11 +366,13 @@ def render_shortest(values: np.ndarray, fallback) -> np.ndarray:
     round up to ``1e+16``.
     """
     x, bits, n, k, ok = _shortest(values)
-    cells = _lay_out(x, bits, n, k, ok, fallback)
     # repr ends a whole number in ".0": a fixed-form cell with no digit
     # after the point, that is one whose digits after the first k + 1 are 0.
     integral = np.flatnonzero(ok & (n % _POW10[np.minimum(16 - k, 17)] == 0))
     end = (bits[integral] < 0) + k[integral] + 1
+    key, digits = _digit_words(bits, n, k)
+    del n, k
+    cells = _lay_out(x, ok, fallback, key, digits)
     cells[integral, end] = ord(".")
     cells[integral, end + 1] = ord("0")
     return cells
@@ -310,8 +389,8 @@ def render_integers(values: np.ndarray, fallback) -> np.ndarray:
     v = np.ascontiguousarray(values).ravel()
     ok = (v >= 0) & (v < _E16)
     n = np.where(ok, v, 0).astype(np.int64)
-    head, tail, _ = _digits(n)
     zeros = 15 - _POW10[1:16].searchsorted(n, side="right")  # leading zeros of the 16 digits
+    head, tail, _ = _digits(n)
     wide = zeros >= 8  # the text starts in the second word
     head = np.where(wide, tail, head)
     tail = np.where(wide, 0, tail)

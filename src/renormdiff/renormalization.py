@@ -32,7 +32,9 @@ from .perturbation import FirstOrder, Variant, monomial
 __all__ = [
     "AmplitudeFlow",
     "build_flow",
+    "FlowState",
     "flow_path",
+    "flow_state",
     "solve_cubic_continuum",
     "solve_vdp_continuum",
     "EnvelopeDomainError",
@@ -79,25 +81,58 @@ def build_flow(first: FirstOrder) -> AmplitudeFlow:
     return AmplitudeFlow(first.kind, first.rate)
 
 
-def _cubic_path(a0: complex, rate: complex, steps: int) -> np.ndarray:
-    """The cubic flow as A(m) = a0 prod_{j<m} (1 + i x_j).
+@dataclass
+class FlowState:
+    """A flow after `step` steps: what its fold carries, from which flow_path
+    resumes with the bits of one uninterrupted run, and which it advances.
 
-    An imaginary rate r = i w makes the step A <- A + r A^2 conj(A) the turn
-    A <- A (1 + i x) with the real x = w |A|^2, so |A|^2 gains the factor
-    1 + x^2 and x follows one real recurrence, x <- x + x^3, from
-    x_0 = w |a0|^2.  The loop folds x alone, storing x_j as the imaginary
-    part of entry j + 1 through a memoryview, and a cumulative product of
-    [a0, 1 + i x_0, ..., 1 + i x_{steps-1}], in place, forms the path: no
-    exp, atan or phase table, and no array beside the path.  Both run one
-    guard block at a time, the product from the block's last entry before
-    it, so the guard stops a diverging flow at the end of its block.
+    The cubic flow carries `a` = A(step) and `x`, the turn it applies next;
+    the Van der Pol flow carries its direction `a` = u and the scale `x` =
+    s(step), A = s u (k = |u|^2 and the guard's bound follow from u).
     """
-    rate = complex(rate)
-    if rate.real:
-        raise ValueError(f"cubic flow needs an imaginary rate, got {rate!r}")
-    x = rate.imag * (a0 * a0.conjugate()).real
+
+    step: int
+    a: complex
+    x: float
+
+
+def flow_state(flow: AmplitudeFlow, a0: complex) -> FlowState:
+    """The state of `flow` at step 0, from the amplitude a0.
+
+    Cubic: an imaginary rate r = i w makes the step A <- A + r A^2 conj(A)
+    the turn A <- A (1 + i x) with the real x = w |A|^2, from x_0 = w |a0|^2.
+    Van der Pol: a real rate keeps A on the ray of u, and a0 is split
+    exactly, s(0) = 2^e and u = a0 / 2^e with 1/2 <= max(|Re u|, |Im u|) < 1,
+    so s follows |A|: k cannot underflow for a tiny a0, nor s overflow on its
+    way to the limit cycle.  Powers of two commute with rounding, so the path
+    has the bits of s(0) = 1, u = a0 wherever that split stays in range.
+    """
+    a0, rate = complex(a0), complex(flow.rate)
+    if flow.variant is Variant.CUBIC:
+        if rate.real:
+            raise ValueError(f"cubic flow needs an imaginary rate, got {rate!r}")
+        return FlowState(0, a0, rate.imag * (a0 * a0.conjugate()).real)
+    if rate.imag:
+        raise ValueError(f"Van der Pol flow needs a real rate, got {rate!r}")
+    e = math.frexp(max(abs(a0.real), abs(a0.imag)))[1]
+    u = complex(math.ldexp(a0.real, -e), math.ldexp(a0.imag, -e))
+    return FlowState(0, u, math.ldexp(1.0, e) if u else 0.0)  # from A = 0 the flow stays at 0
+
+
+def _cubic_path(state: FlowState, rate: complex, steps: int) -> np.ndarray:
+    """The cubic flow as A(m) = A(start) prod_j (1 + i x_j).
+
+    |A|^2 gains the factor 1 + x^2 per turn, so x follows one real
+    recurrence, x <- x + x^3.  The loop folds x alone, storing x_j as the
+    imaginary part of entry j + 1 through a memoryview, and a cumulative
+    product of [A(start), 1 + i x_0, ...], in place, forms the path: no exp,
+    atan or phase table, and no array beside the path.  Both run one guard
+    block at a time, the product from the block's last entry before it, so
+    the guard stops a diverging flow at the end of its block.
+    """
+    x = state.x
     out = np.empty(steps + 1, complex)
-    out[0] = a0
+    out[0] = state.a
     turns = memoryview(out.imag)
     for lo, hi in guard_blocks(1, steps + 1):
         out.real[lo:hi] = 1.0
@@ -107,32 +142,23 @@ def _cubic_path(a0: complex, rate: complex, steps: int) -> np.ndarray:
         # An overflow runs on as inf or nan to the guard, without a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             np.cumprod(out[lo - 1 : hi], out=out[lo - 1 : hi])
-        _check_guard(np.abs(out[lo:hi]) <= _FLOW_OVERFLOW_LIMIT, lo)
+        _check_guard(np.abs(out[lo:hi]) <= _FLOW_OVERFLOW_LIMIT, state.step + lo)
+    state.step, state.a, state.x = state.step + steps, complex(out[-1]), x
     return out
 
 
-def _vdp_path(a0: complex, rate: complex, steps: int) -> np.ndarray:
-    """The Van der Pol flow as A(m) = s(m) u, with s(0) u = a0.
+def _vdp_path(state: FlowState, rate: complex, steps: int) -> np.ndarray:
+    """The Van der Pol flow as A(m) = s(m) u.
 
     A real rate multiplies A by the real factor 1 + r (1 - |A|^2) each step,
     so A keeps the direction of u and the complex step is one real
     recurrence, s <- s + r (s - k s^3) with k = |u|^2, in the order of
-    AmplitudeFlow.__call__ (folding 1 + r would round r).  a0 is split
-    exactly, s(0) = 2^e and u = a0 / 2^e with 1/2 <= max(|Re u|, |Im u|) < 1,
-    so s follows |A|: k cannot underflow for a tiny a0, nor s overflow on its
-    way to the limit cycle.  Powers of two commute with rounding, so the path
-    has the bits of s(0) = 1, u = a0 wherever that split stays in range.
-    The scales are written through a memoryview into the array the guard
-    reads, one guard block at a time, and the path is formed from it.
+    AmplitudeFlow.__call__ (folding 1 + r would round r).  The scales are
+    written through a memoryview into the array the guard reads, one guard
+    block at a time, and the path is formed from it.
     """
-    rate = complex(rate)
-    if rate.imag:
-        raise ValueError(f"Van der Pol flow needs a real rate, got {rate!r}")
-    rate = rate.real
-    e = math.frexp(max(abs(a0.real), abs(a0.imag)))[1]
-    u = complex(math.ldexp(a0.real, -e), math.ldexp(a0.imag, -e))
+    rate, u, s = complex(rate).real, state.a, state.x
     k = (u * u.conjugate()).real
-    s = math.ldexp(1.0, e) if u else 0.0  # from A = 0 the flow stays at 0
     # |A| = |s| |u| <= 1e12 as a bound on |s|, whose product with |u| could
     # overflow; |u| >= 1/2 unless a0 = 0, where s stays 0.
     bound = _FLOW_OVERFLOW_LIMIT / abs(u) if u else math.inf
@@ -143,7 +169,8 @@ def _vdp_path(a0: complex, rate: complex, steps: int) -> np.ndarray:
         for m in range(lo, hi):
             s = s + rate * (s - k * s * s * s)
             store[m] = s
-        _check_guard(np.abs(scales[lo:hi]) <= bound, lo)
+        _check_guard(np.abs(scales[lo:hi]) <= bound, state.step + lo)
+    state.step, state.x = state.step + steps, s
     out = np.empty(steps + 1, complex)
     np.multiply(scales, u.real, out=out.real)
     np.multiply(scales, u.imag, out=out.imag)
@@ -158,10 +185,16 @@ def _check_guard(ok: np.ndarray, lo: int) -> None:
         raise OverflowError(f"amplitude flow exceeded {_FLOW_OVERFLOW_LIMIT} at step {step}")
 
 
-def flow_path(flow: AmplitudeFlow, a0: complex, steps: int) -> np.ndarray:
-    """Amplitudes A(m) along the flow for m = 0..steps.
+def flow_path(flow: AmplitudeFlow, a0: complex | FlowState, steps: int) -> np.ndarray:
+    """Amplitudes A(m) along the flow for m = 0..steps from the amplitude
+    a0, or for m = start..start + steps from a FlowState at step start,
+    which is then advanced to the path's last step.
 
-    A strict left fold in a fixed order, so results are bit-reproducible.
+    A strict left fold in a fixed order, so results are bit-reproducible,
+    and a run resumed from its state has the bits of one run (flow_state)
+    wherever each piece takes two steps or more: numpy's complex multiply of
+    a single pair, the cubic product of a one-step piece, may fuse its
+    rounding, as it does in a one-step guard block of a whole run.
     Each variant folds one real recurrence per step, within rounding of the
     complex fold a = a + flow(a) through AmplitudeFlow.__call__, and writes
     each step's real value through a memoryview into a numpy array, with no
@@ -176,8 +209,9 @@ def flow_path(flow: AmplitudeFlow, a0: complex, steps: int) -> np.ndarray:
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
+    state = a0 if isinstance(a0, FlowState) else flow_state(flow, a0)
     path = _cubic_path if flow.variant is Variant.CUBIC else _vdp_path
-    return path(complex(a0), flow.rate, steps)
+    return path(state, flow.rate, steps)
 
 
 def conserved_constant(kind: Variant, a: complex) -> float:

@@ -144,7 +144,7 @@ def test_criterion_05_secular_vs_renormalized():
     cfg = ExperimentConfig(
         kind="cubic", dt=dt, eps=eps, a0_re=0.5, a0_im=0.0, t_max=t_max
     )
-    _, summary = run_compare_pipeline(cfg)
+    summary = run_compare_pipeline(cfg)
     slope_factor = summary["slope_err_naive"] / summary["slope_err_renorm"]
     ok = slope_factor >= 5.0 and summary["max_err_renorm"] <= RENORM_MAX_ERR_BOUND
     assert RENORM_MAX_ERR_BOUND <= 10.0 * eps**2 * t_max
@@ -314,8 +314,10 @@ def _renorm_errors(kind, a0, eps, t_max, dt=0.01, scheme="standard"):
     """The CLI pipeline's times and renormalized errors |z_oracle - z_renorm_continuum|."""
     cfg = ExperimentConfig(kind=kind, dt=dt, eps=eps, a0_re=a0.real, a0_im=a0.imag,
                            t_max=t_max, scheme=scheme)
-    columns, _ = run_compare_pipeline(cfg)
-    return columns["t"], columns["err_renorm"]
+    blocks = []
+    run_compare_pipeline(cfg, write_rows=blocks.append)
+    return (np.concatenate([block["t"] for block in blocks]),
+            np.concatenate([block["err_renorm"] for block in blocks]))
 
 
 def _spread(values):

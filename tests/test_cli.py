@@ -1,5 +1,6 @@
 import argparse
 import cmath
+import contextlib
 import dataclasses
 import errno
 import inspect
@@ -7,10 +8,13 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +54,14 @@ def read_csv(path):
         [[float(x) if x else np.nan for x in ln.split(",")] for ln in data_lines[1:]]
     )
     return header, rows, comments
+
+
+def collected(cfg):
+    """run_compare_pipeline's rows, collected from its row consumer block by
+    block and joined into whole columns, and its summary."""
+    blocks = []
+    summary = run_compare_pipeline(cfg, write_rows=blocks.append)
+    return {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}, summary
 
 
 def summary_from_comments(comments):
@@ -442,7 +454,8 @@ class TestCompare:
         out = tmp_path / "cmp.csv"
         assert main(["compare", "--t-max=20", f"--output-path={out}"]) == 3
         assert capsys.readouterr().err == "numerical failure: z_naive is not finite at n=402\n"
-        assert calls == {"flow_path": 1, "discrete_fundamental": 5, "naive_solution": 5,
+        # the flow runs on through all 21 blocks, where a later overflow would win
+        assert calls == {"flow_path": 21, "discrete_fundamental": 5, "naive_solution": 5,
                          "eval_discrete": 4, "assemble_modes": 4}
         assert not out.exists()
 
@@ -714,6 +727,106 @@ class TestOutputPath:
         assert out.read_text() == "earlier run\n"
 
 
+# The cubic flow from a0 = 0.4 passes its overflow guard at step 5423, in the
+# second guard block, while the oracle stays finite to step 6000: the rows of
+# the first block, 0 .. 4095, are written before the failure.
+LATE_FLOW = ["compare", "--kind=cubic", "--dt=0.1", "--t-max=600", "--eps=0.4", "--a0-re=0.4"]
+LATE_FLOW_ERR = "numerical failure: amplitude flow exceeded 1000000000000.0 at step 5423\n"
+
+
+class TestStreamedOutput:
+    """compare streams its rows: a file is written to a temporary file beside
+    its resolved path and renamed over it on success, so a late failure
+    leaves no new file and an existing one as it was; stdout gets the head and
+    each chunk of rows as it is formed; a device is written directly."""
+
+    @staticmethod
+    def _listing(path):
+        return sorted(p.name for p in path.iterdir())
+
+    def test_late_failure_to_a_new_file_leaves_none(self, tmp_path, capsys):
+        out = tmp_path / "cmp.csv"
+        assert main([*LATE_FLOW, f"--output-path={out}"]) == 3
+        assert capsys.readouterr().err == LATE_FLOW_ERR
+        assert self._listing(tmp_path) == []  # nor a temporary file
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_late_failure_leaves_an_existing_file_as_it_was(self, tmp_path, capsys, fmt):
+        out = tmp_path / f"cmp.{fmt}"
+        out.write_bytes(b"earlier run\n")
+        assert main([*LATE_FLOW, f"--output-format={fmt}", f"--output-path={out}"]) == 3
+        assert capsys.readouterr().err == LATE_FLOW_ERR
+        assert out.read_bytes() == b"earlier run\n"
+        assert self._listing(tmp_path) == [out.name]
+
+    def test_late_failure_to_stdout_leaves_the_first_blocks_rows(self, capsys):
+        # 5000 steps end before the overflow: that run's head and first 4096
+        # rows are what the failing run wrote, with no summary after them
+        assert main([*LATE_FLOW, "--t-max=500"]) == 0
+        whole = capsys.readouterr().out.splitlines(keepends=True)
+        assert main(LATE_FLOW) == 3
+        got = capsys.readouterr()
+        assert got.err == LATE_FLOW_ERR
+        assert got.out == "".join(whole[: 1 + 4096])
+        assert got.out.splitlines()[-1].startswith("4095,")
+
+    def test_late_failure_before_the_first_full_chunk_leaves_stdout_empty(self, capsys):
+        # at stride 7 the first block's 586 rows fill no chunk of 1024
+        assert main([*LATE_FLOW, "--stride=7"]) == 3
+        assert capsys.readouterr() == ("", LATE_FLOW_ERR)
+
+    def test_symlinked_path_keeps_its_link(self, tmp_path, capsys):
+        target, link = tmp_path / "data" / "cmp.csv", tmp_path / "cmp.csv"
+        target.parent.mkdir()
+        target.write_text("earlier run\n")
+        link.symlink_to(target)
+        assert main([*LATE_FLOW, f"--output-path={link}"]) == 3
+        assert link.is_symlink() and target.read_text() == "earlier run\n"
+        assert main(["compare", "--t-max=1", f"--output-path={link}"]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text().startswith("n,t,z_oracle,")
+        assert self._listing(target.parent) == [target.name]
+
+    def test_new_file_gets_the_mode_of_open(self, tmp_path, capsys):
+        umask = os.umask(0o022)
+        try:
+            out = tmp_path / "cmp.csv"
+            assert main(["compare", "--t-max=1", f"--output-path={out}"]) == 0
+            mode = stat.S_IMODE(out.stat().st_mode)
+            with open(tmp_path / "by-open", "wb"):
+                pass
+            assert mode == stat.S_IMODE((tmp_path / "by-open").stat().st_mode) == 0o644
+        finally:
+            os.umask(umask)
+
+    def test_replaced_file_keeps_its_permission_bits(self, tmp_path, capsys):
+        out = tmp_path / "cmp.csv"
+        out.write_text("earlier run\n")
+        out.chmod(0o640)
+        assert main(["compare", "--t-max=1", f"--output-path={out}"]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert out.read_text().startswith("n,t,z_oracle,")
+
+    @pytest.mark.parametrize("device, argv, code", [
+        (os.devnull, ["compare", "--t-max=5"], 0),
+        (os.devnull, LATE_FLOW, 3),
+        ("/dev/full", ["compare", "--t-max=5"], 2),
+    ], ids=["null", "null-late-failure", "full"])
+    def test_a_device_is_written_directly(self, monkeypatch, capsys, device, argv, code):
+        if not os.path.exists(device):
+            pytest.skip(f"needs {device}")
+        renamed = []
+        monkeypatch.setattr(os, "replace", lambda *args: renamed.append(args))
+        opened = []
+        real_open = open
+        monkeypatch.setattr(cli, "open", lambda path, mode: opened.append(path) or
+                            real_open(path, mode), raising=False)
+        assert main([*argv, f"--output-path={device}"]) == code
+        assert len(capsys.readouterr().err.splitlines()) == (code != 0)
+        assert renamed == [] and opened == [device]
+        assert stat.S_ISCHR(os.stat(device).st_mode)
+
+
 class _FailingFile:
     """An output file whose first write and whose close raise `error`; its
     descriptor is one of os.devnull, a device, so no failure removes it."""
@@ -772,7 +885,7 @@ def expected_output(command, cfg, param=None, values=()):
     """What ``command`` must write for ``cfg``, from the pipeline's own columns."""
     if command == "sweep":
         summaries = [
-            run_compare_pipeline(dataclasses.replace(cfg, **{param: v}))[1] for v in values
+            run_compare_pipeline(dataclasses.replace(cfg, **{param: v})) for v in values
         ]
         header = ["value", *summaries[0]]
         columns = {"value": list(values)}
@@ -780,7 +893,7 @@ def expected_output(command, cfg, param=None, values=()):
         assert any(None in columns[key] for key in header)  # the empty-cell rule runs
         return reference_table(header, columns, {"param": param}, cfg.output_format)
     # Every row, strided here: the pipeline's own rows at the stride must be these.
-    columns, summary = run_compare_pipeline(dataclasses.replace(cfg, stride=1))
+    columns, summary = collected(dataclasses.replace(cfg, stride=1))
     if command == "simulate":
         header = ["n", "t", "z"]
         columns = {"n": columns["n"], "t": columns["t"], "z": columns["z_oracle"]}
@@ -937,6 +1050,77 @@ class TestWriterChunks:
             assert len(json.loads(got)["rows"]) == rows
         cli._write_table(cfg, columns, summary)
         assert (tmp_path / f"out.{fmt}").read_bytes() == got.encode()
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+_PART = st.just(0.0) | st.builds(lambda sign, size: sign * size, st.sampled_from([1.0, -1.0]),
+                                 _log_uniform(1e-6, 1e3))
+_EPS = st.just(0.0) | _log_uniform(1e-8, 50.0)
+
+
+def _cells_are_finite(text, fmt):
+    """Every data cell of a document, and every number of its summary, is
+    finite; a summary value may be null (an empty CSV cell in a sweep row)."""
+    if fmt == "json":
+        doc = json.loads(text)
+        values = [v for row in doc["rows"] for v in row.values()]
+        summary = doc.get("summary", {})
+    else:
+        lines = text.splitlines()[1:]
+        comments = [ln for ln in lines if ln.startswith("# summary = ")]
+        values = [None if cell == "" else float(cell) for ln in lines if ln not in comments
+                  for cell in ln.split(",")]
+        summary = summary_from_comments(comments) if comments else {}
+    values += [v for v in summary.values() if not isinstance(v, str)]
+    return all(v is None or math.isfinite(v) for v in values)
+
+
+class TestExitContract:
+    """Any config, drawn at random: the exit code is 0, 2 or 3; exit 0 writes
+    finite numbers only; exit 2 or 3 leaves no new file and says why in one
+    stderr line, and exit 3 names the step where it happened.  The only
+    warning is the one of an eps above 0.5, which a console run prints to
+    stderr as well (two lines before the error's)."""
+
+    @settings(max_examples=800, deadline=None)
+    @given(command=st.sampled_from(["simulate", "compare", "sweep"]),
+           kind=st.sampled_from(["cubic", "vdp"]), scheme=st.sampled_from(["standard", "mickens"]),
+           dt=_log_uniform(1e-4, 3.3), eps=_EPS, sweep=st.lists(_EPS, min_size=1, max_size=3),
+           a0=st.tuples(_PART, _PART), steps=st.integers(2, 3000), stride=st.sampled_from([1, 7]),
+           fmt=st.sampled_from(["csv", "json"]), to_file=st.booleans())
+    def test_exit_code_output_and_message(self, command, kind, scheme, dt, eps, sweep, a0, steps,
+                                          stride, fmt, to_file):
+        argv = [command, f"--kind={kind}", f"--scheme={scheme}", f"--dt={dt!r}",
+                f"--t-max={steps * dt!r}", f"--a0-re={a0[0]!r}", f"--a0-im={a0[1]!r}",
+                f"--output-format={fmt}"]
+        if command == "sweep":
+            argv += ["--param=eps", "--values=" + ",".join(map(repr, sweep))]
+        else:
+            argv += [f"--eps={eps!r}", f"--stride={stride}"]
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "out." + fmt)
+            if to_file:
+                argv.append(f"--output-path={path}")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(record=True) as warned:
+                warnings.simplefilter("always", UserWarning)
+                code = main(argv)
+            written = os.listdir(tmp)
+            text = open(path, encoding="utf-8").read() if written else out.getvalue()
+        assert code in (0, 2, 3), (code, err.getvalue())
+        assert all("is large for a first-order expansion" in str(w.message) for w in warned)
+        if code == 0:
+            assert written == ([os.path.basename(path)] if to_file else [])
+            assert _cells_are_finite(text, fmt), argv
+            return
+        assert written == []
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+        if code == 3:
+            assert re.search(r"(at n=|at step |z\()\d+", err.getvalue()), err.getvalue()
 
 
 class TestConfigFile:
@@ -1184,7 +1368,7 @@ class TestHugeStride:
 
 class TestPipelineDefaults:
     def test_defaults_run(self):
-        cols, summary = run_compare_pipeline(ExperimentConfig(t_max=10.0))
+        cols, summary = collected(ExperimentConfig(t_max=10.0))
         assert len(cols["n"]) == 1001
         assert summary["max_err_naive"] >= 0.0
 
@@ -1212,7 +1396,7 @@ class TestOracleStartsOnTheDiscreteForm:
         a0 = cmath.rect(size, phase)
         cfg = ExperimentConfig(kind=kind, scheme=scheme, dt=dt, eps=eps, a0_re=a0.real,
                                a0_im=a0.imag, t_max=2.0 * dt)
-        columns, _ = run_compare_pipeline(cfg)
+        columns, _ = collected(cfg)
         for k, a in enumerate((a0, a0 + first.rate * monomial(first.kind, a0))):
             scale = 2.0 * abs(a) * (1.0 + eps * abs(first.k3) * abs(a) ** 2)
             gap = abs(columns["z_oracle"][k] - columns["z_renorm_discrete"][k])
@@ -1302,7 +1486,7 @@ class TestPipelineWork:
     )
     def test_two_exponential_tables_and_the_same_bytes(self, monkeypatch, cfg):
         calls, (columns, _) = _count_exp_calls(
-            monkeypatch, cli._steps(cfg) + 1, lambda: run_compare_pipeline(cfg))
+            monkeypatch, cli._steps(cfg) + 1, lambda: collected(cfg))
         # lam_p^n for the naive expansion and both renormalized forms, and the
         # continuum amplitude
         assert calls == 2
@@ -1366,22 +1550,24 @@ class TestPipelineBlocks:
         # boundaries fall inside a stride
         cfg = ExperimentConfig(kind=kind, t_max=20.0, eps=0.02, a0_re=0.4, a0_im=0.15,
                                stride=stride)
-        columns, summary = run_compare_pipeline(cfg)
+        columns, summary = collected(cfg)
         monkeypatch.setattr(oracle, "_GUARD_BLOCK", 97)
-        blocked, blocked_summary = run_compare_pipeline(cfg)
+        blocked, blocked_summary = collected(cfg)
         assert repr(blocked_summary) == repr(summary)
         assert list(blocked) == list(columns)
         for name, column in columns.items():
             assert len(column) == len(range(0, 2001, stride)), name
             assert blocked[name].tobytes() == column.tobytes(), name
 
-    def test_summary_alone_keeps_no_rows(self):
+    def test_summary_alone_keeps_no_rows(self, monkeypatch):
+        # without a row consumer the pipeline forms no row and assembles no
+        # discrete column, and its summary is the one of a run that writes
         cfg = ExperimentConfig(kind="vdp", t_max=20.0, eps=0.02, a0_re=0.4, stride=3)
-        columns, summary = run_compare_pipeline(cfg)
-        empty, alone = run_compare_pipeline(cfg, columns=False)
+        _, summary = collected(cfg)
+        calls = _count_calls(monkeypatch, cli, "assemble_modes")
+        alone = run_compare_pipeline(cfg)
         assert repr(alone) == repr(summary)
-        assert list(empty) == list(columns)
-        assert all(len(column) == 0 for column in empty.values())
+        assert calls == {"assemble_modes": 0}
 
     def test_sweep_runs_the_flow_and_assembles_no_column(self, monkeypatch, tmp_path):
         # the flow runs for its guard; no summary key reads the discrete column
@@ -1404,13 +1590,35 @@ class TestPipelineBlocks:
             return original(first, amplitudes, fundamental)
 
         monkeypatch.setattr(cli, "assemble_modes", recorded)
-        columns, _ = run_compare_pipeline(cfg)
+        columns, _ = collected(cfg)
         assert len(columns["n"]) == 286
         assert [a.size for a in calls] == [len(range(-(-lo // 7) * 7, min(lo + 97, 2001), 7))
                                            for lo in range(0, 2001, 97)]
         first = first_order(Variant(cfg.kind), cli._scheme_params(cfg))
         path = cli.flow_path(build_flow(first), complex(cfg.a0_re, cfg.a0_im), steps=2000)
         assert np.concatenate(calls).tobytes() == path[::7].tobytes()
+
+    @pytest.mark.parametrize("steps", [1940, 1941, 1942])
+    def test_flow_runs_in_the_guard_blocks_of_a_whole_run(self, monkeypatch, steps):
+        # 97-step blocks, the last with one, two or three rows: each block
+        # runs the flow one step past its rows, so its cumulative products
+        # cover the guard blocks of one whole run, and a one-step product,
+        # which numpy's complex multiply may round apart, falls where that
+        # run's does.  The turn here is fast enough to show it.
+        monkeypatch.setattr(oracle, "_GUARD_BLOCK", 97)
+        cfg = ExperimentConfig(dt=0.1, eps=0.4, a0_re=0.3, a0_im=0.05, t_max=steps * 0.1)
+        assert cli._steps(cfg) == steps
+        amplitudes, flow_steps = [], []
+        real_assemble, real_flow = cli.assemble_modes, cli.flow_path
+        monkeypatch.setattr(cli, "assemble_modes", lambda first, a, f: amplitudes.append(a.copy())
+                            or real_assemble(first, a, f))
+        monkeypatch.setattr(cli, "flow_path", lambda flow, a0, steps: flow_steps.append(steps)
+                            or real_flow(flow, a0, steps=steps))
+        collected(cfg)
+        first = first_order(Variant.CUBIC, cli._scheme_params(cfg))
+        path = real_flow(build_flow(first), complex(cfg.a0_re, cfg.a0_im), steps=steps)
+        assert np.concatenate(amplitudes).tobytes() == path.tobytes()
+        assert flow_steps == [min(97, steps - lo) for lo in range(0, steps + 1, 97)]
 
     @staticmethod
     def _spoil(monkeypatch, owner, name, step, value):
@@ -1465,7 +1673,8 @@ class TestPipelineBlocks:
         assert main(["compare", "--t-max=20", f"--output-path={out}"]) == 3
         assert capsys.readouterr().err == (
             "numerical failure: z_renorm_continuum is not finite at n=250\n")
-        assert calls == {"flow_path": 1, "discrete_fundamental": 3, "naive_solution": 3,
+        # the flow runs on through all 21 blocks, where a later overflow would win
+        assert calls == {"flow_path": 21, "discrete_fundamental": 3, "naive_solution": 3,
                          "eval_discrete": 3, "assemble_modes": 2}
         assert not out.exists()
 
@@ -1534,7 +1743,7 @@ class TestPipelineBlocks:
 
         monkeypatch.setattr(perturbation, "particular_solution", counted)
         monkeypatch.setattr(oracle, "_GUARD_BLOCK", 97)
-        columns, _ = run_compare_pipeline(ExperimentConfig(t_max=20.0))
+        columns, _ = collected(ExperimentConfig(t_max=20.0))
         assert len(columns["n"]) == 2001 and len(calls) == 1
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--param=eps", "--values=0.005,0.01,0.02", "--t-max=20",
@@ -1544,36 +1753,38 @@ class TestPipelineBlocks:
         assert len(calls) == 1 + 3 + 1
 
 
-class TestPipelinePeakMemory:
-    """The pipeline holds the oracle, the two running maxima, the written
-    rows and the flow path at them (the whole path at stride 1) whole;
-    lam_p^n and the model columns live one block at a time."""
+class TestComparePeakMemory:
+    """A whole compare written to a file holds the oracle and the errors' two
+    running maxima whole, 24 bytes a step; the flow path, lam_p^n, the model
+    columns, the written rows and the writer's chunk live one guard block at
+    a time, and the oracle is freed before the errors' slopes are fitted."""
 
     @pytest.mark.parametrize(
-        "cfg, bound",
+        "argv, steps, bound",
         [
-            # the parent of the blocked pipeline peaked at 104.0 and 104.1, and
-            # the parent of the one-pass pipeline at 55.0 at stride 10; at
-            # stride 1, 92.65 with blocks of 4096 steps (97.24 with 8192),
-            # bounded 2.5% above that
-            (ExperimentConfig(kind="vdp", dt=0.002, t_max=200.0, eps=0.01, a0_re=0.3,
-                              a0_im=0.01, stride=10), 42.0),
-            (ExperimentConfig(kind="cubic", dt=0.004, t_max=400.0, eps=0.01, a0_re=0.5,
-                              a0_im=5e-4), 95.0),
+            # the parent of the streamed compare peaked at 93.1 and 40.3 at
+            # 1e5 steps and at 38.8 at 1e6; this one at 37.9, 34.9 and 25.0
+            (["--dt=0.004", "--t-max=400"], 100_000, 48.0),
+            (["--kind=vdp", "--dt=0.002", "--t-max=200", "--a0-re=0.3", "--a0-im=0.01",
+              "--stride=10", "--output-format=json"], 100_000, 38.0),
+            (["--dt=0.004", "--t-max=4000", "--stride=10"], 1_000_000, 30.0),
         ],
-        ids=["vdp-stride-10", "cubic-stride-1"],
+        ids=["cubic-stride-1", "vdp-stride-10", "cubic-1e6-steps"],
     )
-    def test_peak_bytes_per_step(self, cfg, bound):
-        steps = cli._steps(cfg)
-        assert steps == 100_000
-        run_compare_pipeline(dataclasses.replace(cfg, t_max=1.0))
+    def test_peak_bytes_per_step(self, tmp_path, capsys, argv, steps, bound):
+        out = tmp_path / "cmp"
+        argv = ["compare", "--eps=0.01", "--a0-re=0.5", "--a0-im=5e-4", *argv,
+                f"--output-path={out}"]
+        assert cli._steps(cli._resolve_config(cli.build_parser().parse_args(argv))) == steps
+        assert main([*argv, "--t-max=1"]) == 0  # imports and tables are not counted
         tracemalloc.start()
         try:
-            columns, _ = run_compare_pipeline(cfg)
+            assert main(argv) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(columns["n"]) == len(range(0, steps + 1, cfg.stride))
+        stride = int(next((a[9:] for a in argv if a.startswith("--stride=")), 1))
+        assert out.read_bytes().count(b"\n") > len(range(0, steps + 1, stride))
         assert peak / steps <= bound
 
 
@@ -1596,7 +1807,7 @@ class TestSweepRowsMatchAlone:
         rows = json.loads(out.read_text())["rows"]
         assert [row["value"] for row in rows] == list(values)
         for row, value in zip(rows, values, strict=True):
-            _, alone = run_compare_pipeline(dataclasses.replace(cfg, **{param: value}))
+            alone = run_compare_pipeline(dataclasses.replace(cfg, **{param: value}))
             for key, want in alone.items():
                 assert repr(row[key]) == repr(want), (value, key)
 

@@ -32,6 +32,7 @@ from renormdiff.renormalization import (
     continuum_amplitude,
     continuum_limit_check,
     flow_path,
+    flow_state,
     solve_cubic_continuum,
     solve_vdp_continuum,
 )
@@ -169,6 +170,61 @@ def _two_amplitude_path(variant, rate, a0, steps):
         a_path.append(a)
         b_path.append(b)
     return np.array(a_path, dtype=complex), np.array(b_path, dtype=complex)
+
+
+class TestResumedFlow:
+    """A flow run in pieces of at least two steps, each resumed from the
+    state the one before it left, has the bits of one run, and a guard
+    failure names the same step."""
+
+    STEPS = 3 * _GUARD_BLOCK + 4
+
+    @staticmethod
+    def _pieces(flow, a0, cuts):
+        state, pieces, done = flow_state(flow, a0), [], 0
+        for cut in cuts:
+            path = flow_path(flow, state, cut - done)
+            pieces.append(path if done == 0 else path[1:])
+            done = cut
+            assert state.step == done
+        return np.concatenate(pieces)
+
+    @pytest.mark.parametrize(
+        "flow, a0",
+        [(AmplitudeFlow(CUBIC, 0.002j), 0.5 + 0.1j), (AmplitudeFlow(CUBIC, 0.02j), 0.3 + 0.2j),
+         (AmplitudeFlow(VAN_DER_POL, 0.002), 0.3 + 0.01j),
+         (AmplitudeFlow(VAN_DER_POL, 0.02), 1e-160 + 3e-161j),
+         (AmplitudeFlow(VAN_DER_POL, 0.05), 0.0)],
+        ids=["cubic", "cubic-fast", "vdp", "vdp-tiny", "vdp-zero"],
+    )
+    def test_random_splits_have_the_bits_of_one_run(self, flow, a0):
+        whole = flow_path(flow, a0, self.STEPS)
+        rng = np.random.default_rng(11)
+        splits = [list(range(block, self.STEPS - 1, block)) + [self.STEPS]
+                  for block in (2, 3, 97, _GUARD_BLOCK - 1, _GUARD_BLOCK)]
+        for most in (20, 700, 6000):
+            cuts = np.cumsum(rng.integers(2, most, 2 * self.STEPS // most))
+            splits.append(cuts[cuts < self.STEPS - 1].tolist() + [self.STEPS])
+        for cuts in splits:
+            assert self._pieces(flow, a0, cuts).tobytes() == whole.tobytes(), cuts[:5]
+
+    @pytest.mark.parametrize(
+        "flow, a0, first",
+        [(AmplitudeFlow(CUBIC, 0.6j), 0.13, 4874),
+         (AmplitudeFlow(VAN_DER_POL, -0.0004), 1.005, 5778)],
+    )
+    def test_a_resumed_guard_names_the_step_of_one_run(self, flow, a0, first):
+        with pytest.raises(OverflowError, match=f"at step {first}$"):
+            self._pieces(flow, a0, [1000, 4096, 5000, 8000])
+
+    def test_a_one_step_piece_may_round_its_product_apart(self):
+        # numpy's complex multiply of one pair may fuse its rounding, which a
+        # longer cumulative product does not; a whole run makes the same
+        # one-step product at the end of a guard block of one step
+        flow, a0 = AmplitudeFlow(CUBIC, 0.002j), 0.5 + 0.1j
+        whole = flow_path(flow, a0, 4000)
+        ones = self._pieces(flow, a0, list(range(1, 4001)))
+        assert np.max(np.abs(ones - whole)) <= 4000 * 2.0**-52 * np.max(np.abs(whole))
 
 
 class TestConjugateReduction:
