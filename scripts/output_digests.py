@@ -11,20 +11,24 @@ path in the printed argv is the placeholder ``OUT.csv``/``OUT.json``, the
 path of ``src/`` in stderr is ``SRC``, the line number a warning names in a
 package file is ``LINE`` and the source line Python quotes under it is
 dropped, so checkouts at different paths, and code moved or reformatted
-within a file, agree.  Ten runs end in a numerical failure (exit 3), and
-their stderr digests pin the failure message and the step of each guard:
-the oracle's divergence guard at ``z(1)``, in ``simulate`` and in
-``compare``, at ``z(0)`` in a ``compare``, and late, at ``z(133)`` in a Van
-der Pol ``simulate``, where the loop runs on through inf and nan to the end
-of its guard block before the guard names the first step, and at
-``z(4534)``, in the second guard block of a Van der Pol ``simulate`` whose
-guard also tests the implicit coefficient; the Van der Pol step's vanishing
-implicit coefficient at ``n=1``; and the amplitude flow's overflow guard at
-step 3 (Van der Pol) and at step 13 (cubic).  Two more fail after a
-``compare`` has streamed its first guard block of rows: the cubic flow
-passes its guard at step 5423, in the second block.  To a file, the run
-leaves none; to stdout, the digest pins the head and the rows of the first
-block, with no summary.  The ``--help``
+within a file, agree (the CLI itself prints a warning as one line,
+``warning: ...``, in every run that raises it).  Ten runs end in a numerical
+failure (exit 3), and their stderr digests pin the failure message and the
+step of each guard: the oracle's divergence guard at ``z(1)``, in
+``simulate`` and in ``compare``, at ``z(0)`` in a ``compare``, and late, at
+``z(133)`` in a Van der Pol ``simulate``, where the loop runs on through inf
+and nan to the end of its guard block before the guard names the first step,
+and at ``z(4534)``, in the second guard block of a Van der Pol ``simulate``
+whose guard also tests the implicit coefficient; the Van der Pol step's
+vanishing implicit coefficient at ``n=1``; and the amplitude flow's overflow
+guard at step 3 (Van der Pol) and at step 13 (cubic).  Four more fail after
+a ``compare`` has streamed its first guard block of rows: the cubic flow
+passes its guard at step 5423, and the Van der Pol oracle, which runs a
+guard block at a time, at ``z(4534)``, each in the second block.  To a file,
+each run leaves none; to stdout, the digest pins the head and the rows of
+the first block, with no summary.  The oracle's failure is the one named,
+as a failure of the oracle at any step wins over a flow overflow at any
+step, which wins over the first non-finite model column.  The ``--help``
 runs and the runs refused with exit 2 pin the text of the command-line
 boundary.  argparse wraps its usage lines to the terminal width, so the
 script fixes ``COLUMNS`` before anything is parsed.
@@ -94,6 +98,9 @@ BLOCKS_VDP = ["--kind=vdp", "--dt=0.002", "--t-max=200", "--eps=0.01", "--a0-re=
 # The cubic flow from a0 = 0.4 at eps = 0.4 and dt = 0.1 passes its overflow
 # guard at step 5423, in the second guard block, while the oracle stays finite.
 LATE_FLOW = ["--kind=cubic", "--dt=0.1", "--t-max=600", "--eps=0.4", "--a0-re=0.4"]
+# GAIN_055's oracle in a compare: it passes its divergence guard at z(4534),
+# in the second guard block, after a first block in which nothing fails.
+LATE_ORACLE = [*GAIN_055, "--t-max=500"]
 
 
 def matrix() -> list[tuple[list[str], str]]:
@@ -175,6 +182,8 @@ def matrix() -> list[tuple[list[str], str]]:
     runs.append((["compare", "--kind=cubic", "--stride=7", *LONG], "csv"))
     runs.append((["compare", *LATE_FLOW], "csv"))
     runs.append((["compare", *LATE_FLOW], STDOUT))
+    runs.append((["compare", *LATE_ORACLE], "csv"))
+    runs.append((["compare", *LATE_ORACLE], STDOUT))
     return runs
 
 

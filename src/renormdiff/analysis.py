@@ -2,11 +2,15 @@
 
 The measurement layer: pointwise comparison with secular-growth slope fitting,
 zero-crossing period estimation, and amplitude-envelope extraction by
-parabolic peak refinement.
+parabolic peak refinement.  Each measurement is a reduction that can be fed a
+trajectory a block at a time (GrowthFit, Oscillation); the functions on a
+whole array feed it as one block.
 """
 
 from __future__ import annotations
 
+import array
+import collections
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +20,8 @@ from .oracle import Trajectory
 __all__ = [
     "ErrorProfile",
     "PeriodEstimate",
+    "GrowthFit",
+    "Oscillation",
     "compare",
     "running_max",
     "growth_slope",
@@ -45,33 +51,63 @@ def running_max(diffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     included: it is then formed in place).
 
     A maximum is exact, so a sequence taken block by block, each block run
-    in place from the previous block's last entry (``a[lo - 1 : hi]``), gets
-    the bits of the running maximum of the whole.  nan and inf carry forward.
+    in place after the previous block's last entry, gets the bits of the
+    running maximum of the whole.  nan and inf carry forward.
     """
     return np.maximum.accumulate(diffs, out=out)
 
 
-def growth_slope(dt: float, running: np.ndarray) -> float:
-    """Least-squares slope (per time unit) of `running` against the times n dt.
+class GrowthFit:
+    """growth_slope of each of `series` sequences of `size` points against
+    the times n dt, fed a block at a time.
 
-    The centred closed form sum(tc (y - ybar)) / sum(tc^2) with tc = t - tbar;
-    it is np.polyfit(t, y, 1)[0] to within 1e-13 max|y| / span(t) plus
-    2 ulp(0) (1 + size / sum(tc^2)), for products that round below the
-    normal range.  It works in place and overwrites `running`, so the fit
-    holds one array beside it.
+    The centred least-squares slope sum(tc y) / sum(tc^2) with tc = n dt -
+    tbar: the mean tbar = (size - 1) dt / 2 is known before the first block,
+    so sum(tc) is 0 and sum(tc^2) = dt^2 (size - 1) size (size + 1) / 12,
+    and each block adds only its sum(tc y), numpy's pairwise sum, to a
+    compensated running sum (Knuth's two-sum), so the rounding does not grow
+    with the number of blocks.  It is np.polyfit(t, y, 1)[0] to within
+    1e-13 max|y| / span(t) plus 2 ulp(0) (1 + size / sum(tc^2)), for
+    products that round below the normal range.  It works in place: each
+    block it is fed is overwritten by its products tc y.
     """
-    if running.size < 2:
-        return 0.0
-    # The times n dt formed in place, with the bits of np.arange(size) * dt.
-    tc = np.arange(running.size, dtype=float)
-    tc *= dt
-    tc -= tc.mean()
-    running -= running.mean()
-    # Elementwise products and sums: a BLAS dot product runs on all of
-    # OpenBLAS's threads, 16 ms against 0.1 ms at 5e4 points on 2 vCPUs.
-    running *= tc
-    tc *= tc
-    return float(running.sum() / tc.sum())
+
+    def __init__(self, dt: float, size: int, series: int = 1):
+        self.dt, self.size = dt, size
+        self._centre = (size - 1) * dt / 2
+        self._sums = [0.0] * series  # each sequence's sum(tc y), in two parts
+        self._errors = [0.0] * series
+
+    def add(self, lo: int, *blocks: np.ndarray) -> GrowthFit:
+        """Feed each sequence's values at the steps lo, lo + 1, ...; each
+        block is overwritten by its products tc y."""
+        tc = np.arange(lo, lo + blocks[0].size, dtype=float)
+        tc *= self.dt
+        tc -= self._centre
+        # Elementwise products and sums: a BLAS dot product runs on all of
+        # OpenBLAS's threads, 16 ms against 0.1 ms at 5e4 points on 2 vCPUs.
+        for i, y in enumerate(blocks):
+            y *= tc
+            part, old = float(y.sum()), self._sums[i]
+            self._sums[i] = total = old + part
+            back = total - old
+            self._errors[i] += (old - (total - back)) + (part - back)
+        return self
+
+    def slopes(self) -> list[float]:
+        """Each sequence's slope per time unit: 0 for fewer than two points."""
+        if self.size < 2:
+            return [0.0] * len(self._sums)
+        spread = self.dt * self.dt * ((self.size - 1) * self.size * (self.size + 1) / 12)
+        return [(total + error) / spread for total, error in zip(self._sums, self._errors)]
+
+
+def growth_slope(dt: float, running: np.ndarray) -> float:
+    """Least-squares slope (per time unit) of `running` against the times n
+    dt: GrowthFit fed it as one block, within its bound of np.polyfit.  It
+    works in place and overwrites `running`, so the fit holds one array
+    beside it."""
+    return GrowthFit(dt, running.size).add(0, running).slopes()[0]
 
 
 def compare(a: Trajectory, b: Trajectory) -> ErrorProfile:
@@ -97,6 +133,83 @@ class PeriodEstimate:
     crossings: int
 
 
+class Oscillation:
+    """The upward zero crossings and the peaks of |z| of a trajectory
+    z(start), z(start + 1), ... fed a block at a time, in order:
+    zero_crossing_period and envelope feed a whole trajectory as one block.
+
+    Each block is read after the last two samples before it, so a crossing
+    or a peak that straddles two blocks is found once, in the block that
+    brings its last sample, and each is formed elementwise at its step: the
+    results have the bits of one pass over the whole.  It holds the time of
+    each upward crossing (one per period), for the mean of the gaps between
+    them, and the three samples of |z| around each of the last `keep` peaks,
+    or of all, which `envelope` refines.
+    """
+
+    def __init__(self, dt: float, start: int = 0, keep: int | None = None):
+        self.dt = dt
+        self._tail = np.empty(0)  # the last two samples fed
+        self._next = start  # the step of the next sample
+        self._crossings = array.array("d")  # 8 bytes a crossing
+        self._peaks = collections.deque(maxlen=keep)  # (step, |z| before, at, after)
+        self._counts = [0, 0]  # the upward crossings and the peaks found
+
+    def add(self, z: np.ndarray) -> Oscillation:
+        """Feed the samples that follow those fed so far."""
+        tail = self._tail
+        ext = np.concatenate([tail, z]) if tail.size else z
+        first = self._next - tail.size  # the step of ext[0]
+        # Pairs from the last sample before the block: a pair before it was
+        # read with the block before.  z(n) < 0 <= z(n + 1) (no sample is nan).
+        skip = max(tail.size - 1, 0)
+        pairs = ext[skip:]
+        below = pairs < 0.0
+        up = np.flatnonzero(below[:-1] > below[1:])
+        if up.size:
+            low = pairs[up]
+            frac = low / (low - pairs[up + 1])
+            self._crossings.frombytes(((up + (first + skip) + frac) * self.dt).tobytes())
+        # Neighbours as slices: views, not copies of the block.
+        mag = np.abs(ext)
+        centre = mag[1:-1]
+        top = np.flatnonzero((centre > mag[:-2]) & (centre >= mag[2:]))
+        if top.size:
+            self._peaks.extend(zip((top + (first + 1)).tolist(), mag[top].tolist(),
+                                   centre[top].tolist(), mag[top + 2].tolist()))
+        self._counts[0] += up.size
+        self._counts[1] += top.size
+        self._next += z.size
+        self._tail = ext[-2:].copy()
+        return self
+
+    def period(self) -> PeriodEstimate:
+        """The period from the crossings (zero_crossing_period)."""
+        count = self._counts[0]
+        if count < _MIN_CROSSINGS:
+            raise ValueError(f"too few upward zero crossings ({count}) for a period estimate")
+        gaps = np.diff(np.frombuffer(self._crossings))
+        if gaps.size >= 3:
+            gaps = gaps[1:-1]
+        return PeriodEstimate(
+            mean_period=float(gaps.mean()),
+            std_period=float(gaps.std()),
+            crossings=count,
+        )
+
+    def envelope(self) -> np.ndarray:
+        """The (time, amplitude) rows of the peaks kept, each refined with a
+        three-point parabola (envelope)."""
+        if self._counts[1] < _MIN_PEAKS:
+            raise ValueError(f"too few peaks ({self._counts[1]}) for an envelope")
+        step, y_minus, y_center, y_plus = np.array(self._peaks).T
+        curvature = y_minus - 2.0 * y_center + y_plus
+        safe = np.where(curvature != 0.0, curvature, 1.0)
+        offset = np.where(curvature != 0.0, 0.5 * (y_minus - y_plus) / safe, 0.0)
+        refined = y_center - 0.25 * (y_minus - y_plus) * offset
+        return np.column_stack([(step + offset) * self.dt, refined])
+
+
 def zero_crossing_period(traj: Trajectory) -> PeriodEstimate:
     """Estimate the oscillation period from upward zero crossings.
 
@@ -104,26 +217,10 @@ def zero_crossing_period(traj: Trajectory) -> PeriodEstimate:
     samples; the period is the mean gap between consecutive upward crossings,
     with the first and last gap discarded (when enough remain) to avoid
     boundary bias.  Linear interpolation leaves an O(dt^2) bias per crossing,
-    far below the tolerances used here.
+    far below the tolerances used here.  Oscillation fed the trajectory as
+    one block.
     """
-    z = traj.values
-    below = z[:-1] < 0.0
-    above = z[1:] >= 0.0
-    idx = np.nonzero(below & above)[0]
-    if idx.size < _MIN_CROSSINGS:
-        raise ValueError(
-            f"too few upward zero crossings ({idx.size}) for a period estimate"
-        )
-    frac = z[idx] / (z[idx] - z[idx + 1])
-    crossing_times = (idx + frac) * traj.dt
-    gaps = np.diff(crossing_times)
-    if gaps.size >= 3:
-        gaps = gaps[1:-1]
-    return PeriodEstimate(
-        mean_period=float(gaps.mean()),
-        std_period=float(gaps.std()),
-        crossings=int(idx.size),
-    )
+    return Oscillation(traj.dt, traj.start).add(traj.values).period()
 
 
 def envelope(traj: Trajectory) -> np.ndarray:
@@ -131,19 +228,6 @@ def envelope(traj: Trajectory) -> np.ndarray:
 
     Each interior sample that dominates its neighbors is refined with a
     three-point parabola; returns an array of (time, peak amplitude) rows.
+    Oscillation fed the trajectory as one block.
     """
-    mag = np.abs(traj.values)
-    # Neighbours as slices: views, not copies of the whole trajectory.
-    is_peak = (mag[1:-1] > mag[:-2]) & (mag[1:-1] >= mag[2:])
-    peaks = np.flatnonzero(is_peak) + 1
-    if peaks.size < _MIN_PEAKS:
-        raise ValueError(f"too few peaks ({peaks.size}) for an envelope")
-    y_minus = mag[peaks - 1]
-    y_center = mag[peaks]
-    y_plus = mag[peaks + 1]
-    curvature = y_minus - 2.0 * y_center + y_plus
-    safe = np.where(curvature != 0.0, curvature, 1.0)
-    offset = np.where(curvature != 0.0, 0.5 * (y_minus - y_plus) / safe, 0.0)
-    refined = y_center - 0.25 * (y_minus - y_plus) * offset
-    times = (peaks + offset) * traj.dt
-    return np.column_stack([times, refined])
+    return Oscillation(traj.dt, traj.start).add(traj.values).envelope()

@@ -7,18 +7,22 @@ the scheme, the step count, then the command's one first-order record, which
 refuses a dt too small to resolve the third harmonic; `compare` then checks
 a0, and `sweep` runs both checks row by row before its first pipeline.  Every
 command runs at the exact (unit-modulus) characteristic roots:
-`root_convention` accepts `exact` alone.  `compare` runs `run_compare_pipeline`,
-whose stages are the boundary, the oracle from the first-order bridge (all
-that `simulate` runs), its period and limit amplitude, one pass over the
-oracle's guard blocks that runs the amplitude flow through each block and
-forms its lam_p^n and the naive, continuum and discrete columns, checked in
-that order, with the first two's errors, and hands the block's written rows
-to the writer, and the errors' slopes; only the oracle and the errors' two
-running maxima are held whole.  Output is CSV or JSON in the format
+`root_convention` accepts `exact` alone.  `compare` runs `run_compare_pipeline`:
+after the boundary, one pass over the run's guard blocks in which each block
+runs the oracle from the first-order bridge (all that `simulate` runs, in one
+call) and the amplitude flow, each resumed from the block before, feeds the
+oracle's crossings and peaks to its period and limit amplitude, forms its
+lam_p^n and the naive, continuum and discrete columns, checked in that order,
+with the first two's errors, their running maxima and growth sums, and hands
+the block's written rows to the writer.  So a compare holds at most one guard
+block of the oracle, the flow, the columns and the errors, plus the writer's
+chunk, and the oracle's crossing times; a sweep also holds its shared
+lam_p^n, 16 bytes per step.  Output is CSV or JSON in the format
 `renormdiff.writer` defines; this module chooses stdout or a file (_output):
 a file is written whole or not at all, through a temporary file renamed over
 it, and stdout gets the document as it is formed, so a numerical failure
 after the first chunk of rows leaves those rows on stdout, with no summary.
+A run prints each warning it raises as one stderr line, `warning: <message>`.
 Exit codes: 0 success, 1 a stdout reader that closed early, 2 configuration
 error (an output that cannot be opened or written included), 3 numerical
 failure: a diverging or singular oracle step, an amplitude flow past its
@@ -38,17 +42,19 @@ import os
 import re
 import stat
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-# `compare` is not called here: the pipeline forms its errors a block at a
-# time with compare's running_max and growth_slope.  perfbench/tracing.py
-# wraps cli.compare, so the name stays.
-from .analysis import compare, envelope, growth_slope, running_max, zero_crossing_period  # noqa: F401
+# `compare`, `envelope` and `zero_crossing_period` are not called here: the
+# pipeline feeds their reductions a block at a time.  perfbench/tracing.py
+# wraps them as cli's names, so the names stay.
+from .analysis import (GrowthFit, Oscillation, compare, envelope, running_max,  # noqa: F401
+                       zero_crossing_period)
 from .asymptotic import GlobalSolution, assemble_modes, discrete_fundamental, init_from_amplitude
 from .lineardiff import RootConvention, Scheme, SchemeParams
-from .oracle import (DivergenceError, SingularStepError, Trajectory, first_failure, guard_blocks,
+from .oracle import (DivergenceError, OracleState, SingularStepError, first_failure, guard_blocks,
                      iterate)
 from .perturbation import FirstOrder, Variant, first_order, naive_solution
 from .renormalization import build_flow, flow_path, flow_state
@@ -92,11 +98,10 @@ _CHOICES = {
 _SWEEPABLE = ("dt", "eps", "a0_re")
 # The oracle runs about 110 (cubic) to 140 (vdp) ns per step in pure Python,
 # and the amplitude flow 80 (cubic) to 100 (vdp): best of 9 at 1e5 steps on a
-# shared 2-vCPU Xeon, where load can double them.  A compare holds the oracle
-# and the errors' two running maxima whole, 24 B per step, and the rest a
-# guard block at a time: at 1e6 steps its traced peak is 25.4 B per step at
-# stride 1 and 25.0 at stride 10 (a cubic CSV compare peaked at 56 and 55 MiB
-# RSS), so 1e8 steps takes minutes and about 2.5 GB; larger counts are
+# shared 2-vCPU Xeon, where load can double them.  A compare holds a guard
+# block at a time and 8 B per oracle period: its traced peak is 1.5 MB at
+# 1e5 and at 1e6 steps (a cubic CSV compare of 1e6 steps peaked at 33 MiB
+# RSS), so 1e8 steps takes minutes but no more memory; larger counts are
 # rejected early.
 _MAX_STEPS = 10**8
 
@@ -254,16 +259,10 @@ def _write_table(cfg: ExperimentConfig, columns: dict, summary: dict | None):
         write(table_bytes(cfg.output_format, columns, summary))
 
 
-def _oracle_stage(first: FirstOrder, a0: complex, steps: int) -> Trajectory:
-    """The exact iteration of the scheme of the first-order record `first`,
-    from the first-order bridge at the amplitude a0, steps + 1 values."""
-    z0, z1 = init_from_amplitude(first, a0)
-    return iterate(first.kind, first.params, z0, z1, steps)
-
-
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     first, steps = _boundary(cfg)
-    traj = _oracle_stage(first, complex(cfg.a0_re, cfg.a0_im), steps)
+    z0, z1 = init_from_amplitude(first, complex(cfg.a0_re, cfg.a0_im))
+    traj = iterate(first.kind, first.params, z0, z1, steps)
     rows = np.arange(0, len(traj), cfg.stride)
     columns = {"n": rows, "t": rows * traj.dt, "z": traj.values[:: cfg.stride]}
     _write_table(cfg, columns, summary=None)
@@ -274,67 +273,23 @@ def _not_finite(name: str, n: int) -> DivergenceError:
     return DivergenceError(f"{name} is not finite at n={n}")
 
 
-def _model_stage(sol: GlobalSolution, steps: int, oracle: Trajectory,
-                 fundamental: np.ndarray | None, stride: int, write_rows) -> list:
-    """The flow path of `sol`'s scheme from its amplitude, the three model
-    columns and the naive and continuum errors against the oracle, in one
-    pass over the oracle's guard blocks that all read the pipeline's one
-    first-order record, `sol.first`.
-
-    Each block first runs the flow through its steps and one more, resumed
-    from the state the block before it left (flow_state), then forms its
-    model columns (_model_block) and hands its rows at every `stride`-th
-    step to `write_rows`, or forms no row without it (a sweep, whose flow
-    runs for its guard alone).  `fundamental` is a sweep's shared lam_p^n, sliced per
-    block, or None, and each block forms its own.  Only the two errors'
-    running maxima, held whole for the summary's slopes, outlive a block.
-    A model column that fails stops the rows, but the flow runs on to the
-    last step first, so that its overflow, at any step, wins as it would if
-    the flow ran whole before the columns.
-    """
-    flow = build_flow(sol.first)
-    state = flow_state(flow, sol.a0)
-    running = [np.empty(steps + 1), np.empty(steps + 1)]
-    failure = None
-    for lo, hi in guard_blocks(0, steps + 1):
-        # A(lo) .. A(hi), one step past the block: the flow's own guard blocks
-        # of a whole run, whose cumulative products these repeat bit for bit.
-        # By keyword: perfbench/tracing.py reads the step count from `steps`.
-        path = flow_path(flow, state, steps=min(hi, steps) - lo)
-        if failure is not None:
-            continue
-        try:
-            rows = _model_block(sol, oracle, fundamental, path[: hi - lo], (lo, hi),
-                                stride if write_rows else None, running)
-        except DivergenceError as exc:
-            failure = exc
-            continue
-        del path  # the block's arrays are freed before its rows are written
-        if rows is not None:
-            write_rows(rows)
-    if failure is not None:
-        raise failure
-    return running
-
-
-def _model_block(sol: GlobalSolution, oracle: Trajectory, fundamental: np.ndarray | None,
-                 path: np.ndarray, block: tuple, stride: int | None, running: list) -> dict | None:
-    """One guard block [lo, hi) of _model_stage: lam_p^n, then the naive
-    column, the continuum column and the discrete column at the block's
-    rows, every `stride`-th step from step 0 (none at stride None), each
-    checked as it is formed (the first two with their errors, _error_block),
-    so the first failing one names the column.  Returns the rows, in the
-    order the writer writes them, or None when the block has none; every
-    other array is freed on return, before the next block's are made."""
-    lo, hi = block
+def _model_block(sol: GlobalSolution, z: np.ndarray, fundamental: np.ndarray | None,
+                 path: np.ndarray, lo: int, stride: int | None, work: np.ndarray) -> dict | None:
+    """One guard block of the oracle, z(lo), z(lo + 1), ...: lam_p^n, then
+    the naive column, the continuum column and the discrete column at the
+    block's rows, every `stride`-th step from step 0 (none at stride None),
+    each checked as it is formed (the first two with their errors, in the
+    rows of `work`, _error_block), so the first failing one names the
+    column.  Returns the rows, in the order the writer writes them, or None
+    when the block has none; every other array is freed on return."""
+    hi = lo + z.size
     n = np.arange(lo, hi)
     f = discrete_fundamental(sol.first.params, n) if fundamental is None else fundamental[lo:hi]
-    z = oracle.values[lo:hi]
-    picks = np.arange(-lo % stride, hi - lo, stride) if stride else np.arange(0)
+    picks = np.arange(-lo % stride, z.size, stride) if stride else np.arange(0)
     z_naive = naive_solution(sol.first, sol.a0, n, f)
-    err_naive = _error_block("z_naive", z, z_naive, running[0], block, picks)
+    err_naive = _error_block("z_naive", z, z_naive, work[0], lo, picks)
     z_continuum = sol.eval_discrete(n, f)
-    err_renorm = _error_block("z_renorm_continuum", z, z_continuum, running[1], block, picks)
+    err_renorm = _error_block("z_renorm_continuum", z, z_continuum, work[1], lo, picks)
     if not picks.size:  # a sweep, or a block with no written row, assembles nothing
         return None
     z_discrete = assemble_modes(sol.first, path[picks], f[picks])
@@ -342,56 +297,34 @@ def _model_block(sol: GlobalSolution, oracle: Trajectory, fundamental: np.ndarra
     if bad is not None:
         raise _not_finite("z_renorm_discrete", lo + picks[bad])
     steps = n[picks]
-    return {"n": steps, "t": steps * oracle.dt, "z_oracle": z[picks], "z_naive": z_naive[picks],
-            "z_renorm_discrete": z_discrete, "z_renorm_continuum": z_continuum[picks],
-            "err_naive": err_naive, "err_renorm": err_renorm}
+    return {"n": steps, "t": steps * sol.first.params.dt, "z_oracle": z[picks],
+            "z_naive": z_naive[picks], "z_renorm_discrete": z_discrete,
+            "z_renorm_continuum": z_continuum[picks], "err_naive": err_naive,
+            "err_renorm": err_renorm}
 
 
-def _error_block(name, z, model, maxima, block, picks) -> np.ndarray:
-    """|z - model| over a block, formed in its running maximum `maxima`:
-    returns its rows at `picks`, then carries the running maximum in place
-    from the previous block's last entry.  Raises at the first non-finite
-    step of the column `name`, looked for only when the block's last entry
-    is not finite.
+def _error_block(name, z, model, err, lo, picks) -> np.ndarray:
+    """|z - model| over a block, formed in `err` after its entry 0, the
+    running maximum of the blocks before (0 before the first): returns its
+    rows at `picks`, then forms the running maximum in place from entry 0
+    and carries its last entry there.  Raises at the first non-finite step
+    of the column `name`, looked for only when the block's last entry is not
+    finite.
 
     The oracle is guarded to |z| <= 1e8, so an error is non-finite exactly
     where its model is; a running maximum carries nan and inf, so while
     every earlier block is finite, its first non-finite entry is the error's.
     """
-    lo, hi = block
-    err = maxima[lo:hi]
-    np.subtract(z, model, out=err)
-    np.abs(err, out=err)
-    rows = err[picks]
-    carried = maxima[max(lo - 1, 0) : hi]
-    running_max(carried, out=carried)
-    if not np.isfinite(err[-1]):
-        raise _not_finite(name, first_failure(np.isfinite(err), lo))
+    block = err[: z.size + 1]
+    out = block[1:]
+    np.subtract(z, model, out=out)
+    np.abs(out, out=out)
+    rows = out[picks]
+    running_max(block, out=block)
+    if not np.isfinite(out[-1]):
+        raise _not_finite(name, first_failure(np.isfinite(out), lo))
+    err[0] = out[-1]
     return rows
-
-
-def _shape_stage(oracle: Trajectory) -> dict:
-    """The oracle's period and limit amplitude, each None where the oracle
-    has too few crossings or peaks."""
-    shape = {"period_oracle": None, "limit_amplitude_oracle": None}
-    with contextlib.suppress(ValueError):
-        shape["period_oracle"] = zero_crossing_period(oracle).mean_period
-    with contextlib.suppress(ValueError):  # the mean of the last five peaks, or of all
-        shape["limit_amplitude_oracle"] = float(envelope(oracle)[-5:, 1].mean())
-    return shape
-
-
-def _summary_stage(dt: float, running: list, shape: dict) -> dict:
-    """The summary: each error's maximum and growth slope, from its running
-    maximum, taken from `running` and overwritten by the fit, and the
-    oracle's `shape`.  The naive maximum is freed before the renormalized
-    one is fitted."""
-    naive, renorm = running.pop(0), running.pop(0)
-    summary = {"max_err_naive": float(naive[-1]), "max_err_renorm": float(renorm[-1]),
-               "slope_err_naive": growth_slope(dt, naive)}
-    del naive
-    summary["slope_err_renorm"] = growth_slope(dt, renorm)
-    return {**summary, **shape}
 
 
 def run_compare_pipeline(cfg: ExperimentConfig, fundamental: np.ndarray | None = None,
@@ -404,24 +337,66 @@ def run_compare_pipeline(cfg: ExperimentConfig, fundamental: np.ndarray | None =
     in the writer's order, n, t, z_oracle, z_naive, z_renorm_discrete,
     z_renorm_continuum, err_naive and err_renorm.  Without `write_rows` (a
     sweep reads the summary alone) no row and no discrete column is formed.
-    At stride 1 the summary is recomputable from the rows.  The stages are
-    the oracle, its period and limit amplitude, the pass over blocks
-    (_model_stage) and the errors' slopes, after the oracle is freed, so
-    only the oracle and the two running maxima are held whole.
-    `fundamental` is lam_p^n on the time grid when the caller shares it
-    between pipelines; without it each block forms its own span.  Either way
-    the bytes are the same.  `checked` is `_checked(cfg)` from a caller that
-    ran it already: the solution, whose first-order record every stage
-    reads, and the steps.  Raises ConfigError for a config that `main` would
-    refuse.
+    At stride 1 the summary is recomputable from the rows.
+
+    One pass over the guard blocks of the run, all reading its one
+    first-order record: each block runs the oracle from the first-order
+    bridge and the amplitude flow through its steps and one more, each
+    resumed from the state the block before left, then feeds the oracle's
+    crossings and peaks (Oscillation), forms the model columns and the
+    errors (_model_block), the errors' running maxima and their growth fit
+    (GrowthFit).  So a compare holds one guard block of each, and the
+    crossing times.  A failure wins as it would if each stage ran whole
+    before the next: the oracle's at once, a flow overflow once the oracle
+    has run to the last step, a model column's once the flow has too; the
+    rows stop at the first.  `fundamental` is lam_p^n on the time grid when
+    the caller shares it between pipelines; without it each block forms its
+    own span.  Either way the bytes are the same.  `checked` is
+    `_checked(cfg)` from a caller that ran it already: the solution, whose
+    first-order record every stage reads, and the steps.  Raises ConfigError
+    for a config that `main` would refuse.
     """
     sol, steps = checked or _checked(cfg)
-    oracle = _oracle_stage(sol.first, sol.a0, steps)
-    shape = _shape_stage(oracle)
-    running = _model_stage(sol, steps, oracle, fundamental, cfg.stride, write_rows)
-    dt = oracle.dt
-    del oracle  # the fits hold the maxima alone
-    return _summary_stage(dt, running, shape)
+    first, stride = sol.first, cfg.stride if write_rows else None
+    flow = build_flow(first)
+    state, oracle = flow_state(flow, sol.a0), OracleState(0, *init_from_amplitude(first, sol.a0))
+    shape, fit = Oscillation(first.params.dt, keep=5), GrowthFit(first.params.dt, steps + 1, 2)
+    overflow = failure = None
+    for lo, hi in guard_blocks(0, steps + 1):
+        if not lo:  # each error's block, after the running maximum carried in
+            work = np.zeros((2, hi + 1))
+        # z(lo) .. z(hi) and A(lo) .. A(hi), one step past the block.  By
+        # keyword: perfbench/tracing.py reads the step counts from them.
+        z = iterate(first.kind, first.params, oracle, None, n_steps=min(hi, steps) - lo).values
+        if overflow is None:
+            try:
+                path = flow_path(flow, state, steps=min(hi, steps) - lo)
+            except OverflowError as exc:
+                overflow = exc
+        if overflow or failure:
+            continue
+        z = z[: hi - lo]
+        shape.add(z)
+        try:
+            rows = _model_block(sol, z, fundamental, path, lo, stride, work)
+        except DivergenceError as exc:
+            failure = exc
+            continue
+        fit.add(lo, work[0, 1 : z.size + 1], work[1, 1 : z.size + 1])
+        del path, z  # the block's arrays are freed before its rows are written
+        if rows is not None:
+            write_rows(rows)
+    if overflow or failure:
+        raise overflow or failure
+    slopes = fit.slopes()
+    summary = {"max_err_naive": float(work[0, 0]), "max_err_renorm": float(work[1, 0]),
+               "slope_err_naive": slopes[0], "slope_err_renorm": slopes[1],
+               "period_oracle": None, "limit_amplitude_oracle": None}
+    with contextlib.suppress(ValueError):  # too few crossings
+        summary["period_oracle"] = shape.period().mean_period
+    with contextlib.suppress(ValueError):  # the mean of the last five peaks, or of all
+        summary["limit_amplitude_oracle"] = float(shape.envelope()[-5:, 1].mean())
+    return summary
 
 
 def cmd_compare(cfg: ExperimentConfig) -> int:
@@ -498,11 +473,23 @@ def _resolve_config(ns: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
+def _warning_line(message, *_):
+    """Print a warning to stderr as one line, `warning: <message>`."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     try:
         ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    # Every run shows its warnings, whatever ran before it in the process.
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning_line
+        return _run(ns)
+
+
+def _run(ns: argparse.Namespace) -> int:
     try:
         cfg = _resolve_config(ns)
         if ns.command == "simulate":

@@ -9,6 +9,7 @@ after the rows.  ``table_bytes`` (or
 
 from __future__ import annotations
 
+import ctypes
 import json
 
 import numpy as np
@@ -40,6 +41,22 @@ def _json_text(value) -> str:
 # as many rows made compare-csv 10% slower on a shared 2-vCPU Xeon, where a
 # call of either kernel costs about 100 us beside its 0.1 us per value.
 _CHUNK_ROWS = 1024
+# glibc returns the top of its heap to the system once more than 128 kB of it
+# is free, and maps each array past 128 kB afresh, until a freed mapping
+# raises both limits; a streamed compare frees no such array before its
+# chunks, so every chunk's g17 scratch (0.6-0.9 MB, most of it in arrays of
+# 30-170 kB) faulted its pages in again: 2226 page faults per compare-csv op
+# and 1372 per compare-json-vdp op in a long-lived process, 3-6% of its time.
+# Limits of 4 MB and 512 kB keep that scratch mapped between chunks (0 faults)
+# for about 0.3 MB more VmHWM.  Set once, where the C library has mallopt.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+except (AttributeError, OSError, TypeError):  # no mallopt, or no C library to load
+    pass
+else:
+    _mallopt(_M_TRIM_THRESHOLD, 4 << 20)
+    _mallopt(_M_MMAP_THRESHOLD, 512 << 10)
 # Bytes of a cell of each array kind: the g17 layout (``g17.WIDTH``), or the
 # widest int64 or uint64 text (``g17.INT_WIDTH``).
 _CELL_WIDTH = {"f": 24, "i": 20, "u": 20}
@@ -86,6 +103,7 @@ class Document:
         self._chunk_rows = _CHUNK_ROWS if size is None else max(min(size, _CHUNK_ROWS), 1)
         self._names = None  # the columns, in the order they are written
         self._head = None  # the head, until the first chunk is written
+        self._filled = 0  # the rows of the chunk so far
 
     def _lay_out(self, columns: dict, ready: dict) -> bytes:
         """Lay the document out from its first block's columns: the byte
@@ -178,13 +196,19 @@ class Document:
     def end(self, summary: dict | None):
         """Yield the bytes of what is not yet written, the head and the rows
         of a chunk not yet full, then of the end of the document, with
-        ``summary`` when it is not None; the document then takes no row."""
-        if self._filled or self._head:
+        ``summary`` when it is not None; the document then takes no row.  A
+        document with no row is its head alone: the CSV header of the first
+        block's columns (an empty line without a block), or JSON's
+        ``"rows": []``."""
+        if self._filled:
             yield from self._chunk()
+        empty = self._names is None or self._head is not None  # no row was written
         if self.fmt == "csv":
             tail = "" if summary is None else f"# summary = {json.dumps(summary, sort_keys=True)}\n"
+            if empty:
+                tail = ",".join(self._names or []) + "\n" + tail
         else:
-            tail = "\n ]"
+            tail = '{\n "rows": []' if empty else "\n ]"
             if summary is not None:
                 nested = json.dumps(summary, indent=1, sort_keys=True).replace("\n", "\n ")
                 tail += ',\n "summary": ' + nested

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from renormdiff.analysis import compare, envelope, growth_slope, running_max, zero_crossing_period
+from renormdiff.analysis import (GrowthFit, Oscillation, compare, envelope, growth_slope,
+                                 running_max, zero_crossing_period)
 from renormdiff.oracle import Trajectory
 
 
@@ -140,3 +141,113 @@ class TestEnvelope:
     def test_too_few_peaks(self):
         with pytest.raises(ValueError):
             envelope(Trajectory(0.01, np.linspace(0.0, 1.0, 50)))
+
+
+def _reference_period(z, dt):
+    """zero_crossing_period's elementwise arithmetic on the whole array, as
+    one pass: the mean gap, or the refusal's message."""
+    idx = np.nonzero((z[:-1] < 0.0) & (z[1:] >= 0.0))[0]
+    if idx.size < 4:
+        return f"too few upward zero crossings ({idx.size}) for a period estimate"
+    gaps = np.diff((idx + z[idx] / (z[idx] - z[idx + 1])) * dt)
+    return float((gaps[1:-1] if gaps.size >= 3 else gaps).mean())
+
+
+def _reference_envelope(z, dt):
+    """envelope's parabolic refinement of every peak on the whole array, as
+    one pass, or the refusal's message."""
+    mag = np.abs(z)
+    peaks = np.flatnonzero((mag[1:-1] > mag[:-2]) & (mag[1:-1] >= mag[2:])) + 1
+    if peaks.size < 2:
+        return f"too few peaks ({peaks.size}) for an envelope"
+    y_minus, y_center, y_plus = mag[peaks - 1], mag[peaks], mag[peaks + 1]
+    curvature = y_minus - 2.0 * y_center + y_plus
+    safe = np.where(curvature != 0.0, curvature, 1.0)
+    offset = np.where(curvature != 0.0, 0.5 * (y_minus - y_plus) / safe, 0.0)
+    refined = y_center - 0.25 * (y_minus - y_plus) * offset
+    return np.column_stack([(peaks + offset) * dt, refined])
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return str(exc)
+
+
+# Samples with ties and signed zeros, so that >= and < meet equal neighbours.
+_SAMPLE = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5]) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def blocked_trajectories(draw):
+    """A trajectory and the sizes of the blocks it is fed in, with a crossing
+    or a peak placed at, or one step either side of, each block boundary."""
+    z = np.array(draw(st.lists(_SAMPLE, min_size=1, max_size=300)), dtype=float)
+    cuts = sorted(draw(st.sets(st.integers(1, max(z.size - 1, 1)), max_size=12)))
+    cuts = [c for c in cuts if c < z.size]
+    for cut in cuts:
+        at = cut + draw(st.sampled_from([-1, 0, 1]))
+        size = draw(st.floats(0.1, 10.0))
+        if draw(st.booleans()):  # an upward crossing between at - 1 and at
+            if 1 <= at < z.size:
+                z[at - 1], z[at] = -size, draw(st.sampled_from([0.0, size]))
+        elif 1 <= at < z.size - 1:  # a peak of |z| at at
+            z[at - 1 : at + 2] = [size / 2, -size, draw(st.sampled_from([size, size / 3]))]
+    sizes = np.diff([0, *cuts, z.size])
+    return z, [int(s) for s in sizes if s]
+
+
+class TestStreamedShape:
+    """Oscillation fed a trajectory in blocks of any sizes gives the period,
+    the limit amplitude and their refusals of the whole, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=blocked_trajectories(), dt=st.floats(1e-3, 1.5))
+    @example(case=(np.array([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0]),
+                   [1, 1, 2, 1, 5]), dt=0.5)
+    def test_blockwise_is_the_whole(self, case, dt):
+        z, sizes = case
+        fed = Oscillation(dt, keep=5)
+        kept_all = Oscillation(dt)
+        lo = 0
+        for size in sizes:
+            fed.add(z[lo : lo + size])
+            kept_all.add(z[lo : lo + size])
+            lo += size
+        assert lo == z.size
+        whole = Trajectory(dt, z)
+        period = _outcome(lambda: zero_crossing_period(whole).mean_period)
+        assert repr(_outcome(lambda: fed.period().mean_period)) == repr(period)
+        assert repr(period) == repr(_reference_period(z, dt))
+        limit = _outcome(lambda: float(envelope(whole)[-5:, 1].mean()))
+        assert repr(_outcome(lambda: float(fed.envelope()[-5:, 1].mean()))) == repr(limit)
+        peaks = _outcome(lambda: envelope(whole))
+        reference = _reference_envelope(z, dt)
+        if isinstance(reference, str):
+            assert peaks == reference == _outcome(kept_all.envelope)
+        else:
+            assert peaks.tobytes() == reference.tobytes() == kept_all.envelope().tobytes()
+
+
+class TestStreamedSlope:
+    """GrowthFit fed in blocks of any sizes is np.polyfit's slope within
+    growth_slope's stated bound, for each of the sequences it fits at once."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(y=st.lists(st.floats(0.0, 1e6), min_size=2, max_size=400).map(np.array),
+           dt=st.floats(1e-4, 1.5), data=st.data())
+    @example(y=np.array([0.0, 2.2250738585e-313]), dt=1.0, data=None)
+    def test_blockwise_slope_is_polyfit_to_rounding(self, y, dt, data):
+        cuts = sorted(data.draw(st.sets(st.integers(1, y.size - 1), max_size=10))) if data else []
+        fitted = [np.maximum.accumulate(y), np.maximum.accumulate(y[::-1]).copy()]
+        work = [f.copy() for f in fitted]
+        fit = GrowthFit(dt, y.size, 2)
+        for lo, hi in zip([0, *cuts], [*cuts, y.size]):
+            fit.add(lo, work[0][lo:hi], work[1][lo:hi])
+        t = np.arange(y.size) * dt
+        tc = t - t.mean()
+        floor = 2 * math.ulp(0.0) * (1 + y.size / (tc * tc).sum())
+        for got, series in zip(fit.slopes(), fitted, strict=True):
+            want = float(np.polyfit(t, series, 1)[0])
+            assert abs(got - want) <= 1e-13 * series.max() / (t[-1] - t[0]) + floor

@@ -18,6 +18,7 @@ from renormdiff.lineardiff import (
 from renormdiff.oracle import (
     _GUARD_BLOCK,
     DivergenceError,
+    OracleState,
     SingularStepError,
     Trajectory,
     iterate,
@@ -385,6 +386,63 @@ class TestGuardBlocks:
         failure = _raised(iterate, kind, p, z0, z1, n_steps)
         assert failure == _raised(_reference_iterate, kind, p, z0, z1, n_steps)
         assert failure[1].startswith(f"|z({first})| = ")
+
+
+def _resumed(kind, p, z0, z1, pieces):
+    """The run from (z0, z1) resumed in pieces of the given step counts: the
+    values without the entry each piece repeats from the one before, each
+    piece's start and its state afterwards."""
+    state = OracleState(0, z0, z1)
+    values, starts = [], []
+    for steps in pieces:
+        piece = iterate(kind, p, state, None, n_steps=steps)
+        starts.append(piece.start)
+        assert state.step == piece.start + steps and piece.values.size == steps + 1
+        values.append(piece.values[1:] if values else piece.values)
+    return np.concatenate(values), starts, state
+
+
+class TestResumed:
+    """A run resumed from its OracleState in pieces has the bits and the
+    failures of one uninterrupted run."""
+
+    @pytest.mark.parametrize("kind", [CUBIC, VAN_DER_POL])
+    @pytest.mark.parametrize("pieces", [[5000], [2, 0, 1, 4096, 1901], [4096, 4096, 0, 8],
+                                        [3, 1, 1, 1, 4994]])
+    def test_pieces_are_the_whole_run(self, kind, pieces):
+        p = params(0.01, eps=0.05)
+        z0, z1 = zeroth_order_data(0.4 + 0.1j, p)
+        whole = iterate(kind, p, z0, z1, sum(pieces))
+        values, starts, state = _resumed(kind, p, z0, z1, pieces)
+        assert values.tobytes() == whole.values.tobytes()
+        assert starts == list(np.cumsum([0, *pieces[:-1]]))
+        assert (state.zm, state.z) == tuple(whole.values[-2:])
+        resumed = iterate(kind, p, OracleState(len(whole) - 1, *whole.values[-2:]), None, 0)
+        assert resumed.times.tolist() == [(len(whole) - 1) * p.dt]
+
+    @pytest.mark.parametrize(
+        "kind, p, a0, n_steps",
+        [
+            (CUBIC, params(1.0, eps=0.4), 0.635, 20_000),  # |z(12506)|, in the fourth block
+            (VAN_DER_POL, large_eps(0.1, 6.0), 0.4 + 0.15j, 5000),  # gain 0.6: z(2412)
+            (VAN_DER_POL, large_eps(0.1, 10.0), 1.0, 1000),  # gain 1: z(185)
+            (VAN_DER_POL, large_eps(0.1, 10.0), 1e-7, 30),  # vanishes at n=1
+        ],
+    )
+    @pytest.mark.parametrize("piece", [97, 4096])
+    def test_pieces_fail_as_the_whole_run(self, kind, p, a0, n_steps, piece):
+        z0, z1 = zeroth_order_data(a0, p)
+        failure = _raised(iterate, kind, p, z0, z1, n_steps)
+        pieces = [piece] * (n_steps // piece) + [n_steps % piece]
+        assert _raised(_resumed, kind, p, z0, z1, pieces) == failure
+
+    def test_a_fresh_run_needs_two_steps_a_resumed_one_none(self):
+        p = params(0.1)
+        with pytest.raises(ValueError, match="need at least 2 steps"):
+            iterate(CUBIC, p, OracleState(0, 1.0, 1.0), None, 1)
+        assert len(iterate(CUBIC, p, OracleState(5, 1.0, 1.0), None, 0)) == 1
+        with pytest.raises(ValueError, match="n_steps must be nonnegative"):
+            iterate(CUBIC, p, OracleState(5, 1.0, 1.0), None, -1)
 
 
 class TestPeakMemory:
