@@ -26,7 +26,11 @@ a ``compare`` has streamed its first guard block of rows: the cubic flow
 passes its guard at step 5423, and the Van der Pol oracle, which runs a
 guard block at a time, at ``z(4534)``, each in the second block.  To a file,
 each run leaves none; to stdout, the digest pins the head and the rows of
-the first block, with no summary.  The oracle's failure is the one named,
+the first block, with no summary.  One more is a sweep whose rows fail in
+different guard blocks: row 2's oracle passes its guard at ``z(412)``, in
+the first block, and row 1's flow passes its guard at step 4, named only
+once its oracle has run to the last step, so the sweep names row 1's
+failure, the first in row order.  The oracle's failure is the one named,
 as a failure of the oracle at any step wins over a flow overflow at any
 step, which wins over the first non-finite model column.  The ``--help``
 runs and the runs refused with exit 2 pin the text of the command-line
@@ -101,6 +105,11 @@ LATE_FLOW = ["--kind=cubic", "--dt=0.1", "--t-max=600", "--eps=0.4", "--a0-re=0.
 # GAIN_055's oracle in a compare: it passes its divergence guard at z(4534),
 # in the second guard block, after a first block in which nothing fails.
 LATE_ORACLE = [*GAIN_055, "--t-max=500"]
+# A sweep whose rows fail in different guard blocks: at eps = 0.05 the Van
+# der Pol flow from a0 = 10 passes its overflow guard at step 4, at eps = 0.4
+# the oracle passes its divergence guard at z(412).
+ROWS_FAIL_APART = ["--param=eps", "--values=0.05,0.4", "--kind=vdp", "--dt=1", "--a0-re=10",
+                   "--t-max=5000"]
 
 
 def matrix() -> list[tuple[list[str], str]]:
@@ -184,6 +193,7 @@ def matrix() -> list[tuple[list[str], str]]:
     runs.append((["compare", *LATE_FLOW], STDOUT))
     runs.append((["compare", *LATE_ORACLE], "csv"))
     runs.append((["compare", *LATE_ORACLE], STDOUT))
+    runs.append((["sweep", *ROWS_FAIL_APART], "csv"))
     return runs
 
 
