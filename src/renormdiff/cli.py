@@ -5,7 +5,7 @@ start of a line or after whitespace) plus command-line flags; flags win.
 Every command checks its config at one boundary, in one order: the fields,
 the scheme, the step count, then the command's one first-order record, which
 refuses a dt too small to resolve the third harmonic; `compare` then checks
-a0, and `sweep` runs both checks row by row before its first pipeline.  Every
+a0, and `sweep` runs both checks row by row before its first pass.  Every
 command runs at the exact (unit-modulus) characteristic roots:
 `root_convention` accepts `exact` alone.  `compare` runs `run_compare_pipeline`:
 after the boundary, one pass over the run's guard blocks in which each block
@@ -14,20 +14,24 @@ call) and the amplitude flow, each resumed from the block before, feeds the
 oracle's crossings and peaks to its period and limit amplitude, forms its
 lam_p^n and the naive, continuum and discrete columns, checked in that order,
 with the first two's errors, their running maxima and growth sums, and hands
-the block's written rows to the writer.  So a compare holds at most one guard
-block of the oracle, the flow, the columns and the errors, plus the writer's
-chunk, and the oracle's crossing times; a sweep also holds its shared
-lam_p^n, 16 bytes per step.  Output is CSV or JSON in the format
-`renormdiff.writer` defines; this module chooses stdout or a file (_output):
-a file is written whole or not at all, through a temporary file renamed over
-it, and stdout gets the document as it is formed, so a numerical failure
-after the first chunk of rows leaves those rows on stdout, with no summary.
-A run prints each warning it raises as one stderr line, `warning: <message>`.
-Exit codes: 0 success, 1 a stdout reader that closed early, 2 configuration
-error (an output that cannot be opened or written included), 3 numerical
-failure: a diverging or singular oracle step, an amplitude flow past its
-guard or a non-finite model column, each named with the step where it
-happened.
+the block's written rows to the writer.  `sweep` advances one such pass per
+row, without rows, all together a guard block at a time, in one block of
+error scratch and, on a shared time grid, one block of lam_p^n.  So a
+compare holds at most one guard block of the oracle, the flow, the columns
+and the errors, plus the writer's chunk, and the oracle's crossing times; a
+sweep holds one block plus a few sums and the crossing times per row.  Only
+`simulate` holds its whole trajectory, 8 bytes per step.  Output is CSV or
+JSON in the format `renormdiff.writer` defines; this module chooses stdout
+or a file (_output): a file is written whole or not at all, through a
+temporary file renamed over it, and stdout gets the document as it is
+formed, so a numerical failure after the first chunk of rows leaves those
+rows on stdout, with no summary.  A run prints each warning it raises as
+one stderr line, `warning: <message>`.  Exit codes: 0 success, 1 a stdout
+reader that closed early, 2 configuration error (an output that cannot be
+opened or written included), 3 numerical failure: a diverging or singular
+oracle step, an amplitude flow past its guard or a non-finite model column,
+each named with the step where it happened; a sweep names its first failing
+row's.
 """
 
 from __future__ import annotations
@@ -101,7 +105,10 @@ _SWEEPABLE = ("dt", "eps", "a0_re")
 # shared 2-vCPU Xeon, where load can double them.  A compare holds a guard
 # block at a time and 8 B per oracle period: its traced peak is 1.5 MB at
 # 1e5 and at 1e6 steps (a cubic CSV compare of 1e6 steps peaked at 33 MiB
-# RSS), so 1e8 steps takes minutes but no more memory; larger counts are
+# RSS), and a sweep holds one block for all its rows (a one-row cubic eps
+# sweep of 2e6 steps peaked at 31 MiB, where its whole-run lam_p^n table took
+# it to 106 MiB), so 1e8 steps takes minutes but no more memory.  `simulate`
+# alone holds its whole trajectory, 8 B per step.  Larger counts are
 # rejected early.
 _MAX_STEPS = 10**8
 
@@ -273,18 +280,16 @@ def _not_finite(name: str, n: int) -> DivergenceError:
     return DivergenceError(f"{name} is not finite at n={n}")
 
 
-def _model_block(sol: GlobalSolution, z: np.ndarray, fundamental: np.ndarray | None,
-                 path: np.ndarray, lo: int, stride: int | None, work: np.ndarray) -> dict | None:
-    """One guard block of the oracle, z(lo), z(lo + 1), ...: lam_p^n, then
-    the naive column, the continuum column and the discrete column at the
-    block's rows, every `stride`-th step from step 0 (none at stride None),
-    each checked as it is formed (the first two with their errors, in the
-    rows of `work`, _error_block), so the first failing one names the
+def _model_block(sol: GlobalSolution, z: np.ndarray, f: np.ndarray, path: np.ndarray, lo: int,
+                 stride: int | None, work: np.ndarray) -> dict | None:
+    """One guard block of the oracle, z(lo), z(lo + 1), ..., and its lam_p^n
+    `f`: the naive column, the continuum column and the discrete column at
+    the block's rows, every `stride`-th step from step 0 (none at stride
+    None), each checked as it is formed (the first two with their errors, in
+    the rows of `work`, _error_block), so the first failing one names the
     column.  Returns the rows, in the order the writer writes them, or None
     when the block has none; every other array is freed on return."""
-    hi = lo + z.size
-    n = np.arange(lo, hi)
-    f = discrete_fundamental(sol.first.params, n) if fundamental is None else fundamental[lo:hi]
+    n = np.arange(lo, lo + z.size)
     picks = np.arange(-lo % stride, z.size, stride) if stride else np.arange(0)
     z_naive = naive_solution(sol.first, sol.a0, n, f)
     err_naive = _error_block("z_naive", z, z_naive, work[0], lo, picks)
@@ -327,76 +332,146 @@ def _error_block(name, z, model, err, lo, picks) -> np.ndarray:
     return rows
 
 
-def run_compare_pipeline(cfg: ExperimentConfig, fundamental: np.ndarray | None = None,
-                         write_rows=None, checked: tuple | None = None) -> dict:
+def _spans(params: SchemeParams):
+    """lam_p^n on the time grid of `params`, a guard block at a time: the
+    call for the steps lo .. hi - 1 forms them the first time it is made and
+    hands the same array to the calls for that block that follow, so the
+    passes on one grid share it.  Only the last block's span is held."""
+    last = [None, None]
+
+    def span(lo: int, hi: int) -> np.ndarray:
+        if last[0] != (lo, hi):
+            last[:] = (lo, hi), discrete_fundamental(params, np.arange(lo, hi))
+        return last[1]
+
+    return span
+
+
+class _Pass:
+    """One pipeline's pass over the guard blocks of its run, a block at a
+    time, each call of `advance` resuming from the state the block before
+    left: the oracle (OracleState), the amplitude flow (FlowState), the
+    oracle's crossings and peaks (Oscillation), the errors' growth fit
+    (GrowthFit) and their two running maxima.  `span` gives each block's
+    lam_p^n (_spans); `write_rows` takes each block's rows, every
+    `stride`-th step (without it no row and no discrete column is formed).
+
+    A failure wins as it would if each stage ran whole before the next: the
+    oracle's at once, a flow overflow once the oracle has run to the last
+    step, a model column's once the flow has too; the rows and the model
+    columns stop at the first.  `error` is the failure that wins so far;
+    `block`, the block the next call runs, is None once the pass is done, at
+    its last step or at the oracle's failure.
+    """
+
+    def __init__(self, sol: GlobalSolution, steps: int, span, write_rows=None, stride: int = 1):
+        first = sol.first
+        self.sol, self.span, self.write_rows = sol, span, write_rows
+        self.stride = stride if write_rows else None
+        self.flow = build_flow(first)
+        self.state = flow_state(self.flow, sol.a0)
+        self.oracle = OracleState(0, *init_from_amplitude(first, sol.a0))
+        self.shape = Oscillation(first.params.dt, keep=5)
+        self.fit = GrowthFit(first.params.dt, steps + 1, 2)
+        self.maxima = (0.0, 0.0)  # each error's running maximum, carried between blocks
+        self.steps, self.overflow, self.failure = steps, None, None
+        self._blocks = guard_blocks(0, steps + 1)
+        self.block = next(self._blocks)
+
+    @property
+    def error(self) -> Exception | None:
+        return self.overflow or self.failure
+
+    def advance(self, work: np.ndarray) -> None:
+        """Run `block`: z(lo) .. z(hi) and A(lo) .. A(hi), one step past it,
+        then, while nothing has failed, its model columns and errors, in the
+        rows of the shared scratch `work`, and its rows to `write_rows`."""
+        (lo, hi), first = self.block, self.sol.first
+        self.block = next(self._blocks, None)
+        last = min(hi, self.steps) - lo
+        try:
+            # By keyword: perfbench/tracing.py reads the step counts from them.
+            z = iterate(first.kind, first.params, self.oracle, None, n_steps=last).values
+        except (DivergenceError, SingularStepError) as exc:
+            self.overflow, self.failure, self.block = None, exc, None
+            return
+        if self.overflow is None:
+            try:
+                path = flow_path(self.flow, self.state, steps=last)
+            except OverflowError as exc:
+                self.overflow = exc
+        if self.error:
+            return
+        z = z[: hi - lo]
+        self.shape.add(z)
+        work[:, 0] = self.maxima
+        try:
+            rows = _model_block(self.sol, z, self.span(lo, hi), path, lo, self.stride, work)
+        except DivergenceError as exc:
+            self.failure = exc
+            return
+        self.maxima = tuple(work[:, 0])
+        self.fit.add(lo, work[0, 1 : z.size + 1], work[1, 1 : z.size + 1])
+        del path, z  # the block's arrays are freed before its rows are written
+        if rows is not None:
+            self.write_rows(rows)
+
+    def summary(self) -> dict:
+        slopes = self.fit.slopes()
+        summary = {"max_err_naive": float(self.maxima[0]),
+                   "max_err_renorm": float(self.maxima[1]),
+                   "slope_err_naive": slopes[0], "slope_err_renorm": slopes[1],
+                   "period_oracle": None, "limit_amplitude_oracle": None}
+        with contextlib.suppress(ValueError):  # too few crossings
+            summary["period_oracle"] = self.shape.period().mean_period
+        with contextlib.suppress(ValueError):  # the mean of the last five peaks, or of all
+            summary["limit_amplitude_oracle"] = float(self.shape.envelope()[-5:, 1].mean())
+        return summary
+
+
+def _run_passes(passes: list[_Pass]) -> None:
+    """Advance `passes` together, one guard block at a time, all in one
+    block of error scratch, until the first of them, in order, that does not
+    run clean to its end is done: raises its failure."""
+    work = np.zeros((2, max(p.block[1] for p in passes) + 1))
+    while True:
+        first = next((p for p in passes if p.block or p.error), None)
+        if first is None or first.block is None:
+            break
+        for p in passes:
+            if p.block:
+                p.advance(work)
+    if first is not None:
+        raise first.error
+
+
+def run_compare_pipeline(cfg: ExperimentConfig, write_rows=None,
+                         checked: tuple | None = None) -> dict:
     """Oracle vs naive vs renormalized trajectories, plus summary statistics.
 
     Returns the summary, which covers every step, and hands the rows the
     writer writes, every `stride`-th step, to `write_rows` one guard block
     at a time, as soon as the block is formed: a dict of the block's columns
     in the writer's order, n, t, z_oracle, z_naive, z_renorm_discrete,
-    z_renorm_continuum, err_naive and err_renorm.  Without `write_rows` (a
-    sweep reads the summary alone) no row and no discrete column is formed.
-    At stride 1 the summary is recomputable from the rows.
+    z_renorm_continuum, err_naive and err_renorm.  Without `write_rows` no
+    row and no discrete column is formed.  At stride 1 the summary is
+    recomputable from the rows.
 
-    One pass over the guard blocks of the run, all reading its one
+    One pass over the guard blocks of the run (_Pass), all reading its one
     first-order record: each block runs the oracle from the first-order
     bridge and the amplitude flow through its steps and one more, each
     resumed from the state the block before left, then feeds the oracle's
-    crossings and peaks (Oscillation), forms the model columns and the
-    errors (_model_block), the errors' running maxima and their growth fit
-    (GrowthFit).  So a compare holds one guard block of each, and the
-    crossing times.  A failure wins as it would if each stage ran whole
-    before the next: the oracle's at once, a flow overflow once the oracle
-    has run to the last step, a model column's once the flow has too; the
-    rows stop at the first.  `fundamental` is lam_p^n on the time grid when
-    the caller shares it between pipelines; without it each block forms its
-    own span.  Either way the bytes are the same.  `checked` is
-    `_checked(cfg)` from a caller that ran it already: the solution, whose
-    first-order record every stage reads, and the steps.  Raises ConfigError
-    for a config that `main` would refuse.
+    crossings and peaks, forms its lam_p^n, the model columns and the
+    errors (_model_block), the errors' running maxima and their growth fit.
+    So a compare holds one guard block of each, and the crossing times.
+    `checked` is `_checked(cfg)` from a caller that ran it already: the
+    solution, whose first-order record every stage reads, and the steps.
+    Raises ConfigError for a config that `main` would refuse.
     """
     sol, steps = checked or _checked(cfg)
-    first, stride = sol.first, cfg.stride if write_rows else None
-    flow = build_flow(first)
-    state, oracle = flow_state(flow, sol.a0), OracleState(0, *init_from_amplitude(first, sol.a0))
-    shape, fit = Oscillation(first.params.dt, keep=5), GrowthFit(first.params.dt, steps + 1, 2)
-    overflow = failure = None
-    for lo, hi in guard_blocks(0, steps + 1):
-        if not lo:  # each error's block, after the running maximum carried in
-            work = np.zeros((2, hi + 1))
-        # z(lo) .. z(hi) and A(lo) .. A(hi), one step past the block.  By
-        # keyword: perfbench/tracing.py reads the step counts from them.
-        z = iterate(first.kind, first.params, oracle, None, n_steps=min(hi, steps) - lo).values
-        if overflow is None:
-            try:
-                path = flow_path(flow, state, steps=min(hi, steps) - lo)
-            except OverflowError as exc:
-                overflow = exc
-        if overflow or failure:
-            continue
-        z = z[: hi - lo]
-        shape.add(z)
-        try:
-            rows = _model_block(sol, z, fundamental, path, lo, stride, work)
-        except DivergenceError as exc:
-            failure = exc
-            continue
-        fit.add(lo, work[0, 1 : z.size + 1], work[1, 1 : z.size + 1])
-        del path, z  # the block's arrays are freed before its rows are written
-        if rows is not None:
-            write_rows(rows)
-    if overflow or failure:
-        raise overflow or failure
-    slopes = fit.slopes()
-    summary = {"max_err_naive": float(work[0, 0]), "max_err_renorm": float(work[1, 0]),
-               "slope_err_naive": slopes[0], "slope_err_renorm": slopes[1],
-               "period_oracle": None, "limit_amplitude_oracle": None}
-    with contextlib.suppress(ValueError):  # too few crossings
-        summary["period_oracle"] = shape.period().mean_period
-    with contextlib.suppress(ValueError):  # the mean of the last five peaks, or of all
-        summary["limit_amplitude_oracle"] = float(shape.envelope()[-5:, 1].mean())
-    return summary
+    run = _Pass(sol, steps, _spans(sol.first.params), write_rows, cfg.stride)
+    _run_passes([run])
+    return run.summary()
 
 
 def cmd_compare(cfg: ExperimentConfig) -> int:
@@ -404,7 +479,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
 
     doc = Document(cfg.output_format)
     with _output(cfg) as write:
-        summary = run_compare_pipeline(cfg, None, lambda rows: write(doc.rows(rows)))
+        summary = run_compare_pipeline(cfg, lambda rows: write(doc.rows(rows)))
         write(doc.end(summary))
     if cfg.output_path is not None:
         sys.stdout.write(json.dumps(summary, sort_keys=True) + "\n")
@@ -415,20 +490,20 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values: list[float]) -> int:
     if param not in _SWEEPABLE:
         raise ConfigError(f"sweep parameter must be one of {_SWEEPABLE}, got {param!r}")
     row_cfgs = [dataclasses.replace(cfg, **{param: value}) for value in values]
-    # Each row passes compare's checks, in order, before any pipeline runs.
+    # Each row passes compare's checks, in order, before any pass runs.
     checked = [_checked(row_cfg) for row_cfg in row_cfgs]
-    # eps and a0_re keep the time grid (dt, t_max, scheme), so its lam_p^n is
-    # built once and the blocks slice it; each dt gives a grid of its own,
-    # formed a block at a time inside its pipeline.
-    fundamental = None
-    if param != "dt":
-        sol, steps = checked[0]
-        fundamental = discrete_fundamental(sol.first.params, np.arange(steps + 1))
-    # The summary alone: the pipeline keeps no rows and assembles no discrete
+    # The rows' passes advance together, a guard block at a time, in one
+    # block of error scratch: the sweep holds one block and each row's few
+    # sums, not a block per row.  eps and a0_re keep the time grid (dt,
+    # t_max, scheme), so each block's lam_p^n is formed once for all rows;
+    # each dt gives a grid of its own, whose row forms its own.  A pass
+    # keeps the summary alone: it keeps no rows and assembles no discrete
     # column, but still runs the flow, so its guard fails a row as it fails
-    # compare.
-    summaries = [run_compare_pipeline(row_cfg, fundamental, None, row)
-                 for row_cfg, row in zip(row_cfgs, checked)]
+    # compare.  The first failing row, in row order, is the one named.
+    grid = None if param == "dt" else _spans(checked[0][0].first.params)
+    passes = [_Pass(sol, steps, grid or _spans(sol.first.params)) for sol, steps in checked]
+    _run_passes(passes)
+    summaries = [p.summary() for p in passes]
     columns = {"value": list(values), **{key: [s[key] for s in summaries] for key in summaries[0]}}
     _write_table(cfg, columns, summary={"param": param})
     return 0

@@ -482,6 +482,16 @@ class TestCompare:
         assert not out.exists()
 
 
+def _spy_iterate(monkeypatch):
+    """The calls of the oracle's `iterate`, which every pass of a compare or
+    a sweep row makes in its first block; the calls still run."""
+    calls = []
+    real = cli.iterate
+    monkeypatch.setattr(cli, "iterate",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    return calls
+
+
 class TestSweep:
     def test_eps_sweep_renorm_error_quadratic(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -516,10 +526,7 @@ class TestSweep:
     @pytest.mark.parametrize("values", ["0.002,1e-12", "0.002,2.5"])
     def test_bad_value_rejected_before_any_pipeline(self, tmp_path, monkeypatch, values):
         # 1e-12 breaks the step cap, 2.5 the standard scheme's dt < 2
-        calls = []
-        real = cli.run_compare_pipeline
-        monkeypatch.setattr(cli, "run_compare_pipeline",
-                            lambda *args: calls.append(args) or real(*args))
+        calls = _spy_iterate(monkeypatch)
         out = tmp_path / "s.csv"
         code = main(
             ["sweep", "--param", "dt", "--values", values, "--t-max", "200",
@@ -531,10 +538,7 @@ class TestSweep:
 
     def test_vdp_out_of_reach_rejected_before_any_pipeline(self, tmp_path, monkeypatch, capsys):
         # |a0|^2 underflows to 0 at 1e-200
-        calls = []
-        real = cli.run_compare_pipeline
-        monkeypatch.setattr(cli, "run_compare_pipeline",
-                            lambda *args: calls.append(args) or real(*args))
+        calls = _spy_iterate(monkeypatch)
         out = tmp_path / "s.csv"
         code = main(
             ["sweep", "--kind", "vdp", "--param", "a0_re", "--values", "0.1,1e-200",
@@ -549,16 +553,36 @@ class TestSweep:
     def test_unresolved_third_harmonic_rejected_before_any_pipeline(
         self, tmp_path, monkeypatch, capsys, small
     ):
-        calls = []
-        real = cli.run_compare_pipeline
-        monkeypatch.setattr(cli, "run_compare_pipeline",
-                            lambda *args: calls.append(args) or real(*args))
+        calls = _spy_iterate(monkeypatch)
         out = tmp_path / "s.csv"
         code = main(["sweep", "--param", "dt", "--values", f"1e-4,{small}", "--t-max", "1e-3",
                      "--output-path", str(out)])
         assert code == 2
         assert "is too small to resolve the third harmonic" in capsys.readouterr().err
         assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "values, message, oracle_calls",
+        [("0.05,0.4", "amplitude flow exceeded 1000000000000.0 at step 4", 3),
+         ("0.4,0.05", "|z(412)| = 150774153.58871105 exceeded 100000000.0", 2)],
+        ids=["flow-row-first", "oracle-row-first"])
+    def test_first_failing_row_wins_when_rows_fail_in_different_blocks(
+        self, tmp_path, monkeypatch, capsys, values, message, oracle_calls
+    ):
+        # 5001 steps, two guard blocks.  At eps = 0.4 the oracle passes its
+        # divergence guard at z(412), in the first block; at eps = 0.05 the
+        # flow passes its overflow guard at step 4, named only once the
+        # row's oracle has run to its last step, in the second.  The sweep
+        # names the failure of its first failing row, in row order, and stops
+        # as soon as that failure is known.
+        calls = _spy_iterate(monkeypatch)
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--kind=vdp", "--dt=1", "--a0-re=10", "--t-max=5000",
+                     "--param=eps", f"--values={values}", f"--output-path={out}"])
+        assert code == 3
+        assert capsys.readouterr().err == f"numerical failure: {message}\n"
+        assert len(calls) == oracle_calls
         assert not out.exists()
 
     def test_each_row_is_checked_once(self, tmp_path, monkeypatch):
@@ -1614,8 +1638,10 @@ class TestPipelineWork:
         spans.clear()
         assert main(["sweep", "--param=eps", "--values=0.01,0.02,0.04", "--t-max=20",
                      f"--output-path={tmp_path / 'sweep.csv'}"]) == 0
-        # an eps sweep shares one table between its rows, and blocks slice it
-        assert [span.size for span in spans] == [2001]
+        # an eps sweep's rows advance together and share each block's span:
+        # 21 spans, each formed once for the three rows, tile the grid once
+        assert max(span.size for span in spans) <= 97
+        assert np.concatenate(spans).tobytes() == np.arange(2001).tobytes()
 
 
 class TestPipelineBlocks:
@@ -1915,6 +1941,51 @@ class TestComparePeakMemory:
         assert peak_large <= 1.1 * peak_small
 
 
+@pytest.fixture(scope="module")
+def sweep_peaks(tmp_path_factory):
+    """The traced peak of a whole cubic eps sweep written to a file, per
+    (dt, t_max, rows), each run once; row k sweeps eps = 0.01 + 0.001 k."""
+    peaks = {}
+
+    def peak(dt, t_max, rows):
+        key = dt, t_max, rows
+        if key not in peaks:
+            out = tmp_path_factory.mktemp("sweep-peak") / "sweep.csv"
+            values = ",".join(repr(0.01 + 0.001 * k) for k in range(rows))
+            argv = ["sweep", "--param=eps", f"--values={values}", "--kind=cubic", "--a0-re=0.5",
+                    f"--dt={dt}", f"--t-max={t_max}", f"--output-path={out}"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([*argv, "--t-max=1"]) == 0  # imports and tables are not counted
+                tracemalloc.start()
+                try:
+                    assert main(argv) == 0
+                    peaks[key] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert len(out.read_text().splitlines()) == 2 + rows
+        return peaks[key]
+
+    return peak
+
+
+class TestSweepPeakMemory:
+    """A sweep's rows advance together, a guard block at a time, in one block
+    of error scratch and one block of lam_p^n: its traced peak grows neither
+    with the steps nor with the rows, each of which holds only its few sums
+    and its oracle's crossing times (one per period) beyond the block."""
+
+    def test_peak_does_not_grow_with_the_steps(self, sweep_peaks):
+        # one row, 4e5 steps against 1e5: 645 and 631 kB measured, where the
+        # parent's whole-run lam_p^n table read 16,045 and 4,045 kB
+        assert sweep_peaks("0.004", "1600", 1) <= 1.1 * sweep_peaks("0.004", "400", 1)
+
+    def test_peak_does_not_grow_with_the_rows(self, sweep_peaks):
+        # eight rows of 2e4 steps (five guard blocks) against one: 672 and
+        # 640 kB measured; a block of error scratch per row would add about
+        # 64 kB a row
+        assert sweep_peaks("0.01", "200", 8) <= 1.1 * sweep_peaks("0.01", "200", 1)
+
+
 class TestSweepRowsMatchAlone:
     """A row of a sweep has the summary of its pipeline run on its own."""
 
@@ -1937,6 +2008,26 @@ class TestSweepRowsMatchAlone:
             alone = run_compare_pipeline(dataclasses.replace(cfg, **{param: value}))
             for key, want in alone.items():
                 assert repr(row[key]) == repr(want), (value, key)
+
+    @pytest.mark.parametrize("kind, param, values",
+                             [("cubic", "eps", (0.04, 0.0, 0.01)), ("vdp", "a0_re", (0.3, 1.5)),
+                              ("cubic", "dt", (0.02, 0.05, 0.01)), ("vdp", "dt", (0.01, 0.03))])
+    def test_rows_advanced_together_match_alone_over_many_blocks(self, monkeypatch, tmp_path,
+                                                                 kind, param, values):
+        # 97-step blocks: the rows share each block's scratch, and a dt
+        # sweep's rows run different numbers of blocks, the shortest done first
+        monkeypatch.setattr(oracle, "_GUARD_BLOCK", 97)
+        cfg = ExperimentConfig(kind=kind, t_max=30.0, eps=0.02, a0_re=0.4, a0_im=0.15)
+        out = tmp_path / "sweep.json"
+        argv = ["sweep", f"--param={param}", "--values=" + ",".join(map(repr, values)),
+                f"--kind={kind}", "--t-max=30", "--eps=0.02", "--a0-re=0.4", "--a0-im=0.15",
+                "--output-format=json", f"--output-path={out}"]
+        assert main(argv) == 0
+        rows = json.loads(out.read_text())["rows"]
+        for row, value in zip(rows, values, strict=True):
+            alone = run_compare_pipeline(dataclasses.replace(cfg, **{param: value}))
+            assert {key: repr(row[key]) for key in alone} == {
+                key: repr(want) for key, want in alone.items()}, value
 
 
 def _validated(cfg):
