@@ -29,13 +29,6 @@ from .lineardiff import (
     power_table,
     scheme_residual,
 )
-from .newton import (
-    SampledSequence,
-    binomial_coefficient,
-    check_envelope_constancy,
-    forward_difference,
-    newton_partial_sum,
-)
 from .oracle import (
     DivergenceError,
     SingularStepError,

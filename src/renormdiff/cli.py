@@ -100,16 +100,16 @@ _CHOICES = {
     "output_format": ("csv", "json"),
 }
 _SWEEPABLE = ("dt", "eps", "a0_re")
-# The oracle runs about 110 (cubic) to 140 (vdp) ns per step in pure Python,
-# and the amplitude flow 80 (cubic) to 100 (vdp): best of 9 at 1e5 steps on a
-# shared 2-vCPU Xeon, where load can double them.  A compare holds a guard
-# block at a time and 8 B per oracle period: its traced peak is 1.5 MB at
-# 1e5 and at 1e6 steps (a cubic CSV compare of 1e6 steps peaked at 33 MiB
-# RSS), and a sweep holds one block for all its rows (a one-row cubic eps
-# sweep of 2e6 steps peaked at 31 MiB, where its whole-run lam_p^n table took
-# it to 106 MiB), so 1e8 steps takes minutes but no more memory.  `simulate`
-# alone holds its whole trajectory, 8 B per step.  Larger counts are
-# rejected early.
+# The oracle runs about 80 (cubic) to 120 (vdp) ns per step in pure Python,
+# two steps per loop iteration, and the amplitude flow 65 (cubic) to 85 (vdp):
+# best of 9 at 1e5 steps on a shared 2-vCPU Xeon, where load can double them.
+# A compare holds a guard block at a time and 8 B per oracle period: its
+# traced peak is 1.5 MB at 1e5 and at 1e6 steps (a cubic CSV compare of 1e6
+# steps peaked at 33 MiB RSS), and a sweep holds one block for all its rows
+# (a one-row cubic eps sweep of 2e6 steps peaked at 31 MiB, where its
+# whole-run lam_p^n table took it to 106 MiB), so 1e8 steps takes minutes but
+# no more memory.  `simulate` alone holds its whole trajectory, 8 B per step.
+# Larger counts are rejected early.
 _MAX_STEPS = 10**8
 
 # A config-file value is read by its field's type; what an int or a float

@@ -103,14 +103,18 @@ def iterate(
     is linear in z(n+1), so the step is solved in closed form; a vanishing
     leading coefficient raises SingularStepError.  Magnitudes beyond 1e8 and
     non-finite values raise DivergenceError, naming the first such step,
-    z(0) and z(1) included.  Neither loop tests a single step: float
-    arithmetic runs on through inf and nan without raising (a leading
-    coefficient of exactly 0 stores nan and ends its block), and one
-    vectorized test after each block of _GUARD_BLOCK steps names the first
-    failing step, so a failing run stops at the end of that block.  At Van
-    der Pol gains eps mu/dt outside [0, 1/2] that test also finds the first
-    vanishing coefficient, which wins over a divergence at the same or a
-    later step.
+    z(0) and z(1) included.  Each loop takes two steps per iteration, its
+    two values trading the roles of z(n-1) and z(n), and stores them
+    through two strided memoryviews of the block, its even and its odd
+    offsets; a block of odd length ends with one single step.  Every step
+    keeps the operands and order of the one-step recurrence above.  Neither
+    loop tests a single step: float arithmetic runs on through inf and nan
+    without raising (a leading coefficient of exactly 0 stores nan and ends
+    its block), and one vectorized test after each block of _GUARD_BLOCK
+    steps names the first failing step, so a failing run stops at the end of
+    that block.  At Van der Pol gains eps mu/dt outside [0, 1/2] that test
+    also finds the first vanishing coefficient, which wins over a divergence
+    at the same or a later step.
     """
     state = z0 if isinstance(z0, OracleState) else OracleState(0, float(z0), float(z1))
     start = state.step
@@ -135,10 +139,15 @@ def iterate(
     if kind is Variant.CUBIC:
         gain = eps * omega * omega
         for lo, hi in guard_blocks(computed, n_steps + 1):
-            for n in range(lo, hi):
-                zp = lin * z - zm - gain * z * z * z
-                store[n] = zp
-                zm, z = z, zp
+            even, odd = store[lo:hi:2], store[lo + 1 : hi : 2]
+            for i in range(len(odd)):
+                zm = lin * z - zm - gain * z * z * z
+                even[i] = zm
+                z = lin * zm - z - gain * zm * zm * zm
+                odd[i] = z
+            if len(even) > len(odd):
+                zm, z = z, lin * z - zm - gain * z * z * z
+                store[hi - 1] = z
             _check_guard(values, lo, hi, start)
     else:
         gain = eps * vdp_scale(params)
@@ -147,13 +156,24 @@ def iterate(
         # NaN, once z*z overflows or z is NaN): the guard need not test it.
         singular_gain = None if 0.0 <= gain <= 0.5 else gain
         for lo, hi in guard_blocks(computed, n_steps + 1):
+            even, odd = store[lo:hi:2], store[lo + 1 : hi : 2]
             try:
-                for n in range(lo, hi):
+                for i in range(len(odd)):
                     w = gain * (1.0 - z * z)
-                    zp = (lin * z - zm - w * zm) / (1.0 - w)
-                    store[n] = zp
-                    zm, z = z, zp
+                    zm = (lin * z - zm - w * zm) / (1.0 - w)
+                    even[i] = zm
+                    w = gain * (1.0 - zm * zm)
+                    z = (lin * zm - z - w * z) / (1.0 - w)
+                    odd[i] = z
+                i = len(odd)
+                if len(even) > i:
+                    w = gain * (1.0 - z * z)
+                    zm, z = z, (lin * z - zm - w * zm) / (1.0 - w)
+                    store[hi - 1] = z
             except ZeroDivisionError:  # the guard names this step singular
+                # Step lo + 2i (the trailing one at i = len(odd)) failed if
+                # z's lead is the zero; else step lo + 2i + 1, from zm's, did.
+                n = lo + 2 * i + (gain * (1.0 - z * z) != 1.0)
                 store[n] = math.nan
                 hi = n + 1
             _check_guard(values, lo, hi, start, singular_gain)

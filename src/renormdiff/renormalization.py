@@ -123,9 +123,11 @@ def _cubic_path(state: FlowState, rate: complex, steps: int) -> np.ndarray:
     """The cubic flow as A(m) = A(start) prod_j (1 + i x_j).
 
     |A|^2 gains the factor 1 + x^2 per turn, so x follows one real
-    recurrence, x <- x + x^3.  The loop folds x alone, storing x_j as the
-    imaginary part of entry j + 1 through a memoryview, and a cumulative
-    product of [A(start), 1 + i x_0, ...], in place, forms the path: no exp,
+    recurrence, x <- x + x^3.  The loop folds x alone, two steps per
+    iteration, storing x_j as the imaginary part of entry j + 1 through two
+    strided memoryviews of the block (its even and its odd offsets; a block
+    of odd length ends with one single step), and a cumulative product of
+    [A(start), 1 + i x_0, ...], in place, forms the path: no exp,
     atan or phase table, and no array beside the path.  Both run one guard
     block at a time, the product from the block's last entry before it, so
     the guard stops a diverging flow at the end of its block.
@@ -136,8 +138,14 @@ def _cubic_path(state: FlowState, rate: complex, steps: int) -> np.ndarray:
     turns = memoryview(out.imag)
     for lo, hi in guard_blocks(1, steps + 1):
         out.real[lo:hi] = 1.0
-        for m in range(lo, hi):
-            turns[m] = x
+        even, odd = turns[lo:hi:2], turns[lo + 1 : hi : 2]
+        for m in range(len(odd)):
+            even[m] = x
+            x = x + x * x * x
+            odd[m] = x
+            x = x + x * x * x
+        if len(even) > len(odd):
+            turns[hi - 1] = x
             x = x + x * x * x
         # An overflow runs on as inf or nan to the guard, without a warning.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -153,9 +161,11 @@ def _vdp_path(state: FlowState, rate: complex, steps: int) -> np.ndarray:
     A real rate multiplies A by the real factor 1 + r (1 - |A|^2) each step,
     so A keeps the direction of u and the complex step is one real
     recurrence, s <- s + r (s - k s^3) with k = |u|^2, in the order of
-    AmplitudeFlow.__call__ (folding 1 + r would round r).  The scales are
-    written through a memoryview into the array the guard reads, one guard
-    block at a time, and the path is formed from it.
+    AmplitudeFlow.__call__ (folding 1 + r would round r).  The loop takes
+    two steps per iteration and writes the scales through two strided
+    memoryviews (a block's even and odd offsets; a block of odd length ends
+    with one single step) into the array the guard reads, one guard block at
+    a time, and the path is formed from it.
     """
     rate, u, s = complex(rate).real, state.a, state.x
     k = (u * u.conjugate()).real
@@ -166,9 +176,15 @@ def _vdp_path(state: FlowState, rate: complex, steps: int) -> np.ndarray:
     store = memoryview(scales)
     store[0] = s
     for lo, hi in guard_blocks(1, steps + 1):
-        for m in range(lo, hi):
+        even, odd = store[lo:hi:2], store[lo + 1 : hi : 2]
+        for m in range(len(odd)):
             s = s + rate * (s - k * s * s * s)
-            store[m] = s
+            even[m] = s
+            s = s + rate * (s - k * s * s * s)
+            odd[m] = s
+        if len(even) > len(odd):
+            s = s + rate * (s - k * s * s * s)
+            store[hi - 1] = s
         _check_guard(np.abs(scales[lo:hi]) <= bound, state.step + lo)
     state.step, state.x = state.step + steps, s
     out = np.empty(steps + 1, complex)
@@ -196,9 +212,11 @@ def flow_path(flow: AmplitudeFlow, a0: complex | FlowState, steps: int) -> np.nd
     a single pair, the cubic product of a one-step piece, may fuse its
     rounding, as it does in a one-step guard block of a whole run.
     Each variant folds one real recurrence per step, within rounding of the
-    complex fold a = a + flow(a) through AmplitudeFlow.__call__, and writes
-    each step's real value through a memoryview into a numpy array, with no
-    list of boxed values: the cubic flow, whose rate must be imaginary, folds
+    complex fold a = a + flow(a) through AmplitudeFlow.__call__, two steps
+    per loop iteration, and writes each step's real value through two
+    strided memoryviews of a block, its even and its odd offsets, into a
+    numpy array, with no list of boxed values (a block of odd length ends
+    with one single step): the cubic flow, whose rate must be imaginary, folds
     the turn x = Im(rate) |A|^2 and forms the path as one cumulative product
     (_cubic_path); the Van der Pol flow, whose rate must be real, folds one
     real scale (_vdp_path).  Neither loop tests per step: an overflow runs on

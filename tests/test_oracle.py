@@ -329,6 +329,12 @@ class TestReferenceLoop:
             # the second block of 5
             ((0.3047720314829509, 0.3064637683294363), 3, 7),
             ((0.3047720314829509, 0.3064637683294363), 5, 7),
+            # the loop takes two steps at a time from a block's start, so z(8)
+            # is the first of a pair at blocks of 2, 3 and 4, the second at 5,
+            # and the one trailing step of a block of 7
+            ((0.3047720314829509, 0.3064637683294363), 2, 7),
+            ((0.3047720314829509, 0.3064637683294363), 4, 7),
+            ((0.3047720314829509, 0.3064637683294363), 7, 7),
         ],
     )
     def test_vdp_singular_step_same_failure(self, monkeypatch, data, block, n):
